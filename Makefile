@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet bench bench-json bench-guard figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
+.PHONY: test test-race vet bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
 
 test:
 	go test ./...
@@ -8,7 +8,7 @@ test:
 # Race-detector pass over the concurrency-heavy packages (the recovery
 # protocol, the chaos proxy and the transport layer).
 test-race:
-	go test -race ./internal/runtime ./internal/chaos ./internal/transport ./internal/schedule ./internal/dataflow
+	go test -race ./internal/spsc ./internal/runtime ./internal/chaos ./internal/transport ./internal/schedule ./internal/dataflow
 
 vet:
 	go vet ./...
@@ -44,8 +44,8 @@ sweep-smoke:
 # experiments/skew-sweep.json dispatched through real worker processes and
 # archived under results/skew-sweep/, then gated on the headline claim: at
 # α=1.5 with 16 workers, PKG must beat hash grouping by at least 1.5x
-# tuples/s. (The full-benchtime archive shows ~2x; the single-run sweep
-# gate leaves headroom for noisy shared runners.)
+# tuples/s. (Full-benchtime runs show ~2x; the single-run sweep gate leaves
+# headroom for noisy shared runners.)
 skew-sweep:
 	rm -rf results/skew-sweep
 	go run ./cmd/dispatcher -specs experiments/skew-sweep.json \
@@ -62,45 +62,16 @@ skew-sweep:
 quick-bench:
 	go test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
-# Full benchmark sweep, archived as BENCH_<short-sha>.json (same format the
-# CI bench-regression job uploads), plus the raw text on stdout.
+# Full benchmark sweep as a smoke of every `go test` benchmark. The numbers
+# are single samples: the instrument that tells a regression from noise is
+# the repo benchmark (BENCHMARK.json, `bash bench/run.sh`).
 bench:
-	go test -bench=. -benchmem -run '^$$' ./... | tee /tmp/bench.$$$$.txt \
-		&& go run ./cmd/benchjson < /tmp/bench.$$$$.txt > "BENCH_$$(git rev-parse --short HEAD).json" \
-		&& rm -f /tmp/bench.$$$$.txt \
-		&& echo "wrote BENCH_$$(git rev-parse --short HEAD).json"
+	go test -bench=. -benchmem -run '^$$' ./...
 
 # Single-iteration benchmark sweep encoded as JSON (what the CI
-# bench-regression job archives per commit).
+# bench-regression job uploads per commit).
 bench-json:
 	go test -bench=. -benchmem -benchtime=1x -run '^$$' ./... | go run ./cmd/benchjson
-
-# Measured runs gated against the newest checked-in baseline: fails on a
-# >10% tuples/s drop in merger ingest at 64 connections, in the in-proc
-# transport region grid, or in the keyed-routing headline row (PKG at
-# Zipf α=1.5 with 16 workers — the skew bake-off's claim) — what CI
-# enforces.
-bench-guard:
-	go test -bench 'BenchmarkMergerIngest' -benchmem -run '^$$' ./internal/runtime \
-		| go run ./cmd/benchjson > /tmp/ingest.$$$$.json \
-		&& go run ./cmd/benchguard \
-			-baseline "$$(ls BENCH_*.json | tail -1)" -current /tmp/ingest.$$$$.json \
-			-bench 'MergerIngest/conns=64/recv=64' -metric tuples/s -max-drop 0.10; \
-		rc=$$?; rm -f /tmp/ingest.$$$$.json; \
-		[ $$rc -eq 0 ] || exit $$rc
-	go test -bench 'BenchmarkRegionTransport' -benchmem -run '^$$' . \
-		| go run ./cmd/benchjson > /tmp/region.$$$$.json \
-		&& go run ./cmd/benchguard \
-			-baseline "$$(ls BENCH_*.json | tail -1)" -current /tmp/region.$$$$.json \
-			-bench 'RegionTransport/transport=inproc' -metric tuples/s -max-drop 0.10; \
-		rc=$$?; rm -f /tmp/region.$$$$.json; \
-		[ $$rc -eq 0 ] || exit $$rc
-	go test -bench 'BenchmarkKeyedRouting/router=pkg$$/alpha=1.5/workers=16' -benchmem -run '^$$' . \
-		| go run ./cmd/benchjson > /tmp/keyed.$$$$.json \
-		&& go run ./cmd/benchguard \
-			-baseline "$$(ls BENCH_*.json | tail -1)" -current /tmp/keyed.$$$$.json \
-			-bench 'KeyedRouting/router=pkg/alpha=1.5/workers=16' -metric tuples/s -max-drop 0.10; \
-		rc=$$?; rm -f /tmp/keyed.$$$$.json; exit $$rc
 
 figures:
 	go run ./cmd/sbench -fig all

@@ -160,7 +160,7 @@ func runMerger(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("spe merger", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "number of worker connections to accept")
 	queue := fs.Int("queue", 0, "reorder queue capacity per worker (0 = default)")
-	recvBatch := fs.Int("recv-batch", 0, "tuples ingested per receive pass (0 = default, 1 = per-tuple)")
+	recvBatch := fs.Int("recv-batch", 0, "tuples ingested per receive pass (0 = default; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "per-connection lock-free ingest ring capacity, rounded up to a power of two (0 = default)")
 	stallWindow := fs.Duration("stall-window", 0, "merge-stall watchdog window; quarantines stragglers via the control channel (0 = off)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
@@ -224,7 +224,7 @@ func runWorker(w io.Writer, args []string) error {
 	spin := fs.Int64("spin", 0, "integer multiplies per tuple (CPU load)")
 	service := fs.Duration("service", 0, "per-tuple wall-clock service time, debt-batched so it stays accurate below kernel sleep granularity")
 	combine := fs.Bool("combine", false, "fold same-key results per batch with the per-key sum combiner before forwarding")
-	recvBatch := fs.Int("recv-batch", 0, "tuples received/processed/forwarded per pass (0 = default, 1 = per-tuple)")
+	recvBatch := fs.Int("recv-batch", 0, "tuples received/processed/forwarded per pass (0 = default; 1 makes every pass a batch of one)")
 	resilient := fs.Bool("resilient", false, "serve reconnecting splitters until killed (recovery mode)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -249,7 +249,7 @@ func runWorker(w io.Writer, args []string) error {
 		return err
 	}
 	if *combine {
-		worker.SetCombiner(runtime.SumCombiner())
+		worker.SetCombiner(runtime.SumCombiner(), nil)
 	}
 	if *recvBatch > 0 {
 		worker.SetRecvBatch(*recvBatch)
@@ -276,7 +276,7 @@ func runSplitter(w io.Writer, args []string) error {
 	interval := fs.Duration("interval", 100*time.Millisecond, "controller sampling interval")
 	noBalance := fs.Bool("no-balance", false, "disable balancing")
 	sockbuf := fs.Int("sockbuf", 8<<10, "socket buffer bytes per connection")
-	batch := fs.Int("batch", 1, "tuples per vectored-write batch (1 = per-tuple sends)")
+	batch := fs.Int("batch", 1, "tuples staged per flush round; each flush is one blocking sample (1 = a batch of one: one sample per tuple)")
 	keyed := fs.Bool("keyed", false, "stream deterministic keyed tuples (Zipf skew) instead of the unkeyed constant source")
 	skew := fs.Float64("skew", 1.1, "Zipf exponent of the keyed stream (0 = uniform; needs -keyed)")
 	keys := fs.Int("keys", 10_000, "key universe size (needs -keyed)")
@@ -386,8 +386,8 @@ func runAll(w io.Writer, args []string) error {
 	baseDelay := fs.Duration("base-delay", 50*time.Microsecond, "per-tuple delay of unloaded workers")
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
-	batch := fs.Int("batch", 1, "tuples per vectored-write batch (1 = per-tuple sends)")
-	recvBatch := fs.Int("recv-batch", 0, "tuples per receive pass in workers and merger (0 = default, 1 = per-tuple)")
+	batch := fs.Int("batch", 1, "tuples staged per flush round; each flush is one blocking sample (1 = a batch of one: one sample per tuple)")
+	recvBatch := fs.Int("recv-batch", 0, "tuples per receive pass in workers and merger (0 = default; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
 	stallWindow := fs.Duration("stall-window", 0, "merge-stall watchdog window (0 = off; needs -recover)")
 	maxReadmits := fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,8 +47,8 @@ func TestExecuteBenchRegionTransportSpec(t *testing.T) {
 		t.Fatalf("bench payload: %+v", res.Bench)
 	}
 	row := res.Bench.Results[0]
-	// The row must pair with the checked-in BENCH_*.json baselines under
-	// benchguard's pkg+name key.
+	// The row must pair with go-test benchmark rows under benchguard's
+	// pkg+name key.
 	if row.Pkg != "streambalance" || row.Name != "BenchmarkRegionTransport/transport=inproc/batch=32" {
 		t.Fatalf("row does not mirror the go-test benchmark name: %+v", row)
 	}
@@ -113,20 +114,23 @@ func TestResultArchiveRoundTrip(t *testing.T) {
 }
 
 func TestLoadBenchReportReadsRawBaseline(t *testing.T) {
-	// The checked-in pre-versioning BENCH archives must load as the other
-	// side of a comparison.
-	rep, err := LoadBenchReport(filepath.Join("..", "..", "BENCH_d063730.json"))
+	// A raw benchjson document written before schema versioning (no
+	// schema_version, no run envelope) must load as the other side of a
+	// comparison.
+	raw := `{"goos":"linux","goarch":"amd64","results":[{"pkg":"streambalance",
+		"name":"BenchmarkRegionTransport/transport=inproc/batch=32","iterations":3,
+		"metrics":{"ns/op":1.5e8,"tuples/s":1.3e6}}]}`
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := LoadBenchReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, r := range rep.Results {
-		if strings.Contains(r.Name, "RegionTransport/transport=inproc") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("baseline rows not loaded")
+	if len(rep.Results) != 1 || !strings.Contains(rep.Results[0].Name, "RegionTransport/transport=inproc") ||
+		rep.Results[0].Metrics["tuples/s"] != 1.3e6 {
+		t.Fatalf("baseline rows not loaded: %+v", rep.Results)
 	}
 }
 

@@ -17,6 +17,12 @@
 // in the paper's system. A controller goroutine samples the blocking
 // counters every collection interval and drives a core.Balancer.
 //
+// Each stage has one implementation, written against the transport package's
+// BatchSender/BatchReceiver edges, so the same send loop, worker loop
+// (workLoop), merger reader (readLoop) and merge loop run whether the edges
+// are TCP connections or in-process rings (RegionConfig.Transport), and
+// whether batches hold one tuple or many (DESIGN §8).
+//
 // Everything runs in one process here, so with few CPUs the workers time-
 // share; the runtime is the end-to-end functional validation of the metric
 // path (kernel buffers -> blocking time -> rates -> model -> weights), while

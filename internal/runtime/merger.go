@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"streambalance/internal/metrics"
+	"streambalance/internal/spsc"
 	"streambalance/internal/transport"
 )
 
@@ -96,16 +97,18 @@ type Merger struct {
 	// the merge loop alone. depth[id] republishes each heap's occupancy
 	// so producers can compute their back-pressure bound and the watchdog
 	// can rank candidates without entering the merge loop's world.
-	rings  []*spscRing
+	rings  []*spsc.Ring[mergeItem]
 	queues []streamQueue
 	heads  *headIndex
 	depth  []paddedCount
 
-	// Park/wake. The merge loop parks on parkCond when every ring is
-	// empty; producers wake it with wakeMerge, which fast-paths to a
-	// single atomic load while it is awake. Each reader parks on its own
-	// stream's condvar (parks[id]) when its backlog hits the back-pressure
-	// cap or its ring is full, and is woken selectively: when the merge
+	// Park/wake, all on spsc.Parker (whose Wake fast-paths to a single
+	// atomic load while the other side is awake). The merge loop parks on
+	// mergePark when every ring is empty; producers wake it with
+	// wakeMerge. Each reader parks on its own stream's spot (parks[id])
+	// when its backlog hits the back-pressure cap or its ring is full —
+	// private spots so one stream draining does not broadcast to the
+	// other sixty-three — and is woken selectively: when the merge
 	// loop drains its ring, when its backlog descends through wakeAt
 	// (refill hysteresis — waking at cap-1 would let it push one tuple and
 	// re-park, a broadcast storm under contention), and by wakeAll on any
@@ -115,11 +118,9 @@ type Merger struct {
 	// the sequence the merge needs may be *behind* the tuple in their hand
 	// (a replay queued after a survivor's backlog) and parking would wedge
 	// the region on head-of-line blocking.
-	parked     atomic.Int32
-	parkMu     sync.Mutex
-	parkCond   *sync.Cond
-	parks      []streamPark
-	wakeAt     int // queue depth at which a cap-parked reader is rewoken
+	mergePark  spsc.Parker
+	parks      []spsc.Parker
+	wakeAt     int       // queue depth at which a cap-parked reader is rewoken
 	lastWaive  time.Time // merge loop only: when the cap was last waived
 	mergeStuck atomic.Bool
 	closed     atomic.Bool
@@ -140,13 +141,12 @@ type Merger struct {
 	ctrlLive int  // control connections currently open
 	fatal    error
 	strmErrs []error
-	conns    map[net.Conn]struct{} // attached worker conns, for teardown
 	pending  map[net.Conn]struct{} // accepted conns mid-handshake, for teardown
-	// inprocRx tracks attached in-process receivers (AttachInproc) so
-	// teardown can close them — closing wakes their parked producers and
-	// sweeps stranded block references, the in-proc analogue of closing a
-	// worker conn.
-	inprocRx map[*transport.InprocReceiver]struct{}
+	// readers tracks the attached worker edges, TCP and in-process alike, so
+	// teardown can close them: closing a TCP edge fails its reader's blocked
+	// read; closing an in-proc edge wakes its parked producer and sweeps
+	// stranded block references.
+	readers map[transport.BatchReceiver]struct{}
 
 	// quarantined[id] is set when the watchdog nominates id and cleared
 	// when the stream delivers or reattaches; atomic because readers
@@ -226,16 +226,15 @@ func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger,
 		sink:        sink,
 		wmInterval:  DefaultWatermarkInterval,
 		to:          Timeouts{}.norm(),
-		rings:       make([]*spscRing, workers),
+		rings:       make([]*spsc.Ring[mergeItem], workers),
 		queues:      make([]streamQueue, workers),
 		heads:       newHeadIndex(workers),
 		depth:       make([]paddedCount, workers),
 		live:        make([]bool, workers),
 		seen:        make([]bool, workers),
 		quarantined: make([]atomic.Bool, workers),
-		conns:       make(map[net.Conn]struct{}),
 		pending:     make(map[net.Conn]struct{}),
-		inprocRx:    make(map[*transport.InprocReceiver]struct{}),
+		readers:     make(map[transport.BatchReceiver]struct{}),
 		lastIngest:  make([]atomic.Int64, workers),
 		absorbed:    make(map[uint64]struct{}),
 		wmStop:      make(chan struct{}),
@@ -243,13 +242,9 @@ func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger,
 		done:        make(chan struct{}),
 	}
 	for id := range m.rings {
-		m.rings[id] = newSPSCRing(m.ringCap)
+		m.rings[id] = spsc.NewRing[mergeItem](m.ringCap)
 	}
-	m.parkCond = sync.NewCond(&m.parkMu)
-	m.parks = make([]streamPark, workers)
-	for id := range m.parks {
-		m.parks[id].cond = sync.NewCond(&m.parks[id].mu)
-	}
+	m.parks = make([]spsc.Parker, workers)
 	m.wakeAt = queueCap / 2
 	return m, nil
 }
@@ -281,8 +276,8 @@ func (m *Merger) SetWatermarkInterval(d time.Duration) {
 }
 
 // SetRecvBatch bounds how many tuples one connection reader decodes and
-// ingests per ReceiveBatch pass (default transport.DefaultRecvBatch; 1
-// restores the per-tuple path). Call before Start.
+// ingests per ReceiveBatch pass (default transport.DefaultRecvBatch; 1 makes
+// every pass a batch of one). Call before Start.
 func (m *Merger) SetRecvBatch(n int) {
 	if n > 0 {
 		m.recvBatch = n
@@ -300,7 +295,7 @@ func (m *Merger) SetRingCap(n int) {
 	}
 	m.ringCap = n
 	for id := range m.rings {
-		m.rings[id] = newSPSCRing(n)
+		m.rings[id] = spsc.NewRing[mergeItem](n)
 	}
 }
 
@@ -384,42 +379,14 @@ type paddedCount struct {
 // approximate while both sides move, which is fine for back pressure and
 // watchdog evidence.
 func (m *Merger) streamDepth(id int) int {
-	return int(m.depth[id].v.Load()) + m.rings[id].len()
+	return int(m.depth[id].v.Load()) + m.rings[id].Len()
 }
 
-// streamPark is one connection reader's private parking spot: the reader
-// parks here when its stream hits the back-pressure cap or its ring fills,
-// and the merge loop wakes it selectively, so one stream draining does not
-// broadcast to the other sixty-three.
-type streamPark struct {
-	parked atomic.Int32
-	mu     sync.Mutex
-	cond   *sync.Cond
-}
+// wakeMerge unblocks the merge loop if it is parked.
+func (m *Merger) wakeMerge() { m.mergePark.Wake() }
 
-// wakeMerge unblocks the merge loop if it is parked. The fast path is one
-// atomic load: while it is awake (the steady state), waking costs nothing
-// and the producers' hot path never touches parkMu.
-func (m *Merger) wakeMerge() {
-	if m.parked.Load() == 0 {
-		return
-	}
-	m.parkMu.Lock()
-	m.parkCond.Broadcast()
-	m.parkMu.Unlock()
-}
-
-// wakeStream unblocks stream id's reader if it is parked; same single
-// atomic-load fast path as wakeMerge.
-func (m *Merger) wakeStream(id int) {
-	p := &m.parks[id]
-	if p.parked.Load() == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
+// wakeStream unblocks stream id's reader if it is parked.
+func (m *Merger) wakeStream(id int) { m.parks[id].Wake() }
 
 // wakeAll unblocks every parked goroutine — the merge loop and all stream
 // readers. Control-plane use (membership changes, teardown, the merge
@@ -430,34 +397,6 @@ func (m *Merger) wakeAll() {
 	for id := range m.parks {
 		m.wakeStream(id)
 	}
-}
-
-// parkWhile blocks the merge loop while cond() holds. cond must read only
-// atomics. The parked counter is raised before cond is re-checked under
-// parkMu, so a waker that changes state and then sees parked == 0 is
-// guaranteed the parker will observe that change and not sleep — the usual
-// Dekker hand-off, with sequential consistency supplied by sync/atomic.
-func (m *Merger) parkWhile(cond func() bool) {
-	m.parked.Add(1)
-	m.parkMu.Lock()
-	for cond() {
-		m.parkCond.Wait()
-	}
-	m.parkMu.Unlock()
-	m.parked.Add(-1)
-}
-
-// parkStream blocks stream id's reader while cond() holds; the same Dekker
-// hand-off as parkWhile, against the stream's own parking spot.
-func (m *Merger) parkStream(id int, cond func() bool) {
-	p := &m.parks[id]
-	p.parked.Add(1)
-	p.mu.Lock()
-	for cond() {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-	p.parked.Add(-1)
 }
 
 // Start launches the accept loop, per-connection readers and the merge loop.
@@ -517,13 +456,10 @@ func (m *Merger) teardown() {
 	m.ln.Close()
 	m.closed.Store(true)
 	m.ctl.Lock()
-	for conn := range m.conns {
-		conn.Close()
-	}
 	for conn := range m.pending {
 		conn.Close()
 	}
-	for rx := range m.inprocRx {
+	for rx := range m.readers {
 		rx.Close()
 	}
 	m.epoch.Add(1)
@@ -536,7 +472,7 @@ func (m *Merger) teardown() {
 func (m *Merger) drainLeftovers() {
 	for id := range m.rings {
 		for {
-			it, ok := m.rings[id].pop()
+			it, ok := m.rings[id].Pop()
 			if !ok {
 				break
 			}
@@ -565,8 +501,9 @@ func (m *Merger) acceptLoop() {
 }
 
 // handshake reads the 4-byte connection id and routes the connection: a
-// worker id attaches a reader, the control sentinel attaches the watermark
-// writer and FIN reader. Every failure path closes the accepted connection.
+// worker id attaches its stream (attach), the control sentinel attaches the
+// watermark writer and FIN reader. Every failure path closes the accepted
+// connection.
 //
 // The id read is deadline-bounded and the connection is tracked in the
 // pending set until identified: a peer that connects and goes silent is
@@ -621,39 +558,11 @@ func (m *Merger) handshake(conn net.Conn) {
 		m.setFatal(fmt.Errorf("runtime: merger got bad worker id %d", id))
 		return
 	}
-	m.ctl.Lock()
-	if m.closed.Load() {
-		m.ctl.Unlock()
-		conn.Close()
-		return
-	}
-	if m.live[id] {
-		// A duplicate of a live stream is rejected (closed) but not
-		// fatal: a restarting worker can race its predecessor's teardown
-		// and will retry after backoff. Rejection is the correct
-		// handling, so it does not count as a stream error.
-		m.dupRejects.Add(1)
-		if m.mDupRejects != nil {
-			m.mDupRejects.Inc()
-		}
-		m.ctl.Unlock()
-		conn.Close()
-		return
-	}
-	m.live[id] = true
-	if !m.seen[id] {
-		m.seen[id] = true
-		m.attached++
-	}
-	m.conns[conn] = struct{}{}
-	m.epoch.Add(1)
-	m.ctl.Unlock()
-	// A (re)attaching stream is fresh evidence of life: reset the ingest
-	// clock and clear any standing quarantine nomination for this id.
-	m.quarantined[id].Store(false)
-	m.lastIngest[id].Store(time.Now().UnixNano())
-	m.wakeAll()
-	m.readLoop(id, conn)
+	// A rejected attach (merger closed, or a duplicate of a live stream)
+	// has already closed the connection, and is the correct handling rather
+	// than a stream failure: a restarting worker can race its predecessor's
+	// teardown and will retry after backoff.
+	_ = m.attach(id, transport.NewReceiver(conn))
 }
 
 // setFatal records a protocol violation and aborts the merge.
@@ -754,61 +663,23 @@ func (m *Merger) watermarkWriter(conn net.Conn) {
 	}
 }
 
-// readLoop drains one worker connection into its SPSC ring, batch by batch:
-// each ReceiveBatch decodes every complete frame already in the receive
-// buffer (up to recvBatch) and ingest pushes the whole batch lock-free.
-// Back pressure is unchanged from the mutex-guarded merger: when the
-// stream's reorder backlog is at capacity the ingest waits mid-batch, the
-// reader stops reading TCP, and the worker's sends eventually block.
-func (m *Merger) readLoop(id int, conn net.Conn) {
-	defer func() {
-		m.ctl.Lock()
-		m.live[id] = false
-		delete(m.conns, conn)
-		m.epoch.Add(1)
-		m.ctl.Unlock()
-		m.wakeAll()
-		conn.Close()
-	}()
-	rc := transport.NewReceiver(conn)
-	var batch []transport.Tuple
-	for {
-		var ref *transport.BlockRef
-		var err error
-		batch, ref, err = rc.ReceiveBatch(batch, m.recvBatch)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if !m.closed.Load() {
-				m.recordStreamErr(fmt.Errorf("runtime: merger read worker %d: %w", id, err))
-			}
-			return
-		}
-		if m.mIngestBatch != nil {
-			m.mIngestBatch.Observe(float64(len(batch)))
-		}
-		// Stamp arrival before ingest (which may park on a full backlog):
-		// the watchdog must see that this stream is delivering even while
-		// the reorder backlog has no room.
-		m.lastIngest[id].Store(time.Now().UnixNano())
-		if !m.ingest(id, batch, ref) {
-			return
-		}
-	}
-}
-
 // AttachInproc attaches worker id's stream over an in-process transport edge
-// instead of a TCP connection: the merger consumes rx on a dedicated reader
-// goroutine exactly as it reads a socket — same ingest path, same SPSC ring,
-// same dedup and back-pressure rules, same completion accounting (the attach
-// counts toward the fixed-pipeline arrival logic, so a region whose workers
-// all attach in-proc completes when every edge closes). Call before or after
-// Start, once per worker id while that id is unattached.
+// instead of a TCP connection; from attach onward the two are the same code.
+// Call before or after Start, once per worker id while that id is unattached.
 func (m *Merger) AttachInproc(id int, rx *transport.InprocReceiver) error {
 	if id < 0 || id >= m.workers {
 		return fmt.Errorf("runtime: merger got bad worker id %d", id)
 	}
+	return m.attach(id, rx)
+}
+
+// attach admits worker id's stream on rx — a TCP connection's Receiver after
+// the handshake, or an in-process edge — and starts its reader: same ingest
+// path, same SPSC ring, same dedup and back-pressure rules, same completion
+// accounting (the attach counts toward the fixed-pipeline arrival logic, so
+// a region completes when every attached edge has closed). A rejected attach
+// closes rx and says why.
+func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 	m.ctl.Lock()
 	if m.closed.Load() {
 		m.ctl.Unlock()
@@ -829,7 +700,7 @@ func (m *Merger) AttachInproc(id int, rx *transport.InprocReceiver) error {
 		m.seen[id] = true
 		m.attached++
 	}
-	m.inprocRx[rx] = struct{}{}
+	m.readers[rx] = struct{}{}
 	m.epoch.Add(1)
 	// Register with the WaitGroup inside the critical section: a concurrent
 	// teardown either sees this attach (and closes rx, so the reader exits
@@ -837,22 +708,28 @@ func (m *Merger) AttachInproc(id int, rx *transport.InprocReceiver) error {
 	// never an Add racing a Wait already in progress.
 	m.wg.Add(1)
 	m.ctl.Unlock()
+	// A (re)attaching stream is fresh evidence of life: reset the ingest
+	// clock and clear any standing quarantine nomination for this id.
 	m.quarantined[id].Store(false)
 	m.lastIngest[id].Store(time.Now().UnixNano())
 	m.wakeAll()
-	go m.readLoopInproc(id, rx)
+	go m.readLoop(id, rx)
 	return nil
 }
 
-// readLoopInproc is readLoop over an in-process edge: batches pop straight
-// off the pipe's ring — already-decoded tuples carrying their upstream block
-// references — and flow into ingest unchanged.
-func (m *Merger) readLoopInproc(id int, rx *transport.InprocReceiver) {
+// readLoop drains one worker edge into its SPSC ring, batch by batch: each
+// ReceiveBatch yields every tuple already delivered (up to recvBatch) with
+// one block reference per tuple, and ingest pushes the whole batch lock-free,
+// the references riding the ring slots into the merge loop's ownership. When
+// the stream's reorder backlog is at capacity the ingest waits mid-batch, the
+// reader stops receiving, and the worker's sends eventually block — back
+// pressure, on either transport.
+func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 	defer m.wg.Done()
 	defer func() {
 		m.ctl.Lock()
 		m.live[id] = false
-		delete(m.inprocRx, rx)
+		delete(m.readers, rx)
 		m.epoch.Add(1)
 		m.ctl.Unlock()
 		m.wakeAll()
@@ -932,7 +809,7 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 			if m.mParks != nil {
 				m.mParks.Inc()
 			}
-			m.parkStream(id, func() bool {
+			m.parks[id].Park(func() bool {
 				return m.streamDepth(id) >= m.queueCap && t.Seq > m.next.Load() &&
 					!m.closed.Load() && !m.mergeStuck.Load()
 			})
@@ -942,7 +819,7 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 			ref.ReleaseN(len(batch) - i)
 			return false
 		}
-		for !ring.push(mergeItem{t: t, ref: ref}) {
+		for !ring.Push(mergeItem{t: t, ref: ref}) {
 			// A full ring is transient, not semantic back pressure: the
 			// merge loop drains rings unconditionally every pass. Wake it
 			// and park until a slot frees; re-check closed so teardown
@@ -955,8 +832,8 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 			if m.mParks != nil {
 				m.mParks.Inc()
 			}
-			m.parkStream(id, func() bool {
-				return ring.full() && !m.closed.Load()
+			m.parks[id].Park(func() bool {
+				return ring.Full() && !m.closed.Load()
 			})
 		}
 		pushed = true
@@ -965,7 +842,7 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 		m.wakeMerge()
 	}
 	if m.mRing != nil {
-		m.mRing[id].Set(float64(ring.len()))
+		m.mRing[id].Set(float64(ring.Len()))
 	}
 	return true
 }
@@ -1157,8 +1034,8 @@ func (m *Merger) drainRings() bool {
 	for id := range m.rings {
 		r := m.rings[id]
 		n := 0
-		for n < len(r.buf) {
-			it, ok := r.pop()
+		for n < r.Cap() {
+			it, ok := r.Pop()
 			if !ok {
 				break
 			}
@@ -1176,7 +1053,7 @@ func (m *Merger) drainRings() bool {
 			m.heads.update(id, m.queues[id].headKey())
 			if m.mQueue != nil {
 				m.mQueue[id].Set(float64(m.queues[id].len()))
-				m.mRing[id].Set(float64(r.len()))
+				m.mRing[id].Set(float64(r.Len()))
 			}
 			// Freed ring slots (and any swept duplicates) may unblock this
 			// stream's reader — a ring-full park, or a cap park whose depth
@@ -1275,7 +1152,7 @@ func (m *Merger) releaseRuns() bool {
 // the park protocol tolerates (the pusher's wakeAll covers it).
 func (m *Merger) ringsEmpty() bool {
 	for _, r := range m.rings {
-		if r.len() > 0 {
+		if r.Len() > 0 {
 			return false
 		}
 	}
@@ -1394,7 +1271,7 @@ func (m *Merger) mergeLoop() error {
 			m.mergeStuck.Store(true)
 		}
 		m.wakeAll()
-		m.parkWhile(idle)
+		m.mergePark.Park(idle)
 		m.mergeStuck.Store(false)
 		if m.mWakes != nil {
 			m.mWakes.Inc()

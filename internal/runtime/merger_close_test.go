@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"streambalance/internal/metrics"
 	"streambalance/internal/testutil"
 	"streambalance/internal/transport"
 )
@@ -84,6 +85,7 @@ func TestMergerCloseRacesBackpressureParkedReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetRingCap(2)
+	m.SetMetrics(NewRegionMetrics(metrics.New(), nil)) // the park counter is the test's window
 	m.Start()
 
 	c0 := dialWorkerConn(t, m.Addr(), 0)
@@ -107,10 +109,10 @@ func TestMergerCloseRacesBackpressureParkedReader(t *testing.T) {
 	// Wait until the reader is actually parked (cap wait or full ring —
 	// both are condvar parks teardown must break).
 	deadline := time.Now().Add(2 * time.Second)
-	for m.parks[0].parked.Load() == 0 && time.Now().Before(deadline) {
+	for m.mParks.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if m.parks[0].parked.Load() == 0 {
+	if m.mParks.Value() == 0 {
 		t.Fatal("reader never parked against the slow sink")
 	}
 

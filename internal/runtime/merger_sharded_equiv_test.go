@@ -7,12 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"streambalance/internal/spsc"
 	"streambalance/internal/testutil"
 	"streambalance/internal/transport"
 )
 
 // shardedEngine is a single-threaded model of the sharded merger built from
-// the real data-plane components — spscRing hand-off lanes, streamQueue
+// the real data-plane components — spsc.Ring hand-off lanes, streamQueue
 // reorder buffers, the headIndex release tournament — wired together with the
 // exact drain/sweep/release discipline of merger.go's drainRings and
 // releaseRuns. Producer pushes and consumer passes are interleaved by the
@@ -23,7 +24,7 @@ import (
 // producer to pump the consumer, and partial drains leaving residue across
 // watermark movements.
 type shardedEngine struct {
-	rings  []*spscRing
+	rings  []*spsc.Ring[mergeItem]
 	queues []streamQueue
 	heads  *headIndex
 	next   uint64
@@ -36,14 +37,14 @@ type shardedEngine struct {
 
 func newShardedEngine(conns int, ringCap func(conn int) int, batchSize func(conn int) int) *shardedEngine {
 	e := &shardedEngine{
-		rings:  make([]*spscRing, conns),
+		rings:  make([]*spsc.Ring[mergeItem], conns),
 		queues: make([]streamQueue, conns),
 		heads:  newHeadIndex(conns),
 		pend:   make([][]transport.Tuple, conns),
 		size:   make([]int, conns),
 	}
 	for id := range e.rings {
-		e.rings[id] = newSPSCRing(ringCap(id))
+		e.rings[id] = spsc.NewRing[mergeItem](ringCap(id))
 		e.size[id] = batchSize(id)
 	}
 	return e
@@ -69,7 +70,7 @@ func (e *shardedEngine) deliver(conn int) {
 			e.dedup++
 			continue
 		}
-		for !e.rings[conn].push(mergeItem{t: t}) {
+		for !e.rings[conn].Push(mergeItem{t: t}) {
 			if !e.consumerStep() {
 				// The consumer made no progress with a full ring: impossible
 				// in the model (the consumer always drains rings), so this
@@ -89,8 +90,8 @@ func (e *shardedEngine) consumerStep() bool {
 	for id := range e.rings {
 		r := e.rings[id]
 		n := 0
-		for n < len(r.buf) {
-			it, ok := r.pop()
+		for n < r.Cap() {
+			it, ok := r.Pop()
 			if !ok {
 				break
 			}
@@ -136,7 +137,7 @@ func (e *shardedEngine) flushQuiesce() {
 	for e.consumerStep() {
 	}
 	for id := range e.rings {
-		if e.rings[id].len() != 0 {
+		if e.rings[id].Len() != 0 {
 			panic("sharded model: ring not drained at quiescence")
 		}
 	}

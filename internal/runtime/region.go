@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streambalance/internal/core"
+	"streambalance/internal/metrics"
 	"streambalance/internal/schedule"
 	"streambalance/internal/transport"
 )
@@ -115,13 +116,13 @@ type RegionConfig struct {
 	// workers (default DefaultSocketBuffer).
 	SocketBufferBytes int
 	// BatchSize is how many tuples the splitter drains from the schedule
-	// per vectored-write round (<= 1 sends per tuple). See
-	// SplitterConfig.BatchSize for the throughput/signal tradeoff.
+	// per flush round (<= 1 is a batch of one). See SplitterConfig.BatchSize
+	// for the throughput/signal tradeoff.
 	BatchSize int
 	// RecvBatchSize is how many tuples workers and merger readers decode
 	// and ingest per receive pass (<= 0 selects
-	// transport.DefaultRecvBatch; 1 restores per-tuple receive). Unlike
-	// BatchSize there is no signal tradeoff — a receive pass only drains
+	// transport.DefaultRecvBatch; 1 is a batch of one). Unlike BatchSize
+	// there is no signal tradeoff — a receive pass only drains
 	// frames already buffered — so the default stays batched.
 	RecvBatchSize int
 	// Recovery opts the region into worker-failure recovery.
@@ -286,15 +287,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 				r.Close()
 				return nil, err
 			}
-			iw := newInprocWorker(i, op, inRx, outTx, cfg.RecvBatchSize, to)
-			if cfg.Combiner != nil {
-				if cfg.Metrics != nil {
-					iw.setCombiner(cfg.Combiner, cfg.Metrics.combinerHits)
-				} else {
-					iw.setCombiner(cfg.Combiner, nil)
-				}
-			}
-			r.workers = append(r.workers, iw)
+			r.workers = append(r.workers, newInprocWorker(i, op, inRx, outTx, cfg.RecvBatchSize, to))
 			senders = append(senders, inTx)
 		}
 	} else {
@@ -310,12 +303,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 			}
 			w.SetRecvBatch(cfg.RecvBatchSize)
 			w.SetTimeouts(cfg.Timeouts)
-			if cfg.Combiner != nil {
-				w.SetCombiner(cfg.Combiner)
-				if cfg.Metrics != nil {
-					w.setCombinerMetric(cfg.Metrics.combinerHits)
-				}
-			}
 			if r.recovery {
 				w.SetResilient(true)
 			}
@@ -324,6 +311,16 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 			if cfg.WrapWorkerAddr != nil {
 				addrs[i] = cfg.WrapWorkerAddr(i, addrs[i])
 			}
+		}
+	}
+
+	if cfg.Combiner != nil {
+		var hits *metrics.Counter
+		if cfg.Metrics != nil {
+			hits = cfg.Metrics.combinerHits
+		}
+		for _, w := range r.workers {
+			w.SetCombiner(cfg.Combiner, hits)
 		}
 	}
 
@@ -415,12 +412,7 @@ func (r *Region) Run() (RegionResult, error) {
 	res.CombinedReleased = r.merger.CombinedReleased()
 	res.KeyedSent = r.splitter.KeyedStats()
 	for _, w := range r.workers {
-		switch wk := w.(type) {
-		case *Worker:
-			res.CombinerHits += wk.CombinerHits()
-		case *inprocWorker:
-			res.CombinerHits += wk.combinerHits()
-		}
+		res.CombinerHits += w.CombinerHits()
 	}
 	return res, errors.Join(errs...)
 }

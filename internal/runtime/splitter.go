@@ -109,9 +109,10 @@ type SplitterConfig struct {
 	// BatchSize is how many tuples the send loop drains from the WRR
 	// schedule between blocking samples. Each tuple is still scheduled
 	// individually, but every connection's share of the round leaves in
-	// one vectored write. <= 1 (the default) sends per tuple. Larger
-	// batches raise throughput and coarsen the Section 3 signal: one
-	// elect-to-block sample covers a whole flushed batch rather than one
+	// one flush. <= 1 (the default) is a batch of one through the same
+	// loop: every tuple is its own flush and its own Section 3
+	// elect-to-block sample. Larger batches raise throughput and coarsen
+	// the signal: one sample covers a whole flushed batch rather than one
 	// tuple (see DESIGN §4b).
 	BatchSize int
 
@@ -526,74 +527,14 @@ func (sp *Splitter) event(ev ConnEvent) {
 }
 
 // sendLoop is the splitter's single thread of control. All membership
-// changes (failures, replays, rejoins) happen here, between sends.
+// changes (failures, replays, rejoins) happen here, between rounds. Each
+// round drains up to BatchSize tuples from the WRR schedule: every tuple is
+// assigned to a connection individually and staged there (Queue), and every
+// connection's share of the round leaves in one flush. Blocking is measured
+// on the flush — one elect-to-block sample covers whatever it carried — so
+// BatchSize is the signal's granularity: at 1 a round is one tuple, one
+// flush, one sample; larger rounds trade samples per tuple for throughput.
 func (sp *Splitter) sendLoop() error {
-	if sp.cfg.BatchSize > 1 {
-		return sp.sendLoopBatched()
-	}
-	recovery := sp.recovery()
-	var seq uint64
-	for {
-		// Apply any weight update the controller published.
-		select {
-		case wu := <-sp.weightCh:
-			if err := sp.applyWeights(wu); err != nil {
-				return err
-			}
-		default:
-		}
-		if recovery {
-			if err := sp.pollEvents(); err != nil {
-				return err
-			}
-		}
-		key, payload, ok := sp.src(seq)
-		if !ok {
-			break
-		}
-		var entry *retainEntry
-		if recovery {
-			var err error
-			entry, err = sp.admitRetention(seq, key, payload)
-			if err != nil {
-				return err
-			}
-		}
-		for {
-			c := sp.pickFor(key)
-			if c == nil {
-				return sp.allDeadErr()
-			}
-			err := c.sender.Send(transport.Tuple{Seq: seq, Key: key, Payload: payload})
-			if err == nil {
-				if entry != nil {
-					entry.conn = c.id
-				}
-				break
-			}
-			if !recovery {
-				return fmt.Errorf("runtime: send to worker %d: %w", c.id, err)
-			}
-			if ferr := sp.handleConnFailure(c, err); ferr != nil {
-				return ferr
-			}
-		}
-		seq++
-	}
-	if !recovery {
-		return nil
-	}
-	return sp.drain(seq)
-}
-
-// sendLoopBatched drains up to BatchSize tuples from the WRR schedule per
-// round. Each tuple is assigned to a connection exactly as the per-tuple
-// loop would assign it, but the frames are staged (Sender.Queue) and every
-// connection's share of the round leaves in one vectored write. Blocking is
-// measured on the combined write — one elect-to-block sample covers the
-// whole flushed batch — which is the batching tradeoff: more tuples per
-// Section 3 sample, fewer samples per tuple.
-func (sp *Splitter) sendLoopBatched() error {
 	recovery := sp.recovery()
 	batch := sp.cfg.BatchSize
 	touched := make([]*splitConn, 0, batch)
@@ -701,19 +642,10 @@ func (sp *Splitter) flushStaged(touched []*splitConn, recovery bool) error {
 	return nil
 }
 
-// pickLive returns the next connection per the weighted round-robin, or nil
-// when none remain.
-func (sp *Splitter) pickLive() *splitConn {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.conns) == 0 {
-		return nil
-	}
-	return sp.conns[sp.wrr.Next()]
-}
-
-// pickFor returns the connection for one fresh tuple: non-zero keys go
-// through the key router, everything else through the weighted round-robin.
+// pickFor returns the connection for one tuple, or nil when none remain:
+// non-zero keys go through the key router, everything else (unkeyed tuples,
+// and replays, which pass key 0 to bypass the router) through the weighted
+// round-robin.
 func (sp *Splitter) pickFor(key uint64) *splitConn {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -955,7 +887,7 @@ func (sp *Splitter) handleConnFailure(c *splitConn, cause error) error {
 		entries := sp.collectRetained(id)
 		for _, e := range entries {
 			for {
-				c2 := sp.pickLive()
+				c2 := sp.pickFor(0)
 				if c2 == nil {
 					return sp.allDeadErr()
 				}

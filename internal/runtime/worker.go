@@ -14,6 +14,191 @@ import (
 	"streambalance/internal/transport"
 )
 
+// regionWorker is the region's view of one worker PE, satisfied by the TCP
+// *Worker (its own process in the deployed system, a goroutine serving real
+// sockets here) and by *inprocWorker (a goroutine on shared-memory edges).
+// The region drives both identically: Start, Wait for completion, Close to
+// interrupt.
+type regionWorker interface {
+	SetCombiner(c Combiner, hits *metrics.Counter)
+	CombinerHits() uint64
+	Start()
+	Wait() error
+	Close()
+}
+
+var (
+	_ regionWorker = (*Worker)(nil)
+	_ regionWorker = (*inprocWorker)(nil)
+)
+
+// pe is the part of a worker that does not depend on the transport: the
+// operator, the optional combiner, and the one receive-batch → process →
+// send-batch loop both worker kinds run. Worker and inprocWorker embed it and
+// differ only in how they obtain the edge pair they hand to serve.
+type pe struct {
+	id        int
+	operator  Operator
+	combiner  Combiner
+	mHits     *metrics.Counter
+	hits      atomic.Uint64
+	recvBatch int
+
+	// mu guards closed and the edge pair in service, so Close can sever a
+	// loop parked on either edge.
+	mu     sync.Mutex
+	closed bool
+	rx     transport.BatchReceiver
+	tx     transport.BatchSender
+
+	done chan struct{}
+	err  error
+}
+
+// SetCombiner installs a per-key partial-aggregation stage between the
+// operator and the forward to the merger: same-key results within one
+// processed batch fold into their lowest-seq carrier (see Combiner). hits,
+// when non-nil, is a live counter of absorbed tuples. Call before Start.
+func (p *pe) SetCombiner(c Combiner, hits *metrics.Counter) {
+	p.combiner = c
+	p.mHits = hits
+}
+
+// CombinerHits reports how many tuples the combiner has absorbed into
+// same-key carriers so far.
+func (p *pe) CombinerHits() uint64 {
+	return p.hits.Load()
+}
+
+// Wait blocks until the worker exits and returns its error, if any.
+func (p *pe) Wait() error {
+	<-p.done
+	return p.err
+}
+
+func (p *pe) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
+}
+
+// interrupt marks the worker closed and closes the edge pair in service, so
+// a loop parked on an empty input or a full output wakes and exits.
+func (p *pe) interrupt() {
+	p.mu.Lock()
+	p.closed = true
+	rx, tx := p.rx, p.tx
+	p.mu.Unlock()
+	if rx != nil {
+		rx.Close()
+		tx.Close()
+	}
+}
+
+// serve runs the worker loop over one edge pair until the input ends, and
+// closes both edges on the way out: closing tx is what propagates completion
+// (the merger's reader sees EOF once the edge drains), closing rx fails the
+// splitter's sends instead of leaving them parked on a worker that is gone.
+// An exit caused by Close is clean on every transport — a receive or forward
+// that Close interrupted is not a worker failure.
+func (p *pe) serve(rx transport.BatchReceiver, tx transport.BatchSender) error {
+	p.mu.Lock()
+	closed := p.closed
+	if !closed {
+		p.rx, p.tx = rx, tx
+	}
+	p.mu.Unlock()
+	var err error
+	if !closed {
+		err = p.workLoop(rx, tx)
+	}
+	tx.Close()
+	rx.Close()
+	p.mu.Lock()
+	p.rx, p.tx = nil, nil
+	closed = p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil
+	}
+	return err
+}
+
+// workLoop is the worker's data path: each pass ingests every tuple the
+// splitter already delivered (bounded by recvBatch; a bound of 1 is a batch
+// of one through the same code), processes them, and forwards the results as
+// one batch. Ownership: ReceiveBatch hands the loop one block reference per
+// input tuple; the combiner's absorbed tuples give theirs back here, and the
+// surviving results carry the rest into SendBatchOwned, which consumes them —
+// a TCP edge releases them once the batch is written, an in-proc edge hands
+// them on with the tuples for the merger to release in release order.
+func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) error {
+	var batch []transport.Tuple
+	results := make([]transport.Tuple, 0, p.recvBatch)
+	for {
+		var ref *transport.BlockRef
+		var err error
+		batch, ref, err = rx.ReceiveBatch(batch, p.recvBatch)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("runtime: worker %d receive: %w", p.id, err)
+		}
+		results = results[:0]
+		for i := range batch {
+			results = append(results, p.operator.Process(batch[i]))
+		}
+		if p.combiner != nil {
+			var n int
+			results, n = combineBatch(p.combiner, results)
+			if n > 0 {
+				p.hits.Add(uint64(n))
+				if p.mHits != nil {
+					p.mHits.Add(float64(n))
+				}
+				// Combine copied what it needed and retains nothing.
+				ref.ReleaseN(n)
+			}
+		}
+		if err := tx.SendBatchOwned(results, ref); err != nil {
+			return fmt.Errorf("runtime: worker %d forward: %w", p.id, err)
+		}
+	}
+}
+
+// inprocWorker is one parallel PE on the in-process transport: the shared
+// loop between a splitter edge and a merger edge, with no sockets, handshakes
+// or serialization. A payload crosses splitter → worker → merger with zero
+// copies and is released exactly once, by the merger, in release order.
+type inprocWorker struct{ pe }
+
+// newInprocWorker wires one worker between its two edges. The stall bound
+// mirrors the TCP worker's forwarding stall: back pressure from the merger is
+// routine, the bound only converts "merger never drains again" into an error.
+func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, recvBatch int, to Timeouts) *inprocWorker {
+	if recvBatch <= 0 {
+		recvBatch = transport.DefaultRecvBatch
+	}
+	tx.SetStallTimeout(to.SendStall)
+	// The edge pair is registered from the start, so Close severs it even on
+	// a worker that was never started.
+	return &inprocWorker{pe{id: id, operator: op, recvBatch: recvBatch, rx: rx, tx: tx, done: make(chan struct{})}}
+}
+
+// Start launches the worker loop; it runs until the splitter edge closes (the
+// fixed-pipeline completion), Close is called, or an error occurs.
+func (w *inprocWorker) Start() {
+	go func() {
+		defer close(w.done)
+		w.err = w.serve(w.rx, w.tx)
+	}()
+}
+
+// Close interrupts the worker: both edges close, so a loop parked on an
+// empty input ring or a full output ring wakes and exits cleanly.
+func (w *inprocWorker) Close() { w.interrupt() }
+
 // Worker is one parallel PE: it accepts a connection from the splitter,
 // applies its operator to every tuple, and forwards results to the merger
 // over its own TCP connection.
@@ -25,25 +210,14 @@ import (
 // Accept, and re-handshakes with the merger on the next connection, so a
 // redialing splitter can re-admit it without a process restart.
 type Worker struct {
-	id        int
-	operator  Operator
-	combiner  Combiner
-	mHits     *metrics.Counter
-	hits      atomic.Uint64
+	pe
 	ln        net.Listener
 	merger    string // merger address to dial
 	rcvBuf    int
-	recvBatch int
 	resilient bool
 	to        Timeouts
 
-	mu       sync.Mutex
-	closed   bool
-	active   net.Conn
-	connErrs []error
-
-	done chan struct{}
-	err  error
+	connErrs []error // guarded by pe.mu
 }
 
 // NewWorker starts listening for the splitter on a fresh loopback port.
@@ -57,14 +231,11 @@ func NewWorker(id int, operator Operator, mergerAddr string) (*Worker, error) {
 		return nil, fmt.Errorf("runtime: worker %d listen: %w", id, err)
 	}
 	return &Worker{
-		id:        id,
-		operator:  operator,
-		ln:        ln,
-		merger:    mergerAddr,
-		rcvBuf:    64 << 10,
-		recvBatch: transport.DefaultRecvBatch,
-		to:        Timeouts{}.norm(),
-		done:      make(chan struct{}),
+		pe:     pe{id: id, operator: operator, recvBatch: transport.DefaultRecvBatch, done: make(chan struct{})},
+		ln:     ln,
+		merger: mergerAddr,
+		rcvBuf: 64 << 10,
+		to:     Timeouts{}.norm(),
 	}, nil
 }
 
@@ -89,32 +260,12 @@ func (w *Worker) SetResilient(on bool) {
 }
 
 // SetRecvBatch bounds how many tuples the worker ingests, processes and
-// forwards per receive pass (default transport.DefaultRecvBatch; 1 restores
-// the per-tuple loop). Call before Start.
+// forwards per receive pass (default transport.DefaultRecvBatch; 1 makes
+// every pass a batch of one). Call before Start.
 func (w *Worker) SetRecvBatch(n int) {
 	if n > 0 {
 		w.recvBatch = n
 	}
-}
-
-// SetCombiner installs a per-key partial-aggregation stage between the
-// operator and the forward to the merger: same-key results within one
-// processed batch fold into their lowest-seq carrier (see Combiner). Call
-// before Start.
-func (w *Worker) SetCombiner(c Combiner) {
-	w.combiner = c
-}
-
-// setCombinerMetric wires the live combiner-hit counter (in-process regions;
-// deployed worker processes export their own registries).
-func (w *Worker) setCombinerMetric(m *metrics.Counter) {
-	w.mHits = m
-}
-
-// CombinerHits reports how many tuples the combiner has absorbed into
-// same-key carriers so far.
-func (w *Worker) CombinerHits() uint64 {
-	return w.hits.Load()
 }
 
 // Addr returns the address the splitter should dial.
@@ -140,16 +291,6 @@ func (w *Worker) Start() {
 }
 
 func (w *Worker) run() error {
-	if !w.resilient {
-		in, err := w.ln.Accept()
-		if err != nil {
-			return fmt.Errorf("runtime: worker %d accept: %w", w.id, err)
-		}
-		// Once the splitter is connected no further connections are
-		// expected.
-		w.ln.Close()
-		return w.serve(in)
-	}
 	for {
 		in, err := w.ln.Accept()
 		if err != nil {
@@ -158,38 +299,31 @@ func (w *Worker) run() error {
 			}
 			return fmt.Errorf("runtime: worker %d accept: %w", w.id, err)
 		}
-		if err := w.serve(in); err != nil {
-			w.mu.Lock()
-			closed := w.closed
-			if !closed {
-				w.connErrs = append(w.connErrs, err)
-			}
-			w.mu.Unlock()
+		if !w.resilient {
+			// Once the splitter is connected no further connections are
+			// expected.
+			w.ln.Close()
 		}
+		err = w.serveConn(in)
 		if w.isClosed() {
 			return nil
+		}
+		if !w.resilient {
+			return err
+		}
+		if err != nil {
+			w.mu.Lock()
+			w.connErrs = append(w.connErrs, err)
+			w.mu.Unlock()
 		}
 	}
 }
 
-func (w *Worker) isClosed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.closed
-}
-
-func (w *Worker) setActive(conn net.Conn) {
-	w.mu.Lock()
-	w.active = conn
-	w.mu.Unlock()
-}
-
-// serve processes one splitter connection until EOF or error, forwarding
-// results to the merger over a fresh identified connection.
-func (w *Worker) serve(in net.Conn) error {
+// serveConn processes one splitter connection until EOF or error, forwarding
+// results to the merger over a fresh identified connection: dial and
+// handshake here, then the shared loop over the two sockets' edges.
+func (w *Worker) serveConn(in net.Conn) error {
 	defer in.Close()
-	w.setActive(in)
-	defer w.setActive(nil)
 	if tc, ok := in.(*net.TCPConn); ok {
 		if err := tc.SetReadBuffer(w.rcvBuf); err != nil {
 			return fmt.Errorf("runtime: worker %d set read buffer: %w", w.id, err)
@@ -228,10 +362,6 @@ func (w *Worker) serve(in net.Conn) error {
 		in.SetWriteDeadline(time.Time{})
 	}
 
-	// Receive-batch → process → send-batch: each pass ingests every tuple
-	// the splitter already delivered (bounded by recvBatch), processes
-	// them, and forwards the results in one vectored flush — one syscall
-	// pair per batch instead of per tuple on both sides of the operator.
 	sender, err := transport.NewSender(out)
 	if err != nil {
 		return fmt.Errorf("runtime: worker %d sender: %w", w.id, err)
@@ -240,58 +370,13 @@ func (w *Worker) serve(in net.Conn) error {
 	// while; the stall bound only converts "merger never drains again" from
 	// a permanent wedge into a connection error recovery absorbs.
 	sender.SetStallTimeout(w.to.SendStall)
-	rc := transport.NewReceiver(in)
-	var batch []transport.Tuple
-	results := make([]transport.Tuple, 0, w.recvBatch)
-	for {
-		var ref *transport.BlockRef
-		batch, ref, err = rc.ReceiveBatch(batch, w.recvBatch)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("runtime: worker %d receive: %w", w.id, err)
-		}
-		results = results[:0]
-		for i := range batch {
-			results = append(results, w.operator.Process(batch[i]))
-		}
-		if w.combiner != nil {
-			var n int
-			results, n = combineBatch(w.combiner, results)
-			if n > 0 {
-				w.hits.Add(uint64(n))
-				if w.mHits != nil {
-					w.mHits.Add(float64(n))
-				}
-			}
-		}
-		err = sender.SendBatch(results)
-		// SendBatch completes its write before returning, so the received
-		// payloads (which results may alias) are done with either way.
-		ref.ReleaseN(len(batch))
-		if err != nil {
-			return fmt.Errorf("runtime: worker %d forward: %w", w.id, err)
-		}
-	}
-}
-
-// Wait blocks until the worker loop exits and returns its error, if any.
-func (w *Worker) Wait() error {
-	<-w.done
-	return w.err
+	return w.serve(transport.NewReceiver(in), sender)
 }
 
 // Close shuts the worker down: the listener closes (pending Accepts fail)
 // and any in-flight connection is severed so a resilient worker exits
 // promptly.
 func (w *Worker) Close() {
-	w.mu.Lock()
-	w.closed = true
-	active := w.active
-	w.mu.Unlock()
+	w.interrupt()
 	w.ln.Close()
-	if active != nil {
-		active.Close()
-	}
 }

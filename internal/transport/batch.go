@@ -5,18 +5,17 @@ import (
 	"sync"
 )
 
-// Batching amortizes the per-send syscall: the splitter stages the frames of
-// several tuples on a connection and flushes them with one vectored write.
-// The wire format is unchanged — a batch is just concatenated frames — so
-// the receiver is oblivious and batched and per-tuple senders mix freely on
-// one connection.
+// Queue and Flush are the Sender's only write path: frames are staged on the
+// connection and leave with one vectored write. A batch has no wire header —
+// it is just concatenated frames — so the receiver is oblivious to how the
+// sender grouped them, and a batch of one (Send) is byte-identical to a
+// single frame.
 //
-// Blocking semantics are preserved on the combined write: if the socket
-// buffer fills anywhere inside the batch, the sender elects to block there
-// and the parked time is accounted to this connection's cumulative counter
-// (Section 3), exactly as a per-tuple send would account it. What changes is
-// granularity: one blocking sample now covers up to BatchSize tuples, so
-// batch size trades per-tuple signal resolution for throughput (see the
+// One Flush is one elect-to-block episode: if the socket buffer fills
+// anywhere inside the batch, the sender elects to block there and the parked
+// time is accounted to this connection's cumulative counter (Section 3).
+// Batch size is therefore the signal's granularity: at 1 every tuple is its
+// own sample, at BatchSize one sample covers up to that many tuples (see the
 // README's "Batched sends" section).
 
 const (
@@ -26,8 +25,8 @@ const (
 	// cheaper than growing the iovec list.
 	zeroCopyThreshold = 1 << 10
 
-	// frameBufCap seeds pooled coalesce buffers; buffers grow to fit a
-	// whole batch and return to the pool with their grown capacity.
+	// frameBufCap seeds coalesce buffers; buffers grow to fit a whole batch
+	// and keep their grown capacity.
 	frameBufCap = 16 << 10
 )
 
@@ -40,11 +39,11 @@ var framePool = sync.Pool{
 	New: func() any { return &frameBuf{b: make([]byte, 0, frameBufCap)} },
 }
 
-// Queue stages one tuple in the pending batch without writing. Small
-// payloads are coalesced (copied) into a pooled frame buffer; payloads of
-// zeroCopyThreshold bytes or more are referenced zero-copy, so the caller
-// must not mutate them until Flush returns. An error (only an oversized
-// frame) leaves the batch as it was, without the offending tuple.
+// Queue stages one tuple on the write queue without writing. Small payloads
+// are coalesced (copied) into a frame buffer; payloads of zeroCopyThreshold
+// bytes or more are referenced zero-copy, so the caller must not mutate them
+// until Flush returns. An error (only an unencodable frame) leaves the batch
+// as it was, without the offending tuple.
 func (s *Sender) Queue(t Tuple) error {
 	if s.coalesce == nil {
 		s.coalesce = framePool.Get().(*frameBuf)
@@ -56,7 +55,7 @@ func (s *Sender) Queue(t Tuple) error {
 		}
 		s.coalesce.b = b
 		s.cutCoalesce()
-		s.pending = append(s.pending, t.Payload)
+		s.wq = append(s.wq, t.Payload)
 	} else {
 		b, err := AppendFrame(s.coalesce.b, t)
 		if err != nil {
@@ -68,13 +67,13 @@ func (s *Sender) Queue(t Tuple) error {
 	return nil
 }
 
-// cutCoalesce seals the current coalesce buffer into the pending iovec list.
+// cutCoalesce seals the current coalesce buffer onto the write queue.
 func (s *Sender) cutCoalesce() {
 	if s.coalesce == nil || len(s.coalesce.b) == 0 {
 		return
 	}
-	s.pending = append(s.pending, s.coalesce.b)
-	s.pooled = append(s.pooled, s.coalesce)
+	s.wq = append(s.wq, s.coalesce.b)
+	s.sealed = append(s.sealed, s.coalesce)
 	s.coalesce = nil
 }
 
@@ -91,34 +90,39 @@ func (s *Sender) Pending() int {
 // replayed elsewhere and the merger dedupes any partial deliveries).
 func (s *Sender) Flush() error {
 	s.cutCoalesce()
-	if len(s.pending) == 0 {
+	if len(s.wq) == 0 {
 		return nil
 	}
 	n := s.queued
-	s.wq = append(s.wq[:0], s.pending...)
-	s.wqHead = 0
 	err := s.flushWrite()
-	s.releasePending()
+	s.releaseStaged()
 	if err != nil {
 		return fmt.Errorf("transport: flush batch of %d: %w", n, err)
 	}
 	s.sent.Add(int64(n))
 	s.flushes.Add(1)
-	s.flushedTuples.Add(int64(n))
 	return nil
 }
 
-// releasePending drops payload references and returns pooled buffers.
-func (s *Sender) releasePending() {
-	for i := range s.pending {
-		s.pending[i] = nil
+// releaseStaged empties the write queue, dropping its payload references.
+// The first sealed frame buffer stays with the sender as the next batch's
+// coalesce buffer, so a steady stream of small batches — a batch of one
+// above all — never touches the pool; the rest return to it.
+func (s *Sender) releaseStaged() {
+	for i := range s.wq {
+		s.wq[i] = nil
 	}
-	s.pending = s.pending[:0]
-	for _, fb := range s.pooled {
+	s.wq = s.wq[:0]
+	for i, fb := range s.sealed {
 		fb.b = fb.b[:0]
-		framePool.Put(fb)
+		if i == 0 && s.coalesce == nil {
+			s.coalesce = fb
+		} else {
+			framePool.Put(fb)
+		}
+		s.sealed[i] = nil
 	}
-	s.pooled = s.pooled[:0]
+	s.sealed = s.sealed[:0]
 	s.queued = 0
 }
 
@@ -140,10 +144,10 @@ func (s *Sender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 func (s *Sender) SendBatch(ts []Tuple) error {
 	for i := range ts {
 		if err := s.Queue(ts[i]); err != nil {
-			s.releasePending()
 			if s.coalesce != nil {
 				s.coalesce.b = s.coalesce.b[:0]
 			}
+			s.releaseStaged()
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}
 	}

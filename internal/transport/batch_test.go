@@ -19,7 +19,7 @@ func receiveAll(conn net.Conn, count int) (<-chan []Tuple, <-chan error) {
 		rc := NewReceiver(conn)
 		got := make([]Tuple, 0, count)
 		for len(got) < count {
-			tp, err := rc.Receive()
+			tp, err := recvOne(rc)
 			if err != nil {
 				errCh <- err
 				return

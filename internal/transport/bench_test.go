@@ -42,9 +42,9 @@ func benchPair(b *testing.B) *Sender {
 	return sender
 }
 
-// BenchmarkSenderSend is the per-tuple hot path: one frame, one write. The
-// headline numbers are allocs/op (must be 0 in steady state — every
-// allocation here perturbs the blocking signal the balancer reads) and
+// BenchmarkSenderSend is the batch of one: one frame staged, one flush, one
+// write. The headline numbers are allocs/op (must be 0 in steady state —
+// every allocation here perturbs the blocking signal the balancer reads) and
 // tuples/s against BenchmarkSenderSendBatch.
 func BenchmarkSenderSend(b *testing.B) {
 	sender := benchPair(b)
@@ -153,23 +153,27 @@ func BenchmarkReceiverDecode(b *testing.B) {
 	b.SetBytes(int64(len(stream) / frames))
 	b.ResetTimer()
 	var rc *Receiver
+	var batch []Tuple
 	for i := 0; i < b.N; i++ {
 		if i%frames == 0 {
 			// Rewind and re-wrap; amortized over 1024 decodes.
 			reader.Seek(0, io.SeekStart)
 			rc = NewReceiver(reader)
 		}
-		if _, err := rc.Receive(); err != nil {
+		tuples, ref, err := rc.ReceiveBatch(batch[:0], 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ref.Release()
+		batch = tuples
 	}
 }
 
 // BenchmarkReceiverReceiveBatch is the multi-frame drain against the same
 // stream BenchmarkReceiverDecode walks one frame at a time. The headline
 // numbers are allocs/op (0 in steady state — payloads carve from pooled
-// blocks that ReleaseN returns to the pool) and tuples/s versus per-tuple
-// Receive.
+// blocks that ReleaseN returns to the pool) and tuples/s versus a receive
+// batch of one.
 func BenchmarkReceiverReceiveBatch(b *testing.B) {
 	payload := bytes.Repeat([]byte("p"), 128)
 	const frames = 1024

@@ -1,7 +1,6 @@
-// Package transport is the data transport layer of the streaming runtime: a
-// length-prefixed tuple framing over TCP with per-connection cumulative
-// blocking-time instrumentation, reproducing the measurement mechanism of
-// Section 3 of the paper.
+// Package transport is the data transport layer of the streaming runtime:
+// the edges of a parallel region, with the per-connection cumulative
+// blocking-time instrumentation of Section 3 of the paper.
 //
 // The paper's transport issues send(2) with MSG_DONTWAIT; when the kernel
 // reports the socket buffer full it records the fact and then *elects to
@@ -14,4 +13,25 @@
 // park. A Sender accumulates those waits; a periodic sampler (stats
 // package) turns the cumulative counter into the blocking rate the balancer
 // consumes.
+//
+// An edge is a BatchSender/BatchReceiver pair with two implementations: the
+// TCP Sender/Receiver (length-prefixed frames) and the in-process
+// InprocSender/InprocReceiver (a bounded spsc.Ring of tuples, parking on
+// spsc.Parker when full or empty, timing the wait into the same counters).
+// Each has one data path:
+//
+//   - Send side: Queue stages a tuple, Flush delivers everything staged under
+//     one elect-to-block accounting episode. Send, SendBatch and
+//     SendBatchOwned are compositions of the two; a single tuple is a batch
+//     of one, never a separate path.
+//   - Receive side: ReceiveBatch blocks for the first tuple and then takes
+//     whatever else has already arrived, up to the caller's bound.
+//
+// Who owns a BlockRef: ReceiveBatch returns one reference per tuple on the
+// pooled blocks behind the batch's payloads (nil when they are GC-owned),
+// and the caller must release each exactly once. SendBatchOwned takes
+// references over: a TCP sender releases them when the write has completed,
+// an in-proc sender hands them to the consumer inside the ring slots, whose
+// ReceiveBatch re-issues them on a batch ref that chains the upstream ones.
+// DESIGN §8 follows a reference hop by hop through a whole region.
 package transport

@@ -148,8 +148,7 @@ func AppendFrameHeader(dst []byte, t Tuple) ([]byte, error) {
 
 // AppendBatch encodes the tuples onto dst in order. A batch is simply the
 // concatenation of its tuples' frames — there is no batch header on the
-// wire — so receivers need no batch awareness and batched and per-tuple
-// senders interoperate on one connection.
+// wire — so receivers need no batch awareness.
 func AppendBatch(dst []byte, ts []Tuple) ([]byte, error) {
 	for i := range ts {
 		var err error
@@ -201,17 +200,9 @@ type Receiver struct {
 	// closable (a net.Conn); a non-closable reader makes Close a no-op.
 	src io.Reader
 
-	// scratch backs payloads decoded by the unbatched Receive path. It is a
-	// plain amortized arena, not pool-recycled: Receive has no release hook,
-	// so its payloads stay valid until the garbage collector decides the
-	// caller dropped them. Steady-state Receive therefore allocates only when
-	// the arena fills (once per recvBlockCap bytes of payload), which rounds
-	// to 0 allocs/op.
-	scratch []byte
-
-	// err holds a stream error discovered mid-drain by ReceiveBatch/Drain
-	// after complete tuples were already decoded; it is surfaced on the next
-	// receive call instead.
+	// err holds a stream error discovered mid-drain by ReceiveBatch after
+	// complete tuples were already decoded; it is surfaced on the next call
+	// instead.
 	err error
 
 	// hdr is the reusable read target for fixed frame-header fields. A
@@ -233,30 +224,6 @@ func (rc *Receiver) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-// scratchCarve reserves n bytes in the receiver's scratch arena, growing it
-// with a fresh block when full. Oversized payloads get a dedicated exact
-// allocation so they do not inflate the arena.
-func (rc *Receiver) scratchCarve(n int) []byte {
-	if n > recvBlockCap {
-		return make([]byte, n)
-	}
-	if cap(rc.scratch)-len(rc.scratch) < n {
-		rc.scratch = make([]byte, 0, recvBlockCap)
-	}
-	off := len(rc.scratch)
-	rc.scratch = rc.scratch[:off+n]
-	return rc.scratch[off : off+n : off+n]
-}
-
-// carveFor reserves n bytes from ref's pooled blocks (the batch path) or the
-// Receive arena (unbatched).
-func (rc *Receiver) carveFor(ref *BlockRef, n int) []byte {
-	if ref != nil {
-		return ref.carve(n)
-	}
-	return rc.scratchCarve(n)
 }
 
 // decodeFixed parses the fixed header fields already read into rc.hdr —
@@ -281,24 +248,10 @@ func (rc *Receiver) decodeFixed(flags, body uint32, fixed int) (Tuple, int, erro
 	return t, absorbed, nil
 }
 
-// Receive reads the next tuple. It returns io.EOF at a clean end of stream
-// and io.ErrUnexpectedEOF when the stream ends mid-frame. The payload is
-// carved from an internal arena the caller owns from then on — valid
-// indefinitely, no release required.
-func (rc *Receiver) Receive() (Tuple, error) {
-	if rc.err != nil {
-		err := rc.err
-		rc.err = nil
-		return Tuple{}, err
-	}
-	return rc.receive(nil)
-}
-
-// receive decodes one frame, blocking until it is complete. Payload and
-// absorbed bytes are carved from ref's pooled blocks when ref is non-nil
-// (the batch path) and from the Receive arena otherwise. Dispatching on the
-// pointer rather than a passed-in carve func keeps the hot path closure-free:
-// a method value here would cost one heap allocation per received tuple.
+// receive decodes one frame, blocking until it is complete: the first tuple
+// of every ReceiveBatch pass. It returns io.EOF at a clean end of stream and
+// an io.ErrUnexpectedEOF-wrapping error when the stream ends mid-frame.
+// Payload and absorbed bytes are carved from ref's pooled blocks.
 func (rc *Receiver) receive(ref *BlockRef) (Tuple, error) {
 	if _, err := io.ReadFull(rc.r, rc.hdr[:4]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -319,13 +272,13 @@ func (rc *Receiver) receive(ref *BlockRef) (Tuple, error) {
 		return Tuple{}, err
 	}
 	if absorbed > 0 {
-		t.Absorbed = rc.carveFor(ref, absorbed)
+		t.Absorbed = ref.carve(absorbed)
 		if _, err := io.ReadFull(rc.r, t.Absorbed); err != nil {
 			return Tuple{}, fmt.Errorf("transport: read absorbed seqs: %w", err)
 		}
 	}
 	if payload := int(body) - fixed - absorbed; payload > 0 {
-		t.Payload = rc.carveFor(ref, payload)
+		t.Payload = ref.carve(payload)
 		if _, err := io.ReadFull(rc.r, t.Payload); err != nil {
 			return Tuple{}, fmt.Errorf("transport: read payload: %w", err)
 		}

@@ -20,7 +20,7 @@ func FuzzReceive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rc := NewReceiver(bytes.NewReader(data))
 		for i := 0; i < 100; i++ {
-			_, err := rc.Receive()
+			_, err := recvOne(rc)
 			if err != nil {
 				if errors.Is(err, io.EOF) {
 					return
@@ -55,7 +55,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		rc := NewReceiver(bytes.NewReader(batch))
 		for i := range ts {
-			got, err := rc.Receive()
+			got, err := recvOne(rc)
 			if err != nil {
 				t.Fatalf("Receive %d: %v", i, err)
 			}
@@ -63,7 +63,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				t.Fatalf("tuple %d changed in batch round trip", i)
 			}
 		}
-		if _, err := rc.Receive(); !errors.Is(err, io.EOF) {
+		if _, err := recvOne(rc); !errors.Is(err, io.EOF) {
 			t.Fatalf("batch left trailing bytes: %v", err)
 		}
 	})
@@ -99,7 +99,7 @@ func FuzzReceiveTruncatedBatch(f *testing.F) {
 		rc := NewReceiver(bytes.NewReader(batch))
 		decoded := 0
 		for {
-			got, err := rc.Receive()
+			got, err := recvOne(rc)
 			if err != nil {
 				break // clean error or EOF at the damage — both fine
 			}
@@ -202,7 +202,7 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("AppendFrame: %v", err)
 		}
-		got, err := NewReceiver(bytes.NewReader(frame)).Receive()
+		got, err := recvOne(NewReceiver(bytes.NewReader(frame)))
 		if err != nil {
 			t.Fatalf("Receive: %v", err)
 		}

@@ -7,20 +7,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"streambalance/internal/spsc"
 )
 
 // In-process shared-memory transport: the second implementation of the
 // BatchSender/BatchReceiver edge, for PEs co-located in one process. Where
 // the TCP path serializes every tuple into frames and crosses the kernel
 // twice, this path moves Tuple values through a bounded lock-free SPSC ring
-// (the PR 6 merger-ingest machinery) — zero serialization, zero copies:
+// (spsc.Ring, the same structure as the merger's ingest lanes) — zero
+// serialization, zero copies:
 // payload slices and their pooled-block references transfer by ownership,
 // producer to consumer, and stay valid until the final consumer releases
 // them.
 //
 // What is deliberately identical to TCP is the blocking signal. A full ring
 // is this transport's full socket buffer: the sender elects to block — it
-// parks on a condvar until the consumer frees a slot — and times the wait
+// parks (spsc.Parker) until the consumer frees a slot — and times the wait
 // into the same cumulative/total blocking counters the paper's Section 3
 // accounting defines, so core.Balancer drives goroutine replicas exactly as
 // it drives TCP connections. Beard & Chamberlain's observation that the
@@ -54,128 +57,24 @@ type inprocItem struct {
 	ref *BlockRef
 }
 
-// inprocRing is the bounded lock-free SPSC ring between one sender and one
-// receiver — the same design as the merger's ingest rings: power-of-two
-// capacity, free-running padded atomic cursors whose sequentially consistent
-// stores give the cross-goroutine happens-before for the slot contents, and
-// slot zeroing on pop so the ring never pins handed-over payloads.
-type inprocRing struct {
-	mask uint64
-	buf  []inprocItem
-
-	_    [64]byte
-	head atomic.Uint64 // next slot to pop; advanced only by the consumer
-	_    [64]byte
-	tail atomic.Uint64 // next slot to fill; advanced only by the producer
-	_    [64]byte
-}
-
-// newInprocRing allocates a ring holding at least capacity items (rounded up
-// to a power of two, minimum 2; non-positive selects DefaultInprocRing).
-func newInprocRing(capacity int) *inprocRing {
-	if capacity <= 0 {
-		capacity = DefaultInprocRing
-	}
-	c := uint64(2)
-	for c < uint64(max(capacity, 2)) {
-		c <<= 1
-	}
-	return &inprocRing{mask: c - 1, buf: make([]inprocItem, c)}
-}
-
-func (r *inprocRing) capacity() int { return len(r.buf) }
-
-// push appends one item. Producer-only. Returns false when the ring is full;
-// the caller still owns the item's reference in that case.
-func (r *inprocRing) push(it inprocItem) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask] = it
-	r.tail.Store(t + 1) // publishes the slot write to the consumer
-	return true
-}
-
-// pop removes the oldest item, zeroing the vacated slot. Consumer-only
-// (callers hold the pipe's popMu so the teardown sweep and the receiver
-// never interleave).
-func (r *inprocRing) pop() (inprocItem, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return inprocItem{}, false
-	}
-	it := r.buf[h&r.mask]
-	r.buf[h&r.mask] = inprocItem{}
-	r.head.Store(h + 1) // returns the slot to the producer
-	return it, true
-}
-
-// len reports the current occupancy (approximate while both sides move).
-func (r *inprocRing) len() int {
-	t := r.tail.Load()
-	h := r.head.Load()
-	if t < h {
-		return 0
-	}
-	return int(t - h)
-}
-
-// full reports whether a push would fail right now. Producer-side exact.
-func (r *inprocRing) full() bool {
-	return r.tail.Load()-r.head.Load() >= uint64(len(r.buf))
-}
-
-// inprocPark is one side's parking spot: the same Dekker hand-off as the
-// merger's streamPark — the parker raises the counter (sequentially
-// consistent) before re-checking its condition under the mutex, so a waker
-// that changes state and then reads parked == 0 is guaranteed the parker
-// will observe that change and not sleep.
-type inprocPark struct {
-	parked atomic.Int32
-	mu     sync.Mutex
-	cond   *sync.Cond
-}
-
-func (k *inprocPark) park(cond func() bool) {
-	k.parked.Add(1)
-	k.mu.Lock()
-	for cond() {
-		k.cond.Wait()
-	}
-	k.mu.Unlock()
-	k.parked.Add(-1)
-}
-
-// wake unblocks the side parked here, if any; one atomic load while the
-// peer is awake (the steady state), so the hot path never touches the mutex.
-func (k *inprocPark) wake() {
-	if k.parked.Load() == 0 {
-		return
-	}
-	k.mu.Lock()
-	k.cond.Broadcast()
-	k.mu.Unlock()
-}
-
 // inprocPipe is the state shared by a connected sender/receiver pair.
 type inprocPipe struct {
-	ring *inprocRing
+	ring *spsc.Ring[inprocItem]
 
 	// sendClosed: the sender closed cleanly (receiver drains then sees EOF).
 	// recvClosed: the receiver closed (sends fail). Both are one-way latches.
 	sendClosed atomic.Bool
 	recvClosed atomic.Bool
 
-	// popMu serializes consumption: ReceiveBatch/Drain pop under it, and so
-	// does the teardown sweep that releases leftover block references after
-	// the receiver closes — from the receiver's Close, or from the sender
-	// when it discovers the close raced a push. One uncontended acquisition
+	// popMu serializes consumption: ReceiveBatch pops under it, and so does
+	// the teardown sweep that releases leftover block references after the
+	// receiver closes — from the receiver's Close, or from the sender when
+	// it discovers the close raced a push. One uncontended acquisition
 	// per received batch; never touched per tuple.
 	popMu sync.Mutex
 
-	sendPark inprocPark // sender parks here while the ring is full
-	recvPark inprocPark // receiver parks here while the ring is empty
+	sendPark spsc.Parker // sender parks here while the ring is full
+	recvPark spsc.Parker // receiver parks here while the ring is empty
 }
 
 // drainAndRelease sweeps every item still in the ring, releasing its block
@@ -184,14 +83,14 @@ type inprocPipe struct {
 func (p *inprocPipe) drainAndRelease() {
 	p.popMu.Lock()
 	for {
-		it, ok := p.ring.pop()
+		it, ok := p.ring.Pop()
 		if !ok {
 			break
 		}
 		it.ref.Release()
 	}
 	p.popMu.Unlock()
-	p.sendPark.wake()
+	p.sendPark.Wake()
 }
 
 // InprocPair creates a connected in-process sender/receiver pair over a
@@ -200,9 +99,10 @@ func (p *inprocPipe) drainAndRelease() {
 // this edge's "socket buffer": it is what makes the sender block, which is
 // what the balancer measures.
 func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
-	p := &inprocPipe{ring: newInprocRing(capacity)}
-	p.sendPark.cond = sync.NewCond(&p.sendPark.mu)
-	p.recvPark.cond = sync.NewCond(&p.recvPark.mu)
+	if capacity <= 0 {
+		capacity = DefaultInprocRing
+	}
+	p := &inprocPipe{ring: spsc.NewRing[inprocItem](capacity)}
 	return &InprocSender{p: p, now: time.Now}, &InprocReceiver{p: p}
 }
 
@@ -211,11 +111,10 @@ func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
 type InprocSender struct {
 	p *inprocPipe
 
-	// pending stages Queue'd tuples between flushes; owned reuses one items
-	// slice for SendBatchOwned so the steady-state send path allocates
-	// nothing.
+	// pending stages tuples (with the block reference each one carries, if
+	// any) between flushes; the slice is reused so the steady-state send
+	// path allocates nothing.
 	pending []inprocItem
-	owned   []inprocItem
 
 	// Stall bound (SetStallTimeout): the timer is allocated once and
 	// re-armed per park episode, so a bounded sender parks allocation-free.
@@ -228,14 +127,13 @@ type InprocSender struct {
 	blockEvents     atomic.Int64
 	sent            atomic.Int64
 	flushes         atomic.Int64
-	flushedTuples   atomic.Int64
 
 	// now is replaceable for tests.
 	now func() time.Time
 }
 
 // Capacity returns the pipe's true (rounded) ring capacity in tuples.
-func (s *InprocSender) Capacity() int { return s.p.ring.capacity() }
+func (s *InprocSender) Capacity() int { return s.p.ring.Cap() }
 
 // checkFrameable applies the TCP path's frame-size and encodability bounds
 // so an unencodable tuple fails identically on both transports (SendBatch
@@ -251,19 +149,13 @@ func checkFrameable(t Tuple) error {
 	return nil
 }
 
-// Send delivers one tuple, electing to block (and timing the block) when the
-// ring is full.
+// Send is a batch of one: staged and flushed like any batch, so the tuple is
+// its own flush and its own elect-to-block episode.
 func (s *InprocSender) Send(t Tuple) error {
-	if err := checkFrameable(t); err != nil {
+	if err := s.Queue(t); err != nil {
 		return err
 	}
-	if err := s.push(inprocItem{t: t}); err != nil {
-		return fmt.Errorf("transport: send seq %d: %w", t.Seq, err)
-	}
-	s.p.recvPark.wake()
-	s.sweepIfAbandoned()
-	s.sent.Add(1)
-	return nil
+	return s.Flush()
 }
 
 // Queue stages one tuple without delivering. The payload is referenced, not
@@ -295,7 +187,6 @@ func (s *InprocSender) Flush() error {
 	}
 	s.sent.Add(int64(n))
 	s.flushes.Add(1)
-	s.flushedTuples.Add(int64(n))
 	return nil
 }
 
@@ -309,53 +200,30 @@ func (s *InprocSender) releaseStaged() {
 }
 
 // SendBatch stages and delivers ts as one batch, failing atomically on an
-// unencodable tuple exactly as the TCP sender does.
+// unencodable tuple exactly as the TCP sender does: nothing from ts (or a
+// previously staged partial batch) is sent.
 func (s *InprocSender) SendBatch(ts []Tuple) error {
-	for i := range ts {
-		if err := s.Queue(ts[i]); err != nil {
-			s.releaseStaged()
-			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
-		}
-	}
-	return s.Flush()
+	return s.SendBatchOwned(ts, nil)
 }
 
 // SendBatchOwned delivers ts with ownership transfer: ref holds one block
 // reference per tuple and every reference is consumed — delivered tuples
 // carry theirs to the consumer (the zero-copy path: pooled payload blocks
 // stay alive across the edge with no serialization), and references for
-// tuples that could not be delivered are released here.
+// tuples that could not be delivered are released here. The tuples join any
+// staged partial batch, so ordering with it is preserved.
 func (s *InprocSender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 	for i := range ts {
 		if err := checkFrameable(ts[i]); err != nil {
+			s.releaseStaged()
 			ref.ReleaseN(len(ts))
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}
 	}
-	if len(s.pending) > 0 {
-		// Preserve ordering with any staged partial batch.
-		if err := s.Flush(); err != nil {
-			ref.ReleaseN(len(ts))
-			return err
-		}
-	}
-	items := s.owned[:0]
 	for i := range ts {
-		items = append(items, inprocItem{t: ts[i], ref: ref})
+		s.pending = append(s.pending, inprocItem{t: ts[i], ref: ref})
 	}
-	s.owned = items
-	err := s.deliver(items)
-	for i := range items {
-		items[i] = inprocItem{}
-	}
-	s.owned = items[:0]
-	if err != nil {
-		return fmt.Errorf("transport: send owned batch of %d: %w", len(ts), err)
-	}
-	s.sent.Add(int64(len(ts)))
-	s.flushes.Add(1)
-	s.flushedTuples.Add(int64(len(ts)))
-	return nil
+	return s.Flush()
 }
 
 // deliver pushes items in order, parking on a full ring. On error the
@@ -370,19 +238,19 @@ func (s *InprocSender) deliver(items []inprocItem) error {
 		for {
 			if err := s.closedErr(); err != nil {
 				if pushed {
-					p.recvPark.wake()
+					p.recvPark.Wake()
 				}
 				for j := i; j < len(items); j++ {
 					items[j].ref.Release()
 				}
 				return err
 			}
-			if p.ring.push(items[i]) {
+			if p.ring.Push(items[i]) {
 				pushed = true
 				break
 			}
 			if pushed {
-				p.recvPark.wake()
+				p.recvPark.Wake()
 				pushed = false
 			}
 			if err := s.parkFull(); err != nil {
@@ -394,27 +262,10 @@ func (s *InprocSender) deliver(items []inprocItem) error {
 		}
 	}
 	if pushed {
-		p.recvPark.wake()
+		p.recvPark.Wake()
 	}
 	s.sweepIfAbandoned()
 	return nil
-}
-
-// push delivers one item (the unbatched Send path).
-func (s *InprocSender) push(it inprocItem) error {
-	p := s.p
-	for {
-		if err := s.closedErr(); err != nil {
-			return err
-		}
-		if p.ring.push(it) {
-			return nil
-		}
-		p.recvPark.wake()
-		if err := s.parkFull(); err != nil {
-			return err
-		}
-	}
 }
 
 // sweepIfAbandoned closes the push/close race: if the receiver closed while
@@ -446,8 +297,8 @@ func (s *InprocSender) parkFull() error {
 	if s.stall > 0 {
 		s.armStall()
 	}
-	p.sendPark.park(func() bool {
-		return p.ring.full() && !p.recvClosed.Load() && !p.sendClosed.Load() &&
+	p.sendPark.Park(func() bool {
+		return p.ring.Full() && !p.recvClosed.Load() && !p.sendClosed.Load() &&
 			!s.stallFired.Load()
 	})
 	if d := s.now().Sub(start); d > 0 {
@@ -456,7 +307,7 @@ func (s *InprocSender) parkFull() error {
 	}
 	if s.stall > 0 {
 		s.stallTimer.Stop()
-		if s.stallFired.Swap(false) && p.ring.full() && s.closedErr() == nil {
+		if s.stallFired.Swap(false) && p.ring.Full() && s.closedErr() == nil {
 			return errInprocStall
 		}
 	}
@@ -479,7 +330,7 @@ func (s *InprocSender) armStall() {
 	if s.stallTimer == nil {
 		s.stallTimer = time.AfterFunc(s.stall, func() {
 			s.stallFired.Store(true)
-			s.p.sendPark.wake()
+			s.p.sendPark.Wake()
 		})
 		return
 	}
@@ -511,8 +362,9 @@ func (s *InprocSender) Sent() int64 { return s.sent.Load() }
 // Flushes returns how many batch flushes have completed.
 func (s *InprocSender) Flushes() int64 { return s.flushes.Load() }
 
-// FlushedTuples returns how many tuples left through batch flushes.
-func (s *InprocSender) FlushedTuples() int64 { return s.flushedTuples.Load() }
+// FlushedTuples returns how many tuples left through flushes: all of them,
+// every send being a flush, so it is Sent under the name Flushes pairs with.
+func (s *InprocSender) FlushedTuples() int64 { return s.sent.Load() }
 
 // Close ends the sending side: a parked delivery (local or on the peer)
 // wakes, and once the receiver drains the ring it sees io.EOF — the clean
@@ -521,8 +373,8 @@ func (s *InprocSender) Close() error {
 	if s.p.sendClosed.Swap(true) {
 		return nil
 	}
-	s.p.recvPark.wake()
-	s.p.sendPark.wake()
+	s.p.recvPark.Wake()
+	s.p.sendPark.Wake()
 	if s.p.recvClosed.Load() {
 		// Both ends are now closed: nobody will pop again, so sweep any
 		// leftover references out of the ring.
@@ -541,11 +393,11 @@ type InprocReceiver struct {
 }
 
 // Capacity returns the pipe's true (rounded) ring capacity in tuples.
-func (r *InprocReceiver) Capacity() int { return r.p.ring.capacity() }
+func (r *InprocReceiver) Capacity() int { return r.p.ring.Cap() }
 
 // Len reports the ring's current occupancy (approximate while the sender is
 // active).
-func (r *InprocReceiver) Len() int { return r.p.ring.len() }
+func (r *InprocReceiver) Len() int { return r.p.ring.Len() }
 
 // ReceiveBatch pops up to max tuples into dst (truncated and reused),
 // blocking only while the ring is empty: once one tuple is available the
@@ -568,35 +420,16 @@ func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef,
 		var ref *BlockRef
 		dst, ref = r.pop(dst, max)
 		if len(dst) > 0 {
-			p.sendPark.wake()
+			p.sendPark.Wake()
 			return dst, ref, nil
 		}
-		if p.sendClosed.Load() && p.ring.len() == 0 {
+		if p.sendClosed.Load() && p.ring.Len() == 0 {
 			return dst, nil, io.EOF
 		}
-		p.recvPark.park(func() bool {
-			return p.ring.len() == 0 && !p.sendClosed.Load() && !p.recvClosed.Load()
+		p.recvPark.Park(func() bool {
+			return p.ring.Len() == 0 && !p.sendClosed.Load() && !p.recvClosed.Load()
 		})
 	}
-}
-
-// Drain pops only tuples already in the ring — it never blocks, returning
-// zero tuples (and a nil ref) when the ring is empty, exactly like the TCP
-// receiver's Drain.
-func (r *InprocReceiver) Drain(dst []Tuple, max int) ([]Tuple, *BlockRef, error) {
-	if max <= 0 {
-		max = DefaultRecvBatch
-	}
-	dst = dst[:0]
-	if r.p.recvClosed.Load() {
-		return dst, nil, ErrInprocClosed
-	}
-	var ref *BlockRef
-	dst, ref = r.pop(dst, max)
-	if len(dst) > 0 {
-		r.p.sendPark.wake()
-	}
-	return dst, ref, nil
 }
 
 // pop moves up to max items out of the ring under popMu, aggregating the
@@ -610,7 +443,7 @@ func (r *InprocReceiver) pop(dst []Tuple, max int) ([]Tuple, *BlockRef) {
 	var ref *BlockRef
 	p.popMu.Lock()
 	for len(dst) < max {
-		it, ok := p.ring.pop()
+		it, ok := p.ring.Pop()
 		if !ok {
 			break
 		}
@@ -637,7 +470,7 @@ func (r *InprocReceiver) Close() error {
 	if r.p.recvClosed.Swap(true) {
 		return nil
 	}
-	r.p.recvPark.wake()
+	r.p.recvPark.Wake()
 	r.p.drainAndRelease()
 	return nil
 }

@@ -8,25 +8,31 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"streambalance/internal/spsc"
 )
 
-func TestInprocRingFIFOWraparound(t *testing.T) {
-	r := newInprocRing(4)
-	if r.capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", r.capacity())
+// TestInprocItemRing instantiates the generic ring for the in-proc edge's slot
+// type (internal/spsc's own suite checks the slot-independent properties):
+// FIFO across several wraps at varying occupancy, and the exact full/empty
+// boundary.
+func TestInprocItemRing(t *testing.T) {
+	r := spsc.NewRing[inprocItem](4)
+	if r.Cap() != 4 {
+		t.Fatalf("capacity = %d, want 4", r.Cap())
 	}
 	seq := uint64(0)
 	// Push/pop across several wraps with varying occupancy.
 	for round := 0; round < 10; round++ {
 		n := 1 + round%4
 		for i := 0; i < n; i++ {
-			if !r.push(inprocItem{t: Tuple{Seq: seq}}) {
-				t.Fatalf("round %d: push %d failed with len %d", round, i, r.len())
+			if !r.Push(inprocItem{t: Tuple{Seq: seq}}) {
+				t.Fatalf("round %d: push %d failed with len %d", round, i, r.Len())
 			}
 			seq++
 		}
 		for i := 0; i < n; i++ {
-			it, ok := r.pop()
+			it, ok := r.Pop()
 			if !ok {
 				t.Fatalf("round %d: pop %d failed", round, i)
 			}
@@ -38,33 +44,32 @@ func TestInprocRingFIFOWraparound(t *testing.T) {
 	}
 	// Full ring rejects; drain empties.
 	for i := 0; i < 4; i++ {
-		if !r.push(inprocItem{t: Tuple{Seq: uint64(i)}}) {
+		if !r.Push(inprocItem{t: Tuple{Seq: uint64(i)}}) {
 			t.Fatalf("fill push %d failed", i)
 		}
 	}
-	if r.push(inprocItem{}) {
+	if r.Push(inprocItem{}) {
 		t.Fatal("push into full ring succeeded")
 	}
-	if !r.full() {
+	if !r.Full() {
 		t.Fatal("full() = false on full ring")
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := r.pop(); !ok {
+		if _, ok := r.Pop(); !ok {
 			t.Fatalf("drain pop %d failed", i)
 		}
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := r.Pop(); ok {
 		t.Fatal("pop from empty ring succeeded")
 	}
 }
 
-func TestInprocRingRoundsCapacity(t *testing.T) {
+func TestInprocPairCapacityDefault(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, DefaultInprocRing}, {-5, DefaultInprocRing},
-		{1, 2}, {2, 2}, {3, 4}, {5, 8}, {1024, 1024},
+		{0, DefaultInprocRing}, {-5, DefaultInprocRing}, {1, 2}, {5, 8},
 	} {
-		if got := newInprocRing(tc.in).capacity(); got != tc.want {
-			t.Errorf("capacity(%d) = %d, want %d", tc.in, got, tc.want)
+		if tx, _ := InprocPair(tc.in); tx.Capacity() != tc.want {
+			t.Errorf("InprocPair(%d) capacity = %d, want %d", tc.in, tx.Capacity(), tc.want)
 		}
 	}
 }
@@ -134,8 +139,8 @@ func TestInprocQueueFlushBatching(t *testing.T) {
 		t.Fatalf("Pending = %d, want 5", tx.Pending())
 	}
 	// Nothing delivered until Flush.
-	if got, _, _ := rx.Drain(nil, 10); len(got) != 0 {
-		t.Fatalf("drained %d tuples before flush", len(got))
+	if n := rx.Len(); n != 0 {
+		t.Fatalf("%d tuples delivered before flush", n)
 	}
 	if err := tx.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -143,9 +148,9 @@ func TestInprocQueueFlushBatching(t *testing.T) {
 	if tx.Pending() != 0 {
 		t.Fatalf("Pending after flush = %d", tx.Pending())
 	}
-	got, ref, err := rx.Drain(nil, 10)
+	got, ref, err := rx.ReceiveBatch(nil, 10)
 	if err != nil || len(got) != 5 || ref != nil {
-		t.Fatalf("drain: got %d tuples, ref %v, err %v", len(got), ref, err)
+		t.Fatalf("receive: got %d tuples, ref %v, err %v", len(got), ref, err)
 	}
 	if tx.Flushes() != 1 || tx.FlushedTuples() != 5 || tx.Sent() != 5 {
 		t.Fatalf("counters: flushes=%d flushedTuples=%d sent=%d",
@@ -159,16 +164,20 @@ func TestInprocOversizedTupleFailsAtomically(t *testing.T) {
 	if err := tx.Send(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Send oversized: err = %v, want ErrFrameTooLarge", err)
 	}
+	if err := tx.Queue(Tuple{Seq: 0}); err != nil {
+		t.Fatal(err)
+	}
 	batch := []Tuple{{Seq: 2}, big, {Seq: 3}}
 	if err := tx.SendBatch(batch); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("SendBatch oversized: err = %v", err)
 	}
-	// Atomic failure: nothing from the batch was delivered or left staged.
+	// Atomic failure: nothing from the batch, or from the partial batch
+	// staged before it, was delivered or left staged (as on TCP).
 	if tx.Pending() != 0 {
 		t.Fatalf("Pending after failed batch = %d", tx.Pending())
 	}
-	if got, _, _ := rx.Drain(nil, 10); len(got) != 0 {
-		t.Fatalf("failed batch leaked %d tuples", len(got))
+	if n := rx.Len(); n != 0 {
+		t.Fatalf("failed batch leaked %d tuples", n)
 	}
 	ref := blockRefPool.Get().(*BlockRef)
 	ref.refs.Store(int64(len(batch)))
@@ -533,7 +542,7 @@ func TestInprocStallSparesHealthyPeer(t *testing.T) {
 	var buf []Tuple
 	for got < 64 {
 		time.Sleep(5 * time.Millisecond)
-		buf, _, _ = rx.Drain(buf, 4)
+		buf, _, _ = rx.ReceiveBatch(buf, 4)
 		got += len(buf)
 	}
 	if err := <-done; err != nil {

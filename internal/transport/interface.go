@@ -9,17 +9,17 @@ import "time"
 // times the wait into the cumulative counters drives core.Balancer exactly
 // like a TCP connection. Two implementations exist — the TCP Sender
 // (non-blocking write(2)/writev(2) with poller parks) and the in-process
-// InprocSender (bounded SPSC ring with condvar parks) — and the runtime's
-// splitter, worker and controller are written against this interface so a
-// region can mix them per edge.
+// InprocSender (bounded SPSC ring with spsc.Parker parks) — and the runtime's
+// splitter, worker loop and controller are written against this interface so
+// a region can mix them per edge.
 //
-// The concurrency contract matches Sender: Send, Queue, Flush, SendBatch and
-// SendBatchOwned may be called from only one goroutine at a time; the
-// counters may be read concurrently; Close may be called from any goroutine
-// (it unblocks an elected-to-block send in progress).
+// Queue and Flush are the one write path; Send, SendBatch and SendBatchOwned
+// compose them. All five may be called from only one goroutine at a time;
+// the counters may be read concurrently; Close may be called from any
+// goroutine (it unblocks an elected-to-block send in progress).
 type BatchSender interface {
-	// Send frames and delivers one tuple, electing to block (and timing the
-	// block) when the transport's buffer is full.
+	// Send is a batch of one: Queue then Flush, so the tuple is its own
+	// elect-to-block episode.
 	Send(t Tuple) error
 	// Queue stages one tuple in the pending batch without delivering.
 	// Payloads queued zero-copy must not be mutated until Flush returns.
@@ -57,28 +57,28 @@ type BatchSender interface {
 	Sent() int64
 	// Flushes returns how many batch flushes have completed.
 	Flushes() int64
-	// FlushedTuples returns how many tuples left through batch flushes.
+	// FlushedTuples returns how many tuples left through flushes. Every
+	// send is a flush, so it equals Sent; FlushedTuples/Flushes is the mean
+	// batch size.
 	FlushedTuples() int64
 	// Close tears the edge down, unblocking a parked send with an error.
 	Close() error
 }
 
 // BatchReceiver is the transport-neutral receive half of an edge: the
-// batched decode surface the merger's connection readers and the workers
+// batched decode surface the merger's connection reader and the worker loop
 // consume. Payloads are handed out under the BlockRef release contract
 // (ReceiveBatch returns one reference per tuple; nil when the payloads are
 // GC-owned), identical across transports so the merger's ingest, dedup and
 // teardown paths never know which transport fed them.
 //
-// ReceiveBatch and Drain may be called from only one goroutine at a time
-// (the single-consumer rule); Close may be called from any goroutine and
-// unblocks a waiting ReceiveBatch.
+// ReceiveBatch may be called from only one goroutine at a time (the
+// single-consumer rule); Close may be called from any goroutine and unblocks
+// a waiting ReceiveBatch.
 type BatchReceiver interface {
 	// ReceiveBatch decodes up to max tuples into dst, blocking only for the
 	// first; see Receiver.ReceiveBatch for the full contract.
 	ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, error)
-	// Drain decodes only tuples already buffered — it never blocks.
-	Drain(dst []Tuple, max int) ([]Tuple, *BlockRef, error)
 	// Close tears the receive side down, unblocking a waiting ReceiveBatch.
 	Close() error
 }

@@ -10,12 +10,11 @@ import (
 // Receive-side batching mirrors the send side (batch.go): where the sender
 // amortizes the per-tuple syscall with one vectored write per batch, the
 // receiver amortizes the per-tuple decode with one pass over every complete
-// frame already sitting in its buffer. The wire format is unchanged — a
-// batch is just concatenated frames — so batched receivers interoperate with
-// per-tuple and batched senders alike.
+// frame already sitting in its buffer. ReceiveBatch is the only receive
+// path: a caller that wants one tuple at a time asks for a batch of one.
 //
-// Payloads decoded by ReceiveBatch/Drain are carved from pooled block
-// buffers instead of per-tuple allocations. The blocks are reference
+// Payloads decoded by ReceiveBatch are carved from pooled block buffers
+// instead of per-tuple allocations. The blocks are reference
 // counted through a BlockRef: every returned tuple holds one reference, and
 // the consumer releases each reference when it is done with that tuple's
 // payload — for the merger, after the tuple is released downstream in order
@@ -147,8 +146,8 @@ func (r *BlockRef) carve(n int) []byte {
 // Payloads are carved from pooled blocks owned by the returned BlockRef,
 // which holds one reference per returned tuple; see BlockRef for the
 // release contract. The ref is non-nil whenever at least one tuple is
-// returned. Errors follow Receive: io.EOF at a clean end of stream before
-// the first tuple, io.ErrUnexpectedEOF mid-frame. A stream error discovered
+// returned. Errors: io.EOF at a clean end of stream before the first tuple,
+// io.ErrUnexpectedEOF mid-frame. A stream error discovered
 // while draining after at least one decoded tuple is deferred: the complete
 // leading tuples are returned with a nil error and the failure surfaces on
 // the next call.
@@ -163,7 +162,7 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 		return dst, nil, err
 	}
 	ref := blockRefPool.Get().(*BlockRef)
-	t, err := rc.receiveInto(ref)
+	t, err := rc.receive(ref)
 	if err != nil {
 		// A mid-frame failure can leave a carved block behind; recycle
 		// everything before re-pooling the ref.
@@ -172,33 +171,6 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 	}
 	dst = append(dst, t)
 	dst = rc.drainInto(dst, max, ref)
-	ref.refs.Store(int64(len(dst)))
-	return dst, ref, nil
-}
-
-// Drain decodes only frames already complete in the receive buffer — it
-// never blocks, returning zero tuples (and a nil ref) when none are fully
-// buffered. Otherwise it behaves exactly like ReceiveBatch.
-func (rc *Receiver) Drain(dst []Tuple, max int) ([]Tuple, *BlockRef, error) {
-	if max <= 0 {
-		max = DefaultRecvBatch
-	}
-	dst = dst[:0]
-	if rc.err != nil {
-		err := rc.err
-		rc.err = nil
-		return dst, nil, err
-	}
-	ref := blockRefPool.Get().(*BlockRef)
-	dst = rc.drainInto(dst, max, ref)
-	if len(dst) == 0 {
-		blockRefPool.Put(ref)
-		if err := rc.err; err != nil {
-			rc.err = nil
-			return dst, nil, err
-		}
-		return dst, nil, nil
-	}
 	ref.refs.Store(int64(len(dst)))
 	return dst, ref, nil
 }
@@ -257,10 +229,4 @@ func (rc *Receiver) tryDecode(ref *BlockRef) (Tuple, bool, error) {
 		io.ReadFull(rc.r, t.Payload)
 	}
 	return t, true, nil
-}
-
-// receiveInto is Receive with the payload carved from ref's pooled blocks
-// instead of the Receiver's scratch block.
-func (rc *Receiver) receiveInto(ref *BlockRef) (Tuple, error) {
-	return rc.receive(ref)
 }

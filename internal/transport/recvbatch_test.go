@@ -219,20 +219,7 @@ func TestReceiveBatchTruncatedMidFrame(t *testing.T) {
 	}
 }
 
-func TestDrainNeverBlocks(t *testing.T) {
-	// A fresh receiver over an idle connection has nothing buffered: Drain
-	// must return empty immediately rather than waiting for bytes.
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	rc := NewReceiver(server)
-	batch, ref, err := rc.Drain(nil, 8)
-	if err != nil || len(batch) != 0 || ref != nil {
-		t.Fatalf("Drain on idle conn: %d tuples, ref %v, err %v", len(batch), ref, err)
-	}
-}
-
-func TestDrainPicksUpBufferedRemainder(t *testing.T) {
+func TestReceiveBatchPicksUpBufferedRemainder(t *testing.T) {
 	ts, wire := encodeFrames(t, 10)
 	rc := NewReceiver(bytes.NewReader(wire))
 	// The first blocking read pulls the whole stream into the bufio buffer;
@@ -241,12 +228,12 @@ func TestDrainPicksUpBufferedRemainder(t *testing.T) {
 	if err != nil || len(first) != 1 {
 		t.Fatalf("priming read: %d tuples, err %v", len(first), err)
 	}
-	rest, ref2, err := rc.Drain(nil, 100)
+	rest, ref2, err := rc.ReceiveBatch(nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != len(ts)-1 {
-		t.Fatalf("Drain returned %d of %d buffered frames", len(rest), len(ts)-1)
+		t.Fatalf("second pass returned %d of %d buffered frames", len(rest), len(ts)-1)
 	}
 	for i, tp := range rest {
 		if tp.Seq != ts[i+1].Seq || !bytes.Equal(tp.Payload, ts[i+1].Payload) {
@@ -363,53 +350,22 @@ func TestReceiveBatchInteropWithSenders(t *testing.T) {
 	}
 }
 
-// TestReceiveScratchPayloadsStayValid pins the unbatched path's ownership
-// contract: Receive's payloads come from an arena with no release hook, so
-// every payload ever returned must remain intact for as long as the caller
-// keeps it — across arena refills and oversized allocations.
-func TestReceiveScratchPayloadsStayValid(t *testing.T) {
-	var ts []Tuple
-	for i := 0; i < 50; i++ {
-		// ~20 KiB payloads roll the 64 KiB arena over every few tuples.
-		ts = append(ts, Tuple{Seq: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, 20<<10)})
-	}
-	ts = append(ts, Tuple{Seq: 50, Payload: bytes.Repeat([]byte{0xEE}, recvBlockCap+5)})
-	wire, err := AppendBatch(nil, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := NewReceiver(bytes.NewReader(wire))
-	got := make([]Tuple, 0, len(ts))
-	for range ts {
-		tp, err := rc.Receive()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tp) // retained without copying — allowed on this path
-	}
-	for i := range ts {
-		if got[i].Seq != ts[i].Seq || !bytes.Equal(got[i].Payload, ts[i].Payload) {
-			t.Fatalf("retained payload %d corrupted by later receives", i)
-		}
-	}
-}
-
-// TestReceiveThenReceiveBatchInterleave mixes the two receive APIs on one
-// stream: they share the buffered reader, so switching between them must not
-// lose or reorder frames.
-func TestReceiveThenReceiveBatchInterleave(t *testing.T) {
+// TestReceiveBatchOfOneInterleave mixes receive batches of one with larger
+// ones on one stream: switching the bound between calls must not lose or
+// reorder frames.
+func TestReceiveBatchOfOneInterleave(t *testing.T) {
 	const n = 30
 	ts, wire := encodeFrames(t, n)
 	rc := NewReceiver(bytes.NewReader(wire))
 	next := 0
 	for next < n {
 		if next%3 == 0 {
-			tp, err := rc.Receive()
+			tp, err := recvOne(rc)
 			if err != nil {
-				t.Fatalf("Receive at %d: %v", next, err)
+				t.Fatalf("batch of one at %d: %v", next, err)
 			}
 			if tp.Seq != ts[next].Seq || !bytes.Equal(tp.Payload, ts[next].Payload) {
-				t.Fatalf("tuple %d corrupted via Receive", next)
+				t.Fatalf("tuple %d corrupted via batch of one", next)
 			}
 			next++
 			continue

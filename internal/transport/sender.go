@@ -27,40 +27,39 @@ var errWroteZero = errors.New("write returned 0 without error")
 // blocking, and when the kernel reports the socket buffer full the sender
 // elects to block in the runtime poller anyway, timing the wait.
 //
-// Send, Queue, Flush and SendBatch may be called from only one goroutine at
-// a time (the splitter has a single thread of control); the counters may be
-// read concurrently.
+// There is one write path: Queue stages frames, Flush writes them (batch.go);
+// Send, SendBatch and SendBatchOwned are compositions of the two. They may be
+// called from only one goroutine at a time (the splitter has a single thread
+// of control); the counters may be read concurrently.
 //
-// The send path runs once per tuple and its overhead both caps region
-// throughput and perturbs the blocking-time signal the balancer reads, so it
-// must not allocate in steady state: the poller callbacks are bound once at
-// construction (a per-call closure escapes), frame buffers are reused or
-// pooled, and the write-in-progress cursor lives on the Sender.
+// The send path's overhead both caps region throughput and perturbs the
+// blocking-time signal the balancer reads, so it must not allocate in steady
+// state: the poller callback is bound once at construction (a per-call
+// closure escapes), frame buffers are pooled, and the write-in-progress
+// cursor lives on the Sender.
 type Sender struct {
 	conn net.Conn
 	raw  syscall.RawConn
-	buf  []byte
 
-	// Write-in-progress state, owned by the sending goroutine. wq[wqHead:]
-	// holds the buffers not yet fully written; the callbacks advance the
-	// cursor across poller parks so a partial write — at any byte
-	// boundary, mid-header or mid-payload, within or across batch buffers
-	// — always resumes exactly where the kernel stopped.
-	wq         [][]byte
-	wqHead     int
-	iov        []syscall.Iovec // scratch, reused across writev calls
-	writeFn    func(fd uintptr) bool
-	probeFn    func(fd uintptr) bool
-	wErr       error
-	blocked    bool
-	blockedAt  time.Time
-	probeBuf   []byte
-	probeWrote bool
+	// The write queue, owned by the sending goroutine. Queue stages buffers
+	// onto it (batch.go) and Flush writes wq[wqHead:], the buffers not yet
+	// fully written; the callback advances the cursor across poller parks
+	// so a partial write — at any byte boundary, mid-header or
+	// mid-payload, within or across batch buffers — always resumes exactly
+	// where the kernel stopped.
+	wq        [][]byte
+	wqHead    int
+	iov       []syscall.Iovec // scratch, reused across writev calls
+	writeFn   func(fd uintptr) bool
+	wErr      error
+	blocked   bool
+	blockedAt time.Time
 
-	// Batch staging (Queue/Flush), see batch.go.
-	pending  net.Buffers
+	// Staging state (Queue/Flush), see batch.go: the frame buffer small
+	// frames are being coalesced into, the sealed buffers already on wq,
+	// and how many tuples are staged.
 	coalesce *frameBuf
-	pooled   []*frameBuf
+	sealed   []*frameBuf
 	queued   int
 
 	// Stall bound: when stallTimeout > 0, a write deadline is kept armed on
@@ -77,7 +76,6 @@ type Sender struct {
 	blockEvents     atomic.Int64
 	sent            atomic.Int64
 	flushes         atomic.Int64
-	flushedTuples   atomic.Int64
 
 	// now is replaceable for tests.
 	now func() time.Time
@@ -94,95 +92,20 @@ func NewSender(conn net.Conn) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: raw conn: %w", err)
 	}
-	s := &Sender{
-		conn: conn,
-		raw:  raw,
-		buf:  make([]byte, 0, 4096),
-		now:  time.Now,
-	}
+	s := &Sender{conn: conn, raw: raw, now: time.Now}
 	s.writeFn = s.rawWrite
-	s.probeFn = s.probeWrite
 	return s, nil
 }
 
-// Send frames the tuple and writes it, electing to block (and timing the
-// block) when the socket buffer is full.
+// Send is a batch of one: the tuple is staged and flushed through the same
+// path as any batch, so it is its own flush and its own elect-to-block
+// episode (the Section 3 per-tuple sample). Anything already staged leaves
+// with it, in order.
 func (s *Sender) Send(t Tuple) error {
-	buf, err := AppendFrame(s.buf[:0], t)
-	if err != nil {
+	if err := s.Queue(t); err != nil {
 		return err
 	}
-	s.buf = buf[:0]
-	if err := s.writeAll(buf); err != nil {
-		return fmt.Errorf("transport: send seq %d: %w", t.Seq, err)
-	}
-	s.sent.Add(1)
-	return nil
-}
-
-// TrySend attempts to send without ever electing to block. It reports
-// sent=false (with no error and no blocking accounted) when the socket buffer
-// cannot accept even the first byte — the probe the Section 4.4 re-routing
-// experiment uses to divert tuples. If the frame is partially written before
-// the buffer fills, the send must complete (a half tuple cannot be diverted),
-// so the remainder is written with normal blocking accounting.
-func (s *Sender) TrySend(t Tuple) (bool, error) {
-	buf, err := AppendFrame(s.buf[:0], t)
-	if err != nil {
-		return false, err
-	}
-	s.buf = buf[:0]
-	s.probeBuf = buf
-	s.probeWrote = false
-	s.wErr = nil
-	err = s.raw.Write(s.probeFn)
-	if err == nil {
-		err = s.wErr
-	}
-	rest := s.probeBuf
-	s.probeBuf = nil
-	if err != nil {
-		return false, fmt.Errorf("transport: try send seq %d: %w", t.Seq, err)
-	}
-	if !s.probeWrote {
-		return false, nil
-	}
-	if len(rest) > 0 {
-		if err := s.writeAll(rest); err != nil {
-			return true, fmt.Errorf("transport: complete partial send seq %d: %w", t.Seq, err)
-		}
-	}
-	s.sent.Add(1)
-	return true, nil
-}
-
-// probeWrite is the non-parking poller callback behind TrySend: it never
-// returns false (which would park the goroutine), treating EAGAIN as the
-// would-block verdict instead.
-func (s *Sender) probeWrite(fd uintptr) bool {
-	for {
-		n, errno := syscall.Write(int(fd), s.probeBuf)
-		if n > 0 {
-			s.probeWrote = true
-			s.probeBuf = s.probeBuf[n:]
-			if len(s.probeBuf) == 0 {
-				return true
-			}
-			continue
-		}
-		switch {
-		case errors.Is(errno, syscall.EAGAIN):
-			return true // never park during the probe
-		case errors.Is(errno, syscall.EINTR):
-			continue
-		case errno != nil:
-			s.wErr = errno
-			return true
-		default:
-			s.wErr = errWroteZero
-			return true
-		}
-	}
+	return s.Flush()
 }
 
 // account closes out an in-progress blocking episode: the time since the
@@ -199,7 +122,7 @@ func (s *Sender) account() {
 	s.blocked = false
 }
 
-// rawWrite is the parking poller callback behind writeAll and Flush. It
+// rawWrite is the parking poller callback behind Flush. It
 // writes wq[wqHead:] with write(2) for the final buffer and writev(2) when
 // several remain, parking on EAGAIN (electing to block) and accounting the
 // parked time on re-entry. Partial writes advance the cursor by exact byte
@@ -315,35 +238,20 @@ func (s *Sender) armStallDeadline() {
 	s.stallArmedAt = now
 }
 
-// flushWrite drives wq through the poller callback and resets the cursor.
-// If the poller wait ended in a connection error the callback never re-ran,
-// so accounting is closed out here too: the wait is not lost.
+// flushWrite drives wq through the poller callback. If the poller wait ended
+// in a connection error the callback never re-ran, so accounting is closed
+// out here too: the wait is not lost.
 func (s *Sender) flushWrite() error {
 	s.wErr = nil
 	s.blocked = false
+	s.wqHead = 0
 	s.armStallDeadline()
 	err := s.raw.Write(s.writeFn)
 	s.account()
-	for i := range s.wq {
-		s.wq[i] = nil
-	}
-	s.wq = s.wq[:0]
-	s.wqHead = 0
 	if err != nil {
 		return err
 	}
 	return s.wErr
-}
-
-// writeAll writes p using non-blocking write(2) calls, parking in the
-// runtime poller on EAGAIN and accounting the parked time.
-func (s *Sender) writeAll(p []byte) error {
-	if len(p) == 0 {
-		return nil
-	}
-	s.wq = append(s.wq[:0], p)
-	s.wqHead = 0
-	return s.flushWrite()
 }
 
 // CumulativeBlocking returns the sampled blocking-time counter. The
@@ -378,9 +286,10 @@ func (s *Sender) Flushes() int64 {
 	return s.flushes.Load()
 }
 
-// FlushedTuples returns how many tuples left through batch flushes.
+// FlushedTuples returns how many tuples left through flushes: all of them,
+// every send being a flush, so it is Sent under the name Flushes pairs with.
 func (s *Sender) FlushedTuples() int64 {
-	return s.flushedTuples.Load()
+	return s.sent.Load()
 }
 
 // Close closes the underlying connection.

@@ -30,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("frame length %d, want %d", len(frame), FrameLen(tt.tuple))
 			}
 			rc := NewReceiver(bytes.NewReader(frame))
-			got, err := rc.Receive()
+			got, err := recvOne(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := NewReceiver(bytes.NewReader(frame)).Receive()
+		got, err := recvOne(NewReceiver(bytes.NewReader(frame)))
 		if err != nil {
 			return false
 		}
@@ -69,7 +69,7 @@ func TestFrameStreamOfTuples(t *testing.T) {
 	}
 	rc := NewReceiver(bytes.NewReader(stream))
 	for i := uint64(0); i < 100; i++ {
-		got, err := rc.Receive()
+		got, err := recvOne(rc)
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
@@ -77,7 +77,7 @@ func TestFrameStreamOfTuples(t *testing.T) {
 			t.Fatalf("tuple %d decoded as seq %d", i, got.Seq)
 		}
 	}
-	if _, err := rc.Receive(); !errors.Is(err, io.EOF) {
+	if _, err := recvOne(rc); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of stream error = %v, want io.EOF", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestReceiveCorruptFrames(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewReceiver(bytes.NewReader(tt.data)).Receive(); err == nil {
+			if _, err := recvOne(NewReceiver(bytes.NewReader(tt.data))); err == nil {
 				t.Fatal("corrupt frame accepted")
 			}
 		})
@@ -172,7 +172,7 @@ func TestSenderDeliversTuples(t *testing.T) {
 	go func() {
 		rc := NewReceiver(server)
 		for i := 0; i < n; i++ {
-			tp, err := rc.Receive()
+			tp, err := recvOne(rc)
 			if err != nil {
 				done <- err
 				return
@@ -244,66 +244,4 @@ func TestSenderMeasuresBlocking(t *testing.T) {
 	}
 	client.Close()
 	<-done
-}
-
-func TestTrySendReportsWouldBlock(t *testing.T) {
-	client, server := tcpPair(t)
-	sender, err := NewSender(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A much slower receiver than the sender: TrySend must eventually find
-	// the socket buffer completely full and report would-block. The
-	// receiver stays active (slowly) so that a send that partially wrote
-	// before filling the buffer can still complete.
-	received := make(chan Tuple, 1<<16)
-	go func() {
-		defer close(received)
-		rc := NewReceiver(server)
-		for {
-			tp, err := rc.Receive()
-			if err != nil {
-				return
-			}
-			received <- tp
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-
-	// Small frames: the buffer fills to the last byte and TrySend then
-	// sees EAGAIN with nothing written (a clean would-block).
-	payload := bytes.Repeat([]byte("r"), 64)
-	sawWouldBlock := false
-	deadline := time.Now().Add(10 * time.Second)
-	var seq uint64
-	for time.Now().Before(deadline) {
-		sent, err := sender.TrySend(Tuple{Seq: seq, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sent {
-			seq++
-			continue
-		}
-		sawWouldBlock = true
-		break
-	}
-	if !sawWouldBlock {
-		t.Fatal("TrySend never reported would-block with a slow receiver")
-	}
-	// Everything reported sent must arrive intact and in order.
-	reported := sender.Sent()
-	if err := client.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	var count int64
-	for tp := range received {
-		if tp.Seq != uint64(count) {
-			t.Fatalf("tuple %d has seq %d", count, tp.Seq)
-		}
-		count++
-	}
-	if count != reported {
-		t.Fatalf("received %d tuples, sender reported %d", count, reported)
-	}
 }
