@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // TestMergeItemRing instantiates the generic ring for the merger's ingest
 // lane slot type (internal/spsc's own suite checks the slot-independent
-// properties) and pushes real ReceiveBatch output — tuples carved from
+// properties) and pushes real ReceiveBatch output — tuples aliasing
 // pool-backed blocks with live reference counts — through it with random pop
 // interleaving, checking the conservation law the merger's exactly-once
 // release depends on: at every step, the block's reference count equals the
@@ -56,16 +57,21 @@ func TestMergeItemRing(t *testing.T) {
 }
 
 // decodePooled frames ts and decodes them back with one ReceiveBatch: real
-// pooled output, one live reference per tuple on the returned BlockRef.
+// pooled output, one live reference per tuple on the returned BlockRef and
+// no other — the receiver is run to EOF, where it gives up its own.
 func decodePooled(t *testing.T, ts []transport.Tuple) ([]transport.Tuple, *transport.BlockRef) {
 	t.Helper()
 	wire, err := transport.AppendBatch(nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, ref, err := transport.NewReceiver(bytes.NewReader(wire)).ReceiveBatch(nil, len(ts))
+	rc := transport.NewReceiver(bytes.NewReader(wire))
+	batch, ref, err := rc.ReceiveBatch(nil, len(ts))
 	if err != nil || len(batch) != len(ts) {
 		t.Fatalf("decoded %d of %d tuples: %v", len(batch), len(ts), err)
+	}
+	if _, _, err := rc.ReceiveBatch(nil, 1); err != io.EOF {
+		t.Fatalf("after the batch: %v, want io.EOF", err)
 	}
 	return batch, ref
 }

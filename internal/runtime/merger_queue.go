@@ -2,9 +2,9 @@ package runtime
 
 import "streambalance/internal/transport"
 
-// mergeItem is one queued tuple plus the BlockRef of the receive batch its
-// payload was carved from. The ref travels with the tuple through the
-// reorder queue and is released exactly once per item: after the sink
+// mergeItem is one queued tuple plus the BlockRef of the receive block its
+// payload aliases. The ref travels with the tuple through the reorder queue
+// and is released exactly once per item: after the sink
 // returns when the item is released in order, or at the point an item is
 // dropped as a duplicate (read-time dedup, the stale-head sweep, or
 // teardown). A zero ref means the payload is not pool-backed (tests feed

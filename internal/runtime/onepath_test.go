@@ -136,7 +136,7 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 
 // refSource is a BatchReceiver serving a prepared keyed stream in batches of
 // at most max tuples. Every batch is real ReceiveBatch output — payloads
-// carved from pooled blocks — decoded with one tuple more than it serves, so
+// aliasing a pooled block — decoded with one tuple more than it serves, so
 // the test keeps one reference on each batch's BlockRef: the count cannot
 // reach zero (and the ref be recycled and reused) behind the test's back, and
 // "the loop consumed each of its references exactly once" reads as Refs()==1.

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"streambalance/internal/core"
@@ -156,7 +155,8 @@ type Region struct {
 	// sees gaps; gaplessness is then Released + CombinedReleased == total.
 	strictOrder bool
 
-	mu        sync.Mutex
+	// Written by the merge goroutine alone (the merger's sink callback) and
+	// read by Run after merger.Wait, which orders the two: no lock.
 	released  uint64
 	lastSeq   uint64
 	orderGood bool
@@ -234,7 +234,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	r := &Region{orderGood: true, recovery: cfg.Recovery.Enabled, strictOrder: cfg.Combiner == nil}
 
 	merger, err := NewMerger(len(cfg.Operators), cfg.MergerQueue, func(t transport.Tuple, conn int) {
-		r.mu.Lock()
 		if r.strictOrder {
 			if t.Seq != r.lastSeq {
 				r.orderGood = false
@@ -244,7 +243,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 		}
 		r.lastSeq = t.Seq + 1
 		r.released++
-		r.mu.Unlock()
 		if cfg.Sink != nil {
 			cfg.Sink(t, conn)
 		}
@@ -403,10 +401,8 @@ func (r *Region) Run() (RegionResult, error) {
 	}
 
 	res := RegionResult{Elapsed: time.Since(start)}
-	r.mu.Lock()
 	res.Released = r.released
 	res.OrderPreserved = r.orderGood
-	r.mu.Unlock()
 	res.PerConnSent, res.TotalBlocking = r.splitter.ConnStats()
 	res.Deduped = r.merger.Deduped()
 	res.CombinedReleased = r.merger.CombinedReleased()

@@ -1056,21 +1056,40 @@ func (sp *Splitter) drain(total uint64) error {
 			return fmt.Errorf("runtime: merger lost before releasing all tuples (watermark %d of %d)",
 				sp.ctrl.Watermark(), total)
 		case id := <-sp.deadCh:
-			c := sp.findLive(id)
-			if c == nil {
-				continue
-			}
-			if err := sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id)); err != nil {
+			if err := sp.drainFailure(total, id, false); err != nil {
 				return err
 			}
 		case id := <-sp.ctrl.quarCh:
-			if err := sp.handleQuarantine(id); err != nil {
+			if err := sp.drainFailure(total, id, true); err != nil {
 				return err
 			}
 		case rj := <-sp.rejoinCh:
 			sp.admitRejoin(rj)
 		}
 	}
+}
+
+// drainFailure acts on a death or quarantine notice taken while draining,
+// unless the merger has released everything in the meantime: select may take
+// the notice while wmSignal is ready too, and a connection may well drop or
+// go silent because the merger, done, is tearing the pipeline down. Replaying
+// then would send into closed worker connections, retire each live one on
+// its EPIPE and report all workers failed for a stream that completed. The
+// watermark is read again before an error is believed, for the same reason.
+func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
+	if sp.ctrl.Watermark() >= total {
+		return nil
+	}
+	var err error
+	if quarantined {
+		err = sp.handleQuarantine(id)
+	} else if c := sp.findLive(id); c != nil {
+		err = sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id))
+	}
+	if err != nil && sp.ctrl.Watermark() >= total {
+		return nil
+	}
+	return err
 }
 
 // controller samples the cumulative blocking counters every interval, feeds

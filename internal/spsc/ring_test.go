@@ -3,6 +3,7 @@ package spsc_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -41,8 +42,9 @@ func TestRingRefSlot(t *testing.T) {
 	ringSuite(t, ringSlots[refSlot]{
 		make: func(seq uint64) refSlot { return refSlot{t: transport.Tuple{Seq: seq}} },
 		seq:  func(s refSlot) uint64 { return s.t.Seq },
-		// Real ReceiveBatch output: tuples carved from pool-backed blocks
-		// with live reference counts.
+		// Real ReceiveBatch output: tuples aliasing a pooled block with a
+		// live reference count. The receiver is run to EOF so that it has
+		// given up its own reference and the count is the tuples' alone.
 		batch: func(t *testing.T, n int) ([]refSlot, func() int64) {
 			ts := make([]transport.Tuple, n)
 			for seq := range ts {
@@ -52,9 +54,13 @@ func TestRingRefSlot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, ref, err := transport.NewReceiver(bytes.NewReader(wire)).ReceiveBatch(nil, n)
+			rc := transport.NewReceiver(bytes.NewReader(wire))
+			batch, ref, err := rc.ReceiveBatch(nil, n)
 			if err != nil || len(batch) != n {
 				t.Fatalf("decoded %d of %d tuples: %v", len(batch), n, err)
+			}
+			if _, _, err := rc.ReceiveBatch(nil, 1); err != io.EOF {
+				t.Fatalf("after the batch: %v, want io.EOF", err)
 			}
 			slots := make([]refSlot, n)
 			for i := range batch {

@@ -171,8 +171,8 @@ func BenchmarkReceiverDecode(b *testing.B) {
 
 // BenchmarkReceiverReceiveBatch is the multi-frame drain against the same
 // stream BenchmarkReceiverDecode walks one frame at a time. The headline
-// numbers are allocs/op (0 in steady state — payloads carve from pooled
-// blocks that ReleaseN returns to the pool) and tuples/s versus a receive
+// numbers are allocs/op (0 in steady state — payloads alias pooled blocks
+// that the last release returns to the pool) and tuples/s versus a receive
 // batch of one.
 func BenchmarkReceiverReceiveBatch(b *testing.B) {
 	payload := bytes.Repeat([]byte("p"), 128)

@@ -25,13 +25,22 @@
 //     SendBatchOwned are compositions of the two; a single tuple is a batch
 //     of one, never a separate path.
 //   - Receive side: ReceiveBatch blocks for the first tuple and then takes
-//     whatever else has already arrived, up to the caller's bound.
+//     whatever else has already arrived, up to the caller's bound. The TCP
+//     Receiver decodes in place: read(2) lands in a pooled 64 KiB block and
+//     the tuples' Payload and Absorbed are cap-limited slices of it, so no
+//     byte is copied between the kernel and the consumer.
 //
-// Who owns a BlockRef: ReceiveBatch returns one reference per tuple on the
-// pooled blocks behind the batch's payloads (nil when they are GC-owned),
-// and the caller must release each exactly once. SendBatchOwned takes
-// references over: a TCP sender releases them when the write has completed,
-// an in-proc sender hands them to the consumer inside the ring slots, whose
-// ReceiveBatch re-issues them on a batch ref that chains the upstream ones.
-// DESIGN §8 follows a reference hop by hop through a whole region.
+// Who owns a BlockRef: a BlockRef is one pooled block and its reference
+// count. ReceiveBatch returns it holding one reference per returned tuple
+// (nil when the payloads are GC-owned), and the caller must release each
+// exactly once; until then it may read, overwrite and append to the slices,
+// afterwards it may not touch them. Consecutive batches usually share a
+// block, which returns to the pool when the receiver has moved off it and
+// every tuple decoded out of it is released. SendBatchOwned takes references
+// over: a TCP sender releases them when the write has completed (for
+// payloads of zeroCopyThreshold bytes or more the iovec points straight into
+// the receive block), an in-proc sender hands them to the consumer inside
+// the ring slots, whose ReceiveBatch re-issues them on a batch ref that
+// chains the upstream ones. recvbatch.go states the counting invariant;
+// DESIGN §4b and §8 follow a reference hop by hop through a whole region.
 package transport

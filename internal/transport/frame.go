@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Tuple is the unit of data flowing through a parallel region: a sequence
@@ -31,8 +29,8 @@ type Tuple struct {
 	// into this carrier tuple, as len/8 little-endian uint64s. The merger
 	// releases the carrier once and then advances its watermark silently
 	// through the absorbed seqs. Raw bytes rather than []uint64 so receivers
-	// can carve it from pooled blocks alongside the payload, keeping the
-	// keyed receive path allocation-free.
+	// can alias it in the pooled block next to the payload, keeping the keyed
+	// receive path allocation-free.
 	Absorbed []byte
 
 	Payload []byte
@@ -73,10 +71,6 @@ const (
 	flagSolo     = 1 << 29 // do-not-combine marker (set on recovery replays)
 	flagMask     = flagKeyed | flagCombined | flagSolo
 )
-
-// maxFixedHeader is the largest fixed-size frame prefix: length word,
-// sequence number, key, absorbed count.
-const maxFixedHeader = 4 + 8 + 8 + 4
 
 // ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds maximum size")
@@ -169,7 +163,7 @@ func FrameLen(t Tuple) int {
 // decodeLengthWord splits a frame's length word into the body length, the
 // flag bits and the fixed header size that follows the word (sequence
 // number, optional key, optional absorbed count), enforcing the flag and
-// length invariants shared by the blocking and buffered decode paths.
+// length invariants.
 func decodeLengthWord(word uint32) (body uint32, flags uint32, fixed int, err error) {
 	flags = word & flagMask
 	body = word &^ flagMask
@@ -192,96 +186,49 @@ func decodeLengthWord(word uint32) (body uint32, flags uint32, fixed int, err er
 	return body, flags, fixed, nil
 }
 
-// Receiver decodes tuples from a stream written with AppendFrame.
-type Receiver struct {
-	r *bufio.Reader
-
-	// src is the wrapped stream, kept so Close can tear it down when it is
-	// closable (a net.Conn); a non-closable reader makes Close a no-op.
-	src io.Reader
-
-	// err holds a stream error discovered mid-drain by ReceiveBatch after
-	// complete tuples were already decoded; it is surfaced on the next call
-	// instead.
-	err error
-
-	// hdr is the reusable read target for fixed frame-header fields. A
-	// function-local array would escape through the io.ReadFull interface
-	// call and cost a heap allocation per decoded tuple.
-	hdr [maxFixedHeader]byte
-}
-
-// NewReceiver wraps a stream in a buffered tuple decoder.
-func NewReceiver(r io.Reader) *Receiver {
-	return &Receiver{r: bufio.NewReaderSize(r, 64<<10), src: r}
-}
-
-// Close closes the underlying stream when it is closable (an in-flight
-// blocking read then fails, unblocking ReceiveBatch) and is a no-op
-// otherwise.
-func (rc *Receiver) Close() error {
-	if c, ok := rc.src.(io.Closer); ok {
-		return c.Close()
+// decodeFrame decodes the frame at the head of b where it lies, into *t: the
+// tuple's Absorbed and Payload are cap-limited slices of b, nothing is
+// copied. size is the frame's full length, or 4 while the length word itself
+// is short; size > len(b) means the frame is not all there yet and *t is
+// untouched. The length word and the absorbed count are validated as soon as
+// their bytes are present, before the frame they describe is waited for.
+func decodeFrame(b []byte, t *Tuple) (size int, err error) {
+	if len(b) < 4 {
+		return 4, nil
 	}
-	return nil
-}
-
-// decodeFixed parses the fixed header fields already read into rc.hdr —
-// sequence number, optional key, optional absorbed count — and returns the
-// tuple skeleton plus how many absorbed bytes still follow on the wire.
-func (rc *Receiver) decodeFixed(flags, body uint32, fixed int) (Tuple, int, error) {
-	t := Tuple{Seq: binary.LittleEndian.Uint64(rc.hdr[4:12])}
+	body, flags, fixed, err := decodeLengthWord(binary.LittleEndian.Uint32(b))
+	if err != nil {
+		return 0, err
+	}
+	size = 4 + int(body)
+	if len(b) < 4+fixed {
+		return size, nil
+	}
 	off := 12
+	var key uint64
 	if flags&flagKeyed != 0 {
-		t.Key = binary.LittleEndian.Uint64(rc.hdr[off : off+8])
+		key = binary.LittleEndian.Uint64(b[off:])
 		off += 8
-		t.Solo = flags&flagSolo != 0
 	}
 	absorbed := 0
 	if flags&flagCombined != 0 {
-		count := binary.LittleEndian.Uint32(rc.hdr[off : off+4])
+		count := binary.LittleEndian.Uint32(b[off:])
+		off += 4
 		absorbed = int(count) * 8
-		if count == 0 || absorbed > int(body)-fixed {
-			return Tuple{}, 0, fmt.Errorf("transport: absorbed count %d invalid for frame body %d", count, body)
+		if count == 0 || absorbed > size-off {
+			return 0, fmt.Errorf("transport: absorbed count %d invalid for frame body %d", count, body)
 		}
 	}
-	return t, absorbed, nil
-}
-
-// receive decodes one frame, blocking until it is complete: the first tuple
-// of every ReceiveBatch pass. It returns io.EOF at a clean end of stream and
-// an io.ErrUnexpectedEOF-wrapping error when the stream ends mid-frame.
-// Payload and absorbed bytes are carved from ref's pooled blocks.
-func (rc *Receiver) receive(ref *BlockRef) (Tuple, error) {
-	if _, err := io.ReadFull(rc.r, rc.hdr[:4]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Tuple{}, io.EOF
-		}
-		return Tuple{}, fmt.Errorf("transport: read frame length: %w", err)
+	if len(b) < size {
+		return size, nil
 	}
-	word := binary.LittleEndian.Uint32(rc.hdr[:4])
-	body, flags, fixed, err := decodeLengthWord(word)
-	if err != nil {
-		return Tuple{}, err
-	}
-	if _, err := io.ReadFull(rc.r, rc.hdr[4:4+fixed]); err != nil {
-		return Tuple{}, fmt.Errorf("transport: read frame header: %w", err)
-	}
-	t, absorbed, err := rc.decodeFixed(flags, body, fixed)
-	if err != nil {
-		return Tuple{}, err
-	}
+	*t = Tuple{Seq: binary.LittleEndian.Uint64(b[4:]), Key: key, Solo: flags&flagSolo != 0}
 	if absorbed > 0 {
-		t.Absorbed = ref.carve(absorbed)
-		if _, err := io.ReadFull(rc.r, t.Absorbed); err != nil {
-			return Tuple{}, fmt.Errorf("transport: read absorbed seqs: %w", err)
-		}
+		t.Absorbed = b[off : off+absorbed : off+absorbed]
+		off += absorbed
 	}
-	if payload := int(body) - fixed - absorbed; payload > 0 {
-		t.Payload = ref.carve(payload)
-		if _, err := io.ReadFull(rc.r, t.Payload); err != nil {
-			return Tuple{}, fmt.Errorf("transport: read payload: %w", err)
-		}
+	if off < size {
+		t.Payload = b[off:size:size]
 	}
-	return t, nil
+	return size, nil
 }

@@ -125,7 +125,7 @@ func FuzzReceiveTruncatedBatch(f *testing.F) {
 // FuzzReceiveBatchTruncated drives the multi-frame drain over batches cut at
 // arbitrary byte offsets, optionally with a poisoned length prefix, and with
 // the stream delivered in reads split at an arbitrary boundary (so complete
-// frames straddle the bufio buffer between passes). The decoder must never
+// frames straddle two reads). The decoder must never
 // panic, must return every complete leading frame intact and in order, and
 // must fail cleanly at the damage — including when the failure is deferred
 // to the call after the one that decoded the leading frames.
@@ -167,8 +167,8 @@ func FuzzReceiveBatchTruncated(f *testing.F) {
 			if len(tuples) == 0 || len(tuples) > maxBatch {
 				t.Fatalf("batch of %d tuples with max %d", len(tuples), maxBatch)
 			}
-			if ref.Refs() != int64(len(tuples)) {
-				t.Fatalf("ref holds %d references for %d tuples", ref.Refs(), len(tuples))
+			if ref.Refs() != int64(len(tuples))+1 {
+				t.Fatalf("block holds %d references for %d tuples and the receiver", ref.Refs(), len(tuples))
 			}
 			for _, got := range tuples {
 				if decoded < n && poison == 0 {
@@ -208,6 +208,154 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if got.Seq != seq || !bytes.Equal(got.Payload, payload) {
 			t.Fatalf("round trip changed tuple: seq %d->%d", seq, got.Seq)
+		}
+	})
+}
+
+// chunkReader delivers data in reads of 1+sizes[i]*scale bytes, cycling
+// through sizes: arbitrary read boundaries, small against a frame at scale 1
+// and large against a block at scale 97.
+type chunkReader struct {
+	data  []byte
+	sizes []byte
+	scale int
+	i     int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := 1
+	if len(c.sizes) > 0 {
+		n += int(c.sizes[c.i%len(c.sizes)]) * c.scale
+		c.i++
+	}
+	n = copy(p[:min(n, len(p))], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// FuzzReceiveInPlace is the differential check of the in-place decoder: a
+// stream of mixed frame shapes — optionally long enough to cross a block
+// end, with any one length word poisoned and cut at any byte — must decode
+// to the same tuples and end in the same kind of error whether it arrives in
+// whole reads or in arbitrary chunks, with the references held or released
+// as it goes. Leading undamaged frames must come back as encoded, and every
+// slice cap-limited.
+func FuzzReceiveInPlace(f *testing.F) {
+	f.Add(uint16(5), uint16(0), uint32(0), uint32(0), []byte{0}, uint8(3), false)
+	f.Add(uint16(40), uint16(7), uint32(0xffffffff), uint32(0), []byte{3, 0, 200}, uint8(0), false)
+	f.Add(uint16(9), uint16(2), uint32(5), uint32(700), []byte{1, 2, 3, 4}, uint8(63), true)
+	f.Add(uint16(47), uint16(46), uint32(1<<30|1<<31|40), uint32(0), []byte{255, 9}, uint8(1), true)
+	f.Add(uint16(20), uint16(0), uint32(recvBlockCap+500), uint32(0), []byte{17}, uint8(16), true)
+	f.Fuzz(func(t *testing.T, nTuples, poisonAt uint16, poison, cut uint32, chunks []byte, max uint8, long bool) {
+		n := int(nTuples%48) + 1
+		if long {
+			n += 700 // ≈ 80 KiB: the stream crosses the first block's end
+		}
+		ts := make([]Tuple, n)
+		offs := make([]int, n)
+		var wire []byte
+		for i := range ts {
+			seq := uint64(i)
+			ts[i] = Tuple{Seq: seq, Payload: pattern(seq, (i*37)%256)}
+			if i%3 == 1 {
+				ts[i].Key, ts[i].Solo = seq%5+1, i%2 == 0
+			}
+			if i%7 == 3 {
+				ts[i].Key, ts[i].Absorbed = seq%5+1, pattern(seq+1, 8*(1+i%9))
+			}
+			offs[i] = len(wire)
+			var err error
+			if wire, err = AppendFrame(wire, ts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		intact := n // frames before the damage
+		if poison != 0 {
+			intact = int(poisonAt) % n
+			binary.LittleEndian.PutUint32(wire[offs[intact]:], poison)
+		}
+		if cut != 0 {
+			wire = wire[:int(cut)%(len(wire)+1)]
+			for intact > 0 && offs[intact-1]+FrameLen(ts[intact-1]) > len(wire) {
+				intact--
+			}
+		}
+		maxBatch := int(max%64) + 1
+		decode := func(src io.Reader, hold bool) ([]Tuple, error) {
+			rc := NewReceiver(src)
+			var out []Tuple
+			var kept []held
+			defer func() { releaseAll(kept) }()
+			for {
+				batch, ref, err := rc.ReceiveBatch(nil, maxBatch)
+				if err != nil {
+					for i, h := range kept {
+						if sameTuple(h.t, out[i]) != nil {
+							t.Fatalf("held tuple %d changed under later batches", i)
+						}
+					}
+					return out, err
+				}
+				if len(batch) == 0 || len(batch) > maxBatch {
+					t.Fatalf("batch of %d tuples with max %d", len(batch), maxBatch)
+				}
+				for _, got := range batch {
+					if cap(got.Payload) != len(got.Payload) || cap(got.Absorbed) != len(got.Absorbed) {
+						t.Fatalf("tuple %d: slice not cap-limited", len(out))
+					}
+					if len(out) < intact {
+						if err := sameTuple(got, ts[len(out)]); err != nil {
+							t.Fatalf("intact leading frame %d: %v", len(out), err)
+						}
+					}
+					cp := got
+					cp.Payload = append([]byte(nil), got.Payload...)
+					cp.Absorbed = append([]byte(nil), got.Absorbed...)
+					out = append(out, cp)
+					if hold {
+						kept = append(kept, held{got, ref})
+					}
+				}
+				if !hold {
+					ref.ReleaseN(len(batch))
+				}
+				if len(out) > 2*n+8 {
+					t.Fatalf("decoder runaway: %d tuples from a %d-tuple stream", len(out), n)
+				}
+			}
+		}
+		kind := func(err error) string {
+			switch {
+			case err == io.EOF:
+				return "eof"
+			case errors.Is(err, io.ErrUnexpectedEOF):
+				return "unexpected-eof"
+			}
+			return "malformed"
+		}
+		want, wantErr := decode(bytes.NewReader(wire), true)
+		if len(want) < intact {
+			t.Fatalf("decoded %d tuples, %d frames were intact", len(want), intact)
+		}
+		if poison == 0 && len(want) != intact {
+			t.Fatalf("decoded %d tuples from %d complete frames", len(want), intact)
+		}
+		for _, scale := range []int{1, 97} {
+			for _, hold := range []bool{true, false} {
+				got, gotErr := decode(&chunkReader{data: wire, sizes: chunks, scale: scale}, hold)
+				if len(got) != len(want) || kind(gotErr) != kind(wantErr) {
+					t.Fatalf("scale %d hold %v: %d tuples then %v; whole reads gave %d then %v",
+						scale, hold, len(got), gotErr, len(want), wantErr)
+				}
+				for i := range got {
+					if err := sameTuple(got[i], want[i]); err != nil {
+						t.Fatalf("scale %d hold %v: tuple %d differs from the whole-read decode: %v", scale, hold, i, err)
+					}
+				}
+			}
 		}
 	})
 }

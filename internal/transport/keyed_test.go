@@ -217,8 +217,8 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 }
 
 // TestKeyedReceiveBatchAllocFree proves the steady-state keyed receive path
-// allocates nothing: payload and absorbed bytes are carved from pooled
-// blocks, and the batch slice and BlockRef recycle.
+// allocates nothing: payload and absorbed bytes alias the pooled block the
+// stream was read into, and the batch slice and the block recycle.
 func TestKeyedReceiveBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -1,33 +1,45 @@
 package transport
 
 import (
-	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// Receive-side batching mirrors the send side (batch.go): where the sender
-// amortizes the per-tuple syscall with one vectored write per batch, the
-// receiver amortizes the per-tuple decode with one pass over every complete
-// frame already sitting in its buffer. ReceiveBatch is the only receive
-// path: a caller that wants one tuple at a time asks for a batch of one.
+// The TCP receive side decodes in place. A Receiver reads the socket
+// straight into a pooled 64 KiB block, and ReceiveBatch — the only receive
+// path; one tuple at a time is a batch of one — walks the frames where the
+// read left them: it validates each length word where it lies and returns
+// tuples whose Payload and Absorbed are cap-limited slices of the block.
+// Between the kernel and the consumer no byte is copied.
 //
-// Payloads decoded by ReceiveBatch are carved from pooled block buffers
-// instead of per-tuple allocations. The blocks are reference
-// counted through a BlockRef: every returned tuple holds one reference, and
-// the consumer releases each reference when it is done with that tuple's
-// payload — for the merger, after the tuple is released downstream in order
-// (or dropped as a duplicate); for the worker, after the processed batch is
-// flushed to the merger. When the last reference drops, the blocks return
-// to the pool. See DESIGN "Receive-side batching" for the full ownership
-// story.
+// A block is therefore shared by the consecutive batches decoded out of it,
+// and it is reference counted by one BlockRef, which is the block:
+//
+//	refs = (1 while the block is the receiver's current one)
+//	     + (one per tuple handed out of it and not yet released)
+//
+// ReceiveBatch adds len(batch) before it returns, so the count can only
+// reach zero — and the block return to the pool, to be overwritten by some
+// other stream — after the receiver has moved off it and every tuple that
+// aliases it was released. The receiver is the only one that adds, so a
+// count of 1 read by the receiver means nobody else holds the block or ever
+// will, and it may be rewound and reused in place. The receiver drops its
+// own reference when it moves to the next block, when the stream ends
+// (io.EOF or any error) and on Close.
+//
+// What a consumer may do with a tuple: read and overwrite Payload[:len] and
+// Absorbed[:len] until it releases the tuple's reference, and append to
+// either (cap == len, so append copies out and cannot touch the next
+// frame). What it may not: touch them after the release — copy first to
+// retain. DESIGN §4b has the whole lifetime, §8 the owner at each hop.
 
 const (
-	// recvBlockCap seeds pooled payload blocks. It matches the Receiver's
-	// bufio buffer: one block usually absorbs everything one drain pass can
-	// decode. Blocks grow (and keep their grown capacity in the pool) when a
-	// single payload exceeds it.
+	// recvBlockCap is the size of a pooled block, and the most one read can
+	// return. A frame larger than this gets a dedicated block grown to fit,
+	// which keeps its size when it goes back to the pool.
 	recvBlockCap = 64 << 10
 
 	// DefaultRecvBatch bounds one ReceiveBatch pass when the caller does not
@@ -35,39 +47,51 @@ const (
 	// batching it coarsens no measurement signal), so the runtime enables it
 	// by default at this size.
 	DefaultRecvBatch = 64
+
+	// maxEmptyReads is how many consecutive (0, nil) reads fail a stream
+	// with io.ErrNoProgress, as bufio does.
+	maxEmptyReads = 100
 )
 
-// recvBlock is one pooled payload block. As with frameBuf, the pool stores
-// pointers so Get/Put never allocate on the hot path.
-type recvBlock struct{ b []byte }
-
-var recvBlockPool = sync.Pool{
-	New: func() any { return &recvBlock{b: make([]byte, 0, recvBlockCap)} },
-}
-
-// BlockRef is the release hook for the pooled blocks backing one received
-// batch's payloads. ReceiveBatch returns it holding one reference per
-// decoded tuple; the consumer calls Release once per tuple (or ReleaseN for
-// a whole batch) when the payloads are no longer needed. Releasing the last
-// reference recycles the blocks — and the BlockRef itself — so payloads
-// must not be read after their reference is dropped; copy first to retain.
+// BlockRef counts the references on one pooled receive block (see the file
+// comment for what they are) and is the release hook a consumer holds: it
+// calls Release once per tuple, or ReleaseN for several, when the payloads
+// are no longer needed. Dropping the last reference recycles the block, so
+// a payload must not be read after its reference is released.
 //
 // Release and ReleaseN are safe to call concurrently. A nil BlockRef is a
 // valid no-op receiver, so callers of unpooled sources need no special
 // casing.
 type BlockRef struct {
-	refs   atomic.Int64
-	blocks []*recvBlock
+	refs atomic.Int64
+
+	// buf is the block's storage, used at its full length. It is nil on a
+	// ref that only chains parents.
+	buf []byte
 
 	// parents chains upstream ownership across an in-process edge: an
 	// InprocReceiver's batch ref holds one entry per popped tuple that rode
 	// in with its own upstream reference, and releasing the batch's last
-	// reference releases each parent exactly once. A TCP batch ref has no
+	// reference releases each parent exactly once. A TCP block has no
 	// parents. See inproc.go.
 	parents []*BlockRef
 }
 
-var blockRefPool = sync.Pool{New: func() any { return new(BlockRef) }}
+// Two pools, pointers in both so Get/Put never allocate on the hot path:
+// blocks for the TCP receiver, bufferless refs for the in-proc one.
+var (
+	recvBlockPool = sync.Pool{New: func() any { return &BlockRef{buf: make([]byte, recvBlockCap)} }}
+	blockRefPool  = sync.Pool{New: func() any { return new(BlockRef) }}
+)
+
+// poisonFreed makes recycle overwrite a block before pooling it, so that a
+// read after release shows up as wrong bytes. Tests switch it on (see
+// PoisonFreedBlocks); nothing else does.
+var poisonFreed bool
+
+// PoisonFreedBlocks is for TestMain: from then on every block is filled with
+// 0xDB when its last reference drops. Call it before any receiver runs.
+func PoisonFreedBlocks() { poisonFreed = true }
 
 // Release drops one tuple's reference.
 func (r *BlockRef) Release() { r.ReleaseN(1) }
@@ -88,21 +112,25 @@ func (r *BlockRef) ReleaseN(n int) {
 	r.recycle()
 }
 
-// recycle returns the ref's blocks to the block pool, releases each parent
-// reference once, and returns the ref itself to the ref pool.
+// recycle releases each parent reference once and returns the ref to the
+// pool it came from.
 func (r *BlockRef) recycle() {
-	for i, blk := range r.blocks {
-		blk.b = blk.b[:0]
-		recvBlockPool.Put(blk)
-		r.blocks[i] = nil
-	}
-	r.blocks = r.blocks[:0]
 	for i, p := range r.parents {
 		p.Release()
 		r.parents[i] = nil
 	}
 	r.parents = r.parents[:0]
-	blockRefPool.Put(r)
+	if r.buf == nil {
+		blockRefPool.Put(r)
+		return
+	}
+	if poisonFreed {
+		r.buf[0] = 0xDB
+		for n := 1; n < len(r.buf); n *= 2 {
+			copy(r.buf[n:], r.buf[:n])
+		}
+	}
+	recvBlockPool.Put(r)
 }
 
 // Refs returns the outstanding reference count (for tests and diagnostics).
@@ -113,120 +141,160 @@ func (r *BlockRef) Refs() int64 {
 	return r.refs.Load()
 }
 
-// carve reserves n bytes in the ref's current block, sealing it and starting
-// a new one when the payload does not fit — payload slices already handed
-// out never move, which is what lets tuples alias the blocks safely.
-func (r *BlockRef) carve(n int) []byte {
-	var blk *recvBlock
-	if len(r.blocks) > 0 {
-		if last := r.blocks[len(r.blocks)-1]; cap(last.b)-len(last.b) >= n {
-			blk = last
-		}
+// Receiver decodes tuples from a stream written with AppendFrame.
+type Receiver struct {
+	// src is the stream; Close tears it down when it is closable (a
+	// net.Conn).
+	src io.Reader
+
+	// mu is held for the length of a ReceiveBatch call, the blocking read
+	// included. Nothing waits for it: it is there so that Close, from any
+	// goroutine, can tell by TryLock an idle receiver (whose block it gives
+	// back) from one inside a call (which gives the block back itself when
+	// the closed stream fails its read).
+	mu sync.Mutex
+
+	// blk is the current block, on which the receiver holds one reference;
+	// buf is blk.buf, and buf[r:w] the bytes read but not yet decoded. All
+	// are zero before the first read and after the stream has ended.
+	blk  *BlockRef
+	buf  []byte
+	r, w int
+
+	// err ends the stream: once the buffered bytes are used up every call
+	// returns it. A read error waits here while the bytes that arrived with
+	// or before it are decoded; a malformed frame found behind complete ones
+	// waits while those are returned.
+	err error
+}
+
+// NewReceiver wraps a stream in a tuple decoder. It takes its first block
+// when it first reads.
+func NewReceiver(r io.Reader) *Receiver { return &Receiver{src: r} }
+
+var errReceiverClosed = errors.New("transport: receiver closed")
+
+// Close closes the underlying stream when it is closable — an in-flight
+// blocking read then fails, unblocking ReceiveBatch — and ends the stream
+// for later calls either way. The current block goes back now if the
+// receiver is idle, or as the interrupted call returns.
+func (rc *Receiver) Close() error {
+	var err error
+	if c, ok := rc.src.(io.Closer); ok {
+		err = c.Close()
 	}
-	if blk == nil {
-		blk = recvBlockPool.Get().(*recvBlock)
-		if cap(blk.b) < n {
-			// One oversized payload gets a dedicated block; the grown
-			// capacity stays with the block in the pool.
-			blk.b = make([]byte, 0, n)
+	if rc.mu.TryLock() {
+		if rc.err == nil {
+			rc.err = errReceiverClosed
 		}
-		r.blocks = append(r.blocks, blk)
+		rc.dropBlock()
+		rc.mu.Unlock()
 	}
-	off := len(blk.b)
-	blk.b = blk.b[:off+n]
-	return blk.b[off : off+n : off+n]
+	return err
+}
+
+// dropBlock gives up the receiver's reference on its current block, and
+// with it any undecoded bytes.
+func (rc *Receiver) dropBlock() {
+	rc.blk.Release()
+	rc.blk, rc.buf, rc.r, rc.w = nil, nil, 0, 0
 }
 
 // ReceiveBatch decodes up to max tuples into dst (which is truncated and
 // reused, so steady-state callers allocate nothing), blocking only for the
-// first: once one tuple has arrived, the pass drains every complete frame
-// already buffered and returns rather than waiting for more. max <= 0
-// selects DefaultRecvBatch.
+// first: once one tuple has arrived, the pass takes every complete frame
+// already in the block and returns rather than waiting for more — a frame
+// whose tail has not been read, or lies past the end of the block, ends the
+// pass. max <= 0 selects DefaultRecvBatch.
 //
-// Payloads are carved from pooled blocks owned by the returned BlockRef,
-// which holds one reference per returned tuple; see BlockRef for the
-// release contract. The ref is non-nil whenever at least one tuple is
-// returned. Errors: io.EOF at a clean end of stream before the first tuple,
-// io.ErrUnexpectedEOF mid-frame. A stream error discovered
-// while draining after at least one decoded tuple is deferred: the complete
-// leading tuples are returned with a nil error and the failure surfaces on
-// the next call.
+// The tuples alias the returned BlockRef's block, on which each holds one
+// reference; see BlockRef for the release contract. The ref is non-nil
+// whenever at least one tuple is returned. Errors: io.EOF at a clean end of
+// stream before the first tuple, io.ErrUnexpectedEOF mid-frame. A malformed
+// frame behind complete ones is deferred: the leading tuples are returned
+// with a nil error and the failure surfaces on the next call. Every error
+// is final.
 func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, error) {
 	if max <= 0 {
 		max = DefaultRecvBatch
 	}
 	dst = dst[:0]
-	if rc.err != nil {
-		err := rc.err
-		rc.err = nil
-		return dst, nil, err
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for {
+		size := 0
+		for len(dst) < max {
+			dst = append(dst, Tuple{})
+			n, err := decodeFrame(rc.buf[rc.r:rc.w], &dst[len(dst)-1])
+			if err != nil || n > rc.w-rc.r {
+				dst, size = dst[:len(dst)-1], n
+				if err != nil {
+					rc.err = err
+				}
+				break
+			}
+			rc.r += n
+		}
+		if len(dst) > 0 {
+			rc.blk.refs.Add(int64(len(dst)))
+			return dst, rc.blk, nil
+		}
+		if rc.err != nil {
+			if rc.err == io.EOF && rc.r < rc.w {
+				rc.err = fmt.Errorf("transport: stream ended mid-frame: %w", io.ErrUnexpectedEOF)
+			}
+			rc.dropBlock()
+			return dst, nil, rc.err
+		}
+		rc.fill(size)
 	}
-	ref := blockRefPool.Get().(*BlockRef)
-	t, err := rc.receive(ref)
-	if err != nil {
-		// A mid-frame failure can leave a carved block behind; recycle
-		// everything before re-pooling the ref.
-		ref.recycle()
-		return dst, nil, err
-	}
-	dst = append(dst, t)
-	dst = rc.drainInto(dst, max, ref)
-	ref.refs.Store(int64(len(dst)))
-	return dst, ref, nil
 }
 
-// drainInto decodes buffered complete frames into dst until max tuples are
-// held or the buffer runs out of complete frames. A malformed frame sets
-// rc.err (surfaced to the caller on the next receive) and stops the pass;
-// every complete leading frame is still returned.
-func (rc *Receiver) drainInto(dst []Tuple, max int, ref *BlockRef) []Tuple {
-	for len(dst) < max {
-		t, ok, err := rc.tryDecode(ref)
-		if err != nil {
-			rc.err = err
-			break
-		}
-		if !ok {
-			break
-		}
-		dst = append(dst, t)
+// fill blocks in one read for more of the frame at buf[r:], which is size
+// bytes long (4 while its length word is short). It first makes sure the
+// whole frame fits in the block and that the read has at least half a block
+// to land in, so reads stay as large as the stream can fill.
+func (rc *Receiver) fill(size int) {
+	if rc.r+size > len(rc.buf) || rc.r > 0 && len(rc.buf)-rc.w < recvBlockCap/2 {
+		rc.moveOff(size)
 	}
-	return dst
+	var n int
+	var err error
+	for i := 0; n == 0 && err == nil; i++ {
+		if i == maxEmptyReads {
+			err = io.ErrNoProgress
+			break
+		}
+		n, err = rc.src.Read(rc.buf[rc.w:])
+	}
+	rc.w += n
+	switch {
+	case err == nil:
+	case errors.Is(err, io.EOF):
+		rc.err = io.EOF
+	default:
+		rc.err = fmt.Errorf("transport: read frame: %w", err)
+	}
 }
 
-// tryDecode decodes one frame if — and only if — it is fully buffered, so
-// it never blocks. ok=false means the next frame is incomplete.
-func (rc *Receiver) tryDecode(ref *BlockRef) (Tuple, bool, error) {
-	if rc.r.Buffered() < 4 {
-		return Tuple{}, false, nil
+// moveOff puts the undecoded tail buf[r:w] at the front of a block with room
+// for size bytes. A block only the receiver holds is rewound in place;
+// otherwise the tail moves to a fresh block — dedicated and grown when the
+// frame is larger than a block — and the old one, whose handed-out slices
+// are not disturbed, is left to its tuples.
+func (rc *Receiver) moveOff(size int) {
+	tail := rc.buf[rc.r:rc.w]
+	if rc.blk == nil || size > len(rc.buf) || rc.blk.refs.Load() != 1 {
+		next := recvBlockPool.Get().(*BlockRef)
+		if len(next.buf) < size {
+			next.buf = make([]byte, size)
+		}
+		next.refs.Store(1)
+		copy(next.buf, tail)
+		rc.blk.Release()
+		rc.blk, rc.buf = next, next.buf
+	} else {
+		copy(rc.buf, tail)
 	}
-	hdr, err := rc.r.Peek(4)
-	if err != nil {
-		return Tuple{}, false, nil
-	}
-	word := binary.LittleEndian.Uint32(hdr)
-	body, flags, fixed, err := decodeLengthWord(word)
-	if err != nil {
-		return Tuple{}, false, err
-	}
-	if rc.r.Buffered() < 4+int(body) {
-		return Tuple{}, false, nil
-	}
-	// The whole frame is buffered: none of the reads below can block or
-	// short-read.
-	rc.r.Discard(4)
-	io.ReadFull(rc.r, rc.hdr[4:4+fixed])
-	t, absorbed, err := rc.decodeFixed(flags, body, fixed)
-	if err != nil {
-		return Tuple{}, false, err
-	}
-	if absorbed > 0 {
-		t.Absorbed = ref.carve(absorbed)
-		io.ReadFull(rc.r, t.Absorbed)
-	}
-	if payload := int(body) - fixed - absorbed; payload > 0 {
-		t.Payload = ref.carve(payload)
-		io.ReadFull(rc.r, t.Payload)
-	}
-	return t, true, nil
+	rc.r, rc.w = 0, len(tail)
 }

@@ -31,6 +31,7 @@ func TestReceiveBatchDrainsBufferedFrames(t *testing.T) {
 
 	var got []Tuple
 	var batch []Tuple
+	var last *BlockRef
 	for len(got) < n {
 		var ref *BlockRef
 		var err error
@@ -41,17 +42,20 @@ func TestReceiveBatchDrainsBufferedFrames(t *testing.T) {
 		if len(batch) == 0 || len(batch) > 7 {
 			t.Fatalf("batch of %d tuples, want 1..7", len(batch))
 		}
-		if ref.Refs() != int64(len(batch)) {
-			t.Fatalf("ref holds %d references for %d tuples", ref.Refs(), len(batch))
+		// Every earlier batch is released, so the block holds this batch's
+		// references and the receiver's own.
+		if ref.Refs() != int64(len(batch))+1 {
+			t.Fatalf("block holds %d references for %d tuples and the receiver", ref.Refs(), len(batch))
 		}
 		for _, tp := range batch {
 			// Copy: the payload dies with the ref release below.
 			got = append(got, Tuple{Seq: tp.Seq, Payload: append([]byte(nil), tp.Payload...)})
 		}
 		ref.ReleaseN(len(batch))
-		if ref.Refs() != 0 {
-			t.Fatalf("ref holds %d references after full release", ref.Refs())
+		if ref.Refs() != 1 {
+			t.Fatalf("block holds %d references after the batch's release, want the receiver's 1", ref.Refs())
 		}
+		last = ref
 	}
 	for i := range ts {
 		if got[i].Seq != ts[i].Seq || !bytes.Equal(got[i].Payload, ts[i].Payload) {
@@ -60,6 +64,9 @@ func TestReceiveBatchDrainsBufferedFrames(t *testing.T) {
 	}
 	if _, _, err := rc.ReceiveBatch(batch, 7); !errors.Is(err, io.EOF) {
 		t.Fatalf("want EOF at end of stream, got %v", err)
+	}
+	if last.Refs() != 0 {
+		t.Fatalf("receiver kept its block past EOF: %d references", last.Refs())
 	}
 }
 
@@ -109,8 +116,8 @@ func TestReceiveBatchReleasePerTupleInAnyOrder(t *testing.T) {
 		t.Fatal("payload corrupted while references remain")
 	}
 	ref.Release()
-	if ref.Refs() != 0 {
-		t.Fatalf("refs %d after final release", ref.Refs())
+	if ref.Refs() != 1 {
+		t.Fatalf("refs %d after the last tuple's release, want the receiver's 1", ref.Refs())
 	}
 }
 
@@ -134,7 +141,7 @@ func TestBlockRefOverReleasePanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2.ReleaseN(3)
+	ref2.ReleaseN(2 + 1 + 1) // its tuples, the receiver's, and one too many
 }
 
 func TestNilBlockRefIsNoOp(t *testing.T) {
@@ -147,8 +154,8 @@ func TestNilBlockRefIsNoOp(t *testing.T) {
 }
 
 func TestReceiveBatchOversizedPayload(t *testing.T) {
-	// A payload larger than the pooled block capacity gets a dedicated
-	// block; surrounding small payloads still share blocks.
+	// A frame larger than a pooled block gets a dedicated block grown to
+	// fit; the small frames around it decode out of ordinary ones.
 	ts := []Tuple{
 		{Seq: 0, Payload: []byte("small")},
 		{Seq: 1, Payload: bytes.Repeat([]byte{0xAB}, recvBlockCap+1234)},
@@ -167,7 +174,9 @@ func TestReceiveBatchOversizedPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, batch...)
-		refs = append(refs, ref)
+		for range batch {
+			refs = append(refs, ref)
+		}
 	}
 	for i := range ts {
 		if got[i].Seq != ts[i].Seq || !bytes.Equal(got[i].Payload, ts[i].Payload) {
@@ -175,7 +184,7 @@ func TestReceiveBatchOversizedPayload(t *testing.T) {
 		}
 	}
 	for _, ref := range refs {
-		ref.ReleaseN(int(ref.Refs()))
+		ref.Release()
 	}
 }
 
@@ -222,8 +231,8 @@ func TestReceiveBatchTruncatedMidFrame(t *testing.T) {
 func TestReceiveBatchPicksUpBufferedRemainder(t *testing.T) {
 	ts, wire := encodeFrames(t, 10)
 	rc := NewReceiver(bytes.NewReader(wire))
-	// The first blocking read pulls the whole stream into the bufio buffer;
-	// cap the batch at 1 so nine complete frames remain buffered.
+	// The first blocking read pulls the whole stream into the block; cap the
+	// batch at 1 so nine complete frames remain in it.
 	first, ref1, err := rc.ReceiveBatch(nil, 1)
 	if err != nil || len(first) != 1 {
 		t.Fatalf("priming read: %d tuples, err %v", len(first), err)
