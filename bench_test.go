@@ -11,6 +11,7 @@
 package streambalance_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -20,7 +21,6 @@ import (
 	"streambalance/internal/dataflow"
 	"streambalance/internal/dispatch"
 	"streambalance/internal/harness"
-	"streambalance/internal/placement"
 	rt "streambalance/internal/runtime"
 	"streambalance/internal/sim"
 	"streambalance/internal/transport"
@@ -443,23 +443,23 @@ func BenchmarkDataflowRegionThroughput(b *testing.B) {
 	const n = 30_000
 	for i := 0; i < b.N; i++ {
 		g := dataflow.NewGraph("bench")
-		g.Source("src", func(seq uint64) (any, bool) {
+		g.Source("src", func(seq uint64) ([]byte, bool) {
 			if seq >= n {
 				return nil, false
 			}
-			return int(seq), true
+			return binary.LittleEndian.AppendUint64(nil, seq), true
 		}).
-			Map("work", func(v any) any {
-				acc := v.(int) | 3
+			Map("work", rt.OperatorFunc(func(t transport.Tuple) transport.Tuple {
+				acc := binary.LittleEndian.Uint64(t.Payload) | 3
 				for k := 0; k < 500; k++ {
 					acc *= 1664525
 				}
 				if acc == 1 {
-					return 0
+					return transport.Tuple{Seq: t.Seq}
 				}
-				return v
-			}).
-			Sink("out", func(any) {})
+				return t
+			})).
+			Sink("out", func(transport.Tuple) {})
 		plan, err := g.Plan(dataflow.PlanConfig{Width: 4})
 		if err != nil {
 			b.Fatal(err)
@@ -526,34 +526,6 @@ func BenchmarkRegionThroughputBatched(b *testing.B) {
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
-	}
-}
-
-func BenchmarkPlacement(b *testing.B) {
-	p := placement.Problem{
-		Hosts: []placement.Host{
-			{Name: "f1", Slots: 16, Speed: 60},
-			{Name: "f2", Slots: 16, Speed: 60},
-			{Name: "s1", Slots: 8, Speed: 50},
-			{Name: "s2", Slots: 8, Speed: 50},
-		},
-		Regions: []placement.Region{
-			{Name: "a", Workers: 12, Demand: 900},
-			{Name: "b", Workers: 16, Demand: 1400},
-			{Name: "c", Workers: 8, Demand: 400},
-		},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := placement.Place(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj, err := p.Objective(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(obj, "max-util")
 	}
 }
 

@@ -1,16 +1,14 @@
-// Dataflowapp: composable region→region dataflow. The application is two
-// ordered data-parallel regions chained end to end with dataflow.RunChain —
-// the first region's in-order merge feeds the second region's splitter
-// through a bounded in-process edge, so ordering and back pressure both
-// compose across the whole topology.
+// Dataflowapp: dataflow graph -> plan -> balanced execution. The application
+// is described as a graph of operators; the planner decides what runs where:
+// the two stateless operators ("featurize", "score") fuse into one ordered
+// data-parallel region replicated four ways, and the stateful audit behind
+// them becomes a single PE. dataflow.Execute lowers each planned stage onto
+// an in-process runtime region, so the graph runs on the same splitter,
+// merger and blocking-rate balancer as a hand-built region.
 //
-// Stage 1 ("featurize", 4-way, in-process shared-memory transport) parses
-// synthetic transactions and computes a feature; stage 2 ("score", 4-way,
-// loopback-TCP transport) runs the expensive scoring kernel. Mixing the
-// transports is the point: each stage picks its own, and the chain — like
-// the balancer — never needs to know which is which. A stateful audit in the
-// final sink depends on seeing every transaction in its original order,
-// which the chained ordered merges guarantee.
+// The audit checks that transactions arrive in their original order and
+// keeps a running total — both only right if the region's in-order merge
+// restored sequential semantics.
 //
 //	go run ./examples/dataflowapp
 package main
@@ -33,27 +31,21 @@ func main() {
 	}
 }
 
-// featurizeOp turns a raw transaction record (id, amount) into a feature
-// record (id, amount, feature). Stateless, so it parallelizes freely.
-type featurizeOp struct{}
-
-func (featurizeOp) Process(t transport.Tuple) transport.Tuple {
-	id := binary.LittleEndian.Uint64(t.Payload[0:8])
-	amount := binary.LittleEndian.Uint64(t.Payload[8:16])
+// featurize turns a raw transaction record (id, amount) into a feature record
+// (id, amount, feature). Stateless, so it parallelizes freely.
+func featurize(t transport.Tuple) transport.Tuple {
 	out := make([]byte, 24)
-	binary.LittleEndian.PutUint64(out[0:8], id)
-	binary.LittleEndian.PutUint64(out[8:16], amount)
+	copy(out, t.Payload[:16])
+	amount := binary.LittleEndian.Uint64(t.Payload[8:16])
 	binary.LittleEndian.PutUint64(out[16:24], amount*31)
 	return transport.Tuple{Seq: t.Seq, Payload: out}
 }
 
-// scoreOp runs the deliberately expensive scoring kernel over the feature —
-// the chain's bottleneck stage.
-type scoreOp struct{}
-
-func (scoreOp) Process(t transport.Tuple) transport.Tuple {
-	feature := binary.LittleEndian.Uint64(t.Payload[16:24])
-	acc := feature | 3
+// score runs the deliberately expensive scoring kernel over the feature — the
+// graph's bottleneck. Like every operator it returns a fresh payload rather
+// than writing into its input.
+func score(t transport.Tuple) transport.Tuple {
+	acc := binary.LittleEndian.Uint64(t.Payload[16:24]) | 3
 	for i := 0; i < 3000; i++ {
 		acc = acc*1664525 + 1013904223
 	}
@@ -64,46 +56,44 @@ func (scoreOp) Process(t transport.Tuple) transport.Tuple {
 }
 
 func run() error {
-	featurize := runtime.RegionConfig{
-		Transport: runtime.TransportInproc,
-		Operators: []runtime.Operator{featurizeOp{}, featurizeOp{}, featurizeOp{}, featurizeOp{}},
-		Source: func(seq uint64) ([]byte, bool) {
-			if seq >= transactions {
-				return nil, false
-			}
-			p := make([]byte, 16)
-			binary.LittleEndian.PutUint64(p[0:8], seq)
-			binary.LittleEndian.PutUint64(p[8:16], seq%997+1)
-			return p, true
-		},
-	}
-
-	// The stateful audit bounds the chain: it requires tuples in their
-	// original order, which the chained in-order merges deliver.
+	// The stateful audit bounds the region: it requires transactions in
+	// their original order, which the region's in-order merge delivers.
 	total := uint64(0)
 	lastID := int64(-1)
 	ordered := true
-	consumed := 0
-	score := runtime.RegionConfig{
-		Transport: runtime.TransportTCP,
-		Operators: []runtime.Operator{scoreOp{}, scoreOp{}, scoreOp{}, scoreOp{}},
-		BatchSize: 16,
-		Sink: func(t transport.Tuple, _ int) {
-			id := int64(binary.LittleEndian.Uint64(t.Payload[0:8]))
-			if id != lastID+1 {
-				ordered = false
-			}
-			lastID = id
-			total += binary.LittleEndian.Uint64(t.Payload[8:16])
-			consumed++
-		},
+	audit := func(t transport.Tuple) transport.Tuple {
+		id := int64(binary.LittleEndian.Uint64(t.Payload[0:8]))
+		if id != lastID+1 {
+			ordered = false
+		}
+		lastID = id
+		total += binary.LittleEndian.Uint64(t.Payload[8:16])
+		return transport.Tuple{Seq: t.Seq, Payload: binary.LittleEndian.AppendUint64(nil, total)}
 	}
+	consumed := 0
 
-	fmt.Printf("chain: featurize x%d (%s) -> score x%d (%s)\n",
-		len(featurize.Operators), featurize.Transport,
-		len(score.Operators), score.Transport)
+	g := dataflow.NewGraph("dataflowapp")
+	g.Source("transactions", func(seq uint64) ([]byte, bool) {
+		if seq >= transactions {
+			return nil, false
+		}
+		p := make([]byte, 16)
+		binary.LittleEndian.PutUint64(p[0:8], seq)
+		binary.LittleEndian.PutUint64(p[8:16], seq%997+1)
+		return p, true
+	}).
+		Map("featurize", runtime.OperatorFunc(featurize)).
+		Map("score", runtime.OperatorFunc(score)).
+		Map("audit", runtime.OperatorFunc(audit), dataflow.Stateful()).
+		Sink("ledger", func(transport.Tuple) { consumed++ })
 
-	res, err := dataflow.RunChain([]runtime.RegionConfig{featurize, score}, dataflow.ChainOptions{EdgeCap: 512})
+	plan, err := g.Plan(dataflow.PlanConfig{Width: 4})
+	if err != nil {
+		return err
+	}
+	fmt.Print(plan.String())
+
+	res, err := dataflow.Execute(plan, dataflow.ExecConfig{})
 	if err != nil {
 		return err
 	}
@@ -115,12 +105,11 @@ func run() error {
 		wantTotal += i%997 + 1
 	}
 	fmt.Printf("running total correct: %v (%d)\n", total == wantTotal, total)
-	for i, sr := range res.Stages {
-		fmt.Printf("stage %d: released %d, order preserved %v, per-worker sent %v\n",
-			i, sr.Released, sr.OrderPreserved, sr.PerConnSent)
+	for _, r := range res.Regions {
+		fmt.Printf("region %s x%d: processed %v, final weights %v\n", r.Name, r.Width, r.Processed, r.FinalWeights)
 	}
 	if !ordered || total != wantTotal || consumed != transactions {
-		return fmt.Errorf("chain produced wrong output: ordered=%v total=%d consumed=%d", ordered, total, consumed)
+		return fmt.Errorf("graph produced wrong output: ordered=%v total=%d consumed=%d", ordered, total, consumed)
 	}
 	return nil
 }

@@ -24,7 +24,6 @@ var examplesTable = []struct {
 }{
 	{name: "quickstart", run: true, timeout: 60 * time.Second},
 	{name: "clustering64", run: true, timeout: 60 * time.Second},
-	{name: "clusterplacement", run: true, timeout: 60 * time.Second},
 	{name: "dataflowapp", run: true, timeout: 60 * time.Second},
 	{name: "heterogeneous", run: true, timeout: 60 * time.Second},
 	{name: "keyedskew", run: true, timeout: 60 * time.Second},

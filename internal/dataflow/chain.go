@@ -10,31 +10,36 @@ import (
 	"streambalance/internal/transport"
 )
 
-// Region→region composition: a Chain runs several ordered parallel regions
-// end to end, each stage's merger feeding the next stage's splitter through a
-// bounded in-process edge. Within a stage the transport is whatever its
-// RegionConfig selects (TCP or in-proc, mixed freely across stages); between
-// stages the edge is always an in-proc pipe, because the chain runs in one
-// process.
+// Region→region composition: every stage is one runtime.Region, and a stage's
+// merger feeds each downstream stage's splitter through a bounded in-process
+// edge. The stages form a forest — Execute lowers a Plan onto it, RunChain is
+// its linear case with caller-supplied configs. Within a stage the transport
+// is whatever its RegionConfig selects (TCP or in-proc, mixed freely across
+// stages); between stages the edge is always an in-proc pipe, because the
+// stages run in one process.
 //
 // Ordering composes: stage i releases tuples in sequence order, the edge is
-// FIFO, and stage i+1's splitter assigns fresh sequence numbers in arrival
-// order — so the renumbering is the identity and end-to-end order holds.
+// FIFO, and the next stage's splitter assigns fresh sequence numbers in
+// arrival order — so the renumbering is the identity and end-to-end order
+// holds.
 //
 // Back pressure composes too, with no coordination: a slow stage fills its
 // input edge, the upstream merger's sink blocks in Send, the merge loop
 // stalls, reorder queues hit their caps, that stage's workers park, its
-// splitter parks, and eventually the chain's source stalls — the blocking
-// cascade crossing every edge and both transports.
+// splitter parks, and eventually the source stalls — the blocking cascade
+// crossing every edge and both transports. On a fan-out the slowest branch
+// sets the pace for all of them.
 
-// DefaultEdgeCap bounds a stage-to-stage edge (tuples) when ChainOptions
-// does not choose.
-const DefaultEdgeCap = 1024
+const (
+	// DefaultEdgeCap bounds a stage-to-stage edge (tuples) when ChainOptions
+	// does not choose.
+	DefaultEdgeCap = 1024
+	// edgeRecvBatch bounds one source-side drain of an edge.
+	edgeRecvBatch = 64
+)
 
-// edgeRecvBatch bounds one source-side drain of a chain edge.
-const edgeRecvBatch = 64
-
-// ChainOptions tunes chain composition.
+// ChainOptions tunes stage composition, for RunChain and (embedded in
+// ExecConfig) for Execute.
 type ChainOptions struct {
 	// EdgeCap bounds each stage-to-stage edge in tuples (<= 0 selects
 	// DefaultEdgeCap; rounded up to a power of two). The bound is what makes
@@ -76,44 +81,75 @@ func RunChain(cfgs []runtime.RegionConfig, opt ChainOptions) (ChainResult, error
 			return ChainResult{}, fmt.Errorf("dataflow: stage %d sink is chain-owned (only the last stage sets one)", i)
 		}
 	}
-	edgeCap := opt.EdgeCap
+	stages := make([]stageSpec, n)
+	for i, cfg := range cfgs {
+		stages[i] = stageSpec{name: fmt.Sprintf("stage %d", i), cfg: cfg, parent: i - 1}
+	}
+	results, elapsed, err := runStages(stages, opt.EdgeCap)
+	return ChainResult{Stages: results, Elapsed: elapsed}, err
+}
+
+// stageSpec is one node of the forest runStages executes.
+type stageSpec struct {
+	name string
+	// cfg is the stage's region. A root carries the Source; on any other
+	// stage the runner fills it from the inbound edge. Sink, if set, is the
+	// stage's own consumer, called after the forward to the downstream edges.
+	cfg runtime.RegionConfig
+	// parent indexes the upstream stage; negative marks a root.
+	parent int
+}
+
+// runStages builds one region per stage, wires an edge from every stage to
+// each stage naming it as parent, and runs them all to completion. A stage
+// that fails to build tears down what was built and returns no results; a
+// stage that fails while running closes its outbound edges and its inbound
+// receiver so neither neighbor wedges, and the run's errors are joined.
+func runStages(stages []stageSpec, edgeCap int) ([]runtime.RegionResult, time.Duration, error) {
 	if edgeCap <= 0 {
 		edgeCap = DefaultEdgeCap
 	}
-
-	txs := make([]*transport.InprocSender, n-1)
-	rxs := make([]*transport.InprocReceiver, n-1)
-	for i := range txs {
-		txs[i], rxs[i] = transport.InprocPair(edgeCap)
+	n := len(stages)
+	in := make([]*transport.InprocReceiver, n) // nil at a root
+	out := make([][]*transport.InprocSender, n)
+	for i, s := range stages {
+		if s.parent >= 0 {
+			var tx *transport.InprocSender
+			tx, in[i] = transport.InprocPair(edgeCap)
+			out[s.parent] = append(out[s.parent], tx)
+		}
 	}
-	closeAllEdges := func() {
-		for i := range txs {
-			txs[i].Close()
-			rxs[i].Close()
+	closeOut := func(i int) {
+		for _, tx := range out[i] {
+			tx.Close()
 		}
 	}
 
 	regions := make([]*runtime.Region, n)
-	for i := range cfgs {
-		cfg := cfgs[i] // stage-local copy; the caller's configs are not mutated
-		if i > 0 {
-			src := &edgeSource{rx: rxs[i-1]}
-			cfg.Source = src.next
+	for i, s := range stages {
+		cfg := s.cfg // stage-local copy; the caller's configs are not mutated
+		if in[i] != nil {
+			cfg.Source = (&edgeSource{rx: in[i]}).next
 		}
-		if i < n-1 {
-			// A TCP stage's released payloads are carved from pooled blocks
-			// the merger recycles right after the sink returns, so they must
-			// be copied onto the edge; an in-proc stage's payloads are
-			// GC-owned end to end and cross by reference.
-			cfg.Sink = forwardSink(txs[i], cfg.Transport != runtime.TransportInproc)
+		if len(out[i]) > 0 {
+			// A TCP stage's released payloads alias pooled blocks the merger
+			// recycles right after the sink returns, so they must be copied
+			// onto the edges; an in-proc stage's payloads are GC-owned end to
+			// end and cross by reference.
+			cfg.Sink = forwardSink(out[i], cfg.Transport != runtime.TransportInproc, cfg.Sink)
 		}
 		r, err := runtime.NewRegion(cfg)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				regions[j].Close()
+			for _, built := range regions[:i] {
+				built.Close()
 			}
-			closeAllEdges()
-			return ChainResult{}, fmt.Errorf("dataflow: build stage %d: %w", i, err)
+			for j := range stages {
+				closeOut(j)
+				if in[j] != nil {
+					in[j].Close()
+				}
+			}
+			return nil, 0, fmt.Errorf("dataflow: build %s: %w", s.name, err)
 		}
 		regions[i] = r
 	}
@@ -127,32 +163,25 @@ func RunChain(cfgs []runtime.RegionConfig, opt ChainOptions) (ChainResult, error
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = regions[i].Run()
-			if i < n-1 {
-				// Stage finished (or failed): close its output edge so the
-				// downstream source sees EOF once the edge drains.
-				txs[i].Close()
-			}
-			if errs[i] != nil && i > 0 {
-				// Unwedge upstream: its sink may be parked on this stage's
-				// full input edge; closing the receiving end errors those
-				// sends, which the forward sink absorbs by dropping.
-				rxs[i-1].Close()
+			// Finished or failed, downstream sources see EOF once their
+			// edges drain.
+			closeOut(i)
+			if errs[i] != nil {
+				errs[i] = fmt.Errorf("dataflow: %s: %w", stages[i].name, errs[i])
+				if in[i] != nil {
+					// Unwedge upstream: its sink may be parked on this stage's
+					// full input edge; closing the receiving end errors those
+					// sends, and forwardSink drops the edge.
+					in[i].Close()
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
-
-	res := ChainResult{Stages: results, Elapsed: time.Since(start)}
-	var joined []error
-	for i, e := range errs {
-		if e != nil {
-			joined = append(joined, fmt.Errorf("dataflow: stage %d: %w", i, e))
-		}
-	}
-	return res, errors.Join(joined...)
+	return results, time.Since(start), errors.Join(errs...)
 }
 
-// edgeSource adapts the receiving end of a chain edge to the splitter's pull
+// edgeSource adapts the receiving end of an edge to the splitter's pull
 // Source. It runs on the splitter's send-loop goroutine (the pipe's single
 // consumer) and blocks — stalling the downstream stage — while the edge is
 // empty. Edge tuples are always refless (the forward sink sends GC-owned
@@ -180,25 +209,32 @@ func (s *edgeSource) next(uint64) ([]byte, bool) {
 	return t.Payload, true
 }
 
-// forwardSink returns a merger sink that pushes each released tuple onto the
-// next stage's edge. It runs on the merge goroutine; a full edge blocks the
-// Send, which stalls this stage's merge loop — that is the back-pressure
-// hand-off. After the first send failure (the edge closed under it: the
-// downstream stage died) it drops everything, letting this stage drain to
-// completion instead of wedging.
-func forwardSink(tx *transport.InprocSender, copyPayloads bool) func(transport.Tuple, int) {
+// forwardSink returns a merger sink that pushes each released tuple onto
+// every downstream edge and then hands it to the stage's own consumer, if
+// any. It runs on the merge goroutine; a full edge blocks the Send, which
+// stalls this stage's merge loop — that is the back-pressure hand-off. An
+// edge whose Send fails (closed under it: the downstream stage died) is
+// dropped from the set, letting this stage drain to completion instead of
+// wedging.
+func forwardSink(txs []*transport.InprocSender, copyPayloads bool, own func(transport.Tuple, int)) func(transport.Tuple, int) {
 	var arena chainArena
-	dead := false
-	return func(t transport.Tuple, _ int) {
-		if dead {
-			return
+	live := append([]*transport.InprocSender(nil), txs...) // txs stays whole for the runner to close
+	return func(t transport.Tuple, conn int) {
+		if len(live) > 0 {
+			out := transport.Tuple{Seq: t.Seq, Payload: t.Payload}
+			if copyPayloads {
+				out.Payload = arena.copyOf(t.Payload)
+			}
+			for i := 0; i < len(live); {
+				if live[i].Send(out) != nil {
+					live = append(live[:i], live[i+1:]...)
+				} else {
+					i++
+				}
+			}
 		}
-		p := t.Payload
-		if copyPayloads {
-			p = arena.copyOf(p)
-		}
-		if tx.Send(transport.Tuple{Seq: t.Seq, Payload: p}) != nil {
-			dead = true
+		if own != nil {
+			own(t, conn)
 		}
 	}
 }

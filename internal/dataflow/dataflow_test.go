@@ -1,21 +1,41 @@
 package dataflow
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"streambalance/internal/core"
+	"streambalance/internal/runtime"
+	"streambalance/internal/transport"
 )
 
+// Planned-graph tests carry one little-endian uint64 per payload.
+func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+func val(t transport.Tuple) uint64 { return binary.LittleEndian.Uint64(t.Payload) }
+
 // intSource emits 0..n-1.
-func intSource(n uint64) SourceFunc {
-	return func(seq uint64) (any, bool) {
+func intSource(n uint64) runtime.Source {
+	return func(seq uint64) ([]byte, bool) {
 		if seq >= n {
 			return nil, false
 		}
-		return int(seq), true
+		return u64(seq), true
 	}
 }
+
+// mapU64 lifts a function on the payload's value to an operator; it writes a
+// fresh payload, as the ownership rule demands.
+func mapU64(f func(uint64) uint64) runtime.Operator {
+	return runtime.OperatorFunc(func(t transport.Tuple) transport.Tuple {
+		return transport.Tuple{Seq: t.Seq, Payload: u64(f(val(t)))}
+	})
+}
+
+func discard(transport.Tuple) {}
 
 func TestGraphValidation(t *testing.T) {
 	tests := []struct {
@@ -30,17 +50,17 @@ func TestGraphValidation(t *testing.T) {
 		}},
 		{"operator feeds nothing", func() *Graph {
 			g := NewGraph("g")
-			g.Source("src", intSource(1)).Map("op", func(v any) any { return v })
+			g.Source("src", intSource(1)).Map("op", runtime.Identity())
 			return g
 		}},
 		{"nil source function", func() *Graph {
 			g := NewGraph("g")
-			g.Source("src", nil).Sink("out", func(any) {})
+			g.Source("src", nil).Sink("out", discard)
 			return g
 		}},
 		{"nil op function", func() *Graph {
 			g := NewGraph("g")
-			g.Source("src", intSource(1)).Map("op", nil).Sink("out", func(any) {})
+			g.Source("src", intSource(1)).Map("op", nil).Sink("out", discard)
 			return g
 		}},
 		{"nil sink function", func() *Graph {
@@ -61,10 +81,10 @@ func TestGraphValidation(t *testing.T) {
 func TestPlanFusesStatelessChain(t *testing.T) {
 	g := NewGraph("fuse")
 	g.Source("src", intSource(10)).
-		Map("a", func(v any) any { return v }).
-		Map("b", func(v any) any { return v }).
-		Map("c", func(v any) any { return v }).
-		Sink("out", func(any) {})
+		Map("a", runtime.Identity()).
+		Map("b", runtime.Identity()).
+		Map("c", runtime.Identity()).
+		Sink("out", discard)
 
 	// Width 1: the chain fuses into a single PE.
 	p, err := g.Plan(PlanConfig{Width: 1})
@@ -99,10 +119,10 @@ func TestPlanFusesStatelessChain(t *testing.T) {
 func TestPlanStatefulBoundsRegions(t *testing.T) {
 	g := NewGraph("stateful")
 	g.Source("src", intSource(10)).
-		Map("pre", func(v any) any { return v }).
-		Map("agg", func(v any) any { return v }, Stateful()).
-		Map("post", func(v any) any { return v }).
-		Sink("out", func(any) {})
+		Map("pre", runtime.Identity()).
+		Map("agg", runtime.Identity(), Stateful()).
+		Map("post", runtime.Identity()).
+		Sink("out", discard)
 
 	p, err := g.Plan(PlanConfig{Width: 4})
 	if err != nil {
@@ -122,9 +142,9 @@ func TestPlanStatefulBoundsRegions(t *testing.T) {
 func TestPlanFanOutIsTaskParallel(t *testing.T) {
 	g := NewGraph("fanout")
 	src := g.Source("src", intSource(10))
-	branch := src.Map("shared", func(v any) any { return v })
-	branch.Map("left", func(v any) any { return v }).Sink("lsink", func(any) {})
-	branch.Map("right", func(v any) any { return v }).Sink("rsink", func(any) {})
+	branch := src.Map("shared", runtime.Identity())
+	branch.Map("left", runtime.Identity()).Sink("lsink", discard)
+	branch.Map("right", runtime.Identity()).Sink("rsink", discard)
 
 	p, err := g.Plan(PlanConfig{Width: 2})
 	if err != nil {
@@ -144,14 +164,14 @@ func TestPlanFanOutIsTaskParallel(t *testing.T) {
 func TestExecutePipelineOrderAndResults(t *testing.T) {
 	const n = 5000
 	var mu sync.Mutex
-	var got []int
+	var got []uint64
 	g := NewGraph("pipeline")
 	g.Source("src", intSource(n)).
-		Map("double", func(v any) any { return v.(int) * 2 }).
-		Map("inc", func(v any) any { return v.(int) + 1 }).
-		Sink("out", func(v any) {
+		Map("double", mapU64(func(v uint64) uint64 { return v * 2 })).
+		Map("inc", mapU64(func(v uint64) uint64 { return v + 1 })).
+		Sink("out", func(t transport.Tuple) {
 			mu.Lock()
-			got = append(got, v.(int))
+			got = append(got, val(t))
 			mu.Unlock()
 		})
 	p, err := g.Plan(PlanConfig{Width: 4})
@@ -168,9 +188,12 @@ func TestExecutePipelineOrderAndResults(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	if len(got) != n {
+		t.Fatalf("sink got %d values, want %d", len(got), n)
+	}
 	for i, v := range got {
-		if v != i*2+1 {
-			t.Fatalf("value %d = %d, want %d (order or computation broken)", i, v, i*2+1)
+		if want := uint64(i)*2 + 1; v != want {
+			t.Fatalf("value %d = %d, want %d (order or computation broken)", i, v, want)
 		}
 	}
 	if len(res.Regions) != 1 {
@@ -178,15 +201,15 @@ func TestExecutePipelineOrderAndResults(t *testing.T) {
 	}
 	region := res.Regions[0]
 	sum := 0
-	var procSum uint64
+	var procSum int64
 	for _, w := range region.FinalWeights {
 		sum += w
 	}
 	for _, c := range region.Processed {
 		procSum += c
 	}
-	if sum != 1000 {
-		t.Fatalf("region weights %v sum to %d, want 1000", region.FinalWeights, sum)
+	if sum != core.DefaultUnits {
+		t.Fatalf("region weights %v sum to %d, want %d", region.FinalWeights, sum, core.DefaultUnits)
 	}
 	if procSum != n {
 		t.Fatalf("replicas processed %d tuples, want %d", procSum, n)
@@ -199,12 +222,12 @@ func TestExecuteTaskParallelBranches(t *testing.T) {
 	var mu sync.Mutex
 	g := NewGraph("branches")
 	src := g.Source("src", intSource(n))
-	src.Map("left", func(v any) any { return v }).Sink("lsink", func(any) {
+	src.Map("left", runtime.Identity()).Sink("lsink", func(transport.Tuple) {
 		mu.Lock()
 		leftCount++
 		mu.Unlock()
 	})
-	src.Map("right", func(v any) any { return v }).Sink("rsink", func(any) {
+	src.Map("right", runtime.Identity()).Sink("rsink", func(transport.Tuple) {
 		mu.Lock()
 		rightCount++
 		mu.Unlock()
@@ -221,8 +244,8 @@ func TestExecuteTaskParallelBranches(t *testing.T) {
 		t.Fatalf("branch counts = %d/%d, want %d each (task parallelism duplicates tuples)", leftCount, rightCount, n)
 	}
 	for _, name := range []string{"lsink", "rsink"} {
-		if st := res.Sinks[name]; !st.Ordered {
-			t.Fatalf("sink %s saw out-of-order tuples", name)
+		if st := res.Sinks[name]; !st.Ordered || st.Count != n {
+			t.Fatalf("sink %s = %+v, want %d ordered tuples", name, st, n)
 		}
 	}
 }
@@ -231,16 +254,16 @@ func TestExecuteStatefulOperatorSeesOrder(t *testing.T) {
 	// A stateful running-sum after a wide region: sequential semantics mean
 	// the sum must be exactly the sum over the ordered prefix.
 	const n = 3000
-	sum := 0
-	var finalSums []int
+	var sum uint64
+	var finalSums []uint64
 	g := NewGraph("stateful-order")
 	g.Source("src", intSource(n)).
-		Map("spin", func(v any) any { return v }).
-		Map("runsum", func(v any) any {
-			sum += v.(int)
+		Map("spin", runtime.Identity()).
+		Map("runsum", mapU64(func(v uint64) uint64 {
+			sum += v
 			return sum
-		}, Stateful()).
-		Sink("out", func(v any) { finalSums = append(finalSums, v.(int)) })
+		}), Stateful()).
+		Sink("out", func(t transport.Tuple) { finalSums = append(finalSums, val(t)) })
 	p, err := g.Plan(PlanConfig{Width: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +271,11 @@ func TestExecuteStatefulOperatorSeesOrder(t *testing.T) {
 	if _, err := Execute(p, ExecConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	for i := 0; i < n; i++ {
+	if len(finalSums) != n {
+		t.Fatalf("sink got %d sums, want %d", len(finalSums), n)
+	}
+	var want uint64
+	for i := uint64(0); i < n; i++ {
 		want += i
 		if finalSums[i] != want {
 			t.Fatalf("running sum at %d = %d, want %d: region broke sequential semantics", i, finalSums[i], want)
@@ -263,9 +289,9 @@ func TestExecuteBalancedRegionStaysSane(t *testing.T) {
 	const n = 20_000
 	g := NewGraph("balanced")
 	g.Source("src", intSource(n)).
-		Map("work", func(v any) any {
-			x := v.(int) | 3
-			acc := 1
+		Map("work", mapU64(func(v uint64) uint64 {
+			x := v | 3
+			acc := uint64(1)
 			for i := 0; i < 2000; i++ {
 				acc *= x
 			}
@@ -273,8 +299,8 @@ func TestExecuteBalancedRegionStaysSane(t *testing.T) {
 				return 0
 			}
 			return v
-		}).
-		Sink("out", func(any) {})
+		})).
+		Sink("out", discard)
 	p, err := g.Plan(PlanConfig{Width: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +314,7 @@ func TestExecuteBalancedRegionStaysSane(t *testing.T) {
 	}
 	region := res.Regions[0]
 	for r, w := range region.FinalWeights {
-		if w < 0 || w > 1000 {
+		if w < 0 || w > core.DefaultUnits {
 			t.Fatalf("replica %d weight %d out of range", r, w)
 		}
 	}
@@ -304,8 +330,8 @@ func TestExecuteWithoutBalancing(t *testing.T) {
 	const n = 1000
 	g := NewGraph("unbalanced")
 	g.Source("src", intSource(n)).
-		Map("id", func(v any) any { return v }).
-		Sink("out", func(any) {})
+		Map("id", runtime.Identity()).
+		Sink("out", discard)
 	p, err := g.Plan(PlanConfig{Width: 3})
 	if err != nil {
 		t.Fatal(err)

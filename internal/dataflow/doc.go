@@ -3,20 +3,18 @@
 // task and data parallelism. It is the SPL-like layer above the balancing
 // machinery — developers describe *what* to compute; the planner decides
 // which operators fuse into PEs and where ordered data-parallel regions can
-// be introduced; the executor runs the plan with one goroutine per PE
-// connected by bounded channels.
+// be introduced; the executor lowers every planned stage onto one in-process
+// runtime.Region and connects the stages by bounded in-process edges.
 //
 // Parallel regions are discovered automatically, exactly as the paper's
 // research prototype does: a maximal chain of stateless operators is
 // replicated Width ways behind a splitter and in front of an in-order merger
-// that restores sequential semantics. The splitter measures per-replica
-// blocking time — the time spent waiting on each replica's full input
-// channel, the in-process analogue of a full TCP socket buffer — and drives
-// a core.Balancer, so the same model that balances TCP connections balances
-// goroutine replicas.
+// that restores sequential semantics. The splitter, the merger, the
+// blocking-rate controller and the core.Balancer it drives are the runtime's
+// own — the package holds no region implementation, only the model (graph.go),
+// the planner (plan.go), the lowering (exec.go) and the stage runner that
+// Execute and RunChain share (chain.go).
 //
-// The package is a third substrate for the balancer, next to internal/sim
-// (virtual-time cluster) and internal/runtime (real TCP): useful in its own
-// right for intra-process parallelism, and a demonstration that the model
-// depends only on blocking rates, not on any transport.
+// Tuples are transport.Tuple and operators runtime.Operator throughout, so an
+// operator written for a hand-built region runs in a planned graph unchanged.
 package dataflow

@@ -1,9 +1,12 @@
 package dataflow_test
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"streambalance/internal/dataflow"
+	"streambalance/internal/runtime"
+	"streambalance/internal/transport"
 )
 
 // Example builds a pipeline with one stateless stage — which the planner
@@ -11,19 +14,26 @@ import (
 // seeing tuples in order.
 func Example() {
 	g := dataflow.NewGraph("demo")
-	sum := 0
-	g.Source("numbers", func(seq uint64) (any, bool) {
+	// Operators return a fresh payload: the input is not theirs to write.
+	mapU64 := func(f func(uint64) uint64) runtime.Operator {
+		return runtime.OperatorFunc(func(t transport.Tuple) transport.Tuple {
+			v := f(binary.LittleEndian.Uint64(t.Payload))
+			return transport.Tuple{Seq: t.Seq, Payload: binary.LittleEndian.AppendUint64(nil, v)}
+		})
+	}
+	var sum uint64
+	g.Source("numbers", func(seq uint64) ([]byte, bool) {
 		if seq >= 1000 {
 			return nil, false
 		}
-		return int(seq), true
+		return binary.LittleEndian.AppendUint64(nil, seq), true
 	}).
-		Map("triple", func(v any) any { return v.(int) * 3 }).
-		Map("sum", func(v any) any {
-			sum += v.(int)
+		Map("triple", mapU64(func(v uint64) uint64 { return v * 3 })).
+		Map("sum", mapU64(func(v uint64) uint64 {
+			sum += v
 			return sum
-		}, dataflow.Stateful()).
-		Sink("out", func(any) {})
+		}), dataflow.Stateful()).
+		Sink("out", func(transport.Tuple) {})
 
 	plan, err := g.Plan(dataflow.PlanConfig{Width: 4})
 	if err != nil {

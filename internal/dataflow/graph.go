@@ -3,19 +3,10 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+
+	"streambalance/internal/runtime"
+	"streambalance/internal/transport"
 )
-
-// OpFunc is a stateless or stateful single-tuple computation: it receives a
-// tuple value and returns the transformed value. Stateless operators must be
-// pure functions of their input (Section 2) — the planner replicates them.
-type OpFunc func(value any) any
-
-// SourceFunc supplies the stream: called with increasing seq, it returns the
-// next value, or ok=false at end of stream.
-type SourceFunc func(seq uint64) (value any, ok bool)
-
-// SinkFunc consumes final values in stream order.
-type SinkFunc func(value any)
 
 // nodeKind discriminates graph node types.
 type nodeKind int
@@ -28,12 +19,11 @@ const (
 
 // node is one vertex of the dataflow graph.
 type node struct {
-	id       int
 	name     string
 	kind     nodeKind
-	fn       OpFunc
-	src      SourceFunc
-	sink     SinkFunc
+	op       runtime.Operator
+	src      runtime.Source
+	sink     func(transport.Tuple)
 	stateful bool
 	// downstream edges; more than one means task parallelism (the same
 	// tuples flow to every branch).
@@ -66,7 +56,6 @@ func (g *Graph) fail(err error) {
 
 // addNode appends a node and returns it.
 func (g *Graph) addNode(n *node) *node {
-	n.id = len(g.nodes)
 	g.nodes = append(g.nodes, n)
 	return n
 }
@@ -78,11 +67,11 @@ type Stream struct {
 	from *node
 }
 
-// Source adds a stream source to the graph.
-func (g *Graph) Source(name string, src SourceFunc) *Stream {
+// Source adds a stream source to the graph: called with increasing seq, it
+// returns the next payload, or ok=false at end of stream.
+func (g *Graph) Source(name string, src runtime.Source) *Stream {
 	if src == nil {
 		g.fail(fmt.Errorf("dataflow: source %q has no function", name))
-		src = func(uint64) (any, bool) { return nil, false }
 	}
 	n := g.addNode(&node{name: name, kind: nodeSource, src: src})
 	return &Stream{g: g, from: n}
@@ -98,16 +87,19 @@ func Stateful() OpOption {
 }
 
 // Map attaches an operator to the stream and returns the operator's output
-// stream. Operators are stateless unless marked with Stateful().
-func (s *Stream) Map(name string, fn OpFunc, opts ...OpOption) *Stream {
+// stream. Operators are stateless unless marked with Stateful(): the planner
+// replicates a stateless operator, so one value serves several workers at
+// once and its Process must be a pure function of its input (Section 2). No
+// operator may write into its input payload — stages hand payloads on by
+// reference, and the branches of a fan-out share one.
+func (s *Stream) Map(name string, op runtime.Operator, opts ...OpOption) *Stream {
 	if s == nil || s.from == nil {
 		return s
 	}
-	if fn == nil {
+	if op == nil {
 		s.g.fail(fmt.Errorf("dataflow: operator %q has no function", name))
-		fn = func(v any) any { return v }
 	}
-	n := s.g.addNode(&node{name: name, kind: nodeOp, fn: fn})
+	n := s.g.addNode(&node{name: name, kind: nodeOp, op: op})
 	for _, opt := range opts {
 		opt(n)
 	}
@@ -115,14 +107,14 @@ func (s *Stream) Map(name string, fn OpFunc, opts ...OpOption) *Stream {
 	return &Stream{g: s.g, from: n}
 }
 
-// Sink terminates the stream in a consumer.
-func (s *Stream) Sink(name string, fn SinkFunc) {
+// Sink terminates the stream in a consumer, called with every tuple in
+// stream order; like an operator, it must not write into the payload.
+func (s *Stream) Sink(name string, fn func(transport.Tuple)) {
 	if s == nil || s.from == nil {
 		return
 	}
 	if fn == nil {
 		s.g.fail(fmt.Errorf("dataflow: sink %q has no function", name))
-		fn = func(any) {}
 	}
 	n := s.g.addNode(&node{name: name, kind: nodeSink, sink: fn})
 	s.from.downstream = append(s.from.downstream, n)

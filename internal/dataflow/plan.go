@@ -11,12 +11,12 @@ type StageKind int
 const (
 	// StageSource generates the stream.
 	StageSource StageKind = iota + 1
-	// StagePE runs one or more fused operators sequentially in one
-	// goroutine (pipeline parallelism between stages).
+	// StagePE runs one or more fused operators sequentially in one worker
+	// (pipeline parallelism between stages).
 	StagePE
 	// StageRegion is an ordered data-parallel region: the fused stateless
 	// operators are replicated Width ways behind a splitter and an
-	// in-order merger.
+	// in-order merger, with a balancer unless ExecConfig disables it.
 	StageRegion
 	// StageSink consumes the stream.
 	StageSink

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -222,4 +223,58 @@ func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 		t.Fatal("region.Run did not return after Close")
 	}
 	testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+}
+
+// openDescriptors counts the process's open file descriptors.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd here: %v", err)
+	}
+	return len(ents)
+}
+
+// TestInprocRegionOpensNoSocket: an in-proc region has nothing to dial, so
+// building and running one must leave the descriptor table alone — no merger
+// listener, no accept loop — while the same region over TCP visibly opens
+// sockets.
+func TestInprocRegionOpensNoSocket(t *testing.T) {
+	// Let earlier tests' teardown finish closing their sockets first.
+	testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+	region := func(kind TransportKind) *Region {
+		r, err := NewRegion(RegionConfig{
+			Transport: kind,
+			Operators: []Operator{Identity(), Identity()},
+			Source:    ConstantSource([]byte("x"), 500),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	run := func(r *Region) {
+		if res, err := r.Run(); err != nil || res.Released != 500 || !res.OrderPreserved {
+			t.Fatalf("run: %+v, %v", res, err)
+		}
+	}
+
+	before := openDescriptors(t)
+	r := region(TransportInproc)
+	if addr := r.merger.Addr(); addr != "" {
+		t.Fatalf("in-proc merger listens on %q", addr)
+	}
+	if got := openDescriptors(t); got != before {
+		t.Fatalf("NewRegion{inproc} moved the descriptor count %d -> %d", before, got)
+	}
+	run(r)
+	if got := openDescriptors(t); got != before {
+		t.Fatalf("running an in-proc region moved the descriptor count %d -> %d", before, got)
+	}
+
+	r = region(TransportTCP)
+	if got := openDescriptors(t); got <= before {
+		t.Fatalf("NewRegion{tcp} left the descriptor count at %d (was %d): the check cannot see sockets", got, before)
+	}
+	run(r)
 }

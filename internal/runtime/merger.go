@@ -204,6 +204,13 @@ type Merger struct {
 // order, with the worker id that processed it; it runs on the merge goroutine
 // and must not block indefinitely. queueCap <= 0 selects DefaultMergerQueue.
 func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger, error) {
+	return newMerger(workers, queueCap, sink, true)
+}
+
+// newMerger builds a merger. Without listen it opens no socket and runs no
+// accept loop — an in-proc region's streams all arrive through AttachInproc —
+// and Addr returns "".
+func newMerger(workers, queueCap int, sink func(transport.Tuple, int), listen bool) (*Merger, error) {
 	if workers <= 0 {
 		return nil, errors.New("runtime: merger needs at least one worker")
 	}
@@ -213,12 +220,7 @@ func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger,
 	if queueCap <= 0 {
 		queueCap = DefaultMergerQueue
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("runtime: merger listen: %w", err)
-	}
 	m := &Merger{
-		ln:          ln,
 		workers:     workers,
 		queueCap:    queueCap,
 		ringCap:     DefaultMergerRing,
@@ -246,6 +248,13 @@ func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger,
 	}
 	m.parks = make([]spsc.Parker, workers)
 	m.wakeAt = queueCap / 2
+	if listen {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("runtime: merger listen: %w", err)
+		}
+		m.ln = ln
+	}
 	return m, nil
 }
 
@@ -334,9 +343,20 @@ func (m *Merger) noteDedup() {
 	}
 }
 
-// Addr returns the address workers (and the splitter's control channel) dial.
+// Addr returns the address workers (and the splitter's control channel) dial;
+// "" for an in-proc region's merger, which has no listener.
 func (m *Merger) Addr() string {
+	if m.ln == nil {
+		return ""
+	}
 	return m.ln.Addr().String()
+}
+
+// closeListener stops admitting connections, if the merger ever listened.
+func (m *Merger) closeListener() {
+	if m.ln != nil {
+		m.ln.Close()
+	}
 }
 
 // Deduped returns how many duplicate tuples (replays of already-released or
@@ -409,8 +429,10 @@ func (m *Merger) Start() {
 
 // run accepts connections and merges until the stream completes or fails.
 func (m *Merger) run() error {
-	m.wg.Add(1)
-	go m.acceptLoop()
+	if m.ln != nil {
+		m.wg.Add(1)
+		go m.acceptLoop()
+	}
 	if m.stallWindow > 0 {
 		m.wg.Add(1)
 		go m.watchdog()
@@ -453,7 +475,7 @@ func (m *Merger) run() error {
 // back-pressure cap still holds references for the rest of its batch, and
 // only once every reader has exited is single-threaded drain safe.
 func (m *Merger) teardown() {
-	m.ln.Close()
+	m.closeListener()
 	m.closed.Store(true)
 	m.ctl.Lock()
 	for conn := range m.pending {
@@ -1287,7 +1309,7 @@ func (m *Merger) Wait() error {
 
 // Close shuts the listener and aborts the merge.
 func (m *Merger) Close() {
-	m.ln.Close()
+	m.closeListener()
 	m.closed.Store(true)
 	m.ctl.Lock()
 	m.epoch.Add(1)

@@ -233,7 +233,8 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	}
 	r := &Region{orderGood: true, recovery: cfg.Recovery.Enabled, strictOrder: cfg.Combiner == nil}
 
-	merger, err := NewMerger(len(cfg.Operators), cfg.MergerQueue, func(t transport.Tuple, conn int) {
+	// An in-proc region's merger opens no socket: nothing would ever dial it.
+	merger, err := newMerger(len(cfg.Operators), cfg.MergerQueue, func(t transport.Tuple, conn int) {
 		if r.strictOrder {
 			if t.Seq != r.lastSeq {
 				r.orderGood = false
@@ -246,7 +247,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 		if cfg.Sink != nil {
 			cfg.Sink(t, conn)
 		}
-	})
+	}, !inproc)
 	if err != nil {
 		return nil, err
 	}
