@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
+.PHONY: test test-race vet fmt-check bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
 
 test:
 	go test ./...
@@ -13,6 +13,10 @@ test-race:
 
 vet:
 	go vet ./...
+
+# Fails, listing them, if gofmt would rewrite any file (CI's Format step).
+fmt-check:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # Minutes-long randomized chaos soak: stall/drip/kill faults against
 # recovery-enabled regions at 16-64 workers, asserting the exactly-once

@@ -28,6 +28,29 @@ const DefaultClusterMinConns = 32
 // satisfy it.
 type Solver func(Problem) (Solution, error)
 
+// ZeroTrustMode selects how Step treats a connection that logged no blocking
+// in an interval. The default, ZeroTrustScaled, is the repository's
+// calibrated choice (DESIGN.md section 4b); the other modes exist for the
+// ablation experiments that justify it.
+type ZeroTrustMode int
+
+const (
+	// ZeroTrustScaled folds zeros in with trust 1 - (blocked fraction of
+	// the interval): a zero means spare capacity only to the extent the
+	// splitter was actually offering tuples.
+	ZeroTrustScaled ZeroTrustMode = iota
+	// ZeroTrustNone ignores zero intervals entirely (the strictest reading
+	// of Section 5.1's "only a single new data value").
+	ZeroTrustNone
+	// ZeroTrustFull folds every zero in at full trust, as if drafting did
+	// not exist.
+	ZeroTrustFull
+)
+
+// minZeroTrust is the trust below which a zero is dropped rather than folded
+// in: the splitter spent over 99% of the interval blocked elsewhere.
+const minZeroTrust = 0.01
+
 // Config parameterizes a Balancer. The zero value is not usable: Connections
 // must be positive. Every other field has a working default.
 type Config struct {
@@ -70,6 +93,9 @@ type Config struct {
 	Delta float64
 	// Solve is the RAP solver (default SolveFox).
 	Solve Solver
+	// ZeroTrust selects how Step folds in zero-blocking intervals (default
+	// ZeroTrustScaled).
+	ZeroTrust ZeroTrustMode
 }
 
 // withDefaults returns a copy of the config with defaults filled in.
@@ -102,7 +128,7 @@ func (c Config) withDefaults() Config {
 // owns one blocking-rate function per connection, consumes blocking-rate
 // observations, and on each Rebalance emits a fresh allocation-weight vector
 // summing exactly to Units. Balancer is not safe for concurrent use; the
-// controller that samples the transport owns it.
+// splitter thread that samples the transport owns it.
 type Balancer struct {
 	cfg       Config
 	funcs     []*RateFunc
@@ -186,8 +212,8 @@ func (b *Balancer) Observe(conn int, rate float64) error {
 }
 
 // ObserveWeighted records a sample with reduced trust in (0, 1]; see
-// RateFunc.ObserveWeighted. Controllers use partial trust for zero
-// observations taken while the splitter was blocked on a draft leader.
+// RateFunc.ObserveWeighted. Step uses partial trust for zero observations
+// taken while the splitter was blocked on a draft leader.
 func (b *Balancer) ObserveWeighted(conn int, rate, trust float64) error {
 	if conn < 0 || conn >= len(b.funcs) {
 		return fmt.Errorf("core: connection %d out of range [0,%d)", conn, len(b.funcs))
@@ -234,6 +260,46 @@ func (b *Balancer) LastClusters() [][]int {
 // Rounds returns how many rebalances have run.
 func (b *Balancer) Rounds() int {
 	return b.rounds
+}
+
+// Step is one collection interval of the controller, the same on every
+// substrate: rates holds each connection's blocking rate (seconds blocked per
+// second) over the interval just ended. Connections that blocked contribute
+// full-trust samples — usually just one per interval, as the paper observes
+// (Section 5.1). A zero from a quiet connection is evidence of spare capacity
+// only to the extent the splitter was actually offering it tuples: while the
+// single splitter thread sat blocked on a draft leader the other connections
+// were shielded (Section 4.2), so under ZeroTrustScaled their zeros are folded
+// in with trust equal to the fraction of the interval the splitter was not
+// blocked anywhere, and dropped when that is under 1%. Step then rebalances
+// and returns the new weights.
+func (b *Balancer) Step(rates []float64) ([]int, error) {
+	if len(rates) != len(b.funcs) {
+		return nil, fmt.Errorf("core: %d rates for %d connections", len(rates), len(b.funcs))
+	}
+	blockedFraction := 0.0
+	for _, r := range rates {
+		blockedFraction += r
+	}
+	zeroTrust := 1 - min(1, blockedFraction)
+	for j, r := range rates {
+		trust := 1.0
+		if r <= 0 {
+			switch b.cfg.ZeroTrust {
+			case ZeroTrustNone:
+				continue
+			case ZeroTrustFull:
+			default:
+				if trust = zeroTrust; trust < minZeroTrust {
+					continue
+				}
+			}
+		}
+		if err := b.ObserveWeighted(j, r, trust); err != nil {
+			return nil, fmt.Errorf("observe conn %d: %w", j, err)
+		}
+	}
+	return b.Rebalance()
 }
 
 // Rebalance runs one iteration of the Figure 4 / Figure 6 pipeline: decay

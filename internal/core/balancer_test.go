@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -323,5 +324,62 @@ func TestBalancerSolverOverride(t *testing.T) {
 	}
 	if b.Rounds() != 1 {
 		t.Fatalf("Rounds = %d, want 1", b.Rounds())
+	}
+}
+
+// TestBalancerStepZeroTrust pins how one interval's rates are folded in:
+// a connection that blocked is always observed at full trust; what a silent
+// connection's zero is worth depends on the mode and on how much of the
+// interval the splitter spent blocked elsewhere.
+func TestBalancerStepZeroTrust(t *testing.T) {
+	tests := []struct {
+		name      string
+		mode      ZeroTrustMode
+		rates     []float64
+		wantTrust float64 // trust folded into silent connection 1
+	}{
+		{"scaled drops zeros under full blocking", ZeroTrustScaled, []float64{1.0, 0, 0}, 0},
+		{"scaled clamps an over-full interval", ZeroTrustScaled, []float64{0.8, 0, 0.7}, 0},
+		{"scaled drops zeros below 1% trust", ZeroTrustScaled, []float64{0.995, 0, 0}, 0},
+		{"scaled trusts zeros by the unblocked share", ZeroTrustScaled, []float64{0.4, 0, 0}, 0.6},
+		{"scaled trusts zeros fully when nobody blocked", ZeroTrustScaled, []float64{0, 0, 0}, 1},
+		{"none drops zeros always", ZeroTrustNone, []float64{0.4, 0, 0}, 0},
+		{"full records zeros always", ZeroTrustFull, []float64{1.0, 0, 0}, 1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b, err := NewBalancer(Config{Connections: 3, ZeroTrust: tt.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			weights, err := b.Step(tt.rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := 0
+			for _, w := range weights {
+				sum += w
+			}
+			if sum != b.Units() || b.Rounds() != 1 {
+				t.Fatalf("weights %v sum to %d after %d rebalances, want %d after 1", weights, sum, b.Rounds(), b.Units())
+			}
+			if got := b.Func(1).SampleCount(); math.Abs(got-tt.wantTrust) > 1e-9 {
+				t.Fatalf("silent connection folded in trust %v, want %v", got, tt.wantTrust)
+			}
+			if tt.rates[0] > 0 && b.Func(0).SampleCount() != 1 {
+				t.Fatalf("blocked connection folded in trust %v, want 1", b.Func(0).SampleCount())
+			}
+		})
+	}
+
+	b, err := NewBalancer(Config{Connections: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Step([]float64{0.5, 0}); err == nil {
+		t.Fatal("Step accepted 2 rates for 3 connections")
+	}
+	if b.Rounds() != 0 {
+		t.Fatal("a rejected Step still rebalanced")
 	}
 }

@@ -9,11 +9,11 @@
 // Parallel regions are discovered automatically, exactly as the paper's
 // research prototype does: a maximal chain of stateless operators is
 // replicated Width ways behind a splitter and in front of an in-order merger
-// that restores sequential semantics. The splitter, the merger, the
-// blocking-rate controller and the core.Balancer it drives are the runtime's
-// own — the package holds no region implementation, only the model (graph.go),
-// the planner (plan.go), the lowering (exec.go) and the stage runner that
-// Execute and RunChain share (chain.go).
+// that restores sequential semantics. The splitter (which samples its own
+// blocking and steps the core.Balancer between send rounds) and the merger
+// are the runtime's own — the package holds no region implementation, only
+// the model (graph.go), the planner (plan.go), the lowering (exec.go) and the
+// stage runner that Execute and RunChain share (chain.go).
 //
 // Tuples are transport.Tuple and operators runtime.Operator throughout, so an
 // operator written for a hand-built region runs in a planned graph unchanged.

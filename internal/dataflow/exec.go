@@ -16,7 +16,7 @@ import (
 type ExecConfig struct {
 	// ChainOptions bounds every stage-to-stage edge, as it does RunChain's.
 	ChainOptions
-	// SampleInterval is the region controllers' collection interval
+	// SampleInterval is the region splitters' collection interval
 	// (default 50ms — wall time, since execution is real).
 	SampleInterval time.Duration
 	// DisableBalancing runs every region on plain round-robin.

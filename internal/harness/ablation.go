@@ -98,18 +98,18 @@ func runAblationVariant(variant string, duration time.Duration, configure func()
 }
 
 // balancerVariant builds a BalancerPolicy configurator.
-func balancerVariant(decayEnabled bool, decayFactor float64, mode sim.ZeroTrustMode) func() (sim.Policy, func() error, error) {
+func balancerVariant(decayEnabled bool, decayFactor float64, mode core.ZeroTrustMode) func() (sim.Policy, func() error, error) {
 	return func() (sim.Policy, func() error, error) {
 		b, err := core.NewBalancer(core.Config{
 			Connections:  3,
 			DecayEnabled: decayEnabled,
 			DecayFactor:  decayFactor,
+			ZeroTrust:    mode,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		pol := sim.NewBalancerPolicy(b, "LB")
-		pol.SetZeroTrustMode(mode)
 		return pol, pol.Err, nil
 	}
 }
@@ -133,7 +133,7 @@ func AblationDecay(duration time.Duration) (AblationReport, error) {
 		{"decay=0.99", true, 0.99},
 	}
 	for _, v := range variants {
-		row, err := runAblationVariant(v.name, duration, balancerVariant(v.enabled, v.factor, sim.ZeroTrustScaled))
+		row, err := runAblationVariant(v.name, duration, balancerVariant(v.enabled, v.factor, core.ZeroTrustScaled))
 		if err != nil {
 			return AblationReport{}, fmt.Errorf("harness: ablation decay %s: %w", v.name, err)
 		}
@@ -151,11 +151,11 @@ func AblationZeroTrust(duration time.Duration) (AblationReport, error) {
 	report := AblationReport{Title: "Ablation: zero-observation trust (load removed at 1/4)"}
 	variants := []struct {
 		name string
-		mode sim.ZeroTrustMode
+		mode core.ZeroTrustMode
 	}{
-		{"scaled (default)", sim.ZeroTrustScaled},
-		{"ignore zeros", sim.ZeroTrustNone},
-		{"full-trust zeros", sim.ZeroTrustFull},
+		{"scaled (default)", core.ZeroTrustScaled},
+		{"ignore zeros", core.ZeroTrustNone},
+		{"full-trust zeros", core.ZeroTrustFull},
 	}
 	for _, v := range variants {
 		row, err := runAblationVariant(v.name, duration, balancerVariant(true, core.DefaultDecayFactor, v.mode))

@@ -14,8 +14,10 @@
 // merger restores strict sequence order with bounded per-connection reorder
 // queues; when it is waiting for a tuple from a slow connection it stops
 // draining the fast ones, so back pressure propagates through TCP exactly as
-// in the paper's system. A controller goroutine samples the blocking
-// counters every collection interval and drives a core.Balancer.
+// in the paper's system. Every collection interval the splitter goroutine
+// itself, between two send rounds, differences its senders' blocking counters
+// and takes one core.Balancer.Step — the step internal/sim takes — so a sample
+// never cuts a blocking episode in two and nothing on the send path locks.
 //
 // Each stage has one implementation, written against the transport package's
 // BatchSender/BatchReceiver edges, so the same send loop, worker loop

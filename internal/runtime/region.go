@@ -86,9 +86,9 @@ type RegionConfig struct {
 	Combiner Combiner
 	// Balancer, when set, balances dynamically; nil means round-robin.
 	Balancer *core.Balancer
-	// SampleInterval for the controller (default 1s).
+	// SampleInterval is the splitter's collection interval (default 1s).
 	SampleInterval time.Duration
-	// ResetInterval for the controller's periodic counter reset (default
+	// ResetInterval for the periodic blocking-counter reset (default
 	// 16x SampleInterval; negative disables).
 	ResetInterval time.Duration
 	// MergerQueue bounds each reorder queue (default DefaultMergerQueue).
@@ -106,7 +106,9 @@ type RegionConfig struct {
 	// Sink receives every released tuple in order, with the worker id.
 	// Optional.
 	Sink func(transport.Tuple, int)
-	// OnSample observes controller ticks. Optional.
+	// OnSample observes each collection interval. Optional. It runs on the
+	// splitter's send loop between two rounds and must not block: no tuple
+	// moves until it returns.
 	OnSample func(now time.Duration, rates []float64, weights []int)
 	// OnConnEvent observes splitter recovery events (down/replay/rejoin).
 	// Optional.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streambalance/internal/core"
@@ -80,7 +81,7 @@ type SplitterConfig struct {
 	// Router places non-zero keys on connections when KeyedSource is set
 	// (default: PKG, two choices per key). When a Balancer is also
 	// configured, routers implementing schedule.LoadAware receive each
-	// controller tick's sampled blocking rates as penalties, steering the
+	// tick's sampled blocking rates as penalties, steering the
 	// least-loaded pick away from blocked connections — the keyed analogue
 	// of the minimax balancer's weight updates. Replays after a failure
 	// bypass the router (any survivor may carry a Solo replay; ordering and
@@ -89,16 +90,18 @@ type SplitterConfig struct {
 	// Balancer, when set, drives dynamic weights from sampled blocking
 	// rates. Nil means fixed even round-robin.
 	Balancer *core.Balancer
-	// SampleInterval is the controller's collection interval (default 1s;
-	// tests use much shorter).
+	// SampleInterval is the collection interval (default 1s; tests use much
+	// shorter): how often the send loop, between two rounds, turns its own
+	// blocking counters into rates and weights.
 	SampleInterval time.Duration
 	// ResetInterval periodically resets the cumulative counters as the
 	// paper's transport does (default 16x the sample interval; negative
 	// disables).
 	ResetInterval time.Duration
-	// OnSample, when set, observes each controller tick. With recovery
-	// enabled the rates/weights vectors track the live connection set, so
-	// their length can change between ticks.
+	// OnSample, when set, observes each tick. It runs on the send loop
+	// between two rounds, so it must not block: no tuple moves until it
+	// returns. With recovery enabled the rates/weights vectors track the
+	// live connection set, so their length can change between ticks.
 	OnSample func(now time.Duration, rates []float64, weights []int)
 	// SocketBufferBytes sizes the kernel send buffer of each worker
 	// connection (default DefaultSocketBuffer). The blocking-time signal
@@ -184,35 +187,45 @@ type rejoin struct {
 	id     int
 	addr   string
 	conn   net.Conn
-	sender *transport.Sender
+	sender transport.BatchSender
 }
 
 // Splitter distributes tuples across worker connections by smooth weighted
-// round-robin, measuring per-connection blocking, and (optionally) runs the
-// balancing controller. With recovery enabled it also retains unreleased
-// tuples and replays them across surviving connections when a worker dies.
+// round-robin, measuring per-connection blocking, and (optionally) balances:
+// as in the paper (Sections 3 and 5) one thread sends, elects to block, times
+// the wait and periodically turns its own counters into weights. With
+// recovery enabled it also retains unreleased tuples and replays them across
+// surviving connections when a worker dies.
+//
+// Everything below is owned by the send loop and touched by nothing else
+// once Start has run, except where a field says otherwise.
 type Splitter struct {
 	cfg SplitterConfig
 	wrr *schedule.WRR
 	// src unifies Source and KeyedSource (unkeyed sources yield key 0).
 	src KeyedSource
 	// router places non-zero keys; nil for unkeyed splitters. Its index
-	// space mirrors the live-connection positions (Remove/Add track
-	// membership edits exactly like the WRR). Guarded by mu.
-	router schedule.KeyRouter
-	// keyedSent counts router-placed tuples per stable worker id, feeding
-	// the per-tick key-imbalance gauge. Guarded by mu.
-	keyedSent []int64
+	// space, like the WRR's, the balancer's and the samplers', mirrors the
+	// live-connection positions: removeConn and admitRejoin edit all of
+	// them together.
+	router   schedule.KeyRouter
+	samplers *stats.SamplerSet
+	// keyedSent counts router-placed tuples per stable worker id (atomic:
+	// KeyedStats may read it from another goroutine); prevKeyed is its value
+	// at the previous tick, for the key-imbalance gauge.
+	keyedSent []atomic.Int64
+	prevKeyed []int64
 	to        Timeouts
 	// maxReadmits is the resolved quarantine circuit-breaker budget
 	// (-1 = unlimited).
 	maxReadmits int
 
-	// mu guards conns, epoch, the balancer and the per-worker aggregates;
-	// membership mutations happen only on the send-loop goroutine.
+	// mu orders the send loop's edits of the live set and of the retired
+	// connections' folded totals against the goroutines that read them
+	// (Close, Senders, ConnStats). The loop, their only writer, reads them
+	// without it.
 	mu          sync.Mutex
 	conns       []*splitConn
-	epoch       int // bumped on every membership change
 	aggSent     []int64
 	aggBlocking []time.Duration
 	aggBlocked  []int64
@@ -221,7 +234,7 @@ type Splitter struct {
 
 	// Metrics state: per-stable-id pre-resolved handles, and the last
 	// published totals so counter deltas stay monotone across the
-	// aggregate/live split. Guarded by mu.
+	// aggregate/live split.
 	mtr      *RegionMetrics
 	cm       []connInstruments
 	pubSent  []int64
@@ -243,19 +256,9 @@ type Splitter struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	weightCh chan weightUpdate
 	done     chan struct{}
-	stopCtl  chan struct{}
-	ctlDone  chan struct{}
 	err      error
 	startedT time.Time
-}
-
-// weightUpdate carries a controller decision into the send loop; it is
-// applied only if the membership epoch is unchanged.
-type weightUpdate struct {
-	epoch   int
-	weights []int
 }
 
 // NewSplitter dials every worker (and, in recovery mode, the control
@@ -306,7 +309,9 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	sp := &Splitter{
 		cfg:         cfg,
 		wrr:         wrr,
-		keyedSent:   make([]int64, n),
+		samplers:    stats.NewSamplerSet(n, cfg.ResetInterval),
+		keyedSent:   make([]atomic.Int64, n),
+		prevKeyed:   make([]int64, n),
 		to:          cfg.Timeouts.norm(),
 		quarCount:   make([]int, n),
 		aggSent:     make([]int64, n),
@@ -315,10 +320,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		deadCh:      make(chan int, 4*n+4),
 		rejoinCh:    make(chan rejoin, n+1),
 		stop:        make(chan struct{}),
-		weightCh:    make(chan weightUpdate, 1),
 		done:        make(chan struct{}),
-		stopCtl:     make(chan struct{}),
-		ctlDone:     make(chan struct{}),
 	}
 	switch {
 	case cfg.MaxReadmits == 0:
@@ -466,8 +468,7 @@ func (sp *Splitter) Close() {
 	sp.stopOnce.Do(func() { close(sp.stop) })
 }
 
-// Start launches the send loop and, if a balancer is configured, the
-// controller goroutine.
+// Start launches the send loop.
 func (sp *Splitter) Start() {
 	sp.mu.Lock()
 	sp.started = true
@@ -479,18 +480,13 @@ func (sp *Splitter) Start() {
 			go sp.monitor(c)
 		}
 	}
-	go sp.controller()
 	go func() {
 		defer close(sp.done)
 		sp.err = sp.sendLoop()
-		close(sp.stopCtl)
-		<-sp.ctlDone
 		if sp.mtr != nil {
 			// Final flush so scrape-after-completion sees exact totals
-			// even when the run ended between controller ticks.
-			sp.mu.Lock()
-			sp.publishTransportLocked()
-			sp.mu.Unlock()
+			// even when the run ended between ticks.
+			sp.publishTransport()
 			sp.mtr.replayDepth.Set(float64(len(sp.retained) - sp.retHead))
 		}
 		sp.stopOnce.Do(func() { close(sp.stop) })
@@ -526,7 +522,8 @@ func (sp *Splitter) event(ev ConnEvent) {
 	}
 }
 
-// sendLoop is the splitter's single thread of control. All membership
+// sendLoop is the splitter's single thread of control; one pass reads tick →
+// events → round → flush. The collection interval (tick) and all membership
 // changes (failures, replays, rejoins) happen here, between rounds. Each
 // round drains up to BatchSize tuples from the WRR schedule: every tuple is
 // assigned to a connection individually and staged there (Queue), and every
@@ -538,12 +535,13 @@ func (sp *Splitter) sendLoop() error {
 	recovery := sp.recovery()
 	batch := sp.cfg.BatchSize
 	touched := make([]*splitConn, 0, batch)
+	ticker := time.NewTicker(sp.cfg.SampleInterval)
+	defer ticker.Stop()
 	var seq uint64
 	for {
-		// Apply any weight update the controller published.
 		select {
-		case wu := <-sp.weightCh:
-			if err := sp.applyWeights(wu); err != nil {
+		case <-ticker.C:
+			if err := sp.tick(time.Since(sp.startedT)); err != nil {
 				return err
 			}
 		default:
@@ -647,8 +645,6 @@ func (sp *Splitter) flushStaged(touched []*splitConn, recovery bool) error {
 // and replays, which pass key 0 to bypass the router) through the weighted
 // round-robin.
 func (sp *Splitter) pickFor(key uint64) *splitConn {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	if len(sp.conns) == 0 {
 		return nil
 	}
@@ -656,45 +652,62 @@ func (sp *Splitter) pickFor(key uint64) *splitConn {
 		return sp.conns[sp.wrr.Next()]
 	}
 	c := sp.conns[sp.router.Route(key)]
-	sp.keyedSent[c.id]++
+	sp.keyedSent[c.id].Add(1)
 	return c
 }
 
-func (sp *Splitter) applyWeights(wu weightUpdate) error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if wu.epoch != sp.epoch {
-		return nil // stale: membership changed since the controller sampled
+// errControlLost is handleEvent's report that the merger side of the control
+// channel went away; each caller words its own consequence.
+var errControlLost = errors.New("runtime: control channel lost")
+
+// handleEvent is the send loop's one event switch: it takes one notice and
+// reacts to it. A peer close seen by a monitor and a quarantine nominated by
+// the merger's watchdog go to fail, which retires the connection and replays
+// (drain passes its own, so the notice is weighed against the watermark
+// first); a rejoin re-admits the redialed worker. With wait set it parks
+// until a notice arrives and also wakes on a watermark advance (pruning the
+// replay buffer) and on the loss of the control channel (errControlLost).
+func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) error) error {
+	var advanced, lost <-chan struct{}
+	if wait {
+		advanced, lost = sp.ctrl.wmSignal, sp.ctrl.dead
 	}
-	if err := sp.wrr.SetWeights(wu.weights); err != nil {
-		return fmt.Errorf("runtime: apply weights: %w", err)
+	select {
+	case <-advanced:
+		sp.pruneRetained()
+	case <-lost:
+		return errControlLost
+	case id := <-sp.deadCh:
+		return fail(id, false)
+	case id := <-sp.ctrl.quarCh:
+		return fail(id, true)
+	case rj := <-sp.rejoinCh:
+		sp.admitRejoin(rj)
 	}
 	return nil
 }
 
-// pollEvents drains pending failure, quarantine and rejoin notifications
-// without blocking.
+// pollEvents handles the pending notices without blocking: the send loop is
+// their only receiver, so a channel seen non-empty here still is when
+// handleEvent selects on it.
 func (sp *Splitter) pollEvents() error {
-	for {
-		select {
-		case id := <-sp.deadCh:
-			c := sp.findLive(id)
-			if c == nil {
-				continue
-			}
-			if err := sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id)); err != nil {
-				return err
-			}
-		case id := <-sp.ctrl.quarCh:
-			if err := sp.handleQuarantine(id); err != nil {
-				return err
-			}
-		case rj := <-sp.rejoinCh:
-			sp.admitRejoin(rj)
-		default:
-			return nil
+	for len(sp.deadCh)+len(sp.ctrl.quarCh)+len(sp.rejoinCh) > 0 {
+		if err := sp.handleEvent(false, sp.connFailed); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// connFailed acts on a death or quarantine notice for stable worker id.
+func (sp *Splitter) connFailed(id int, quarantined bool) error {
+	if quarantined {
+		return sp.handleQuarantine(id)
+	}
+	if c := sp.findLive(id); c != nil {
+		return sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id))
+	}
+	return nil
 }
 
 // handleQuarantine ejects a stalled worker nominated by the merger's
@@ -738,8 +751,6 @@ func (sp *Splitter) headOwner() int {
 }
 
 func (sp *Splitter) findLive(id int) *splitConn {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	for _, c := range sp.conns {
 		if c.id == id {
 			return c
@@ -753,24 +764,10 @@ func (sp *Splitter) findLive(id int) *splitConn {
 func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) (*retainEntry, error) {
 	sp.pruneRetained()
 	for len(sp.retained)-sp.retHead >= sp.cfg.RetainCap {
-		select {
-		case <-sp.ctrl.wmSignal:
-			sp.pruneRetained()
-		case <-sp.ctrl.dead:
+		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
 			return nil, errors.New("runtime: control channel lost with replay buffer full")
-		case id := <-sp.deadCh:
-			c := sp.findLive(id)
-			if c != nil {
-				if err := sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id)); err != nil {
-					return nil, err
-				}
-			}
-		case id := <-sp.ctrl.quarCh:
-			if err := sp.handleQuarantine(id); err != nil {
-				return nil, err
-			}
-		case rj := <-sp.rejoinCh:
-			sp.admitRejoin(rj)
+		} else if err != nil {
+			return nil, err
 		}
 	}
 	sp.retained = append(sp.retained, retainEntry{seq: seq, key: key, conn: -1, payload: payload})
@@ -804,7 +801,6 @@ func (sp *Splitter) pruneRetained() {
 // the live set and the schedule, and rebalances the freed weight across
 // survivors. Reports whether the connection was still live.
 func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
-	sp.mu.Lock()
 	pos := -1
 	for i, lc := range sp.conns {
 		if lc == c {
@@ -813,14 +809,14 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 		}
 	}
 	if pos < 0 {
-		sp.mu.Unlock()
 		return false
 	}
+	sp.mu.Lock()
 	sp.aggSent[c.id] += c.sender.Sent()
 	sp.aggBlocking[c.id] += c.sender.TotalBlocking()
 	sp.aggBlocked[c.id] += c.sender.BlockEvents()
 	sp.conns = append(sp.conns[:pos], sp.conns[pos+1:]...)
-	sp.epoch++
+	sp.mu.Unlock()
 	var weights []int
 	if sp.cfg.Balancer != nil && sp.cfg.Balancer.Connections() > 1 {
 		// The balancer folds the dead connection's weight back into the
@@ -829,6 +825,7 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 		weights = sp.cfg.Balancer.Weights()
 	}
 	sp.wrr.Remove(pos)
+	sp.samplers.Remove(pos)
 	if sp.router != nil {
 		sp.router.Remove(pos)
 	}
@@ -838,9 +835,8 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	sp.downErrs = append(sp.downErrs, fmt.Errorf("worker %d: %w", c.id, cause))
 	if sp.mtr != nil {
 		sp.mtr.connLifetime.Observe(time.Since(c.dialedAt).Seconds())
-		sp.publishTransportLocked()
+		sp.publishTransport()
 	}
-	sp.mu.Unlock()
 	c.sender.Close()
 	sp.event(ConnEvent{Kind: "down", Conn: c.id, Err: cause})
 	if sp.cfg.Redial != nil {
@@ -856,14 +852,10 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 }
 
 func (sp *Splitter) liveCount() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	return len(sp.conns)
 }
 
 func (sp *Splitter) allDeadErr() error {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	return fmt.Errorf("runtime: all worker connections failed: %w", errors.Join(sp.downErrs...))
 }
 
@@ -1006,7 +998,8 @@ func (sp *Splitter) admitRejoin(rj rejoin) {
 	c := &splitConn{id: rj.id, addr: rj.addr, conn: rj.conn, sender: rj.sender, dialedAt: time.Now()}
 	sp.mu.Lock()
 	sp.conns = append(sp.conns, c)
-	sp.epoch++
+	sp.mu.Unlock()
+	sp.samplers.Add()
 	if sp.cfg.Balancer != nil {
 		sp.cfg.Balancer.AddConnection()
 		sp.wrr.Add(0)
@@ -1023,7 +1016,6 @@ func (sp *Splitter) admitRejoin(rj rejoin) {
 	if sp.router != nil {
 		sp.router.Add()
 	}
-	sp.mu.Unlock()
 	go sp.monitor(c)
 	sp.event(ConnEvent{Kind: "rejoin", Conn: rj.id})
 	if sp.quarCount[rj.id] > 0 && sp.mtr != nil {
@@ -1042,29 +1034,21 @@ func (sp *Splitter) drain(total uint64) error {
 		}
 		return err
 	}
+	fail := func(id int, quarantined bool) error { return sp.drainFailure(total, id, quarantined) }
 	for {
 		sp.pruneRetained()
 		if sp.ctrl.Watermark() >= total {
 			return nil
 		}
-		select {
-		case <-sp.ctrl.wmSignal:
-		case <-sp.ctrl.dead:
+		err := sp.handleEvent(true, fail)
+		if err == errControlLost {
 			if sp.ctrl.Watermark() >= total {
 				return nil
 			}
 			return fmt.Errorf("runtime: merger lost before releasing all tuples (watermark %d of %d)",
 				sp.ctrl.Watermark(), total)
-		case id := <-sp.deadCh:
-			if err := sp.drainFailure(total, id, false); err != nil {
-				return err
-			}
-		case id := <-sp.ctrl.quarCh:
-			if err := sp.drainFailure(total, id, true); err != nil {
-				return err
-			}
-		case rj := <-sp.rejoinCh:
-			sp.admitRejoin(rj)
+		} else if err != nil {
+			return err
 		}
 	}
 }
@@ -1080,122 +1064,74 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 	if sp.ctrl.Watermark() >= total {
 		return nil
 	}
-	var err error
-	if quarantined {
-		err = sp.handleQuarantine(id)
-	} else if c := sp.findLive(id); c != nil {
-		err = sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id))
-	}
+	err := sp.connFailed(id, quarantined)
 	if err != nil && sp.ctrl.Watermark() >= total {
 		return nil
 	}
 	return err
 }
 
-// controller samples the cumulative blocking counters every interval, feeds
-// the balancer and publishes new weights to the send loop.
-func (sp *Splitter) controller() {
-	defer close(sp.ctlDone)
-	ticker := time.NewTicker(sp.cfg.SampleInterval)
-	defer ticker.Stop()
-	samplers := make(map[transport.BatchSender]*stats.RateSampler)
-	prevKeyed := make([]int64, len(sp.keyedSent))
-	lastReset := time.Duration(0)
-	for {
-		select {
-		case <-sp.stopCtl:
-			return
-		case <-ticker.C:
-		}
-		now := time.Since(sp.startedT)
-
-		sp.mu.Lock()
-		conns := append([]*splitConn(nil), sp.conns...)
-		epoch := sp.epoch
-		rates := make([]float64, len(conns))
-		for j, c := range conns {
-			sampler := samplers[c.sender]
-			if sampler == nil {
-				sampler = &stats.RateSampler{}
-				samplers[c.sender] = sampler
-			}
-			if rate, ok := sampler.Sample(now, c.sender.CumulativeBlocking().Seconds()); ok {
-				rates[j] = rate
-			}
-		}
-		if sp.cfg.ResetInterval > 0 && now-lastReset >= sp.cfg.ResetInterval {
-			for _, c := range conns {
-				c.sender.ResetCumulative()
-				samplers[c.sender].Reset()
-				samplers[c.sender].Sample(now, 0)
-			}
-			lastReset = now
-			if sp.mtr != nil {
-				sp.mtr.counterResets.Inc()
-				sp.mtr.traceEvent(metrics.Event{Kind: "counter-reset", Conn: -1})
-			}
-		}
-		if sp.router != nil {
-			// With a balancer configured, feed the sampled blocking rates to
-			// load-aware routers as penalties: the least-loaded candidate pick
-			// then discounts connections that spent the interval blocked — the
-			// keyed analogue of the minimax balancer shifting weight away from
-			// them. Without a balancer the router stays purely count-based.
-			if la, ok := sp.router.(schedule.LoadAware); ok && sp.cfg.Balancer != nil && sp.router.N() == len(rates) {
-				la.SetPenalties(rates)
-			}
-			if sp.mtr != nil {
-				sp.mtr.keyImbalance.Set(sp.keyImbalanceLocked(conns, prevKeyed))
-			}
-		}
-		weights := sp.wrr.Weights()
-		var publish []int
-		if sp.cfg.Balancer != nil && sp.cfg.Balancer.Connections() == len(conns) {
-			ok := true
-			for j, r := range rates {
-				if err := sp.cfg.Balancer.Observe(j, r); err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				if newWeights, err := sp.cfg.Balancer.Rebalance(); err == nil {
-					weights = newWeights
-					publish = newWeights
-				}
-			}
+// tick is one collection interval, run by the send loop between two rounds:
+// it differences the senders' cumulative blocking counters into rates, steps
+// the balancer and installs the new weights. No flush is in progress while it
+// runs, so every blocking episode it sees is whole and the rates of one
+// interval sum to at most 1 — the one sending thread cannot be blocked twice
+// at once — which is what Balancer.Step's blocked fraction assumes.
+func (sp *Splitter) tick(now time.Duration) error {
+	cumulative := make([]time.Duration, len(sp.conns))
+	for j, c := range sp.conns {
+		cumulative[j] = c.sender.CumulativeBlocking()
+	}
+	rates, reset := sp.samplers.Sample(now, cumulative)
+	if reset {
+		for _, c := range sp.conns {
+			c.sender.ResetCumulative()
 		}
 		if sp.mtr != nil {
-			for j, c := range conns {
-				sp.cm[c.id].rate.Set(rates[j])
-				if j < len(weights) {
-					sp.cm[c.id].weight.Set(float64(weights[j]))
-				}
-			}
-			if publish != nil {
-				b := sp.cfg.Balancer
-				clusters := 0
-				if cl := b.LastClusters(); cl != nil {
-					clusters = len(cl)
-				}
-				sp.mtr.rebalance(publish, b.LastObjective(), b.LastIterations(), clusters)
-			}
-			sp.publishTransportLocked()
-		}
-		sp.mu.Unlock()
-
-		if publish != nil {
-			// Publish, replacing any unconsumed update.
-			select {
-			case <-sp.weightCh:
-			default:
-			}
-			sp.weightCh <- weightUpdate{epoch: epoch, weights: publish}
-		}
-		if sp.cfg.OnSample != nil {
-			sp.cfg.OnSample(now, rates, weights)
+			sp.mtr.counterResets.Inc()
+			sp.mtr.traceEvent(metrics.Event{Kind: "counter-reset", Conn: -1})
 		}
 	}
+	b := sp.cfg.Balancer
+	if sp.router != nil {
+		// With a balancer configured, feed the sampled blocking rates to
+		// load-aware routers as penalties: the least-loaded candidate pick
+		// then discounts connections that spent the interval blocked — the
+		// keyed analogue of the minimax balancer shifting weight away from
+		// them. Without a balancer the router stays purely count-based.
+		if la, ok := sp.router.(schedule.LoadAware); ok && b != nil && sp.router.N() == len(rates) {
+			la.SetPenalties(rates)
+		}
+		if sp.mtr != nil {
+			sp.mtr.keyImbalance.Set(sp.keyImbalance())
+		}
+	}
+	weights := sp.wrr.Weights()
+	stepped := false
+	if b != nil && b.Connections() == len(rates) {
+		if w, err := b.Step(rates); err == nil {
+			if err := sp.wrr.SetWeights(w); err != nil {
+				return fmt.Errorf("runtime: apply weights: %w", err)
+			}
+			weights, stepped = w, true
+		}
+	}
+	if sp.mtr != nil {
+		for j, c := range sp.conns {
+			sp.cm[c.id].rate.Set(rates[j])
+			if j < len(weights) {
+				sp.cm[c.id].weight.Set(float64(weights[j]))
+			}
+		}
+		if stepped {
+			sp.mtr.rebalance(weights, b.LastObjective(), b.LastIterations(), len(b.LastClusters()))
+		}
+		sp.publishTransport()
+	}
+	if sp.cfg.OnSample != nil {
+		sp.cfg.OnSample(now, rates, weights)
+	}
+	return nil
 }
 
 // Wait blocks until the send loop finishes (source exhausted, and in
@@ -1216,11 +1152,11 @@ func (sp *Splitter) Senders() []transport.BatchSender {
 	return out
 }
 
-// publishTransportLocked pushes the transport counters' growth since the
-// last publish onto the metrics layer. Lifetime totals per stable id are
-// monotone (aggregates fold in on connection death), so the exported
-// counters are monotone too. Callers hold sp.mu.
-func (sp *Splitter) publishTransportLocked() {
+// publishTransport pushes the transport counters' growth since the last
+// publish onto the metrics layer. Lifetime totals per stable id are monotone
+// (aggregates fold in on connection death), so the exported counters are
+// monotone too.
+func (sp *Splitter) publishTransport() {
 	if sp.mtr == nil {
 		return
 	}
@@ -1256,33 +1192,35 @@ func (sp *Splitter) publishTransportLocked() {
 	}
 }
 
-// keyImbalanceLocked computes (max-mean)/mean of the live connections'
-// router-placed assignments since the previous controller tick (0 when
-// perfectly even or when no keyed tuples moved), and rolls prevKeyed forward.
-// Callers hold sp.mu.
-func (sp *Splitter) keyImbalanceLocked(conns []*splitConn, prevKeyed []int64) float64 {
+// keyImbalance computes (max-mean)/mean of the live connections'
+// router-placed assignments since the previous tick (0 when perfectly even
+// or when no keyed tuples moved), and rolls prevKeyed forward.
+func (sp *Splitter) keyImbalance() float64 {
+	sent := sp.KeyedStats()
 	var max, sum int64
-	for _, c := range conns {
-		d := sp.keyedSent[c.id] - prevKeyed[c.id]
+	for _, c := range sp.conns {
+		d := sent[c.id] - sp.prevKeyed[c.id]
 		sum += d
 		if d > max {
 			max = d
 		}
 	}
-	copy(prevKeyed, sp.keyedSent)
-	if sum <= 0 || len(conns) == 0 {
+	sp.prevKeyed = sent
+	if sum <= 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(conns))
+	mean := float64(sum) / float64(len(sp.conns))
 	return (float64(max) - mean) / mean
 }
 
 // KeyedStats returns the lifetime count of router-placed tuples per stable
 // worker id (zero everywhere for unkeyed splitters).
 func (sp *Splitter) KeyedStats() []int64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return append([]int64(nil), sp.keyedSent...)
+	out := make([]int64, len(sp.keyedSent))
+	for id := range out {
+		out[id] = sp.keyedSent[id].Load()
+	}
+	return out
 }
 
 // ConnStats returns per-worker lifetime tuple and blocking totals, indexed

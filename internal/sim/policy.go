@@ -32,32 +32,12 @@ func (RoundRobin) Name() string { return "RR" }
 // OnSample implements Policy; it never changes the weights.
 func (RoundRobin) OnSample(Snapshot) []int { return nil }
 
-// ZeroTrustMode selects how a BalancerPolicy treats zero-blocking intervals;
-// see OnSample. The default, ZeroTrustScaled, is the repository's calibrated
-// choice (DESIGN.md section 4b); the other modes exist for the ablation
-// experiments that justify it.
-type ZeroTrustMode int
-
-const (
-	// ZeroTrustScaled folds zeros in with trust 1 - (blocked fraction of
-	// the interval): a zero means spare capacity only to the extent the
-	// splitter was actually offering tuples.
-	ZeroTrustScaled ZeroTrustMode = iota
-	// ZeroTrustNone ignores zero intervals entirely (the strictest reading
-	// of Section 5.1's "only a single new data value").
-	ZeroTrustNone
-	// ZeroTrustFull folds every zero in at full trust, as if drafting did
-	// not exist.
-	ZeroTrustFull
-)
-
 // BalancerPolicy adapts core.Balancer to the simulator: LB-static when the
 // balancer's decay is disabled, LB-adaptive when enabled.
 type BalancerPolicy struct {
-	balancer  *Balancer
-	label     string
-	zeroTrust ZeroTrustMode
-	err       error
+	balancer *Balancer
+	label    string
+	err      error
 }
 
 // Balancer aliases core.Balancer so harness code can stay within sim's
@@ -81,60 +61,20 @@ func (p *BalancerPolicy) Name() string { return p.label }
 // Balancer returns the wrapped model, e.g. for cluster heat maps.
 func (p *BalancerPolicy) Balancer() *core.Balancer { return p.balancer }
 
-// SetZeroTrustMode overrides how zero-blocking intervals are folded in.
-// Call before the run starts.
-func (p *BalancerPolicy) SetZeroTrustMode(mode ZeroTrustMode) {
-	p.zeroTrust = mode
-}
-
 // Err returns the first error the balancer reported, if any. The simulator's
 // controller cannot fail a run mid-flight, so errors are surfaced here and
 // checked by the harness after the run.
 func (p *BalancerPolicy) Err() error { return p.err }
 
-// OnSample implements Policy: it feeds the model and rebalances. Connections
-// that experienced blocking contribute full-trust samples — usually just one
-// per interval, as the paper observes (Section 5.1). A zero from a quiet
-// connection is only evidence of spare capacity to the extent the splitter
-// was actually offering it tuples: while the splitter sat blocked on a draft
-// leader, the other connections were shielded (Section 4.2), so their zeros
-// are folded in with trust equal to the fraction of the interval the
-// splitter was not blocked anywhere.
+// OnSample implements Policy: one core.Balancer.Step over the interval's
+// blocking rates — the step the runtime's splitter takes on its own ticks.
 func (p *BalancerPolicy) OnSample(sn Snapshot) []int {
 	if p.err != nil {
 		return nil
 	}
-	blockedFraction := 0.0
-	for _, r := range sn.BlockingRates {
-		blockedFraction += r
-	}
-	if blockedFraction > 1 {
-		blockedFraction = 1
-	}
-	zeroTrust := 1 - blockedFraction
-	for j, r := range sn.BlockingRates {
-		trust := 1.0
-		if r <= 0 {
-			switch p.zeroTrust {
-			case ZeroTrustNone:
-				continue
-			case ZeroTrustFull:
-				trust = 1
-			default:
-				trust = zeroTrust
-				if trust < 0.01 {
-					continue
-				}
-			}
-		}
-		if err := p.balancer.ObserveWeighted(j, r, trust); err != nil {
-			p.err = fmt.Errorf("observe conn %d at %v: %w", j, sn.Now, err)
-			return nil
-		}
-	}
-	weights, err := p.balancer.Rebalance()
+	weights, err := p.balancer.Step(sn.BlockingRates)
 	if err != nil {
-		p.err = fmt.Errorf("rebalance at %v: %w", sn.Now, err)
+		p.err = fmt.Errorf("step at %v: %w", sn.Now, err)
 		return nil
 	}
 	return weights

@@ -26,21 +26,20 @@ func TestBalancerPolicyZeroTrustModes(t *testing.T) {
 	}
 	tests := []struct {
 		name        string
-		mode        ZeroTrustMode
+		mode        core.ZeroTrustMode
 		wantSamples bool // whether silent connections get any data
 	}{
-		{"scaled drops zeros under full blocking", ZeroTrustScaled, false},
-		{"none drops zeros always", ZeroTrustNone, false},
-		{"full records zeros always", ZeroTrustFull, true},
+		{"scaled drops zeros under full blocking", core.ZeroTrustScaled, false},
+		{"none drops zeros always", core.ZeroTrustNone, false},
+		{"full records zeros always", core.ZeroTrustFull, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b, err := core.NewBalancer(core.Config{Connections: 3})
+			b, err := core.NewBalancer(core.Config{Connections: 3, ZeroTrust: tt.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
 			pol := NewBalancerPolicy(b, "LB")
-			pol.SetZeroTrustMode(tt.mode)
 			if weights := pol.OnSample(sample); weights == nil {
 				t.Fatal("policy returned no weights")
 			}

@@ -48,7 +48,6 @@ type Sim struct {
 	inflight       []*seqQueue
 	cumBlocking    []time.Duration // sampled counter, periodically reset
 	totalBlocking  []time.Duration // lifetime counter
-	lastReset      time.Duration
 	rerouted       uint64
 	perConnSent    []uint64
 	perConnDone    []uint64
@@ -74,7 +73,7 @@ type Sim struct {
 	// release frontier and the end-to-end latency metric.
 	owner        map[uint64]pendingTuple
 	latency      *quantile.Tracker
-	samplers     []stats.RateSampler
+	samplers     *stats.SamplerSet
 	lastSampled  uint64 // completed count at previous controller tick
 	lastSampleAt time.Duration
 
@@ -121,7 +120,7 @@ func New(cfg Config) (*Sim, error) {
 		mergerQ:       make([]*seqQueue, n),
 		owner:         make(map[uint64]pendingTuple),
 		latency:       quantile.NewTracker(),
-		samplers:      make([]stats.RateSampler, n),
+		samplers:      stats.NewSamplerSet(n, cfg.ResetInterval),
 		weights:       core.EvenWeights(n, core.DefaultUnits),
 	}
 	for j := 0; j < n; j++ {
@@ -437,22 +436,12 @@ func (s *Sim) handleController() {
 		// Make in-progress blocking visible to this sample.
 		s.accrueBlocking(now)
 	}
-	rates := make([]float64, s.Connections())
-	for j := range rates {
-		if rate, ok := s.samplers[j].Sample(now, s.cumBlocking[j].Seconds()); ok {
-			rates[j] = rate
-		}
-	}
-	// Periodic counter reset by the "transport layer" (Figure 2).
-	if s.cfg.ResetInterval > 0 && now-s.lastReset >= s.cfg.ResetInterval {
+	rates, reset := s.samplers.Sample(now, s.cumBlocking)
+	if reset {
+		// Periodic counter reset by the "transport layer" (Figure 2).
 		for j := range s.cumBlocking {
 			s.cumBlocking[j] = 0
-			// The sampler sees the drop and treats the next value as a
-			// post-reset delta; re-prime it at zero to keep rates exact.
-			s.samplers[j].Reset()
-			s.samplers[j].Sample(now, 0)
 		}
-		s.lastReset = now
 	}
 	interval := now - s.lastSampleAt
 	tput := 0.0

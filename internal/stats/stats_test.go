@@ -71,10 +71,6 @@ func TestRateSampler(t *testing.T) {
 	if _, ok := s.Sample(2*time.Second, 50); ok {
 		t.Fatal("zero dt produced a rate")
 	}
-	s.Reset()
-	if s.Primed() {
-		t.Fatal("Reset did not clear primed state")
-	}
 }
 
 func TestRateSamplerSteadyRateProperty(t *testing.T) {
@@ -205,5 +201,61 @@ func TestSeriesSet(t *testing.T) {
 	}
 	if ss.Table(0) != "" {
 		t.Fatal("Table with zero step should be empty")
+	}
+}
+
+func TestSamplerSet(t *testing.T) {
+	const tick = 100 * time.Millisecond
+	s := NewSamplerSet(2, 3*tick)
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for j, x := range v {
+			out[j] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	equal := func(step string, got []float64, want ...float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: rates %v, want %v", step, got, want)
+		}
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-9 {
+				t.Fatalf("%s: rates %v, want %v", step, got, want)
+			}
+		}
+	}
+	rates, reset := s.Sample(tick, ms(500, 0))
+	equal("priming", rates, 0, 0)
+	if reset {
+		t.Fatal("reset due before the first reset interval elapsed")
+	}
+	rates, _ = s.Sample(2*tick, ms(550, 20))
+	equal("second", rates, 0.5, 0.2)
+
+	// A joiner is unprimed: its first reading yields no rate.
+	s.Add()
+	rates, reset = s.Sample(3*tick, ms(560, 20, 7000))
+	equal("after add", rates, 0.1, 0, 0)
+	if !reset || s.Len() != 3 {
+		t.Fatalf("reset=%v len=%d at the reset interval, want true 3", reset, s.Len())
+	}
+	// The owner zeroed its counters; the samplers were re-primed at zero.
+	rates, reset = s.Sample(4*tick, ms(30, 0, 50))
+	equal("after reset", rates, 0.3, 0, 0.5)
+	if reset {
+		t.Fatal("reset due one tick after a reset")
+	}
+
+	// Positions above a removed one shift down with their history.
+	s.Remove(1)
+	rates, _ = s.Sample(5*tick, ms(30, 60))
+	equal("after remove", rates, 0, 0.1)
+
+	never := NewSamplerSet(1, -1)
+	for i := 1; i <= 40; i++ {
+		if _, reset := never.Sample(time.Duration(i)*tick, ms(0)); reset {
+			t.Fatal("reset due with resets disabled")
+		}
 	}
 }
