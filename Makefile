@@ -1,15 +1,16 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
+.PHONY: test test-race vet fmt-check overhead bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
 
 test:
 	go test ./...
 
-# Race-detector pass over the chaos proxy and the schedule — the packages
+# Race-detector pass over the chaos proxy, the schedule and the metrics
+# registry (whose readers call into other goroutines' state) — the packages
 # CI's race-data-path job (spsc, transport, runtime, dataflow, twice) does
 # not already cover.
 test-race:
-	go test -race ./internal/chaos ./internal/schedule
+	go test -race ./internal/chaos ./internal/schedule ./internal/metrics
 
 vet:
 	go vet ./...
@@ -17,6 +18,15 @@ vet:
 # Fails, listing them, if gofmt would rewrite any file (CI's Format step).
 fmt-check:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# The observability budget (ROADMAP 4c) from one place: what one traced
+# tcp_sat run reads for the registry's end-to-end overhead and a counter
+# increment, and what instrumenting the merger costs its release path per
+# tuple (metrics=on minus metrics=off). Single traced run: treat the first
+# row as ±10 points on this host.
+overhead:
+	bash bench/run.sh -workload tcp_sat -trace 1 | grep -E '^ +metrics\.(registry_overhead_pct|counter_inc_ns) '
+	go test -run '^$$' -bench ReleaseRuns -count=6 ./internal/runtime | grep '^Benchmark'
 
 # Minutes-long randomized chaos soak: stall/drip/kill faults against
 # recovery-enabled regions at 16-64 workers, asserting the exactly-once

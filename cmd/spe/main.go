@@ -249,7 +249,7 @@ func runWorker(w io.Writer, args []string) error {
 		return err
 	}
 	if *combine {
-		worker.SetCombiner(runtime.SumCombiner(), nil)
+		worker.SetCombiner(runtime.SumCombiner())
 	}
 	if *recvBatch > 0 {
 		worker.SetRecvBatch(*recvBatch)

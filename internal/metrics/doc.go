@@ -20,6 +20,12 @@
 //     lookup (CounterVec.With) is done once at wiring time, not per tuple.
 //   - Float64 values stored as bits in a uint64, so counters can carry
 //     seconds as naturally as tuple counts.
+//   - One copy of every count: a fact the instrumented code already keeps
+//     for its own work (a watermark, a queue depth, a sender's totals) is
+//     bound with Counter.SetFunc / Gauge.SetFunc and read at scrape time —
+//     free on the data path, exact at every scrape; Inc, Add, Set and Observe
+//     are for facts that exist only to be observed. Every reader goes through
+//     one series.value(), so the two kinds look the same from outside.
 //
 // Registration is idempotent: asking for an already-registered family with
 // the same kind and label names returns the existing one, so independent

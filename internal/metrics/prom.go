@@ -136,7 +136,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				bw.WriteString(f.name)
 				writeLabels(bw, f.labels, s.labelValues)
 				bw.WriteByte(' ')
-				bw.WriteString(formatFloat(math.Float64frombits(s.bits.Load())))
+				bw.WriteString(formatFloat(s.value()))
 				bw.WriteByte('\n')
 			}
 		}

@@ -60,15 +60,26 @@ type family struct {
 }
 
 // series is one label-value combination of a family. Counter and gauge
-// values are float64 bits in an atomic word; histograms add per-bucket
-// counts and a sum.
+// values are float64 bits in an atomic word, or — once bound with SetFunc — a
+// function the readers call instead; histograms add bucket counts and a sum.
 type series struct {
 	labelValues []string
 	bits        atomic.Uint64
+	fn          atomic.Pointer[func() float64]
 
 	counts  []atomic.Uint64 // len(buckets)+1; last is +Inf
 	sumBits atomic.Uint64
 	count   atomic.Uint64
+}
+
+// value is the one read path of a counter or gauge series: every scrape
+// surface (Samples, Value, SumAcross, WritePrometheus, the handles' Value)
+// comes through here, so a bound series reads the same everywhere.
+func (s *series) value() float64 {
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)()
+	}
+	return math.Float64frombits(s.bits.Load())
 }
 
 // addFloat atomically adds v to a float64 stored as bits.
@@ -227,7 +238,13 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.s.bits.Load()) }
+func (c *Counter) Value() float64 { return c.s.value() }
+
+// SetFunc binds the series to a count its owner already keeps: every reader
+// then calls fn instead of loading the stored value, and Add/Inc no longer
+// show. fn runs on the scraping goroutine: it must be safe beside the owner,
+// must not block and must never decrease. Binding again replaces the reader.
+func (c *Counter) SetFunc(fn func() float64) { c.s.fn.Store(&fn) }
 
 // Gauge is a value that can move both ways.
 type Gauge struct{ s *series }
@@ -239,7 +256,11 @@ func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Add(v float64) { addFloat(&g.s.bits, v) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
+func (g *Gauge) Value() float64 { return g.s.value() }
+
+// SetFunc binds the series to a level its owner already keeps; see
+// Counter.SetFunc (a gauge's fn may move both ways).
+func (g *Gauge) SetFunc(fn func() float64) { g.s.fn.Store(&fn) }
 
 // Histogram accumulates observations into cumulative buckets.
 type Histogram struct {
@@ -362,7 +383,7 @@ func (r *Registry) Samples() []Sample {
 					Name:        f.name,
 					LabelNames:  f.labels,
 					LabelValues: s.labelValues,
-					Value:       math.Float64frombits(s.bits.Load()),
+					Value:       s.value(),
 				})
 			}
 		}
@@ -408,7 +429,7 @@ func (r *Registry) Value(name string, labelPairs ...string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return math.Float64frombits(s.bits.Load()), true
+	return s.value(), true
 }
 
 // SumAcross sums every series of a counter or gauge family (e.g. a total
@@ -421,10 +442,11 @@ func (r *Registry) SumAcross(name string) (float64, bool) {
 		return 0, false
 	}
 	f.mu.RLock()
-	defer f.mu.RUnlock()
+	series := append([]*series(nil), f.order...)
+	f.mu.RUnlock()
 	total := 0.0
-	for _, s := range f.order {
-		total += math.Float64frombits(s.bits.Load())
+	for _, s := range series {
+		total += s.value()
 	}
 	return total, true
 }

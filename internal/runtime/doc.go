@@ -25,6 +25,10 @@
 // are TCP connections or in-process rings (RegionConfig.Transport), and
 // whether batches hold one tuple or many (DESIGN §8).
 //
+// Observability (RegionMetrics, DESIGN §10): a count the data path keeps for
+// its own work is read by the metrics registry at scrape time, never mirrored;
+// what exists only to be observed is pushed per event or tick, never per tuple.
+//
 // Everything runs in one process here, so with few CPUs the workers time-
 // share; the runtime is the end-to-end functional validation of the metric
 // path (kernel buffers -> blocking time -> rates -> model -> weights), while

@@ -95,8 +95,8 @@ type Merger struct {
 	// drained by the merge loop; queues (per-stream reorder heaps) and
 	// heads (the release tournament over their minimums) are touched by
 	// the merge loop alone. depth[id] republishes each heap's occupancy
-	// so producers can compute their back-pressure bound and the watchdog
-	// can rank candidates without entering the merge loop's world.
+	// so producers, the watchdog and a metrics scrape can read it without
+	// entering the merge loop's world.
 	rings  []*spsc.Ring[mergeItem]
 	queues []streamQueue
 	heads  *headIndex
@@ -154,8 +154,9 @@ type Merger struct {
 	quarantined []atomic.Bool
 
 	// lastIngest is the wall time (unix nanos) each worker id last
-	// delivered a batch, stamped lock-free by the connection readers and
-	// read by the watchdog to rank quarantine candidates.
+	// delivered a batch (0 until its first attach), stamped lock-free by the
+	// connection readers and read by the watchdog to rank quarantine
+	// candidates and by a scrape for the ingest-age gauge.
 	lastIngest []atomic.Int64
 
 	// next is the released watermark: the lowest unreleased sequence
@@ -173,6 +174,10 @@ type Merger struct {
 	// releases through the normal path.
 	absorbed map[uint64]struct{}
 
+	// released counts tuples delivered to the sink. The merge loop advances
+	// it once per releaseRuns pass, not per tuple; with combined it accounts
+	// for every sequence number below next.
+	released   atomic.Uint64
 	deduped    atomic.Uint64
 	dupRejects atomic.Uint64
 	combined   atomic.Uint64 // seqs released via carrier absorption
@@ -183,21 +188,14 @@ type Merger struct {
 	err    error
 	wg     sync.WaitGroup
 
-	// Metrics handles, pre-resolved per worker id; nil when the merger is
-	// uninstrumented. Set before Start.
+	// Handles for what exists only to be observed (batch sizes, park/wake
+	// and stall events, the trace); nil when the merger is uninstrumented.
+	// Set before Start.
 	rm           *RegionMetrics
-	mReleased    *metrics.Counter
-	mWatermark   *metrics.Gauge
-	mDeduped     *metrics.Counter
-	mDupRejects  *metrics.Counter
-	mQueue       []*metrics.Gauge
-	mRing        []*metrics.Gauge
 	mIngestBatch *metrics.Histogram
 	mParks       *metrics.Counter
 	mWakes       *metrics.Counter
 	mStall       *metrics.Histogram
-	mIngestAge   []*metrics.Gauge
-	mCombined    *metrics.Counter
 }
 
 // NewMerger listens for worker connections. sink receives every tuple, in
@@ -308,39 +306,38 @@ func (m *Merger) SetRingCap(n int) {
 	}
 }
 
-// SetMetrics instruments the merger: release counter, watermark gauge,
-// per-connection reorder-heap and ring occupancy, dedupe and park/wake
-// counters. Call before Start; nil is a no-op.
+// SetMetrics instruments the merger. The counts the merge keeps for its own
+// work (watermark, released, dedup and combined totals, per-connection queue
+// and ring occupancy, last-ingest age) are bound to their atomics and read at
+// scrape time; batch sizes, park/wake and stall events are pushed where they
+// happen. Call before Start; nil is a no-op.
 func (m *Merger) SetMetrics(rm *RegionMetrics) {
 	if rm == nil {
 		return
 	}
 	m.rm = rm
-	m.mReleased = rm.released
-	m.mWatermark = rm.watermark
-	m.mDeduped = rm.deduped
-	m.mDupRejects = rm.dupRejects
-	m.mQueue = make([]*metrics.Gauge, m.workers)
-	m.mRing = make([]*metrics.Gauge, m.workers)
-	m.mIngestAge = make([]*metrics.Gauge, m.workers)
+	rm.released.SetFunc(func() float64 { return float64(m.released.Load()) })
+	rm.watermark.SetFunc(func() float64 { return float64(m.next.Load()) })
+	rm.deduped.SetFunc(func() float64 { return float64(m.deduped.Load()) })
+	rm.dupRejects.SetFunc(func() float64 { return float64(m.dupRejects.Load()) })
+	rm.combinedReleased.SetFunc(func() float64 { return float64(m.combined.Load()) })
 	for id := 0; id < m.workers; id++ {
-		m.mQueue[id] = rm.queueDepth.With(strconv.Itoa(id))
-		m.mRing[id] = rm.ringDepth.With(strconv.Itoa(id))
-		m.mIngestAge[id] = rm.ingestAge.With(strconv.Itoa(id))
+		id, l := id, strconv.Itoa(id)
+		rm.queueDepth.With(l).SetFunc(func() float64 { return float64(m.depth[id].v.Load()) })
+		// rings is read per scrape, not captured: SetRingCap may still
+		// replace the rings between SetMetrics and Start.
+		rm.ringDepth.With(l).SetFunc(func() float64 { return float64(m.rings[id].Len()) })
+		rm.ingestAge.With(l).SetFunc(func() float64 {
+			if ts := m.lastIngest[id].Load(); ts != 0 {
+				return time.Since(time.Unix(0, ts)).Seconds()
+			}
+			return 0 // never attached
+		})
 	}
 	m.mIngestBatch = rm.ingestBatchTuples
 	m.mParks = rm.ingestParks
 	m.mWakes = rm.mergeWakes
 	m.mStall = rm.stallSeconds
-	m.mCombined = rm.combinedReleased
-}
-
-// noteDedup counts one dropped duplicate.
-func (m *Merger) noteDedup() {
-	m.deduped.Add(1)
-	if m.mDeduped != nil {
-		m.mDeduped.Inc()
-	}
 }
 
 // Addr returns the address workers (and the splitter's control channel) dial;
@@ -710,9 +707,6 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 	}
 	if m.live[id] {
 		m.dupRejects.Add(1)
-		if m.mDupRejects != nil {
-			m.mDupRejects.Inc()
-		}
 		m.ctl.Unlock()
 		rx.Close()
 		return fmt.Errorf("runtime: worker id %d already attached", id)
@@ -809,7 +803,7 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 		if t.Seq < next {
 			// Replay of a sequence already released: exactly-once means
 			// dropping it here.
-			m.noteDedup()
+			m.deduped.Add(1)
 			ref.Release()
 			continue
 		}
@@ -863,9 +857,6 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 	if pushed {
 		m.wakeMerge()
 	}
-	if m.mRing != nil {
-		m.mRing[id].Set(float64(ring.Len()))
-	}
 	return true
 }
 
@@ -877,9 +868,9 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 // knows the true owner) and drives the eviction through the ordinary
 // membership-edit path, so the merger never mutates membership itself.
 //
-// The watchdog also maintains the per-connection ingest-age gauges and the
-// stall-episode histogram. It reads the watermark atomically each tick —
-// the merge hot path carries no extra timestamping for it.
+// The watchdog also maintains the stall-episode histogram. It reads the
+// watermark atomically each tick — the merge hot path carries no extra
+// timestamping for it.
 func (m *Merger) watchdog() {
 	defer m.wg.Done()
 	tick := m.stallWindow / 4
@@ -907,13 +898,6 @@ func (m *Merger) watchdog() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		if m.mIngestAge != nil {
-			for id := range m.mIngestAge {
-				if ts := m.lastIngest[id].Load(); ts > 0 {
-					m.mIngestAge[id].Set(now.Sub(time.Unix(0, ts)).Seconds())
-				}
-			}
-		}
 		wm := m.next.Load()
 		if wm != prevWM {
 			if inStall {
@@ -1064,7 +1048,7 @@ func (m *Merger) drainRings() bool {
 			n++
 			if it.t.Seq < next {
 				it.ref.Release()
-				m.noteDedup()
+				m.deduped.Add(1)
 				continue
 			}
 			m.queues[id].push(it)
@@ -1073,10 +1057,6 @@ func (m *Merger) drainRings() bool {
 			progressed = true
 			m.depth[id].v.Store(int64(m.queues[id].len()))
 			m.heads.update(id, m.queues[id].headKey())
-			if m.mQueue != nil {
-				m.mQueue[id].Set(float64(m.queues[id].len()))
-				m.mRing[id].Set(float64(r.Len()))
-			}
 			// Freed ring slots (and any swept duplicates) may unblock this
 			// stream's reader — a ring-full park, or a cap park whose depth
 			// the sweep just lowered.
@@ -1094,6 +1074,7 @@ func (m *Merger) drainRings() bool {
 // wakes parked readers — releasing or sweeping frees backlog space.
 func (m *Merger) releaseRuns() bool {
 	progressed := false
+	released := uint64(0)
 	for {
 		id := m.heads.min()
 		if id < 0 {
@@ -1112,7 +1093,7 @@ func (m *Merger) releaseRuns() bool {
 			// connection failed before release — and then every unreleased
 			// group member was replayed individually.
 			it.ref.Release()
-			m.noteDedup()
+			m.deduped.Add(1)
 		} else {
 			next++
 			// A combined carrier releases its absorbed seqs with it:
@@ -1133,16 +1114,10 @@ func (m *Merger) releaseRuns() bool {
 					delete(m.absorbed, next)
 					next++
 					m.combined.Add(1)
-					if m.mCombined != nil {
-						m.mCombined.Inc()
-					}
 				}
 			}
 			m.next.Store(next)
-			if m.mReleased != nil {
-				m.mReleased.Inc()
-				m.mWatermark.Set(float64(next))
-			}
+			released++
 			m.sink(it.t, id)
 			// The sink has returned: the payload is no longer needed, so
 			// its receive block can recycle.
@@ -1151,9 +1126,6 @@ func (m *Merger) releaseRuns() bool {
 		qd := m.queues[id].len()
 		m.depth[id].v.Store(int64(qd))
 		m.heads.update(id, m.queues[id].headKey())
-		if m.mQueue != nil {
-			m.mQueue[id].Set(float64(qd))
-		}
 		progressed = true
 		// Refill hysteresis: rewake a cap-parked reader only once its queue
 		// has descended through wakeAt, not on every pop — waking at cap-1
@@ -1165,6 +1137,9 @@ func (m *Merger) releaseRuns() bool {
 		if qd == m.wakeAt {
 			m.wakeStream(id)
 		}
+	}
+	if released > 0 {
+		m.released.Add(released)
 	}
 	return progressed
 }

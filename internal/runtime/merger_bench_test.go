@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"streambalance/internal/metrics"
 	"streambalance/internal/transport"
 )
 
@@ -201,6 +202,44 @@ func BenchmarkMergerIngest(b *testing.B) {
 				b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "tuples/s")
 			})
 		}
+	}
+}
+
+// BenchmarkReleaseRuns prices what exporting the merger's counts costs the
+// merge loop's release path: four reorder queues are filled in 1024-tuple
+// chunks (round-robin, so every pop moves the tournament) and released by one
+// releaseRuns pass per chunk, with the merger uninstrumented and with a
+// RegionMetrics attached. ns/op is per tuple, fill included on both sides;
+// metrics=on minus metrics=off is the number DESIGN §10 records. It uses only
+// what both sides of a parent/change comparison have, so the file can be
+// copied onto the parent commit.
+func BenchmarkReleaseRuns(b *testing.B) {
+	const streams, chunk = 4, 1024
+	for _, mode := range []string{"off", "on"} {
+		b.Run("metrics="+mode, func(b *testing.B) {
+			released := 0
+			m, err := newMerger(streams, 0, func(transport.Tuple, int) { released++ }, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if mode == "on" {
+				m.SetMetrics(NewRegionMetrics(metrics.New(), nil))
+			}
+			b.ResetTimer()
+			for seq := 0; seq < b.N; {
+				for end := min(seq+chunk, b.N); seq < end; seq++ {
+					m.queues[seq%streams].push(mergeItem{t: transport.Tuple{Seq: uint64(seq)}})
+				}
+				for id := range m.queues {
+					m.depth[id].v.Store(int64(m.queues[id].len()))
+					m.heads.update(id, m.queues[id].headKey())
+				}
+				m.releaseRuns()
+			}
+			if released != b.N {
+				b.Fatalf("released %d of %d", released, b.N)
+			}
+		})
 	}
 }
 

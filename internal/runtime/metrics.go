@@ -11,10 +11,19 @@ import (
 // per-connection blocking signal (the paper's Section 3 input), the
 // balancer's decisions (Section 3.4 weight vectors, solver cost, cluster
 // count), the merger's release progress, and the recovery protocol's
-// events. Construct it once per region from a metrics.Registry and pass it
+// events. Construct one per region from a metrics.Registry and pass it
 // through RegionConfig (or SplitterConfig plus Merger.SetMetrics when the
 // components run as separate processes); nil disables instrumentation with
 // zero hot-path cost.
+//
+// One rule decides how each instrument is fed (DESIGN §10). A count the data
+// path already keeps for its own work — the senders' totals, the merger's
+// watermark, released and dedup counts, depths and ingest stamps, the workers'
+// combiner hits — is bound to a reader (metrics.Counter.SetFunc) and read at
+// scrape time. What exists only to be observed — histograms, events, per-tick
+// rates and weights, the trace — is pushed where it happens, never per tuple.
+// The readers belong to the components the bundle was handed to, hence one
+// per region: binding twice replaces the reader.
 //
 // The trace ring records the balancer's decision history — every rebalance
 // with its weight vector and objective, counter resets, and worker
@@ -98,7 +107,7 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		redialAttempts: reg.CounterVec("spe_transport_redial_attempts_total",
 			"Dial attempts made while reconnecting to a failed worker, per connection.", "conn"),
 		batchFlushes: reg.Counter("spe_splitter_batch_flushes_total",
-			"Batched vectored writes the splitter flushed (BatchSize > 1 only)."),
+			"Flushes the splitter completed (every send is a flush; a batch of one is one tuple)."),
 		batchTuples: reg.Histogram("spe_splitter_batch_tuples",
 			"Tuples per flushed batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",
@@ -165,30 +174,34 @@ func (m *RegionMetrics) Registry() *metrics.Registry { return m.reg }
 // Trace returns the decision-trace ring, or nil when tracing is disabled.
 func (m *RegionMetrics) Trace() *metrics.Trace { return m.trace }
 
-// connInstruments caches one stable worker id's child handles so the hot
-// paths touch pre-resolved atomics instead of label maps.
+// connInstruments caches one stable worker id's pushed child handles so the
+// tick touches pre-resolved atomics instead of label maps.
 type connInstruments struct {
-	sent       *metrics.Counter
-	blocking   *metrics.Counter
-	wouldBlock *metrics.Counter
-	rate       *metrics.Gauge
-	up         *metrics.Gauge
-	weight     *metrics.Gauge
-	redials    *metrics.Counter
+	rate    *metrics.Gauge
+	up      *metrics.Gauge
+	weight  *metrics.Gauge
+	redials *metrics.Counter
 }
 
 // conn resolves the per-connection handles for one stable worker id.
 func (m *RegionMetrics) conn(id int) connInstruments {
 	l := strconv.Itoa(id)
 	return connInstruments{
-		sent:       m.tuplesSent.With(l),
-		blocking:   m.blockingSeconds.With(l),
-		wouldBlock: m.wouldBlock.With(l),
-		rate:       m.blockingRate.With(l),
-		up:         m.connUp.With(l),
-		weight:     m.weight.With(l),
-		redials:    m.redialAttempts.With(l),
+		rate:    m.blockingRate.With(l),
+		up:      m.connUp.With(l),
+		weight:  m.weight.With(l),
+		redials: m.redialAttempts.With(l),
 	}
+}
+
+// bindConnTotals binds one stable worker id's three transport totals to the
+// splitter's own sum over the id's retired and live connections, read at
+// scrape time: one short lock acquisition per series per scrape.
+func (m *RegionMetrics) bindConnTotals(id int, sp *Splitter) {
+	l := strconv.Itoa(id)
+	m.tuplesSent.With(l).SetFunc(func() float64 { sent, _, _ := sp.connTotals(id); return float64(sent) })
+	m.blockingSeconds.With(l).SetFunc(func() float64 { _, blocking, _ := sp.connTotals(id); return blocking.Seconds() })
+	m.wouldBlock.With(l).SetFunc(func() float64 { _, _, wouldBlock := sp.connTotals(id); return float64(wouldBlock) })
 }
 
 // traceEvent appends to the decision trace when tracing is enabled.

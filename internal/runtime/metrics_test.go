@@ -9,12 +9,17 @@ package runtime
 //
 // (every sent tuple is either released or still retained for replay), and
 // under chaos the sent total additionally covers the merger's dedup count.
-// Counters must be monotone non-decreasing at every observation point — the
-// delta-publishing in the splitter exists precisely so reconnections never
-// make an exported counter move backwards.
+// The transport totals are not copies: a scrape reads the splitter's own
+// per-worker sums (retired connections' folded totals plus the live sender),
+// so they equal Splitter.ConnStats exactly at any instant and RegionResult
+// after the run. Counters must be monotone non-decreasing at every
+// observation point, reconnections included — which holds by construction,
+// because a dying connection is folded and removed in one critical section
+// that the scrape also takes.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -114,13 +119,30 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region, err := NewRegion(RegionConfig{
+	var region *Region
+	samples := 0
+	region, err = NewRegion(RegionConfig{
 		Operators:      []Operator{Identity(), Identity()},
 		Source:         ConstantSource([]byte("payload"), tuples),
 		Balancer:       balancer,
 		SampleInterval: 20 * time.Millisecond,
 		Recovery:       RecoveryConfig{Enabled: true, WatermarkInterval: 5 * time.Millisecond},
 		Metrics:        rm,
+		// OnSample runs on the send loop, so no send is in flight between
+		// the two reads: mid-run, the scrape and ConnStats must agree exactly.
+		OnSample: func(time.Duration, []float64, []int) {
+			samples++
+			sent, blocking := region.splitter.ConnStats()
+			for id := range sent {
+				l := fmt.Sprint(id)
+				if got, _ := reg.Value("spe_splitter_tuples_sent_total", "conn", l); got != float64(sent[id]) {
+					t.Errorf("mid-run conn %d: exported sent %v != ConnStats %d", id, got, sent[id])
+				}
+				if got, _ := reg.Value("spe_splitter_blocking_seconds_total", "conn", l); math.Abs(got-blocking[id].Seconds()) > 1e-9 {
+					t.Errorf("mid-run conn %d: exported blocking %vs != ConnStats %vs", id, got, blocking[id].Seconds())
+				}
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,15 +185,17 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 		t.Fatalf("exported sent %v != RegionResult sent %d", sent, resSent)
 	}
 	// Blocking counters carry the paper's Section 3 signal; the exported
-	// total must cover the splitter's own lifetime measurement (the
-	// exported value is published at controller ticks, never ahead of it).
+	// total is the splitter's own lifetime measurement, read at scrape time.
 	var resBlocking time.Duration
 	for _, d := range res.TotalBlocking {
 		resBlocking += d
 	}
 	exported := mustSum(t, reg, "spe_splitter_blocking_seconds_total")
-	if exported-resBlocking.Seconds() > 1e-6 {
-		t.Fatalf("exported blocking %vs exceeds measured %vs", exported, resBlocking.Seconds())
+	if math.Abs(exported-resBlocking.Seconds()) > 1e-9 {
+		t.Fatalf("exported blocking %vs != measured %vs", exported, resBlocking.Seconds())
+	}
+	if samples == 0 {
+		t.Fatal("no sample interval elapsed: the mid-run equality was never checked")
 	}
 	if rb := mustSum(t, reg, "spe_balancer_rebalances_total"); rb < 1 {
 		t.Fatalf("no rebalances exported over a balanced run (got %v)", rb)

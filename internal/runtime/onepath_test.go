@@ -115,9 +115,9 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 					if s.Sent() != 300 {
 						t.Errorf("conn %d sent %d tuples, want its round-robin half of 600", i, s.Sent())
 					}
-					if s.Flushes() != s.Sent() || s.FlushedTuples() != s.Sent() {
-						t.Errorf("conn %d: flushes=%d flushedTuples=%d sent=%d, want all equal (one flush per tuple)",
-							i, s.Flushes(), s.FlushedTuples(), s.Sent())
+					if s.Flushes() != s.Sent() {
+						t.Errorf("conn %d: flushes=%d sent=%d, want equal (one flush per tuple)",
+							i, s.Flushes(), s.Sent())
 					}
 				}
 				stalled, healthy := senders[1], senders[0]
@@ -225,7 +225,7 @@ func TestWorkLoopOwnershipAcrossTransports(t *testing.T) {
 		src := &refSource{t: t, end: total}
 		p := &pe{operator: Identity(), recvBatch: recvBatch, done: make(chan struct{})}
 		if combine {
-			p.SetCombiner(SumCombiner(), nil)
+			p.SetCombiner(SumCombiner())
 		}
 		if err := p.serve(src, tx); err != nil {
 			t.Fatalf("worker loop: %v", err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"streambalance/internal/core"
-	"streambalance/internal/metrics"
 	"streambalance/internal/schedule"
 	"streambalance/internal/transport"
 )
@@ -159,7 +158,6 @@ type Region struct {
 
 	// Written by the merge goroutine alone (the merger's sink callback) and
 	// read by Run after merger.Wait, which orders the two: no lock.
-	released  uint64
 	lastSeq   uint64
 	orderGood bool
 }
@@ -245,7 +243,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 			r.orderGood = false
 		}
 		r.lastSeq = t.Seq + 1
-		r.released++
 		if cfg.Sink != nil {
 			cfg.Sink(t, conn)
 		}
@@ -316,13 +313,12 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	}
 
 	if cfg.Combiner != nil {
-		var hits *metrics.Counter
-		if cfg.Metrics != nil {
-			hits = cfg.Metrics.combinerHits
-		}
 		for _, w := range r.workers {
-			w.SetCombiner(cfg.Combiner, hits)
+			w.SetCombiner(cfg.Combiner)
 		}
+	}
+	if cfg.Metrics != nil {
+		cfg.Metrics.combinerHits.SetFunc(func() float64 { return float64(r.combinerHits()) })
 	}
 
 	// Workers and merger must be listening before the splitter dials, and
@@ -404,16 +400,23 @@ func (r *Region) Run() (RegionResult, error) {
 	}
 
 	res := RegionResult{Elapsed: time.Since(start)}
-	res.Released = r.released
+	res.Released = r.merger.released.Load()
 	res.OrderPreserved = r.orderGood
 	res.PerConnSent, res.TotalBlocking = r.splitter.ConnStats()
 	res.Deduped = r.merger.Deduped()
 	res.CombinedReleased = r.merger.CombinedReleased()
 	res.KeyedSent = r.splitter.KeyedStats()
-	for _, w := range r.workers {
-		res.CombinerHits += w.CombinerHits()
-	}
+	res.CombinerHits = r.combinerHits()
 	return res, errors.Join(errs...)
+}
+
+// combinerHits sums the workers' absorbed-tuple counts.
+func (r *Region) combinerHits() uint64 {
+	var hits uint64
+	for _, w := range r.workers {
+		hits += w.CombinerHits()
+	}
+	return hits
 }
 
 // Close tears down a region that never ran: listeners, worker connections

@@ -222,8 +222,9 @@ type Splitter struct {
 
 	// mu orders the send loop's edits of the live set and of the retired
 	// connections' folded totals against the goroutines that read them
-	// (Close, Senders, ConnStats). The loop, their only writer, reads them
-	// without it.
+	// (Close, Senders, ConnStats, a metrics scrape). The loop, their only
+	// writer, reads them without it, and never holds it across a flush, so
+	// a reader cannot wait on a parked send.
 	mu          sync.Mutex
 	conns       []*splitConn
 	aggSent     []int64
@@ -232,14 +233,10 @@ type Splitter struct {
 	started     bool
 	closedIdle  bool
 
-	// Metrics state: per-stable-id pre-resolved handles, and the last
-	// published totals so counter deltas stay monotone across the
-	// aggregate/live split.
+	// Metrics state: per-stable-id pre-resolved handles, and the WRR pick
+	// count last published (loop-private, so pushed per tick, not scraped).
 	mtr      *RegionMetrics
 	cm       []connInstruments
-	pubSent  []int64
-	pubBlock []time.Duration
-	pubEvts  []int64
 	pubPicks int64
 
 	// Recovery state, owned by the send loop. quarCount tracks how many
@@ -356,13 +353,11 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	if cfg.Metrics != nil {
 		sp.mtr = cfg.Metrics
 		sp.cm = make([]connInstruments, n)
-		sp.pubSent = make([]int64, n)
-		sp.pubBlock = make([]time.Duration, n)
-		sp.pubEvts = make([]int64, n)
 		for i := 0; i < n; i++ {
 			sp.cm[i] = cfg.Metrics.conn(i)
 			sp.cm[i].up.Set(1)
 			sp.cm[i].weight.Set(float64(initial[i]))
+			cfg.Metrics.bindConnTotals(i, sp)
 		}
 	}
 	if len(cfg.Senders) > 0 {
@@ -484,10 +479,8 @@ func (sp *Splitter) Start() {
 		defer close(sp.done)
 		sp.err = sp.sendLoop()
 		if sp.mtr != nil {
-			// Final flush so scrape-after-completion sees exact totals
-			// even when the run ended between ticks.
-			sp.publishTransport()
-			sp.mtr.replayDepth.Set(float64(len(sp.retained) - sp.retHead))
+			sp.publishPicks() // the run may have ended between ticks
+			sp.publishReplayDepth()
 		}
 		sp.stopOnce.Do(func() { close(sp.stop) })
 		sp.closeSenders()
@@ -597,6 +590,7 @@ func (sp *Splitter) sendLoop() error {
 		if err := sp.flushStaged(touched, recovery); err != nil {
 			return err
 		}
+		sp.publishReplayDepth()
 		if srcDone {
 			break
 		}
@@ -750,6 +744,7 @@ func (sp *Splitter) headOwner() int {
 	return -1
 }
 
+// findLive: send loop, or any goroutine holding sp.mu.
 func (sp *Splitter) findLive(id int) *splitConn {
 	for _, c := range sp.conns {
 		if c.id == id {
@@ -771,9 +766,6 @@ func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) (*retainEntr
 		}
 	}
 	sp.retained = append(sp.retained, retainEntry{seq: seq, key: key, conn: -1, payload: payload})
-	if sp.mtr != nil {
-		sp.mtr.replayDepth.Set(float64(len(sp.retained) - sp.retHead))
-	}
 	return &sp.retained[len(sp.retained)-1], nil
 }
 
@@ -792,6 +784,11 @@ func (sp *Splitter) pruneRetained() {
 		sp.retained = sp.retained[:n]
 		sp.retHead = 0
 	}
+}
+
+// publishReplayDepth sets the replay-buffer gauge. The send loop calls it once
+// per round and per drain wake-up, never per tuple.
+func (sp *Splitter) publishReplayDepth() {
 	if sp.mtr != nil {
 		sp.mtr.replayDepth.Set(float64(len(sp.retained) - sp.retHead))
 	}
@@ -799,7 +796,8 @@ func (sp *Splitter) pruneRetained() {
 
 // removeConn retires a failed connection: folds its counters, drops it from
 // the live set and the schedule, and rebalances the freed weight across
-// survivors. Reports whether the connection was still live.
+// survivors. Reports whether the connection was still live. Fold and removal
+// are one critical section, so connTotals counts the connection exactly once.
 func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	pos := -1
 	for i, lc := range sp.conns {
@@ -835,7 +833,6 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	sp.downErrs = append(sp.downErrs, fmt.Errorf("worker %d: %w", c.id, cause))
 	if sp.mtr != nil {
 		sp.mtr.connLifetime.Observe(time.Since(c.dialedAt).Seconds())
-		sp.publishTransport()
 	}
 	c.sender.Close()
 	sp.event(ConnEvent{Kind: "down", Conn: c.id, Err: cause})
@@ -1037,6 +1034,7 @@ func (sp *Splitter) drain(total uint64) error {
 	fail := func(id int, quarantined bool) error { return sp.drainFailure(total, id, quarantined) }
 	for {
 		sp.pruneRetained()
+		sp.publishReplayDepth()
 		if sp.ctrl.Watermark() >= total {
 			return nil
 		}
@@ -1126,7 +1124,7 @@ func (sp *Splitter) tick(now time.Duration) error {
 		if stepped {
 			sp.mtr.rebalance(weights, b.LastObjective(), b.LastIterations(), len(b.LastClusters()))
 		}
-		sp.publishTransport()
+		sp.publishPicks()
 	}
 	if sp.cfg.OnSample != nil {
 		sp.cfg.OnSample(now, rates, weights)
@@ -1152,44 +1150,11 @@ func (sp *Splitter) Senders() []transport.BatchSender {
 	return out
 }
 
-// publishTransport pushes the transport counters' growth since the last
-// publish onto the metrics layer. Lifetime totals per stable id are monotone
-// (aggregates fold in on connection death), so the exported counters are
-// monotone too.
-func (sp *Splitter) publishTransport() {
-	if sp.mtr == nil {
-		return
-	}
-	n := len(sp.pubSent)
-	sent := make([]int64, n)
-	blocking := make([]time.Duration, n)
-	blocked := make([]int64, n)
-	copy(sent, sp.aggSent)
-	copy(blocking, sp.aggBlocking)
-	copy(blocked, sp.aggBlocked)
-	for _, c := range sp.conns {
-		sent[c.id] += c.sender.Sent()
-		blocking[c.id] += c.sender.TotalBlocking()
-		blocked[c.id] += c.sender.BlockEvents()
-	}
-	for id := 0; id < n; id++ {
-		if d := sent[id] - sp.pubSent[id]; d > 0 {
-			sp.cm[id].sent.Add(float64(d))
-			sp.pubSent[id] = sent[id]
-		}
-		if d := blocking[id] - sp.pubBlock[id]; d > 0 {
-			sp.cm[id].blocking.Add(d.Seconds())
-			sp.pubBlock[id] = blocking[id]
-		}
-		if d := blocked[id] - sp.pubEvts[id]; d > 0 {
-			sp.cm[id].wouldBlock.Add(float64(d))
-			sp.pubEvts[id] = blocked[id]
-		}
-	}
-	if d := sp.wrr.Picks() - sp.pubPicks; d > 0 {
-		sp.mtr.schedulePicks.Add(float64(d))
-		sp.pubPicks = sp.wrr.Picks()
-	}
+// publishPicks pushes the WRR's pick count growth since the last publish.
+func (sp *Splitter) publishPicks() {
+	picks := sp.wrr.Picks()
+	sp.mtr.schedulePicks.Add(float64(picks - sp.pubPicks))
+	sp.pubPicks = picks
 }
 
 // keyImbalance computes (max-mean)/mean of the live connections'
@@ -1223,16 +1188,29 @@ func (sp *Splitter) KeyedStats() []int64 {
 	return out
 }
 
+// connTotals returns stable worker id's lifetime totals: what its retired
+// connections folded in plus its live sender's own counters. Any goroutine
+// may call it (a metrics scrape does); exact and monotone at every call,
+// because removeConn folds and removes under the same lock.
+func (sp *Splitter) connTotals(id int) (sent int64, blocking time.Duration, wouldBlock int64) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sent, blocking, wouldBlock = sp.aggSent[id], sp.aggBlocking[id], sp.aggBlocked[id]
+	if c := sp.findLive(id); c != nil {
+		sent += c.sender.Sent()
+		blocking += c.sender.TotalBlocking()
+		wouldBlock += c.sender.BlockEvents()
+	}
+	return sent, blocking, wouldBlock
+}
+
 // ConnStats returns per-worker lifetime tuple and blocking totals, indexed
 // by the stable worker id and summed across reconnections.
 func (sp *Splitter) ConnStats() (sent []int64, blocking []time.Duration) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sent = append([]int64(nil), sp.aggSent...)
-	blocking = append([]time.Duration(nil), sp.aggBlocking...)
-	for _, c := range sp.conns {
-		sent[c.id] += c.sender.Sent()
-		blocking[c.id] += c.sender.TotalBlocking()
+	sent = make([]int64, len(sp.aggSent)) // sized once, at construction
+	blocking = make([]time.Duration, len(sent))
+	for id := range sent {
+		sent[id], blocking[id], _ = sp.connTotals(id)
 	}
 	return sent, blocking
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streambalance/internal/metrics"
 	"streambalance/internal/transport"
 )
 
@@ -20,7 +19,7 @@ import (
 // The region drives both identically: Start, Wait for completion, Close to
 // interrupt.
 type regionWorker interface {
-	SetCombiner(c Combiner, hits *metrics.Counter)
+	SetCombiner(c Combiner)
 	CombinerHits() uint64
 	Start()
 	Wait() error
@@ -40,7 +39,6 @@ type pe struct {
 	id        int
 	operator  Operator
 	combiner  Combiner
-	mHits     *metrics.Counter
 	hits      atomic.Uint64
 	recvBatch int
 
@@ -57,12 +55,9 @@ type pe struct {
 
 // SetCombiner installs a per-key partial-aggregation stage between the
 // operator and the forward to the merger: same-key results within one
-// processed batch fold into their lowest-seq carrier (see Combiner). hits,
-// when non-nil, is a live counter of absorbed tuples. Call before Start.
-func (p *pe) SetCombiner(c Combiner, hits *metrics.Counter) {
-	p.combiner = c
-	p.mHits = hits
-}
+// processed batch fold into their lowest-seq carrier (see Combiner). Call
+// before Start.
+func (p *pe) SetCombiner(c Combiner) { p.combiner = c }
 
 // CombinerHits reports how many tuples the combiner has absorbed into
 // same-key carriers so far.
@@ -154,9 +149,6 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 			results, n = combineBatch(p.combiner, results)
 			if n > 0 {
 				p.hits.Add(uint64(n))
-				if p.mHits != nil {
-					p.mHits.Add(float64(n))
-				}
 				// Combine copied what it needed and retains nothing.
 				ref.ReleaseN(n)
 			}

@@ -122,11 +122,7 @@ type InprocSender struct {
 	stallTimer *time.Timer
 	stallFired atomic.Bool
 
-	cumBlockingNS   atomic.Int64
-	totalBlockingNS atomic.Int64
-	blockEvents     atomic.Int64
-	sent            atomic.Int64
-	flushes         atomic.Int64
+	edgeCounters
 
 	// now is replaceable for tests.
 	now func() time.Time
@@ -301,10 +297,7 @@ func (s *InprocSender) parkFull() error {
 		return p.ring.Full() && !p.recvClosed.Load() && !p.sendClosed.Load() &&
 			!s.stallFired.Load()
 	})
-	if d := s.now().Sub(start); d > 0 {
-		s.cumBlockingNS.Add(int64(d))
-		s.totalBlockingNS.Add(int64(d))
-	}
+	s.addBlocked(s.now().Sub(start))
 	if s.stall > 0 {
 		s.stallTimer.Stop()
 		if s.stallFired.Swap(false) && p.ring.Full() && s.closedErr() == nil {
@@ -336,35 +329,6 @@ func (s *InprocSender) armStall() {
 	}
 	s.stallTimer.Reset(s.stall)
 }
-
-// CumulativeBlocking returns the sampled blocking-time counter.
-func (s *InprocSender) CumulativeBlocking() time.Duration {
-	return time.Duration(s.cumBlockingNS.Load())
-}
-
-// ResetCumulative zeroes the sampled counter; the lifetime counter is
-// unaffected.
-func (s *InprocSender) ResetCumulative() {
-	s.cumBlockingNS.Store(0)
-}
-
-// TotalBlocking returns the lifetime blocking time on this edge.
-func (s *InprocSender) TotalBlocking() time.Duration {
-	return time.Duration(s.totalBlockingNS.Load())
-}
-
-// BlockEvents returns how many deliveries elected to block.
-func (s *InprocSender) BlockEvents() int64 { return s.blockEvents.Load() }
-
-// Sent returns how many tuples have been delivered.
-func (s *InprocSender) Sent() int64 { return s.sent.Load() }
-
-// Flushes returns how many batch flushes have completed.
-func (s *InprocSender) Flushes() int64 { return s.flushes.Load() }
-
-// FlushedTuples returns how many tuples left through flushes: all of them,
-// every send being a flush, so it is Sent under the name Flushes pairs with.
-func (s *InprocSender) FlushedTuples() int64 { return s.sent.Load() }
 
 // Close ends the sending side: a parked delivery (local or on the peer)
 // wakes, and once the receiver drains the ring it sees io.EOF — the clean

@@ -55,12 +55,9 @@ type BatchSender interface {
 	BlockEvents() int64
 	// Sent returns how many tuples have been delivered.
 	Sent() int64
-	// Flushes returns how many batch flushes have completed.
+	// Flushes returns how many batch flushes have completed. Every send is
+	// a flush, so Sent/Flushes is the mean batch size.
 	Flushes() int64
-	// FlushedTuples returns how many tuples left through flushes. Every
-	// send is a flush, so it equals Sent; FlushedTuples/Flushes is the mean
-	// batch size.
-	FlushedTuples() int64
 	// Close tears the edge down, unblocking a parked send with an error.
 	Close() error
 }

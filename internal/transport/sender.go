@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"syscall"
 	"time"
 	"unsafe"
@@ -71,11 +70,7 @@ type Sender struct {
 	stallTimeout time.Duration
 	stallArmedAt time.Time
 
-	cumBlockingNS   atomic.Int64 // sampled counter, reset by the controller
-	totalBlockingNS atomic.Int64 // lifetime counter
-	blockEvents     atomic.Int64
-	sent            atomic.Int64
-	flushes         atomic.Int64
+	edgeCounters
 
 	// now is replaceable for tests.
 	now func() time.Time
@@ -115,10 +110,7 @@ func (s *Sender) account() {
 	if !s.blocked {
 		return
 	}
-	if d := s.now().Sub(s.blockedAt); d > 0 {
-		s.cumBlockingNS.Add(int64(d))
-		s.totalBlockingNS.Add(int64(d))
-	}
+	s.addBlocked(s.now().Sub(s.blockedAt))
 	s.blocked = false
 }
 
@@ -252,44 +244,6 @@ func (s *Sender) flushWrite() error {
 		return err
 	}
 	return s.wErr
-}
-
-// CumulativeBlocking returns the sampled blocking-time counter. The
-// controller differences successive readings to obtain the blocking rate.
-func (s *Sender) CumulativeBlocking() time.Duration {
-	return time.Duration(s.cumBlockingNS.Load())
-}
-
-// ResetCumulative zeroes the sampled counter, emulating the transport
-// layer's periodic reset (Figure 2). The lifetime counter is unaffected.
-func (s *Sender) ResetCumulative() {
-	s.cumBlockingNS.Store(0)
-}
-
-// TotalBlocking returns the lifetime blocking time on this connection.
-func (s *Sender) TotalBlocking() time.Duration {
-	return time.Duration(s.totalBlockingNS.Load())
-}
-
-// BlockEvents returns how many sends would have blocked.
-func (s *Sender) BlockEvents() int64 {
-	return s.blockEvents.Load()
-}
-
-// Sent returns how many tuples have been sent.
-func (s *Sender) Sent() int64 {
-	return s.sent.Load()
-}
-
-// Flushes returns how many batch flushes have completed.
-func (s *Sender) Flushes() int64 {
-	return s.flushes.Load()
-}
-
-// FlushedTuples returns how many tuples left through flushes: all of them,
-// every send being a flush, so it is Sent under the name Flushes pairs with.
-func (s *Sender) FlushedTuples() int64 {
-	return s.sent.Load()
 }
 
 // Close closes the underlying connection.
