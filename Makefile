@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check overhead bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
+.PHONY: test test-race vet fmt-check overhead hops bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
 
 test:
 	go test ./...
@@ -27,6 +27,16 @@ fmt-check:
 overhead:
 	bash bench/run.sh -workload tcp_sat -trace 1 | grep -E '^ +metrics\.(registry_overhead_pct|counter_inc_ns) '
 	go test -run '^$$' -bench ReleaseRuns -count=6 ./internal/runtime | grep '^Benchmark'
+
+# What a hand-off costs, from one place: the four per-layer rows one traced
+# inproc_sat run reads for the in-proc edge, the merger's ingest lanes, the
+# splitter and a two-stage chain (single traced run: treat as ±10 %), then
+# the ring primitive per item and per span and the raw edge on its fast
+# (ring=1024) and parking (ring=2) paths.
+hops:
+	bash bench/run.sh -workload inproc_sat -trace 1 | grep -E '^ +(transport\.inproc_pipe_ns_per_tuple|runtime\.merger_ingest_ns_per_tuple|runtime\.splitter_ns_per_tuple|dataflow\.chain2_ns_per_tuple) '
+	go test -run '^$$' -bench RingHandoff -count=6 ./internal/spsc | grep '^Benchmark'
+	go test -run '^$$' -bench InprocPipe -count=6 ./internal/transport | grep '^Benchmark'
 
 # Minutes-long randomized chaos soak: stall/drip/kill faults against
 # recovery-enabled regions at 16-64 workers, asserting the exactly-once

@@ -164,15 +164,16 @@ func startChild(t *testing.T, args ...string) *child {
 	return c
 }
 
-// wait joins the child and returns its post-ADDR output. It joins the drain
-// goroutine too — cmd.Wait returning does not mean the last stdout lines
-// (like the merger's DONE report) have been consumed yet.
+// wait joins the child and returns its post-ADDR output. The drain goroutine
+// is joined first — it ends at EOF, when the child has exited — because
+// cmd.Wait closes the stdout pipe, and a Wait that wins the race against the
+// last read drops the final lines (like the merger's DONE report).
 func (c *child) wait(t *testing.T) string {
 	t.Helper()
+	<-c.drained
 	if err := c.cmd.Wait(); err != nil {
 		t.Fatalf("child exited with %v", err)
 	}
-	<-c.drained
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return strings.Join(c.rest, "\n")

@@ -735,11 +735,11 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 
 // readLoop drains one worker edge into its SPSC ring, batch by batch: each
 // ReceiveBatch yields every tuple already delivered (up to recvBatch) with
-// one block reference per tuple, and ingest pushes the whole batch lock-free,
-// the references riding the ring slots into the merge loop's ownership. When
-// the stream's reorder backlog is at capacity the ingest waits mid-batch, the
-// reader stops receiving, and the worker's sends eventually block — back
-// pressure, on either transport.
+// one block reference per tuple, and ingest writes the whole batch into ring
+// slots lock-free, the references passing to the merge loop when a Publish
+// covers their slots. When the stream's reorder backlog is at capacity the
+// ingest waits mid-batch, the reader stops receiving, and the worker's sends
+// eventually block — back pressure, on either transport.
 func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 	defer m.wg.Done()
 	defer func() {
@@ -775,16 +775,19 @@ func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 	}
 }
 
-// ingest pushes one received batch into the connection's SPSC ring with no
-// locks. Each tuple individually respects the per-tuple admission rules:
-// the full-backlog wait (back pressure), the always-admit exception for
-// sequences at or below the watermark, and read-time dedup of
-// already-released sequences — so dedup, watermark and replay accounting
-// are identical to mutex-guarded ingest (the sharded-vs-locked equivalence
-// suite pins this). Returns false when the merger closed mid-batch (the
-// reader should exit); the block references of tuples not handed to the
-// ring are released here. Single producer per ring: only connection id's
-// reader calls this, one batch at a time.
+// ingest writes one received batch into the free slots of the connection's
+// SPSC ring with no locks and publishes it with one cursor store — earlier
+// only where it is about to wake the merge loop or park, so a reader never
+// sleeps, or returns, holding a filled slot the merge loop cannot see. Each
+// tuple individually respects the per-tuple admission rules: the
+// full-backlog wait (back pressure, the tuples staged in this batch counted),
+// the always-admit exception for sequences at or below the watermark, and
+// read-time dedup of already-released sequences — so dedup, watermark and
+// replay accounting are identical to mutex-guarded ingest (the
+// sharded-vs-locked equivalence suite pins this). Returns false when the
+// merger closed mid-batch (the reader should exit); the block references of
+// tuples not handed to the ring are released here. Single producer per ring:
+// only connection id's reader calls this, one batch at a time.
 func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef) bool {
 	ring := m.rings[id]
 	// A stream delivering again withdraws any standing quarantine
@@ -797,10 +800,23 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 	// merge loop, and a park it fails to skip re-checks a fresh load in
 	// its wait predicate.
 	next := m.next.Load()
-	pushed := false
+	a, b := ring.Free()
+	staged, unwoken := 0, false // slots filled but unpublished; published but the merge loop not woken
+	publish := func() {
+		if staged > 0 {
+			ring.Publish(staged)
+			staged, unwoken = 0, true
+		}
+	}
+	wake := func() {
+		if publish(); unwoken {
+			m.wakeMerge()
+			unwoken = false
+		}
+	}
 	for i := range batch {
-		t := batch[i]
-		if t.Seq < next {
+		seq := batch[i].Seq
+		if seq < next {
 			// Replay of a sequence already released: exactly-once means
 			// dropping it here.
 			m.deduped.Add(1)
@@ -813,50 +829,53 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 		// in hand in this very stream (a replay queued after a survivor's
 		// backlog), so the reader must overflow the cap and keep reading
 		// or the region wedges on head-of-line blocking.
-		for m.streamDepth(id) >= m.queueCap && t.Seq > next &&
+		for m.streamDepth(id)+staged >= m.queueCap && seq > next &&
 			!m.closed.Load() && !m.mergeStuck.Load() {
-			if pushed {
-				// Earlier tuples in this batch may include the sequence
-				// the merge loop is parked waiting for — wake it before
-				// parking ourselves, or both sides wait forever.
-				m.wakeMerge()
-				pushed = false
-			}
+			// Earlier tuples in this batch may include the sequence the
+			// merge loop is parked waiting for — publish and wake it before
+			// parking ourselves, or both sides wait forever.
+			wake()
 			if m.mParks != nil {
 				m.mParks.Inc()
 			}
 			m.parks[id].Park(func() bool {
-				return m.streamDepth(id) >= m.queueCap && t.Seq > m.next.Load() &&
+				return m.streamDepth(id) >= m.queueCap && seq > m.next.Load() &&
 					!m.closed.Load() && !m.mergeStuck.Load()
 			})
 			next = m.next.Load()
 		}
+		for len(a) == 0 && !m.closed.Load() {
+			if a, b = b, nil; len(a) > 0 {
+				break
+			}
+			// This Free is used up: publish it and take a fresh one. An
+			// empty one is transient, not semantic back pressure — the merge
+			// loop drains rings unconditionally every pass. Wake it and park
+			// until a slot frees; the closed re-check keeps teardown from
+			// stranding this reader.
+			publish()
+			if a, b = ring.Free(); len(a) == 0 {
+				m.wakeMerge()
+				unwoken = false
+				if m.mParks != nil {
+					m.mParks.Inc()
+				}
+				m.parks[id].Park(func() bool {
+					return ring.Full() && !m.closed.Load()
+				})
+			}
+		}
 		if m.closed.Load() {
+			// What is staged goes to drainLeftovers; the rest is still ours.
+			publish()
 			ref.ReleaseN(len(batch) - i)
 			return false
 		}
-		for !ring.Push(mergeItem{t: t, ref: ref}) {
-			// A full ring is transient, not semantic back pressure: the
-			// merge loop drains rings unconditionally every pass. Wake it
-			// and park until a slot frees; re-check closed so teardown
-			// cannot strand this reader.
-			if m.closed.Load() {
-				ref.ReleaseN(len(batch) - i)
-				return false
-			}
-			m.wakeMerge()
-			if m.mParks != nil {
-				m.mParks.Inc()
-			}
-			m.parks[id].Park(func() bool {
-				return ring.Full() && !m.closed.Load()
-			})
-		}
-		pushed = true
+		a[0].t, a[0].ref = batch[i], ref // field by field: one copy, no temporary
+		a = a[1:]
+		staged++
 	}
-	if pushed {
-		m.wakeMerge()
-	}
+	wake()
 	return true
 }
 
@@ -1026,42 +1045,45 @@ func (m *Merger) snapshot() mergerSnap {
 }
 
 // drainRings moves everything the readers have published into the
-// consumer-private reorder queues. Items whose sequence fell below the
-// watermark while they sat in the ring are dropped (and counted) here; one
-// pass per ring is bounded by the ring's capacity so a fast producer cannot
-// pin the consumer on a single ring while the others back up. Returns
-// whether anything moved.
+// consumer-private reorder queues: one Ready snapshot per ring, read in place
+// and released with one cursor store. Items whose sequence fell below the
+// watermark while they sat in the ring are dropped (and counted) here; the
+// snapshot is bounded by the ring's capacity so a fast producer cannot pin
+// the consumer on a single ring while the others back up. Returns whether
+// anything moved.
 func (m *Merger) drainRings() bool {
 	progressed := false
 	// The watermark only moves on this goroutine (releaseRuns), so one load
 	// serves the whole pass instead of re-reading a line the release path
 	// keeps invalidating.
 	next := m.next.Load()
-	for id := range m.rings {
-		r := m.rings[id]
-		n := 0
-		for n < r.Cap() {
-			it, ok := r.Pop()
-			if !ok {
-				break
-			}
-			n++
-			if it.t.Seq < next {
-				it.ref.Release()
-				m.deduped.Add(1)
-				continue
-			}
-			m.queues[id].push(it)
+	for id, r := range m.rings {
+		a, b := r.Ready()
+		if len(a) == 0 {
+			continue
 		}
-		if n > 0 {
-			progressed = true
-			m.depth[id].v.Store(int64(m.queues[id].len()))
-			m.heads.update(id, m.queues[id].headKey())
-			// Freed ring slots (and any swept duplicates) may unblock this
-			// stream's reader — a ring-full park, or a cap park whose depth
-			// the sweep just lowered.
-			m.wakeStream(id)
+		for _, span := range [2][]mergeItem{a, b} {
+			for i := range span {
+				if span[i].t.Seq < next {
+					span[i].ref.Release()
+					m.deduped.Add(1)
+					continue
+				}
+				m.queues[id].push(span[i])
+			}
 		}
+		// Depth first, then the slots: between the two stores the moved items
+		// count twice in streamDepth, never not at all, so a reader testing
+		// the cap mid-drain can park early (the wake below corrects it) but
+		// cannot overshoot.
+		m.depth[id].v.Store(int64(m.queues[id].len()))
+		r.Release(len(a) + len(b))
+		progressed = true
+		m.heads.update(id, m.queues[id].headKey())
+		// Freed ring slots (and any swept duplicates) may unblock this
+		// stream's reader — a ring-full park, or a cap park whose depth
+		// the sweep just lowered.
+		m.wakeStream(id)
 	}
 	return progressed
 }

@@ -1,0 +1,146 @@
+package runtime
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"streambalance/internal/metrics"
+	"streambalance/internal/transport"
+)
+
+// ascending returns n tuples with sequences from, from+1, ...
+func ascending(from uint64, n int) []transport.Tuple {
+	ts := make([]transport.Tuple, n)
+	for i := range ts {
+		ts[i] = transport.Tuple{Seq: from + uint64(i)}
+	}
+	return ts
+}
+
+// TestIngestCapCountsStagedTuples pins the back-pressure bound under span
+// hand-off: the tuples a reader has written into ring slots but not yet
+// published count toward MergerQueue, so a reader holding a 64-tuple batch
+// behind a gap parks with 4 tuples in the stream's backlog, not 4 plus
+// whatever it staged. The test is the merge loop — it makes drain and release
+// passes by hand — so "the merge cannot release" lasts exactly as long as
+// the test says, with no cap waiver racing the assertions.
+func TestIngestCapCountsStagedTuples(t *testing.T) {
+	const queueCap, n = 4, 64
+	var released []uint64
+	m, err := newMerger(2, queueCap, func(tp transport.Tuple, _ int) { released = append(released, tp.Seq) }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetMetrics(NewRegionMetrics(metrics.New(), nil)) // the park counter is the test's window
+
+	// Stream 0 holds seqs 1..64; seq 0, the gap, is stream 1's.
+	done := make(chan bool, 1)
+	go func() { done <- m.ingest(0, ascending(1, n), nil) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.mParks.Value() == 0 {
+		select {
+		case <-done:
+			t.Fatalf("ingest returned without parking: backlog %d of cap %d", m.streamDepth(0), queueCap)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("reader never parked at its cap")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// Parked means published: everything the reader staged is visible.
+	if got := m.rings[0].Len(); got != queueCap {
+		t.Fatalf("reader parked with %d tuples published, want %d", got, queueCap)
+	}
+	m.drainRings()
+	if m.releaseRuns() || len(released) != 0 {
+		t.Fatalf("released %v behind the gap", released)
+	}
+	if got := m.streamDepth(0); got != queueCap {
+		t.Fatalf("backlog %d with the reader parked, want %d", got, queueCap)
+	}
+
+	// The gap tuple arrives on the other stream: the reader resumes, and the
+	// bound holds at every pass until its batch is in.
+	if !m.ingest(1, ascending(0, 1), nil) {
+		t.Fatal("ingest of the gap tuple refused")
+	}
+	for finished := false; !finished; {
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatal("ingest reported the merger closed")
+			}
+			finished = true
+		default:
+		}
+		m.drainRings()
+		m.releaseRuns()
+		if got := m.streamDepth(0); got > queueCap {
+			t.Fatalf("backlog %d exceeds cap %d after %d releases", got, queueCap, len(released))
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader did not resume: released %d of %d", len(released), n+1)
+		}
+		m.wakeAll() // what the merge loop does before it parks
+		runtime.Gosched()
+	}
+	m.drainRings()
+	m.releaseRuns()
+	if len(released) != n+1 {
+		t.Fatalf("released %d tuples, want %d", len(released), n+1)
+	}
+	for i, seq := range released {
+		if seq != uint64(i) {
+			t.Fatalf("released[%d] = %d: order broken", i, seq)
+		}
+	}
+}
+
+// TestIngestPublishesBeforeParking: the sequence the merge loop is parked on
+// is the first tuple of a batch whose fifth tuple hits the back-pressure cap.
+// The reader must publish what it staged and wake the merge loop before it
+// parks — a staged slot is invisible, so parking on it leaves both sides
+// asleep with nothing at its cap for the waiver to notice.
+func TestIngestPublishesBeforeParking(t *testing.T) {
+	const queueCap, n = 4, 64
+	released := make(chan uint64, n+1)
+	m, err := newMerger(2, queueCap, func(tp transport.Tuple, _ int) { released <- tp.Seq }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer func() {
+		m.Close()
+		m.Wait()
+	}()
+
+	// Stream 0: seq 0 (what the merge loop waits for), then 2..64 behind the
+	// gap at seq 1, which stream 1 delivers once seq 0 is out.
+	done := make(chan bool, 1)
+	go func() { done <- m.ingest(0, append(ascending(0, 1), ascending(2, n-1)...), nil) }()
+	next := func() uint64 {
+		select {
+		case seq := <-released:
+			return seq
+		case <-time.After(5 * time.Second):
+			t.Fatalf("merge loop stuck at watermark %d", m.Watermark())
+			return 0
+		}
+	}
+	if seq := next(); seq != 0 {
+		t.Fatalf("first release is seq %d, want 0", seq)
+	}
+	if !m.ingest(1, ascending(1, 1), nil) {
+		t.Fatal("ingest of the gap tuple refused")
+	}
+	for want := uint64(1); want <= n; want++ {
+		if seq := next(); seq != want {
+			t.Fatalf("released seq %d, want %d", seq, want)
+		}
+	}
+	if ok := <-done; !ok {
+		t.Fatal("ingest reported the merger closed")
+	}
+}

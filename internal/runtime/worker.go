@@ -161,8 +161,9 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 
 // inprocWorker is one parallel PE on the in-process transport: the shared
 // loop between a splitter edge and a merger edge, with no sockets, handshakes
-// or serialization. A payload crosses splitter → worker → merger with zero
-// copies and is released exactly once, by the merger, in release order.
+// or serialization. A payload's bytes cross splitter → worker → merger without
+// moving and are released exactly once, by the merger, in release order; what
+// each edge copies is the 72-byte Tuple value, three times (transport/inproc.go).
 type inprocWorker struct{ pe }
 
 // newInprocWorker wires one worker between its two edges. The stall bound

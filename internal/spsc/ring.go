@@ -5,7 +5,9 @@
 // merger's per-connection ingest lanes are both instances; they differ only
 // in the slot type. Prasaad et al. (PAPERS.md) make the case for exactly
 // this shape in ordered multicore pipelines: one small non-blocking
-// structure between stages, no lock on the item path.
+// structure between stages, no lock on the item path, and batches — not
+// items — as the unit of synchronisation. So the ring hands over spans of
+// slots (Free/Publish, Ready/Release); Push and Pop are a span of one.
 package spsc
 
 import "sync/atomic"
@@ -16,10 +18,13 @@ import "sync/atomic"
 // cross-goroutine happens-before the race detector (and the memory model)
 // require for the slot contents.
 //
-// Ownership of whatever a slot carries (the data path's slots carry a
-// *transport.BlockRef) follows the slot: the producer owns it until Push
-// returns true, then the consumer does. Pop zeroes the vacated slot so a ring
-// never pins memory for items already handed over.
+// Ownership of a slot — and of whatever it carries (the data path's slots
+// carry a *transport.BlockRef) — alternates: the producer's from the Release
+// that returned it until a Publish covers it, the consumer's (it sees the
+// slot in Ready) from then until its Release covers it. Release, not Pop, is
+// what zeroes a vacated slot, so a ring never pins memory for items already
+// handed over and Free only ever exposes zero slots. Filled slots must be
+// published before the next Free: unpublished writes are not tracked.
 //
 // Capacity is rounded up to a power of two so the cursors can run free
 // (monotonically increasing uint64) and slot indexing is a mask.
@@ -27,14 +32,17 @@ type Ring[T any] struct {
 	mask uint64
 	buf  []T
 
-	// The cursors live on separate cache lines: head is written by the
-	// consumer at pop rate, tail by the producer at push rate, and sharing
-	// a line would turn every advance into cross-core ping-pong.
-	_    [64]byte
-	head atomic.Uint64 // next slot to pop; advanced only by the consumer
-	_    [64]byte
-	tail atomic.Uint64 // next slot to fill; advanced only by the producer
-	_    [64]byte
+	// Each side's cursor shares a cache line with that side's private bound
+	// (how much its last Free/Ready offered) and with nothing of the other
+	// side's: head is written by the consumer, tail by the producer, and
+	// sharing a line would turn every advance into cross-core ping-pong.
+	_     [64]byte
+	head  atomic.Uint64 // next slot to read; advanced only by Release
+	ready uint64        // consumer-private: slots the last Ready offered, not yet released
+	_     [64]byte
+	tail  atomic.Uint64 // next slot to fill; advanced only by Publish
+	free  uint64        // producer-private: slots the last Free offered, not yet published
+	_     [64]byte
 }
 
 // NewRing allocates a ring holding at least capacity items (rounded up to a
@@ -51,31 +59,78 @@ func NewRing[T any](capacity int) *Ring[T] {
 // Cap returns the ring's true (rounded) capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
+// spans returns the n slots starting at cursor from as at most two
+// contiguous pieces of the buffer, a before b. a is empty only when n is 0.
+func (r *Ring[T]) spans(from, n uint64) (a, b []T) {
+	i := from & r.mask
+	if wrap := uint64(len(r.buf)) - i; n > wrap {
+		return r.buf[i:], r.buf[:n-wrap]
+	}
+	return r.buf[i : i+n], nil
+}
+
+// Free returns every slot the producer may fill right now, oldest first.
+// Producer-only. The slots are zero; writing them is invisible to the
+// consumer until Publish.
+func (r *Ring[T]) Free() (a, b []T) {
+	t := r.tail.Load()
+	r.free = uint64(len(r.buf)) - (t - r.head.Load())
+	return r.spans(t, r.free)
+}
+
+// Publish hands the first n slots of the last Free to the consumer with one
+// cursor store. Producer-only. Publishing more than Free offered panics.
+func (r *Ring[T]) Publish(n int) {
+	if uint64(n) > r.free {
+		panic("spsc: Publish beyond the last Free")
+	}
+	r.free -= uint64(n)
+	r.tail.Store(r.tail.Load() + uint64(n)) // publishes the slot writes to the consumer
+}
+
+// Ready returns every published slot, oldest first, to be read in place.
+// Consumer-only. The slots stay the consumer's until Release.
+func (r *Ring[T]) Ready() (a, b []T) {
+	h := r.head.Load()
+	r.ready = r.tail.Load() - h
+	return r.spans(h, r.ready)
+}
+
+// Release zeroes the first n slots of the last Ready and returns them to the
+// producer with one cursor store. Consumer-only. Releasing more than Ready
+// offered panics.
+func (r *Ring[T]) Release(n int) {
+	if uint64(n) > r.ready {
+		panic("spsc: Release beyond the last Ready")
+	}
+	r.ready -= uint64(n)
+	h := r.head.Load()
+	a, b := r.spans(h, uint64(n))
+	clear(a)
+	clear(b)
+	r.head.Store(h + uint64(n)) // returns the slots to the producer
+}
+
 // Push appends one item. Producer-only. Returns false when the ring is full;
 // the caller still owns the item in that case.
 func (r *Ring[T]) Push(it T) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
+	a, _ := r.Free()
+	if len(a) == 0 {
 		return false
 	}
-	r.buf[t&r.mask] = it
-	r.tail.Store(t + 1) // publishes the slot write to the consumer
+	a[0] = it
+	r.Publish(1)
 	return true
 }
 
-// Pop removes the oldest item, zeroing the vacated slot. Consumer-only.
-// The slot is cleared with *new(T), which compiles to an in-place zeroing;
-// assigning a `var zero T` costs the instantiations two extra slot-sized
-// copies per pop.
+// Pop removes the oldest item. Consumer-only.
 func (r *Ring[T]) Pop() (it T, ok bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
+	a, _ := r.Ready()
+	if len(a) == 0 {
 		return it, false
 	}
-	slot := &r.buf[h&r.mask]
-	it = *slot
-	*slot = *new(T)
-	r.head.Store(h + 1) // returns the slot to the producer
+	it = a[0]
+	r.Release(1)
 	return it, true
 }
 

@@ -15,11 +15,13 @@ import (
 // BatchSender/BatchReceiver edge, for PEs co-located in one process. Where
 // the TCP path serializes every tuple into frames and crosses the kernel
 // twice, this path moves Tuple values through a bounded lock-free SPSC ring
-// (spsc.Ring, the same structure as the merger's ingest lanes) — zero
-// serialization, zero copies:
-// payload slices and their pooled-block references transfer by ownership,
-// producer to consumer, and stay valid until the final consumer releases
-// them.
+// (spsc.Ring, the same structure as the merger's ingest lanes) with no
+// serialization. Payload bytes never move: payload slices and their
+// pooled-block references transfer by ownership, producer to consumer, and
+// stay valid until the final consumer releases them. What a hop does cost is
+// the 72-byte Tuple value written three times — into pending (Queue), into
+// its ring slot (deliver), into the receiver's dst (pop) — and one cursor
+// store per side per batch, not per tuple.
 //
 // What is deliberately identical to TCP is the blocking signal. A full ring
 // is this transport's full socket buffer: the sender elects to block — it
@@ -222,52 +224,54 @@ func (s *InprocSender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 	return s.Flush()
 }
 
-// deliver pushes items in order, parking on a full ring. On error the
-// references of undelivered items are released (delivered items' references
+// deliver copies items, in order, into the ring's free slots and publishes
+// each chunk with one cursor store, parking when no slot is free. On error the
+// references of undelivered items are released (published items' references
 // belong to the consumer already). The consumer is woken before any park —
-// the items already pushed may be exactly what it is waiting for — and once
-// after the last push.
+// the items already published may be exactly what it is waiting for — and
+// once after the last publish.
 func (s *InprocSender) deliver(items []inprocItem) error {
 	p := s.p
-	pushed := false
-	for i := range items {
-		for {
-			if err := s.closedErr(); err != nil {
-				if pushed {
-					p.recvPark.Wake()
-				}
-				for j := i; j < len(items); j++ {
-					items[j].ref.Release()
-				}
-				return err
-			}
-			if p.ring.Push(items[i]) {
-				pushed = true
-				break
-			}
-			if pushed {
-				p.recvPark.Wake()
-				pushed = false
-			}
-			if err := s.parkFull(); err != nil {
-				for j := i; j < len(items); j++ {
-					items[j].ref.Release()
-				}
-				return err
+	published := false
+	for i := 0; i < len(items); {
+		err := s.closedErr()
+		if err == nil {
+			a, b := p.ring.Free()
+			n := copy(a, items[i:])
+			n += copy(b, items[i+n:])
+			if n > 0 {
+				p.ring.Publish(n)
+				i += n
+				published = true
+				continue
 			}
 		}
+		if published {
+			p.recvPark.Wake()
+			published = false
+		}
+		if err == nil {
+			err = s.parkFull()
+		}
+		if err != nil {
+			for j := i; j < len(items); j++ {
+				items[j].ref.Release()
+			}
+			s.sweepIfAbandoned()
+			return err
+		}
 	}
-	if pushed {
+	if published {
 		p.recvPark.Wake()
 	}
 	s.sweepIfAbandoned()
 	return nil
 }
 
-// sweepIfAbandoned closes the push/close race: if the receiver closed while
-// a push was in flight, its teardown sweep may have run before the item
-// landed, so the sender re-runs the sweep (idempotent, under popMu) to
-// guarantee no reference is stranded in the ring.
+// sweepIfAbandoned closes the publish/close race: if the receiver closed
+// while a chunk was in flight, its teardown sweep may have run before the
+// chunk landed, so the sender re-runs the sweep (idempotent, under popMu) on
+// every way out of deliver to guarantee no reference is stranded in the ring.
 func (s *InprocSender) sweepIfAbandoned() {
 	if s.p.recvClosed.Load() {
 		s.p.drainAndRelease()
@@ -396,29 +400,31 @@ func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef,
 	}
 }
 
-// pop moves up to max items out of the ring under popMu, aggregating the
-// items' upstream references into one batch ref: the batch ref takes one
-// countable reference per returned tuple, and recycling it (when the
-// consumer has released them all) releases each chained parent exactly once
-// — so per-tuple release semantics survive the aggregation. No items with
-// upstream references means no batch ref at all.
+// pop reads up to max published slots in place under popMu — the tuple is
+// copied once, slot to dst — aggregating the slots' upstream references into
+// one batch ref: the batch ref takes one countable reference per returned
+// tuple, and recycling it (when the consumer has released them all) releases
+// each chained parent exactly once — so per-tuple release semantics survive
+// the aggregation. No slots with upstream references means no batch ref at
+// all. dst arrives empty.
 func (r *InprocReceiver) pop(dst []Tuple, max int) ([]Tuple, *BlockRef) {
 	p := r.p
 	var ref *BlockRef
 	p.popMu.Lock()
-	for len(dst) < max {
-		it, ok := p.ring.Pop()
-		if !ok {
-			break
-		}
-		dst = append(dst, it.t)
-		if it.ref != nil {
-			if ref == nil {
-				ref = blockRefPool.Get().(*BlockRef)
+	a, b := p.ring.Ready()
+	for _, span := range [2][]inprocItem{a, b} {
+		span = span[:min(len(span), max-len(dst))]
+		for i := range span {
+			dst = append(dst, span[i].t)
+			if up := span[i].ref; up != nil {
+				if ref == nil {
+					ref = blockRefPool.Get().(*BlockRef)
+				}
+				ref.parents = append(ref.parents, up)
 			}
-			ref.parents = append(ref.parents, it.ref)
 		}
 	}
+	p.ring.Release(len(dst))
 	p.popMu.Unlock()
 	if ref != nil {
 		ref.refs.Store(int64(len(dst)))

@@ -6,13 +6,17 @@ import (
 )
 
 // BenchmarkInprocPipe measures the raw shared-memory edge: one producer
-// goroutine pushing batches through the ring, one consumer draining them.
-// ReportAllocs pins the zero-copy claim — past warm-up the pipe moves tuples
-// with zero allocations per operation.
+// goroutine sending batches through the ring, one consumer draining them.
+// ring=1024 is the fast path (a flush finds free slots and publishes once);
+// ring=2 is the park/wake protocol (every flush of more than two tuples
+// parks on a full ring, and the consumer parks on an empty one), so a change
+// that speeds the first by slowing the second shows. ReportAllocs pins that
+// past warm-up the pipe moves tuples with zero allocations per operation.
 func BenchmarkInprocPipe(b *testing.B) {
-	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			tx, rx := InprocPair(1024)
+	for _, c := range []struct{ ring, batch int }{{1024, 1}, {1024, 64}, {2, 1}, {2, 64}} {
+		batch := c.batch
+		b.Run(fmt.Sprintf("ring=%d/batch=%d", c.ring, batch), func(b *testing.B) {
+			tx, rx := InprocPair(c.ring)
 			defer tx.Close()
 			defer rx.Close()
 			payload := make([]byte, 64)

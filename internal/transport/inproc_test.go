@@ -646,3 +646,64 @@ func TestInprocCloseIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestInprocCloseRacesMultiChunkDeliver is the close race with a batch far
+// larger than the ring: one SendBatchOwned of 32 tuples through a capacity-2
+// ring is sixteen publish-and-park chunks, and the receiver closes somewhere
+// among them. Whichever chunk the close lands in — before its closed check,
+// between the check and the Publish, or after — every reference is consumed
+// exactly once: by the consumer, by a teardown sweep, or bounced at the
+// sender, with nothing left in the ring for a later Close to find.
+func TestInprocCloseRacesMultiChunkDeliver(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		tx, rx := InprocPair(2)
+		const n = 32
+		up := blockRefPool.Get().(*BlockRef)
+		// One extra test-held reference keeps the count observable.
+		up.refs.Store(n + 1)
+		ts := make([]Tuple, n)
+		for i := range ts {
+			ts[i] = Tuple{Seq: uint64(i)}
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			// Delivered or not, the call consumes all n references.
+			if err := tx.SendBatchOwned(ts, up); err != nil && !errors.Is(err, ErrInprocClosed) {
+				t.Errorf("trial %d: send err = %v", trial, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var buf []Tuple
+			limit := rand.Intn(n)
+			for consumed := 0; consumed < limit; {
+				var ref *BlockRef
+				var err error
+				buf, ref, err = rx.ReceiveBatch(buf, 8)
+				if err != nil {
+					t.Errorf("trial %d: receive err = %v", trial, err)
+					break
+				}
+				for i, tu := range buf {
+					if tu.Seq != uint64(consumed+i) {
+						t.Errorf("trial %d: received seq %d, want %d", trial, tu.Seq, consumed+i)
+					}
+				}
+				consumed += len(buf)
+				ref.ReleaseN(len(buf))
+			}
+			rx.Close()
+		}()
+		wg.Wait()
+		if got := up.Refs(); got != 1 {
+			t.Fatalf("trial %d: refs = %d, want 1", trial, got)
+		}
+		if got := rx.Len(); got != 0 {
+			t.Fatalf("trial %d: %d tuples stranded in the ring", trial, got)
+		}
+		up.Release()
+		tx.Close()
+	}
+}
