@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check overhead hops bench bench-json figures figures-csv examples quick-bench soak soak-smoke sweep-smoke skew-sweep
+.PHONY: test test-race vet fmt-check overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
 
 test:
 	go test ./...
@@ -50,39 +50,6 @@ soak:
 soak-smoke:
 	go test -v -run TestSoakSmoke ./internal/soak
 
-# Fleet-experiment smoke: drain the heterogeneous sweep-smoke matrix (two sim
-# scenarios, two identical bench runs, one chaos soak) through real worker
-# processes, archiving every run under results/sweep-smoke/, then prove the
-# archive pipeline end to end by comparing the two bench runs under
-# benchguard. The near-unbounded tolerance checks pairing and plumbing, not
-# performance.
-sweep-smoke:
-	rm -rf results/sweep-smoke
-	go run ./cmd/dispatcher -specs experiments/sweep-smoke.json \
-		-results results/sweep-smoke -workers 2
-	go run ./cmd/benchguard \
-		-baseline results/sweep-smoke/003-bench-inproc-b32-a/result.json \
-		-current results/sweep-smoke/004-bench-inproc-b32-b/result.json \
-		-bench 'RegionTransport/transport=inproc' -metric tuples/s -max-drop 0.90
-
-# Keyed-skew sweep: the hash/PKG/d-choices × Zipf-α × fan-out matrix from
-# experiments/skew-sweep.json dispatched through real worker processes and
-# archived under results/skew-sweep/, then gated on the headline claim: at
-# α=1.5 with 16 workers, PKG must beat hash grouping by at least 1.5x
-# tuples/s. (Full-benchtime runs show ~2x; the single-run sweep gate leaves
-# headroom for noisy shared runners.)
-skew-sweep:
-	rm -rf results/skew-sweep
-	go run ./cmd/dispatcher -specs experiments/skew-sweep.json \
-		-results results/skew-sweep -workers 2
-	@hash=$$(jq '.bench.results[0].metrics["tuples/s"]' results/skew-sweep/*-keyed-hash-a1.5-w16/result.json); \
-	pkg=$$(jq '.bench.results[0].metrics["tuples/s"]' results/skew-sweep/*-keyed-pkg-a1.5-w16/result.json); \
-	awk -v h="$$hash" -v p="$$pkg" 'BEGIN { \
-		if (h <= 0 || p <= 0) { print "degenerate tuples/s: hash=" h " pkg=" p; exit 1 } \
-		printf "alpha=1.5 workers=16: hash %.0f tuples/s, pkg %.0f tuples/s (%.2fx)\n", h, p, p/h; \
-		exit (p >= 1.5*h ? 0 : 1) }' \
-		|| { echo "skew-sweep gate failed: pkg < 1.5x hash at alpha=1.5/workers=16"; exit 1; }
-
 # One benchmark iteration per figure: a fast smoke of every reproduction.
 quick-bench:
 	go test -bench=. -benchmem -benchtime=1x -run '^$$' .
@@ -92,11 +59,6 @@ quick-bench:
 # the repo benchmark (BENCHMARK.json, `bash bench/run.sh`).
 bench:
 	go test -bench=. -benchmem -run '^$$' ./...
-
-# Single-iteration benchmark sweep encoded as JSON (what the CI
-# bench-regression job uploads per commit).
-bench-json:
-	go test -bench=. -benchmem -benchtime=1x -run '^$$' ./... | go run ./cmd/benchjson
 
 figures:
 	go run ./cmd/sbench -fig all

@@ -19,9 +19,9 @@ import (
 
 	"streambalance/internal/core"
 	"streambalance/internal/dataflow"
-	"streambalance/internal/dispatch"
 	"streambalance/internal/harness"
 	rt "streambalance/internal/runtime"
+	"streambalance/internal/schedule"
 	"streambalance/internal/sim"
 	"streambalance/internal/transport"
 )
@@ -562,25 +562,48 @@ func BenchmarkBalancerSnapshotRestore(b *testing.B) {
 // splitter, workers, merger, balancer — on loopback TCP versus the in-process
 // shared-memory transport, across send batch sizes. Identity operators keep
 // the measurement on the transport itself; the in-proc rows are the headline
-// zero-copy speedup over the TCP rows. Each iteration runs through the
-// dispatcher's shim, so this benchmark and dispatcher bench runs measure
-// byte-for-byte the same workload and their rows compare under benchguard.
+// zero-copy speedup over the TCP rows.
 func BenchmarkRegionTransport(b *testing.B) {
-	const n = 30_000
+	const (
+		n       = 30_000
+		workers = 4
+	)
+	payload := make([]byte, 64)
 	for _, kind := range []rt.TransportKind{rt.TransportTCP, rt.TransportInproc} {
 		for _, batch := range []int{1, 32} {
 			b.Run(fmt.Sprintf("transport=%s/batch=%d", kind, batch), func(b *testing.B) {
-				spec := dispatch.BenchSpec{
-					Benchmark: "region-transport",
-					Transport: string(kind),
-					Workers:   4,
-					Batch:     batch,
-					Tuples:    n,
-					Payload:   64,
-				}
 				for i := 0; i < b.N; i++ {
-					if err := dispatch.RunRegionTransportOnce(spec); err != nil {
+					bal, err := core.NewBalancer(core.Config{Connections: workers})
+					if err != nil {
 						b.Fatal(err)
+					}
+					ops := make([]rt.Operator, workers)
+					for j := range ops {
+						ops[j] = rt.Identity()
+					}
+					region, err := rt.NewRegion(rt.RegionConfig{
+						Transport: kind,
+						Operators: ops,
+						Source: func(seq uint64) ([]byte, bool) {
+							if seq >= n {
+								return nil, false
+							}
+							return payload, true
+						},
+						Balancer:       bal,
+						SampleInterval: 50 * time.Millisecond,
+						BatchSize:      batch,
+						Sink:           func(transport.Tuple, int) {},
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := region.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Released != n || !res.OrderPreserved {
+						b.Fatalf("released=%d order=%v", res.Released, res.OrderPreserved)
 					}
 				}
 				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tuples/s")
@@ -589,40 +612,109 @@ func BenchmarkRegionTransport(b *testing.B) {
 	}
 }
 
+// keyedRouter builds the KeyRouter named by a BenchmarkKeyedRouting row and,
+// for pkg-balanced, the core.Balancer whose sampled blocking rates feed it
+// penalties.
+func keyedRouter(b *testing.B, name string, workers int) (schedule.KeyRouter, *core.Balancer) {
+	b.Helper()
+	var (
+		r   schedule.KeyRouter
+		bal *core.Balancer
+		err error
+	)
+	switch name {
+	case "hash":
+		r, err = schedule.NewHashRouter(workers)
+	case "pkg":
+		r, err = schedule.NewPKGRouter(workers)
+	case "pkg-balanced":
+		if r, err = schedule.NewPKGRouter(workers); err == nil {
+			bal, err = core.NewBalancer(core.Config{Connections: workers})
+		}
+	default:
+		b.Fatalf("unknown router %q", name)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r, bal
+}
+
 // BenchmarkKeyedRouting is the keyed bake-off grid: hash grouping versus
 // partial key grouping versus PKG with the minimax balancer's blocking-rate
 // penalties, across Zipf skew and fan-out, with the per-key sum combiner
-// installed. Workers model per-tuple service time by sleeping, so a hash
-// router's hot-key pileup shows up as real throughput loss while PKG's
-// two-choice split spreads it. Rows run through the dispatcher's shim — the
-// same workload `kind: bench, benchmark: keyed-routing` specs execute — so
-// dispatcher archives and these rows compare under benchguard. Each row also
-// reports combiner-hits: tuples absorbed into same-key carriers per
-// iteration, the combiner's merger-ingest reduction.
+// installed. Workers model per-tuple service time by sleeping, not spinning,
+// so a hash router's hot-key pileup costs real throughput even on a host with
+// fewer cores than workers, while PKG's two-choice split spreads it. Every
+// tuple carries the unit value 1, so each iteration self-checks: release
+// order, Released + CombinedReleased covering the stream, and the released
+// per-key sums adding up to the stream length. Each row also reports
+// combiner-hits: tuples absorbed into same-key carriers per iteration, the
+// combiner's merger-ingest reduction.
 func BenchmarkKeyedRouting(b *testing.B) {
-	const n = 30_000
+	const (
+		n    = 30_000
+		keys = 10_000
+		seed = 1
+	)
+	payload := make([]byte, 64)
+	payload[0] = 1 // little-endian unit value
 	for _, router := range []string{"hash", "pkg", "pkg-balanced"} {
 		for _, alpha := range []float64{0.8, 1.1, 1.5} {
 			for _, workers := range []int{4, 16, 64} {
 				b.Run(fmt.Sprintf("router=%s/alpha=%g/workers=%d", router, alpha, workers), func(b *testing.B) {
-					spec := dispatch.BenchSpec{
-						Benchmark: "keyed-routing",
-						Transport: "inproc",
-						Router:    router,
-						SkewAlpha: alpha,
-						Workers:   workers,
-						Tuples:    n,
-						Keys:      10_000,
-						Combine:   true,
-						Seed:      1,
-					}
+					ks := sim.NewZipfStream(keys, alpha, seed)
 					var hits uint64
 					for i := 0; i < b.N; i++ {
-						st, err := dispatch.RunKeyedRoutingOnce(spec)
+						r, bal := keyedRouter(b, router, workers)
+						ops := make([]rt.Operator, workers)
+						for j := range ops {
+							ops[j] = rt.NewServiceOperator(20 * time.Microsecond)
+						}
+						var (
+							sum      uint64
+							lastSeq  uint64
+							haveLast bool
+							ordered  = true
+						)
+						region, err := rt.NewRegion(rt.RegionConfig{
+							Transport: rt.TransportInproc,
+							Operators: ops,
+							KeyedSource: func(seq uint64) (uint64, []byte, bool) {
+								if seq >= n {
+									return 0, nil, false
+								}
+								return ks.Key(seq), payload, true
+							},
+							Router:         r,
+							Balancer:       bal,
+							Combiner:       rt.SumCombiner(),
+							SampleInterval: 50 * time.Millisecond,
+							Sink: func(t transport.Tuple, _ int) {
+								if haveLast && t.Seq <= lastSeq {
+									ordered = false
+								}
+								lastSeq, haveLast = t.Seq, true
+								if len(t.Payload) >= 8 {
+									sum += binary.LittleEndian.Uint64(t.Payload)
+								}
+							},
+						})
 						if err != nil {
 							b.Fatal(err)
 						}
-						hits += st.CombinerHits
+						res, err := region.Run()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if res.Released+res.CombinedReleased != n || !res.OrderPreserved || !ordered {
+							b.Fatalf("released %d + %d combined of %d tuples, order=%v",
+								res.Released, res.CombinedReleased, n, res.OrderPreserved && ordered)
+						}
+						if sum != n {
+							b.Fatalf("per-key sums add to %d, want %d", sum, n)
+						}
+						hits += res.CombinerHits
 					}
 					b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tuples/s")
 					b.ReportMetric(float64(hits)/float64(b.N), "combiner-hits")

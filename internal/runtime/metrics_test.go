@@ -112,7 +112,20 @@ func mustSum(t *testing.T, reg *metrics.Registry, name string) float64 {
 }
 
 func TestMetricsConsistencyCleanRun(t *testing.T) {
-	const tuples = 12000
+	const (
+		tuples         = 12000
+		sampleInterval = 20 * time.Millisecond
+	)
+	// The run can finish inside one sample interval, so the source pauses
+	// for two intervals once, mid-stream: the send loop calls the source, and
+	// its next pass ticks however fast the rest of the run moves.
+	constant := ConstantSource([]byte("payload"), tuples)
+	source := func(seq uint64) ([]byte, bool) {
+		if seq == tuples/2 {
+			time.Sleep(2 * sampleInterval)
+		}
+		return constant(seq)
+	}
 	reg := metrics.New()
 	rm := NewRegionMetrics(reg, metrics.NewTrace(1024))
 	balancer, err := core.NewBalancer(core.Config{Connections: 2, DecayEnabled: true})
@@ -123,9 +136,9 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 	samples := 0
 	region, err = NewRegion(RegionConfig{
 		Operators:      []Operator{Identity(), Identity()},
-		Source:         ConstantSource([]byte("payload"), tuples),
+		Source:         source,
 		Balancer:       balancer,
-		SampleInterval: 20 * time.Millisecond,
+		SampleInterval: sampleInterval,
 		Recovery:       RecoveryConfig{Enabled: true, WatermarkInterval: 5 * time.Millisecond},
 		Metrics:        rm,
 		// OnSample runs on the send loop, so no send is in flight between

@@ -248,7 +248,7 @@ type Splitter struct {
 	downErrs  []error
 	quarCount []int
 
-	deadCh   chan int
+	deadCh   chan *splitConn
 	rejoinCh chan rejoin
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -314,7 +314,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		aggSent:     make([]int64, n),
 		aggBlocking: make([]time.Duration, n),
 		aggBlocked:  make([]int64, n),
-		deadCh:      make(chan int, 4*n+4),
+		deadCh:      make(chan *splitConn, 4*n+4),
 		rejoinCh:    make(chan rejoin, n+1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -501,7 +501,7 @@ func (sp *Splitter) monitor(c *splitConn) {
 	buf := make([]byte, 1)
 	c.conn.Read(buf)
 	select {
-	case sp.deadCh <- c.id:
+	case sp.deadCh <- c:
 	case <-sp.stop:
 	}
 }
@@ -671,8 +671,14 @@ func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) e
 		sp.pruneRetained()
 	case <-lost:
 		return errControlLost
-	case id := <-sp.deadCh:
-		return fail(id, false)
+	case c := <-sp.deadCh:
+		// A notice names the connection, not just the worker id: the monitor
+		// of a connection already retired on a send error may report only
+		// after its worker has rejoined, and must not retire the newcomer.
+		if sp.findLive(c.id) != c {
+			return nil
+		}
+		return fail(c.id, false)
 	case id := <-sp.ctrl.quarCh:
 		return fail(id, true)
 	case rj := <-sp.rejoinCh:

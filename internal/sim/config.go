@@ -34,11 +34,6 @@ const (
 	DefaultMergerCap      = 8192
 	DefaultSampleInterval = time.Second
 	DefaultResetInterval  = 16 * time.Second
-	// DefaultRecvBatchSize bounds one merger release sweep in tuples,
-	// matching the real runtime's receive-batch default
-	// (transport.DefaultRecvBatch); the sim keeps its own constant so the
-	// virtual-time model stays dependency-free.
-	DefaultRecvBatchSize = 64
 )
 
 // Snapshot is the per-interval view handed to an Observer: what the
@@ -84,13 +79,6 @@ type Config struct {
 	// batch is delivered at one virtual instant and a full connection
 	// blocks the splitter mid-batch. <= 1 (the default) sends per tuple.
 	BatchSize int
-	// RecvBatchSize bounds one merger release sweep in tuples, mirroring
-	// the real runtime's receive-batch ingest (RegionConfig.RecvBatchSize).
-	// The merge outcome is identical at any value — the cascade continues
-	// until no tuple is releasable — so this only changes the reported
-	// MergeSweeps granularity; the simulator has no per-sweep lock cost to
-	// model. <= 0 selects DefaultRecvBatchSize; 1 sweeps per tuple.
-	RecvBatchSize int
 	// MergerCap bounds each connection's reorder queue at the merger. The
 	// default absorbs routine out-of-order skew (the "boxes on the edges"
 	// of Figure 3) so that back pressure reaches the splitter through the
@@ -177,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
-	if c.RecvBatchSize <= 0 {
-		c.RecvBatchSize = DefaultRecvBatchSize
-	}
 	if c.MergerCap <= 0 {
 		c.MergerCap = DefaultMergerCap
 	}
@@ -236,10 +221,6 @@ type Metrics struct {
 	TotalBlocking []time.Duration
 	// Rerouted counts tuples diverted by the Section 4.4 re-routing mode.
 	Rerouted uint64
-	// MergeSweeps counts bounded release sweeps the merger ran (each
-	// releases up to RecvBatchSize tuples): Completed/MergeSweeps is the
-	// mean release-amortization the receive batch size achieved.
-	MergeSweeps uint64
 	// FinalWeights is the allocation vector at the end of the run.
 	FinalWeights []int
 	// FinalThroughput is the mean released-tuple rate over the last quarter

@@ -53,7 +53,6 @@ type Sim struct {
 	perConnDone    []uint64
 	totalSent      uint64
 	totalCompleted uint64
-	mergeSweeps    uint64
 
 	// Worker state.
 	state      []workerState
@@ -377,54 +376,43 @@ func (s *Sim) handleWorkerFinish(j int) {
 }
 
 // drainMerger releases tuples downstream in strict sequence order, cascading
-// through any workers the released space unblocks. Mirroring the real
-// merger's batch ingest, releases happen in bounded sweeps of up to
-// RecvBatchSize tuples per sweep — the cascade is identical (the outer loop
-// keeps sweeping until nothing is in order), but the sweep count the run
-// reports exposes the release-amortization granularity the batch size buys.
+// through any workers the released space unblocks, until the next tuple in
+// order is not yet at the merger.
 func (s *Sim) drainMerger() {
 	for {
-		released := 0
-		for released < s.cfg.RecvBatchSize {
-			pend, ok := s.owner[s.releaseSeq]
-			if !ok {
-				break // the next tuple in order has not even been sent yet
+		pend, ok := s.owner[s.releaseSeq]
+		if !ok {
+			return // the next tuple in order has not even been sent yet
+		}
+		j := pend.conn
+		head, ok := s.mergerQ[j].Head()
+		if !ok || head != s.releaseSeq {
+			return // next tuple in order is still in flight or processing
+		}
+		s.mergerQ[j].Pop()
+		delete(s.owner, s.releaseSeq)
+		if s.totalCompleted > 0 {
+			if gap := s.clock - s.lastReleaseAt; gap > s.maxReleaseGap {
+				s.maxReleaseGap = gap
 			}
-			j := pend.conn
-			head, ok := s.mergerQ[j].Head()
-			if !ok || head != s.releaseSeq {
-				break // next tuple in order is still in flight or processing
-			}
-			s.mergerQ[j].Pop()
-			delete(s.owner, s.releaseSeq)
-			if s.totalCompleted > 0 {
-				if gap := s.clock - s.lastReleaseAt; gap > s.maxReleaseGap {
-					s.maxReleaseGap = gap
-				}
-				if s.cfg.StallWindow > 0 && s.clock-s.lastReleaseAt >= s.cfg.StallWindow {
-					s.stallAlarms++
-				}
-			}
-			s.lastReleaseAt = s.clock
-			s.latency.Add((s.clock - pend.sentAt).Seconds())
-			if s.cfg.Sink != nil {
-				s.cfg.Sink(s.releaseSeq, j)
-			}
-			s.releaseSeq++
-			s.perConnDone[j]++
-			s.totalCompleted++
-			released++
-			// The pop freed merger space: un-stall a worker blocked on it.
-			if s.state[j] == workerBlockedOnMerger && !s.mergerQ[j].Full() {
-				s.mergerQ[j].Push(s.held[j])
-				s.state[j] = workerIdle
-				s.startWorkerIfIdle(j)
+			if s.cfg.StallWindow > 0 && s.clock-s.lastReleaseAt >= s.cfg.StallWindow {
+				s.stallAlarms++
 			}
 		}
-		if released == 0 {
-			return
+		s.lastReleaseAt = s.clock
+		s.latency.Add((s.clock - pend.sentAt).Seconds())
+		if s.cfg.Sink != nil {
+			s.cfg.Sink(s.releaseSeq, j)
 		}
-		s.mergeSweeps++
+		s.releaseSeq++
+		s.perConnDone[j]++
+		s.totalCompleted++
+		// The pop freed merger space: un-stall a worker blocked on it.
+		if s.state[j] == workerBlockedOnMerger && !s.mergerQ[j].Full() {
+			s.mergerQ[j].Push(s.held[j])
+			s.state[j] = workerIdle
+			s.startWorkerIfIdle(j)
+		}
 	}
 }
 
@@ -485,7 +473,6 @@ func (s *Sim) metrics() Metrics {
 		PerConnCompleted: append([]uint64(nil), s.perConnDone...),
 		TotalBlocking:    append([]time.Duration(nil), s.totalBlocking...),
 		Rerouted:         s.rerouted,
-		MergeSweeps:      s.mergeSweeps,
 		FinalWeights:     append([]int(nil), s.weights...),
 		MaxReleaseGap:    s.maxReleaseGap,
 		StallAlarms:      s.stallAlarms,

@@ -10,7 +10,6 @@
 package soak
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -18,18 +17,8 @@ import (
 
 	"streambalance/internal/chaos"
 	"streambalance/internal/runtime"
-	"streambalance/internal/schema"
 	"streambalance/internal/transport"
 )
-
-// SummaryVersion is the schema of the JSON summaries this package emits
-// (SOAK_*.json lines and the soak payload of dispatcher results). Major
-// bumps mean existing fields changed meaning or type; minor bumps only add
-// fields.
-const SummaryVersion = "1.0"
-
-// summaryMajor is the major component of SummaryVersion.
-const summaryMajor = 1
 
 // Config parameterizes one soak run.
 type Config struct {
@@ -68,7 +57,6 @@ type Config struct {
 
 // Summary reports what one soak run did and observed.
 type Summary struct {
-	SchemaVersion  string        `json:"schema_version"`
 	Workers        int           `json:"workers"`
 	Tuples         uint64        `json:"tuples"`
 	Released       uint64        `json:"released"`
@@ -129,7 +117,7 @@ func (c Config) withDefaults() Config {
 // whose Released equals Tuples with order preserved.
 func Run(cfg Config) (Summary, error) {
 	cfg = cfg.withDefaults()
-	sum := Summary{SchemaVersion: SummaryVersion, Workers: cfg.Workers, Tuples: cfg.Tuples}
+	sum := Summary{Workers: cfg.Workers, Tuples: cfg.Tuples}
 
 	proxies := make([]*chaos.Proxy, cfg.Workers)
 	defer func() {
@@ -298,78 +286,4 @@ func Run(cfg Config) (Summary, error) {
 	sum.Exhausted = events["redial-exhausted"]
 	evMu.Unlock()
 	return sum, runErr
-}
-
-// Spec is the JSON-friendly form of Config: durations in milliseconds so
-// specs are hand-writable, plus a schema_version guard. It is the soak entry
-// point the experiment dispatcher drives; zero fields take the same defaults
-// Run applies.
-type Spec struct {
-	SchemaVersion   string   `json:"schema_version,omitempty"`
-	Workers         int      `json:"workers,omitempty"`
-	Tuples          uint64   `json:"tuples,omitempty"`
-	Payload         int      `json:"payload,omitempty"`
-	Rate            int      `json:"rate,omitempty"`
-	Seed            int64    `json:"seed,omitempty"`
-	StallWindowMS   int      `json:"stall_window_ms,omitempty"`
-	SendStallMS     int      `json:"send_stall_ms,omitempty"`
-	FaultEveryMS    int      `json:"fault_every_ms,omitempty"`
-	FaultHoldMS     int      `json:"fault_hold_ms,omitempty"`
-	MaxReadmits     int      `json:"max_readmits,omitempty"`
-	Kinds           []string `json:"kinds,omitempty"`
-	DripBytesPerSec int      `json:"drip_bytes_per_sec,omitempty"`
-}
-
-// Config converts the spec to a runnable Config.
-func (s Spec) Config() Config {
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	return Config{
-		Workers:         s.Workers,
-		Tuples:          s.Tuples,
-		Payload:         s.Payload,
-		Rate:            s.Rate,
-		Seed:            s.Seed,
-		StallWindow:     ms(s.StallWindowMS),
-		SendStall:       ms(s.SendStallMS),
-		FaultEvery:      ms(s.FaultEveryMS),
-		FaultHold:       ms(s.FaultHoldMS),
-		MaxReadmits:     s.MaxReadmits,
-		Kinds:           s.Kinds,
-		DripBytesPerSec: s.DripBytesPerSec,
-	}
-}
-
-// DecodeSpec parses a JSON soak spec, rejecting unknown schema majors.
-func DecodeSpec(data []byte) (Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("soak: parse spec: %w", err)
-	}
-	if err := schema.Check("soak spec", s.SchemaVersion, summaryMajor); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
-// RunSpec decodes a JSON spec and runs it — the callable, spec-driven form
-// of the soak loop that worker processes invoke.
-func RunSpec(data []byte) (Summary, error) {
-	s, err := DecodeSpec(data)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Run(s.Config())
-}
-
-// DecodeSummary parses an archived summary, rejecting unknown schema majors
-// (absent version = legacy v1, as in pre-versioning SOAK_*.json lines).
-func DecodeSummary(data []byte) (Summary, error) {
-	var sum Summary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		return Summary{}, fmt.Errorf("soak: parse summary: %w", err)
-	}
-	if err := schema.Check("soak summary", sum.SchemaVersion, summaryMajor); err != nil {
-		return Summary{}, err
-	}
-	return sum, nil
 }
