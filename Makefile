@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
+.PHONY: test test-race vet fmt-check loc overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
 
 test:
 	go test ./...
@@ -18,6 +18,12 @@ vet:
 # Fails, listing them, if gofmt would rewrite any file (CI's Format step).
 fmt-check:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# Non-test Go lines (wc -l) outside bench/, in total and for the data path
+# (runtime + transport + spsc): the two numbers the ROADMAP exits are written in.
+loc:
+	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l)"
+	@echo "runtime+transport+spsc:     $$(find internal/runtime internal/transport internal/spsc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 # The observability budget (ROADMAP 4c) from one place: what one traced
 # tcp_sat run reads for the registry's end-to-end overhead and a counter

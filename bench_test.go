@@ -226,7 +226,7 @@ func randomFuncs(n int) []*core.RateFunc {
 	return funcs
 }
 
-func benchmarkSolver(b *testing.B, solve core.Solver, n int) {
+func benchmarkSolver(b *testing.B, solve func(core.Problem) (core.Solution, error), n int) {
 	funcs := randomFuncs(n)
 	p := core.Problem{Funcs: make([]core.Func, n), Total: core.DefaultUnits}
 	for j, f := range funcs {
@@ -526,35 +526,6 @@ func BenchmarkRegionThroughputBatched(b *testing.B) {
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
-	}
-}
-
-func BenchmarkBalancerSnapshotRestore(b *testing.B) {
-	bal, err := core.NewBalancer(core.Config{Connections: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 64*30; i++ {
-		if err := bal.Observe(i%64, rng.Float64()); err != nil {
-			b.Fatal(err)
-		}
-		if i%64 == 63 {
-			if _, err := bal.Rebalance(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap := bal.Snapshot()
-		fresh, err := core.NewBalancer(core.Config{Connections: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fresh.Restore(snap); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

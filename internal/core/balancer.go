@@ -11,22 +11,18 @@ import (
 // reduction (Section 5.4).
 const DefaultDecayFactor = 0.9
 
-// DefaultClusterThreshold is the complete-linkage merge threshold for the
+// clusterThreshold is the complete-linkage merge threshold for the
 // clustering step. Distances are absolute log-ratios, so a threshold of 0.7
 // merges connections whose knees (service rates) are within roughly a factor
 // of two of each other — comfortably separating the paper's 1x / 5x / 100x
 // load classes.
-const DefaultClusterThreshold = 0.7
+const clusterThreshold = 0.7
 
-// DefaultClusterMinConns is the fan-out at which clustering turns on. The
-// paper's local scheme works well up to 16 connections and clustering
-// "only becomes necessary as the number of channels scales to 32 and higher"
-// (Section 6.6).
-const DefaultClusterMinConns = 32
-
-// Solver solves a minimax separable RAP; SolveFox and SolveBisect both
-// satisfy it.
-type Solver func(Problem) (Solution, error)
+// clusterMinConns is the fan-out at which clustering turns on. The paper's
+// local scheme works well up to 16 connections and clustering "only becomes
+// necessary as the number of channels scales to 32 and higher" (Section
+// 6.6).
+const clusterMinConns = 32
 
 // ZeroTrustMode selects how Step treats a connection that logged no blocking
 // in an interval. The default, ZeroTrustScaled, is the repository's
@@ -68,31 +64,13 @@ type Config struct {
 	// DecayFactor is the per-iteration multiplier for decayed cells
 	// (default DefaultDecayFactor).
 	DecayFactor float64
-	// MinWeight and MaxWeight are optional static per-connection bounds in
-	// units. Nil means 0 and Units respectively.
-	MinWeight []int
-	MaxWeight []int
 	// MaxStep, when positive, bounds how far any connection's weight may
 	// move in a single rebalance (the paper's incremental min/max change
 	// constraints). Zero means unbounded.
 	MaxStep int
 	// ClusterEnabled turns on the Section 5.3 clustering pipeline when the
-	// fan-out is at least ClusterMinConns.
+	// fan-out is at least 32 connections (Section 6.6).
 	ClusterEnabled bool
-	// ClusterThreshold is the complete-linkage merge threshold (default
-	// DefaultClusterThreshold).
-	ClusterThreshold float64
-	// ClusterMinConns gates clustering by fan-out (default
-	// DefaultClusterMinConns).
-	ClusterMinConns int
-	// KneeEps is the blocking level treated as zero when locating function
-	// knees for clustering (default 0).
-	KneeEps float64
-	// Delta is δ, the zero guard for logarithms and forced monotonicity
-	// (default DefaultDelta).
-	Delta float64
-	// Solve is the RAP solver (default SolveFox).
-	Solve Solver
 	// ZeroTrust selects how Step folds in zero-blocking intervals (default
 	// ZeroTrustScaled).
 	ZeroTrust ZeroTrustMode
@@ -108,18 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
 		c.DecayFactor = DefaultDecayFactor
-	}
-	if c.ClusterThreshold <= 0 {
-		c.ClusterThreshold = DefaultClusterThreshold
-	}
-	if c.ClusterMinConns <= 0 {
-		c.ClusterMinConns = DefaultClusterMinConns
-	}
-	if c.Delta <= 0 {
-		c.Delta = DefaultDelta
-	}
-	if c.Solve == nil {
-		c.Solve = SolveFox
 	}
 	return c
 }
@@ -146,12 +112,6 @@ func NewBalancer(cfg Config) (*Balancer, error) {
 		return nil, errors.New("core: config needs at least one connection")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.MinWeight != nil && len(cfg.MinWeight) != cfg.Connections {
-		return nil, fmt.Errorf("core: %d min weights for %d connections", len(cfg.MinWeight), cfg.Connections)
-	}
-	if cfg.MaxWeight != nil && len(cfg.MaxWeight) != cfg.Connections {
-		return nil, fmt.Errorf("core: %d max weights for %d connections", len(cfg.MaxWeight), cfg.Connections)
-	}
 	b := &Balancer{
 		cfg:     cfg,
 		funcs:   make([]*RateFunc, cfg.Connections),
@@ -317,7 +277,7 @@ func (b *Balancer) Rebalance() ([]int, error) {
 	mins, maxs := b.iterationBounds()
 	var sol Solution
 	var err error
-	if b.cfg.ClusterEnabled && b.cfg.Connections >= b.cfg.ClusterMinConns {
+	if b.cfg.ClusterEnabled && b.cfg.Connections >= clusterMinConns {
 		sol, err = b.solveClustered(mins, maxs)
 	} else {
 		b.clusters = nil
@@ -332,53 +292,20 @@ func (b *Balancer) Rebalance() ([]int, error) {
 	return b.Weights(), nil
 }
 
-// iterationBounds combines the static bounds with the per-iteration step
-// constraint. If the combination is infeasible (cannot sum to Units) the step
-// constraint is dropped, mirroring the paper's note that bounds are applied
-// "typically incrementally from the current weights".
+// iterationBounds returns each connection's weight window for this
+// iteration: [0, Units], narrowed by MaxStep around the current weight. The
+// current weights sum to Units, so the windows always admit a solution.
 func (b *Balancer) iterationBounds() (mins, maxs []int) {
 	n := b.cfg.Connections
 	mins = make([]int, n)
 	maxs = make([]int, n)
 	for j := 0; j < n; j++ {
 		lo, hi := 0, b.cfg.Units
-		if b.cfg.MinWeight != nil {
-			lo = b.cfg.MinWeight[j]
-		}
-		if b.cfg.MaxWeight != nil {
-			hi = b.cfg.MaxWeight[j]
-		}
 		if b.cfg.MaxStep > 0 {
-			if s := b.weights[j] - b.cfg.MaxStep; s > lo {
-				lo = s
-			}
-			if s := b.weights[j] + b.cfg.MaxStep; s < hi {
-				hi = s
-			}
-		}
-		if lo > hi {
-			lo = hi
+			lo = max(lo, b.weights[j]-b.cfg.MaxStep)
+			hi = min(hi, b.weights[j]+b.cfg.MaxStep)
 		}
 		mins[j], maxs[j] = lo, hi
-	}
-	sumMin, sumMax := 0, 0
-	for j := 0; j < n; j++ {
-		sumMin += mins[j]
-		sumMax += maxs[j]
-	}
-	if sumMin > b.cfg.Units || sumMax < b.cfg.Units {
-		// Step constraints made the iteration infeasible; fall back to the
-		// static bounds alone.
-		for j := 0; j < n; j++ {
-			mins[j] = 0
-			maxs[j] = b.cfg.Units
-			if b.cfg.MinWeight != nil {
-				mins[j] = b.cfg.MinWeight[j]
-			}
-			if b.cfg.MaxWeight != nil {
-				maxs[j] = b.cfg.MaxWeight[j]
-			}
-		}
 	}
 	return mins, maxs
 }
@@ -389,7 +316,7 @@ func (b *Balancer) solveDirect(mins, maxs []int) (Solution, error) {
 	for j, f := range b.funcs {
 		funcs[j] = f
 	}
-	return b.cfg.Solve(Problem{Funcs: funcs, Total: b.cfg.Units, Min: mins, Max: maxs})
+	return SolveFox(Problem{Funcs: funcs, Total: b.cfg.Units, Min: mins, Max: maxs})
 }
 
 // clusterFunc adapts a pooled cluster function of size members to the
@@ -410,15 +337,15 @@ func (c clusterFunc) Eval(weight int) float64 {
 // evenly among members.
 func (b *Balancer) solveClustered(mins, maxs []int) (Solution, error) {
 	n := b.cfg.Connections
-	alpha := Alpha(b.cfg.Units, b.cfg.Delta)
+	alpha := Alpha(b.cfg.Units)
 	summaries := make([]FuncSummary, n)
 	for j, f := range b.funcs {
-		summaries[j] = Summarize(f, b.cfg.KneeEps)
+		summaries[j] = Summarize(f)
 	}
 	dist := func(i, j int) float64 {
-		return Distance(summaries[i], summaries[j], alpha, b.cfg.Delta)
+		return Distance(summaries[i], summaries[j], alpha)
 	}
-	clusters := Agglomerate(n, dist, b.cfg.ClusterThreshold)
+	clusters := Agglomerate(n, dist, clusterThreshold)
 	b.clusters = clusters
 
 	k := len(clusters)
@@ -440,7 +367,7 @@ func (b *Balancer) solveClustered(mins, maxs []int) (Solution, error) {
 			size:   len(members),
 		}
 	}
-	sol, err := b.cfg.Solve(Problem{Funcs: funcs, Total: b.cfg.Units, Min: cmins, Max: cmaxs})
+	sol, err := SolveFox(Problem{Funcs: funcs, Total: b.cfg.Units, Min: cmins, Max: cmaxs})
 	if err != nil {
 		return Solution{}, fmt.Errorf("clustered solve: %w", err)
 	}

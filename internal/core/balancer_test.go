@@ -9,12 +9,6 @@ func TestNewBalancerValidation(t *testing.T) {
 	if _, err := NewBalancer(Config{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
-	if _, err := NewBalancer(Config{Connections: 3, MinWeight: []int{1}}); err == nil {
-		t.Fatal("wrong MinWeight length accepted")
-	}
-	if _, err := NewBalancer(Config{Connections: 3, MaxWeight: []int{1}}); err == nil {
-		t.Fatal("wrong MaxWeight length accepted")
-	}
 }
 
 func TestEvenWeights(t *testing.T) {
@@ -157,32 +151,6 @@ func TestBalancerMaxStepLimitsMovement(t *testing.T) {
 	}
 }
 
-func TestBalancerStaticBoundsRespected(t *testing.T) {
-	b, err := NewBalancer(Config{
-		Connections: 2,
-		MinWeight:   []int{100, 0},
-		MaxWeight:   []int{1000, 800},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 10; r++ {
-		if err := b.Observe(0, 500); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Observe(1, 0); err != nil {
-			t.Fatal(err)
-		}
-		w, err := b.Rebalance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w[0] < 100 || w[1] > 800 {
-			t.Fatalf("round %d: weights %v violate static bounds", r, w)
-		}
-	}
-}
-
 func TestBalancerObserveValidation(t *testing.T) {
 	b, err := NewBalancer(Config{Connections: 2})
 	if err != nil {
@@ -204,9 +172,8 @@ func TestBalancerClusteredSolve(t *testing.T) {
 	// groups and starve the slow class.
 	n := 32
 	b, err := NewBalancer(Config{
-		Connections:     n,
-		ClusterEnabled:  true,
-		ClusterMinConns: 32,
+		Connections:    n,
+		ClusterEnabled: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,16 +216,15 @@ func TestBalancerClusteredSolve(t *testing.T) {
 
 func TestBalancerClusteringDisabledBelowMin(t *testing.T) {
 	b, err := NewBalancer(Config{
-		Connections:     4,
-		ClusterEnabled:  true,
-		ClusterMinConns: 32,
+		Connections:    4,
+		ClusterEnabled: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveBalancer(t, b, []int{300, 300, 300, 300}, 3)
 	if b.LastClusters() != nil {
-		t.Fatal("clustering ran below ClusterMinConns")
+		t.Fatal("clustering ran below 32 connections")
 	}
 }
 
@@ -267,7 +233,7 @@ func TestBalancerWeightsAlwaysSumToUnits(t *testing.T) {
 		{Connections: 2},
 		{Connections: 3, DecayEnabled: true},
 		{Connections: 7, MaxStep: 20},
-		{Connections: 33, ClusterEnabled: true, ClusterMinConns: 8},
+		{Connections: 33, ClusterEnabled: true},
 	}
 	for _, cfg := range configs {
 		b, err := NewBalancer(cfg)
@@ -301,29 +267,6 @@ func TestBalancerWeightsAlwaysSumToUnits(t *testing.T) {
 				t.Fatalf("cfg %+v round %d: weights sum %d != %d", cfg, r, sum, b.Units())
 			}
 		}
-	}
-}
-
-func TestBalancerSolverOverride(t *testing.T) {
-	calls := 0
-	b, err := NewBalancer(Config{
-		Connections: 2,
-		Solve: func(p Problem) (Solution, error) {
-			calls++
-			return SolveFox(p)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("custom solver called %d times, want 1", calls)
-	}
-	if b.Rounds() != 1 {
-		t.Fatalf("Rounds = %d, want 1", b.Rounds())
 	}
 }
 

@@ -24,11 +24,13 @@ type FuncSummary struct {
 	AtFull float64
 }
 
-// Summarize extracts a FuncSummary from a rate function. kneeEps is the
-// blocking level treated as "no blocking" when locating the knee; pass 0 for
-// the strict definition.
-func Summarize(f *RateFunc, kneeEps float64) FuncSummary {
-	knee := f.Knee(kneeEps)
+// delta is δ, the small positive value that stands in for a zero wherever the
+// distance takes a logarithm (Section 5.3).
+const delta = 1e-6
+
+// Summarize extracts a FuncSummary from a rate function.
+func Summarize(f *RateFunc) FuncSummary {
+	knee := f.Knee()
 	return FuncSummary{
 		Knee:   knee,
 		AtKnee: f.Predict(knee),
@@ -39,12 +41,9 @@ func Summarize(f *RateFunc, kneeEps float64) FuncSummary {
 // Alpha returns the scaling factor α = log R / |log(R·δ)| that puts the
 // blocking-rate ratio terms of the distance on the same scale as the
 // service-rate ratio term (Section 5.3).
-func Alpha(units int, delta float64) float64 {
+func Alpha(units int) float64 {
 	if units <= 0 {
 		units = DefaultUnits
-	}
-	if delta <= 0 {
-		delta = DefaultDelta
 	}
 	denom := math.Abs(math.Log(float64(units) * delta))
 	if denom == 0 {
@@ -63,10 +62,7 @@ func Alpha(units int, delta float64) float64 {
 // taking the max avoids the information loss of aggregation. Zero values are
 // replaced by δ so the logarithms stay finite; two functions that are both
 // zero in a term contribute 0 for that term.
-func Distance(a, b FuncSummary, alpha, delta float64) float64 {
-	if delta <= 0 {
-		delta = DefaultDelta
-	}
+func Distance(a, b FuncSummary, alpha float64) float64 {
 	logRatio := func(x, y float64) float64 {
 		if x <= 0 {
 			x = delta

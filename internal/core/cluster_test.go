@@ -23,25 +23,25 @@ func makeClassFunc(t *testing.T, units, knee int, slope float64) *RateFunc {
 }
 
 func TestAlpha(t *testing.T) {
-	a := Alpha(1000, 1e-6)
+	a := Alpha(1000)
 	// log(1000)/|log(1000*1e-6)| = log(1000)/|log(1e-3)| = 1.
 	if math.Abs(a-1) > 1e-12 {
-		t.Fatalf("Alpha(1000, 1e-6) = %v, want 1", a)
+		t.Fatalf("Alpha(1000) = %v, want 1", a)
 	}
-	if got := Alpha(0, 0); got <= 0 {
+	if got := Alpha(0); got <= 0 {
 		t.Fatalf("Alpha with defaults = %v, want positive", got)
 	}
 }
 
 func TestDistanceProperties(t *testing.T) {
-	alpha := Alpha(1000, DefaultDelta)
+	alpha := Alpha(1000)
 	mk := func(knee int, atKnee, atFull float64) FuncSummary {
 		return FuncSummary{Knee: knee, AtKnee: atKnee, AtFull: atFull}
 	}
 
 	t.Run("identity", func(t *testing.T) {
 		s := mk(500, 2, 90)
-		if d := Distance(s, s, alpha, DefaultDelta); d != 0 {
+		if d := Distance(s, s, alpha); d != 0 {
 			t.Fatalf("Distance(s,s) = %v, want 0", d)
 		}
 	})
@@ -50,8 +50,8 @@ func TestDistanceProperties(t *testing.T) {
 		prop := func(k1, k2 uint16, a1, a2, f1, f2 float64) bool {
 			s1 := mk(int(k1%1000)+1, math.Abs(a1), math.Abs(f1))
 			s2 := mk(int(k2%1000)+1, math.Abs(a2), math.Abs(f2))
-			d12 := Distance(s1, s2, alpha, DefaultDelta)
-			d21 := Distance(s2, s1, alpha, DefaultDelta)
+			d12 := Distance(s1, s2, alpha)
+			d21 := Distance(s2, s1, alpha)
 			return math.Abs(d12-d21) < 1e-12
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
@@ -63,7 +63,7 @@ func TestDistanceProperties(t *testing.T) {
 		prop := func(k1, k2 uint16, a1, f1 float64) bool {
 			s1 := mk(int(k1%1000)+1, math.Abs(a1), math.Abs(f1))
 			s2 := mk(int(k2%1000)+1, math.Abs(a1)*2, math.Abs(f1)*3)
-			return Distance(s1, s2, alpha, DefaultDelta) >= 0
+			return Distance(s1, s2, alpha) >= 0
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDistanceProperties(t *testing.T) {
 		sFast := mk(800, 1, 5)
 		sNear := mk(700, 1, 5)
 		sSlow := mk(8, 1, 5)
-		if dNear, dFar := Distance(sFast, sNear, alpha, DefaultDelta), Distance(sFast, sSlow, alpha, DefaultDelta); dNear >= dFar {
+		if dNear, dFar := Distance(sFast, sNear, alpha), Distance(sFast, sSlow, alpha); dNear >= dFar {
 			t.Fatalf("near distance %v >= far distance %v", dNear, dFar)
 		}
 	})
@@ -82,7 +82,7 @@ func TestDistanceProperties(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	f := makeClassFunc(t, 1000, 500, 0.1)
-	s := Summarize(f, 0)
+	s := Summarize(f)
 	if s.Knee <= 450 || s.Knee > 550 {
 		t.Fatalf("knee = %d, want near 500", s.Knee)
 	}
@@ -113,14 +113,14 @@ func TestAgglomerateThreeClasses(t *testing.T) {
 			idx++
 		}
 	}
-	alpha := Alpha(units, DefaultDelta)
+	alpha := Alpha(units)
 	summaries := make([]FuncSummary, len(funcs))
 	for i, f := range funcs {
-		summaries[i] = Summarize(f, 0)
+		summaries[i] = Summarize(f)
 	}
 	clusters := Agglomerate(len(funcs), func(i, j int) float64 {
-		return Distance(summaries[i], summaries[j], alpha, DefaultDelta)
-	}, DefaultClusterThreshold)
+		return Distance(summaries[i], summaries[j], alpha)
+	}, clusterThreshold)
 
 	if len(clusters) < 3 {
 		t.Fatalf("got %d clusters, want at least 3 (one per class)", len(clusters))

@@ -15,19 +15,12 @@ import (
 
 // AddConnection appends a new connection with an empty blocking-rate
 // function and zero current weight, returning its index. Call Rebalance
-// afterwards to assign it traffic. Static per-connection bounds, when
-// configured, extend with [0, Units] for the new connection.
+// afterwards to assign it traffic.
 func (b *Balancer) AddConnection() int {
 	j := b.cfg.Connections
 	b.cfg.Connections++
 	b.funcs = append(b.funcs, NewRateFunc(b.cfg.Units, b.cfg.SmoothingAlpha))
 	b.weights = append(b.weights, 0)
-	if b.cfg.MinWeight != nil {
-		b.cfg.MinWeight = append(b.cfg.MinWeight, 0)
-	}
-	if b.cfg.MaxWeight != nil {
-		b.cfg.MaxWeight = append(b.cfg.MaxWeight, b.cfg.Units)
-	}
 	b.clusters = nil
 	return j
 }
@@ -48,12 +41,6 @@ func (b *Balancer) RemoveConnection(j int) error {
 	freed := b.weights[j]
 	b.funcs = append(b.funcs[:j], b.funcs[j+1:]...)
 	b.weights = append(b.weights[:j], b.weights[j+1:]...)
-	if b.cfg.MinWeight != nil {
-		b.cfg.MinWeight = append(b.cfg.MinWeight[:j], b.cfg.MinWeight[j+1:]...)
-	}
-	if b.cfg.MaxWeight != nil {
-		b.cfg.MaxWeight = append(b.cfg.MaxWeight[:j], b.cfg.MaxWeight[j+1:]...)
-	}
 	b.cfg.Connections--
 	b.clusters = nil
 

@@ -134,7 +134,7 @@ func TestSolveErrors(t *testing.T) {
 		{"wrong min length", func(p Problem) Problem { p.Min = []int{1}; return p }},
 		{"wrong max length", func(p Problem) Problem { p.Max = []int{1, 1, 1}; return p }},
 	}
-	solvers := map[string]Solver{"fox": SolveFox, "bisect": SolveBisect, "brute": SolveBrute}
+	solvers := map[string]func(Problem) (Solution, error){"fox": SolveFox, "bisect": SolveBisect, "brute": SolveBrute}
 	for _, tt := range tests {
 		for sname, solve := range solvers {
 			t.Run(tt.name+"/"+sname, func(t *testing.T) {
@@ -251,7 +251,7 @@ func TestFoxRespectsBoundsProperty(t *testing.T) {
 
 func TestSolveSingleConnection(t *testing.T) {
 	p := Problem{Funcs: []Func{tableFunc{0, 1, 2, 3, 4, 5}}, Total: 5}
-	for name, solve := range map[string]Solver{"fox": SolveFox, "bisect": SolveBisect, "brute": SolveBrute} {
+	for name, solve := range map[string]func(Problem) (Solution, error){"fox": SolveFox, "bisect": SolveBisect, "brute": SolveBrute} {
 		sol, err := solve(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -10,10 +10,6 @@ import (
 // units (Section 5.1, 5.2).
 const DefaultUnits = 1000
 
-// DefaultDelta is δ, the small positive value introduced when monotonicity or
-// a logarithm's argument must be forced away from zero (Section 5.3).
-const DefaultDelta = 1e-6
-
 // DefaultSmoothingAlpha is the EWMA factor used to fold new blocking-rate
 // samples into a weight cell's existing raw value ("new data is collected and
 // smoothed into the existing raw data", Section 5.1).
@@ -300,23 +296,20 @@ func (f *RateFunc) Eval(weight int) float64 {
 }
 
 // Knee returns the service-rate knee w_s of Section 5.3: the smallest weight
-// at which the predicted blocking rate exceeds eps. A connection predicted to
+// at which the predicted blocking rate is positive. A connection predicted to
 // never block returns Units (it can absorb the full load).
-func (f *RateFunc) Knee(eps float64) int {
-	if eps < 0 {
-		eps = 0
-	}
+func (f *RateFunc) Knee() int {
 	if f.dirty {
 		f.rebuild()
 	}
 	// Binary search: pred is non-decreasing.
 	lo, hi := 0, f.units
-	if f.pred[hi] <= eps {
+	if f.pred[hi] <= 0 {
 		return f.units
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if f.pred[mid] > eps {
+		if f.pred[mid] > 0 {
 			hi = mid
 		} else {
 			lo = mid + 1

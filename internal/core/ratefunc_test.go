@@ -15,7 +15,7 @@ func TestRateFuncDefaults(t *testing.T) {
 	if got := f.Predict(500); got != 0 {
 		t.Fatalf("empty function Predict(500) = %v, want 0", got)
 	}
-	if got := f.Knee(0); got != DefaultUnits {
+	if got := f.Knee(); got != DefaultUnits {
 		t.Fatalf("empty function knee = %d, want %d", got, DefaultUnits)
 	}
 }
@@ -172,14 +172,14 @@ func TestRateFuncKnee(t *testing.T) {
 	mustObserve(t, f, 500, 0)
 	mustObserve(t, f, 600, 50)
 
-	knee := f.Knee(0)
+	knee := f.Knee()
 	if knee <= 500 || knee > 600 {
 		t.Fatalf("knee = %d, want in (500, 600]", knee)
 	}
 	// A function that blocks severely at minimal load has a tiny knee.
 	g := NewRateFunc(1000, 1)
 	mustObserve(t, g, 1, 500)
-	if got := g.Knee(0); got != 1 {
+	if got := g.Knee(); got != 1 {
 		t.Fatalf("severe function knee = %d, want 1", got)
 	}
 }

@@ -26,9 +26,9 @@ import (
 // per region: binding twice replaces the reader.
 //
 // The trace ring records the balancer's decision history — every rebalance
-// with its weight vector and objective, counter resets, and worker
-// down/replay/rejoin events — so a live region's behaviour can be
-// reconstructed from /trace after the fact.
+// with its weight vector and objective, and worker down/replay/rejoin
+// events — so a live region's behaviour can be reconstructed from /trace
+// after the fact.
 type RegionMetrics struct {
 	reg   *metrics.Registry
 	trace *metrics.Trace
@@ -53,7 +53,6 @@ type RegionMetrics struct {
 	optIterations *metrics.Counter
 	objective     *metrics.Gauge
 	clusterCount  *metrics.Gauge
-	counterResets *metrics.Counter
 
 	// Merger.
 	released          *metrics.Counter
@@ -123,8 +122,6 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 			"Objective value (max predicted blocking rate) of the last rebalance."),
 		clusterCount: reg.Gauge("spe_balancer_clusters",
 			"Clusters used by the last rebalance (0 when unclustered)."),
-		counterResets: reg.Counter("spe_controller_counter_resets_total",
-			"Periodic cumulative-counter resets (the paper's transport reset, Figure 2)."),
 
 		released: reg.Counter("spe_merger_tuples_released_total",
 			"Tuples released downstream in strict sequence order."),

@@ -102,7 +102,6 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 					Source:            ConstantSource(make([]byte, 1024), 600),
 					BatchSize:         batch,
 					SocketBufferBytes: 4 << 10,
-					ResetInterval:     -1,
 				}, stall)
 				close(ready)
 				sp.Start()
@@ -121,13 +120,13 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 					}
 				}
 				stalled, healthy := senders[1], senders[0]
-				if stalled.BlockEvents() == 0 || stalled.CumulativeBlocking() < stallFor/2 {
+				if stalled.BlockEvents() == 0 || stalled.TotalBlocking() < stallFor/2 {
 					t.Errorf("stalled conn: %d block events, %v blocked; want the %v stall accounted",
-						stalled.BlockEvents(), stalled.CumulativeBlocking(), stallFor)
+						stalled.BlockEvents(), stalled.TotalBlocking(), stallFor)
 				}
-				if healthy.CumulativeBlocking() > stalled.CumulativeBlocking()/4 {
+				if healthy.TotalBlocking() > stalled.TotalBlocking()/4 {
 					t.Errorf("healthy conn blocked %v against the stalled conn's %v: the stall leaked across connections",
-						healthy.CumulativeBlocking(), stalled.CumulativeBlocking())
+						healthy.TotalBlocking(), stalled.TotalBlocking())
 				}
 			})
 		}

@@ -138,19 +138,18 @@ type scriptedSender struct {
 	cumulative time.Duration
 }
 
-func (s *scriptedSender) SetStallTimeout(time.Duration)     {}
-func (s *scriptedSender) CumulativeBlocking() time.Duration { return s.cumulative }
-func (s *scriptedSender) ResetCumulative()                  { s.cumulative = 0 }
-func (s *scriptedSender) TotalBlocking() time.Duration      { return 0 }
-func (s *scriptedSender) BlockEvents() int64                { return 0 }
-func (s *scriptedSender) Sent() int64                       { return 0 }
-func (s *scriptedSender) Close() error                      { return nil }
+func (s *scriptedSender) SetStallTimeout(time.Duration) {}
+func (s *scriptedSender) TotalBlocking() time.Duration  { return s.cumulative }
+func (s *scriptedSender) BlockEvents() int64            { return 0 }
+func (s *scriptedSender) Sent() int64                   { return 0 }
+func (s *scriptedSender) Close() error                  { return nil }
 
 // TestSimAndRuntimeStepAgree drives one script of per-interval blocking
 // through the simulator's policy and through a Splitter's tick and requires
-// the same weights after every tick. The script crosses a counter reset, an
-// interval nobody blocked in, a fully blocked interval, and the loss and
-// return of a connection.
+// the same weights after every tick. The script crosses an interval nobody
+// blocked in, a fully blocked interval, the loss and return of a connection,
+// and two of the simulator's periodic counter resets (Figure 2). The runtime
+// never resets its counters, so equal weights show the reset changes no rate.
 func TestSimAndRuntimeStepAgree(t *testing.T) {
 	const interval = 100 * time.Millisecond
 	const resetEvery = 4 * interval
@@ -170,7 +169,7 @@ func TestSimAndRuntimeStepAgree(t *testing.T) {
 		{"", ms(0, 0, 60)},
 		{"", ms(0, 10, 70)},
 		{"", ms(0, 0, 0)},   // nobody blocked
-		{"", ms(0, 0, 100)}, // fully blocked; the counters reset after this tick
+		{"", ms(0, 0, 100)}, // fully blocked; the sim's counters reset after this tick
 		{"", ms(5, 0, 40)},
 		{"remove", ms(30, 20)},
 		{"", ms(0, 50)},
@@ -203,7 +202,6 @@ func TestSimAndRuntimeStepAgree(t *testing.T) {
 		Source:         func(uint64) ([]byte, bool) { return nil, false },
 		Balancer:       newBalancer(),
 		SampleInterval: interval,
-		ResetInterval:  resetEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,11 +256,6 @@ func TestSimAndRuntimeStepAgree(t *testing.T) {
 		}
 		if got := sp.wrr.Weights(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: runtime weights %v, sim %v (rates %v)", i, got, want, rates)
-		}
-		for j, s := range senders {
-			if reset && s.cumulative != 0 {
-				t.Fatalf("step %d: counter reset due, sender %d still reads %v", i, j, s.cumulative)
-			}
 		}
 	}
 	if resets < 2 {

@@ -551,34 +551,6 @@ func TestRegionAllWorkersDeadFailsFast(t *testing.T) {
 	}
 }
 
-func TestRegionForwardsResetInterval(t *testing.T) {
-	region, err := NewRegion(RegionConfig{
-		Operators:      []Operator{Identity()},
-		Source:         ConstantSource(nil, 1),
-		SampleInterval: 10 * time.Millisecond,
-		ResetInterval:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer region.Close()
-	if got := region.splitter.cfg.ResetInterval; got != -1 {
-		t.Fatalf("ResetInterval not forwarded to splitter: got %v, want -1", got)
-	}
-	region2, err := NewRegion(RegionConfig{
-		Operators:      []Operator{Identity()},
-		Source:         ConstantSource(nil, 1),
-		SampleInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer region2.Close()
-	if got, want := region2.splitter.cfg.ResetInterval, 16*10*time.Millisecond; got != want {
-		t.Fatalf("default ResetInterval = %v, want %v", got, want)
-	}
-}
-
 func TestRegionCloseReleasesNeverRunResources(t *testing.T) {
 	region, err := NewRegion(RegionConfig{
 		Operators: []Operator{Identity(), Identity()},

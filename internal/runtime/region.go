@@ -87,9 +87,6 @@ type RegionConfig struct {
 	Balancer *core.Balancer
 	// SampleInterval is the splitter's collection interval (default 1s).
 	SampleInterval time.Duration
-	// ResetInterval for the periodic blocking-counter reset (default
-	// 16x SampleInterval; negative disables).
-	ResetInterval time.Duration
 	// MergerQueue bounds each reorder queue (default DefaultMergerQueue).
 	MergerQueue int
 	// RingCap bounds each merger connection's lock-free SPSC ingest ring
@@ -337,7 +334,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 		Router:            cfg.Router,
 		Balancer:          cfg.Balancer,
 		SampleInterval:    cfg.SampleInterval,
-		ResetInterval:     cfg.ResetInterval,
 		OnSample:          cfg.OnSample,
 		OnConnEvent:       cfg.OnConnEvent,
 		SocketBufferBytes: cfg.SocketBufferBytes,

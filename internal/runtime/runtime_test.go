@@ -308,59 +308,3 @@ func TestRegionOnSampleCallback(t *testing.T) {
 		t.Fatalf("sampled weights %v sum to %d, want 1000", lastWeights, sum)
 	}
 }
-
-func TestPretrainedBalancerWarmStart(t *testing.T) {
-	// Operability scenario: the balancer's learned state survives a region
-	// restart (via snapshot or by reusing the instance), so the second run
-	// starts with the slow worker already throttled rather than repeating
-	// the exploration transient.
-	makeRegion := func(b *core.Balancer) *Region {
-		region, err := NewRegion(RegionConfig{
-			Operators: []Operator{
-				NewDelayOperator(2 * time.Millisecond),
-				NewDelayOperator(100 * time.Microsecond),
-				NewDelayOperator(100 * time.Microsecond),
-			},
-			Source:            ConstantSource(make([]byte, 128), 15_000),
-			Balancer:          b,
-			SampleInterval:    25 * time.Millisecond,
-			SocketBufferBytes: 8 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return region
-	}
-
-	first, err := core.NewBalancer(core.Config{Connections: 3, DecayEnabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := makeRegion(first).Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: a fresh balancer restored from the first one's snapshot.
-	second, err := core.NewBalancer(core.Config{Connections: 3, DecayEnabled: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := second.Restore(first.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if w := second.Weights(); w[0] > 250 {
-		t.Fatalf("restored weights %v: slow worker not pre-throttled", w)
-	}
-	res, err := makeRegion(second).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OrderPreserved || res.Released != 15_000 {
-		t.Fatalf("warm-start run broken: %+v", res)
-	}
-	// The warm-started run must keep the slow worker's share low from the
-	// beginning: far fewer tuples than an even third.
-	if res.PerConnSent[0] > 3500 {
-		t.Fatalf("slow worker received %d of 15000 tuples despite warm start", res.PerConnSent[0])
-	}
-}

@@ -94,10 +94,6 @@ type SplitterConfig struct {
 	// shorter): how often the send loop, between two rounds, turns its own
 	// blocking counters into rates and weights.
 	SampleInterval time.Duration
-	// ResetInterval periodically resets the cumulative counters as the
-	// paper's transport does (default 16x the sample interval; negative
-	// disables).
-	ResetInterval time.Duration
 	// OnSample, when set, observes each tick. It runs on the send loop
 	// between two rounds, so it must not block: no tuple moves until it
 	// returns. With recovery enabled the rates/weights vectors track the
@@ -287,9 +283,6 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = time.Second
 	}
-	if cfg.ResetInterval == 0 {
-		cfg.ResetInterval = 16 * cfg.SampleInterval
-	}
 	if cfg.SocketBufferBytes <= 0 {
 		cfg.SocketBufferBytes = DefaultSocketBuffer
 	}
@@ -306,7 +299,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	sp := &Splitter{
 		cfg:         cfg,
 		wrr:         wrr,
-		samplers:    stats.NewSamplerSet(n, cfg.ResetInterval),
+		samplers:    stats.NewSamplerSet(n, 0),
 		keyedSent:   make([]atomic.Int64, n),
 		prevKeyed:   make([]int64, n),
 		to:          cfg.Timeouts.norm(),
@@ -360,10 +353,15 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 			cfg.Metrics.bindConnTotals(i, sp)
 		}
 	}
+	// The metrics bindings above already read sp.conns from any scrape, so
+	// each append takes sp.mu.
 	if len(cfg.Senders) > 0 {
 		for i, sender := range cfg.Senders {
 			sender.SetStallTimeout(sp.to.SendStall)
-			sp.conns = append(sp.conns, &splitConn{id: i, sender: sender, dialedAt: time.Now()})
+			c := &splitConn{id: i, sender: sender, dialedAt: time.Now()}
+			sp.mu.Lock()
+			sp.conns = append(sp.conns, c)
+			sp.mu.Unlock()
 		}
 	} else {
 		for i, addr := range cfg.WorkerAddrs {
@@ -379,7 +377,10 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 				return nil, fmt.Errorf("runtime: splitter wrap worker %d: %w", i, err)
 			}
 			sender.SetStallTimeout(sp.to.SendStall)
-			sp.conns = append(sp.conns, &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now()})
+			c := &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now()}
+			sp.mu.Lock()
+			sp.conns = append(sp.conns, c)
+			sp.mu.Unlock()
 		}
 	}
 	if cfg.ControlAddr != "" {
@@ -1076,7 +1077,7 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 }
 
 // tick is one collection interval, run by the send loop between two rounds:
-// it differences the senders' cumulative blocking counters into rates, steps
+// it differences the senders' lifetime blocking counters into rates, steps
 // the balancer and installs the new weights. No flush is in progress while it
 // runs, so every blocking episode it sees is whole and the rates of one
 // interval sum to at most 1 — the one sending thread cannot be blocked twice
@@ -1084,18 +1085,9 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 func (sp *Splitter) tick(now time.Duration) error {
 	cumulative := make([]time.Duration, len(sp.conns))
 	for j, c := range sp.conns {
-		cumulative[j] = c.sender.CumulativeBlocking()
+		cumulative[j] = c.sender.TotalBlocking()
 	}
-	rates, reset := sp.samplers.Sample(now, cumulative)
-	if reset {
-		for _, c := range sp.conns {
-			c.sender.ResetCumulative()
-		}
-		if sp.mtr != nil {
-			sp.mtr.counterResets.Inc()
-			sp.mtr.traceEvent(metrics.Event{Kind: "counter-reset", Conn: -1})
-		}
-	}
+	rates, _ := sp.samplers.Sample(now, cumulative)
 	b := sp.cfg.Balancer
 	if sp.router != nil {
 		// With a balancer configured, feed the sampled blocking rates to

@@ -209,8 +209,6 @@ type Worker struct {
 	rcvBuf    int
 	resilient bool
 	to        Timeouts
-
-	connErrs []error // guarded by pe.mu
 }
 
 // NewWorker starts listening for the splitter on a fresh loopback port.
@@ -266,13 +264,6 @@ func (w *Worker) Addr() string {
 	return w.ln.Addr().String()
 }
 
-// ConnErrors returns the per-connection errors a resilient worker absorbed.
-func (w *Worker) ConnErrors() []error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]error(nil), w.connErrs...)
-}
-
 // Start launches the worker loop. In one-shot mode it runs until the
 // splitter closes its connection or an error occurs; in resilient mode it
 // runs until Close. Wait for completion with Wait.
@@ -304,11 +295,8 @@ func (w *Worker) run() error {
 		if !w.resilient {
 			return err
 		}
-		if err != nil {
-			w.mu.Lock()
-			w.connErrs = append(w.connErrs, err)
-			w.mu.Unlock()
-		}
+		// A resilient worker absorbs the connection's failure: the splitter
+		// replays its tuples and redials, and Accept takes the new connection.
 	}
 }
 

@@ -142,13 +142,6 @@ type Config struct {
 	// order, with the connection that processed it. Used by the downstream
 	// operator in examples and by tests asserting the ordering invariant.
 	Sink func(seq uint64, conn int)
-	// StallWindow, when positive, counts a stall alarm every time the gap
-	// between consecutive in-order releases reaches the window — the
-	// virtual-time analogue of the runtime merger's merge-stall watchdog.
-	// It is pure observability (the sim has no faults to quarantine); it
-	// lets experiments quantify how long an overloaded connection gates
-	// the ordered merge under a given policy.
-	StallWindow time.Duration
 }
 
 // withDefaults fills zero fields.
@@ -240,7 +233,4 @@ type Metrics struct {
 	// in-order releases — how long the ordered merge was gated at its
 	// worst, typically by the most overloaded connection's backlog.
 	MaxReleaseGap time.Duration
-	// StallAlarms counts release gaps that reached Config.StallWindow
-	// (0 when no window was configured).
-	StallAlarms uint64
 }

@@ -62,12 +62,11 @@ type Sim struct {
 	// Merger state.
 	mergerQ    []*seqQueue
 	releaseSeq uint64 // next sequence number to release downstream
-	// Release-gap tracking for the stall observability metrics: all
-	// releases inside one drain share a clock instant, so only the first
-	// release after a pause records a gap.
+	// Release-gap tracking for MaxReleaseGap: all releases inside one drain
+	// share a clock instant, so only the first release after a pause records
+	// a gap.
 	lastReleaseAt time.Duration
 	maxReleaseGap time.Duration
-	stallAlarms   uint64
 	// owner tracks each in-flight tuple's connection and send time, for the
 	// release frontier and the end-to-end latency metric.
 	owner        map[uint64]pendingTuple
@@ -395,9 +394,6 @@ func (s *Sim) drainMerger() {
 			if gap := s.clock - s.lastReleaseAt; gap > s.maxReleaseGap {
 				s.maxReleaseGap = gap
 			}
-			if s.cfg.StallWindow > 0 && s.clock-s.lastReleaseAt >= s.cfg.StallWindow {
-				s.stallAlarms++
-			}
 		}
 		s.lastReleaseAt = s.clock
 		s.latency.Add((s.clock - pend.sentAt).Seconds())
@@ -475,7 +471,6 @@ func (s *Sim) metrics() Metrics {
 		Rerouted:         s.rerouted,
 		FinalWeights:     append([]int(nil), s.weights...),
 		MaxReleaseGap:    s.maxReleaseGap,
-		StallAlarms:      s.stallAlarms,
 	}
 	if s.endAt > 0 {
 		m.MeanThroughput = float64(s.totalCompleted) / s.endAt.Seconds()

@@ -612,8 +612,8 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 
 // TestStallMetricsObserveStraggler checks the virtual-time stall
 // observability: a connection whose tuples suddenly cost 200x gates the
-// ordered merge long enough to raise stall alarms and stretch the max
-// release gap, while a balanced run under the same window raises none.
+// ordered merge long enough to stretch the max release gap past the window,
+// while a balanced run's gap stays inside it.
 func TestStallMetricsObserveStraggler(t *testing.T) {
 	const window = 50 * time.Millisecond
 
@@ -622,7 +622,6 @@ func TestStallMetricsObserveStraggler(t *testing.T) {
 		Hosts: hosts, PEs: pes, BaseCost: 1000,
 		TotalTuples:    3000,
 		SampleInterval: 100 * time.Millisecond,
-		StallWindow:    window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -630,9 +629,6 @@ func TestStallMetricsObserveStraggler(t *testing.T) {
 	cm, err := clean.Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cm.StallAlarms != 0 {
-		t.Fatalf("balanced run raised %d stall alarms", cm.StallAlarms)
 	}
 	if cm.MaxReleaseGap >= window {
 		t.Fatalf("balanced run's max release gap %v reached the window %v", cm.MaxReleaseGap, window)
@@ -643,7 +639,6 @@ func TestStallMetricsObserveStraggler(t *testing.T) {
 		Hosts: hosts, PEs: pes, BaseCost: 1000,
 		TotalTuples:    3000,
 		SampleInterval: 100 * time.Millisecond,
-		StallWindow:    window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -651,9 +646,6 @@ func TestStallMetricsObserveStraggler(t *testing.T) {
 	sm, err := stalled.Run()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sm.StallAlarms == 0 {
-		t.Fatal("straggling connection raised no stall alarms")
 	}
 	if sm.MaxReleaseGap < window {
 		t.Fatalf("straggler max release gap %v below the window %v", sm.MaxReleaseGap, window)

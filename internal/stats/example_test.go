@@ -21,14 +21,3 @@ func ExampleRateSampler() {
 	// rate: 0.9 s/s
 	// rate after reset: 0.5 s/s
 }
-
-// ExampleEWMA smooths a noisy blocking-rate signal.
-func ExampleEWMA() {
-	e := stats.NewEWMA(0.5)
-	for _, sample := range []float64{1.0, 0.0, 1.0, 0.0} {
-		e.Add(sample)
-	}
-	fmt.Printf("%.3f\n", e.Value())
-	// Output:
-	// 0.375
-}

@@ -1,3 +1,7 @@
+// Package stats provides the small statistical utilities the load balancer
+// relies on: a sampler that converts cumulative counters into rates, running
+// moment accumulators, and time-series recorders used by the experiment
+// harness.
 package stats
 
 import "time"

@@ -7,52 +7,6 @@ import (
 	"time"
 )
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Fatal("fresh EWMA is primed")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Fatalf("first sample = %v, want 10 (priming)", got)
-	}
-	if got := e.Add(0); got != 5 {
-		t.Fatalf("second sample = %v, want 5", got)
-	}
-	if got := e.Value(); got != 5 {
-		t.Fatalf("Value = %v, want 5", got)
-	}
-	e.Reset()
-	if e.Primed() || e.Value() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
-func TestEWMABadAlpha(t *testing.T) {
-	for _, alpha := range []float64{-1, 0, 1.5, math.NaN()} {
-		e := NewEWMA(alpha)
-		if e.Alpha() != 1 {
-			t.Fatalf("NewEWMA(%v).Alpha() = %v, want clamp to 1", alpha, e.Alpha())
-		}
-	}
-}
-
-func TestEWMAConvergesProperty(t *testing.T) {
-	// Feeding a constant must converge to that constant.
-	prop := func(v float64, n uint8) bool {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-		e := NewEWMA(0.3)
-		for i := 0; i < int(n%50)+10; i++ {
-			e.Add(v)
-		}
-		return math.Abs(e.Value()-v) <= 1e-9*math.Max(1, math.Abs(v))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRateSampler(t *testing.T) {
 	var s RateSampler
 	if _, ok := s.Sample(0, 100); ok {

@@ -6,38 +6,28 @@ import (
 )
 
 // edgeCounters is the accounting every sender embeds, whatever its transport:
-// the Section 3 blocking counters (one sampled and reset by the controller,
-// one lifetime), the elect-to-block event count, and the delivered tuple and
-// flush counts. The sending goroutine writes them; any goroutine may read
-// them (the controller samples them, a metrics scrape reads them).
+// the Section 3 cumulative blocking counter, the elect-to-block event count,
+// and the delivered tuple and flush counts. The sending goroutine writes
+// them; any goroutine may read them (the controller samples them, a metrics
+// scrape reads them). Nothing resets them: the controller differences
+// successive readings, so a reset would change no rate.
 type edgeCounters struct {
-	cumBlockingNS   atomic.Int64
 	totalBlockingNS atomic.Int64
 	blockEvents     atomic.Int64
 	sent            atomic.Int64
 	flushes         atomic.Int64
 }
 
-// addBlocked accounts one blocked span to both blocking counters, exactly as
+// addBlocked accounts one blocked span to the blocking counter, exactly as
 // the paper's transport adds the select(2) wait to the per-connection counter.
 func (c *edgeCounters) addBlocked(d time.Duration) {
 	if d > 0 {
-		c.cumBlockingNS.Add(int64(d))
 		c.totalBlockingNS.Add(int64(d))
 	}
 }
 
-// CumulativeBlocking returns the sampled blocking-time counter. The
+// TotalBlocking returns the lifetime blocking time on this edge. The
 // controller differences successive readings to obtain the blocking rate.
-func (c *edgeCounters) CumulativeBlocking() time.Duration {
-	return time.Duration(c.cumBlockingNS.Load())
-}
-
-// ResetCumulative zeroes the sampled counter, emulating the transport
-// layer's periodic reset (Figure 2). The lifetime counter is unaffected.
-func (c *edgeCounters) ResetCumulative() { c.cumBlockingNS.Store(0) }
-
-// TotalBlocking returns the lifetime blocking time on this edge.
 func (c *edgeCounters) TotalBlocking() time.Duration {
 	return time.Duration(c.totalBlockingNS.Load())
 }

@@ -26,11 +26,11 @@ import (
 // What is deliberately identical to TCP is the blocking signal. A full ring
 // is this transport's full socket buffer: the sender elects to block — it
 // parks (spsc.Parker) until the consumer frees a slot — and times the wait
-// into the same cumulative/total blocking counters the paper's Section 3
+// into the same cumulative blocking counter the paper's Section 3
 // accounting defines, so core.Balancer drives goroutine replicas exactly as
 // it drives TCP connections. Beard & Chamberlain's observation that the
 // blocking-time signal survives transport changes is what makes this a
-// drop-in: the controller differences CumulativeBlocking readings and never
+// drop-in: the controller differences TotalBlocking readings and never
 // learns which transport produced them.
 //
 // Concurrency contract (same as the TCP pair): one goroutine sends, one
@@ -289,7 +289,7 @@ func (s *InprocSender) closedErr() error {
 // parkFull is the elect-to-block: the ring (this edge's socket buffer) is
 // full, so the sender records a block event, parks until the consumer frees
 // a slot — or the pipe closes, or the stall bound fires — and accounts the
-// parked time to the cumulative counters the controller samples.
+// parked time to the cumulative counter the controller samples.
 func (s *InprocSender) parkFull() error {
 	p := s.p
 	s.blockEvents.Add(1)

@@ -6,7 +6,7 @@ import "time"
 // worker→merger edge. The paper's balancer depends only on the per-connection
 // cumulative-blocking signal, not on TCP itself: any transport that attempts
 // each send without blocking, elects to block when its buffer is full, and
-// times the wait into the cumulative counters drives core.Balancer exactly
+// times the wait into the cumulative counter drives core.Balancer exactly
 // like a TCP connection. Two implementations exist — the TCP Sender
 // (non-blocking write(2)/writev(2) with poller parks) and the in-process
 // InprocSender (bounded SPSC ring with spsc.Parker parks) — and the runtime's
@@ -43,13 +43,9 @@ type BatchSender interface {
 	// SetStallTimeout bounds how long one flush may stay blocked on a peer
 	// that is not draining (0 disables).
 	SetStallTimeout(d time.Duration)
-	// CumulativeBlocking returns the sampled Section 3 blocking counter;
-	// the controller differences successive readings to obtain the rate.
-	CumulativeBlocking() time.Duration
-	// ResetCumulative zeroes the sampled counter (the transport layer's
-	// periodic reset); the lifetime counter is unaffected.
-	ResetCumulative()
-	// TotalBlocking returns the lifetime blocking time on this edge.
+	// TotalBlocking returns the lifetime blocking time on this edge, the
+	// Section 3 cumulative counter; the controller differences successive
+	// readings to obtain the rate.
 	TotalBlocking() time.Duration
 	// BlockEvents returns how many sends elected to block.
 	BlockEvents() int64

@@ -104,7 +104,7 @@ func (s *Sender) Send(t Tuple) error {
 }
 
 // account closes out an in-progress blocking episode: the time since the
-// park started is added to the cumulative counters, exactly as the paper's
+// park started is added to the cumulative counter, exactly as the paper's
 // transport adds the select(2) wait to the per-connection counter.
 func (s *Sender) account() {
 	if !s.blocked {
