@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check loc overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
+.PHONY: test test-race vet fmt-check loc trials overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
 
 test:
 	go test ./...
@@ -24,6 +24,23 @@ fmt-check:
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l)"
 	@echo "runtime+transport+spsc:     $$(find internal/runtime internal/transport internal/spsc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+
+# The straggler suite's flake count (ROADMAP item 5): build the runtime test
+# binary once with -race, run TestStragglerInvariantTrials N times
+# (`make trials N=100`), print each failing run's seeds and "k of N runs
+# failed"; exits non-zero when k > 0.
+N ?= 10
+trials:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go test -race -c -o "$$dir/runtime.test" ./internal/runtime && \
+	fails=0 && \
+	for i in $$(seq 1 $(N)); do \
+		if ! (cd internal/runtime && "$$dir/runtime.test" -test.run '^TestStragglerInvariantTrials$$' >"$$dir/out" 2>&1); then \
+			fails=$$((fails + 1)); \
+			echo "run $$i failed: $$(grep -o 'seed [0-9]*' "$$dir/out" | sort -u | paste -sd, -)"; \
+		fi; \
+	done && \
+	echo "$$fails of $(N) runs failed" && test $$fails -eq 0
 
 # The observability budget (ROADMAP 4c) from one place: what one traced
 # tcp_sat run reads for the registry's end-to-end overhead and a counter

@@ -35,11 +35,12 @@
 //
 // Straggler defense: -io-timeout and -send-stall bound every control-plane
 // and data-plane I/O (dials, handshakes, probes, control frames, parked
-// sends); -stall-window arms the merger's merge-stall watchdog, which
-// quarantines a worker that accepts tuples but stops delivering results; and
-// -max-readmits caps how many times a quarantined worker may rejoin before
-// the circuit breaker retires it. All four are accepted by run and forwarded
-// to the right components.
+// sends); -stall-window arms the splitter's merge-stall check, which
+// quarantines the worker carrying the head-of-line tuple when the merger's
+// watermark stops moving (a worker that accepts tuples but stops delivering
+// results); and -max-readmits caps how many times a quarantined worker may
+// rejoin before the circuit breaker retires it. All four are accepted by run
+// and forwarded to the right components.
 package main
 
 import (
@@ -162,7 +163,6 @@ func runMerger(w io.Writer, args []string) error {
 	queue := fs.Int("queue", 0, "reorder queue capacity per worker (0 = default)")
 	recvBatch := fs.Int("recv-batch", 0, "tuples ingested per receive pass (0 = default; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "per-connection lock-free ingest ring capacity, rounded up to a power of two (0 = default)")
-	stallWindow := fs.Duration("stall-window", 0, "merge-stall watchdog window; quarantines stragglers via the control channel (0 = off)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -195,9 +195,6 @@ func runMerger(w io.Writer, args []string) error {
 		m.SetRingCap(*ringCap)
 	}
 	m.SetTimeouts(timeouts())
-	if *stallWindow > 0 {
-		m.SetStallWindow(*stallWindow)
-	}
 	rm, msrv, err := serveMetrics(w, *metricsAddr)
 	if err != nil {
 		return err
@@ -288,6 +285,7 @@ func runSplitter(w io.Writer, args []string) error {
 	retain := fs.Int("retain", 0, "replay buffer capacity in tuples (0 = default; needs -control)")
 	noRedial := fs.Bool("no-redial", false, "do not reconnect to failed workers (needs -control)")
 	maxReadmits := fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited; needs -control)")
+	stallWindow := fs.Duration("stall-window", 0, "merge-stall window: quarantine the worker holding the head-of-line tuple when the merger's watermark stops moving this long (0 = off; needs -control)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -321,7 +319,7 @@ func runSplitter(w io.Writer, args []string) error {
 			case "rejoin":
 				fmt.Fprintf(w, "EVENT worker %d rejoined\n", ev.Conn)
 			case "quarantine":
-				fmt.Fprintf(w, "EVENT worker %d quarantined by merge-stall watchdog\n", ev.Conn)
+				fmt.Fprintf(w, "EVENT worker %d quarantined: the merge stalled behind it\n", ev.Conn)
 			case "evicted":
 				fmt.Fprintf(w, "EVENT worker %d evicted permanently (quarantine limit)\n", ev.Conn)
 			case "redial-exhausted":
@@ -343,6 +341,7 @@ func runSplitter(w io.Writer, args []string) error {
 		scfg.ControlAddr = *control
 		scfg.RetainCap = *retain
 		scfg.MaxReadmits = *maxReadmits
+		scfg.StallWindow = *stallWindow
 		if !*noRedial {
 			policy := runtime.DefaultRegionRedial
 			scfg.Redial = &policy
@@ -389,7 +388,7 @@ func runAll(w io.Writer, args []string) error {
 	batch := fs.Int("batch", 1, "tuples staged per flush round; each flush is one blocking sample (1 = a batch of one: one sample per tuple)")
 	recvBatch := fs.Int("recv-batch", 0, "tuples per receive pass in workers and merger (0 = default; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
-	stallWindow := fs.Duration("stall-window", 0, "merge-stall watchdog window (0 = off; needs -recover)")
+	stallWindow := fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")
 	maxReadmits := fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")
 	keyed := fs.Bool("keyed", false, "stream deterministic keyed tuples (Zipf skew) instead of the unkeyed constant source")
 	skew := fs.Float64("skew", 1.1, "Zipf exponent of the keyed stream (0 = uniform; needs -keyed)")
@@ -448,9 +447,6 @@ func runAll(w io.Writer, args []string) error {
 	}
 	if *ioTO != 0 {
 		margs = append(margs, "-io-timeout", ioTO.String())
-	}
-	if *stallWindow > 0 && *recover {
-		margs = append(margs, "-stall-window", stallWindow.String())
 	}
 	mergerCmd, mergerAddr, err := spawn(self, "merger", margs...)
 	if err != nil {
@@ -512,6 +508,9 @@ func runAll(w io.Writer, args []string) error {
 		sargs = append(sargs, "-control", mergerAddr)
 		if *maxReadmits != 0 {
 			sargs = append(sargs, "-max-readmits", fmt.Sprint(*maxReadmits))
+		}
+		if *stallWindow > 0 {
+			sargs = append(sargs, "-stall-window", stallWindow.String())
 		}
 	}
 	if *ioTO != 0 {

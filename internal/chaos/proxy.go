@@ -249,18 +249,6 @@ func Kill() func(*Proxy) { return func(p *Proxy) { p.KillActive() } }
 // Delay returns a step action setting the per-chunk delay.
 func Delay(d time.Duration) func(*Proxy) { return func(p *Proxy) { p.SetDelay(d) } }
 
-// Throttle returns a step action capping bandwidth.
-func Throttle(bytesPerSec int) func(*Proxy) { return func(p *Proxy) { p.SetThrottle(bytesPerSec) } }
-
-// Blackhole returns a step action toggling the gray-failure mode.
-func Blackhole(on bool) func(*Proxy) { return func(p *Proxy) { p.SetBlackhole(on) } }
-
-// Stall returns a step action toggling the accept-but-never-drain mode.
-func Stall(on bool) func(*Proxy) { return func(p *Proxy) { p.SetStall(on) } }
-
-// SlowDrip returns a step action toggling byte-at-a-time forwarding.
-func SlowDrip(bytesPerSec int) func(*Proxy) { return func(p *Proxy) { p.SetSlowDrip(bytesPerSec) } }
-
 func (p *Proxy) acceptLoop() {
 	defer p.wg.Done()
 	for {

@@ -279,9 +279,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns how many observations were recorded.
 func (h *Histogram) Count() uint64 { return h.s.count.Load() }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sumBits.Load()) }
-
 // CounterVec is a counter family with labels; resolve children once with
 // With and hold the handle on the hot path.
 type CounterVec struct{ f *family }

@@ -12,19 +12,15 @@ import (
 // The recovery control channel is a side TCP connection between splitter and
 // merger. It shares the merger's listener: a peer that handshakes with
 // controlConnID instead of a worker id is a control connection. Over it flow
-// three kinds of 8-byte little-endian frames:
+// two kinds of 8-byte little-endian frames, one in each direction:
 //
 //	merger -> splitter: the released watermark — the count of tuples
 //	  released contiguously (i.e. the lowest unreleased sequence number),
 //	  sent periodically and once more when the merge completes. The
 //	  splitter retains every sent tuple at or above the watermark and can
 //	  therefore replay a dead connection's unreleased tuples to survivors.
-//	merger -> splitter: a quarantine frame — bit 63 set, the low 32 bits
-//	  carrying the worker id the merge-stall watchdog nominated. Sequence
-//	  counts never approach 2^63, so the tag bit is unambiguous. The
-//	  splitter cross-checks the nomination against its replay buffer (which
-//	  knows the true owner of the head-of-line sequence) and ejects the
-//	  stalled worker through the ordinary membership-edit path.
+//	  A watermark that stops moving while tuples are retained is also the
+//	  splitter's merge-stall evidence: it alone decides to quarantine.
 //	splitter -> merger: the FIN total — the number of tuples the source
 //	  produced, sent exactly once when the source is exhausted. It tells
 //	  the merger when the stream is complete even though worker streams
@@ -36,10 +32,6 @@ import (
 // workers are allowed to fail.
 const controlConnID = 0xFFFFFFFF
 
-// quarantineFlag tags a merger→splitter control frame as a quarantine
-// nomination rather than a watermark.
-const quarantineFlag = uint64(1) << 63
-
 // controlLink is the splitter's end of the control channel.
 type controlLink struct {
 	conn      net.Conn
@@ -48,10 +40,6 @@ type controlLink struct {
 	watermark atomic.Uint64
 	// wmSignal is pulsed (coalesced) after every watermark advance.
 	wmSignal chan struct{}
-	// quarCh delivers quarantine nominations to the send loop. Buffered;
-	// overflow is dropped (the watchdog re-nominates while the stall
-	// persists).
-	quarCh chan int
 	// dead is closed when the merger side goes away.
 	dead chan struct{}
 }
@@ -78,17 +66,16 @@ func dialControl(addr string, to Timeouts) (*controlLink, error) {
 		readTO:   to.ControlRead,
 		writeTO:  to.ControlWrite,
 		wmSignal: make(chan struct{}, 1),
-		quarCh:   make(chan int, 64),
 		dead:     make(chan struct{}),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
-// readLoop consumes watermark and quarantine frames until the connection
-// dies. The merger writes a watermark every interval even when the merge is
-// stalled, so a per-frame read deadline distinguishes a dead peer from a
-// quiet one without any extra keepalive traffic.
+// readLoop consumes watermark frames until the connection dies. The merger
+// writes a watermark every interval even when the merge is stalled, so a
+// per-frame read deadline distinguishes a dead peer from a quiet one without
+// any extra keepalive traffic.
 func (c *controlLink) readLoop() {
 	defer close(c.dead)
 	var buf [8]byte
@@ -99,15 +86,7 @@ func (c *controlLink) readLoop() {
 		if _, err := io.ReadFull(c.conn, buf[:]); err != nil {
 			return
 		}
-		v := binary.LittleEndian.Uint64(buf[:])
-		if v&quarantineFlag != 0 {
-			select {
-			case c.quarCh <- int(uint32(v)):
-			default:
-			}
-			continue
-		}
-		if v > c.watermark.Load() {
+		if v := binary.LittleEndian.Uint64(buf[:]); v > c.watermark.Load() {
 			c.watermark.Store(v)
 			select {
 			case c.wmSignal <- struct{}{}:

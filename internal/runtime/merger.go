@@ -81,22 +81,21 @@ const DefaultWatermarkInterval = 20 * time.Millisecond
 // loop by an epoch counter, and inside park/wake, which is touched only when
 // a goroutine actually goes to sleep.
 type Merger struct {
-	ln          net.Listener
-	workers     int
-	queueCap    int
-	ringCap     int
-	recvBatch   int // max tuples decoded per ReceiveBatch pass
-	sink        func(transport.Tuple, int)
-	wmInterval  time.Duration
-	to          Timeouts
-	stallWindow time.Duration // 0 = watchdog disabled
+	ln         net.Listener
+	workers    int
+	queueCap   int
+	ringCap    int
+	recvBatch  int // max tuples decoded per ReceiveBatch pass
+	sink       func(transport.Tuple, int)
+	wmInterval time.Duration
+	to         Timeouts
 
 	// Data plane. rings[id] is written by connection id's reader and
 	// drained by the merge loop; queues (per-stream reorder heaps) and
 	// heads (the release tournament over their minimums) are touched by
 	// the merge loop alone. depth[id] republishes each heap's occupancy
-	// so producers, the watchdog and a metrics scrape can read it without
-	// entering the merge loop's world.
+	// so producers and a metrics scrape can read it without entering the
+	// merge loop's world.
 	rings  []*spsc.Ring[mergeItem]
 	queues []streamQueue
 	heads  *headIndex
@@ -148,15 +147,9 @@ type Merger struct {
 	// stranded block references.
 	readers map[transport.BatchReceiver]struct{}
 
-	// quarantined[id] is set when the watchdog nominates id and cleared
-	// when the stream delivers or reattaches; atomic because readers
-	// clear it on the lock-free ingest path.
-	quarantined []atomic.Bool
-
 	// lastIngest is the wall time (unix nanos) each worker id last
 	// delivered a batch (0 until its first attach), stamped lock-free by the
-	// connection readers and read by the watchdog to rank quarantine
-	// candidates and by a scrape for the ingest-age gauge.
+	// connection readers and read by a scrape for the ingest-age gauge.
 	lastIngest []atomic.Int64
 
 	// next is the released watermark: the lowest unreleased sequence
@@ -183,19 +176,17 @@ type Merger struct {
 	combined   atomic.Uint64 // seqs released via carrier absorption
 
 	wmStop chan struct{} // tells watermark writers to flush and exit
-	quarCh chan int      // watchdog nominations bound for the control channel
 	done   chan struct{}
 	err    error
 	wg     sync.WaitGroup
 
 	// Handles for what exists only to be observed (batch sizes, park/wake
-	// and stall events, the trace); nil when the merger is uninstrumented.
-	// Set before Start.
+	// events, the trace); nil when the merger is uninstrumented. Set before
+	// Start.
 	rm           *RegionMetrics
 	mIngestBatch *metrics.Histogram
 	mParks       *metrics.Counter
 	mWakes       *metrics.Counter
-	mStall       *metrics.Histogram
 }
 
 // NewMerger listens for worker connections. sink receives every tuple, in
@@ -219,27 +210,25 @@ func newMerger(workers, queueCap int, sink func(transport.Tuple, int), listen bo
 		queueCap = DefaultMergerQueue
 	}
 	m := &Merger{
-		workers:     workers,
-		queueCap:    queueCap,
-		ringCap:     DefaultMergerRing,
-		recvBatch:   transport.DefaultRecvBatch,
-		sink:        sink,
-		wmInterval:  DefaultWatermarkInterval,
-		to:          Timeouts{}.norm(),
-		rings:       make([]*spsc.Ring[mergeItem], workers),
-		queues:      make([]streamQueue, workers),
-		heads:       newHeadIndex(workers),
-		depth:       make([]paddedCount, workers),
-		live:        make([]bool, workers),
-		seen:        make([]bool, workers),
-		quarantined: make([]atomic.Bool, workers),
-		pending:     make(map[net.Conn]struct{}),
-		readers:     make(map[transport.BatchReceiver]struct{}),
-		lastIngest:  make([]atomic.Int64, workers),
-		absorbed:    make(map[uint64]struct{}),
-		wmStop:      make(chan struct{}),
-		quarCh:      make(chan int, workers),
-		done:        make(chan struct{}),
+		workers:    workers,
+		queueCap:   queueCap,
+		ringCap:    DefaultMergerRing,
+		recvBatch:  transport.DefaultRecvBatch,
+		sink:       sink,
+		wmInterval: DefaultWatermarkInterval,
+		to:         Timeouts{}.norm(),
+		rings:      make([]*spsc.Ring[mergeItem], workers),
+		queues:     make([]streamQueue, workers),
+		heads:      newHeadIndex(workers),
+		depth:      make([]paddedCount, workers),
+		live:       make([]bool, workers),
+		seen:       make([]bool, workers),
+		pending:    make(map[net.Conn]struct{}),
+		readers:    make(map[transport.BatchReceiver]struct{}),
+		lastIngest: make([]atomic.Int64, workers),
+		absorbed:   make(map[uint64]struct{}),
+		wmStop:     make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	for id := range m.rings {
 		m.rings[id] = spsc.NewRing[mergeItem](m.ringCap)
@@ -260,18 +249,6 @@ func newMerger(workers, queueCap int, sink func(transport.Tuple, int), listen bo
 // control-channel writes). Call before Start.
 func (m *Merger) SetTimeouts(t Timeouts) {
 	m.to = t.norm()
-}
-
-// SetStallWindow arms the merge-stall watchdog: when the watermark makes no
-// progress for this long while queued tuples are waiting behind the gap, the
-// connection that appears to own the missing sequence range is nominated for
-// quarantine on the control channel. d <= 0 disables the watchdog. Call
-// before Start.
-func (m *Merger) SetStallWindow(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.stallWindow = d
 }
 
 // SetWatermarkInterval tunes how often released watermarks are reported on
@@ -309,8 +286,8 @@ func (m *Merger) SetRingCap(n int) {
 // SetMetrics instruments the merger. The counts the merge keeps for its own
 // work (watermark, released, dedup and combined totals, per-connection queue
 // and ring occupancy, last-ingest age) are bound to their atomics and read at
-// scrape time; batch sizes, park/wake and stall events are pushed where they
-// happen. Call before Start; nil is a no-op.
+// scrape time; batch sizes and park/wake events are pushed where they happen.
+// Call before Start; nil is a no-op.
 func (m *Merger) SetMetrics(rm *RegionMetrics) {
 	if rm == nil {
 		return
@@ -337,7 +314,6 @@ func (m *Merger) SetMetrics(rm *RegionMetrics) {
 	m.mIngestBatch = rm.ingestBatchTuples
 	m.mParks = rm.ingestParks
 	m.mWakes = rm.mergeWakes
-	m.mStall = rm.stallSeconds
 }
 
 // Addr returns the address workers (and the splitter's control channel) dial;
@@ -393,8 +369,7 @@ type paddedCount struct {
 
 // streamDepth is stream id's full reorder backlog: its published queue
 // occupancy plus whatever sits undrained in its ring. Lock-free and
-// approximate while both sides move, which is fine for back pressure and
-// watchdog evidence.
+// approximate while both sides move, which is fine for back pressure.
 func (m *Merger) streamDepth(id int) int {
 	return int(m.depth[id].v.Load()) + m.rings[id].Len()
 }
@@ -429,10 +404,6 @@ func (m *Merger) run() error {
 	if m.ln != nil {
 		m.wg.Add(1)
 		go m.acceptLoop()
-	}
-	if m.stallWindow > 0 {
-		m.wg.Add(1)
-		go m.watchdog()
 	}
 
 	mergeErr := m.mergeLoop()
@@ -641,9 +612,9 @@ func (m *Merger) attachControl(conn net.Conn) {
 	m.wakeAll()
 }
 
-// watermarkWriter periodically reports the released watermark and forwards
-// the watchdog's quarantine nominations, flushing a final watermark when the
-// merge completes so the splitter's drain observes every release. It owns
+// watermarkWriter periodically reports the released watermark, flushing a
+// final one when the merge completes so the splitter's drain observes every
+// release. It owns
 // closing the control connection. Every write carries a deadline: a control
 // peer that stops reading sheds this goroutine instead of pinning it.
 func (m *Merger) watermarkWriter(conn net.Conn) {
@@ -652,28 +623,21 @@ func (m *Merger) watermarkWriter(conn net.Conn) {
 	ticker := time.NewTicker(m.wmInterval)
 	defer ticker.Stop()
 	var buf [8]byte
-	send := func(v uint64) error {
-		binary.LittleEndian.PutUint64(buf[:], v)
+	write := func() error {
+		// next is atomic, so the periodic report reads the merge loop's
+		// progress without touching it.
+		binary.LittleEndian.PutUint64(buf[:], m.next.Load())
 		if m.to.ControlWrite > 0 {
 			conn.SetWriteDeadline(time.Now().Add(m.to.ControlWrite))
 		}
 		_, err := conn.Write(buf[:])
 		return err
 	}
-	write := func() error {
-		// next is atomic, so the periodic report reads the merge loop's
-		// progress without touching it.
-		return send(m.next.Load())
-	}
 	for {
 		select {
 		case <-m.wmStop:
 			write()
 			return
-		case id := <-m.quarCh:
-			if send(quarantineFlag|uint64(uint32(id))) != nil {
-				return
-			}
 		case <-ticker.C:
 			if write() != nil {
 				return
@@ -724,9 +688,7 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 	// never an Add racing a Wait already in progress.
 	m.wg.Add(1)
 	m.ctl.Unlock()
-	// A (re)attaching stream is fresh evidence of life: reset the ingest
-	// clock and clear any standing quarantine nomination for this id.
-	m.quarantined[id].Store(false)
+	// A (re)attaching stream restarts its ingest age.
 	m.lastIngest[id].Store(time.Now().UnixNano())
 	m.wakeAll()
 	go m.readLoop(id, rx)
@@ -766,7 +728,7 @@ func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 			m.mIngestBatch.Observe(float64(len(batch)))
 		}
 		// Stamp arrival before ingest (which may park on a full backlog):
-		// the watchdog must see that this stream is delivering even while
+		// the ingest age must show that this stream is delivering even while
 		// the reorder backlog has no room.
 		m.lastIngest[id].Store(time.Now().UnixNano())
 		if !m.ingest(id, batch, ref) {
@@ -790,9 +752,6 @@ func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 // only connection id's reader calls this, one batch at a time.
 func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef) bool {
 	ring := m.rings[id]
-	// A stream delivering again withdraws any standing quarantine
-	// nomination for it (e.g. the stall healed before the splitter acted).
-	m.quarantined[id].Store(false)
 	// One watermark load covers the batch: the merge loop invalidates that
 	// cache line on every release, and re-reading it per tuple from 64
 	// readers is pure coherence traffic. A stale (lower) value is safe on
@@ -877,134 +836,6 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 	}
 	wake()
 	return true
-}
-
-// watchdog detects merge stalls: when the released watermark makes no
-// progress for the stall window while other streams have tuples queued
-// behind the gap, the connection that most plausibly owns the missing
-// sequence range is nominated for quarantine on the control channel. The
-// splitter cross-checks the nomination against its replay buffer (which
-// knows the true owner) and drives the eviction through the ordinary
-// membership-edit path, so the merger never mutates membership itself.
-//
-// The watchdog also maintains the stall-episode histogram. It reads the
-// watermark atomically each tick — the merge hot path carries no extra
-// timestamping for it.
-func (m *Merger) watchdog() {
-	defer m.wg.Done()
-	tick := m.stallWindow / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	prevWM := m.next.Load()
-	lastAdvance := time.Now()
-	var lastNominate time.Time
-	inStall := false
-	var stallStart time.Time
-	for {
-		select {
-		case <-m.wmStop:
-			// The merge finished (or the merger closed) with a stall episode
-			// still open: the episode ended with the stream, so close it here
-			// rather than losing it — recovery and completion can both land
-			// inside one tick.
-			if inStall && m.mStall != nil && m.next.Load() != prevWM {
-				m.mStall.Observe(time.Since(stallStart).Seconds())
-			}
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		wm := m.next.Load()
-		if wm != prevWM {
-			if inStall {
-				if m.mStall != nil {
-					m.mStall.Observe(now.Sub(stallStart).Seconds())
-				}
-				inStall = false
-			}
-			prevWM = wm
-			lastAdvance = now
-			continue
-		}
-		if now.Sub(lastAdvance) < m.stallWindow {
-			continue
-		}
-		victim, evidence := m.nominate(now)
-		if evidence && !inStall {
-			inStall = true
-			stallStart = lastAdvance
-		}
-		if victim < 0 {
-			continue
-		}
-		// Re-nominate at most once per window while the stall persists —
-		// the next candidate differs because nominated ids are excluded
-		// until they deliver again or reattach.
-		if !lastNominate.IsZero() && now.Sub(lastNominate) < m.stallWindow {
-			continue
-		}
-		lastNominate = now
-		select {
-		case m.quarCh <- victim:
-		default:
-		}
-		if m.rm != nil {
-			m.rm.traceEvent(metrics.Event{Kind: "stall-quarantine", Conn: victim,
-				Value: now.Sub(lastAdvance).Seconds()})
-		}
-	}
-}
-
-// nominate picks the quarantine candidate under the stall evidence gates:
-// recovery must be active (a live control channel to deliver the nomination
-// and act on it), the stream must be incomplete, and at least one tuple must
-// be queued behind the gap — an idle source stalls the watermark too, and
-// evicting healthy workers for having nothing to do would churn membership
-// for nothing. Among live, not-already-nominated connections whose last
-// ingest is older than the window, connections with an empty reorder backlog
-// are preferred (the stalled link has nothing buffered; the survivors are
-// queued up behind the gap), oldest ingest first. Returns the candidate (or
-// -1) and whether the stall evidence held. Backlogs are read from the
-// published depth atomics, so nomination never touches the merge loop's
-// private heaps.
-func (m *Merger) nominate(now time.Time) (victim int, evidence bool) {
-	m.ctl.Lock()
-	defer m.ctl.Unlock()
-	if m.closed.Load() || m.fatal != nil || m.ctrlLive == 0 {
-		return -1, false
-	}
-	if m.finKnown && m.next.Load() >= m.finTotal {
-		return -1, false
-	}
-	queued := 0
-	for id := 0; id < m.workers; id++ {
-		queued += m.streamDepth(id)
-	}
-	if queued == 0 {
-		return -1, false
-	}
-	best, bestEmpty := -1, false
-	var bestAge time.Duration
-	for id := range m.live {
-		if !m.live[id] || m.quarantined[id].Load() {
-			continue
-		}
-		age := now.Sub(time.Unix(0, m.lastIngest[id].Load()))
-		if age < m.stallWindow {
-			continue
-		}
-		empty := m.streamDepth(id) == 0
-		if best < 0 || (empty && !bestEmpty) || (empty == bestEmpty && age > bestAge) {
-			best, bestEmpty, bestAge = id, empty, age
-		}
-	}
-	if best >= 0 {
-		m.quarantined[best].Store(true)
-	}
-	return best, true
 }
 
 // mergerSnap is the merge loop's cached view of the control plane,

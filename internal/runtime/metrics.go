@@ -143,7 +143,7 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		mergeWakes: reg.Counter("spe_merger_merge_wakes_total",
 			"Times the merge loop parked for input and was woken."),
 		stallSeconds: reg.Histogram("spe_merger_stall_seconds",
-			"Durations of merge-stall episodes (watermark stuck past the stall window until it advanced again).",
+			"Durations of merge-stall episodes (watermark stuck past the stall window until it advanced again), pushed by the splitter's stall check.",
 			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 30, 60}),
 		ingestAge: reg.GaugeVec("spe_worker_last_ingest_age_seconds",
 			"Seconds since the merger last ingested a batch from each worker connection.", "conn"),
@@ -161,7 +161,7 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		rejoins: reg.CounterVec("spe_recovery_rejoins_total",
 			"Redialed workers re-admitted into the schedule, per connection.", "conn"),
 		quarantines: reg.Counter("spe_quarantine_events_total",
-			"Workers ejected by the merge-stall watchdog (before the head-owner override, if any)."),
+			"Workers ejected by the splitter's merge-stall check."),
 	}
 }
 

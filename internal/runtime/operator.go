@@ -138,11 +138,6 @@ func (op *ServiceOperator) SetService(d time.Duration) {
 	op.serviceNS.Store(int64(d))
 }
 
-// Service returns the current per-tuple service time.
-func (op *ServiceOperator) Service() time.Duration {
-	return time.Duration(op.serviceNS.Load())
-}
-
 // Process implements Operator: it charges one service time against the debt
 // counter, sleeping when a full quantum has accumulated.
 func (op *ServiceOperator) Process(t transport.Tuple) transport.Tuple {

@@ -644,7 +644,8 @@ func TestRedialerRejoinNoRegion(t *testing.T) {
 		}
 		ln2.Close()
 	}()
-	rd := transport.NewRedialer(addr, transport.RedialPolicy{
+	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
+	rd := transport.NewRedialer(dial, transport.RedialPolicy{
 		Base: 5 * time.Millisecond,
 		Max:  20 * time.Millisecond,
 	})

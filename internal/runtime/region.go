@@ -33,9 +33,10 @@ type RecoveryConfig struct {
 	// DisableRedial turns reconnection off: a dead worker stays dead and
 	// its load shifts permanently to the survivors.
 	DisableRedial bool
-	// StallWindow is how long the merge may make no progress (while work
-	// is queued) before the watchdog quarantines the straggling worker.
-	// Zero selects DefaultStallWindow; negative disables the watchdog.
+	// StallWindow is how long the merge may make no progress (while the
+	// splitter retains unreleased tuples) before the splitter quarantines
+	// the straggling worker. Zero selects DefaultStallWindow; negative
+	// disables the check. See SplitterConfig.StallWindow.
 	StallWindow time.Duration
 	// MaxReadmits caps how many times one worker may be quarantined and
 	// still redialed before the circuit breaker retires it permanently
@@ -253,16 +254,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	merger.SetRecvBatch(cfg.RecvBatchSize)
 	merger.SetRingCap(cfg.RingCap)
 	merger.SetTimeouts(cfg.Timeouts)
-	if cfg.Recovery.Enabled {
-		// The watchdog is only useful when a quarantine nomination has
-		// somewhere to go (the control channel) and the ejected worker's
-		// tuples can be replayed.
-		window := cfg.Recovery.StallWindow
-		if window == 0 {
-			window = DefaultStallWindow
-		}
-		merger.SetStallWindow(window)
-	}
 	merger.SetMetrics(cfg.Metrics)
 	r.merger = merger
 
@@ -345,6 +336,10 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 		scfg.ControlAddr = merger.Addr()
 		scfg.RetainCap = cfg.Recovery.RetainCap
 		scfg.MaxReadmits = cfg.Recovery.MaxReadmits
+		scfg.StallWindow = cfg.Recovery.StallWindow
+		if scfg.StallWindow == 0 {
+			scfg.StallWindow = DefaultStallWindow
+		}
 		if !cfg.Recovery.DisableRedial {
 			policy := DefaultRegionRedial
 			if cfg.Recovery.Redial != nil {

@@ -326,8 +326,7 @@ func TestScrapeDoesNotWaitOnParkedSend(t *testing.T) {
 	}
 }
 
-// TestIngestAgeMovesWithoutRecovery pins the gauge that used to be written
-// only by the merge-stall watchdog, and so read 0 forever in every region
+// TestIngestAgeMovesWithoutRecovery pins the ingest-age gauge in regions
 // without recovery: the age is positive for an attached worker, grows while
 // nothing arrives, and is 0 only for a worker id that never attached.
 func TestIngestAgeMovesWithoutRecovery(t *testing.T) {

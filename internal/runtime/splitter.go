@@ -44,8 +44,8 @@ type KeyedSource func(seq uint64) (key uint64, payload []byte, ok bool)
 type ConnEvent struct {
 	// Kind is "down" (connection failed), "replay" (its unreleased tuples
 	// were re-sent to survivors), "rejoin" (a redial succeeded and the
-	// worker was re-admitted), "quarantine" (the merge-stall watchdog
-	// ejected the worker), "evicted" (the quarantine circuit breaker
+	// worker was re-admitted), "quarantine" (the merge-stall check ejected
+	// the worker), "evicted" (the quarantine circuit breaker
 	// retired the worker permanently) or "redial-exhausted" (the redial
 	// attempt budget ran out; the worker stays gone). All kinds are emitted
 	// from the splitter's send loop except "redial-exhausted", which is
@@ -147,6 +147,11 @@ type SplitterConfig struct {
 	// permanently (0 selects DefaultMaxReadmits, negative is unlimited).
 	// Only meaningful with ControlAddr set.
 	MaxReadmits int
+	// StallWindow arms the merge-stall check: when the merger's watermark
+	// has not moved for this long while a sent tuple is still unreleased,
+	// the splitter quarantines the connection carrying the head-of-line
+	// sequence. <= 0 disables it. Only meaningful with ControlAddr set.
+	StallWindow time.Duration
 }
 
 // DefaultSocketBuffer is the kernel buffer size requested per connection.
@@ -243,6 +248,15 @@ type Splitter struct {
 	retHead   int
 	downErrs  []error
 	quarCount []int
+
+	// Merge-stall check state, owned by the send loop: the ticker driving
+	// the check (nil when disabled), the watermark it last saw, when the
+	// stall clock last restarted, and when the open stall episode began
+	// (zero when none is open).
+	stallTick  <-chan time.Time
+	stallWM    uint64
+	stallSince time.Time
+	stallFrom  time.Time
 
 	deadCh   chan *splitConn
 	rejoinCh chan rejoin
@@ -479,6 +493,10 @@ func (sp *Splitter) Start() {
 	go func() {
 		defer close(sp.done)
 		sp.err = sp.sendLoop()
+		if sp.stallTick != nil {
+			// The stream may have completed inside an open stall episode.
+			sp.stallAdvanced(time.Now())
+		}
 		if sp.mtr != nil {
 			sp.publishPicks() // the run may have ended between ticks
 			sp.publishReplayDepth()
@@ -531,6 +549,12 @@ func (sp *Splitter) sendLoop() error {
 	touched := make([]*splitConn, 0, batch)
 	ticker := time.NewTicker(sp.cfg.SampleInterval)
 	defer ticker.Stop()
+	if recovery && sp.cfg.StallWindow > 0 {
+		stall := time.NewTicker(max(sp.cfg.StallWindow/4, time.Millisecond))
+		defer stall.Stop()
+		sp.stallTick = stall.C
+		sp.stallSince = time.Now() // the first round is the first send
+	}
 	var seq uint64
 	for {
 		select {
@@ -656,12 +680,13 @@ func (sp *Splitter) pickFor(key uint64) *splitConn {
 var errControlLost = errors.New("runtime: control channel lost")
 
 // handleEvent is the send loop's one event switch: it takes one notice and
-// reacts to it. A peer close seen by a monitor and a quarantine nominated by
-// the merger's watchdog go to fail, which retires the connection and replays
-// (drain passes its own, so the notice is weighed against the watermark
-// first); a rejoin re-admits the redialed worker. With wait set it parks
-// until a notice arrives and also wakes on a watermark advance (pruning the
-// replay buffer) and on the loss of the control channel (errControlLost).
+// reacts to it. A peer close seen by a monitor goes to fail, which retires the
+// connection and replays (drain passes its own, so the notice is weighed
+// against the watermark first); a stall tick runs the merge-stall check,
+// whose quarantine goes to fail too; a rejoin re-admits the redialed worker.
+// With wait set it parks until a notice arrives and also wakes on a watermark
+// advance (pruning the replay buffer) and on the loss of the control channel
+// (errControlLost).
 func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) error) error {
 	var advanced, lost <-chan struct{}
 	if wait {
@@ -680,8 +705,8 @@ func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) e
 			return nil
 		}
 		return fail(c.id, false)
-	case id := <-sp.ctrl.quarCh:
-		return fail(id, true)
+	case now := <-sp.stallTick:
+		return sp.checkStall(now, fail)
 	case rj := <-sp.rejoinCh:
 		sp.admitRejoin(rj)
 	}
@@ -692,7 +717,7 @@ func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) e
 // their only receiver, so a channel seen non-empty here still is when
 // handleEvent selects on it.
 func (sp *Splitter) pollEvents() error {
-	for len(sp.deadCh)+len(sp.ctrl.quarCh)+len(sp.rejoinCh) > 0 {
+	for len(sp.deadCh)+len(sp.stallTick)+len(sp.rejoinCh) > 0 {
 		if err := sp.handleEvent(false, sp.connFailed); err != nil {
 			return err
 		}
@@ -700,41 +725,68 @@ func (sp *Splitter) pollEvents() error {
 	return nil
 }
 
-// connFailed acts on a death or quarantine notice for stable worker id.
+// connFailed acts on a death or quarantine notice for stable worker id. A
+// quarantine rides the same membership edit as a death: retire, replay to
+// survivors, redial.
 func (sp *Splitter) connFailed(id int, quarantined bool) error {
-	if quarantined {
-		return sp.handleQuarantine(id)
-	}
-	if c := sp.findLive(id); c != nil {
-		return sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d connection closed by peer", id))
-	}
-	return nil
-}
-
-// handleQuarantine ejects a stalled worker nominated by the merger's
-// merge-stall watchdog. The merger nominates heuristically (oldest silent
-// reader); the splitter holds the authoritative evidence — the replay buffer
-// knows which connection carries the head-of-line sequence — so it overrides
-// a nomination that disagrees with the head owner. The ejection itself rides
-// the ordinary membership-edit path: retire, replay to survivors, redial.
-func (sp *Splitter) handleQuarantine(id int) error {
-	if owner := sp.headOwner(); owner >= 0 && owner != id && sp.findLive(owner) != nil {
-		if sp.mtr != nil {
-			sp.mtr.traceEvent(metrics.Event{
-				Kind:   "quarantine-override",
-				Conn:   owner,
-				Detail: fmt.Sprintf("merger nominated %d, head-of-line owner is %d", id, owner),
-			})
-		}
-		id = owner
-	}
 	c := sp.findLive(id)
 	if c == nil {
-		return nil // already retired (raced with a connection failure)
+		return nil // already retired
 	}
-	sp.quarCount[id]++
-	sp.event(ConnEvent{Kind: "quarantine", Conn: id})
-	return sp.handleConnFailure(c, fmt.Errorf("runtime: worker %d quarantined by merge-stall watchdog", id))
+	cause := fmt.Errorf("runtime: worker %d connection closed by peer", id)
+	if quarantined {
+		sp.quarCount[id]++
+		sp.event(ConnEvent{Kind: "quarantine", Conn: id})
+		cause = fmt.Errorf("runtime: worker %d quarantined: the merge stalled behind it", id)
+	}
+	return sp.handleConnFailure(c, cause)
+}
+
+// checkStall is the merge-stall check, run on each stall tick. The splitter
+// is the only straggler detector: the merger just reports its watermark, and
+// the replay buffer knows who carries the head-of-line sequence. When the
+// watermark has not moved for StallWindow while a sent tuple is unreleased,
+// the head's owner is quarantined through fail. The stall clock restarts at
+// every watermark advance, whenever nothing is unreleased (an idle source
+// stalls the watermark too), after every replay or rejoin, and after a
+// quarantine, so one owner is ejected at most once per window and a survivor
+// always gets a full window after a replay.
+func (sp *Splitter) checkStall(now time.Time, fail func(id int, quarantined bool) error) error {
+	if sp.stallAdvanced(now) {
+		return nil
+	}
+	owner := sp.headOwner()
+	if owner < 0 {
+		sp.stallSince = now
+		return nil
+	}
+	if now.Sub(sp.stallSince) < sp.cfg.StallWindow {
+		return nil
+	}
+	if sp.stallFrom.IsZero() {
+		sp.stallFrom = sp.stallSince
+	}
+	err := fail(owner, true)
+	sp.stallSince = now
+	return err
+}
+
+// stallAdvanced reports whether the watermark moved since the last look. If
+// it did, the stall clock restarts and an open stall episode ends, observed
+// on the stall histogram.
+func (sp *Splitter) stallAdvanced(now time.Time) bool {
+	wm := sp.ctrl.Watermark()
+	if wm == sp.stallWM {
+		return false
+	}
+	sp.stallWM, sp.stallSince = wm, now
+	if !sp.stallFrom.IsZero() {
+		if sp.mtr != nil {
+			sp.mtr.stallSeconds.Observe(now.Sub(sp.stallFrom).Seconds())
+		}
+		sp.stallFrom = time.Time{}
+	}
+	return true
 }
 
 // headOwner reports which stable worker id carries the lowest unreleased
@@ -902,6 +954,7 @@ func (sp *Splitter) handleConnFailure(c *splitConn, cause error) error {
 		}
 		sp.event(ConnEvent{Kind: "replay", Conn: id, Tuples: len(entries)})
 	}
+	sp.stallSince = time.Now()
 	return nil
 }
 
@@ -917,81 +970,47 @@ func (sp *Splitter) collectRetained(id int) []*retainEntry {
 	return out
 }
 
-// redialLoop re-establishes a failed worker connection with backoff, health
-// probes it, and hands it to the send loop. When the attempt budget runs out
-// (dial failures and probe failures both count) it emits "redial-exhausted"
-// and gives up — the worker stays out of the schedule for good.
+// redialLoop re-establishes a failed worker connection with backoff and
+// hands it to the send loop. One attempt is a dial plus the readmission
+// health probe: an accepted TCP connection only proves the listener is alive,
+// so the worker's ready ACK (its merger path re-established) is required too,
+// and a worker that accepts but never acknowledges backs off like one that
+// refuses. When the attempt budget runs out it emits "redial-exhausted" and
+// gives up — the worker stays out of the schedule for good.
 func (sp *Splitter) redialLoop(id int, addr string) {
-	pol := *sp.cfg.Redial
-	if sp.mtr != nil {
-		ctr := sp.cm[id].redials
-		prev := pol.OnAttempt
-		pol.OnAttempt = func(attempt int, err error) {
-			ctr.Inc()
-			if prev != nil {
-				prev(attempt, err)
-			}
+	rd := transport.NewRedialer(func() (net.Conn, error) {
+		if sp.mtr != nil {
+			sp.cm[id].redials.Inc()
 		}
-	}
-	rd := transport.NewRedialer(addr, pol)
-	probeFails := 0
-	probeBackoff := pol.Base
-	if probeBackoff <= 0 {
-		probeBackoff = 20 * time.Millisecond
-	}
-	probeMax := pol.Max
-	if probeMax <= 0 {
-		probeMax = 2 * time.Second
-	}
-	for {
-		conn, err := rd.Dial(sp.stop)
+		conn, err := sp.dialWorker(addr)
 		if err != nil {
-			select {
-			case <-sp.stop: // shutting down, not exhausted
-			default:
-				sp.event(ConnEvent{Kind: "redial-exhausted", Conn: id, Err: err})
-			}
-			return
+			return nil, err
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetWriteBuffer(sp.cfg.SocketBufferBytes)
-		}
-		// Readmission health probe: an accepted TCP connection only proves
-		// the listener is alive. Require the worker's ready ACK (its merger
-		// path re-established) before letting it back into the schedule.
-		if sp.recovery() {
-			if perr := sp.probeReady(conn); perr != nil {
-				conn.Close()
-				probeFails++
-				if pol.MaxAttempts > 0 && rd.Attempts()+probeFails >= pol.MaxAttempts {
-					sp.event(ConnEvent{Kind: "redial-exhausted", Conn: id,
-						Err: fmt.Errorf("health probe: %w", perr)})
-					return
-				}
-				select {
-				case <-sp.stop:
-					return
-				case <-time.After(probeBackoff):
-				}
-				probeBackoff *= 2
-				if probeBackoff > probeMax {
-					probeBackoff = probeMax
-				}
-				continue
-			}
-		}
-		sender, err := transport.NewSender(conn)
-		if err != nil {
+		if err := sp.probeReady(conn); err != nil {
 			conn.Close()
-			return
+			return nil, fmt.Errorf("health probe: %w", err)
 		}
-		sender.SetStallTimeout(sp.to.SendStall)
+		return conn, nil
+	}, *sp.cfg.Redial)
+	conn, err := rd.Dial(sp.stop)
+	if err != nil {
 		select {
-		case sp.rejoinCh <- rejoin{id: id, addr: addr, conn: conn, sender: sender}:
-		case <-sp.stop:
-			sender.Close()
+		case <-sp.stop: // shutting down, not exhausted
+		default:
+			sp.event(ConnEvent{Kind: "redial-exhausted", Conn: id, Err: err})
 		}
 		return
+	}
+	sender, err := transport.NewSender(conn)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	sender.SetStallTimeout(sp.to.SendStall)
+	select {
+	case sp.rejoinCh <- rejoin{id: id, addr: addr, conn: conn, sender: sender}:
+	case <-sp.stop:
+		sender.Close()
 	}
 }
 
@@ -1021,6 +1040,7 @@ func (sp *Splitter) admitRejoin(rj rejoin) {
 		sp.router.Add()
 	}
 	go sp.monitor(c)
+	sp.stallSince = time.Now()
 	sp.event(ConnEvent{Kind: "rejoin", Conn: rj.id})
 	if sp.quarCount[rj.id] > 0 && sp.mtr != nil {
 		sp.mtr.traceEvent(metrics.Event{Kind: "readmit", Conn: rj.id})

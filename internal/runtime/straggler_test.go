@@ -92,8 +92,9 @@ func TestMergerCloseReleasesPendingHandshake(t *testing.T) {
 
 // stragglerTopology wires N resilient workers whose merger connections pass
 // through per-worker chaos proxies, so a proxy stall models a worker that
-// accepts input but never delivers output — the straggler the watchdog must
-// catch. Splitter→worker links and the control channel stay direct.
+// accepts input but never delivers output — the straggler the splitter's
+// merge-stall check must catch. Splitter→worker links and the control
+// channel stay direct.
 type stragglerTopology struct {
 	m       *Merger
 	proxies []*chaos.Proxy
@@ -159,10 +160,10 @@ func pacedSource(payload []byte, n uint64, rate float64) Source {
 
 // TestStallQuarantineRecovery is the straggler demo: 8 workers, one enters
 // Stall mode mid-run (accepts tuples, never delivers results). The merge
-// stalls, the watchdog detects it within the stall window, nominates the
-// victim, the splitter quarantines it and replays its tuples, and the stream
-// completes exactly once in order with throughput recovering on the
-// survivors.
+// stalls, the splitter's stall check sees the watermark stuck for the stall
+// window with the victim carrying the head-of-line tuple, quarantines it and
+// replays its tuples, and the stream completes exactly once in order with
+// throughput recovering on the survivors.
 func TestStallQuarantineRecovery(t *testing.T) {
 	const (
 		workers = 8
@@ -205,13 +206,13 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetStallWindow(window)
 	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
 	m.SetMetrics(rm)
 	m.Start()
 
 	// Workers park (rather than error) when their merger path stalls, so the
-	// watchdog — not a worker-side send timeout — is the detector under test.
+	// stall check — not a worker-side send timeout — is the detector under
+	// test.
 	top := newStragglerTopology(t, workers, m, Timeouts{SendStall: 10 * time.Second})
 	defer top.teardown()
 	stallProxy <- top.proxies[victim]
@@ -236,6 +237,7 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		Source:         pacedSource(payload, tuples, 250_000),
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
+		StallWindow:    window,
 		Metrics:        rm,
 		// No Redial policy: a quarantined worker stays gone, keeping the
 		// post-fault assertions deterministic (7 survivors).
@@ -280,7 +282,7 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		}
 	}
 
-	// The watchdog must have quarantined the victim — and quickly.
+	// The stall check must have quarantined the victim — and quickly.
 	evMu.Lock()
 	events := evs
 	evMu.Unlock()
@@ -304,9 +306,9 @@ func TestStallQuarantineRecovery(t *testing.T) {
 			// The quarantine ejection rides the ordinary membership-edit
 			// path, so a "down" for the victim after its quarantine is
 			// expected; one before it means a send-stall timeout raced the
-			// watchdog, which this test's 10s send bounds should preclude.
+			// stall check, which this test's 10s send bounds should preclude.
 			if quarAt.IsZero() {
-				t.Fatalf("down event for worker %d before any quarantine (watchdog was not the detector)", ev.conn)
+				t.Fatalf("down event for worker %d before any quarantine (the stall check was not the detector)", ev.conn)
 			}
 		}
 	}
@@ -395,7 +397,6 @@ func TestQuarantineReadmitAfterHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetStallWindow(window)
 	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
 	m.SetMetrics(rm)
 	m.Start()
@@ -427,6 +428,7 @@ func TestQuarantineReadmitAfterHeal(t *testing.T) {
 		},
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
+		StallWindow:    window,
 		Metrics:        rm,
 		Redial:         &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
 		Timeouts:       Timeouts{SendStall: 10 * time.Second, Probe: 150 * time.Millisecond},
@@ -502,7 +504,6 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetStallWindow(window)
 	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
 	m.Start()
 
@@ -528,6 +529,7 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 		},
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
+		StallWindow:    window,
 		MaxReadmits:    1,
 		Redial:         &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
 		Timeouts:       Timeouts{SendStall: 10 * time.Second, Probe: 300 * time.Millisecond},
@@ -700,8 +702,8 @@ func runStragglerTrial(t *testing.T, seed int64) {
 }
 
 // TestRegionTeardownLeaksNothing runs a recovery region to completion and
-// asserts every module goroutine — readers, monitors, watchdog, watermark
-// writer — exited with it.
+// asserts every module goroutine — readers, monitors, watermark writer —
+// exited with it.
 func TestRegionTeardownLeaksNothing(t *testing.T) {
 	ops := []Operator{Identity(), Identity(), Identity(), Identity()}
 	region, err := NewRegion(RegionConfig{

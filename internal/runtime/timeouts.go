@@ -25,7 +25,7 @@ const (
 	// control channel idle this long is dead, not quiet.
 	DefaultControlReadTimeout = 30 * time.Second
 	// DefaultControlWriteTimeout bounds each control-channel write: the
-	// merger's watermark/quarantine frames and the splitter's FIN.
+	// merger's watermark frames and the splitter's FIN.
 	DefaultControlWriteTimeout = 5 * time.Second
 	// DefaultSendStallTimeout bounds how long one sender flush may sit
 	// parked in the poller on a socket that is not draining. Electing to
@@ -34,8 +34,8 @@ const (
 	// worker that accepted tuples and then stopped reading entirely.
 	DefaultSendStallTimeout = 30 * time.Second
 	// DefaultStallWindow is how long the merge may make no progress (while
-	// evidence says it should) before the watchdog quarantines the
-	// connection that owns the missing sequence range.
+	// the splitter retains unreleased tuples) before the splitter
+	// quarantines the connection carrying the head-of-line sequence.
 	DefaultStallWindow = 10 * time.Second
 	// DefaultMaxReadmits caps how many times one worker may be quarantined
 	// and re-admitted before the circuit breaker retires it permanently.
@@ -56,8 +56,8 @@ type Timeouts struct {
 	Probe time.Duration
 	// ControlRead bounds each watermark-frame read on the control channel.
 	ControlRead time.Duration
-	// ControlWrite bounds each control-channel write (watermark, FIN,
-	// quarantine frames).
+	// ControlWrite bounds each control-channel write (watermark and FIN
+	// frames).
 	ControlWrite time.Duration
 	// SendStall bounds one elect-to-block park on a tuple send. Because the
 	// deadline is re-armed at most once per half-window (to keep the

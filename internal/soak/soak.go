@@ -35,7 +35,7 @@ type Config struct {
 	Rate int
 	// Seed drives the fault schedule; equal seeds reproduce equal runs.
 	Seed int64
-	// StallWindow is the merge-stall watchdog window.
+	// StallWindow is the splitter's merge-stall window.
 	StallWindow time.Duration
 	// SendStall is the sender-side stall bound (splitter and workers).
 	SendStall time.Duration

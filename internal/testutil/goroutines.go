@@ -20,7 +20,7 @@ type TB interface {
 // module's code has exited, or the wait elapses — and then fails the test
 // listing the survivors' stacks. Call it after tearing down the component
 // under test: it is the teardown leak check proving Close really releases
-// every reader, watchdog, monitor and redial goroutine.
+// every reader, writer, monitor and redial goroutine.
 //
 // Goroutines whose stacks include a _test.go frame are ignored (they belong
 // to the test itself, including the caller), as are testutil's own frames —

@@ -8,29 +8,21 @@ import (
 )
 
 // RedialPolicy shapes the exponential backoff a Redialer applies between
-// connection attempts. The zero value selects the defaults below, so a
-// caller can write transport.Redialer{...} with only the address filled in.
+// connection attempts: the delay doubles after every failure, from Base up to
+// Max. The zero value selects the defaults below.
 type RedialPolicy struct {
 	// Base is the delay before the second attempt (default 20ms). The
 	// first attempt is immediate.
 	Base time.Duration
 	// Max caps the grown delay (default 2s).
 	Max time.Duration
-	// Multiplier grows the delay after every failure (default 2).
-	Multiplier float64
 	// Jitter spreads each delay uniformly in [d*(1-J), d*(1+J)] so that a
 	// fleet of reconnecting splitters does not thunder in lockstep
 	// (default 0.2; 0 keeps the deterministic schedule, negative disables).
 	Jitter float64
-	// MaxAttempts bounds the total number of dial attempts; 0 means
-	// unlimited (the caller stops the redialer through the stop channel).
+	// MaxAttempts bounds the total number of attempts; 0 means unlimited
+	// (the caller stops the redialer through the stop channel).
 	MaxAttempts int
-	// DialTimeout bounds each individual dial (default 2s).
-	DialTimeout time.Duration
-	// OnAttempt, when set, observes every dial attempt (err == nil on
-	// success). The metrics layer hangs redial counters off it; it runs on
-	// the redialer's goroutine and must not block.
-	OnAttempt func(attempt int, err error)
 }
 
 func (p RedialPolicy) withDefaults() RedialPolicy {
@@ -40,37 +32,35 @@ func (p RedialPolicy) withDefaults() RedialPolicy {
 	if p.Max <= 0 {
 		p.Max = 2 * time.Second
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.2
 	}
 	if p.Jitter < 0 {
 		p.Jitter = 0
 	}
-	if p.DialTimeout <= 0 {
-		p.DialTimeout = 2 * time.Second
-	}
 	return p
 }
 
-// Redialer re-establishes a TCP connection with exponential backoff and
-// jitter. It is how a splitter lets a restarted worker rejoin a region: the
-// paper assumes long-lived connections to a fixed worker set (Section 4.4),
-// while production deployments treat worker churn as the normal case.
+// Redialer re-establishes a connection with exponential backoff and jitter.
+// It is how a splitter lets a restarted worker rejoin a region: the paper
+// assumes long-lived connections to a fixed worker set (Section 4.4), while
+// production deployments treat worker churn as the normal case. One attempt
+// is one call of the connect function, which owns everything that must
+// succeed before the connection counts: the dial and its deadline, socket
+// options, a health probe.
 type Redialer struct {
-	addr     string
+	connect  func() (net.Conn, error)
 	pol      RedialPolicy
 	attempts int
 }
 
-// NewRedialer prepares a redialer for addr under the given policy.
-func NewRedialer(addr string, pol RedialPolicy) *Redialer {
-	return &Redialer{addr: addr, pol: pol.withDefaults()}
+// NewRedialer prepares a redialer that attempts connect under the given
+// policy.
+func NewRedialer(connect func() (net.Conn, error), pol RedialPolicy) *Redialer {
+	return &Redialer{connect: connect, pol: pol.withDefaults()}
 }
 
-// Attempts returns how many dials have been made so far.
+// Attempts returns how many attempts have been made so far.
 func (r *Redialer) Attempts() int {
 	return r.attempts
 }
@@ -82,13 +72,10 @@ func (r *Redialer) Dial(stop <-chan struct{}) (net.Conn, error) {
 	var lastErr error
 	for {
 		if r.pol.MaxAttempts > 0 && r.attempts >= r.pol.MaxAttempts {
-			return nil, fmt.Errorf("transport: redial %s: %d attempts exhausted: %w", r.addr, r.attempts, lastErr)
+			return nil, fmt.Errorf("transport: redial: %d attempts exhausted: %w", r.attempts, lastErr)
 		}
 		r.attempts++
-		conn, err := net.DialTimeout("tcp", r.addr, r.pol.DialTimeout)
-		if r.pol.OnAttempt != nil {
-			r.pol.OnAttempt(r.attempts, err)
-		}
+		conn, err := r.connect()
 		if err == nil {
 			return conn, nil
 		}
@@ -102,12 +89,9 @@ func (r *Redialer) Dial(stop <-chan struct{}) (net.Conn, error) {
 		select {
 		case <-stop:
 			timer.Stop()
-			return nil, fmt.Errorf("transport: redial %s: stopped after %d attempts: %w", r.addr, r.attempts, lastErr)
+			return nil, fmt.Errorf("transport: redial: stopped after %d attempts: %w", r.attempts, lastErr)
 		case <-timer.C:
 		}
-		delay = time.Duration(float64(delay) * r.pol.Multiplier)
-		if delay > r.pol.Max {
-			delay = r.pol.Max
-		}
+		delay = min(2*delay, r.pol.Max)
 	}
 }

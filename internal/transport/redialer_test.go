@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// dialTCP is the plain connect function: one TCP dial to addr.
+func dialTCP(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 2*time.Second) }
+}
+
 func TestRedialerImmediateSuccess(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -19,7 +24,7 @@ func TestRedialerImmediateSuccess(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	rd := NewRedialer(ln.Addr().String(), RedialPolicy{})
+	rd := NewRedialer(dialTCP(ln.Addr().String()), RedialPolicy{})
 	conn, err := rd.Dial(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +43,7 @@ func TestRedialerMaxAttemptsExhausted(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	rd := NewRedialer(addr, RedialPolicy{
+	rd := NewRedialer(dialTCP(addr), RedialPolicy{
 		Base:        time.Millisecond,
 		Max:         2 * time.Millisecond,
 		MaxAttempts: 3,
@@ -67,7 +72,7 @@ func TestRedialerStops(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	stop := make(chan struct{})
-	rd := NewRedialer(addr, RedialPolicy{Base: time.Hour})
+	rd := NewRedialer(dialTCP(addr), RedialPolicy{Base: time.Hour})
 	done := make(chan error, 1)
 	go func() {
 		_, err := rd.Dial(stop)
@@ -107,7 +112,7 @@ func TestRedialerRecoversWhenListenerReturns(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	rd := NewRedialer(addr, RedialPolicy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond})
+	rd := NewRedialer(dialTCP(addr), RedialPolicy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond})
 	conn, err := rd.Dial(nil)
 	if err != nil {
 		t.Fatalf("never reconnected: %v", err)
@@ -120,8 +125,7 @@ func TestRedialerRecoversWhenListenerReturns(t *testing.T) {
 
 func TestRedialPolicyDefaults(t *testing.T) {
 	p := RedialPolicy{}.withDefaults()
-	if p.Base != 20*time.Millisecond || p.Max != 2*time.Second || p.Multiplier != 2 ||
-		p.Jitter != 0.2 || p.DialTimeout != 2*time.Second || p.MaxAttempts != 0 {
+	if p.Base != 20*time.Millisecond || p.Max != 2*time.Second || p.Jitter != 0.2 || p.MaxAttempts != 0 {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
 	if j := (RedialPolicy{Jitter: -1}).withDefaults().Jitter; j != 0 {
