@@ -54,12 +54,14 @@ overhead:
 # What a hand-off costs, from one place: the four per-layer rows one traced
 # inproc_sat run reads for the in-proc edge, the merger's ingest lanes, the
 # splitter and a two-stage chain (single traced run: treat as ±10 %), then
-# the ring primitive per item and per span and the raw edge on its fast
-# (ring=1024) and parking (ring=2) paths.
+# the ring primitive per item and per span, the raw edge on its fast
+# (ring=1024) and parking (ring=2) paths, and the splitter's send loop per
+# tuple and per flush at 2, 4 and 64 connections (no bench workload has 64).
 hops:
 	bash bench/run.sh -workload inproc_sat -trace 1 | grep -E '^ +(transport\.inproc_pipe_ns_per_tuple|runtime\.merger_ingest_ns_per_tuple|runtime\.splitter_ns_per_tuple|dataflow\.chain2_ns_per_tuple) '
 	go test -run '^$$' -bench RingHandoff -count=6 ./internal/spsc | grep '^Benchmark'
 	go test -run '^$$' -bench InprocPipe -count=6 ./internal/transport | grep '^Benchmark'
+	go test -run '^$$' -bench SplitterRuns -count=6 ./internal/runtime | grep '^Benchmark'
 
 # Minutes-long randomized chaos soak: stall/drip/kill faults against
 # recovery-enabled regions at 16-64 workers, asserting the exactly-once

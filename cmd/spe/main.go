@@ -273,7 +273,7 @@ func runSplitter(w io.Writer, args []string) error {
 	interval := fs.Duration("interval", 100*time.Millisecond, "controller sampling interval")
 	noBalance := fs.Bool("no-balance", false, "disable balancing")
 	sockbuf := fs.Int("sockbuf", 8<<10, "socket buffer bytes per connection")
-	batch := fs.Int("batch", 1, "tuples staged per flush round; each flush is one blocking sample (1 = a batch of one: one sample per tuple)")
+	batch := fs.Int("batch", 1, "tuples per flush: a run of consecutive tuples to one weighted round-robin pick, one blocking sample per run (1 = one sample per tuple)")
 	keyed := fs.Bool("keyed", false, "stream deterministic keyed tuples (Zipf skew) instead of the unkeyed constant source")
 	skew := fs.Float64("skew", 1.1, "Zipf exponent of the keyed stream (0 = uniform; needs -keyed)")
 	keys := fs.Int("keys", 10_000, "key universe size (needs -keyed)")
@@ -385,7 +385,7 @@ func runAll(w io.Writer, args []string) error {
 	baseDelay := fs.Duration("base-delay", 50*time.Microsecond, "per-tuple delay of unloaded workers")
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
-	batch := fs.Int("batch", 1, "tuples staged per flush round; each flush is one blocking sample (1 = a batch of one: one sample per tuple)")
+	batch := fs.Int("batch", 1, "tuples per flush: a run of consecutive tuples to one weighted round-robin pick, one blocking sample per run (1 = one sample per tuple)")
 	recvBatch := fs.Int("recv-batch", 0, "tuples per receive pass in workers and merger (0 = default; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
 	stallWindow := fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")

@@ -271,7 +271,8 @@ func TestInvariantMergerExactlyOnceRandomInterleavings(t *testing.T) {
 
 // TestInvariantBatchedSingleInterleavingsOrdered sends each worker's stream
 // through a real transport.Sender using a random interleaving of Send,
-// SendBatch, and Queue/Flush — the three ways tuples reach the wire — with
+// one-shot SendBatch, and runs sent from a reused buffer (as the splitter
+// sends them) — the ways tuples reach the wire — with
 // cross-stream replay duplicates mixed in. Whatever the interleaving, the
 // merger must release a gapless, duplicate-free, strictly increasing
 // sequence: batching is a wire-level optimization that must be invisible to
@@ -329,6 +330,7 @@ func TestInvariantBatchedSingleInterleavingsOrdered(t *testing.T) {
 					wrng := rand.New(rand.NewSource(seed*1000 + int64(w)))
 					stream := streams[w]
 					payload := []byte("interleave")
+					var run []transport.Tuple
 					for i := 0; i < len(stream); {
 						switch wrng.Intn(3) {
 						case 0: // per-tuple send
@@ -348,16 +350,14 @@ func TestInvariantBatchedSingleInterleavingsOrdered(t *testing.T) {
 								errCh <- err
 								return
 							}
-						default: // staged queue + explicit flush
+						default: // a splitter-sized run, built in a reused buffer
 							size := 1 + wrng.Intn(16)
+							run = run[:0]
 							for j := 0; j < size && i < len(stream); j++ {
-								if err := sender.Queue(transport.Tuple{Seq: stream[i], Payload: payload}); err != nil {
-									errCh <- err
-									return
-								}
+								run = append(run, transport.Tuple{Seq: stream[i], Payload: payload})
 								i++
 							}
-							if err := sender.Flush(); err != nil {
+							if err := sender.SendBatch(run); err != nil {
 								errCh <- err
 								return
 							}

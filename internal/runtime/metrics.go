@@ -102,11 +102,11 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		replayDepth: reg.Gauge("spe_splitter_replay_buffer_tuples",
 			"Sent-but-unreleased tuples currently retained for replay."),
 		schedulePicks: reg.Counter("spe_schedule_picks_total",
-			"Scheduling decisions made by the weighted round-robin."),
+			"Weighted round-robin picks: one per run of consecutive tuples, and one per replayed tuple."),
 		redialAttempts: reg.CounterVec("spe_transport_redial_attempts_total",
 			"Dial attempts made while reconnecting to a failed worker, per connection.", "conn"),
 		batchFlushes: reg.Counter("spe_splitter_batch_flushes_total",
-			"Flushes the splitter completed (every send is a flush; a batch of one is one tuple)."),
+			"Flushes the splitter completed: one per run, and one per connection a round's keyed tuples went to."),
 		batchTuples: reg.Histogram("spe_splitter_batch_tuples",
 			"Tuples per flushed batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",

@@ -113,9 +113,10 @@ type RegionConfig struct {
 	// SocketBufferBytes sizes the kernel buffers between splitter and
 	// workers (default DefaultSocketBuffer).
 	SocketBufferBytes int
-	// BatchSize is how many tuples the splitter drains from the schedule
-	// per flush round (<= 1 is a batch of one). See SplitterConfig.BatchSize
-	// for the throughput/signal tradeoff.
+	// BatchSize is how many tuples leave the splitter in one flush: a run
+	// of that many consecutive sequence numbers to one weighted round-robin
+	// pick (<= 1 is a run of one). See SplitterConfig.BatchSize for the
+	// throughput/signal tradeoff.
 	BatchSize int
 	// RecvBatchSize is how many tuples workers and merger readers decode
 	// and ingest per receive pass (<= 0 selects

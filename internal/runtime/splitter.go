@@ -105,14 +105,13 @@ type SplitterConfig struct {
 	// with gigantic buffers the kernel absorbs everything and no send ever
 	// blocks — the paper's "numerous system buffers" caveat (Section 4.4).
 	SocketBufferBytes int
-	// BatchSize is how many tuples the send loop drains from the WRR
-	// schedule between blocking samples. Each tuple is still scheduled
-	// individually, but every connection's share of the round leaves in
-	// one flush. <= 1 (the default) is a batch of one through the same
-	// loop: every tuple is its own flush and its own Section 3
-	// elect-to-block sample. Larger batches raise throughput and coarsen
-	// the signal: one sample covers a whole flushed batch rather than one
-	// tuple (see DESIGN §4b).
+	// BatchSize is how many tuples leave in one flush: a run of up to
+	// BatchSize consecutive sequence numbers goes to one weighted
+	// round-robin pick, so weights are exact over runs, not tuples (keyed
+	// tuples keep their per-tuple router pick). <= 1 (the default) is a run
+	// of one: every tuple is its own pick, flush and Section 3 elect-to-block
+	// sample. Larger runs raise throughput and coarsen the signal: one sample
+	// covers a whole run (see DESIGN §4b).
 	BatchSize int
 
 	// ControlAddr, when set, enables recovery: the splitter opens a side
@@ -173,14 +172,20 @@ type splitConn struct {
 }
 
 // retainEntry is one sent-but-unreleased tuple in the replay buffer. conn
-// is the stable id of the connection carrying it, or -1 while a send is in
-// flight. key is retained so replays carry it (flagged Solo, so a replayed
-// tuple never combines with a fresh one).
+// is the stable id of the connection carrying it, or -1 while its run is
+// still being staged. key is retained so replays carry it (flagged Solo, so a
+// replayed tuple never combines with a fresh one).
 type retainEntry struct {
 	seq     uint64
 	key     uint64
 	conn    int
 	payload []byte
+}
+
+// keyedStage is one connection's router-placed tuples in the current round.
+type keyedStage struct {
+	c  *splitConn
+	ts []transport.Tuple
 }
 
 // rejoin carries a successfully redialed connection into the send loop.
@@ -248,6 +253,13 @@ type Splitter struct {
 	retHead   int
 	downErrs  []error
 	quarCount []int
+
+	// Round staging, owned by the send loop and reused across rounds: the
+	// run of unkeyed tuples one WRR pick sends, and (keyed splitters only)
+	// each stable id's router-placed tuples, with the ids the round touched.
+	run     []transport.Tuple
+	keyed   []keyedStage
+	touched []int
 
 	// Merge-stall check state, owned by the send loop: the ticker driving
 	// the check (nil when disabled), the watermark it last saw, when the
@@ -318,6 +330,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		prevKeyed:   make([]int64, n),
 		to:          cfg.Timeouts.norm(),
 		quarCount:   make([]int, n),
+		run:         make([]transport.Tuple, 0, cfg.BatchSize),
 		aggSent:     make([]int64, n),
 		aggBlocking: make([]time.Duration, n),
 		aggBlocked:  make([]int64, n),
@@ -336,6 +349,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	}
 	if cfg.KeyedSource != nil {
 		sp.src = cfg.KeyedSource
+		sp.keyed = make([]keyedStage, n)
 		sp.router = cfg.Router
 		if sp.router == nil {
 			sp.router, err = schedule.NewPKGRouter(n)
@@ -535,18 +549,17 @@ func (sp *Splitter) event(ev ConnEvent) {
 }
 
 // sendLoop is the splitter's single thread of control; one pass reads tick →
-// events → round → flush. The collection interval (tick) and all membership
-// changes (failures, replays, rejoins) happen here, between rounds. Each
-// round drains up to BatchSize tuples from the WRR schedule: every tuple is
-// assigned to a connection individually and staged there (Queue), and every
-// connection's share of the round leaves in one flush. Blocking is measured
-// on the flush — one elect-to-block sample covers whatever it carried — so
-// BatchSize is the signal's granularity: at 1 a round is one tuple, one
-// flush, one sample; larger rounds trade samples per tuple for throughput.
+// events → round → send. The collection interval (tick) and all membership
+// changes (failures, replays, rejoins) happen here, between rounds. A round
+// stages up to BatchSize consecutive sequence numbers; the unkeyed ones are a
+// run, sent to one WRR pick made after staging, so a retention wait or a
+// membership edit during staging can never strand it on a retired connection.
+// Smooth WRR over runs keeps the weights exact over any total-weight
+// consecutive runs. One flush is one elect-to-block sample, so BatchSize is
+// the signal's granularity: at 1 a run is one tuple, one flush, one sample.
 func (sp *Splitter) sendLoop() error {
 	recovery := sp.recovery()
-	batch := sp.cfg.BatchSize
-	touched := make([]*splitConn, 0, batch)
+	batch := uint64(sp.cfg.BatchSize)
 	ticker := time.NewTicker(sp.cfg.SampleInterval)
 	defer ticker.Stop()
 	if recovery && sp.cfg.StallWindow > 0 {
@@ -569,50 +582,30 @@ func (sp *Splitter) sendLoop() error {
 				return err
 			}
 		}
-		touched = touched[:0]
+		sp.run = sp.run[:0]
+		first := seq
 		srcDone := false
-		for staged := 0; staged < batch; staged++ {
+		for seq-first < batch {
 			key, payload, ok := sp.src(seq)
 			if !ok {
 				srcDone = true
 				break
 			}
-			var entry *retainEntry
 			if recovery {
-				var err error
-				entry, err = sp.admitRetention(seq, key, payload)
-				if err != nil {
+				if err := sp.admitRetention(seq, key, payload); err != nil {
 					return err
 				}
 			}
-			for {
-				c := sp.pickFor(key)
-				if c == nil {
-					return sp.allDeadErr()
+			if key != 0 && sp.router != nil {
+				if err := sp.stageKeyed(seq, key, payload, recovery); err != nil {
+					return err
 				}
-				err := c.sender.Queue(transport.Tuple{Seq: seq, Key: key, Payload: payload})
-				if err == nil {
-					// Assign the retain entry at Queue time, not flush
-					// time: if the flush fails, replay must cover the
-					// staged tuples that never reached the socket.
-					if entry != nil {
-						entry.conn = c.id
-					}
-					if c.sender.Pending() == 1 {
-						touched = append(touched, c)
-					}
-					break
-				}
-				if !recovery {
-					return fmt.Errorf("runtime: send to worker %d: %w", c.id, err)
-				}
-				if ferr := sp.handleConnFailure(c, err); ferr != nil {
-					return ferr
-				}
+			} else {
+				sp.run = append(sp.run, transport.Tuple{Seq: seq, Key: key, Payload: payload})
 			}
 			seq++
 		}
-		if err := sp.flushStaged(touched, recovery); err != nil {
+		if err := sp.sendRound(int(seq-first), recovery); err != nil {
 			return err
 		}
 		sp.publishReplayDepth()
@@ -626,43 +619,92 @@ func (sp *Splitter) sendLoop() error {
 	return sp.drain(seq)
 }
 
-// flushStaged flushes every connection the staging round touched. A flush
-// failure in recovery mode retires the connection and replays its
-// unreleased tuples — including the staged frames that never reached the
-// socket, since retain entries carry their connection from Queue time.
-func (sp *Splitter) flushStaged(touched []*splitConn, recovery bool) error {
-	for _, c := range touched {
-		n := c.sender.Pending()
-		if n == 0 {
-			continue
-		}
-		if recovery && sp.findLive(c.id) != c {
-			// Retired mid-round (its staged tuples were already replayed);
-			// the sender is closed, nothing to flush.
-			continue
-		}
-		err := c.sender.Flush()
-		if err == nil {
-			if sp.mtr != nil {
-				sp.mtr.batchFlushes.Inc()
-				sp.mtr.batchTuples.Observe(float64(n))
-			}
-			continue
-		}
-		if !recovery {
-			return fmt.Errorf("runtime: flush %d tuples to worker %d: %w", n, c.id, err)
-		}
-		if ferr := sp.handleConnFailure(c, err); ferr != nil {
-			return ferr
-		}
+// stageKeyed places one keyed tuple with the key router and stages it in that
+// connection's round buffer. Its retain entry, the newest, is assigned now:
+// if the connection is retired before the round is sent, the replay re-sends
+// the tuple and sendRound drops the buffer.
+func (sp *Splitter) stageKeyed(seq, key uint64, payload []byte, recovery bool) error {
+	c := sp.pickFor(key)
+	if c == nil {
+		return sp.allDeadErr()
 	}
+	if recovery {
+		sp.retained[len(sp.retained)-1].conn = c.id
+	}
+	k := &sp.keyed[c.id]
+	if len(k.ts) == 0 {
+		sp.touched = append(sp.touched, c.id)
+	} else if k.c != c {
+		// c rejoined in place of a connection retired mid-round, whose
+		// replay already re-sent what it had staged.
+		k.ts = k.ts[:0]
+	}
+	k.c = c
+	k.ts = append(k.ts, transport.Tuple{Seq: seq, Key: key, Payload: payload})
 	return nil
 }
 
-// pickFor returns the connection for one tuple, or nil when none remain:
-// non-zero keys go through the key router, everything else (unkeyed tuples,
-// and replays, which pass key 0 to bypass the router) through the weighted
-// round-robin.
+// sendRound sends a round's staged tuples: the run to one WRR pick, then each
+// touched connection's keyed tuples. staged is how many sequence numbers the
+// round admitted.
+func (sp *Splitter) sendRound(staged int, recovery bool) error {
+	if len(sp.run) > 0 {
+		c := sp.pickFor(0)
+		if c == nil {
+			return sp.allDeadErr()
+		}
+		if recovery {
+			// The round's retain entries are at most the last staged ones:
+			// pruning only removes from the head (positions from the tail, not
+			// pointers, because it compacts). The run's are those still
+			// unassigned; a keyed entry already names its connection.
+			for i := max(sp.retHead, len(sp.retained)-staged); i < len(sp.retained); i++ {
+				if sp.retained[i].conn < 0 {
+					sp.retained[i].conn = c.id
+				}
+			}
+		}
+		if err := sp.flush(c, sp.run, recovery); err != nil {
+			return err
+		}
+	}
+	for _, id := range sp.touched {
+		k := &sp.keyed[id]
+		ts := k.ts
+		k.ts = k.ts[:0]
+		if recovery && sp.findLive(id) != k.c {
+			continue // retired mid-round: its replay re-sent these
+		}
+		if err := sp.flush(k.c, ts, recovery); err != nil {
+			return err
+		}
+	}
+	sp.touched = sp.touched[:0]
+	return nil
+}
+
+// flush sends one staged batch to c: one flush, one elect-to-block sample. A
+// failure in recovery mode retires c and replays its unreleased tuples, this
+// batch's among them, since their retain entries already name c.
+func (sp *Splitter) flush(c *splitConn, ts []transport.Tuple, recovery bool) error {
+	err := c.sender.SendBatch(ts)
+	if err == nil {
+		if sp.mtr != nil {
+			sp.mtr.batchFlushes.Inc()
+			sp.mtr.batchTuples.Observe(float64(len(ts)))
+		}
+		return nil
+	}
+	if !recovery {
+		return fmt.Errorf("runtime: flush %d tuples to worker %d: %w", len(ts), c.id, err)
+	}
+	return sp.handleConnFailure(c, err)
+}
+
+// pickFor returns the connection for one keyed tuple, run or replayed tuple,
+// or nil when none remain: non-zero keys go through the key router,
+// everything else (runs, and replays, which pass key 0 to bypass the router)
+// through the weighted round-robin.
 func (sp *Splitter) pickFor(key uint64) *splitConn {
 	if len(sp.conns) == 0 {
 		return nil
@@ -790,9 +832,8 @@ func (sp *Splitter) stallAdvanced(now time.Time) bool {
 }
 
 // headOwner reports which stable worker id carries the lowest unreleased
-// sequence number, or -1 when unknown (empty buffer, or the head send is
-// still in flight). It must not compact the buffer: the send loop may hold a
-// pointer into it.
+// sequence number, or -1 when unknown (empty buffer, or the head's run is
+// still being staged).
 func (sp *Splitter) headOwner() int {
 	wm := sp.ctrl.Watermark()
 	for i := sp.retHead; i < len(sp.retained); i++ {
@@ -813,19 +854,20 @@ func (sp *Splitter) findLive(id int) *splitConn {
 	return nil
 }
 
-// admitRetention appends the tuple to the replay buffer, blocking while the
-// buffer is full until the merger's watermark frees space.
-func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) (*retainEntry, error) {
+// admitRetention appends the tuple to the replay buffer, unassigned (conn
+// -1) until its round is sent, blocking while the buffer is full until the
+// merger's watermark frees space.
+func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) error {
 	sp.pruneRetained()
 	for len(sp.retained)-sp.retHead >= sp.cfg.RetainCap {
 		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
-			return nil, errors.New("runtime: control channel lost with replay buffer full")
+			return errors.New("runtime: control channel lost with replay buffer full")
 		} else if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	sp.retained = append(sp.retained, retainEntry{seq: seq, key: key, conn: -1, payload: payload})
-	return &sp.retained[len(sp.retained)-1], nil
+	return nil
 }
 
 // pruneRetained drops retained tuples the merger has released.
@@ -927,9 +969,9 @@ func (sp *Splitter) handleConnFailure(c *splitConn, cause error) error {
 		if sp.liveCount() == 0 {
 			return sp.allDeadErr()
 		}
-		// No pruning here: compaction would invalidate the retain-entry
-		// pointer the send loop holds across this call. Replaying an
-		// already-released tuple is harmless — the merger dedupes it.
+		// No pruning here: compaction would invalidate the entry pointers
+		// collectRetained returns. Replaying an already-released tuple is
+		// harmless — the merger dedupes it.
 		id := deadIDs[0]
 		deadIDs = deadIDs[1:]
 		entries := sp.collectRetained(id)

@@ -2,9 +2,9 @@
 // uses to realize the allocation weights chosen by the load-balancing
 // optimization. The paper's splitter distributes tuples by weighted
 // round-robin with weights in units of 0.1% (Section 5.1); this package uses
-// the smooth weighted round-robin algorithm so that tuples for a connection
-// are spread evenly through each frame rather than sent in bursts, which
-// keeps the blocking signal per connection stable.
+// the smooth weighted round-robin algorithm so that a connection's picks (the
+// runtime picks once per run of tuples) are spread evenly through each frame
+// rather than bunched, which keeps the blocking signal per connection stable.
 package schedule
 
 import (

@@ -73,11 +73,10 @@ type Config struct {
 	// standing in for the sender- and receiver-side TCP socket buffers
 	// (default DefaultInflightCap).
 	InflightCap int
-	// BatchSize is how many tuples the splitter drains from the schedule
-	// per send event, mirroring the real runtime's batched vectored
-	// writes: each tuple still picks its connection individually, but the
-	// batch is delivered at one virtual instant and a full connection
-	// blocks the splitter mid-batch. <= 1 (the default) sends per tuple.
+	// BatchSize is the run length, mirroring the real runtime's run
+	// routing: one WRR pick per run of up to BatchSize consecutive tuples,
+	// delivered to that connection at one virtual instant; a full connection
+	// blocks the splitter mid-run. <= 1 (the default) sends per tuple.
 	BatchSize int
 	// MergerCap bounds each connection's reorder queue at the merger. The
 	// default absorbs routine out-of-order skew (the "boxes on the edges"

@@ -44,7 +44,8 @@ type Sim struct {
 	splitterBlock  bool   // splitter is blocked
 	blockedOn      int    // connection the splitter is blocked on
 	blockStart     time.Duration
-	pendingConn    int // connection chosen for the tuple being blocked on
+	runConn        int // connection the current run goes to
+	runLeft        int // tuples of the current run not yet delivered
 	inflight       []*seqQueue
 	cumBlocking    []time.Duration // sampled counter, periodically reset
 	totalBlocking  []time.Duration // lifetime counter
@@ -259,58 +260,60 @@ func (s *Sim) accrueBlocking(now time.Duration) {
 	s.blockStart = now
 }
 
-// handleSplitterSend drains up to BatchSize tuples from the schedule — the
-// simulated counterpart of the real splitter's batched vectored write. Each
-// tuple still picks its connection individually; the whole batch lands at
-// one virtual instant and the next send event is deferred by the batch's
-// combined per-tuple work. A full connection blocks the splitter mid-batch
-// (one blocking episode covers the rest of the batch, mirroring the
-// combined-write accounting). At BatchSize 1 this is exactly the original
+// handleSplitterSend delivers the rest of the current run, opening a new one
+// when none is open — the simulated counterpart of the real splitter's run
+// routing: one WRR pick per run of up to BatchSize consecutive tuples, all
+// delivered to that connection at one virtual instant, with the next send
+// event deferred by the run's combined per-tuple work. A full connection
+// blocks the splitter mid-run (one blocking episode; the rest of the run
+// waits behind the blocked tuple and follows it to the same connection), or,
+// with RerouteOnBlock, the rest of the run moves as a whole to the first
+// connection with room. At BatchSize 1 this is exactly the original
 // per-tuple behaviour.
 func (s *Sim) handleSplitterSend() {
 	if s.splitterDone || s.splitterBlock {
 		return
 	}
-	delivered := 0
-	for delivered < s.cfg.BatchSize {
+	if s.runLeft == 0 {
 		if s.cfg.TotalTuples > 0 && s.nextSeq >= s.cfg.TotalTuples {
 			s.splitterDone = true
-			break
+			return
 		}
-		j := s.wrr.Next()
+		s.runConn = s.wrr.Next()
+		s.runLeft = s.cfg.BatchSize
+		if s.cfg.TotalTuples > 0 {
+			s.runLeft = int(min(uint64(s.runLeft), s.cfg.TotalTuples-s.nextSeq))
+		}
+	}
+	delivered := 0
+	for s.runLeft > 0 {
+		j := s.runConn
 		if s.inflight[j].Full() {
 			if s.cfg.RerouteOnBlock {
 				// Section 4.4: try the other connections before electing to
 				// block. The scan order follows the round-robin schedule.
-				rerouted := false
-				for k := 1; k < s.Connections(); k++ {
-					alt := (j + k) % s.Connections()
-					if !s.inflight[alt].Full() {
+				for k := 1; k < s.Connections() && s.runConn == j; k++ {
+					if alt := (j + k) % s.Connections(); !s.inflight[alt].Full() {
 						s.rerouted++
-						s.deliverToConnection(alt)
-						delivered++
-						rerouted = true
-						break
+						s.runConn = alt
 					}
 				}
-				if rerouted {
+				if s.runConn != j {
 					continue
 				}
 			}
 			// Elect to block on j, recording how long (Section 3). The
-			// remainder of the batch waits behind the blocked tuple.
+			// remainder of the run waits behind the blocked tuple.
 			s.splitterBlock = true
 			s.blockedOn = j
-			s.pendingConn = j
 			s.blockStart = s.clock
 			return
 		}
 		s.deliverToConnection(j)
+		s.runLeft--
 		delivered++
 	}
-	if !s.splitterDone && delivered > 0 {
-		s.sched.schedule(s.clock+time.Duration(delivered)*s.sendInterval(), evSplitterSend, -1)
-	}
+	s.sched.schedule(s.clock+time.Duration(delivered)*s.sendInterval(), evSplitterSend, -1)
 }
 
 // deliverToConnection enqueues the next tuple on connection j's in-flight
@@ -347,11 +350,13 @@ func (s *Sim) startWorkerIfIdle(j int) {
 }
 
 // resumeSplitter ends a blocking episode: the wait is accounted to the
-// blocked connection and the pending tuple is delivered to it.
+// blocked connection and the blocked tuple is delivered to it; the next send
+// event carries on with the rest of its run.
 func (s *Sim) resumeSplitter() {
 	s.accrueBlocking(s.clock)
 	s.splitterBlock = false
-	s.deliverToConnection(s.pendingConn)
+	s.deliverToConnection(s.runConn)
+	s.runLeft--
 	s.sched.schedule(s.clock+s.sendInterval(), evSplitterSend, -1)
 }
 

@@ -338,6 +338,54 @@ func TestRerouteFarShortOfBalancer(t *testing.T) {
 	}
 }
 
+// TestRunRoutingKeepsWeightShares: at BatchSize 32 the splitter picks once per
+// run, so every run of 32 consecutive sequence numbers is processed by one
+// connection, each connection's share of the tuples is its weight share to
+// within one run, and the stream is still released in order.
+func TestRunRoutingKeepsWeightShares(t *testing.T) {
+	const batch = 32
+	weights := []int{100, 200, 300, 400}
+	total := uint64(2*core.DefaultUnits*batch + 5) // two whole frames of runs and a partial run
+	hosts, pes := oneHost(len(weights))
+	next, runConn := uint64(0), -1
+	s, err := New(Config{
+		Hosts: hosts, PEs: pes, BaseCost: 100,
+		BatchSize:   batch,
+		TotalTuples: total,
+		Sink: func(seq uint64, conn int) {
+			if seq != next {
+				t.Fatalf("release %d has seq %d: order violated", next, seq)
+			}
+			if seq%batch == 0 {
+				runConn = conn
+			} else if conn != runConn {
+				t.Fatalf("seq %d went to connection %d, the rest of its run to %d", seq, conn, runConn)
+			}
+			next++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.wrr.SetWeights(weights); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Sent != total || next != total {
+		t.Fatalf("sent %d, released %d, want %d", m.Sent, next, total)
+	}
+	for j, w := range weights {
+		want := float64(w) / core.DefaultUnits * float64(total)
+		if d := float64(m.PerConnSent[j]) - want; d > batch || d < -batch {
+			t.Fatalf("connection %d sent %d of %d, want %.0f (weight %d) within one run",
+				j, m.PerConnSent[j], total, want, w)
+		}
+	}
+}
+
 func TestObserverSnapshots(t *testing.T) {
 	hosts, pes := oneHost(2)
 	var snaps []Snapshot

@@ -5,21 +5,21 @@ import (
 	"sync"
 )
 
-// Queue and Flush are the Sender's only write path: frames are staged on the
-// connection and leave with one vectored write. A batch has no wire header —
-// it is just concatenated frames — so the receiver is oblivious to how the
-// sender grouped them, and a batch of one (Send) is byte-identical to a
-// single frame.
+// queue and flush are the Sender's only write path, and SendBatch is its one
+// caller: frames are staged on the connection and leave with one vectored
+// write. A batch has no wire header — it is just concatenated frames — so the
+// receiver is oblivious to how the sender grouped them, and a batch of one
+// (Send) is byte-identical to a single frame.
 //
-// One Flush is one elect-to-block episode: if the socket buffer fills
+// One flush is one elect-to-block episode: if the socket buffer fills
 // anywhere inside the batch, the sender elects to block there and the parked
 // time is accounted to this connection's cumulative counter (Section 3).
 // Batch size is therefore the signal's granularity: at 1 every tuple is its
-// own sample, at BatchSize one sample covers up to that many tuples (see the
-// README's "Batched sends" section).
+// own sample, at BatchSize one sample covers a whole run of that many tuples
+// (see the README's "Batched sends" section).
 
 const (
-	// zeroCopyThreshold is the payload size at which Queue stops copying
+	// zeroCopyThreshold is the payload size at which queue stops copying
 	// the payload into the coalesce buffer and instead passes it to writev
 	// as its own iovec. Below it, copying into one contiguous buffer is
 	// cheaper than growing the iovec list.
@@ -39,12 +39,12 @@ var framePool = sync.Pool{
 	New: func() any { return &frameBuf{b: make([]byte, 0, frameBufCap)} },
 }
 
-// Queue stages one tuple on the write queue without writing. Small payloads
+// queue stages one tuple on the write queue without writing. Small payloads
 // are coalesced (copied) into a frame buffer; payloads of zeroCopyThreshold
 // bytes or more are referenced zero-copy, so the caller must not mutate them
-// until Flush returns. An error (only an unencodable frame) leaves the batch
+// until flush returns. An error (only an unencodable frame) leaves the batch
 // as it was, without the offending tuple.
-func (s *Sender) Queue(t Tuple) error {
+func (s *Sender) queue(t Tuple) error {
 	if s.coalesce == nil {
 		s.coalesce = framePool.Get().(*frameBuf)
 	}
@@ -77,18 +77,13 @@ func (s *Sender) cutCoalesce() {
 	s.coalesce = nil
 }
 
-// Pending returns how many tuples are staged and not yet flushed.
-func (s *Sender) Pending() int {
-	return s.queued
-}
-
-// Flush writes every staged tuple with one vectored write (chunked at
+// flush writes every staged tuple with one vectored write (chunked at
 // iovMax), electing to block — and accounting the blocked time — when the
 // socket buffer fills anywhere in the batch. On error the batch is
 // discarded: the connection is in an undefined mid-frame state and the
 // caller must treat it as failed (under recovery, the retained tuples are
 // replayed elsewhere and the merger dedupes any partial deliveries).
-func (s *Sender) Flush() error {
+func (s *Sender) flush() error {
 	s.cutCoalesce()
 	if len(s.wq) == 0 {
 		return nil
@@ -138,12 +133,11 @@ func (s *Sender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 }
 
 // SendBatch stages and flushes ts as one batch. It fails atomically on an
-// unencodable tuple: nothing from ts (or a previously staged partial batch)
-// is sent. Payloads of zeroCopyThreshold bytes or more must not be mutated
-// until SendBatch returns.
+// unencodable tuple: nothing from ts is sent. Payloads of zeroCopyThreshold
+// bytes or more must not be mutated until SendBatch returns.
 func (s *Sender) SendBatch(ts []Tuple) error {
 	for i := range ts {
-		if err := s.Queue(ts[i]); err != nil {
+		if err := s.queue(ts[i]); err != nil {
 			if s.coalesce != nil {
 				s.coalesce.b = s.coalesce.b[:0]
 			}
@@ -151,5 +145,5 @@ func (s *Sender) SendBatch(ts []Tuple) error {
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}
 	}
-	return s.Flush()
+	return s.flush()
 }

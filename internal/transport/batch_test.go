@@ -74,7 +74,8 @@ func TestSendBatchRoundTrip(t *testing.T) {
 
 func TestBatchedAndSingleSendsInterleave(t *testing.T) {
 	// Batched frames are plain concatenated frames: a receiver must not be
-	// able to tell Send from SendBatch from Queue/Flush on one connection.
+	// able to tell Send from SendBatch from the staging underneath them
+	// (queue/flush) on one connection.
 	client, server := tcpPair(t)
 	sender, err := NewSender(client)
 	if err != nil {
@@ -104,12 +105,12 @@ func TestBatchedAndSingleSendsInterleave(t *testing.T) {
 		default:
 			k := 1 + rng.Intn(16)
 			for i := 0; i < k && seq < n; i++ {
-				if err := sender.Queue(Tuple{Seq: seq, Payload: []byte("queued")}); err != nil {
+				if err := sender.queue(Tuple{Seq: seq, Payload: []byte("queued")}); err != nil {
 					t.Fatal(err)
 				}
 				seq++
 			}
-			if err := sender.Flush(); err != nil {
+			if err := sender.flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,8 +143,8 @@ func TestSendBatchOversizedIsAtomic(t *testing.T) {
 	if err := sender.SendBatch(bad); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
-	if sender.Pending() != 0 {
-		t.Fatalf("failed batch left %d tuples staged", sender.Pending())
+	if sender.queued != 0 || len(sender.wq) != 0 {
+		t.Fatalf("failed batch left %d tuples staged", sender.queued)
 	}
 	// The connection must be clean: nothing from the failed batch leaked.
 	out, errCh := receiveAll(server, 1)
@@ -160,7 +161,7 @@ func TestSendBatchOversizedIsAtomic(t *testing.T) {
 	}
 }
 
-// TestBatchPartialWriteBoundaries is the writeAll/Flush partial-write
+// TestBatchPartialWriteBoundaries is the writeAll/flush partial-write
 // regression test: a chaos proxy forwards the stream in tiny chunks, so the
 // kernel reports partial writes at arbitrary byte boundaries — mid-header,
 // mid-payload, across batch buffers — and the write cursor must resume

@@ -20,10 +20,12 @@
 // spsc.Parker when full or empty, timing the wait into the same counters).
 // Each has one data path:
 //
-//   - Send side: Queue stages a tuple, Flush delivers everything staged under
-//     one elect-to-block accounting episode. Send, SendBatch and
-//     SendBatchOwned are compositions of the two; a single tuple is a batch
-//     of one, never a separate path.
+//   - Send side: SendBatch delivers the caller's batch as one flush under one
+//     elect-to-block accounting episode; Send and SendBatchOwned go through
+//     it, and a single tuple is a batch of one, never a separate path. A
+//     sender stages nothing between calls: the splitter builds its runs in
+//     its own buffer, and the in-proc sender writes a batch straight into the
+//     ring's free slots.
 //   - Receive side: ReceiveBatch blocks for the first tuple and then takes
 //     whatever else has already arrived, up to the caller's bound. The TCP
 //     Receiver decodes in place: read(2) lands in a pooled 64 KiB block and

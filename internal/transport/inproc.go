@@ -19,9 +19,10 @@ import (
 // serialization. Payload bytes never move: payload slices and their
 // pooled-block references transfer by ownership, producer to consumer, and
 // stay valid until the final consumer releases them. What a hop does cost is
-// the 72-byte Tuple value written three times — into pending (Queue), into
-// its ring slot (deliver), into the receiver's dst (pop) — and one cursor
-// store per side per batch, not per tuple.
+// the 72-byte Tuple value written twice — from the caller's batch into its
+// ring slot (deliver), from the slot into the receiver's dst (pop) — and one
+// cursor store per side per batch, not per tuple. The sender stages nothing:
+// a batch goes from the caller's slice straight into the ring's free slots.
 //
 // What is deliberately identical to TCP is the blocking signal. A full ring
 // is this transport's full socket buffer: the sender elects to block — it
@@ -113,11 +114,6 @@ func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
 type InprocSender struct {
 	p *inprocPipe
 
-	// pending stages tuples (with the block reference each one carries, if
-	// any) between flushes; the slice is reused so the steady-state send
-	// path allocates nothing.
-	pending []inprocItem
-
 	// Stall bound (SetStallTimeout): the timer is allocated once and
 	// re-armed per park episode, so a bounded sender parks allocation-free.
 	stall      time.Duration
@@ -147,98 +143,69 @@ func checkFrameable(t Tuple) error {
 	return nil
 }
 
-// Send is a batch of one: staged and flushed like any batch, so the tuple is
-// its own flush and its own elect-to-block episode.
+// Send is a batch of one through SendBatch, so the tuple is its own flush and
+// its own elect-to-block episode.
 func (s *InprocSender) Send(t Tuple) error {
-	if err := s.Queue(t); err != nil {
-		return err
-	}
-	return s.Flush()
+	ts := [1]Tuple{t}
+	return s.SendBatchOwned(ts[:], nil)
 }
 
-// Queue stages one tuple without delivering. The payload is referenced, not
-// copied — it must not be mutated after Flush hands it to the consumer.
-func (s *InprocSender) Queue(t Tuple) error {
-	if err := checkFrameable(t); err != nil {
-		return err
-	}
-	s.pending = append(s.pending, inprocItem{t: t})
-	return nil
-}
-
-// Pending returns how many tuples are staged and not yet flushed.
-func (s *InprocSender) Pending() int { return len(s.pending) }
-
-// Flush delivers every staged tuple, electing to block — and accounting the
-// blocked time — when the ring fills anywhere in the batch. On error the
-// undelivered remainder is discarded, matching the TCP flush contract (the
-// edge is failed; under recovery the retained tuples replay elsewhere).
-func (s *InprocSender) Flush() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	n := len(s.pending)
-	err := s.deliver(s.pending)
-	s.releaseStaged()
-	if err != nil {
-		return fmt.Errorf("transport: flush batch of %d: %w", n, err)
-	}
-	s.sent.Add(int64(n))
-	s.flushes.Add(1)
-	return nil
-}
-
-// releaseStaged clears the staging slice (zeroing items so dropped payloads
-// and refs are not pinned by the backing array).
-func (s *InprocSender) releaseStaged() {
-	for i := range s.pending {
-		s.pending[i] = inprocItem{}
-	}
-	s.pending = s.pending[:0]
-}
-
-// SendBatch stages and delivers ts as one batch, failing atomically on an
-// unencodable tuple exactly as the TCP sender does: nothing from ts (or a
-// previously staged partial batch) is sent.
+// SendBatch delivers ts as one batch, failing atomically on an unencodable
+// tuple exactly as the TCP sender does: nothing from ts is sent. Payloads are
+// referenced, not copied — they must not be mutated once delivered.
 func (s *InprocSender) SendBatch(ts []Tuple) error {
 	return s.SendBatchOwned(ts, nil)
 }
 
 // SendBatchOwned delivers ts with ownership transfer: ref holds one block
 // reference per tuple and every reference is consumed — delivered tuples
-// carry theirs to the consumer (the zero-copy path: pooled payload blocks
-// stay alive across the edge with no serialization), and references for
-// tuples that could not be delivered are released here. The tuples join any
-// staged partial batch, so ordering with it is preserved.
+// carry theirs to the consumer (pooled payload blocks cross the edge with no
+// serialization), the rest are released here. The batch is validated, then
+// written straight into the ring's free slots (deliver). On error the
+// undelivered remainder is discarded, as on TCP: the edge is failed.
 func (s *InprocSender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 	for i := range ts {
 		if err := checkFrameable(ts[i]); err != nil {
-			s.releaseStaged()
 			ref.ReleaseN(len(ts))
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}
 	}
-	for i := range ts {
-		s.pending = append(s.pending, inprocItem{t: ts[i], ref: ref})
+	if len(ts) == 0 {
+		return nil
 	}
-	return s.Flush()
+	if err := s.deliver(ts, ref); err != nil {
+		return fmt.Errorf("transport: flush batch of %d: %w", len(ts), err)
+	}
+	s.sent.Add(int64(len(ts)))
+	s.flushes.Add(1)
+	return nil
 }
 
-// deliver copies items, in order, into the ring's free slots and publishes
-// each chunk with one cursor store, parking when no slot is free. On error the
-// references of undelivered items are released (published items' references
-// belong to the consumer already). The consumer is woken before any park —
-// the items already published may be exactly what it is waiting for — and
-// once after the last publish.
-func (s *InprocSender) deliver(items []inprocItem) error {
+// fillSlots writes ts[:len(slots)] (or all of ts, if fewer) into ring slots,
+// each with ref, and returns how many it wrote.
+func fillSlots(slots []inprocItem, ts []Tuple, ref *BlockRef) int {
+	n := min(len(slots), len(ts))
+	for i := range n {
+		slots[i].t, slots[i].ref = ts[i], ref // field-wise: no temporary item
+	}
+	return n
+}
+
+// deliver writes ts, in order, into the ring's free slots and publishes each
+// chunk with one cursor store, parking when no slot is free. On error the
+// references of undelivered tuples are released (published tuples'
+// references belong to the consumer already). The consumer is woken before
+// any park — the tuples already published may be exactly what it is waiting
+// for — and once after the last publish.
+func (s *InprocSender) deliver(ts []Tuple, ref *BlockRef) error {
 	p := s.p
 	published := false
-	for i := 0; i < len(items); {
+	for i := 0; i < len(ts); {
 		err := s.closedErr()
 		if err == nil {
 			a, b := p.ring.Free()
-			n := copy(a, items[i:])
-			n += copy(b, items[i+n:])
+			n := fillSlots(a, ts[i:], ref)
+			n += fillSlots(b, ts[i+n:], ref)
 			if n > 0 {
 				p.ring.Publish(n)
 				i += n
@@ -254,9 +221,7 @@ func (s *InprocSender) deliver(items []inprocItem) error {
 			err = s.parkFull()
 		}
 		if err != nil {
-			for j := i; j < len(items); j++ {
-				items[j].ref.Release()
-			}
+			ref.ReleaseN(len(ts) - i)
 			s.sweepIfAbandoned()
 			return err
 		}

@@ -128,29 +128,34 @@ func TestInprocPairRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInprocQueueFlushBatching: one SendBatch is one flush, delivered whole
+// with one publish; an empty batch is no flush at all.
 func TestInprocQueueFlushBatching(t *testing.T) {
 	tx, rx := InprocPair(64)
-	for i := 0; i < 5; i++ {
-		if err := tx.Queue(Tuple{Seq: uint64(i)}); err != nil {
-			t.Fatalf("queue: %v", err)
-		}
+	if err := tx.SendBatch(nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
-	if tx.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", tx.Pending())
+	if tx.Flushes() != 0 || rx.Len() != 0 {
+		t.Fatalf("empty batch counted: flushes=%d delivered=%d", tx.Flushes(), rx.Len())
 	}
-	// Nothing delivered until Flush.
-	if n := rx.Len(); n != 0 {
-		t.Fatalf("%d tuples delivered before flush", n)
+	ts := make([]Tuple, 5)
+	for i := range ts {
+		ts[i] = Tuple{Seq: uint64(i)}
 	}
-	if err := tx.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+	if err := tx.SendBatch(ts); err != nil {
+		t.Fatalf("send batch: %v", err)
 	}
-	if tx.Pending() != 0 {
-		t.Fatalf("Pending after flush = %d", tx.Pending())
+	if n := rx.Len(); n != 5 {
+		t.Fatalf("%d tuples delivered by one batch, want 5", n)
 	}
 	got, ref, err := rx.ReceiveBatch(nil, 10)
 	if err != nil || len(got) != 5 || ref != nil {
 		t.Fatalf("receive: got %d tuples, ref %v, err %v", len(got), ref, err)
+	}
+	for i, tu := range got {
+		if tu.Seq != uint64(i) {
+			t.Fatalf("tuple %d carried seq %d", i, tu.Seq)
+		}
 	}
 	if tx.Flushes() != 1 || tx.Sent() != 5 {
 		t.Fatalf("counters: flushes=%d sent=%d", tx.Flushes(), tx.Sent())
@@ -163,20 +168,17 @@ func TestInprocOversizedTupleFailsAtomically(t *testing.T) {
 	if err := tx.Send(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Send oversized: err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := tx.Queue(Tuple{Seq: 0}); err != nil {
-		t.Fatal(err)
-	}
 	batch := []Tuple{{Seq: 2}, big, {Seq: 3}}
 	if err := tx.SendBatch(batch); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("SendBatch oversized: err = %v", err)
 	}
-	// Atomic failure: nothing from the batch, or from the partial batch
-	// staged before it, was delivered or left staged (as on TCP).
-	if tx.Pending() != 0 {
-		t.Fatalf("Pending after failed batch = %d", tx.Pending())
-	}
+	// Atomic failure: nothing from the batch was delivered (as on TCP), and
+	// nothing was counted.
 	if n := rx.Len(); n != 0 {
 		t.Fatalf("failed batch leaked %d tuples", n)
+	}
+	if tx.Sent() != 0 || tx.Flushes() != 0 {
+		t.Fatalf("failed batch counted: sent=%d flushes=%d", tx.Sent(), tx.Flushes())
 	}
 	ref := blockRefPool.Get().(*BlockRef)
 	ref.refs.Store(int64(len(batch)))

@@ -13,24 +13,18 @@ import "time"
 // splitter, worker loop and controller are written against this interface so
 // a region can mix them per edge.
 //
-// Queue and Flush are the one write path; Send, SendBatch and SendBatchOwned
-// compose them. All five may be called from only one goroutine at a time;
+// A batch is the unit of the write path: SendBatch delivers the caller's
+// tuples as one flush under one elect-to-block accounting episode, and Send
+// and SendBatchOwned go through the same path. A sender keeps no staged state
+// between calls — the caller (the splitter, a worker loop) owns the batch it
+// builds. The three send calls may be made from only one goroutine at a time;
 // the counters may be read concurrently; Close may be called from any
 // goroutine (it unblocks an elected-to-block send in progress).
 type BatchSender interface {
-	// Send is a batch of one: Queue then Flush, so the tuple is its own
-	// elect-to-block episode.
+	// Send is a batch of one, so the tuple is its own elect-to-block episode.
 	Send(t Tuple) error
-	// Queue stages one tuple in the pending batch without delivering.
-	// Payloads queued zero-copy must not be mutated until Flush returns.
-	Queue(t Tuple) error
-	// Pending returns how many tuples are staged and not yet flushed.
-	Pending() int
-	// Flush delivers every staged tuple as one batch under one
-	// elect-to-block accounting episode.
-	Flush() error
-	// SendBatch stages and flushes ts as one batch, atomically failing on an
-	// unencodable tuple.
+	// SendBatch delivers ts as one flush, atomically failing on an
+	// unencodable tuple (nothing from ts is sent).
 	SendBatch(ts []Tuple) error
 	// SendBatchOwned is SendBatch with ownership transfer: ref holds one
 	// block reference per tuple of ts (the references a worker's input

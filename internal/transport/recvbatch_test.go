@@ -254,8 +254,9 @@ func TestReceiveBatchPicksUpBufferedRemainder(t *testing.T) {
 }
 
 // TestReceiveBatchInteropWithSenders runs every sender style against the
-// batched receiver over real TCP: per-tuple Send, SendBatch, and manual
-// Queue+Flush must all arrive intact — the receiver cannot tell them apart.
+// batched receiver over real TCP: per-tuple Send, SendBatch, and the staging
+// underneath them (queue, flushed every 17 tuples) must all arrive intact —
+// the receiver cannot tell them apart.
 func TestReceiveBatchInteropWithSenders(t *testing.T) {
 	const n = 300
 	for _, style := range []string{"send", "sendbatch", "queueflush"} {
@@ -303,18 +304,18 @@ func TestReceiveBatchInteropWithSenders(t *testing.T) {
 					}
 				case "queueflush":
 					for i := range ts {
-						if err := s.Queue(ts[i]); err != nil {
+						if err := s.queue(ts[i]); err != nil {
 							errc <- err
 							return
 						}
 						if i%17 == 0 {
-							if err := s.Flush(); err != nil {
+							if err := s.flush(); err != nil {
 								errc <- err
 								return
 							}
 						}
 					}
-					if err := s.Flush(); err != nil {
+					if err := s.flush(); err != nil {
 						errc <- err
 						return
 					}

@@ -26,8 +26,8 @@ var errWroteZero = errors.New("write returned 0 without error")
 // blocking, and when the kernel reports the socket buffer full the sender
 // elects to block in the runtime poller anyway, timing the wait.
 //
-// There is one write path: Queue stages frames, Flush writes them (batch.go);
-// Send, SendBatch and SendBatchOwned are compositions of the two. They may be
+// There is one write path: SendBatch stages frames (queue) and writes them
+// (flush) (batch.go); Send and SendBatchOwned go through it. They may be
 // called from only one goroutine at a time (the splitter has a single thread
 // of control); the counters may be read concurrently.
 //
@@ -40,8 +40,8 @@ type Sender struct {
 	conn net.Conn
 	raw  syscall.RawConn
 
-	// The write queue, owned by the sending goroutine. Queue stages buffers
-	// onto it (batch.go) and Flush writes wq[wqHead:], the buffers not yet
+	// The write queue, owned by the sending goroutine. queue stages buffers
+	// onto it (batch.go) and flush writes wq[wqHead:], the buffers not yet
 	// fully written; the callback advances the cursor across poller parks
 	// so a partial write — at any byte boundary, mid-header or
 	// mid-payload, within or across batch buffers — always resumes exactly
@@ -54,7 +54,7 @@ type Sender struct {
 	blocked   bool
 	blockedAt time.Time
 
-	// Staging state (Queue/Flush), see batch.go: the frame buffer small
+	// Staging state (queue/flush), see batch.go: the frame buffer small
 	// frames are being coalesced into, the sealed buffers already on wq,
 	// and how many tuples are staged.
 	coalesce *frameBuf
@@ -94,13 +94,10 @@ func NewSender(conn net.Conn) (*Sender, error) {
 
 // Send is a batch of one: the tuple is staged and flushed through the same
 // path as any batch, so it is its own flush and its own elect-to-block
-// episode (the Section 3 per-tuple sample). Anything already staged leaves
-// with it, in order.
+// episode (the Section 3 per-tuple sample).
 func (s *Sender) Send(t Tuple) error {
-	if err := s.Queue(t); err != nil {
-		return err
-	}
-	return s.Flush()
+	ts := [1]Tuple{t}
+	return s.SendBatch(ts[:])
 }
 
 // account closes out an in-progress blocking episode: the time since the
@@ -114,7 +111,7 @@ func (s *Sender) account() {
 	s.blocked = false
 }
 
-// rawWrite is the parking poller callback behind Flush. It
+// rawWrite is the parking poller callback behind flush. It
 // writes wq[wqHead:] with write(2) for the final buffer and writev(2) when
 // several remain, parking on EAGAIN (electing to block) and accounting the
 // parked time on re-entry. Partial writes advance the cursor by exact byte
