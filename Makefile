@@ -44,9 +44,11 @@ trials:
 
 # The observability budget (ROADMAP 4c) from one place: what one traced
 # tcp_sat run reads for the registry's end-to-end overhead and a counter
-# increment, and what instrumenting the merger costs its release path per
-# tuple (metrics=on minus metrics=off). Single traced run: treat the first
-# row as ±10 points on this host.
+# increment, and what the merger's drain and release path costs per tuple in
+# both BenchmarkReleaseRuns shapes (shape=tuples: per-tuple round-robin, as
+# keyed traffic arrives; shape=runs: runs of 32, as the splitter routes),
+# each uninstrumented and instrumented (metrics=on minus metrics=off).
+# Single traced run: treat the first row as ±10 points on this host.
 overhead:
 	bash bench/run.sh -workload tcp_sat -trace 1 | grep -E '^ +metrics\.(registry_overhead_pct|counter_inc_ns) '
 	go test -run '^$$' -bench ReleaseRuns -count=6 ./internal/runtime | grep '^Benchmark'

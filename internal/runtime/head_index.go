@@ -46,11 +46,26 @@ func (h *headIndex) less(a, b int) bool {
 // min returns the stream id with the lowest head sequence, or -1 when every
 // stream's heap is empty.
 func (h *headIndex) min() int {
-	id := h.ids[0]
-	if h.key[id] == headIndexEmpty {
+	if h.minKey() == headIndexEmpty {
 		return -1
 	}
-	return id
+	return h.ids[0]
+}
+
+// minKey returns the lowest head sequence, headIndexEmpty when every heap is
+// empty.
+func (h *headIndex) minKey() uint64 { return h.key[h.ids[0]] }
+
+// second returns the lowest key among every stream but min()'s: the smaller
+// of the root's two children, each of which heads its subtree. O(1).
+func (h *headIndex) second() uint64 {
+	switch len(h.ids) {
+	case 1:
+		return headIndexEmpty
+	case 2:
+		return h.key[h.ids[1]]
+	}
+	return min(h.key[h.ids[1]], h.key[h.ids[2]])
 }
 
 // update sets stream id's key and restores heap order.

@@ -111,6 +111,16 @@ func TestHeadIndexOrdering(t *testing.T) {
 			if got, want := h.min(), bruteMin(); got != want {
 				t.Fatalf("trial %d step %d: min() = %d, want %d (keys %v)", trial, step, got, want, keys)
 			}
+			// second() is the lowest key of every stream but the root's.
+			second := uint64(headIndexEmpty)
+			for j, k := range keys {
+				if j != h.ids[0] {
+					second = min(second, k)
+				}
+			}
+			if got := h.second(); got != second {
+				t.Fatalf("trial %d step %d: second() = %d, want %d (keys %v)", trial, step, got, second, keys)
+			}
 		}
 	}
 }

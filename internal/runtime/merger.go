@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -71,9 +70,9 @@ const DefaultWatermarkInterval = 20 * time.Millisecond
 // channel it falls back to the original fixed-worker semantics.
 //
 // Ingest is sharded: each connection reader owns a bounded lock-free SPSC
-// ring (producer = the reader, consumer = the merge loop), and the merge
-// loop drains rings into consumer-private per-stream reorder heaps, picking
-// releases through an indexed min-heap over the stream heads. No mutex is
+// ring (producer = the reader, consumer = the merge loop); the merge loop
+// releases in-order runs and queues the rest per stream, picking runs
+// through an indexed min-heap over the stream heads. No mutex is
 // taken on the tuple hot path; per-item ordered-merge synchronization is the
 // multicore scaling ceiling Prasaad et al. identify, and it previously capped
 // ingest at 64 connections on one lock hand-off. Locks remain only on the
@@ -85,8 +84,8 @@ type Merger struct {
 	workers    int
 	queueCap   int
 	ringCap    int
-	recvBatch  int // max tuples decoded per ReceiveBatch pass
-	sink       func(transport.Tuple, int)
+	recvBatch  int                         // max tuples decoded per ReceiveBatch pass
+	sink       func(*transport.Tuple, int) // reads through the pointer, never retains it
 	wmInterval time.Duration
 	to         Timeouts
 
@@ -95,11 +94,13 @@ type Merger struct {
 	// heads (the release tournament over their minimums) are touched by
 	// the merge loop alone. depth[id] republishes each heap's occupancy
 	// so producers and a metrics scrape can read it without entering the
-	// merge loop's world.
+	// merge loop's world. held is where releaseRuns pops an item it cannot
+	// release in place (see releaseOne).
 	rings  []*spsc.Ring[mergeItem]
 	queues []streamQueue
 	heads  *headIndex
 	depth  []paddedCount
+	held   mergeItem
 
 	// Park/wake, all on spsc.Parker (whose Wake fast-paths to a single
 	// atomic load while the other side is awake). The merge loop parks on
@@ -168,8 +169,8 @@ type Merger struct {
 	absorbed map[uint64]struct{}
 
 	// released counts tuples delivered to the sink. The merge loop advances
-	// it once per releaseRuns pass, not per tuple; with combined it accounts
-	// for every sequence number below next.
+	// it once per drainRings or releaseRuns pass, not per tuple; with
+	// combined it accounts for every sequence number below next.
 	released   atomic.Uint64
 	deduped    atomic.Uint64
 	dupRejects atomic.Uint64
@@ -193,13 +194,17 @@ type Merger struct {
 // order, with the worker id that processed it; it runs on the merge goroutine
 // and must not block indefinitely. queueCap <= 0 selects DefaultMergerQueue.
 func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger, error) {
-	return newMerger(workers, queueCap, sink, true)
+	if sink == nil {
+		return newMerger(workers, queueCap, nil, true)
+	}
+	return newMerger(workers, queueCap, func(t *transport.Tuple, id int) { sink(*t, id) }, true)
 }
 
-// newMerger builds a merger. Without listen it opens no socket and runs no
-// accept loop — an in-proc region's streams all arrive through AttachInproc —
-// and Addr returns "".
-func newMerger(workers, queueCap int, sink func(transport.Tuple, int), listen bool) (*Merger, error) {
+// newMerger builds a merger whose sink reads each released tuple where it
+// lies. Without listen it opens no socket and runs no accept loop — an
+// in-proc region's streams all arrive through AttachInproc — and Addr
+// returns "".
+func newMerger(workers, queueCap int, sink func(*transport.Tuple, int), listen bool) (*Merger, error) {
 	if workers <= 0 {
 		return nil, errors.New("runtime: merger needs at least one worker")
 	}
@@ -475,177 +480,6 @@ func (m *Merger) drainLeftovers() {
 	}
 }
 
-// acceptLoop admits worker and control connections until the listener
-// closes. The handshake runs in a per-connection goroutine so one stalled
-// peer cannot block the others from attaching.
-func (m *Merger) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return
-		}
-		m.wg.Add(1)
-		go m.handshake(conn)
-	}
-}
-
-// handshake reads the 4-byte connection id and routes the connection: a
-// worker id attaches its stream (attach), the control sentinel attaches the
-// watermark writer and FIN reader. Every failure path closes the accepted
-// connection.
-//
-// The id read is deadline-bounded and the connection is tracked in the
-// pending set until identified: a peer that connects and goes silent is
-// shed after the handshake timeout (or at teardown) instead of pinning this
-// goroutine — and with it the merger's WaitGroup — forever.
-func (m *Merger) handshake(conn net.Conn) {
-	defer m.wg.Done()
-	m.ctl.Lock()
-	if m.closed.Load() {
-		m.ctl.Unlock()
-		conn.Close()
-		return
-	}
-	m.pending[conn] = struct{}{}
-	m.ctl.Unlock()
-	unpend := func() {
-		m.ctl.Lock()
-		delete(m.pending, conn)
-		m.ctl.Unlock()
-	}
-	if m.to.Handshake > 0 {
-		conn.SetReadDeadline(time.Now().Add(m.to.Handshake))
-	}
-	var idBuf [4]byte
-	if _, err := io.ReadFull(conn, idBuf[:]); err != nil {
-		unpend()
-		conn.Close()
-		var nerr net.Error
-		if errors.As(err, &nerr) && nerr.Timeout() {
-			// A silent dialer shed by the deadline is defense, not a
-			// stream failure: record it on the trace only.
-			if m.rm != nil {
-				m.rm.traceEvent(metrics.Event{Kind: "handshake-timeout", Conn: -1, Detail: conn.RemoteAddr().String()})
-			}
-			return
-		}
-		if !m.closed.Load() {
-			m.recordStreamErr(fmt.Errorf("runtime: merger read worker id: %w", err))
-		}
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	unpend()
-	raw := binary.LittleEndian.Uint32(idBuf[:])
-	if raw == controlConnID {
-		m.attachControl(conn)
-		return
-	}
-	id := int(raw)
-	if id < 0 || id >= m.workers {
-		conn.Close()
-		m.setFatal(fmt.Errorf("runtime: merger got bad worker id %d", id))
-		return
-	}
-	// A rejected attach (merger closed, or a duplicate of a live stream)
-	// has already closed the connection, and is the correct handling rather
-	// than a stream failure: a restarting worker can race its predecessor's
-	// teardown and will retry after backoff.
-	_ = m.attach(id, transport.NewReceiver(conn))
-}
-
-// setFatal records a protocol violation and aborts the merge.
-func (m *Merger) setFatal(err error) {
-	m.ctl.Lock()
-	if m.fatal == nil {
-		m.fatal = err
-	}
-	m.epoch.Add(1)
-	m.ctl.Unlock()
-	m.wakeAll()
-}
-
-func (m *Merger) recordStreamErr(err error) {
-	m.ctl.Lock()
-	m.strmErrs = append(m.strmErrs, err)
-	m.epoch.Add(1)
-	m.ctl.Unlock()
-	m.wakeAll()
-}
-
-// attachControl wires a splitter control connection: one goroutine streams
-// watermarks out, this goroutine reads the FIN total and then watches for
-// the peer closing.
-func (m *Merger) attachControl(conn net.Conn) {
-	m.ctl.Lock()
-	if m.closed.Load() {
-		m.ctl.Unlock()
-		conn.Close()
-		return
-	}
-	m.ctrlSeen = true
-	m.ctrlLive++
-	m.epoch.Add(1)
-	m.ctl.Unlock()
-	m.wakeAll()
-
-	m.wg.Add(1)
-	go m.watermarkWriter(conn)
-
-	var buf [8]byte
-	if _, err := io.ReadFull(conn, buf[:]); err == nil {
-		m.ctl.Lock()
-		m.finKnown = true
-		m.finTotal = binary.LittleEndian.Uint64(buf[:])
-		m.epoch.Add(1)
-		m.ctl.Unlock()
-		m.wakeAll()
-		// The splitter holds the channel open until it drains; wait for
-		// the close so ctrlLive reflects liveness, not FIN receipt.
-		io.Copy(io.Discard, conn)
-	}
-	m.ctl.Lock()
-	m.ctrlLive--
-	m.epoch.Add(1)
-	m.ctl.Unlock()
-	m.wakeAll()
-}
-
-// watermarkWriter periodically reports the released watermark, flushing a
-// final one when the merge completes so the splitter's drain observes every
-// release. It owns
-// closing the control connection. Every write carries a deadline: a control
-// peer that stops reading sheds this goroutine instead of pinning it.
-func (m *Merger) watermarkWriter(conn net.Conn) {
-	defer m.wg.Done()
-	defer conn.Close()
-	ticker := time.NewTicker(m.wmInterval)
-	defer ticker.Stop()
-	var buf [8]byte
-	write := func() error {
-		// next is atomic, so the periodic report reads the merge loop's
-		// progress without touching it.
-		binary.LittleEndian.PutUint64(buf[:], m.next.Load())
-		if m.to.ControlWrite > 0 {
-			conn.SetWriteDeadline(time.Now().Add(m.to.ControlWrite))
-		}
-		_, err := conn.Write(buf[:])
-		return err
-	}
-	for {
-		select {
-		case <-m.wmStop:
-			write()
-			return
-		case <-ticker.C:
-			if write() != nil {
-				return
-			}
-		}
-	}
-}
-
 // AttachInproc attaches worker id's stream over an in-process transport edge
 // instead of a TCP connection; from attach onward the two are the same code.
 // Call before or after Start, once per worker id while that id is unattached.
@@ -882,39 +716,54 @@ func (m *Merger) snapshot() mergerSnap {
 // snapshot is bounded by the ring's capacity so a fast producer cannot pin
 // the consumer on a single ring while the others back up. Returns whether
 // anything moved.
+//
+// An in-order run skips the queue: while stream id has nothing queued, each
+// slot holding the watermark is released in place as long as the watermark
+// stays strictly below every other stream's head (a tie, a replayed
+// duplicate, goes through the tournament). The first slot that does not
+// qualify, and every one after it, is queued.
 func (m *Merger) drainRings() bool {
 	progressed := false
-	// The watermark only moves on this goroutine (releaseRuns), so one load
-	// serves the whole pass instead of re-reading a line the release path
-	// keeps invalidating.
-	next := m.next.Load()
+	// The watermark only moves on this goroutine: one load serves the pass.
+	next, released := m.next.Load(), uint64(0)
 	for id, r := range m.rings {
 		a, b := r.Ready()
 		if len(a) == 0 {
 			continue
 		}
+		q := &m.queues[id]
+		// With q empty its own key is headIndexEmpty: minKey is the others'.
+		inPlace, bound := q.len() == 0, m.heads.minKey()
 		for _, span := range [2][]mergeItem{a, b} {
 			for i := range span {
-				if span[i].t.Seq < next {
-					span[i].ref.Release()
+				switch it := &span[i]; {
+				case it.t.Seq < next:
+					it.ref.Release()
 					m.deduped.Add(1)
-					continue
+				case inPlace && it.t.Seq == next && next < bound:
+					next = m.releaseOne(it, id, next)
+					released++
+				default:
+					inPlace = false
+					q.push(*it)
 				}
-				m.queues[id].push(span[i])
 			}
 		}
 		// Depth first, then the slots: between the two stores the moved items
 		// count twice in streamDepth, never not at all, so a reader testing
 		// the cap mid-drain can park early (the wake below corrects it) but
 		// cannot overshoot.
-		m.depth[id].v.Store(int64(m.queues[id].len()))
+		m.depth[id].v.Store(int64(q.len()))
 		r.Release(len(a) + len(b))
 		progressed = true
-		m.heads.update(id, m.queues[id].headKey())
+		m.heads.update(id, q.headKey())
 		// Freed ring slots (and any swept duplicates) may unblock this
 		// stream's reader — a ring-full park, or a cap park whose depth
 		// the sweep just lowered.
 		m.wakeStream(id)
+	}
+	if released > 0 {
+		m.released.Add(released)
 	}
 	return progressed
 }
@@ -923,71 +772,55 @@ func (m *Merger) drainRings() bool {
 // the watermark: stale heads (cross-stream duplicates from replay, and
 // same-stream duplicates the queue admitted lazily) are swept and counted,
 // the head equal to the watermark is released through the sink. The (seq,
-// id) tie-break reproduces the old lowest-id-first scan exactly. Each pop
-// wakes parked readers — releasing or sweeping frees backlog space.
+// id) tie-break reproduces the old lowest-id-first scan exactly. The winner
+// releases a run: while its FIFO head is the watermark and the watermark is
+// below both the next stream's head and its own spill's, the FIFO slots are
+// released in place, with one depth store and one tournament update per run.
+// A stale head, a spilled head or a tie pops one item through held.
 func (m *Merger) releaseRuns() bool {
 	progressed := false
-	released := uint64(0)
+	next, released := m.next.Load(), uint64(0)
 	for {
 		id := m.heads.min()
-		if id < 0 {
+		if id < 0 || m.heads.key[id] > next {
 			break
 		}
-		next := m.next.Load()
-		// heads.key is maintained to equal the stream's headKey, so the
-		// winner's sequence is already in hand.
-		if m.heads.key[id] > next {
-			break
+		q := &m.queues[id]
+		n := 0
+		for bound := min(m.heads.second(), q.heapKey()); q.fifoKey() == next && next < bound; n++ {
+			next = m.releaseOne(&q.fifo[q.fh], id, next)
+			q.fifo[q.fh] = mergeItem{}
+			q.fh++
 		}
-		it := m.queues[id].popMin()
-		if it.t.Seq < next {
-			// A duplicate carrier is dropped whole: its absorbed seqs are
-			// never registered, because a carrier only duplicates when its
-			// connection failed before release — and then every unreleased
-			// group member was replayed individually.
-			it.ref.Release()
-			m.deduped.Add(1)
+		if released += uint64(n); n > 0 {
+			q.trim()
 		} else {
-			next++
-			// A combined carrier releases its absorbed seqs with it:
-			// register them, then advance the watermark silently through any
-			// now-contiguous run. Absorbed seqs are always >= the new
-			// watermark here — the combiner picks the group's lowest seq as
-			// the carrier.
-			if len(it.t.Absorbed) > 0 {
-				for i, n := 0, it.t.AbsorbedCount(); i < n; i++ {
-					m.absorbed[it.t.AbsorbedSeq(i)] = struct{}{}
-				}
+			if m.held, n = q.popMin(), 1; m.held.t.Seq >= next {
+				next = m.releaseOne(&m.held, id, next)
+				released++
+			} else {
+				// A duplicate carrier is dropped whole: its absorbed seqs are
+				// never registered, because a carrier only duplicates when its
+				// connection failed before release — and then every unreleased
+				// group member was replayed individually.
+				m.held.ref.Release()
+				m.deduped.Add(1)
 			}
-			if len(m.absorbed) > 0 {
-				for {
-					if _, ok := m.absorbed[next]; !ok {
-						break
-					}
-					delete(m.absorbed, next)
-					next++
-					m.combined.Add(1)
-				}
-			}
-			m.next.Store(next)
-			released++
-			m.sink(it.t, id)
-			// The sink has returned: the payload is no longer needed, so
-			// its receive block can recycle.
-			it.ref.Release()
+			m.held = mergeItem{}
 		}
-		qd := m.queues[id].len()
+		qd := q.len()
 		m.depth[id].v.Store(int64(qd))
-		m.heads.update(id, m.queues[id].headKey())
+		m.heads.update(id, q.headKey())
 		progressed = true
 		// Refill hysteresis: rewake a cap-parked reader only once its queue
 		// has descended through wakeAt, not on every pop — waking at cap-1
 		// buys one push before the reader re-parks, and with 64 readers
-		// that is a broadcast per release. The crossing fires exactly once
-		// per descent (only this goroutine pops), and a reader parked while
-		// the queue is already below wakeAt is covered by the merge loop's
+		// that is a broadcast per release. The crossing (a pop of n taking
+		// the queue from qd+n to qd past wakeAt) fires exactly once per
+		// descent (only this goroutine pops), and a reader parked while the
+		// queue is already below wakeAt is covered by the merge loop's
 		// pre-park wakeAll — it cannot stay parked while the merge sleeps.
-		if qd == m.wakeAt {
+		if qd <= m.wakeAt && m.wakeAt < qd+n {
 			m.wakeStream(id)
 		}
 	}
@@ -995,6 +828,30 @@ func (m *Merger) releaseRuns() bool {
 		m.released.Add(released)
 	}
 	return progressed
+}
+
+// releaseOne delivers it, stream id's item holding sequence next, and returns
+// the new watermark: one past it, and on through the sequences a combined
+// carrier absorbed (the carrier is its group's lowest seq). it must point into
+// merger-owned storage (a ring slot, a FIFO slot, held): the sink's pointer
+// escapes, so a local would cost a heap allocation per tuple.
+func (m *Merger) releaseOne(it *mergeItem, id int, next uint64) uint64 {
+	next++
+	for i, n := 0, it.t.AbsorbedCount(); i < n; i++ {
+		m.absorbed[it.t.AbsorbedSeq(i)] = struct{}{}
+	}
+	for len(m.absorbed) > 0 {
+		if _, ok := m.absorbed[next]; !ok {
+			break
+		}
+		delete(m.absorbed, next)
+		next++
+		m.combined.Add(1)
+	}
+	m.next.Store(next)
+	m.sink(&it.t, id)
+	it.ref.Release() // the sink has returned: the receive block can recycle
+	return next
 }
 
 // ringsEmpty reports whether every ingest ring is (momentarily) drained.

@@ -205,41 +205,48 @@ func BenchmarkMergerIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkReleaseRuns prices what exporting the merger's counts costs the
-// merge loop's release path: four reorder queues are filled in 1024-tuple
-// chunks (round-robin, so every pop moves the tournament) and released by one
-// releaseRuns pass per chunk, with the merger uninstrumented and with a
-// RegionMetrics attached. ns/op is per tuple, fill included on both sides;
-// metrics=on minus metrics=off is the number DESIGN §10 records. It uses only
-// what both sides of a parent/change comparison have, so the file can be
-// copied onto the parent commit.
+// BenchmarkReleaseRuns prices the merge loop's drain and release path per
+// tuple: four ingest rings are filled in 1024-tuple chunks and emptied by one
+// drainRings and one releaseRuns pass per chunk. shape=tuples deals the
+// sequence numbers round-robin one at a time (what keyed traffic produces:
+// every release moves the tournament); shape=runs deals them in runs of 32
+// consecutive numbers per stream, round-robin over the four (what the
+// splitter's run routing produces). Under each, metrics=off leaves the merger
+// uninstrumented and metrics=on attaches a RegionMetrics; on minus off is the
+// number DESIGN §10 records. ns/op is per tuple, fill included. The merger is
+// built with NewMerger and fed through its rings, so the file can be copied
+// onto a parent commit for a paired comparison.
 func BenchmarkReleaseRuns(b *testing.B) {
-	const streams, chunk = 4, 1024
-	for _, mode := range []string{"off", "on"} {
-		b.Run("metrics="+mode, func(b *testing.B) {
-			released := 0
-			m, err := newMerger(streams, 0, func(transport.Tuple, int) { released++ }, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode == "on" {
-				m.SetMetrics(NewRegionMetrics(metrics.New(), nil))
-			}
-			b.ResetTimer()
-			for seq := 0; seq < b.N; {
-				for end := min(seq+chunk, b.N); seq < end; seq++ {
-					m.queues[seq%streams].push(mergeItem{t: transport.Tuple{Seq: uint64(seq)}})
+	const streams, chunk, run = 4, 1024, 32
+	for _, shape := range []string{"tuples", "runs"} {
+		streamOf := func(seq int) int { return seq % streams }
+		if shape == "runs" {
+			streamOf = func(seq int) int { return seq / run % streams }
+		}
+		for _, mode := range []string{"off", "on"} {
+			b.Run("shape="+shape+"/metrics="+mode, func(b *testing.B) {
+				released := 0
+				m, err := NewMerger(streams, 0, func(transport.Tuple, int) { released++ })
+				if err != nil {
+					b.Fatal(err)
 				}
-				for id := range m.queues {
-					m.depth[id].v.Store(int64(m.queues[id].len()))
-					m.heads.update(id, m.queues[id].headKey())
+				defer m.Close()
+				if mode == "on" {
+					m.SetMetrics(NewRegionMetrics(metrics.New(), nil))
 				}
-				m.releaseRuns()
-			}
-			if released != b.N {
-				b.Fatalf("released %d of %d", released, b.N)
-			}
-		})
+				b.ResetTimer()
+				for seq := 0; seq < b.N; {
+					for end := min(seq+chunk, b.N); seq < end; seq++ {
+						m.rings[streamOf(seq)].Push(mergeItem{t: transport.Tuple{Seq: uint64(seq)}})
+					}
+					m.drainRings()
+					m.releaseRuns()
+				}
+				if released != b.N {
+					b.Fatalf("released %d of %d", released, b.N)
+				}
+			})
+		}
 	}
 }
 

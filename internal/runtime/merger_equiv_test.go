@@ -26,6 +26,14 @@ func insertSorted(q []transport.Tuple, t transport.Tuple) ([]transport.Tuple, bo
 	return q, true
 }
 
+// head returns the heap's minimum-sequence item without removing it.
+func (h seqHeap) head() (mergeItem, bool) {
+	if len(h) == 0 {
+		return mergeItem{}, false
+	}
+	return h[0], true
+}
+
 // releaseRec records one released tuple: its sequence and which connection's
 // queue released it (the attribution the sink sees).
 type releaseRec struct {

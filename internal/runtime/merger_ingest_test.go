@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func ascending(from uint64, n int) []transport.Tuple {
 func TestIngestCapCountsStagedTuples(t *testing.T) {
 	const queueCap, n = 4, 64
 	var released []uint64
-	m, err := newMerger(2, queueCap, func(tp transport.Tuple, _ int) { released = append(released, tp.Seq) }, false)
+	m, err := newMerger(2, queueCap, func(tp *transport.Tuple, _ int) { released = append(released, tp.Seq) }, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +99,107 @@ func TestIngestCapCountsStagedTuples(t *testing.T) {
 	}
 }
 
+// parkedIn reports whether a goroutine the named test started is asleep in a
+// Parker (past its condition check, inside the wait).
+func parkedIn(test string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "(*Cond).Wait") && strings.Contains(g, "(*Parker).Park") &&
+			strings.Contains(g, "created by streambalance/internal/runtime."+test) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunReleaseWakesCapParkedReader pins the refill wake under run release:
+// one releaseRuns pass pops a 40-tuple run that takes a cap-parked reader's
+// backlog from 64 straight past wakeAt (32) to 24, and that reader must be
+// woken. A wake that fires only when the depth lands on wakeAt exactly never
+// sees the crossing, and the reader sleeps on. The test is the merge loop, as
+// in TestIngestCapCountsStagedTuples, so nothing else wakes the reader.
+func TestRunReleaseWakesCapParkedReader(t *testing.T) {
+	const queueCap, run = 64, 40
+	var released []uint64
+	m, err := newMerger(2, queueCap, func(tp *transport.Tuple, _ int) { released = append(released, tp.Seq) }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stream 0 fills its backlog to the cap: seqs 1..40 and 42..65. Stream 1
+	// holds seq 0, the gap, and seq 41, which ends stream 0's first run.
+	if !m.ingest(0, append(ascending(1, run), ascending(run+2, queueCap-run)...), nil) ||
+		!m.ingest(1, []transport.Tuple{{Seq: 0}, {Seq: run + 1}}, nil) {
+		t.Fatal("ingest refused")
+	}
+	m.drainRings()
+	if len(released) != 1 || m.streamDepth(0) != queueCap {
+		t.Fatalf("after the drain: released %v, stream 0 backlog %d, want [0] and %d", released, m.streamDepth(0), queueCap)
+	}
+
+	// A reader with more of stream 0 parks at the cap.
+	done := make(chan bool, 1)
+	go func() { done <- m.ingest(0, ascending(queueCap+2, run), nil) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !parkedIn("TestRunReleaseWakesCapParkedReader") {
+		if time.Now().After(deadline) {
+			t.Fatal("reader never parked at its cap")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	m.releaseRuns()
+	if len(released) != queueCap+2 {
+		t.Fatalf("one release pass released %d tuples, want %d", len(released), queueCap+2)
+	}
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("ingest reported the merger closed")
+		}
+	case <-time.After(5 * time.Second):
+		m.closed.Store(true)
+		m.wakeAll()
+		<-done
+		t.Fatal("the run took the backlog through wakeAt and the cap-parked reader was not woken")
+	}
+}
+
+// TestRunReleaseAllocatesNothing: a drainRings + releaseRuns pass over
+// run-shaped rings allocates nothing. Every tuple reaches the sink through a
+// pointer into storage the merger owns (a ring slot, a FIFO slot, held); a
+// pointer to a local copy would move each released tuple to the heap.
+func TestRunReleaseAllocatesNothing(t *testing.T) {
+	const streams, run = 4, 32
+	released := 0
+	m, err := newMerger(streams, 0, func(*transport.Tuple, int) { released++ }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uint64(0)
+	push := func(id int, seq uint64) { m.rings[id].Push(mergeItem{t: transport.Tuple{Seq: seq}}) }
+	pass := func() {
+		// Run k goes to stream 3-k, so drainRings releases run 0 from its
+		// ring slots and queues the rest. Stream 1 first gets a copy of run
+		// 1's first seq: a tie releaseRuns resolves one item at a time.
+		push(1, base+run)
+		for k := 0; k < streams; k++ {
+			for i := 0; i < run; i++ {
+				push(streams-1-k, base+uint64(k*run+i))
+			}
+		}
+		m.drainRings()
+		m.releaseRuns()
+		base += streams * run
+	}
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Fatalf("a drain and release pass allocated %.1f times", allocs)
+	}
+	if m.Watermark() != base || released != int(base) || m.Deduped() != base/(streams*run) {
+		t.Fatalf("watermark %d, released %d, deduped %d after %d tuples", m.Watermark(), released, m.Deduped(), base)
+	}
+}
+
 // TestIngestPublishesBeforeParking: the sequence the merge loop is parked on
 // is the first tuple of a batch whose fifth tuple hits the back-pressure cap.
 // The reader must publish what it staged and wake the merge loop before it
@@ -106,7 +208,7 @@ func TestIngestCapCountsStagedTuples(t *testing.T) {
 func TestIngestPublishesBeforeParking(t *testing.T) {
 	const queueCap, n = 4, 64
 	released := make(chan uint64, n+1)
-	m, err := newMerger(2, queueCap, func(tp transport.Tuple, _ int) { released <- tp.Seq }, false)
+	m, err := newMerger(2, queueCap, func(tp *transport.Tuple, _ int) { released <- tp.Seq }, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,33 +14,17 @@ type mergeItem struct {
 	ref *transport.BlockRef
 }
 
-// seqHeap is a binary min-heap of tuples ordered by sequence number — the
-// merger's per-connection reorder queue. The previous implementation kept a
-// sorted slice with O(n) insertion: cheap in the in-order common case, but a
-// replay burst after a worker failure inserts old sequence numbers near the
-// front of queues up to queueCap deep, and Prasaad et al. ("Scaling Ordered
-// Stream Processing on Shared-Memory Multicores") observe the ordered merge
-// structure itself becoming the bottleneck at scale — exactly where that
-// O(n) shuffle sat, inside the merger lock. The heap makes every enqueue
-// O(log n) worst case and O(1) on the in-order fast path (a new maximum
-// never swaps with its parent), with O(log n) release.
-//
-// Unlike the sorted slice, the heap admits duplicate sequence numbers
-// (membership testing would tax the fast path). Duplicates are dropped
-// lazily: exactly one copy of each sequence is released, and every surplus
-// copy is counted at read time (if it arrives below the released watermark)
-// or by the merge loop's stale-head sweep (once the watermark passes it), so
-// the dedup accounting matches the eager implementation — the equivalence
-// test in merger_equiv_test.go pins this against the old insertSorted.
+// seqHeap is a binary min-heap of items ordered by sequence number: the
+// reorder queue's spill for out-of-order arrivals. A sorted slice paid O(n)
+// per insert when a replay burst landed near the front of a deep queue, the
+// ordered-merge bottleneck Prasaad et al. ("Scaling Ordered Stream Processing
+// on Shared-Memory Multicores") describe; the heap is O(log n) both ways and
+// O(1) to push a new maximum. It admits duplicate sequence numbers, which
+// are dropped lazily: exactly one copy of each sequence is released, and
+// every surplus copy is counted at read time (below the watermark on
+// arrival) or by the merge loop's stale-head sweep, so the dedup accounting
+// matches an eager queue (merger_equiv_test.go pins it against insertSorted).
 type seqHeap []mergeItem
-
-// head returns the minimum-sequence item without removing it.
-func (h seqHeap) head() (mergeItem, bool) {
-	if len(h) == 0 {
-		return mergeItem{}, false
-	}
-	return h[0], true
-}
 
 // push adds an item: O(1) when t.Seq is a new maximum (a worker's own
 // stream arrives in order), O(log n) otherwise.
@@ -59,84 +43,75 @@ func (h *seqHeap) push(it mergeItem) {
 }
 
 // streamQueue is one stream's reorder buffer: an ascending FIFO run for the
-// common case plus a seqHeap spill for out-of-order arrivals. A worker's
-// stream reaches the merger almost sorted — it processes the splitter's
-// assignments in order — so nearly every item lands on the FIFO with an O(1)
-// append and leaves with an O(1) head advance. Only disorder (replay bursts
-// after a failure, a tuple behind a survivor's backlog) pays the heap's
-// O(log n): under the old always-heap queue, a pop on a queue-capacity-deep
-// backlog did ~2·log n cache-missing 40-byte swap writes per released tuple,
-// which became the merge loop's dominant cost once ingest went lock-free.
-//
-// Like seqHeap, duplicates are admitted and swept lazily by the caller; the
-// FIFO/heap split never reorders equal sequence numbers in a way the release
-// discipline can observe (every surplus copy of a sequence is swept, exactly
-// one copy releases).
+// common case plus a seqHeap spill for disorder (replay bursts after a
+// failure, a tuple behind a survivor's backlog). A worker's stream arrives
+// almost sorted, so nearly every item lands on the FIFO with an O(1) append,
+// and the merge loop releases whole runs from the FIFO slots in place
+// (releaseRuns); a run that is in order on arrival skips the queue
+// altogether (drainRings). Duplicates are admitted and swept lazily by the
+// caller, and exactly one copy of each sequence releases.
 type streamQueue struct {
 	fifo []mergeItem // ascending run; fifo[fh:] are live
-	fh   int         // index of the FIFO head within fifo
+	fh   int         // index of the FIFO head within fifo; 0 when the run is empty
 	heap seqHeap     // out-of-order spill
 }
 
 // push admits one item: FIFO when it keeps the run ascending, heap spill
 // otherwise.
 func (q *streamQueue) push(it mergeItem) {
-	if n := len(q.fifo); n == q.fh {
-		// Empty run: restart at the front of the backing array.
-		q.fifo = append(q.fifo[:0], it)
-		q.fh = 0
-		return
-	} else if it.t.Seq >= q.fifo[n-1].t.Seq {
+	if n := len(q.fifo); n == q.fh || it.t.Seq >= q.fifo[n-1].t.Seq {
 		q.fifo = append(q.fifo, it)
 		return
 	}
 	q.heap.push(it)
 }
 
-// headKey returns the minimum queued sequence, or headIndexEmpty when the
-// stream has nothing buffered.
-func (q *streamQueue) headKey() uint64 {
-	hasF := q.fh < len(q.fifo)
-	hasH := len(q.heap) > 0
-	switch {
-	case hasF && hasH:
-		if h := q.heap[0].t.Seq; h < q.fifo[q.fh].t.Seq {
-			return h
-		}
+// fifoKey and heapKey return the FIFO's and the spill's lowest sequence, or
+// headIndexEmpty when that part is empty; headKey is the lower of the two.
+func (q *streamQueue) fifoKey() uint64 {
+	if q.fh < len(q.fifo) {
 		return q.fifo[q.fh].t.Seq
-	case hasF:
-		return q.fifo[q.fh].t.Seq
-	case hasH:
+	}
+	return headIndexEmpty
+}
+
+func (q *streamQueue) heapKey() uint64 {
+	if len(q.heap) > 0 {
 		return q.heap[0].t.Seq
 	}
 	return headIndexEmpty
 }
 
-// popMin removes and returns the minimum-sequence item. Vacated FIFO slots
-// are zeroed so the run does not pin released payloads or their block refs;
-// the dead prefix is compacted away once it dominates the backing array, so
-// a run that never fully drains cannot grow it without bound.
+func (q *streamQueue) headKey() uint64 { return min(q.fifoKey(), q.heapKey()) }
+
+// popMin removes and returns the minimum-sequence item, the FIFO's on a tie.
+// Vacated FIFO slots are zeroed so the run does not pin released payloads or
+// their block refs.
 func (q *streamQueue) popMin() mergeItem {
-	hasH := len(q.heap) > 0
-	if q.fh < len(q.fifo) && (!hasH || q.fifo[q.fh].t.Seq <= q.heap[0].t.Seq) {
+	if q.fh < len(q.fifo) && q.fifo[q.fh].t.Seq <= q.heapKey() {
 		it := q.fifo[q.fh]
 		q.fifo[q.fh] = mergeItem{}
 		q.fh++
-		if q.fh == len(q.fifo) {
-			q.fifo = q.fifo[:0]
-			q.fh = 0
-		} else if q.fh > 32 && q.fh >= len(q.fifo)-q.fh {
-			n := copy(q.fifo, q.fifo[q.fh:])
-			clearTail := q.fifo[n:]
-			for i := range clearTail {
-				clearTail[i] = mergeItem{}
-			}
-			q.fifo = q.fifo[:n]
-			q.fh = 0
-		}
+		q.trim()
 		return it
 	}
 	return q.heap.popMin()
+}
+
+// trim runs after FIFO slots below fh were consumed (and zeroed): an emptied
+// run restarts at the front of its backing array, and a dead prefix is
+// compacted away once it dominates the array, so a run that never fully
+// drains cannot grow it without bound.
+func (q *streamQueue) trim() {
+	if q.fh == len(q.fifo) {
+		q.fifo = q.fifo[:0]
+		q.fh = 0
+	} else if q.fh > 32 && q.fh >= len(q.fifo)-q.fh {
+		n := copy(q.fifo, q.fifo[q.fh:])
+		clear(q.fifo[n:])
+		q.fifo = q.fifo[:n]
+		q.fh = 0
+	}
 }
 
 // len is the stream's buffered item count.

@@ -12,24 +12,20 @@ import (
 	"streambalance/internal/transport"
 )
 
-// shardedEngine is a single-threaded model of the sharded merger built from
-// the real data-plane components — spsc.Ring hand-off lanes, streamQueue
-// reorder buffers, the headIndex release tournament — wired together with the
-// exact drain/sweep/release discipline of merger.go's drainRings and
-// releaseRuns. Producer pushes and consumer passes are interleaved by the
-// test's random scheduler instead of goroutines, so every interleaving is
-// deterministic and replayable from the trial seed while still exercising the
-// paths only concurrency reaches in production: tuples overtaken by the
-// watermark while parked in a ring (ring-sweep dedup), full rings forcing the
-// producer to pump the consumer, and partial drains leaving residue across
-// watermark movements.
+// shardedEngine drives the shipped merge loop single-threaded: a merger built
+// with newMerger and never started, whose real drainRings and releaseRuns are
+// the consumer, fed through its real spsc.Ring lanes by the model's producers.
+// Producer pushes and consumer passes are interleaved by the test's random
+// scheduler instead of goroutines, so every interleaving is deterministic and
+// replayable from the trial seed while still exercising the paths only
+// concurrency reaches in production: tuples overtaken by the watermark while
+// parked in a ring (ring-sweep dedup), in-order runs released straight from
+// ring slots or popped as runs off the FIFO, full rings forcing the producer
+// to pump the consumer, and partial drains leaving residue across watermark
+// movements.
 type shardedEngine struct {
-	rings  []*spsc.Ring[mergeItem]
-	queues []streamQueue
-	heads  *headIndex
-	next   uint64
-	dedup  int
-	rel    []releaseRec
+	m   *Merger
+	rel []releaseRec
 
 	pend [][]transport.Tuple // per-conn pending receive batch
 	size []int               // per-conn batch size (1 = per-tuple ingest)
@@ -37,18 +33,26 @@ type shardedEngine struct {
 
 func newShardedEngine(conns int, ringCap func(conn int) int, batchSize func(conn int) int) *shardedEngine {
 	e := &shardedEngine{
-		rings:  make([]*spsc.Ring[mergeItem], conns),
-		queues: make([]streamQueue, conns),
-		heads:  newHeadIndex(conns),
-		pend:   make([][]transport.Tuple, conns),
-		size:   make([]int, conns),
+		pend: make([][]transport.Tuple, conns),
+		size: make([]int, conns),
 	}
-	for id := range e.rings {
-		e.rings[id] = spsc.NewRing[mergeItem](ringCap(id))
+	m, err := newMerger(conns, 0, func(t *transport.Tuple, conn int) {
+		e.rel = append(e.rel, releaseRec{t.Seq, conn})
+	}, false)
+	if err != nil {
+		panic(err)
+	}
+	e.m = m
+	for id := range m.rings {
+		m.rings[id] = spsc.NewRing[mergeItem](ringCap(id))
 		e.size[id] = batchSize(id)
 	}
 	return e
 }
+
+// next and dedup read the merger's watermark and duplicate count.
+func (e *shardedEngine) next() uint64 { return e.m.next.Load() }
+func (e *shardedEngine) dedup() int   { return int(e.m.deduped.Load()) }
 
 // arrive buffers one tuple into the connection's pending batch and delivers
 // the batch once it reaches the connection's batch size — the reader-side
@@ -66,15 +70,15 @@ func (e *shardedEngine) arrive(conn int, t transport.Tuple) {
 // merge loop and parking until it drains).
 func (e *shardedEngine) deliver(conn int) {
 	for _, t := range e.pend[conn] {
-		if t.Seq < e.next {
-			e.dedup++
+		if t.Seq < e.next() {
+			e.m.deduped.Add(1)
 			continue
 		}
-		for !e.rings[conn].Push(mergeItem{t: t}) {
+		for !e.m.rings[conn].Push(mergeItem{t: t}) {
 			if !e.consumerStep() {
 				// The consumer made no progress with a full ring: impossible
-				// in the model (the consumer always drains rings), so this
-				// would be a wedge bug in the components under test.
+				// (the merge loop always drains rings), so this would be a
+				// wedge bug in the code under test.
 				panic("sharded model: ring full and consumer stuck")
 			}
 		}
@@ -82,47 +86,11 @@ func (e *shardedEngine) deliver(conn int) {
 	e.pend[conn] = e.pend[conn][:0]
 }
 
-// consumerStep runs one merge-loop pass: drain every ring into its reorder
-// queue (sweeping ring residents the watermark overtook), refresh the head
-// tournament, then release runs. Returns whether anything moved.
+// consumerStep is one merge-loop pass: the merger's own drainRings, then its
+// releaseRuns. Returns whether anything moved.
 func (e *shardedEngine) consumerStep() bool {
-	progressed := false
-	for id := range e.rings {
-		r := e.rings[id]
-		n := 0
-		for n < r.Cap() {
-			it, ok := r.Pop()
-			if !ok {
-				break
-			}
-			n++
-			if it.t.Seq < e.next {
-				e.dedup++
-				continue
-			}
-			e.queues[id].push(it)
-		}
-		if n > 0 {
-			progressed = true
-			e.heads.update(id, e.queues[id].headKey())
-		}
-	}
-	for {
-		id := e.heads.min()
-		if id < 0 || e.heads.key[id] > e.next {
-			break
-		}
-		it := e.queues[id].popMin()
-		if it.t.Seq < e.next {
-			e.dedup++
-		} else {
-			e.rel = append(e.rel, releaseRec{it.t.Seq, id})
-			e.next++
-		}
-		e.heads.update(id, e.queues[id].headKey())
-		progressed = true
-	}
-	return progressed
+	drained := e.m.drainRings()
+	return e.m.releaseRuns() || drained
 }
 
 // flushQuiesce delivers every partial pending batch and runs the consumer to
@@ -136,18 +104,17 @@ func (e *shardedEngine) flushQuiesce() {
 	}
 	for e.consumerStep() {
 	}
-	for id := range e.rings {
-		if e.rings[id].Len() != 0 {
-			panic("sharded model: ring not drained at quiescence")
-		}
+	if !e.m.ringsEmpty() {
+		panic("sharded model: ring not drained at quiescence")
 	}
 }
 
-// TestShardedVsLockedMergerEquivalence drives the sharded data plane (real
-// rings, stream queues and head index under a randomized scheduler) and the
-// locked batch-ingest reference engine through identical arrival histories —
-// randomized per-connection batch sizes including 1, cross-connection
-// duplicate injection, and crash/reconnect replay bursts (a suffix of a
+// TestShardedVsLockedMergerEquivalence drives the sharded data plane (the
+// merger's own drainRings and releaseRuns over real rings, stream queues and
+// head index, under a randomized scheduler) and the locked batch-ingest
+// reference engine through identical arrival histories — per-tuple and
+// run-shaped schedules, randomized per-connection batch sizes including 1,
+// cross-connection duplicate injection, and crash/reconnect replay bursts (a suffix of a
 // connection's stream re-delivered after a window of already-sent sequences,
 // exactly the shape worker recovery produces). Late-attaching and
 // early-ending streams fall out of the random assignment: a connection's
@@ -170,13 +137,22 @@ func TestShardedVsLockedMergerEquivalence(t *testing.T) {
 		conns := 1 + rng.Intn(6)
 		n := 1 + rng.Intn(300)
 
+		// Half the trials are run-shaped, as the splitter's run routing
+		// produces: runs of 1-32 consecutive sequences go to one connection,
+		// and the interleaving below moves bursts of 1-32 arrivals from one
+		// connection at a time. The rest assign and interleave per tuple.
+		burst := func() int { return 1 }
+		if rng.Intn(2) == 0 {
+			burst = func() int { return 1 + rng.Intn(32) }
+		}
+
 		// Ground-truth assignment: each sequence processed by one connection.
-		owner := make([]int, n)
 		perConn := make([][]uint64, conns)
-		for seq := 0; seq < n; seq++ {
+		for seq := 0; seq < n; {
 			c := rng.Intn(conns)
-			owner[seq] = c
-			perConn[c] = append(perConn[c], uint64(seq))
+			for end := min(seq+burst(), n); seq < end; seq++ {
+				perConn[c] = append(perConn[c], uint64(seq))
+			}
 		}
 
 		// Per-connection delivery lists, with crash/reconnect replay: a
@@ -209,12 +185,11 @@ func TestShardedVsLockedMergerEquivalence(t *testing.T) {
 		}
 		for remaining > 0 {
 			c := rng.Intn(conns)
-			if cursor[c] >= len(deliveries[c]) {
-				continue
+			for k := burst(); k > 0 && cursor[c] < len(deliveries[c]); k-- {
+				evs = append(evs, ev{c, transport.Tuple{Seq: deliveries[c][cursor[c]]}})
+				cursor[c]++
+				remaining--
 			}
-			evs = append(evs, ev{c, transport.Tuple{Seq: deliveries[c][cursor[c]]}})
-			cursor[c]++
-			remaining--
 		}
 
 		// Cross-connection duplicate injection at arbitrary positions —
@@ -271,11 +246,11 @@ func TestShardedVsLockedMergerEquivalence(t *testing.T) {
 				sharded.flushQuiesce()
 				locked.flush()
 				lockedRel, lockedDedup := locked.state()
-				if got, want := sharded.next, uint64(len(lockedRel)); got != want {
+				if got, want := sharded.next(), uint64(len(lockedRel)); got != want {
 					t.Fatalf("trial %d sync %d: sharded watermark %d, locked %d", trial, i+1, got, want)
 				}
-				if sharded.dedup != lockedDedup {
-					t.Fatalf("trial %d sync %d: sharded deduped %d, locked %d", trial, i+1, sharded.dedup, lockedDedup)
+				if sharded.dedup() != lockedDedup {
+					t.Fatalf("trial %d sync %d: sharded deduped %d, locked %d", trial, i+1, sharded.dedup(), lockedDedup)
 				}
 				for j, r := range sharded.rel {
 					if r.seq != uint64(j) {
@@ -288,8 +263,8 @@ func TestShardedVsLockedMergerEquivalence(t *testing.T) {
 		if len(sharded.rel) != n {
 			t.Fatalf("trial %d: sharded released %d of %d", trial, len(sharded.rel), n)
 		}
-		if sharded.dedup != dups {
-			t.Fatalf("trial %d: sharded deduped %d, injected %d", trial, sharded.dedup, dups)
+		if sharded.dedup() != dups {
+			t.Fatalf("trial %d: sharded deduped %d, injected %d", trial, sharded.dedup(), dups)
 		}
 		lockedRel, lockedDedup := locked.state()
 		if len(lockedRel) != n || lockedDedup != dups {

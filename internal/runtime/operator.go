@@ -21,10 +21,14 @@ func (f OperatorFunc) Process(t transport.Tuple) transport.Tuple {
 	return f(t)
 }
 
-// Identity returns tuples unchanged.
-func Identity() Operator {
-	return OperatorFunc(func(t transport.Tuple) transport.Tuple { return t })
-}
+// Identity returns tuples unchanged. Its operator is a zero-size concrete
+// type, not an OperatorFunc: a worker pays one interface call per tuple for
+// it, not that call plus a closure call.
+func Identity() Operator { return identity{} }
+
+type identity struct{}
+
+func (identity) Process(t transport.Tuple) transport.Tuple { return t }
 
 // SpinOperator burns a configurable number of integer multiplies per tuple —
 // the paper's synthetic workload ("base cost of 1,000 integer multiplies").

@@ -233,7 +233,9 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	r := &Region{orderGood: true, recovery: cfg.Recovery.Enabled, strictOrder: cfg.Combiner == nil}
 
 	// An in-proc region's merger opens no socket: nothing would ever dial it.
-	merger, err := newMerger(len(cfg.Operators), cfg.MergerQueue, func(t transport.Tuple, conn int) {
+	// The order check reads the released tuple where it lies; only cfg.Sink
+	// gets a copy.
+	merger, err := newMerger(len(cfg.Operators), cfg.MergerQueue, func(t *transport.Tuple, conn int) {
 		if r.strictOrder {
 			if t.Seq != r.lastSeq {
 				r.orderGood = false
@@ -243,7 +245,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 		}
 		r.lastSeq = t.Seq + 1
 		if cfg.Sink != nil {
-			cfg.Sink(t, conn)
+			cfg.Sink(*t, conn)
 		}
 	}, !inproc)
 	if err != nil {

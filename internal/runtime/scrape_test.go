@@ -409,7 +409,7 @@ func TestIngestAgeMovesWithoutRecovery(t *testing.T) {
 
 	t.Run("never-attached", func(t *testing.T) {
 		reg := metrics.New()
-		m, err := newMerger(2, 0, func(transport.Tuple, int) {}, false)
+		m, err := newMerger(2, 0, func(*transport.Tuple, int) {}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
