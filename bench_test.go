@@ -477,9 +477,10 @@ func BenchmarkDataflowRegionThroughput(b *testing.B) {
 
 // BenchmarkRegionThroughputBatched pushes tuples through a real 4-worker TCP
 // region end to end — splitter, workers, merger — across send batch sizes 1
-// and 32 crossed with receive batch sizes 1 and 64. The batch=1/recv=1 row is
-// the fully per-tuple baseline the ISSUE's >=1.5x batched speedup is measured
-// against; recv=1 vs recv=64 at fixed send batch isolates the receive side.
+// and 32 crossed with receive passes capped at 1 and 64 tuples and uncapped
+// (recv=0, the default: a pass is what one read delivered). The
+// batch=1/recv=1 row is the fully per-tuple baseline; the recv rows at fixed
+// send batch isolate the receive side.
 func BenchmarkRegionThroughputBatched(b *testing.B) {
 	const (
 		n       = 30_000
@@ -487,7 +488,7 @@ func BenchmarkRegionThroughputBatched(b *testing.B) {
 	)
 	payload := make([]byte, 64)
 	for _, cfg := range []struct{ batch, recv int }{
-		{1, 1}, {1, 64}, {32, 1}, {32, 64},
+		{1, 1}, {1, 64}, {1, 0}, {32, 1}, {32, 64}, {32, 0},
 	} {
 		b.Run(fmt.Sprintf("batch=%d/recv=%d", cfg.batch, cfg.recv), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

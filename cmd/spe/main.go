@@ -161,7 +161,7 @@ func runMerger(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("spe merger", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "number of worker connections to accept")
 	queue := fs.Int("queue", 0, "reorder queue capacity per worker (0 = default)")
-	recvBatch := fs.Int("recv-batch", 0, "tuples ingested per receive pass (0 = default; 1 makes every pass a batch of one)")
+	recvBatch := fs.Int("recv-batch", 0, "cap on tuples ingested per receive pass (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "per-connection lock-free ingest ring capacity, rounded up to a power of two (0 = default)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeouts := timeoutFlags(fs)
@@ -221,7 +221,7 @@ func runWorker(w io.Writer, args []string) error {
 	spin := fs.Int64("spin", 0, "integer multiplies per tuple (CPU load)")
 	service := fs.Duration("service", 0, "per-tuple wall-clock service time, debt-batched so it stays accurate below kernel sleep granularity")
 	combine := fs.Bool("combine", false, "fold same-key results per batch with the per-key sum combiner before forwarding")
-	recvBatch := fs.Int("recv-batch", 0, "tuples received/processed/forwarded per pass (0 = default; 1 makes every pass a batch of one)")
+	recvBatch := fs.Int("recv-batch", 0, "cap on tuples received/processed/forwarded per pass (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
 	resilient := fs.Bool("resilient", false, "serve reconnecting splitters until killed (recovery mode)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -386,7 +386,7 @@ func runAll(w io.Writer, args []string) error {
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
 	batch := fs.Int("batch", 1, "tuples per flush: a run of consecutive tuples to one weighted round-robin pick, one blocking sample per run (1 = one sample per tuple)")
-	recvBatch := fs.Int("recv-batch", 0, "tuples per receive pass in workers and merger (0 = default; 1 makes every pass a batch of one)")
+	recvBatch := fs.Int("recv-batch", 0, "cap on tuples per receive pass in workers and merger (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
 	stallWindow := fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")
 	maxReadmits := fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"streambalance/internal/transport"
 )
@@ -63,10 +64,13 @@ func payloadUint(p []byte) uint64 {
 // combineBatch compacts results in place, folding each combinable tuple into
 // its key's carrier (the key's first — lowest-seq — occurrence in the
 // batch). Returns the shortened slice and how many tuples were absorbed.
-// Carriers get a freshly allocated Absorbed buffer: it travels downstream by
-// reference (through the in-proc ring or the frame encoder) and so cannot
-// come from a reused scratch arena.
-func combineBatch(c Combiner, results []transport.Tuple) ([]transport.Tuple, int) {
+// carriers is the caller's table, reused across batches, which finds a
+// key's carrier in O(1) however many keys the batch holds. Carriers get a
+// freshly allocated Absorbed buffer: it travels downstream by reference
+// (through the in-proc ring or the frame encoder) and so cannot come from a
+// reused scratch arena.
+func combineBatch(c Combiner, carriers *carrierTable, results []transport.Tuple) ([]transport.Tuple, int) {
+	carriers.reset(len(results))
 	out := results[:0]
 	absorbed := 0
 	for i := range results {
@@ -75,18 +79,13 @@ func combineBatch(c Combiner, results []transport.Tuple) ([]transport.Tuple, int
 			out = append(out, t)
 			continue
 		}
-		carrier := -1
-		for j := range out {
-			if out[j].Key == t.Key && !out[j].Solo {
-				carrier = j
-				break
-			}
-		}
-		if carrier < 0 {
+		slot := carriers.find(t.Key)
+		if slot.at == 0 {
 			out = append(out, t)
+			slot.at = len(out)
 			continue
 		}
-		car := &out[carrier]
+		car := &out[slot.at-1]
 		if len(car.Absorbed) == 0 {
 			// First fold for this carrier: its payload may still alias shared
 			// upstream memory (the zero-copy transport moves payloads by
@@ -98,4 +97,39 @@ func combineBatch(c Combiner, results []transport.Tuple) ([]transport.Tuple, int
 		absorbed++
 	}
 	return out, absorbed
+}
+
+// carrierTable maps a key to its carrier in the batch being combined, by
+// open addressing over a slot array reused across batches: a batch of n
+// clears and uses a power of two of them, 2n to 4n.
+type carrierTable struct {
+	slots []carrierSlot
+	shift uint8
+}
+
+type carrierSlot struct {
+	key uint64
+	at  int // 1 + the carrier's index in the batch's output; 0: free
+}
+
+// reset starts a batch of n tuples.
+func (c *carrierTable) reset(n int) {
+	b := bits.Len(uint(n)) + 1
+	if cap(c.slots) < 1<<b {
+		c.slots = make([]carrierSlot, 1<<b)
+	}
+	c.slots, c.shift = c.slots[:1<<b], uint8(64-b)
+	clear(c.slots)
+}
+
+// find returns key's slot, which is free when the batch has no carrier for
+// key yet.
+func (c *carrierTable) find(key uint64) *carrierSlot {
+	mask := len(c.slots) - 1
+	for i := int(key * 0x9e3779b97f4a7c15 >> c.shift); ; i = (i + 1) & mask {
+		if s := &c.slots[i]; s.at == 0 || s.key == key {
+			s.key = key
+			return s
+		}
+	}
 }

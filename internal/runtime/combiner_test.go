@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -25,7 +28,7 @@ func TestCombineBatchCarrierSelection(t *testing.T) {
 		{Seq: 13, Key: 7, Payload: leU64(4)},
 		{Seq: 14, Key: 9, Payload: leU64(200)},
 	}
-	out, n := combineBatch(SumCombiner(), in)
+	out, n := combineBatch(SumCombiner(), new(carrierTable), in)
 	if n != 3 {
 		t.Fatalf("absorbed %d tuples, want 3", n)
 	}
@@ -60,7 +63,7 @@ func TestCombineBatchPassthrough(t *testing.T) {
 		{Seq: 4, Key: 5, Solo: true, Payload: leU64(16)}, // replay: skips carrier
 		{Seq: 5, Key: 5, Payload: leU64(32)},             // folds into seq 2
 	}
-	out, n := combineBatch(SumCombiner(), in)
+	out, n := combineBatch(SumCombiner(), new(carrierTable), in)
 	if n != 1 {
 		t.Fatalf("absorbed %d, want 1", n)
 	}
@@ -92,7 +95,7 @@ func TestCombineBatchCopiesCarrierPayload(t *testing.T) {
 		{Seq: 0, Key: 3, Payload: shared},
 		{Seq: 1, Key: 3, Payload: leU64(6)},
 	}
-	out, n := combineBatch(SumCombiner(), in)
+	out, n := combineBatch(SumCombiner(), new(carrierTable), in)
 	if n != 1 || len(out) != 1 {
 		t.Fatalf("combine = %d tuples, %d absorbed; want 1, 1", len(out), n)
 	}
@@ -101,6 +104,106 @@ func TestCombineBatchCopiesCarrierPayload(t *testing.T) {
 	}
 	if got := payloadUint(out[0].Payload); got != 11 {
 		t.Fatalf("carrier sum = %d, want 11", got)
+	}
+}
+
+// combineBatchScan is combineBatch as it was before the carrier table: the
+// carrier lookup scans the compacted output. The property test pins the
+// table to it.
+func combineBatchScan(c Combiner, results []transport.Tuple) ([]transport.Tuple, int) {
+	out := results[:0]
+	absorbed := 0
+	for i := range results {
+		t := results[i]
+		if t.Key == 0 || t.Solo {
+			out = append(out, t)
+			continue
+		}
+		carrier := -1
+		for j := range out {
+			if out[j].Key == t.Key && !out[j].Solo {
+				carrier = j
+				break
+			}
+		}
+		if carrier < 0 {
+			out = append(out, t)
+			continue
+		}
+		car := &out[carrier]
+		if len(car.Absorbed) == 0 {
+			car.Payload = append([]byte(nil), car.Payload...)
+		}
+		car.Payload = c.Combine(t.Key, car.Payload, t.Payload)
+		car.Absorbed = transport.AppendAbsorbed(car.Absorbed, t.Seq)
+		absorbed++
+	}
+	return out, absorbed
+}
+
+// TestCombineBatchMatchesScan runs combineBatch and the scanning reference
+// over the same random batches — up to 4 096 tuples over 1..n keys, with
+// unkeyed and Solo tuples mixed in — through one reused carrier table, and
+// requires identical output: same carriers in the same order, same folded
+// payloads, same absorbed sequences.
+func TestCombineBatchMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var carriers carrierTable
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(4096)
+		if trial%2 == 0 {
+			n = 1 + rng.Intn(64)
+		}
+		keys := 1 + rng.Intn(n)
+		in := make([]transport.Tuple, n)
+		for i := range in {
+			in[i] = transport.Tuple{Seq: uint64(i), Payload: leU64(uint64(rng.Intn(1000)))}
+			switch r := rng.Intn(10); {
+			case r == 0: // unkeyed
+			case r == 1:
+				in[i].Key, in[i].Solo = 1+uint64(rng.Intn(keys)), true
+			default:
+				in[i].Key = 1 + uint64(rng.Intn(keys))
+			}
+		}
+		got, gotN := combineBatch(SumCombiner(), &carriers, append([]transport.Tuple(nil), in...))
+		want, wantN := combineBatchScan(SumCombiner(), append([]transport.Tuple(nil), in...))
+		if gotN != wantN || len(got) != len(want) {
+			t.Fatalf("trial %d (n=%d keys=%d): %d out, %d absorbed; scan: %d out, %d absorbed",
+				trial, n, keys, len(got), gotN, len(want), wantN)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Seq != w.Seq || g.Key != w.Key || g.Solo != w.Solo ||
+				!bytes.Equal(g.Payload, w.Payload) || !bytes.Equal(g.Absorbed, w.Absorbed) {
+				t.Fatalf("trial %d (n=%d keys=%d): out[%d] = %+v, scan %+v", trial, n, keys, i, g, w)
+			}
+		}
+	}
+}
+
+// BenchmarkCombineBatch prices one combine pass per tuple at an in-proc
+// pass (64 tuples) and a TCP read's (1 024), over 8 keys and over all-distinct
+// keys, through one reused carrier table.
+func BenchmarkCombineBatch(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		for _, keys := range []int{8, n} {
+			b.Run(fmt.Sprintf("n=%d/keys=%d", n, keys), func(b *testing.B) {
+				in := make([]transport.Tuple, n)
+				for i := range in {
+					in[i] = transport.Tuple{Seq: uint64(i), Key: 1 + uint64(i%keys), Payload: leU64(1)}
+				}
+				work := make([]transport.Tuple, n)
+				var carriers carrierTable
+				c := SumCombiner()
+				b.ResetTimer()
+				for range b.N {
+					copy(work, in)
+					combineBatch(c, &carriers, work)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+			})
+		}
 	}
 }
 

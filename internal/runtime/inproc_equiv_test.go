@@ -53,7 +53,7 @@ func randomEquivTrial(rng *rand.Rand) equivTrial {
 		workers:     1 + rng.Intn(4),
 		tuples:      uint64(50 + rng.Intn(351)),
 		batch:       1 + rng.Intn(8),
-		recvBatch:   1 + rng.Intn(8),
+		recvBatch:   rng.Intn(9), // 0 is the default pass
 		ringCap:     ringCaps[rng.Intn(len(ringCaps))],
 		mergerQueue: queues[rng.Intn(len(queues))],
 	}

@@ -44,9 +44,10 @@ func TestInvariantOrderedReleaseUnderRandomChaos(t *testing.T) {
 			// batches, including across mid-batch connection kills.
 			batchSize := 1 + rng.Intn(64)
 			// And the receive side: the worker/merger ingest batch size,
-			// including 1 (per-tuple receive), must not change what the
+			// including 1 (per-tuple receive) and 0 (the default: no cap,
+			// a pass is what one read delivered), must not change what the
 			// sink observes under chaos either.
-			recvBatch := 1 + rng.Intn(64)
+			recvBatch := rng.Intn(65)
 			if rng.Intn(4) == 0 {
 				recvBatch = 1
 			}
@@ -216,7 +217,7 @@ func TestInvariantMergerExactlyOnceRandomInterleavings(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				m.SetRecvBatch(1)
 			} else {
-				m.SetRecvBatch(1 + rng.Intn(64))
+				m.SetRecvBatch(rng.Intn(65)) // 0 keeps the default pass
 			}
 			m.Start()
 			errCh := make(chan error, k)
@@ -310,7 +311,7 @@ func TestInvariantBatchedSingleInterleavingsOrdered(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				m.SetRecvBatch(1)
 			} else {
-				m.SetRecvBatch(1 + rng.Intn(64))
+				m.SetRecvBatch(rng.Intn(65)) // 0 keeps the default pass
 			}
 			m.Start()
 			errCh := make(chan error, k)

@@ -51,7 +51,7 @@ func randomKeyedTrial(rng *rand.Rand) keyedTrial {
 		workers:     1 + rng.Intn(4),
 		tuples:      uint64(60 + rng.Intn(300)),
 		batch:       1 + rng.Intn(8),
-		recvBatch:   1 + rng.Intn(8),
+		recvBatch:   rng.Intn(9), // 0 is the default pass
 		ringCap:     ringCaps[rng.Intn(len(ringCaps))],
 		mergerQueue: queues[rng.Intn(len(queues))],
 		keys:        1 + rng.Intn(50),

@@ -84,7 +84,7 @@ type Merger struct {
 	workers    int
 	queueCap   int
 	ringCap    int
-	recvBatch  int                         // max tuples decoded per ReceiveBatch pass
+	recvBatch  int                         // max tuples decoded per ReceiveBatch pass; 0: the edge decides
 	sink       func(*transport.Tuple, int) // reads through the pointer, never retains it
 	wmInterval time.Duration
 	to         Timeouts
@@ -218,7 +218,6 @@ func newMerger(workers, queueCap int, sink func(*transport.Tuple, int), listen b
 		workers:    workers,
 		queueCap:   queueCap,
 		ringCap:    DefaultMergerRing,
-		recvBatch:  transport.DefaultRecvBatch,
 		sink:       sink,
 		wmInterval: DefaultWatermarkInterval,
 		to:         Timeouts{}.norm(),
@@ -264,9 +263,9 @@ func (m *Merger) SetWatermarkInterval(d time.Duration) {
 	}
 }
 
-// SetRecvBatch bounds how many tuples one connection reader decodes and
-// ingests per ReceiveBatch pass (default transport.DefaultRecvBatch; 1 makes
-// every pass a batch of one). Call before Start.
+// SetRecvBatch caps the tuples one connection reader ingests per pass (1 is
+// a batch of one). By default the edge decides: one read's worth on TCP, up
+// to transport.DefaultRecvBatch in-proc. Call before Start.
 func (m *Merger) SetRecvBatch(n int) {
 	if n > 0 {
 		m.recvBatch = n
@@ -530,7 +529,7 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 }
 
 // readLoop drains one worker edge into its SPSC ring, batch by batch: each
-// ReceiveBatch yields every tuple already delivered (up to recvBatch) with
+// ReceiveBatch yields every tuple already delivered (see SetRecvBatch) with
 // one block reference per tuple, and ingest writes the whole batch into ring
 // slots lock-free, the references passing to the merge loop when a Publish
 // covers their slots. When the stream's reorder backlog is at capacity the

@@ -137,7 +137,7 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 			"Connections rejected for claiming a worker id whose stream was still live."),
 		ingestBatchTuples: reg.Histogram("spe_merger_ingest_batch_tuples",
 			"Tuples ingested per ReceiveBatch pass (receive-batch size).",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}),
 		ingestParks: reg.Counter("spe_merger_ingest_parks_total",
 			"Times a connection reader parked (back-pressure cap or full ring)."),
 		mergeWakes: reg.Counter("spe_merger_merge_wakes_total",

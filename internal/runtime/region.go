@@ -118,11 +118,11 @@ type RegionConfig struct {
 	// pick (<= 1 is a run of one). See SplitterConfig.BatchSize for the
 	// throughput/signal tradeoff.
 	BatchSize int
-	// RecvBatchSize is how many tuples workers and merger readers decode
-	// and ingest per receive pass (<= 0 selects
-	// transport.DefaultRecvBatch; 1 is a batch of one). Unlike BatchSize
-	// there is no signal tradeoff — a receive pass only drains
-	// frames already buffered — so the default stays batched.
+	// RecvBatchSize caps the tuples workers and merger readers take per
+	// receive pass (1 is a batch of one; <= 0, the default, lets the edge
+	// decide: one read's worth on TCP, up to transport.DefaultRecvBatch
+	// in-proc). There is no signal tradeoff, unlike BatchSize: a receive
+	// pass only drains what is already buffered.
 	RecvBatchSize int
 	// Recovery opts the region into worker-failure recovery.
 	Recovery RecoveryConfig

@@ -40,7 +40,9 @@ type pe struct {
 	operator  Operator
 	combiner  Combiner
 	hits      atomic.Uint64
-	recvBatch int
+	carriers  carrierTable     // the combiner's, reused across forwards
+	recvBatch int              // 0: the edge decides (see workLoop)
+	now       func() time.Time // replaceable for tests; nil is time.Now
 
 	// mu guards closed and the edge pair in service, so Close can sever a
 	// loop parked on either edge.
@@ -119,17 +121,30 @@ func (p *pe) serve(rx transport.BatchReceiver, tx transport.BatchSender) error {
 	return err
 }
 
+// forwardHold bounds how long a pass holds processed output back: a fast
+// operator forwards a whole TCP read with one write; a slow one forwards at
+// the first chunk boundary past it, near the cadence a 64-tuple pass gave it.
+// DESIGN §4b has the derivation.
+const forwardHold = time.Millisecond
+
 // workLoop is the worker's data path: each pass ingests every tuple the
-// splitter already delivered (bounded by recvBatch; a bound of 1 is a batch
-// of one through the same code), processes them, and forwards the results as
-// one batch. Ownership: ReceiveBatch hands the loop one block reference per
-// input tuple; the combiner's absorbed tuples give theirs back here, and the
-// surviving results carry the rest into SendBatchOwned, which consumes them —
-// a TCP edge releases them once the batch is written, an in-proc edge hands
-// them on with the tuples for the merger to release in release order.
+// splitter already delivered — one read's worth on TCP, a ring span of up to
+// transport.DefaultRecvBatch in-proc, at most recvBatch when that is set (1
+// is a batch of one through the same code) — processes it in place in chunks
+// of transport.DefaultRecvBatch, and forwards it as one batch, unless
+// forwardHold passes while it holds processed output: then it forwards what
+// is done at the next chunk boundary, restarts the clock and goes on. A
+// combiner folds within each forward. Ownership: ReceiveBatch hands the loop
+// one block reference per input tuple; the combiner's absorbed tuples give
+// theirs back here, and the survivors carry the rest into SendBatchOwned,
+// which consumes them — a TCP edge releases them once the batch is written,
+// an in-proc edge hands them on with the tuples for the merger to release in
+// release order. A failed forward releases the unforwarded tuples' too.
 func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) error {
+	if p.now == nil {
+		p.now = time.Now
+	}
 	var batch []transport.Tuple
-	results := make([]transport.Tuple, 0, p.recvBatch)
 	for {
 		var ref *transport.BlockRef
 		var err error
@@ -140,21 +155,33 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 		if err != nil {
 			return fmt.Errorf("runtime: worker %d receive: %w", p.id, err)
 		}
-		results = results[:0]
-		for i := range batch {
-			results = append(results, p.operator.Process(batch[i]))
+		var since time.Time
+		if len(batch) > transport.DefaultRecvBatch {
+			since = p.now()
 		}
-		if p.combiner != nil {
-			var n int
-			results, n = combineBatch(p.combiner, results)
-			if n > 0 {
+		for from, lo := 0, 0; lo < len(batch); {
+			for hi := min(lo+transport.DefaultRecvBatch, len(batch)); lo < hi; lo++ {
+				batch[lo] = p.operator.Process(batch[lo])
+			}
+			if lo < len(batch) {
+				now := p.now()
+				if now.Sub(since) < forwardHold {
+					continue
+				}
+				since = now
+			}
+			seg, n := batch[from:lo], 0
+			if p.combiner != nil {
+				// Combine copies what it needs and retains nothing.
+				seg, n = combineBatch(p.combiner, &p.carriers, seg)
 				p.hits.Add(uint64(n))
-				// Combine copied what it needed and retains nothing.
 				ref.ReleaseN(n)
 			}
-		}
-		if err := tx.SendBatchOwned(results, ref); err != nil {
-			return fmt.Errorf("runtime: worker %d forward: %w", p.id, err)
+			if err := tx.SendBatchOwned(seg, ref); err != nil {
+				ref.ReleaseN(len(batch) - lo)
+				return fmt.Errorf("runtime: worker %d forward: %w", p.id, err)
+			}
+			from = lo
 		}
 	}
 }
@@ -163,16 +190,15 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 // loop between a splitter edge and a merger edge, with no sockets, handshakes
 // or serialization. A payload's bytes cross splitter → worker → merger without
 // moving and are released exactly once, by the merger, in release order; what
-// each edge copies is the 72-byte Tuple value, three times (transport/inproc.go).
+// the worker copies is the 72-byte Tuple value, twice — out of its input ring
+// into the pass, and into its output ring; the operator rewrites it in place
+// (transport/inproc.go).
 type inprocWorker struct{ pe }
 
 // newInprocWorker wires one worker between its two edges. The stall bound
 // mirrors the TCP worker's forwarding stall: back pressure from the merger is
 // routine, the bound only converts "merger never drains again" into an error.
 func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, recvBatch int, to Timeouts) *inprocWorker {
-	if recvBatch <= 0 {
-		recvBatch = transport.DefaultRecvBatch
-	}
 	tx.SetStallTimeout(to.SendStall)
 	// The edge pair is registered from the start, so Close severs it even on
 	// a worker that was never started.
@@ -222,7 +248,7 @@ func NewWorker(id int, operator Operator, mergerAddr string) (*Worker, error) {
 		return nil, fmt.Errorf("runtime: worker %d listen: %w", id, err)
 	}
 	return &Worker{
-		pe:     pe{id: id, operator: operator, recvBatch: transport.DefaultRecvBatch, done: make(chan struct{})},
+		pe:     pe{id: id, operator: operator, done: make(chan struct{})},
 		ln:     ln,
 		merger: mergerAddr,
 		rcvBuf: 64 << 10,
@@ -250,9 +276,9 @@ func (w *Worker) SetResilient(on bool) {
 	w.resilient = on
 }
 
-// SetRecvBatch bounds how many tuples the worker ingests, processes and
-// forwards per receive pass (default transport.DefaultRecvBatch; 1 makes
-// every pass a batch of one). Call before Start.
+// SetRecvBatch caps how many tuples the worker ingests, processes and
+// forwards per receive pass (1 makes every pass a batch of one). By default
+// a pass is everything one read delivered. Call before Start.
 func (w *Worker) SetRecvBatch(n int) {
 	if n > 0 {
 		w.recvBatch = n

@@ -156,7 +156,7 @@ func FuzzReceiveBatchTruncated(f *testing.F) {
 		// the next blocking read.
 		at := int(split) % (len(batch) + 1)
 		rc := NewReceiver(io.MultiReader(bytes.NewReader(batch[:at]), bytes.NewReader(batch[at:])))
-		maxBatch := int(max%17) + 1
+		maxBatch := int(max % 18) // 0 is the default pass: no cap
 		decoded := 0
 		var dst []Tuple
 		for {
@@ -164,7 +164,7 @@ func FuzzReceiveBatchTruncated(f *testing.F) {
 			if err != nil {
 				break // clean error or EOF at the damage — both fine
 			}
-			if len(tuples) == 0 || len(tuples) > maxBatch {
+			if len(tuples) == 0 || maxBatch > 0 && len(tuples) > maxBatch {
 				t.Fatalf("batch of %d tuples with max %d", len(tuples), maxBatch)
 			}
 			if ref.Refs() != int64(len(tuples))+1 {
@@ -283,7 +283,7 @@ func FuzzReceiveInPlace(f *testing.F) {
 				intact--
 			}
 		}
-		maxBatch := int(max%64) + 1
+		maxBatch := int(max % 65) // 0 is the default pass: no cap
 		decode := func(src io.Reader, hold bool) ([]Tuple, error) {
 			rc := NewReceiver(src)
 			var out []Tuple
@@ -299,7 +299,7 @@ func FuzzReceiveInPlace(f *testing.F) {
 					}
 					return out, err
 				}
-				if len(batch) == 0 || len(batch) > maxBatch {
+				if len(batch) == 0 || maxBatch > 0 && len(batch) > maxBatch {
 					t.Fatalf("batch of %d tuples with max %d", len(batch), maxBatch)
 				}
 				for _, got := range batch {

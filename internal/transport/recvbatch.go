@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -42,10 +43,9 @@ const (
 	// which keeps its size when it goes back to the pool.
 	recvBlockCap = 64 << 10
 
-	// DefaultRecvBatch bounds one ReceiveBatch pass when the caller does not
-	// choose. Receive batching is semantically transparent (unlike send
-	// batching it coarsens no measurement signal), so the runtime enables it
-	// by default at this size.
+	// DefaultRecvBatch bounds one in-proc ReceiveBatch pass when the caller
+	// does not choose: a ring span has no syscall to amortise. A TCP pass
+	// has no default bound; it takes what one read delivered.
 	DefaultRecvBatch = 64
 
 	// maxEmptyReads is how many consecutive (0, nil) reads fail a stream
@@ -205,7 +205,8 @@ func (rc *Receiver) dropBlock() {
 // first: once one tuple has arrived, the pass takes every complete frame
 // already in the block and returns rather than waiting for more — a frame
 // whose tail has not been read, or lies past the end of the block, ends the
-// pass. max <= 0 selects DefaultRecvBatch.
+// pass. max <= 0 sets no bound: the pass is every complete frame already in
+// the block, which is what the last read delivered.
 //
 // The tuples alias the returned BlockRef's block, on which each holds one
 // reference; see BlockRef for the release contract. The ref is non-nil
@@ -216,7 +217,7 @@ func (rc *Receiver) dropBlock() {
 // is final.
 func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, error) {
 	if max <= 0 {
-		max = DefaultRecvBatch
+		max = math.MaxInt
 	}
 	dst = dst[:0]
 	rc.mu.Lock()
