@@ -59,13 +59,15 @@ overhead:
 # the ring primitive per item and per span, the raw edge on its fast
 # (ring=1024) and parking (ring=2) paths, the splitter's send loop per
 # tuple and per flush at 2, 4 and 64 connections (no bench workload has 64),
-# and the TCP worker loop per tuple and per forward on reads of 32 and 512
-# frames.
+# the splitter over two loopback TCP edges per tuple and per write at runs of
+# 1 and 32, congested (held runs) and not, and the TCP worker loop per tuple
+# and per forward on reads of 32 and 512 frames.
 hops:
 	bash bench/run.sh -workload inproc_sat -trace 1 | grep -E '^ +(transport\.inproc_pipe_ns_per_tuple|runtime\.merger_ingest_ns_per_tuple|runtime\.splitter_ns_per_tuple|dataflow\.chain2_ns_per_tuple) '
 	go test -run '^$$' -bench RingHandoff -count=6 ./internal/spsc | grep '^Benchmark'
 	go test -run '^$$' -bench InprocPipe -count=6 ./internal/transport | grep '^Benchmark'
 	go test -run '^$$' -bench SplitterRuns -count=6 ./internal/runtime | grep '^Benchmark'
+	go test -run '^$$' -bench SplitterWrites -count=6 ./internal/runtime | grep '^Benchmark'
 	go test -run '^$$' -bench WorkerPass -count=6 ./internal/runtime | grep '^Benchmark'
 
 # Minutes-long randomized chaos soak: stall/drip/kill faults against

@@ -45,6 +45,7 @@ type RegionMetrics struct {
 	redialAttempts  *metrics.CounterVec
 	batchFlushes    *metrics.Counter
 	batchTuples     *metrics.Histogram
+	coalescing      *metrics.GaugeVec
 	keyImbalance    *metrics.Gauge
 
 	// Balancer / controller.
@@ -106,9 +107,11 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		redialAttempts: reg.CounterVec("spe_transport_redial_attempts_total",
 			"Dial attempts made while reconnecting to a failed worker, per connection.", "conn"),
 		batchFlushes: reg.Counter("spe_splitter_batch_flushes_total",
-			"Flushes the splitter completed: one per run, and one per connection a round's keyed tuples went to."),
+			"Writes the splitter completed: one per write, whether it carries one run, a congested connection's held runs, or one connection's keyed tuples of a round."),
 		batchTuples: reg.Histogram("spe_splitter_batch_tuples",
-			"Tuples per flushed batch.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+			"Tuples per write.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}),
+		coalescing: reg.GaugeVec("spe_splitter_conn_coalescing",
+			"1 while the connection is congested (it blocked in the last sample interval, which the splitter did not spend nearly all parked) and its runs are held and written together, up to a quarter of the socket buffer a write.", "conn"),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",
 			"Keyed-routing imbalance over the last sample interval: (max-mean)/mean of per-connection keyed assignments (0 = perfectly even)."),
 
@@ -174,20 +177,22 @@ func (m *RegionMetrics) Trace() *metrics.Trace { return m.trace }
 // connInstruments caches one stable worker id's pushed child handles so the
 // tick touches pre-resolved atomics instead of label maps.
 type connInstruments struct {
-	rate    *metrics.Gauge
-	up      *metrics.Gauge
-	weight  *metrics.Gauge
-	redials *metrics.Counter
+	rate       *metrics.Gauge
+	up         *metrics.Gauge
+	weight     *metrics.Gauge
+	redials    *metrics.Counter
+	coalescing *metrics.Gauge
 }
 
 // conn resolves the per-connection handles for one stable worker id.
 func (m *RegionMetrics) conn(id int) connInstruments {
 	l := strconv.Itoa(id)
 	return connInstruments{
-		rate:    m.blockingRate.With(l),
-		up:      m.connUp.With(l),
-		weight:  m.weight.With(l),
-		redials: m.redialAttempts.With(l),
+		rate:       m.blockingRate.With(l),
+		up:         m.connUp.With(l),
+		weight:     m.weight.With(l),
+		redials:    m.redialAttempts.With(l),
+		coalescing: m.coalescing.With(l),
 	}
 }
 
@@ -216,6 +221,7 @@ func (m *RegionMetrics) connEvent(ev ConnEvent) {
 	case "down":
 		m.workerDown.With(l).Inc()
 		m.connUp.With(l).Set(0)
+		m.coalescing.With(l).Set(0)
 		if ev.Err != nil {
 			tev.Detail = ev.Err.Error()
 		}

@@ -69,7 +69,9 @@ type RegionConfig struct {
 	// Workers is the fan-out N; one operator per worker is required.
 	Operators []Operator
 	// Source feeds the splitter. Exactly one of Source and KeyedSource is
-	// required.
+	// required. A returned payload must never be mutated after the call
+	// returns: the splitter holds it by reference until it is written, and
+	// under recovery until the merger releases it (see Source).
 	Source Source
 	// KeyedSource feeds the splitter with keyed tuples; non-zero keys route
 	// through Router. Mutually exclusive with Source.
@@ -111,12 +113,13 @@ type RegionConfig struct {
 	// Optional.
 	OnConnEvent func(ConnEvent)
 	// SocketBufferBytes sizes the kernel buffers between splitter and
-	// workers (default DefaultSocketBuffer).
+	// workers (default DefaultSocketBuffer); a quarter of it bounds one
+	// write of a congested edge's held runs.
 	SocketBufferBytes int
-	// BatchSize is how many tuples leave the splitter in one flush: a run
-	// of that many consecutive sequence numbers to one weighted round-robin
-	// pick (<= 1 is a run of one). See SplitterConfig.BatchSize for the
-	// throughput/signal tradeoff.
+	// BatchSize is the splitter's run length: that many consecutive
+	// sequence numbers to one weighted round-robin pick (<= 1 is a run of
+	// one). A run is one write unless its TCP edge is congested. See
+	// SplitterConfig.BatchSize for the throughput/signal tradeoff.
 	BatchSize int
 	// RecvBatchSize caps the tuples workers and merger readers take per
 	// receive pass (1 is a batch of one; <= 0, the default, lets the edge

@@ -17,10 +17,12 @@ import (
 )
 
 // Source supplies tuple payloads to the splitter. Returning ok=false ends
-// the stream. When recovery is enabled the returned payload must not be
-// mutated after the call returns: the splitter retains it (by reference)
-// until the merger's watermark passes the tuple, in case it must be
-// replayed to a surviving worker.
+// the stream. The returned payload must not be mutated after the call
+// returns: the splitter holds it by reference until it is written, which may
+// be several calls later (a run is written whole, and a congested TCP edge
+// holds runs across rounds), and with recovery enabled until the merger's
+// watermark passes the tuple, in case it must be replayed to a surviving
+// worker.
 type Source func(seq uint64) (payload []byte, ok bool)
 
 // ConstantSource emits the same payload for n tuples (n == 0 means
@@ -37,7 +39,8 @@ func ConstantSource(payload []byte, n uint64) Source {
 // KeyedSource supplies keyed tuple payloads. Key 0 means unkeyed: the tuple
 // routes through the weighted round-robin like any Source tuple and never
 // combines. Non-zero keys route through the configured KeyRouter. The same
-// retention rule as Source applies to payloads when recovery is enabled.
+// ownership rule as Source applies to payloads: never mutate one after the
+// call returns.
 type KeyedSource func(seq uint64) (key uint64, payload []byte, ok bool)
 
 // ConnEvent reports a recovery event on one splitter connection.
@@ -104,14 +107,19 @@ type SplitterConfig struct {
 	// only exists when the buffers are small relative to the workload:
 	// with gigantic buffers the kernel absorbs everything and no send ever
 	// blocks — the paper's "numerous system buffers" caveat (Section 4.4).
+	// A quarter of it also bounds one write to a congested TCP edge (see
+	// BatchSize).
 	SocketBufferBytes int
-	// BatchSize is how many tuples leave in one flush: a run of up to
-	// BatchSize consecutive sequence numbers goes to one weighted
-	// round-robin pick, so weights are exact over runs, not tuples (keyed
-	// tuples keep their per-tuple router pick). <= 1 (the default) is a run
-	// of one: every tuple is its own pick, flush and Section 3 elect-to-block
-	// sample. Larger runs raise throughput and coarsen the signal: one sample
-	// covers a whole run (see DESIGN §4b).
+	// BatchSize is the run length: a run of up to BatchSize consecutive
+	// sequence numbers goes to one weighted round-robin pick, so weights are
+	// exact over runs, not tuples (keyed tuples keep their per-tuple router
+	// pick). <= 1 (the default) is a run of one: every tuple is its own pick.
+	// A run is written at once, as one flush and one Section 3
+	// elect-to-block episode, unless its edge is congested: a TCP edge that
+	// blocked in the last sample interval (one the loop did not spend
+	// nearly all parked) holds its runs and writes them together, up to
+	// SocketBufferBytes/4 a write. Larger runs raise
+	// throughput and coarsen the balancer's granularity (see DESIGN §4b).
 	BatchSize int
 
 	// ControlAddr, when set, enables recovery: the splitter opens a side
@@ -156,6 +164,13 @@ type SplitterConfig struct {
 // DefaultSocketBuffer is the kernel buffer size requested per connection.
 const DefaultSocketBuffer = 64 << 10
 
+// holdParkedShare is the share of a sample interval the send loop may spend
+// parked in writes before no edge holds runs in the next one. Holding saves
+// write(2) time only while the loop spends time writing; parked nearly the
+// whole interval, behind one slow worker, it has none to save, and holding
+// only delays runs the merger may be waiting for (DESIGN §4b).
+const holdParkedShare = 0.9
+
 // DefaultRetainCap bounds the replay buffer (tuples retained above the
 // released watermark).
 const DefaultRetainCap = 16384
@@ -169,6 +184,14 @@ type splitConn struct {
 	conn     net.Conn
 	sender   transport.BatchSender
 	dialedAt time.Time
+
+	// congested is set by tick on a TCP edge that blocked in the last sample
+	// interval. Its picked runs wait in held (heldBytes encoded) and leave
+	// together in one write (sendRun). A retired connection drops them: their
+	// retain entries already name it, so its replay re-sends them.
+	congested bool
+	held      []transport.Tuple
+	heldBytes int
 }
 
 // retainEntry is one sent-but-unreleased tuple in the replay buffer. conn
@@ -260,6 +283,9 @@ type Splitter struct {
 	run     []transport.Tuple
 	keyed   []keyedStage
 	touched []int
+	// holdBytes bounds one write of a congested edge's held runs:
+	// SocketBufferBytes/4.
+	holdBytes int
 
 	// Merge-stall check state, owned by the send loop: the ticker driving
 	// the check (nil when disabled), the watermark it last saw, when the
@@ -331,6 +357,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		to:          cfg.Timeouts.norm(),
 		quarCount:   make([]int, n),
 		run:         make([]transport.Tuple, 0, cfg.BatchSize),
+		holdBytes:   cfg.SocketBufferBytes / 4,
 		aggSent:     make([]int64, n),
 		aggBlocking: make([]time.Duration, n),
 		aggBlocked:  make([]int64, n),
@@ -555,8 +582,9 @@ func (sp *Splitter) event(ev ConnEvent) {
 // run, sent to one WRR pick made after staging, so a retention wait or a
 // membership edit during staging can never strand it on a retired connection.
 // Smooth WRR over runs keeps the weights exact over any total-weight
-// consecutive runs. One flush is one elect-to-block sample, so BatchSize is
-// the signal's granularity: at 1 a run is one tuple, one flush, one sample.
+// consecutive runs. A run is written at once unless its edge is congested
+// (sendRun); held runs never wait behind a tick, a retention wait, the
+// merge-stall check, the drain or a keyed flush to their connection.
 func (sp *Splitter) sendLoop() error {
 	recovery := sp.recovery()
 	batch := uint64(sp.cfg.BatchSize)
@@ -572,6 +600,11 @@ func (sp *Splitter) sendLoop() error {
 	for {
 		select {
 		case <-ticker.C:
+			// The held runs' writes belong to the interval the tick closes,
+			// so now is read after them.
+			if err := sp.writeAllHeld(); err != nil {
+				return err
+			}
 			if err := sp.tick(time.Since(sp.startedT)); err != nil {
 				return err
 			}
@@ -612,6 +645,9 @@ func (sp *Splitter) sendLoop() error {
 		if srcDone {
 			break
 		}
+	}
+	if err := sp.writeAllHeld(); err != nil {
+		return err
 	}
 	if !recovery {
 		return nil
@@ -664,7 +700,7 @@ func (sp *Splitter) sendRound(staged int, recovery bool) error {
 				}
 			}
 		}
-		if err := sp.flush(c, sp.run, recovery); err != nil {
+		if err := sp.sendRun(c, sp.run, recovery); err != nil {
 			return err
 		}
 	}
@@ -672,6 +708,12 @@ func (sp *Splitter) sendRound(staged int, recovery bool) error {
 		k := &sp.keyed[id]
 		ts := k.ts
 		k.ts = k.ts[:0]
+		if len(k.c.held) > 0 {
+			// Keyed tuples follow the held runs admitted before them.
+			if err := sp.writeHeld(k.c); err != nil {
+				return err
+			}
+		}
 		if recovery && sp.findLive(id) != k.c {
 			continue // retired mid-round: its replay re-sent these
 		}
@@ -683,7 +725,55 @@ func (sp *Splitter) sendRound(staged int, recovery bool) error {
 	return nil
 }
 
-// flush sends one staged batch to c: one flush, one elect-to-block sample. A
+// sendRun sends one picked run to c. An uncongested edge flushes it at once.
+// A congested one holds it: what c holds is written first when the run would
+// take it past holdBytes, and everything when it reaches holdBytes, so each
+// write carries whole runs of at most holdBytes, or one longer run alone.
+func (sp *Splitter) sendRun(c *splitConn, run []transport.Tuple, recovery bool) error {
+	if !c.congested {
+		return sp.flush(c, run, recovery)
+	}
+	size := 0
+	for i := range run {
+		size += transport.FrameLen(run[i])
+	}
+	if len(c.held) > 0 && c.heldBytes+size > sp.holdBytes {
+		if err := sp.writeHeld(c); err != nil {
+			return err
+		}
+		if sp.findLive(c.id) != c {
+			return nil // retired: its replay re-sent this run too
+		}
+	}
+	c.held = append(c.held, run...)
+	c.heldBytes += size
+	if c.heldBytes >= sp.holdBytes {
+		return sp.writeHeld(c)
+	}
+	return nil
+}
+
+// writeHeld writes c's held runs in one flush.
+func (sp *Splitter) writeHeld(c *splitConn) error {
+	ts := c.held
+	c.held, c.heldBytes = c.held[:0], 0
+	return sp.flush(c, ts, sp.recovery())
+}
+
+// writeAllHeld writes every live connection's held runs.
+func (sp *Splitter) writeAllHeld() error {
+	for i := 0; i < len(sp.conns); i++ {
+		if c := sp.conns[i]; len(c.held) > 0 {
+			if err := sp.writeHeld(c); err != nil {
+				return err
+			}
+			i = -1 // a failed write retires connections: rescan
+		}
+	}
+	return nil
+}
+
+// flush sends one staged batch to c: one write, one elect-to-block episode. A
 // failure in recovery mode retires c and replays its unreleased tuples, this
 // batch's among them, since their retain entries already name c.
 func (sp *Splitter) flush(c *splitConn, ts []transport.Tuple, recovery bool) error {
@@ -794,11 +884,18 @@ func (sp *Splitter) connFailed(id int, quarantined bool) error {
 // quarantine, so one owner is ejected at most once per window and a survivor
 // always gets a full window after a replay.
 func (sp *Splitter) checkStall(now time.Time, fail func(id int, quarantined bool) error) error {
+	// A head-of-line tuple still held was never sent, so the stall is the
+	// splitter's, not its worker's: write it and give it a full window.
+	c := sp.findLive(sp.headOwner())
+	headHeld := c != nil && len(c.held) > 0 && c.held[0].Seq <= sp.ctrl.Watermark()
+	if err := sp.writeAllHeld(); err != nil {
+		return err
+	}
 	if sp.stallAdvanced(now) {
 		return nil
 	}
 	owner := sp.headOwner()
-	if owner < 0 {
+	if owner < 0 || headHeld {
 		sp.stallSince = now
 		return nil
 	}
@@ -860,6 +957,10 @@ func (sp *Splitter) findLive(id int) *splitConn {
 func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) error {
 	sp.pruneRetained()
 	for len(sp.retained)-sp.retHead >= sp.cfg.RetainCap {
+		// The watermark may be waiting for held runs.
+		if err := sp.writeAllHeld(); err != nil {
+			return err
+		}
 		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
 			return errors.New("runtime: control channel lost with replay buffer full")
 		} else if err != nil {
@@ -916,6 +1017,7 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	sp.aggBlocked[c.id] += c.sender.BlockEvents()
 	sp.conns = append(sp.conns[:pos], sp.conns[pos+1:]...)
 	sp.mu.Unlock()
+	c.congested, c.held, c.heldBytes = false, nil, 0
 	var weights []int
 	if sp.cfg.Balancer != nil && sp.cfg.Balancer.Connections() > 1 {
 		// The balancer folds the dead connection's weight back into the
@@ -1138,18 +1240,33 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 	return err
 }
 
-// tick is one collection interval, run by the send loop between two rounds:
-// it differences the senders' lifetime blocking counters into rates, steps
-// the balancer and installs the new weights. No flush is in progress while it
-// runs, so every blocking episode it sees is whole and the rates of one
-// interval sum to at most 1 — the one sending thread cannot be blocked twice
-// at once — which is what Balancer.Step's blocked fraction assumes.
+// tick is one collection interval, run by the send loop between two rounds,
+// after it has written the held runs: it differences the senders' lifetime
+// blocking counters into rates, steps the balancer, installs the new weights
+// and marks the TCP edges that blocked as congested for the next interval.
+// No flush is in progress while it runs, so every blocking episode it sees
+// is whole and the rates of one interval sum to at most 1 — the one sending
+// thread cannot be blocked twice at once — which is what Balancer.Step's
+// blocked fraction assumes.
+//
+// The gate is per connection: an in-proc edge has no write system call to
+// save, and an edge that did not block itself writes each run at once even
+// while the thread was parked on another. Nothing is held after an interval
+// the thread spent at least holdParkedShare parked.
 func (sp *Splitter) tick(now time.Duration) error {
 	cumulative := make([]time.Duration, len(sp.conns))
 	for j, c := range sp.conns {
 		cumulative[j] = c.sender.TotalBlocking()
 	}
 	rates, _ := sp.samplers.Sample(now, cumulative)
+	parked := 0.0
+	for _, r := range rates {
+		parked += r
+	}
+	for j, c := range sp.conns {
+		_, tcp := c.sender.(*transport.Sender)
+		c.congested = tcp && rates[j] > 0 && parked < holdParkedShare
+	}
 	b := sp.cfg.Balancer
 	if sp.router != nil {
 		// With a balancer configured, feed the sampled blocking rates to
@@ -1177,6 +1294,11 @@ func (sp *Splitter) tick(now time.Duration) error {
 	if sp.mtr != nil {
 		for j, c := range sp.conns {
 			sp.cm[c.id].rate.Set(rates[j])
+			if c.congested {
+				sp.cm[c.id].coalescing.Set(1)
+			} else {
+				sp.cm[c.id].coalescing.Set(0)
+			}
 			if j < len(weights) {
 				sp.cm[c.id].weight.Set(float64(weights[j]))
 			}

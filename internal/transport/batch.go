@@ -14,9 +14,10 @@ import (
 // One flush is one elect-to-block episode: if the socket buffer fills
 // anywhere inside the batch, the sender elects to block there and the parked
 // time is accounted to this connection's cumulative counter (Section 3).
-// Batch size is therefore the signal's granularity: at 1 every tuple is its
-// own sample, at BatchSize one sample covers a whole run of that many tuples
-// (see the README's "Batched sends" section).
+// What one flush carries is the caller's choice: the splitter writes one run
+// of up to BatchSize tuples, or, on a congested edge, the runs it held, up to
+// a quarter of the socket buffer (see the README's "Batched sends" section).
+// The counter is cumulative either way; only the number of writes changes.
 
 const (
 	// zeroCopyThreshold is the payload size at which queue stops copying
