@@ -250,27 +250,34 @@ func exactlyOnce(t *testing.T, total uint64, received ...[]transport.Tuple) {
 	}
 }
 
-// stageRound admits a round of batch tuples through the replay buffer and
-// sends it, as the send loop does, without the loop.
+// stageRound admits a run of batch tuples through the replay buffer to one
+// WRR pick's pending output and ends the round, as the send loop does,
+// without the loop.
 func stageRound(t *testing.T, sp *Splitter, first uint64, batch int, payload []byte) {
 	t.Helper()
-	sp.run = sp.run[:0]
+	c := sp.pickFor(0)
 	for seq := first; seq < first+uint64(batch); seq++ {
-		if err := sp.admitRetention(seq, 0, payload); err != nil {
+		if err := sp.awaitRetention(); err != nil {
 			t.Fatal(err)
 		}
-		sp.run = append(sp.run, transport.Tuple{Seq: seq, Payload: payload})
+		tu := transport.Tuple{Seq: seq, Payload: payload}
+		sp.retained = append(sp.retained, retainEntry{seq: seq, conn: c.id, payload: payload})
+		c.out = append(c.out, tu)
+		if c.congested {
+			c.outBytes += transport.FrameLen(tu)
+		}
 	}
-	if err := sp.sendRound(batch, true); err != nil {
+	if err := sp.writeOut(true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSplitterCoalescesCongestedRuns pins the write gate over loopback TCP.
 // After an interval in which connection 0 blocked and connection 1 did not,
-// connection 0's runs leave in writes of whole runs of at most a quarter of
-// the socket buffer (a run longer than that alone), connection 1 still writes
-// one run per flush, and the schedule still makes one pick per run.
+// connection 0 writes at the first round end at which it holds at least a
+// quarter of the socket buffer (so each write is the fewest whole runs that
+// reach it), connection 1 still writes one run per flush, and the schedule
+// still makes one pick per run.
 func TestSplitterCoalescesCongestedRuns(t *testing.T) {
 	const (
 		batch = 32
@@ -305,7 +312,7 @@ func TestSplitterCoalescesCongestedRuns(t *testing.T) {
 			if err := sp.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			perWrite := max(1, sockbuf/4/runBytes) // whole runs of at most the bound
+			perWrite := (sockbuf/4 + runBytes - 1) / runBytes // the fewest whole runs reaching the bound
 			wantWrites := []int64{(runs/2 + int64(perWrite) - 1) / int64(perWrite), runs / 2}
 			for j, e := range edges {
 				got := e.wait(t)
@@ -330,8 +337,8 @@ func TestSplitterCoalescesCongestedRuns(t *testing.T) {
 	}
 }
 
-// TestHeldRunsUnderRecovery pins what held runs must never wait behind, and
-// what a retirement does with them, on loopback TCP with connection 0
+// TestHeldRunsUnderRecovery pins what held output must never wait behind, and
+// what a retirement does with it, on loopback TCP with connection 0
 // congested by hand-driven ticks (no sleeps).
 func TestHeldRunsUnderRecovery(t *testing.T) {
 	const batch = 8
@@ -395,8 +402,8 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		stageRound(t, sp, 0, batch, payload)
-		if len(sp.conns[0].held) != batch {
-			t.Fatalf("connection 0 holds %d tuples, want the head-of-line run", len(sp.conns[0].held))
+		if len(sp.conns[0].out) != batch {
+			t.Fatalf("connection 0 holds %d tuples, want the head-of-line run", len(sp.conns[0].out))
 		}
 		// The watermark has sat at 0 for two windows, behind a run that was
 		// never written.
@@ -414,8 +421,8 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 			}
 		}
 		check(t0)
-		if len(quarantined) != 0 || len(sp.conns[0].held) != 0 {
-			t.Fatalf("check quarantined %v and left %d tuples held, want none of either", quarantined, len(sp.conns[0].held))
+		if len(quarantined) != 0 || len(sp.conns[0].out) != 0 {
+			t.Fatalf("check quarantined %v and left %d tuples held, want none of either", quarantined, len(sp.conns[0].out))
 		}
 		check(t0.Add(w - time.Nanosecond))
 		if len(quarantined) != 0 {
@@ -451,7 +458,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			stageRound(t, sp, uint64(r*batch), batch, payload)
 		}
-		held := len(sp.conns[0].held)
+		held := len(sp.conns[0].out)
 		if held != rounds/3*batch {
 			t.Fatalf("connection 0 holds %d tuples, want %d", held, rounds/3*batch)
 		}
@@ -475,52 +482,65 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 	})
 
 	t.Run("keyed-after-held", func(t *testing.T) {
-		// Keyed tuples routed to connection 0 arrive after the held runs
-		// admitted before them.
+		// Keyed tuples share their connection's pending output with its runs,
+		// so every connection's stream arrives in ascending sequence order,
+		// whether connection 0 holds its output or not.
 		const total = 4000
-		edges := newTCPEdges(t, 2)
-		sp, err := NewSplitter(SplitterConfig{
-			Senders:        edgeSenders(edges),
-			BatchSize:      batch,
-			SampleInterval: time.Hour,
-			KeyedSource: func(seq uint64) (uint64, []byte, bool) {
-				key := uint64(0)
-				if seq%5 == 4 {
-					key = 1 + seq*2654435761%97
+		for _, congested := range []bool{true, false} {
+			t.Run(fmt.Sprintf("congested=%v", congested), func(t *testing.T) {
+				edges := newTCPEdges(t, 2)
+				sp, err := NewSplitter(SplitterConfig{
+					Senders:        edgeSenders(edges),
+					BatchSize:      batch,
+					SampleInterval: time.Hour,
+					KeyedSource: func(seq uint64) (uint64, []byte, bool) {
+						key := uint64(0)
+						if seq%5 == 4 {
+							key = 1 + seq*2654435761%97
+						}
+						return key, payload, seq < total
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				return key, payload, seq < total
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		congest(t, sp, edges, nil, 0)
-		sp.Start()
-		if err := sp.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		got := edges[0].wait(t)
-		exactlyOnce(t, total, got, edges[1].wait(t))
-		keyed := 0
-		var lastKeyed uint64
-		for _, tu := range got {
-			if tu.Key != 0 {
-				keyed++
-				lastKeyed = max(lastKeyed, tu.Seq)
-			} else if keyed > 0 && tu.Seq < lastKeyed {
-				t.Fatalf("run tuple %d arrived after keyed tuple %d on connection 0", tu.Seq, lastKeyed)
-			}
-		}
-		if keyed == 0 {
-			t.Fatal("no keyed tuple reached connection 0")
+				if congested {
+					congest(t, sp, edges, nil, 0)
+				} else {
+					blockEdges(t, edges, nil)
+				}
+				sp.Start()
+				if err := sp.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				got := [][]transport.Tuple{edges[0].wait(t), edges[1].wait(t)}
+				exactlyOnce(t, total, got...)
+				for j, ts := range got {
+					for i := 1; i < len(ts); i++ {
+						if ts[i].Seq <= ts[i-1].Seq {
+							t.Fatalf("connection %d received seq %d after %d", j, ts[i].Seq, ts[i-1].Seq)
+						}
+					}
+				}
+				keyed := 0
+				for _, tu := range got[0] {
+					if tu.Key != 0 {
+						keyed++
+					}
+				}
+				if keyed == 0 {
+					t.Fatal("no keyed tuple reached connection 0")
+				}
+			})
 		}
 	})
 }
 
 // BenchmarkSplitterWrites prices the splitter's send loop per tuple over two
 // loopback TCP edges drained by plain readers, at runs of 1 and 32, with both
-// edges congested (the gate set by hand: held runs leave in writes of up to a
-// quarter of the socket buffer) and uncongested (one write per run), and
+// edges congested (the gate set by hand: a connection writes at the first
+// round end at which it holds at least a quarter of the socket buffer) and
+// uncongested (one write per run), and
 // reports tuples per write.
 func BenchmarkSplitterWrites(b *testing.B) {
 	payload := make([]byte, 64)

@@ -107,11 +107,11 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		redialAttempts: reg.CounterVec("spe_transport_redial_attempts_total",
 			"Dial attempts made while reconnecting to a failed worker, per connection.", "conn"),
 		batchFlushes: reg.Counter("spe_splitter_batch_flushes_total",
-			"Writes the splitter completed: one per write, whether it carries one run, a congested connection's held runs, or one connection's keyed tuples of a round."),
+			"Writes the splitter completed: one per write of a connection's pending output, which is what one round gave it, or a congested connection's whole rounds."),
 		batchTuples: reg.Histogram("spe_splitter_batch_tuples",
 			"Tuples per write.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}),
 		coalescing: reg.GaugeVec("spe_splitter_conn_coalescing",
-			"1 while the connection is congested (it blocked in the last sample interval, which the splitter did not spend nearly all parked) and its runs are held and written together, up to a quarter of the socket buffer a write.", "conn"),
+			"1 while the connection is congested (it blocked in the last sample interval, which the splitter did not spend nearly all parked) and holds its output across rounds, written at the first round end at which it reaches a quarter of the socket buffer.", "conn"),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",
 			"Keyed-routing imbalance over the last sample interval: (max-mean)/mean of per-connection keyed assignments (0 = perfectly even)."),
 

@@ -578,48 +578,88 @@ func TestRegionCloseReleasesNeverRunResources(t *testing.T) {
 
 func TestSplitterRetentionBoundsMemory(t *testing.T) {
 	// With a tiny RetainCap the splitter must throttle on the watermark
-	// rather than grow without bound, and still complete.
+	// rather than grow without bound, and still complete. A RetainCap below
+	// BatchSize fills the replay buffer inside a round, whose tuples the
+	// watermark waits for: the retention wait must write them first. One
+	// in three tuples of the keyed case is unkeyed, so its rounds hold a run
+	// and keyed tuples at once.
 	const tuples = 4000
-	var mu sync.Mutex
-	count := 0
-	m, err := NewMerger(1, 16, func(transport.Tuple, int) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.Start()
-	w, err := NewWorker(0, Identity(), m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetResilient(true)
-	defer w.Close()
-	w.Start()
-	sp, err := NewSplitter(SplitterConfig{
-		WorkerAddrs:    []string{w.Addr()},
-		Source:         ConstantSource([]byte("p"), tuples),
-		SampleInterval: 50 * time.Millisecond,
-		ControlAddr:    m.Addr(),
-		RetainCap:      64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.Start()
-	if err := sp.Wait(); err != nil {
-		t.Fatalf("splitter failed under tight retention: %v", err)
-	}
-	if err := m.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != tuples {
-		t.Fatalf("released %d, want %d", count, tuples)
+	for _, tc := range []struct {
+		name                      string
+		workers, retain, batchLen int
+		keyed                     bool
+	}{
+		{"retain=64/batch=1", 1, 64, 1, false},
+		{"retain=16/batch=32", 2, 16, 32, false},
+		{"retain=31/batch=32", 2, 31, 32, false},
+		{"retain=16/batch=32/keyed", 2, 16, 32, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			count := 0
+			m, err := NewMerger(tc.workers, 16, func(transport.Tuple, int) {
+				mu.Lock()
+				count++
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetWatermarkInterval(2 * time.Millisecond)
+			m.Start()
+			var addrs []string
+			for i := 0; i < tc.workers; i++ {
+				w, err := NewWorker(i, Identity(), m.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.SetResilient(true)
+				defer w.Close()
+				w.Start()
+				addrs = append(addrs, w.Addr())
+			}
+			cfg := SplitterConfig{
+				WorkerAddrs:    addrs,
+				SampleInterval: 50 * time.Millisecond,
+				ControlAddr:    m.Addr(),
+				RetainCap:      tc.retain,
+				BatchSize:      tc.batchLen,
+			}
+			if tc.keyed {
+				cfg.KeyedSource = func(seq uint64) (uint64, []byte, bool) {
+					key := uint64(0)
+					if seq%3 != 0 {
+						key = 1 + seq%7
+					}
+					return key, []byte("p"), seq < tuples
+				}
+			} else {
+				cfg.Source = ConstantSource([]byte("p"), tuples)
+			}
+			sp, err := NewSplitter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Start()
+			done := make(chan error, 1)
+			go func() { done <- sp.Wait() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("splitter failed under tight retention: %v", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("splitter hung at watermark %d of %d", sp.ctrl.Watermark(), tuples)
+			}
+			if err := m.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if count != tuples {
+				t.Fatalf("released %d, want %d", count, tuples)
+			}
+		})
 	}
 }
 

@@ -113,12 +113,13 @@ type RegionConfig struct {
 	// Optional.
 	OnConnEvent func(ConnEvent)
 	// SocketBufferBytes sizes the kernel buffers between splitter and
-	// workers (default DefaultSocketBuffer); a quarter of it bounds one
-	// write of a congested edge's held runs.
+	// workers (default DefaultSocketBuffer); a congested edge holds its
+	// output until it reaches a quarter of it.
 	SocketBufferBytes int
-	// BatchSize is the splitter's run length: that many consecutive
-	// sequence numbers to one weighted round-robin pick (<= 1 is a run of
-	// one). A run is one write unless its TCP edge is congested. See
+	// BatchSize is the splitter's round length: the unkeyed tuples among
+	// that many consecutive sequence numbers go to one weighted round-robin
+	// pick (<= 1 is a round of one). Each round ends with one write per
+	// connection it gave output to, unless that TCP edge is congested. See
 	// SplitterConfig.BatchSize for the throughput/signal tradeoff.
 	BatchSize int
 	// RecvBatchSize caps the tuples workers and merger readers take per

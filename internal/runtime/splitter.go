@@ -19,10 +19,10 @@ import (
 // Source supplies tuple payloads to the splitter. Returning ok=false ends
 // the stream. The returned payload must not be mutated after the call
 // returns: the splitter holds it by reference until it is written, which may
-// be several calls later (a run is written whole, and a congested TCP edge
-// holds runs across rounds), and with recovery enabled until the merger's
-// watermark passes the tuple, in case it must be replayed to a surviving
-// worker.
+// be several calls later (a round is written at its end, and a congested TCP
+// edge holds its output across rounds), and with recovery enabled until the
+// merger's watermark passes the tuple, in case it must be replayed to a
+// surviving worker.
 type Source func(seq uint64) (payload []byte, ok bool)
 
 // ConstantSource emits the same payload for n tuples (n == 0 means
@@ -107,19 +107,21 @@ type SplitterConfig struct {
 	// only exists when the buffers are small relative to the workload:
 	// with gigantic buffers the kernel absorbs everything and no send ever
 	// blocks — the paper's "numerous system buffers" caveat (Section 4.4).
-	// A quarter of it also bounds one write to a congested TCP edge (see
-	// BatchSize).
+	// A congested TCP edge holds its output until it reaches a quarter of
+	// it (see BatchSize).
 	SocketBufferBytes int
-	// BatchSize is the run length: a run of up to BatchSize consecutive
-	// sequence numbers goes to one weighted round-robin pick, so weights are
-	// exact over runs, not tuples (keyed tuples keep their per-tuple router
-	// pick). <= 1 (the default) is a run of one: every tuple is its own pick.
-	// A run is written at once, as one flush and one Section 3
-	// elect-to-block episode, unless its edge is congested: a TCP edge that
-	// blocked in the last sample interval (one the loop did not spend
-	// nearly all parked) holds its runs and writes them together, up to
-	// SocketBufferBytes/4 a write. Larger runs raise
-	// throughput and coarsen the balancer's granularity (see DESIGN §4b).
+	// BatchSize is the round length: the unkeyed tuples of a round of up to
+	// BatchSize consecutive sequence numbers are a run, sent to one weighted
+	// round-robin pick, so weights are exact over runs, not tuples (keyed
+	// tuples keep their per-tuple router pick). <= 1 (the default) is a
+	// round of one: every tuple is its own pick. At the end of a round each
+	// connection writes what the round gave it, as one flush and one Section
+	// 3 elect-to-block episode, unless its edge is congested: a TCP edge that
+	// blocked in the last sample interval (one the loop did not spend nearly
+	// all parked) holds its output, keyed tuples included, until a round end
+	// at which it holds at least SocketBufferBytes/4, and writes it then.
+	// Larger rounds raise throughput and coarsen the balancer's granularity
+	// (see DESIGN §4b).
 	BatchSize int
 
 	// ControlAddr, when set, enables recovery: the splitter opens a side
@@ -165,10 +167,10 @@ type SplitterConfig struct {
 const DefaultSocketBuffer = 64 << 10
 
 // holdParkedShare is the share of a sample interval the send loop may spend
-// parked in writes before no edge holds runs in the next one. Holding saves
+// parked in writes before no edge holds output in the next one. Holding saves
 // write(2) time only while the loop spends time writing; parked nearly the
 // whole interval, behind one slow worker, it has none to save, and holding
-// only delays runs the merger may be waiting for (DESIGN §4b).
+// only delays tuples the merger may be waiting for (DESIGN §4b).
 const holdParkedShare = 0.9
 
 // DefaultRetainCap bounds the replay buffer (tuples retained above the
@@ -185,30 +187,29 @@ type splitConn struct {
 	sender   transport.BatchSender
 	dialedAt time.Time
 
-	// congested is set by tick on a TCP edge that blocked in the last sample
-	// interval. Its picked runs wait in held (heldBytes encoded) and leave
-	// together in one write (sendRun). A retired connection drops them: their
-	// retain entries already name it, so its replay re-sends them.
+	// out is the connection's pending output: the tuples the send loop
+	// routed to it and has not written yet, in ascending sequence order,
+	// written in one flush (writeOut). congested is set by tick on a TCP
+	// edge that blocked in the last sample interval; while it is set,
+	// outBytes counts out's encoded size and out is held across rounds.
+	// removeConn empties out and sets retired: the retain entries already
+	// name the connection, so its replay re-sends those tuples, and a round
+	// whose run it carried picks again.
+	out       []transport.Tuple
+	outBytes  int
 	congested bool
-	held      []transport.Tuple
-	heldBytes int
+	retired   bool
 }
 
 // retainEntry is one sent-but-unreleased tuple in the replay buffer. conn
-// is the stable id of the connection carrying it, or -1 while its run is
-// still being staged. key is retained so replays carry it (flagged Solo, so a
-// replayed tuple never combines with a fresh one).
+// is the stable id of the connection carrying it. key is retained so replays
+// carry it (flagged Solo, so a replayed tuple never combines with a fresh
+// one).
 type retainEntry struct {
 	seq     uint64
 	key     uint64
 	conn    int
 	payload []byte
-}
-
-// keyedStage is one connection's router-placed tuples in the current round.
-type keyedStage struct {
-	c  *splitConn
-	ts []transport.Tuple
 }
 
 // rejoin carries a successfully redialed connection into the send loop.
@@ -277,14 +278,8 @@ type Splitter struct {
 	downErrs  []error
 	quarCount []int
 
-	// Round staging, owned by the send loop and reused across rounds: the
-	// run of unkeyed tuples one WRR pick sends, and (keyed splitters only)
-	// each stable id's router-placed tuples, with the ids the round touched.
-	run     []transport.Tuple
-	keyed   []keyedStage
-	touched []int
-	// holdBytes bounds one write of a congested edge's held runs:
-	// SocketBufferBytes/4.
+	// holdBytes is what a congested edge holds before a round end writes
+	// its output: SocketBufferBytes/4.
 	holdBytes int
 
 	// Merge-stall check state, owned by the send loop: the ticker driving
@@ -356,7 +351,6 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		prevKeyed:   make([]int64, n),
 		to:          cfg.Timeouts.norm(),
 		quarCount:   make([]int, n),
-		run:         make([]transport.Tuple, 0, cfg.BatchSize),
 		holdBytes:   cfg.SocketBufferBytes / 4,
 		aggSent:     make([]int64, n),
 		aggBlocking: make([]time.Duration, n),
@@ -376,7 +370,6 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	}
 	if cfg.KeyedSource != nil {
 		sp.src = cfg.KeyedSource
-		sp.keyed = make([]keyedStage, n)
 		sp.router = cfg.Router
 		if sp.router == nil {
 			sp.router, err = schedule.NewPKGRouter(n)
@@ -576,15 +569,15 @@ func (sp *Splitter) event(ev ConnEvent) {
 }
 
 // sendLoop is the splitter's single thread of control; one pass reads tick →
-// events → round → send. The collection interval (tick) and all membership
+// events → round → write. The collection interval (tick) and all membership
 // changes (failures, replays, rejoins) happen here, between rounds. A round
-// stages up to BatchSize consecutive sequence numbers; the unkeyed ones are a
-// run, sent to one WRR pick made after staging, so a retention wait or a
-// membership edit during staging can never strand it on a retired connection.
+// admits up to BatchSize consecutive sequence numbers and appends each to its
+// connection's pending output as it goes: a keyed one to the key router's
+// pick, the unkeyed ones (the run) to one WRR pick made at the round's first
+// unkeyed tuple and again only if that connection is retired mid-round.
 // Smooth WRR over runs keeps the weights exact over any total-weight
-// consecutive runs. A run is written at once unless its edge is congested
-// (sendRun); held runs never wait behind a tick, a retention wait, the
-// merge-stall check, the drain or a keyed flush to their connection.
+// consecutive runs. The round ends with writeOut; pending output never waits
+// behind a tick, a retention wait, the merge-stall check or the drain.
 func (sp *Splitter) sendLoop() error {
 	recovery := sp.recovery()
 	batch := uint64(sp.cfg.BatchSize)
@@ -600,9 +593,9 @@ func (sp *Splitter) sendLoop() error {
 	for {
 		select {
 		case <-ticker.C:
-			// The held runs' writes belong to the interval the tick closes,
-			// so now is read after them.
-			if err := sp.writeAllHeld(); err != nil {
+			// The pending writes belong to the interval the tick closes, so
+			// now is read after them.
+			if err := sp.writeOut(false); err != nil {
 				return err
 			}
 			if err := sp.tick(time.Since(sp.startedT)); err != nil {
@@ -615,7 +608,7 @@ func (sp *Splitter) sendLoop() error {
 				return err
 			}
 		}
-		sp.run = sp.run[:0]
+		var run *splitConn
 		first := seq
 		srcDone := false
 		for seq-first < batch {
@@ -625,20 +618,30 @@ func (sp *Splitter) sendLoop() error {
 				break
 			}
 			if recovery {
-				if err := sp.admitRetention(seq, key, payload); err != nil {
+				if err := sp.awaitRetention(); err != nil {
 					return err
 				}
 			}
+			c := run
 			if key != 0 && sp.router != nil {
-				if err := sp.stageKeyed(seq, key, payload, recovery); err != nil {
-					return err
-				}
-			} else {
-				sp.run = append(sp.run, transport.Tuple{Seq: seq, Key: key, Payload: payload})
+				c = sp.pickFor(key)
+			} else if run == nil || run.retired {
+				run = sp.pickFor(0)
+				c = run
+			}
+			if c == nil {
+				return sp.allDeadErr()
+			}
+			if recovery {
+				sp.retained = append(sp.retained, retainEntry{seq: seq, key: key, conn: c.id, payload: payload})
+			}
+			c.out = append(c.out, transport.Tuple{Seq: seq, Key: key, Payload: payload})
+			if c.congested {
+				c.outBytes += transport.FrameLen(c.out[len(c.out)-1])
 			}
 			seq++
 		}
-		if err := sp.sendRound(int(seq-first), recovery); err != nil {
+		if err := sp.writeOut(true); err != nil {
 			return err
 		}
 		sp.publishReplayDepth()
@@ -646,7 +649,7 @@ func (sp *Splitter) sendLoop() error {
 			break
 		}
 	}
-	if err := sp.writeAllHeld(); err != nil {
+	if err := sp.writeOut(false); err != nil {
 		return err
 	}
 	if !recovery {
@@ -655,128 +658,33 @@ func (sp *Splitter) sendLoop() error {
 	return sp.drain(seq)
 }
 
-// stageKeyed places one keyed tuple with the key router and stages it in that
-// connection's round buffer. Its retain entry, the newest, is assigned now:
-// if the connection is retired before the round is sent, the replay re-sends
-// the tuple and sendRound drops the buffer.
-func (sp *Splitter) stageKeyed(seq, key uint64, payload []byte, recovery bool) error {
-	c := sp.pickFor(key)
-	if c == nil {
-		return sp.allDeadErr()
-	}
-	if recovery {
-		sp.retained[len(sp.retained)-1].conn = c.id
-	}
-	k := &sp.keyed[c.id]
-	if len(k.ts) == 0 {
-		sp.touched = append(sp.touched, c.id)
-	} else if k.c != c {
-		// c rejoined in place of a connection retired mid-round, whose
-		// replay already re-sent what it had staged.
-		k.ts = k.ts[:0]
-	}
-	k.c = c
-	k.ts = append(k.ts, transport.Tuple{Seq: seq, Key: key, Payload: payload})
-	return nil
-}
-
-// sendRound sends a round's staged tuples: the run to one WRR pick, then each
-// touched connection's keyed tuples. staged is how many sequence numbers the
-// round admitted.
-func (sp *Splitter) sendRound(staged int, recovery bool) error {
-	if len(sp.run) > 0 {
-		c := sp.pickFor(0)
-		if c == nil {
-			return sp.allDeadErr()
+// writeOut writes each live connection's pending output in one flush. At a
+// round end (roundEnd set) a congested connection holding less than holdBytes
+// keeps its output, so each of its writes carries whole rounds.
+func (sp *Splitter) writeOut(roundEnd bool) error {
+	// A failed write retires connections, which only shifts the ones after
+	// them down: walking from the end still reaches every one.
+	for i := len(sp.conns) - 1; i >= 0; i-- {
+		if i >= len(sp.conns) {
+			continue
 		}
-		if recovery {
-			// The round's retain entries are at most the last staged ones:
-			// pruning only removes from the head (positions from the tail, not
-			// pointers, because it compacts). The run's are those still
-			// unassigned; a keyed entry already names its connection.
-			for i := max(sp.retHead, len(sp.retained)-staged); i < len(sp.retained); i++ {
-				if sp.retained[i].conn < 0 {
-					sp.retained[i].conn = c.id
-				}
-			}
+		c := sp.conns[i]
+		if len(c.out) == 0 || roundEnd && c.congested && c.outBytes < sp.holdBytes {
+			continue
 		}
-		if err := sp.sendRun(c, sp.run, recovery); err != nil {
+		ts := c.out
+		c.out, c.outBytes = c.out[:0], 0
+		if err := sp.flush(c, ts); err != nil {
 			return err
 		}
 	}
-	for _, id := range sp.touched {
-		k := &sp.keyed[id]
-		ts := k.ts
-		k.ts = k.ts[:0]
-		if len(k.c.held) > 0 {
-			// Keyed tuples follow the held runs admitted before them.
-			if err := sp.writeHeld(k.c); err != nil {
-				return err
-			}
-		}
-		if recovery && sp.findLive(id) != k.c {
-			continue // retired mid-round: its replay re-sent these
-		}
-		if err := sp.flush(k.c, ts, recovery); err != nil {
-			return err
-		}
-	}
-	sp.touched = sp.touched[:0]
 	return nil
 }
 
-// sendRun sends one picked run to c. An uncongested edge flushes it at once.
-// A congested one holds it: what c holds is written first when the run would
-// take it past holdBytes, and everything when it reaches holdBytes, so each
-// write carries whole runs of at most holdBytes, or one longer run alone.
-func (sp *Splitter) sendRun(c *splitConn, run []transport.Tuple, recovery bool) error {
-	if !c.congested {
-		return sp.flush(c, run, recovery)
-	}
-	size := 0
-	for i := range run {
-		size += transport.FrameLen(run[i])
-	}
-	if len(c.held) > 0 && c.heldBytes+size > sp.holdBytes {
-		if err := sp.writeHeld(c); err != nil {
-			return err
-		}
-		if sp.findLive(c.id) != c {
-			return nil // retired: its replay re-sent this run too
-		}
-	}
-	c.held = append(c.held, run...)
-	c.heldBytes += size
-	if c.heldBytes >= sp.holdBytes {
-		return sp.writeHeld(c)
-	}
-	return nil
-}
-
-// writeHeld writes c's held runs in one flush.
-func (sp *Splitter) writeHeld(c *splitConn) error {
-	ts := c.held
-	c.held, c.heldBytes = c.held[:0], 0
-	return sp.flush(c, ts, sp.recovery())
-}
-
-// writeAllHeld writes every live connection's held runs.
-func (sp *Splitter) writeAllHeld() error {
-	for i := 0; i < len(sp.conns); i++ {
-		if c := sp.conns[i]; len(c.held) > 0 {
-			if err := sp.writeHeld(c); err != nil {
-				return err
-			}
-			i = -1 // a failed write retires connections: rescan
-		}
-	}
-	return nil
-}
-
-// flush sends one staged batch to c: one write, one elect-to-block episode. A
+// flush sends one batch to c: one write, one elect-to-block episode. A
 // failure in recovery mode retires c and replays its unreleased tuples, this
 // batch's among them, since their retain entries already name c.
-func (sp *Splitter) flush(c *splitConn, ts []transport.Tuple, recovery bool) error {
+func (sp *Splitter) flush(c *splitConn, ts []transport.Tuple) error {
 	err := c.sender.SendBatch(ts)
 	if err == nil {
 		if sp.mtr != nil {
@@ -785,7 +693,7 @@ func (sp *Splitter) flush(c *splitConn, ts []transport.Tuple, recovery bool) err
 		}
 		return nil
 	}
-	if !recovery {
+	if !sp.recovery() {
 		return fmt.Errorf("runtime: flush %d tuples to worker %d: %w", len(ts), c.id, err)
 	}
 	return sp.handleConnFailure(c, err)
@@ -887,8 +795,8 @@ func (sp *Splitter) checkStall(now time.Time, fail func(id int, quarantined bool
 	// A head-of-line tuple still held was never sent, so the stall is the
 	// splitter's, not its worker's: write it and give it a full window.
 	c := sp.findLive(sp.headOwner())
-	headHeld := c != nil && len(c.held) > 0 && c.held[0].Seq <= sp.ctrl.Watermark()
-	if err := sp.writeAllHeld(); err != nil {
+	headHeld := c != nil && len(c.out) > 0 && c.out[0].Seq <= sp.ctrl.Watermark()
+	if err := sp.writeOut(false); err != nil {
 		return err
 	}
 	if sp.stallAdvanced(now) {
@@ -929,8 +837,7 @@ func (sp *Splitter) stallAdvanced(now time.Time) bool {
 }
 
 // headOwner reports which stable worker id carries the lowest unreleased
-// sequence number, or -1 when unknown (empty buffer, or the head's run is
-// still being staged).
+// sequence number, or -1 when nothing is unreleased.
 func (sp *Splitter) headOwner() int {
 	wm := sp.ctrl.Watermark()
 	for i := sp.retHead; i < len(sp.retained); i++ {
@@ -951,14 +858,13 @@ func (sp *Splitter) findLive(id int) *splitConn {
 	return nil
 }
 
-// admitRetention appends the tuple to the replay buffer, unassigned (conn
-// -1) until its round is sent, blocking while the buffer is full until the
-// merger's watermark frees space.
-func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) error {
+// awaitRetention makes room for one tuple in the replay buffer, blocking
+// while it is full until the merger's watermark frees space.
+func (sp *Splitter) awaitRetention() error {
 	sp.pruneRetained()
 	for len(sp.retained)-sp.retHead >= sp.cfg.RetainCap {
-		// The watermark may be waiting for held runs.
-		if err := sp.writeAllHeld(); err != nil {
+		// The watermark may be waiting for pending output.
+		if err := sp.writeOut(false); err != nil {
 			return err
 		}
 		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
@@ -967,7 +873,6 @@ func (sp *Splitter) admitRetention(seq, key uint64, payload []byte) error {
 			return err
 		}
 	}
-	sp.retained = append(sp.retained, retainEntry{seq: seq, key: key, conn: -1, payload: payload})
 	return nil
 }
 
@@ -1017,7 +922,7 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	sp.aggBlocked[c.id] += c.sender.BlockEvents()
 	sp.conns = append(sp.conns[:pos], sp.conns[pos+1:]...)
 	sp.mu.Unlock()
-	c.congested, c.held, c.heldBytes = false, nil, 0
+	c.out, c.outBytes, c.congested, c.retired = nil, 0, false, true
 	var weights []int
 	if sp.cfg.Balancer != nil && sp.cfg.Balancer.Connections() > 1 {
 		// The balancer folds the dead connection's weight back into the
@@ -1241,7 +1146,7 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 }
 
 // tick is one collection interval, run by the send loop between two rounds,
-// after it has written the held runs: it differences the senders' lifetime
+// after it has written every pending output: it differences the senders' lifetime
 // blocking counters into rates, steps the balancer, installs the new weights
 // and marks the TCP edges that blocked as congested for the next interval.
 // No flush is in progress while it runs, so every blocking episode it sees
@@ -1250,7 +1155,7 @@ func (sp *Splitter) drainFailure(total uint64, id int, quarantined bool) error {
 // blocked fraction assumes.
 //
 // The gate is per connection: an in-proc edge has no write system call to
-// save, and an edge that did not block itself writes each run at once even
+// save, and an edge that did not block itself writes at each round end even
 // while the thread was parked on another. Nothing is held after an interval
 // the thread spent at least holdParkedShare parked.
 func (sp *Splitter) tick(now time.Duration) error {

@@ -14,9 +14,10 @@ import (
 // One flush is one elect-to-block episode: if the socket buffer fills
 // anywhere inside the batch, the sender elects to block there and the parked
 // time is accounted to this connection's cumulative counter (Section 3).
-// What one flush carries is the caller's choice: the splitter writes one run
-// of up to BatchSize tuples, or, on a congested edge, the runs it held, up to
-// a quarter of the socket buffer (see the README's "Batched sends" section).
+// What one flush carries is the caller's choice: the splitter writes what one
+// round of up to BatchSize tuples gave the connection, or, on a congested
+// edge, the whole rounds it held until they reached a quarter of the socket
+// buffer (see the README's "Batched sends" section).
 // The counter is cumulative either way; only the number of writes changes.
 
 const (
