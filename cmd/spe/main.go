@@ -12,6 +12,12 @@
 // bounded SPSC ring, with the same balancer and blocking signal. Recovery
 // (-recover) needs the default tcp transport.
 //
+// run loads one worker (-slow-worker, -slow-delay) and, with -remove-at F,
+// removes that load from tuple F x -tuples on (the paper's Sections 6.3/6.4);
+// -no-balance turns balancing off. The splitter prints its sampled blocking
+// rates and weights at most every 250 ms and, when balancing, the learned
+// blocking-rate functions at the end.
+//
 // Passing -recover to run (or -control ADDR to splitter plus -resilient to
 // worker) enables the fault-tolerant mode: the splitter retains unreleased
 // tuples and replays them if a worker dies, reconnects with backoff, and the
@@ -51,6 +57,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"time"
 
@@ -132,6 +139,79 @@ func timeoutFlags(fs *flag.FlagSet) func() runtime.Timeouts {
 	}
 }
 
+// shiftOperator is a DelayOperator whose delay becomes after from sequence
+// number at on: the external load the paper's dynamic experiments remove
+// mid-run. It switches on the tuple it processes, so a worker process, which
+// the splitter's source cannot reach, sheds its load at the same tuple as an
+// in-process one.
+type shiftOperator struct {
+	*runtime.DelayOperator
+	at    uint64
+	after time.Duration
+}
+
+// Process implements runtime.Operator.
+func (op *shiftOperator) Process(t transport.Tuple) transport.Tuple {
+	if t.Seq >= op.at {
+		op.SetDelay(op.after)
+	}
+	return op.DelayOperator.Process(t)
+}
+
+// delayOperator returns a worker's operator: delay per tuple, and after from
+// sequence number at on when at > 0.
+func delayOperator(delay time.Duration, at uint64, after time.Duration) runtime.Operator {
+	op := runtime.NewDelayOperator(delay)
+	if at == 0 {
+		return op
+	}
+	return &shiftOperator{DelayOperator: op, at: at, after: after}
+}
+
+// newBalancer returns the blocking-rate balancer for n connections, or nil
+// when balancing is off (plain round-robin).
+func newBalancer(n int, off bool) (*core.Balancer, error) {
+	if off {
+		return nil, nil
+	}
+	return core.NewBalancer(core.Config{Connections: n, DecayEnabled: true})
+}
+
+// timeline returns an OnSample that prints the sampled blocking rates and the
+// weights in force, at most one line per step of run time. It runs on the
+// splitter's send loop, so it only formats a line.
+func timeline(w io.Writer) func(time.Duration, []float64, []int) {
+	const step = 250 * time.Millisecond
+	var next time.Duration
+	return func(now time.Duration, rates []float64, weights []int) {
+		if now < next {
+			return
+		}
+		if next == 0 {
+			fmt.Fprintf(w, "%-10s %-24s %s\n", "t", "blocking rates", "weights")
+		}
+		next = now.Truncate(step) + step
+		fmt.Fprintf(w, "%-10v %-24s %v\n", now.Truncate(time.Millisecond), fmt.Sprintf("%.2f", rates), weights)
+	}
+}
+
+// report prints the splitter's end-of-stream summary: tuples sent and time
+// blocked per connection, the router's placements for a keyed stream, and
+// with a balancer its weights and learned blocking-rate functions.
+func report(w io.Writer, sent []int64, blocking []time.Duration, keyed bool, keyedSent []int64, b *core.Balancer) {
+	fmt.Fprintf(w, "DONE sent=%v blocking=%v\n", sent, blocking)
+	if keyed {
+		fmt.Fprintf(w, "keyedSent=%v\n", keyedSent)
+	}
+	if b != nil {
+		fmt.Fprintf(w, "weights=%v\n", b.Weights())
+		fmt.Fprintf(w, "learned blocking-rate functions:\n%s", core.DumpFunctions(b, 8))
+	}
+}
+
+// mergeDone is the merger's end-of-stream line.
+const mergeDone = "DONE released=%d ordered=%v combined=%d\n"
+
 func main() {
 	if len(os.Args) < 2 {
 		fmt.Fprintln(os.Stderr, "spe: need a subcommand: merger, worker, splitter, run")
@@ -208,7 +288,7 @@ func runMerger(w io.Writer, args []string) error {
 	if err := m.Wait(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "DONE released=%d ordered=%v combined=%d\n", count, ordered, m.CombinedReleased())
+	fmt.Fprintf(w, mergeDone, count, ordered, m.CombinedReleased())
 	return nil
 }
 
@@ -218,6 +298,8 @@ func runWorker(w io.Writer, args []string) error {
 	id := fs.Int("id", -1, "worker id (must match the splitter's ordering)")
 	merger := fs.String("merger", "", "merger address to forward to")
 	delay := fs.Duration("delay", 0, "artificial per-tuple delay (emulated load)")
+	shiftAt := fs.Uint64("shift-at", 0, "sequence number from which -shift-delay replaces -delay (0 = never)")
+	shiftDelay := fs.Duration("shift-delay", 0, "per-tuple delay from -shift-at on")
 	spin := fs.Int64("spin", 0, "integer multiplies per tuple (CPU load)")
 	service := fs.Duration("service", 0, "per-tuple wall-clock service time, debt-batched so it stays accurate below kernel sleep granularity")
 	combine := fs.Bool("combine", false, "fold same-key results per batch with the per-key sum combiner before forwarding")
@@ -232,8 +314,8 @@ func runWorker(w io.Writer, args []string) error {
 	}
 	var op runtime.Operator
 	switch {
-	case *delay > 0:
-		op = runtime.NewDelayOperator(*delay)
+	case *delay > 0 || *shiftAt > 0:
+		op = delayOperator(*delay, *shiftAt, *shiftDelay)
 	case *spin > 0:
 		op = runtime.NewSpinOperator(*spin)
 	case *service > 0:
@@ -295,19 +377,16 @@ func runSplitter(w io.Writer, args []string) error {
 	if *workers == "" || len(addrs) == 0 {
 		return errors.New("splitter: need -workers")
 	}
-	var balancer *core.Balancer
-	if !*noBalance {
-		var err error
-		balancer, err = core.NewBalancer(core.Config{Connections: len(addrs), DecayEnabled: true})
-		if err != nil {
-			return err
-		}
+	balancer, err := newBalancer(len(addrs), *noBalance)
+	if err != nil {
+		return err
 	}
 	scfg := runtime.SplitterConfig{
 		WorkerAddrs:       addrs,
 		Source:            runtime.ConstantSource(make([]byte, *payload), *tuples),
 		Balancer:          balancer,
 		SampleInterval:    *interval,
+		OnSample:          timeline(w),
 		SocketBufferBytes: *sockbuf,
 		BatchSize:         *batch,
 		OnConnEvent: func(ev runtime.ConnEvent) {
@@ -364,18 +443,14 @@ func runSplitter(w io.Writer, args []string) error {
 		return err
 	}
 	sent, blocking := sp.ConnStats()
-	fmt.Fprintf(w, "DONE sent=%v blocking=%v\n", sent, blocking)
-	if *keyed {
-		fmt.Fprintf(w, "keyedSent=%v\n", sp.KeyedStats())
-	}
-	if balancer != nil {
-		fmt.Fprintf(w, "weights=%v\n", balancer.Weights())
-	}
+	report(w, sent, blocking, *keyed, sp.KeyedStats(), balancer)
 	return nil
 }
 
-// runAll spawns the merger and workers as child processes of this binary and
-// runs the splitter in this process.
+// runAll runs one region with the load and balancing its flags choose. On
+// the tcp transport it spawns the merger and workers as child processes of
+// this binary and runs the splitter in this process; on inproc the whole
+// region runs in this process and nothing is spawned.
 func runAll(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("spe run", flag.ContinueOnError)
 	workers := fs.Int("workers", 3, "number of worker processes")
@@ -383,20 +458,22 @@ func runAll(w io.Writer, args []string) error {
 	slowWorker := fs.Int("slow-worker", 0, "worker carrying extra load (-1 for none)")
 	slowDelay := fs.Duration("slow-delay", time.Millisecond, "per-tuple delay of the loaded worker")
 	baseDelay := fs.Duration("base-delay", 50*time.Microsecond, "per-tuple delay of unloaded workers")
+	removeAt := fs.Float64("remove-at", 1, "fraction of the stream from which the loaded worker runs at -base-delay (>= 1 keeps its load)")
+	noBalance := fs.Bool("no-balance", false, "disable balancing (plain round-robin)")
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
 	batch := fs.Int("batch", 1, "run length: consecutive tuples to one weighted round-robin pick, written at once unless the connection is congested (1 = one pick per tuple)")
 	recvBatch := fs.Int("recv-batch", 0, "cap on tuples per receive pass in workers and merger (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
 	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
-	stallWindow := fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")
-	maxReadmits := fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")
+	fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")
+	fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")
 	keyed := fs.Bool("keyed", false, "stream deterministic keyed tuples (Zipf skew) instead of the unkeyed constant source")
 	skew := fs.Float64("skew", 1.1, "Zipf exponent of the keyed stream (0 = uniform; needs -keyed)")
 	keys := fs.Int("keys", 10_000, "key universe size (needs -keyed)")
 	router := fs.String("router", "pkg", "keyed routing policy: hash, pkg or dchoices (needs -keyed)")
 	combine := fs.Bool("combine", false, "workers fold same-key results per batch before the merge (needs -keyed)")
 	seed := fs.Int64("seed", 1, "key-generator seed; equal seeds give byte-identical streams (needs -keyed)")
-	ioTO := fs.Duration("io-timeout", 0, "deadline for dials, handshakes, probes and control writes in every component (0 = defaults)")
+	fs.Duration("io-timeout", 0, "deadline for dials, handshakes, probes and control writes in every component (0 = defaults)")
 	sendStall := fs.Duration("send-stall", 0, "parked-send bound in splitter and workers (0 = default)")
 	metricsAddr := fs.String("metrics-addr", "", "serve the splitter's /metrics and /trace on this address (empty = off)")
 	if err := fs.Parse(args); err != nil {
@@ -405,30 +482,95 @@ func runAll(w io.Writer, args []string) error {
 	if *workers < 1 {
 		return errors.New("run: need at least one worker")
 	}
+	if *slowWorker < -1 || *slowWorker >= *workers {
+		return fmt.Errorf("run: -slow-worker %d out of range with %d workers (-1 for none)", *slowWorker, *workers)
+	}
+	if *removeAt < 0 {
+		return errors.New("run: -remove-at must not be negative")
+	}
+	// load is worker i's per-tuple delay and the sequence number from which
+	// it runs at -base-delay instead (0 = never).
+	load := func(i int) (time.Duration, uint64) {
+		if i != *slowWorker {
+			return *baseDelay, 0
+		}
+		if *removeAt >= 1 {
+			return *slowDelay, 0
+		}
+		at := uint64(*removeAt * float64(*tuples))
+		if at == 0 {
+			return *baseDelay, 0
+		}
+		return *slowDelay, at
+	}
+	describe := func(delay time.Duration, at uint64) string {
+		if at == 0 {
+			return fmt.Sprintf("delay %v", delay)
+		}
+		return fmt.Sprintf("delay %v, %v from tuple %d", delay, *baseDelay, at)
+	}
+
 	switch *transportKind {
 	case "", "tcp":
 	case "inproc":
 		if *recover {
 			return errors.New("run: -recover needs the tcp transport (recovery is a remote-process protocol)")
 		}
-		return runAllInproc(w, inprocRunConfig{
-			workers:     *workers,
-			tuples:      *tuples,
-			slowWorker:  *slowWorker,
-			slowDelay:   *slowDelay,
-			baseDelay:   *baseDelay,
-			batch:       *batch,
-			recvBatch:   *recvBatch,
-			ringCap:     *ringCap,
-			sendStall:   *sendStall,
-			metricsAddr: *metricsAddr,
-			keyed:       *keyed,
-			skew:        *skew,
-			keys:        *keys,
-			router:      *router,
-			combine:     *combine,
-			seed:        *seed,
-		})
+		// The shared-memory transport: workers are goroutines, every edge a
+		// bounded SPSC ring, and a ring-full wait elects to block exactly like
+		// a full socket buffer does.
+		ops := make([]runtime.Operator, *workers)
+		for i := range ops {
+			delay, at := load(i)
+			ops[i] = delayOperator(delay, at, *baseDelay)
+			fmt.Fprintf(w, "worker %d in-process (%s)\n", i, describe(delay, at))
+		}
+		balancer, err := newBalancer(*workers, *noBalance)
+		if err != nil {
+			return err
+		}
+		rcfg := runtime.RegionConfig{
+			Transport:      runtime.TransportInproc,
+			Operators:      ops,
+			Balancer:       balancer,
+			SampleInterval: 100 * time.Millisecond,
+			OnSample:       timeline(w),
+			BatchSize:      *batch,
+			RecvBatchSize:  *recvBatch,
+			RingCap:        *ringCap,
+			Timeouts:       runtime.Timeouts{SendStall: *sendStall},
+		}
+		if *keyed {
+			rcfg.KeyedSource = keyedSource(*tuples, 256, *keys, *skew, 0, 0, *seed)
+			if rcfg.Router, err = keyedRouter(*router, *workers); err != nil {
+				return err
+			}
+			if *combine {
+				rcfg.Combiner = runtime.SumCombiner()
+			}
+		} else {
+			rcfg.Source = runtime.ConstantSource(make([]byte, 256), *tuples)
+		}
+		rm, msrv, err := serveMetrics(w, *metricsAddr)
+		if err != nil {
+			return err
+		}
+		if msrv != nil {
+			defer msrv.Close()
+			rcfg.Metrics = rm
+		}
+		region, err := runtime.NewRegion(rcfg)
+		if err != nil {
+			return err
+		}
+		res, err := region.Run()
+		if err != nil {
+			return err
+		}
+		report(w, res.PerConnSent, res.TotalBlocking, *keyed, res.KeyedSent, balancer)
+		fmt.Fprintf(w, mergeDone, res.Released, res.OrderPreserved, res.CombinedReleased)
+		fmt.Fprintln(w, "all processes exited cleanly")
+		return nil
 	default:
 		return fmt.Errorf("run: unknown -transport %q (tcp or inproc)", *transportKind)
 	}
@@ -436,38 +578,44 @@ func runAll(w io.Writer, args []string) error {
 	if err != nil {
 		return fmt.Errorf("run: locate own binary: %w", err)
 	}
+	// Whatever ends this run, an error included, leaves no child running.
+	var children []*proc
+	defer func() {
+		for _, c := range children {
+			if c.cmd.ProcessState == nil {
+				c.cmd.Process.Kill()
+				c.wait()
+			}
+		}
+	}()
+
+	// Each child gets the run flags set on the command line that it shares.
+	forward := func(names ...string) []string {
+		var args []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(names, f.Name) {
+				args = append(args, "-"+f.Name+"="+f.Value.String())
+			}
+		})
+		return args
+	}
 
 	// Merger first: workers dial it.
-	margs := []string{"-workers", fmt.Sprint(*workers)}
-	if *recvBatch > 0 {
-		margs = append(margs, "-recv-batch", fmt.Sprint(*recvBatch))
-	}
-	if *ringCap > 0 {
-		margs = append(margs, "-ring-cap", fmt.Sprint(*ringCap))
-	}
-	if *ioTO != 0 {
-		margs = append(margs, "-io-timeout", ioTO.String())
-	}
-	mergerCmd, mergerAddr, err := spawn(self, "merger", margs...)
+	margs := append([]string{"-workers", fmt.Sprint(*workers)}, forward("recv-batch", "ring-cap", "io-timeout")...)
+	merger, mergerAddr, err := spawn(self, "merger", margs...)
 	if err != nil {
 		return fmt.Errorf("run: merger: %w", err)
 	}
+	children = append(children, merger)
 	fmt.Fprintf(w, "merger listening on %s\n", mergerAddr)
 
-	workerCmds := make([]*exec.Cmd, *workers)
 	addrs := make([]string, *workers)
-	for i := 0; i < *workers; i++ {
-		delay := *baseDelay
-		if i == *slowWorker {
-			delay = *slowDelay
-		}
-		wargs := []string{
-			"-id", fmt.Sprint(i),
-			"-merger", mergerAddr,
-			"-delay", delay.String(),
-		}
-		if *recvBatch > 0 {
-			wargs = append(wargs, "-recv-batch", fmt.Sprint(*recvBatch))
+	for i := range addrs {
+		delay, at := load(i)
+		wargs := append([]string{"-id", fmt.Sprint(i), "-merger", mergerAddr, "-delay", delay.String()},
+			forward("recv-batch", "io-timeout", "send-stall")...)
+		if at > 0 {
+			wargs = append(wargs, "-shift-at", fmt.Sprint(at), "-shift-delay", baseDelay.String())
 		}
 		if *recover {
 			wargs = append(wargs, "-resilient")
@@ -475,167 +623,58 @@ func runAll(w io.Writer, args []string) error {
 		if *keyed && *combine {
 			wargs = append(wargs, "-combine")
 		}
-		if *ioTO != 0 {
-			wargs = append(wargs, "-io-timeout", ioTO.String())
-		}
-		if *sendStall != 0 {
-			wargs = append(wargs, "-send-stall", sendStall.String())
-		}
-		cmd, addr, err := spawn(self, "worker", wargs...)
+		worker, addr, err := spawn(self, "worker", wargs...)
 		if err != nil {
 			return fmt.Errorf("run: worker %d: %w", i, err)
 		}
-		workerCmds[i] = cmd
+		children = append(children, worker)
 		addrs[i] = addr
-		fmt.Fprintf(w, "worker %d listening on %s (delay %v)\n", i, addr, delay)
+		fmt.Fprintf(w, "worker %d listening on %s (%s)\n", i, addr, describe(delay, at))
 	}
 
-	sargs := []string{
-		"-workers", strings.Join(addrs, ","),
-		"-tuples", fmt.Sprint(*tuples),
-		"-batch", fmt.Sprint(*batch),
-	}
-	if *keyed {
-		sargs = append(sargs,
-			"-keyed",
-			"-skew", fmt.Sprint(*skew),
-			"-keys", fmt.Sprint(*keys),
-			"-router", *router,
-			"-seed", fmt.Sprint(*seed),
-		)
-	}
+	sargs := append([]string{"-workers", strings.Join(addrs, ","), "-tuples", fmt.Sprint(*tuples)},
+		forward("batch", "no-balance", "keyed", "skew", "keys", "router", "seed",
+			"io-timeout", "send-stall", "metrics-addr")...)
 	if *recover {
 		sargs = append(sargs, "-control", mergerAddr)
-		if *maxReadmits != 0 {
-			sargs = append(sargs, "-max-readmits", fmt.Sprint(*maxReadmits))
-		}
-		if *stallWindow > 0 {
-			sargs = append(sargs, "-stall-window", stallWindow.String())
-		}
-	}
-	if *ioTO != 0 {
-		sargs = append(sargs, "-io-timeout", ioTO.String())
-	}
-	if *sendStall != 0 {
-		sargs = append(sargs, "-send-stall", sendStall.String())
-	}
-	if *metricsAddr != "" {
-		sargs = append(sargs, "-metrics-addr", *metricsAddr)
+		sargs = append(sargs, forward("max-readmits", "stall-window")...)
 	}
 	if err := runSplitter(w, sargs); err != nil {
 		return fmt.Errorf("run: splitter: %w", err)
 	}
-	for i, cmd := range workerCmds {
+	for i, c := range children[1:] {
 		if *recover {
 			// Resilient workers serve until killed.
-			cmd.Process.Kill()
-			cmd.Wait()
+			c.cmd.Process.Kill()
+			c.wait()
 			continue
 		}
-		if err := cmd.Wait(); err != nil {
+		if err := c.wait(); err != nil {
 			return fmt.Errorf("run: wait worker %d: %w", i, err)
 		}
 	}
-	if err := mergerCmd.Wait(); err != nil {
+	if err := merger.wait(); err != nil {
 		return fmt.Errorf("run: wait merger: %w", err)
 	}
+	for _, line := range merger.out {
+		fmt.Fprintln(w, line)
+	}
 	fmt.Fprintln(w, "all processes exited cleanly")
 	return nil
 }
 
-// inprocRunConfig carries the run-subcommand flags that apply to the
-// in-process transport.
-type inprocRunConfig struct {
-	workers    int
-	tuples     uint64
-	slowWorker int
-	slowDelay  time.Duration
-	baseDelay  time.Duration
-	batch      int
-	recvBatch  int
-	ringCap    int
-	sendStall  time.Duration
-
-	metricsAddr string
-
-	keyed   bool
-	skew    float64
-	keys    int
-	router  string
-	combine bool
-	seed    int64
+// proc is a spawned subcommand and the stdout lines it printed after its
+// ADDR announcement.
+type proc struct {
+	cmd     *exec.Cmd
+	out     []string
+	drained chan struct{}
 }
 
-// runAllInproc runs the same region as runAll entirely inside this process on
-// the shared-memory transport: workers become goroutines, every edge becomes a
-// bounded SPSC ring, and nothing is spawned. The balancer and its blocking
-// signal are identical — ring-full waits elect to block exactly like full
-// socket buffers do.
-func runAllInproc(w io.Writer, cfg inprocRunConfig) error {
-	ops := make([]runtime.Operator, cfg.workers)
-	for i := range ops {
-		delay := cfg.baseDelay
-		if i == cfg.slowWorker {
-			delay = cfg.slowDelay
-		}
-		ops[i] = runtime.NewDelayOperator(delay)
-		fmt.Fprintf(w, "worker %d in-process (delay %v)\n", i, delay)
-	}
-	balancer, err := core.NewBalancer(core.Config{Connections: cfg.workers, DecayEnabled: true})
-	if err != nil {
-		return err
-	}
-	rcfg := runtime.RegionConfig{
-		Transport:      runtime.TransportInproc,
-		Operators:      ops,
-		Balancer:       balancer,
-		SampleInterval: 100 * time.Millisecond,
-		BatchSize:      cfg.batch,
-		RecvBatchSize:  cfg.recvBatch,
-		RingCap:        cfg.ringCap,
-		Timeouts:       runtime.Timeouts{SendStall: cfg.sendStall},
-	}
-	if cfg.keyed {
-		rcfg.KeyedSource = keyedSource(cfg.tuples, 256, cfg.keys, cfg.skew, 0, 0, cfg.seed)
-		r, err := keyedRouter(cfg.router, cfg.workers)
-		if err != nil {
-			return err
-		}
-		rcfg.Router = r
-		if cfg.combine {
-			rcfg.Combiner = runtime.SumCombiner()
-		}
-	} else {
-		rcfg.Source = runtime.ConstantSource(make([]byte, 256), cfg.tuples)
-	}
-	rm, msrv, err := serveMetrics(w, cfg.metricsAddr)
-	if err != nil {
-		return err
-	}
-	if msrv != nil {
-		defer msrv.Close()
-		rcfg.Metrics = rm
-	}
-	region, err := runtime.NewRegion(rcfg)
-	if err != nil {
-		return err
-	}
-	res, err := region.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "DONE sent=%v blocking=%v\n", res.PerConnSent, res.TotalBlocking)
-	if cfg.keyed {
-		fmt.Fprintf(w, "keyedSent=%v\n", res.KeyedSent)
-	}
-	fmt.Fprintf(w, "weights=%v\n", balancer.Weights())
-	fmt.Fprintf(w, "DONE released=%d ordered=%v combined=%d\n", res.Released, res.OrderPreserved, res.CombinedReleased)
-	fmt.Fprintln(w, "all processes exited cleanly")
-	return nil
-}
-
-// spawn starts a child subcommand and reads its ADDR announcement.
-func spawn(self, sub string, args ...string) (*exec.Cmd, string, error) {
+// spawn starts a child subcommand and reads its ADDR announcement. The
+// child's later stdout is collected in the background, so it never blocks
+// writing its DONE line.
+func spawn(self, sub string, args ...string) (*proc, string, error) {
 	cmd := exec.Command(self, append([]string{sub}, args...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
@@ -647,19 +686,28 @@ func spawn(self, sub string, args ...string) (*exec.Cmd, string, error) {
 	}
 	scanner := bufio.NewScanner(stdout)
 	for scanner.Scan() {
-		line := scanner.Text()
-		if addr, ok := strings.CutPrefix(line, "ADDR "); ok {
-			// Keep draining the child's stdout in the background so it
-			// never blocks writing its DONE line.
+		if addr, ok := strings.CutPrefix(scanner.Text(), "ADDR "); ok {
+			p := &proc{cmd: cmd, drained: make(chan struct{})}
 			go func() {
+				defer close(p.drained)
 				for scanner.Scan() {
+					p.out = append(p.out, scanner.Text())
 				}
 			}()
-			return cmd, addr, nil
+			return p, addr, nil
 		}
 	}
 	if err := cmd.Wait(); err != nil {
 		return nil, "", fmt.Errorf("child exited before announcing address: %w", err)
 	}
 	return nil, "", errors.New("child exited before announcing address")
+}
+
+// wait reaps the child after its stdout is drained. The drain ends at EOF,
+// when the child has exited; cmd.Wait closes the pipe, so a Wait that won the
+// race against the last read would drop the final lines (the merger's DONE
+// report).
+func (p *proc) wait() error {
+	<-p.drained
+	return p.cmd.Wait()
 }

@@ -5,14 +5,20 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"streambalance/internal/runtime"
+	"streambalance/internal/transport"
 )
 
 // speBinary is built once for the process-level integration tests.
@@ -51,6 +57,16 @@ func TestSubcommandValidation(t *testing.T) {
 		{"run recovery on inproc transport", func(b *bytes.Buffer) error {
 			return runAll(b, []string{"-transport", "inproc", "-recover"})
 		}},
+		{"run with out-of-range slow worker", func(b *bytes.Buffer) error {
+			return runAll(b, []string{"-transport", "inproc", "-workers", "2", "-slow-worker", "5"})
+		}},
+		{"run with slow worker below -1", func(b *bytes.Buffer) error {
+			return runAll(b, []string{"-transport", "inproc", "-workers", "2", "-slow-worker", "-2"})
+		}},
+		{"run with negative remove-at", func(b *bytes.Buffer) error {
+			return runAll(b, []string{"-transport", "inproc", "-remove-at", "-0.5"})
+		}},
+		{"run with unknown flag", func(b *bytes.Buffer) error { return runAll(b, []string{"-bogus"}) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -114,6 +130,145 @@ func TestInprocPipeline(t *testing.T) {
 	}
 	if strings.Count(body, "in-process") != 3 {
 		t.Fatalf("missing worker announcements:\n%s", body)
+	}
+}
+
+// runRegion runs `spe run` on the given transport and returns its output:
+// in this process on inproc, through the built binary on tcp, whose children
+// are that binary's subcommands.
+func runRegion(t *testing.T, transportKind string, args ...string) string {
+	t.Helper()
+	args = append([]string{"-transport", transportKind}, args...)
+	if transportKind == "inproc" {
+		var buf bytes.Buffer
+		if err := runAll(&buf, args); err != nil {
+			t.Fatalf("spe run %v: %v\n%s", args, err, buf.String())
+		}
+		return buf.String()
+	}
+	out, err := exec.Command(speBinary, append([]string{"run"}, args...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("spe run %v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+func TestRunBalancedPipeline(t *testing.T) {
+	// A loaded worker against an unloaded one: the run must release every
+	// tuple in order and print the balancer's learned functions, also when
+	// the load is taken away halfway (the worker switches on the tuple's
+	// sequence number, in a spawned process too).
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"inproc", []string{"inproc"}},
+		{"tcp remove-at", []string{"tcp", "-remove-at", "0.5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runRegion(t, tc.args[0], append(tc.args[1:],
+				"-workers", "2",
+				"-tuples", "3000",
+				"-base-delay", "20us",
+				"-slow-delay", "400us",
+			)...)
+			if !strings.Contains(out, "released=3000 ordered=true") {
+				t.Fatalf("incomplete or unordered release:\n%s", out)
+			}
+			if !strings.Contains(out, "learned blocking-rate functions") {
+				t.Fatalf("function dump missing:\n%s", out)
+			}
+		})
+	}
+}
+
+func TestRunRoundRobinPipeline(t *testing.T) {
+	// Without a balancer there are no learned functions to print.
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"inproc", []string{"inproc"}},
+		{"tcp remove-at", []string{"tcp", "-remove-at", "0.5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runRegion(t, tc.args[0], append(tc.args[1:],
+				"-workers", "2",
+				"-tuples", "1500",
+				"-base-delay", "10us",
+				"-slow-delay", "200us",
+				"-no-balance",
+			)...)
+			if !strings.Contains(out, "released=1500 ordered=true") {
+				t.Fatalf("incomplete or unordered release:\n%s", out)
+			}
+			if strings.Contains(out, "learned blocking-rate functions") || strings.Contains(out, "weights=") {
+				t.Fatalf("balancer report printed without a balancer:\n%s", out)
+			}
+		})
+	}
+}
+
+func TestShiftOperatorSwitchesOnSequence(t *testing.T) {
+	const slow, base = 2 * time.Microsecond, time.Microsecond
+	if _, ok := delayOperator(slow, 0, base).(*runtime.DelayOperator); !ok {
+		t.Fatal("shift at 0 must be a plain delay operator")
+	}
+	op := delayOperator(slow, 10, base).(*shiftOperator)
+	for _, step := range []struct {
+		seq  uint64
+		want time.Duration
+	}{
+		{0, slow},
+		{9, slow},
+		{10, base},
+		{11, base},
+		{3, base}, // a replayed earlier tuple does not bring the load back
+	} {
+		op.Process(transport.Tuple{Seq: step.seq})
+		if got := op.Delay(); got != step.want {
+			t.Fatalf("after seq %d: delay %v, want %v", step.seq, got, step.want)
+		}
+	}
+}
+
+func TestRunLeavesNoChildOnError(t *testing.T) {
+	// The splitter rejects the router after the merger and workers are up:
+	// run must kill and reap them before it exits, so every address it
+	// announced refuses a dial. The run gets its own process group, killed
+	// at cleanup, so a regression cannot leak processes past the test.
+	// The output goes to a file, not a pipe: a leaked child holding a pipe
+	// open would keep Wait from returning.
+	f, err := os.CreateTemp(t.TempDir(), "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cmd := exec.Command(speBinary, "run", "-workers", "2", "-tuples", "100", "-keyed", "-router", "bogus")
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Stdout = f
+	cmd.Stderr = f
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) })
+	runErr := cmd.Wait()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr == nil {
+		t.Fatalf("run with an unknown router succeeded:\n%s", out)
+	}
+	addrs := regexp.MustCompile(`listening on (\S+)`).FindAllStringSubmatch(string(out), -1)
+	if len(addrs) != 3 {
+		t.Fatalf("want the merger and two workers announced, got %d:\n%s", len(addrs), out)
+	}
+	for _, m := range addrs {
+		if conn, err := net.DialTimeout("tcp", m[1], time.Second); err == nil {
+			conn.Close()
+			t.Errorf("%s still accepts connections after run exited", m[1])
+		}
 	}
 }
 

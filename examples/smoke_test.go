@@ -28,7 +28,6 @@ var examplesTable = []struct {
 	{name: "heterogeneous", run: true, timeout: 60 * time.Second},
 	{name: "keyedskew", run: true, timeout: 60 * time.Second},
 	{name: "chaosregion", run: false},
-	{name: "tcppipeline", run: false},
 }
 
 func TestExamplesTableIsComplete(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // DumpFunctions renders every connection's learned blocking-rate function as
 // an aligned text table, sampling the weight domain at the given number of
 // columns. It is a debugging aid for operators ("what does the model believe
-// right now?") used by cmd/sbalance and tests.
+// right now?"), printed by spe splitter and spe run when balancing.
 func DumpFunctions(b *Balancer, columns int) string {
 	if columns < 2 {
 		columns = 2

@@ -48,7 +48,7 @@ func TestDrainFailureAfterFullRelease(t *testing.T) {
 				if !released {
 					wantLive, wantReplayed = 1, total
 				}
-				if got := sp.liveCount(); got != wantLive {
+				if got := len(sp.conns); got != wantLive {
 					t.Errorf("%d live connections, want %d", got, wantLive)
 				}
 				if replayed != wantReplayed || rx0.Len()+rx1.Len() != wantReplayed {
@@ -77,7 +77,7 @@ func TestDrainFailureAfterFullRelease(t *testing.T) {
 		if err := sp.drainFailure(total, 0, false); err != nil {
 			t.Fatalf("all-dead believed at watermark == total: %v", err)
 		}
-		if sp.liveCount() != 0 {
+		if len(sp.conns) != 0 {
 			t.Fatal("fixture did not retire the last connection")
 		}
 	})
@@ -229,8 +229,8 @@ func TestStallCheck(t *testing.T) {
 		f.sp.ctrl.watermark.Store(total)
 		f.check(t, t0)
 		f.check(t, t0.Add(10*w))
-		if len(f.quarantined) != 0 || f.sp.liveCount() != 3 {
-			t.Fatalf("quarantined %v with %d live at watermark == total", f.quarantined, f.sp.liveCount())
+		if len(f.quarantined) != 0 || len(f.sp.conns) != 3 {
+			t.Fatalf("quarantined %v with %d live at watermark == total", f.quarantined, len(f.sp.conns))
 		}
 	})
 }

@@ -278,7 +278,7 @@ func TestSamplersTrackLiveConnections(t *testing.T) {
 	rejoins, killsDue := 0, 1
 	check := func(when string) {
 		sp := region.splitter
-		if got, live := sp.samplers.Len(), sp.liveCount(); got != live {
+		if got, live := sp.samplers.Len(), len(sp.conns); got != live {
 			t.Errorf("%s: %d samplers for %d live connections", when, got, live)
 		}
 	}
