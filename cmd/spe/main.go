@@ -51,14 +51,17 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"os/signal"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"streambalance/internal/core"
@@ -578,6 +581,16 @@ func runAll(w io.Writer, args []string) error {
 	if err != nil {
 		return fmt.Errorf("run: locate own binary: %w", err)
 	}
+	// SIGINT, SIGTERM, SIGHUP or a closed stdout stops the run: every child
+	// is killed (exec.CommandContext), the splitter fails on its dead peers,
+	// and the run returns an error through the kill-and-reap below. With
+	// SIGPIPE notified, a write to a closed stdout fails with EPIPE instead
+	// of killing the process (os/signal), and stopWriter turns it into a stop.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	defer stop()
+	signal.Notify(make(chan os.Signal, 1), syscall.SIGPIPE)
+	defer signal.Reset(syscall.SIGPIPE)
+	w = stopWriter{w, stop}
 	// Whatever ends this run, an error included, leaves no child running.
 	var children []*proc
 	defer func() {
@@ -602,7 +615,7 @@ func runAll(w io.Writer, args []string) error {
 
 	// Merger first: workers dial it.
 	margs := append([]string{"-workers", fmt.Sprint(*workers)}, forward("recv-batch", "ring-cap", "io-timeout")...)
-	merger, mergerAddr, err := spawn(self, "merger", margs...)
+	merger, mergerAddr, err := spawn(ctx, self, "merger", margs...)
 	if err != nil {
 		return fmt.Errorf("run: merger: %w", err)
 	}
@@ -623,7 +636,7 @@ func runAll(w io.Writer, args []string) error {
 		if *keyed && *combine {
 			wargs = append(wargs, "-combine")
 		}
-		worker, addr, err := spawn(self, "worker", wargs...)
+		worker, addr, err := spawn(ctx, self, "worker", wargs...)
 		if err != nil {
 			return fmt.Errorf("run: worker %d: %w", i, err)
 		}
@@ -639,7 +652,11 @@ func runAll(w io.Writer, args []string) error {
 		sargs = append(sargs, "-control", mergerAddr)
 		sargs = append(sargs, forward("max-readmits", "stall-window")...)
 	}
-	if err := runSplitter(w, sargs); err != nil {
+	err = runSplitter(w, sargs)
+	if ctx.Err() != nil {
+		return errors.New("run: stopped by a signal or a closed stdout")
+	}
+	if err != nil {
 		return fmt.Errorf("run: splitter: %w", err)
 	}
 	for i, c := range children[1:] {
@@ -663,6 +680,21 @@ func runAll(w io.Writer, args []string) error {
 	return nil
 }
 
+// stopWriter is run's stdout: a failed write (the reader is gone, as in
+// `spe run | head -1`) stops the run as a signal does.
+type stopWriter struct {
+	io.Writer
+	stop context.CancelFunc
+}
+
+func (sw stopWriter) Write(p []byte) (int, error) {
+	n, err := sw.Writer.Write(p)
+	if err != nil {
+		sw.stop()
+	}
+	return n, err
+}
+
 // proc is a spawned subcommand and the stdout lines it printed after its
 // ADDR announcement.
 type proc struct {
@@ -671,11 +703,11 @@ type proc struct {
 	drained chan struct{}
 }
 
-// spawn starts a child subcommand and reads its ADDR announcement. The
-// child's later stdout is collected in the background, so it never blocks
-// writing its DONE line.
-func spawn(self, sub string, args ...string) (*proc, string, error) {
-	cmd := exec.Command(self, append([]string{sub}, args...)...)
+// spawn starts a child subcommand, killed when ctx is done, and reads its
+// ADDR announcement. The child's later stdout is collected in the
+// background, so it never blocks writing its DONE line.
+func spawn(ctx context.Context, self, sub string, args ...string) (*proc, string, error) {
+	cmd := exec.CommandContext(ctx, self, append([]string{sub}, args...)...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

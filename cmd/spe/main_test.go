@@ -272,6 +272,73 @@ func TestRunLeavesNoChildOnError(t *testing.T) {
 	}
 }
 
+// TestRunStopLeavesNoChild stops a long recovery-mode run from outside —
+// SIGTERM to the run's pid alone, or its stdout reader going away, as under
+// `spe run | head -1` — once both workers are listening. The run must kill
+// and reap every child and exit non-zero, so every address it announced
+// refuses a dial. The run gets its own process group, killed at cleanup, so
+// a regression cannot leak processes past the test.
+func TestRunStopLeavesNoChild(t *testing.T) {
+	for _, how := range []string{"sigterm", "closed-stdout"} {
+		t.Run(how, func(t *testing.T) {
+			stdout, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stdout.Close()
+			cmd := exec.Command(speBinary, "run", "-workers", "2", "-tuples", "5000000",
+				"-slow-delay", "1ms", "-recover")
+			cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+			cmd.Stdout = w // Stderr stays nil: the null device, no copying pipe
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			t.Cleanup(func() { syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) })
+
+			var addrs []string
+			listening := regexp.MustCompile(`listening on (\S+)`)
+			workers := 0
+			scanner := bufio.NewScanner(stdout)
+			for workers < 2 && scanner.Scan() {
+				if m := listening.FindStringSubmatch(scanner.Text()); m != nil {
+					addrs = append(addrs, m[1])
+					if strings.HasPrefix(scanner.Text(), "worker ") {
+						workers++
+					}
+				}
+			}
+			if workers < 2 {
+				t.Fatalf("run ended before both workers listened: %v", scanner.Err())
+			}
+			if how == "sigterm" {
+				go io.Copy(io.Discard, stdout)
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				stdout.Close()
+			}
+			exited := make(chan error, 1)
+			go func() { exited <- cmd.Wait() }()
+			select {
+			case err := <-exited:
+				if err == nil {
+					t.Fatal("stopped run exited 0")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("run still running 30s after the stop")
+			}
+			for _, addr := range addrs {
+				if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+					conn.Close()
+					t.Errorf("%s still accepts connections after run exited", addr)
+				}
+			}
+		})
+	}
+}
+
 // child wraps a spawned spe subprocess whose stdout is consumed line by line.
 type child struct {
 	cmd  *exec.Cmd

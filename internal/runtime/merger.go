@@ -144,8 +144,7 @@ type Merger struct {
 	pending  map[net.Conn]struct{} // accepted conns mid-handshake, for teardown
 	// readers tracks the attached worker edges, TCP and in-process alike, so
 	// teardown can close them: closing a TCP edge fails its reader's blocked
-	// read; closing an in-proc edge wakes its parked producer and sweeps
-	// stranded block references.
+	// read; closing an in-proc edge wakes its parked producer.
 	readers map[transport.BatchReceiver]struct{}
 
 	// lastIngest is the wall time (unix nanos) each worker id last

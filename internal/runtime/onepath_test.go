@@ -134,16 +134,19 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 }
 
 // refSource is a BatchReceiver serving a prepared keyed stream in batches of
-// at most max tuples. Every batch is real ReceiveBatch output — payloads
-// aliasing a pooled block — decoded with one tuple more than it serves, so
-// the test keeps one reference on each batch's BlockRef: the count cannot
-// reach zero (and the ref be recycled and reused) behind the test's back, and
-// "the loop consumed each of its references exactly once" reads as Refs()==1.
+// at most max tuples. A pooled source serves real ReceiveBatch output —
+// payloads aliasing a pooled block — decoded with one tuple more than it
+// serves, so the test keeps one reference on each batch's BlockRef: the count
+// cannot reach zero (and the ref be recycled and reused) behind the test's
+// back, and "the loop consumed each of its references exactly once" reads as
+// Refs()==1. Otherwise the payloads are GC-owned and the ref is nil, as on
+// every edge that feeds an in-proc output.
 type refSource struct {
-	t    *testing.T
-	next uint64
-	end  uint64
-	refs []*transport.BlockRef
+	t      *testing.T
+	pooled bool
+	next   uint64
+	end    uint64
+	refs   []*transport.BlockRef
 }
 
 func (s *refSource) ReceiveBatch(dst []transport.Tuple, max int) ([]transport.Tuple, *transport.BlockRef, error) {
@@ -156,9 +159,12 @@ func (s *refSource) ReceiveBatch(dst []transport.Tuple, max int) ([]transport.Tu
 		seq := s.next + uint64(i)
 		ts[i] = transport.Tuple{Seq: seq, Key: 1 + seq%3, Payload: []byte{byte(seq), 0, 0, 0, 0, 0, 0, 0}}
 	}
+	s.next += k
+	if !s.pooled {
+		return append(dst[:0], ts[:k]...), nil, nil
+	}
 	batch, ref := decodePooled(s.t, ts)
 	s.refs = append(s.refs, ref)
-	s.next += k
 	return append(dst[:0], batch[:k]...), ref, nil
 }
 
@@ -166,11 +172,12 @@ func (s *refSource) Close() error { return nil }
 
 // TestWorkLoopOwnershipAcrossTransports runs the one worker loop over a TCP
 // and an in-process output edge, with and without a combiner, at receive
-// batches of 1 and 64. Every input BlockRef must end with exactly the test's
-// own reference left — the loop (absorbed tuples), the edge (TCP, after the
-// write) and the downstream consumer (in-proc, per tuple) between them
-// released each of the others once — and what arrives downstream must be
-// byte-identical on both transports.
+// batches of 1 and 64. The TCP arm's input is pooled: every input BlockRef
+// must end with exactly the test's own reference left — the loop released
+// each of the others once, absorbed tuples before the forward and the rest
+// after it. The in-proc arm's input is GC-owned, as a pooled block never
+// crosses an in-proc edge, and its downstream receives no ref. What arrives
+// downstream must be byte-identical on both transports.
 func TestWorkLoopOwnershipAcrossTransports(t *testing.T) {
 	const total = 200
 	run := func(t *testing.T, kind TransportKind, combine bool, recvBatch int) []transport.Tuple {
@@ -206,6 +213,9 @@ func TestWorkLoopOwnershipAcrossTransports(t *testing.T) {
 				var ref *transport.BlockRef
 				var err error
 				buf, ref, err = rx.ReceiveBatch(buf, 7)
+				if kind == TransportInproc && ref != nil {
+					err = errors.New("in-proc ReceiveBatch returned a non-nil ref")
+				}
 				if err != nil {
 					if errors.Is(err, io.EOF) {
 						err = nil
@@ -221,7 +231,7 @@ func TestWorkLoopOwnershipAcrossTransports(t *testing.T) {
 				ref.ReleaseN(len(buf))
 			}
 		}()
-		src := &refSource{t: t, end: total}
+		src := &refSource{t: t, pooled: kind == TransportTCP, end: total}
 		p := &pe{operator: Identity(), recvBatch: recvBatch, done: make(chan struct{})}
 		if combine {
 			p.SetCombiner(SumCombiner())

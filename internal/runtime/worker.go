@@ -135,11 +135,11 @@ const forwardHold = time.Millisecond
 // forwardHold passes while it holds processed output: then it forwards what
 // is done at the next chunk boundary, restarts the clock and goes on. A
 // combiner folds within each forward. Ownership: ReceiveBatch hands the loop
-// one block reference per input tuple; the combiner's absorbed tuples give
-// theirs back here, and the survivors carry the rest into SendBatchOwned,
-// which consumes them — a TCP edge releases them once the batch is written,
-// an in-proc edge hands them on with the tuples for the merger to release in
-// release order. A failed forward releases the unforwarded tuples' too.
+// one block reference per input tuple (none on an in-proc edge, whose
+// payloads are GC-owned); the combiner's absorbed tuples give theirs back
+// here, and the survivors' are released once SendBatch has returned — a TCP
+// edge is done with the payloads by then, an in-proc edge carries only
+// GC-owned ones. A failed forward releases the unforwarded tuples' too.
 func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) error {
 	if p.now == nil {
 		p.now = time.Now
@@ -177,7 +177,9 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 				p.hits.Add(uint64(n))
 				ref.ReleaseN(n)
 			}
-			if err := tx.SendBatchOwned(seg, ref); err != nil {
+			err := tx.SendBatch(seg)
+			ref.ReleaseN(len(seg))
+			if err != nil {
 				ref.ReleaseN(len(batch) - lo)
 				return fmt.Errorf("runtime: worker %d forward: %w", p.id, err)
 			}
@@ -189,9 +191,9 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 // inprocWorker is one parallel PE on the in-process transport: the shared
 // loop between a splitter edge and a merger edge, with no sockets, handshakes
 // or serialization. A payload's bytes cross splitter → worker → merger without
-// moving and are released exactly once, by the merger, in release order; what
-// the worker copies is the 72-byte Tuple value, twice — out of its input ring
-// into the pass, and into its output ring; the operator rewrites it in place
+// moving; they are GC-owned, so no hop releases anything. What the worker
+// copies is the 72-byte Tuple value, twice — out of its input ring into the
+// pass, and into its output ring; the operator rewrites it in place
 // (transport/inproc.go).
 type inprocWorker struct{ pe }
 

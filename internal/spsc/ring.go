@@ -18,8 +18,9 @@ import "sync/atomic"
 // cross-goroutine happens-before the race detector (and the memory model)
 // require for the slot contents.
 //
-// Ownership of a slot — and of whatever it carries (the data path's slots
-// carry a *transport.BlockRef) — alternates: the producer's from the Release
+// Ownership of a slot — and of whatever it carries (a merger ingest lane's
+// slot carries a *transport.BlockRef beside its tuple; an in-proc edge's slot
+// is a bare tuple) — alternates: the producer's from the Release
 // that returned it until a Publish covers it, the consumer's (it sees the
 // slot in Ready) from then until its Release covers it. Release, not Pop, is
 // what zeroes a vacated slot, so a ring never pins memory for items already

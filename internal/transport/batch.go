@@ -123,17 +123,6 @@ func (s *Sender) releaseStaged() {
 	s.queued = 0
 }
 
-// SendBatchOwned is SendBatch with ownership transfer (see
-// BatchSender.SendBatchOwned): ref holds one reference per tuple of ts and
-// this call consumes all of them. On TCP the batch write completes before
-// returning, so the pooled payload blocks the tuples may alias are done with
-// either way — success or failure — and every reference is released here.
-func (s *Sender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
-	err := s.SendBatch(ts)
-	ref.ReleaseN(len(ts))
-	return err
-}
-
 // SendBatch stages and flushes ts as one batch. It fails atomically on an
 // unencodable tuple: nothing from ts is sent. Payloads of zeroCopyThreshold
 // bytes or more must not be mutated until SendBatch returns.

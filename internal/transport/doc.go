@@ -21,11 +21,11 @@
 // Each has one data path:
 //
 //   - Send side: SendBatch delivers the caller's batch as one flush under one
-//     elect-to-block accounting episode; Send and SendBatchOwned go through
-//     it, and a single tuple is a batch of one, never a separate path. A
-//     sender stages nothing between calls: the splitter builds its runs in
-//     its own buffer, and the in-proc sender writes a batch straight into the
-//     ring's free slots.
+//     elect-to-block accounting episode; Send goes through it, and a single
+//     tuple is a batch of one, never a separate path. A sender stages
+//     nothing between calls: the splitter builds its runs in its own buffer,
+//     and the in-proc sender copies a batch straight into the ring's free
+//     slots.
 //   - Receive side: ReceiveBatch blocks for the first tuple and then takes
 //     whatever else has already arrived, up to the caller's bound. The TCP
 //     Receiver decodes in place: read(2) lands in a pooled 64 KiB block and
@@ -38,11 +38,12 @@
 // exactly once; until then it may read, overwrite and append to the slices,
 // afterwards it may not touch them. Consecutive batches usually share a
 // block, which returns to the pool when the receiver has moved off it and
-// every tuple decoded out of it is released. SendBatchOwned takes references
-// over: a TCP sender releases them when the write has completed (for
-// payloads of zeroCopyThreshold bytes or more the iovec points straight into
-// the receive block), an in-proc sender hands them to the consumer inside
-// the ring slots, whose ReceiveBatch re-issues them on a batch ref that
-// chains the upstream ones. recvbatch.go states the counting invariant;
-// DESIGN §4b and §8 follow a reference hop by hop through a whole region.
+// every tuple decoded out of it is released. A caller forwarding such tuples
+// releases their references once SendBatch has returned: a TCP sender is
+// done with the payloads by then (for payloads of zeroCopyThreshold bytes or
+// more the iovec points straight into the receive block). A pooled block
+// never crosses an in-proc edge: its payloads are GC-owned, so its
+// ReceiveBatch returns a nil ref. recvbatch.go states the counting
+// invariant; DESIGN §4b and §8 follow a reference hop by hop through a whole
+// region.
 package transport

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,13 +15,15 @@ import (
 // the TCP path serializes every tuple into frames and crosses the kernel
 // twice, this path moves Tuple values through a bounded lock-free SPSC ring
 // (spsc.Ring, the same structure as the merger's ingest lanes) with no
-// serialization. Payload bytes never move: payload slices and their
-// pooled-block references transfer by ownership, producer to consumer, and
-// stay valid until the final consumer releases them. What a hop does cost is
-// the 72-byte Tuple value written twice — from the caller's batch into its
-// ring slot (deliver), from the slot into the receiver's dst (pop) — and one
-// cursor store per side per batch, not per tuple. The sender stages nothing:
-// a batch goes from the caller's slice straight into the ring's free slots.
+// serialization. Payload bytes never move: the payload slices are GC-owned
+// and cross by reference, so the edge carries no block reference and
+// ReceiveBatch always returns a nil one — a pooled TCP receive block never
+// crosses an in-proc edge (DESIGN §11). What a hop does cost is the 72-byte
+// Tuple value copied twice — from the caller's batch into the ring's free
+// slots (deliver), from the ready slots into the receiver's dst
+// (ReceiveBatch) — and one cursor store per side per batch, not per tuple.
+// The sender stages nothing: a batch goes from the caller's slice straight
+// into the ring.
 //
 // What is deliberately identical to TCP is the blocking signal. A full ring
 // is this transport's full socket buffer: the sender elects to block — it
@@ -53,47 +54,17 @@ var errInprocStall = errors.New("transport: in-proc send stalled: receiver not d
 // same granularity on both transports.
 const DefaultInprocRing = 1024
 
-// inprocItem is one ring slot: the tuple plus the upstream block reference
-// (or nil for GC-owned payloads) whose ownership transfers with the push.
-type inprocItem struct {
-	t   Tuple
-	ref *BlockRef
-}
-
 // inprocPipe is the state shared by a connected sender/receiver pair.
 type inprocPipe struct {
-	ring *spsc.Ring[inprocItem]
+	ring *spsc.Ring[Tuple]
 
 	// sendClosed: the sender closed cleanly (receiver drains then sees EOF).
 	// recvClosed: the receiver closed (sends fail). Both are one-way latches.
 	sendClosed atomic.Bool
 	recvClosed atomic.Bool
 
-	// popMu serializes consumption: ReceiveBatch pops under it, and so does
-	// the teardown sweep that releases leftover block references after the
-	// receiver closes — from the receiver's Close, or from the sender when
-	// it discovers the close raced a push. One uncontended acquisition
-	// per received batch; never touched per tuple.
-	popMu sync.Mutex
-
 	sendPark spsc.Parker // sender parks here while the ring is full
 	recvPark spsc.Parker // receiver parks here while the ring is empty
-}
-
-// drainAndRelease sweeps every item still in the ring, releasing its block
-// reference. Only meaningful once recvClosed is set: the receiver no longer
-// pops, so the sweep (under popMu) is the sole consumer.
-func (p *inprocPipe) drainAndRelease() {
-	p.popMu.Lock()
-	for {
-		it, ok := p.ring.Pop()
-		if !ok {
-			break
-		}
-		it.ref.Release()
-	}
-	p.popMu.Unlock()
-	p.sendPark.Wake()
 }
 
 // InprocPair creates a connected in-process sender/receiver pair over a
@@ -105,7 +76,7 @@ func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
 	if capacity <= 0 {
 		capacity = DefaultInprocRing
 	}
-	p := &inprocPipe{ring: spsc.NewRing[inprocItem](capacity)}
+	p := &inprocPipe{ring: spsc.NewRing[Tuple](capacity)}
 	return &InprocSender{p: p, now: time.Now}, &InprocReceiver{p: p}
 }
 
@@ -147,33 +118,25 @@ func checkFrameable(t Tuple) error {
 // its own elect-to-block episode.
 func (s *InprocSender) Send(t Tuple) error {
 	ts := [1]Tuple{t}
-	return s.SendBatchOwned(ts[:], nil)
+	return s.SendBatch(ts[:])
 }
 
 // SendBatch delivers ts as one batch, failing atomically on an unencodable
-// tuple exactly as the TCP sender does: nothing from ts is sent. Payloads are
-// referenced, not copied — they must not be mutated once delivered.
+// tuple exactly as the TCP sender does: nothing from ts is sent. The batch is
+// validated, then written straight into the ring's free slots (deliver); on
+// error the undelivered remainder is discarded, as on TCP: the edge is
+// failed. Payloads are referenced, not copied — they must be GC-owned and
+// must not be mutated once delivered.
 func (s *InprocSender) SendBatch(ts []Tuple) error {
-	return s.SendBatchOwned(ts, nil)
-}
-
-// SendBatchOwned delivers ts with ownership transfer: ref holds one block
-// reference per tuple and every reference is consumed — delivered tuples
-// carry theirs to the consumer (pooled payload blocks cross the edge with no
-// serialization), the rest are released here. The batch is validated, then
-// written straight into the ring's free slots (deliver). On error the
-// undelivered remainder is discarded, as on TCP: the edge is failed.
-func (s *InprocSender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 	for i := range ts {
 		if err := checkFrameable(ts[i]); err != nil {
-			ref.ReleaseN(len(ts))
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}
 	}
 	if len(ts) == 0 {
 		return nil
 	}
-	if err := s.deliver(ts, ref); err != nil {
+	if err := s.deliver(ts); err != nil {
 		return fmt.Errorf("transport: flush batch of %d: %w", len(ts), err)
 	}
 	s.sent.Add(int64(len(ts)))
@@ -181,34 +144,22 @@ func (s *InprocSender) SendBatchOwned(ts []Tuple, ref *BlockRef) error {
 	return nil
 }
 
-// fillSlots writes ts[:len(slots)] (or all of ts, if fewer) into ring slots,
-// each with ref, and returns how many it wrote.
-func fillSlots(slots []inprocItem, ts []Tuple, ref *BlockRef) int {
-	n := min(len(slots), len(ts))
-	for i := range n {
-		slots[i].t, slots[i].ref = ts[i], ref // field-wise: no temporary item
-	}
-	return n
-}
-
-// deliver writes ts, in order, into the ring's free slots and publishes each
-// chunk with one cursor store, parking when no slot is free. On error the
-// references of undelivered tuples are released (published tuples'
-// references belong to the consumer already). The consumer is woken before
-// any park — the tuples already published may be exactly what it is waiting
-// for — and once after the last publish.
-func (s *InprocSender) deliver(ts []Tuple, ref *BlockRef) error {
+// deliver copies ts, in order, into the ring's free slots and publishes each
+// chunk with one cursor store, parking when no slot is free. The consumer is
+// woken before any park — the tuples already published may be exactly what
+// it is waiting for — and once after the last publish.
+func (s *InprocSender) deliver(ts []Tuple) error {
 	p := s.p
 	published := false
-	for i := 0; i < len(ts); {
+	for len(ts) > 0 {
 		err := s.closedErr()
 		if err == nil {
 			a, b := p.ring.Free()
-			n := fillSlots(a, ts[i:], ref)
-			n += fillSlots(b, ts[i+n:], ref)
+			n := copy(a, ts)
+			n += copy(b, ts[n:])
 			if n > 0 {
 				p.ring.Publish(n)
-				i += n
+				ts = ts[n:]
 				published = true
 				continue
 			}
@@ -221,26 +172,13 @@ func (s *InprocSender) deliver(ts []Tuple, ref *BlockRef) error {
 			err = s.parkFull()
 		}
 		if err != nil {
-			ref.ReleaseN(len(ts) - i)
-			s.sweepIfAbandoned()
 			return err
 		}
 	}
 	if published {
 		p.recvPark.Wake()
 	}
-	s.sweepIfAbandoned()
 	return nil
-}
-
-// sweepIfAbandoned closes the publish/close race: if the receiver closed
-// while a chunk was in flight, its teardown sweep may have run before the
-// chunk landed, so the sender re-runs the sweep (idempotent, under popMu) on
-// every way out of deliver to guarantee no reference is stranded in the ring.
-func (s *InprocSender) sweepIfAbandoned() {
-	if s.p.recvClosed.Load() {
-		s.p.drainAndRelease()
-	}
 }
 
 // closedErr reports why sending is impossible, if it is.
@@ -308,19 +246,13 @@ func (s *InprocSender) Close() error {
 	}
 	s.p.recvPark.Wake()
 	s.p.sendPark.Wake()
-	if s.p.recvClosed.Load() {
-		// Both ends are now closed: nobody will pop again, so sweep any
-		// leftover references out of the ring.
-		s.p.drainAndRelease()
-	}
 	return nil
 }
 
 // InprocReceiver is the consuming end of an in-process edge; see
 // BatchReceiver. Tuples come out exactly as they went in — same Seq, same
-// payload bytes by reference — with a batch BlockRef chaining the upstream
-// references (BlockRef.parents), so consumers release per tuple exactly as
-// they do on the TCP path.
+// payload bytes by reference — with no block reference: the payloads are
+// GC-owned, so the consumer has nothing to release.
 type InprocReceiver struct {
 	p *inprocPipe
 }
@@ -335,9 +267,9 @@ func (r *InprocReceiver) Len() int { return r.p.ring.Len() }
 // ReceiveBatch pops up to max tuples into dst (truncated and reused),
 // blocking only while the ring is empty: once one tuple is available the
 // pass drains what is already there and returns. max <= 0 selects
-// DefaultRecvBatch. The returned BlockRef holds one reference per tuple and
-// chains the tuples' upstream references; it is nil when every payload in
-// the batch is GC-owned (no release needed, nil is a valid no-op receiver).
+// DefaultRecvBatch. The tuples are copied out of the ring's ready slots,
+// which are then released to the sender with one cursor store. The returned
+// BlockRef is always nil (GC-owned payloads; nil is a valid no-op receiver).
 // Errors: io.EOF after the sender closed and the ring drained;
 // ErrInprocClosed after this receiver closed.
 func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, error) {
@@ -350,11 +282,13 @@ func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef,
 		if p.recvClosed.Load() {
 			return dst, nil, ErrInprocClosed
 		}
-		var ref *BlockRef
-		dst, ref = r.pop(dst, max)
-		if len(dst) > 0 {
+		a, b := p.ring.Ready()
+		a = a[:min(len(a), max)]
+		b = b[:min(len(b), max-len(a))]
+		if dst = append(append(dst, a...), b...); len(dst) > 0 {
+			p.ring.Release(len(dst))
 			p.sendPark.Wake()
-			return dst, ref, nil
+			return dst, nil, nil
 		}
 		if p.sendClosed.Load() && p.ring.Len() == 0 {
 			return dst, nil, io.EOF
@@ -365,47 +299,14 @@ func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef,
 	}
 }
 
-// pop reads up to max published slots in place under popMu — the tuple is
-// copied once, slot to dst — aggregating the slots' upstream references into
-// one batch ref: the batch ref takes one countable reference per returned
-// tuple, and recycling it (when the consumer has released them all) releases
-// each chained parent exactly once — so per-tuple release semantics survive
-// the aggregation. No slots with upstream references means no batch ref at
-// all. dst arrives empty.
-func (r *InprocReceiver) pop(dst []Tuple, max int) ([]Tuple, *BlockRef) {
-	p := r.p
-	var ref *BlockRef
-	p.popMu.Lock()
-	a, b := p.ring.Ready()
-	for _, span := range [2][]inprocItem{a, b} {
-		span = span[:min(len(span), max-len(dst))]
-		for i := range span {
-			dst = append(dst, span[i].t)
-			if up := span[i].ref; up != nil {
-				if ref == nil {
-					ref = blockRefPool.Get().(*BlockRef)
-				}
-				ref.parents = append(ref.parents, up)
-			}
-		}
-	}
-	p.ring.Release(len(dst))
-	p.popMu.Unlock()
-	if ref != nil {
-		ref.refs.Store(int64(len(dst)))
-	}
-	return dst, ref
-}
-
 // Close ends the receiving side: a parked ReceiveBatch returns
-// ErrInprocClosed, a parked or future send fails, and every reference still
-// in the ring is swept and released. Idempotent; callable from any
-// goroutine.
+// ErrInprocClosed and a parked or future send fails. Tuples left in the ring
+// are simply dropped with it. Idempotent; callable from any goroutine.
 func (r *InprocReceiver) Close() error {
 	if r.p.recvClosed.Swap(true) {
 		return nil
 	}
 	r.p.recvPark.Wake()
-	r.p.drainAndRelease()
+	r.p.sendPark.Wake()
 	return nil
 }

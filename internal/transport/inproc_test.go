@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,11 +12,11 @@ import (
 )
 
 // TestInprocItemRing instantiates the generic ring for the in-proc edge's slot
-// type (internal/spsc's own suite checks the slot-independent properties):
-// FIFO across several wraps at varying occupancy, and the exact full/empty
-// boundary.
+// type, Tuple (internal/spsc's own suite checks the slot-independent
+// properties): FIFO across several wraps at varying occupancy, and the exact
+// full/empty boundary.
 func TestInprocItemRing(t *testing.T) {
-	r := spsc.NewRing[inprocItem](4)
+	r := spsc.NewRing[Tuple](4)
 	if r.Cap() != 4 {
 		t.Fatalf("capacity = %d, want 4", r.Cap())
 	}
@@ -26,7 +25,7 @@ func TestInprocItemRing(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		n := 1 + round%4
 		for i := 0; i < n; i++ {
-			if !r.Push(inprocItem{t: Tuple{Seq: seq}}) {
+			if !r.Push(Tuple{Seq: seq}) {
 				t.Fatalf("round %d: push %d failed with len %d", round, i, r.Len())
 			}
 			seq++
@@ -37,18 +36,18 @@ func TestInprocItemRing(t *testing.T) {
 				t.Fatalf("round %d: pop %d failed", round, i)
 			}
 			want := seq - uint64(n) + uint64(i)
-			if it.t.Seq != want {
-				t.Fatalf("round %d: popped seq %d, want %d", round, it.t.Seq, want)
+			if it.Seq != want {
+				t.Fatalf("round %d: popped seq %d, want %d", round, it.Seq, want)
 			}
 		}
 	}
 	// Full ring rejects; drain empties.
 	for i := 0; i < 4; i++ {
-		if !r.Push(inprocItem{t: Tuple{Seq: uint64(i)}}) {
+		if !r.Push(Tuple{Seq: uint64(i)}) {
 			t.Fatalf("fill push %d failed", i)
 		}
 	}
-	if r.Push(inprocItem{}) {
+	if r.Push(Tuple{}) {
 		t.Fatal("push into full ring succeeded")
 	}
 	if !r.Full() {
@@ -74,12 +73,19 @@ func TestInprocPairCapacityDefault(t *testing.T) {
 	}
 }
 
+// TestInprocPairRoundTrip: tuples arrive in order with their payload bytes
+// by reference, not copied, and with no block reference — an in-proc edge
+// carries GC-owned payloads only.
 func TestInprocPairRoundTrip(t *testing.T) {
 	tx, rx := InprocPair(8)
 	const n = 100
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("p%d", i))
+	}
 	go func() {
 		for i := 0; i < n; i++ {
-			tuple := Tuple{Seq: uint64(i), Payload: []byte(fmt.Sprintf("p%d", i))}
+			tuple := Tuple{Seq: uint64(i), Payload: payloads[i]}
 			var err error
 			if i%3 == 0 {
 				err = tx.Send(tuple)
@@ -113,12 +119,17 @@ func TestInprocPairRoundTrip(t *testing.T) {
 			if want := fmt.Sprintf("p%d", tu.Seq); string(tu.Payload) != want {
 				t.Fatalf("seq %d payload %q, want %q", tu.Seq, tu.Payload, want)
 			}
+			if &tu.Payload[0] != &payloads[next][0] {
+				t.Fatalf("seq %d payload was copied crossing the edge", tu.Seq)
+			}
 			next++
 		}
-		// GC-owned sends must arrive refless.
 		if ref != nil {
-			t.Fatal("ReceiveBatch returned a ref for refless tuples")
+			t.Fatal("in-proc ReceiveBatch returned a non-nil ref")
 		}
+	}
+	if ref != nil {
+		t.Fatal("in-proc ReceiveBatch returned a non-nil ref at EOF")
 	}
 	if next != n {
 		t.Fatalf("received %d tuples, want %d", next, n)
@@ -180,96 +191,6 @@ func TestInprocOversizedTupleFailsAtomically(t *testing.T) {
 	if tx.Sent() != 0 || tx.Flushes() != 0 {
 		t.Fatalf("failed batch counted: sent=%d flushes=%d", tx.Sent(), tx.Flushes())
 	}
-	ref := blockRefPool.Get().(*BlockRef)
-	ref.refs.Store(int64(len(batch)))
-	if err := tx.SendBatchOwned(batch, ref); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("SendBatchOwned oversized: err = %v", err)
-	}
-	// All references consumed on the failure path (over-release would panic).
-	if got := ref.Refs(); got != 0 {
-		t.Fatalf("failed SendBatchOwned left %d refs", got)
-	}
-}
-
-// TestInprocOwnershipTransfer pins the zero-copy contract: payload bytes
-// cross the edge by reference (no copy), and the upstream BlockRef is
-// released only when the consumer releases the batch it arrived in.
-func TestInprocOwnershipTransfer(t *testing.T) {
-	tx, rx := InprocPair(16)
-
-	// Upstream ref with one reference per tuple, plus one extra held by the
-	// test so we can observe the count instead of racing the recycle.
-	const n = 6
-	up := blockRefPool.Get().(*BlockRef)
-	up.refs.Store(n + 1)
-	payload := []byte("shared-block-payload")
-	ts := make([]Tuple, n)
-	for i := range ts {
-		ts[i] = Tuple{Seq: uint64(i), Payload: payload}
-	}
-	if err := tx.SendBatchOwned(ts, up); err != nil {
-		t.Fatalf("SendBatchOwned: %v", err)
-	}
-	if got := up.Refs(); got != n+1 {
-		t.Fatalf("refs after delivery = %d, want %d (ownership transferred, not released)", got, n+1)
-	}
-
-	got, ref, err := rx.ReceiveBatch(nil, n)
-	if err != nil {
-		t.Fatalf("ReceiveBatch: %v", err)
-	}
-	if len(got) != n {
-		t.Fatalf("received %d tuples, want %d", len(got), n)
-	}
-	if ref == nil {
-		t.Fatal("batch of owned tuples arrived with nil ref")
-	}
-	if &got[0].Payload[0] != &payload[0] {
-		t.Fatal("payload was copied crossing the in-proc edge")
-	}
-	// Per-tuple release: upstream stays alive until the last drop.
-	for i := 0; i < n; i++ {
-		if got := up.Refs(); got != n+1 {
-			t.Fatalf("upstream released early at i=%d: refs=%d", i, got)
-		}
-		ref.Release()
-	}
-	if got := up.Refs(); got != 1 {
-		t.Fatalf("refs after full release = %d, want 1 (test's own)", got)
-	}
-	up.Release()
-}
-
-// TestInprocMixedRefAndReflessBatch covers aggregation when only some popped
-// tuples carried upstream references.
-func TestInprocMixedRefAndReflessBatch(t *testing.T) {
-	tx, rx := InprocPair(16)
-	if err := tx.Send(Tuple{Seq: 0}); err != nil {
-		t.Fatal(err)
-	}
-	up := blockRefPool.Get().(*BlockRef)
-	up.refs.Store(2 + 1)
-	if err := tx.SendBatchOwned([]Tuple{{Seq: 1}, {Seq: 2}}, up); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Send(Tuple{Seq: 3}); err != nil {
-		t.Fatal(err)
-	}
-	got, ref, err := rx.ReceiveBatch(nil, 8)
-	if err != nil || len(got) != 4 {
-		t.Fatalf("got %d tuples, err %v", len(got), err)
-	}
-	if ref == nil {
-		t.Fatal("mixed batch should carry a ref (two tuples are pooled)")
-	}
-	if got := ref.Refs(); got != 4 {
-		t.Fatalf("batch ref holds %d refs, want one per tuple = 4", got)
-	}
-	ref.ReleaseN(4)
-	if got := up.Refs(); got != 1 {
-		t.Fatalf("upstream refs after batch release = %d, want 1", got)
-	}
-	up.Release()
 }
 
 func TestInprocSenderBlocksAndAccounts(t *testing.T) {
@@ -402,87 +323,6 @@ func TestInprocReceiverCloseUnblocksParkedSender(t *testing.T) {
 	// Future receives on the closed receiver fail too.
 	if _, _, err := rx.ReceiveBatch(nil, 4); !errors.Is(err, ErrInprocClosed) {
 		t.Fatalf("receive after close err = %v", err)
-	}
-}
-
-// TestInprocReceiverCloseReleasesBufferedRefs pins the teardown sweep: block
-// references stranded in the ring by a receiver close are released, not
-// leaked.
-func TestInprocReceiverCloseReleasesBufferedRefs(t *testing.T) {
-	tx, rx := InprocPair(16)
-	const n = 5
-	up := blockRefPool.Get().(*BlockRef)
-	up.refs.Store(n + 1)
-	ts := make([]Tuple, n)
-	for i := range ts {
-		ts[i] = Tuple{Seq: uint64(i)}
-	}
-	if err := tx.SendBatchOwned(ts, up); err != nil {
-		t.Fatal(err)
-	}
-	if got := up.Refs(); got != n+1 {
-		t.Fatalf("refs before close = %d", got)
-	}
-	rx.Close()
-	if got := up.Refs(); got != 1 {
-		t.Fatalf("refs after receiver close = %d, want 1 (sweep released %d)", got, n)
-	}
-	up.Release()
-}
-
-// TestInprocCloseRaceNoLeakedRefs hammers the push/close race: a sender
-// delivering owned batches while the receiver closes concurrently. Every
-// reference must be consumed exactly once — whether the tuple was consumed,
-// swept by the receiver's close, or bounced at the sender.
-func TestInprocCloseRaceNoLeakedRefs(t *testing.T) {
-	for trial := 0; trial < 200; trial++ {
-		tx, rx := InprocPair(4)
-		const n = 32
-		up := blockRefPool.Get().(*BlockRef)
-		// One extra test-held reference keeps the count observable.
-		up.refs.Store(n + 1)
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			buf := make([]Tuple, 0, 8)
-			for i := 0; i < n; i++ {
-				var err error
-				buf = buf[:0]
-				buf = append(buf, Tuple{Seq: uint64(i)})
-				err = tx.SendBatchOwned(buf, up)
-				if err != nil {
-					// Remaining references are ours to drop: the failed
-					// call consumed only its own batch's references.
-					up.ReleaseN(n - 1 - i)
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			var buf []Tuple
-			var ref *BlockRef
-			var err error
-			consumed := 0
-			limit := rand.Intn(n)
-			for consumed < limit {
-				buf, ref, err = rx.ReceiveBatch(buf, 8)
-				if err != nil {
-					return
-				}
-				consumed += len(buf)
-				ref.ReleaseN(len(buf))
-			}
-			rx.Close()
-		}()
-		wg.Wait()
-		// However the race resolved, exactly the test's reference remains.
-		if got := up.Refs(); got != 1 {
-			t.Fatalf("trial %d: refs = %d, want 1", trial, got)
-		}
-		up.Release()
-		tx.Close()
 	}
 }
 
@@ -639,63 +479,81 @@ func TestInprocCloseIdempotent(t *testing.T) {
 	}
 }
 
+// raceReceiverClose runs one close-race trial: send delivers the n tuples
+// 0..n-1 through a ring of the given capacity while the receiver takes a
+// random prefix of them and closes. However the race resolves, send returns
+// nil or ErrInprocClosed, the prefix ascends from 0 without a gap, and both
+// goroutines return.
+func raceReceiverClose(t *testing.T, trial, capacity, n int, send func(*InprocSender, []Tuple) error) {
+	tx, rx := InprocPair(capacity)
+	defer tx.Close()
+	ts := make([]Tuple, n)
+	for i := range ts {
+		ts[i] = Tuple{Seq: uint64(i)}
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- send(tx, ts) }()
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		defer rx.Close()
+		var buf []Tuple
+		limit := rand.Intn(n)
+		for consumed := 0; consumed < limit; consumed += len(buf) {
+			var err error
+			if buf, _, err = rx.ReceiveBatch(buf, 8); err != nil {
+				t.Errorf("trial %d: receive err = %v", trial, err)
+				return
+			}
+			for i, tu := range buf {
+				if tu.Seq != uint64(consumed+i) {
+					t.Errorf("trial %d: received seq %d, want %d", trial, tu.Seq, consumed+i)
+					return
+				}
+			}
+		}
+	}()
+	timeout := time.After(10 * time.Second)
+	select {
+	case err := <-sent:
+		if err != nil && !errors.Is(err, ErrInprocClosed) {
+			t.Errorf("trial %d: send err = %v, want nil or ErrInprocClosed", trial, err)
+		}
+	case <-timeout:
+		t.Fatalf("trial %d: send never returned", trial)
+	}
+	select {
+	case <-received:
+	case <-timeout:
+		t.Fatalf("trial %d: receiver never returned", trial)
+	}
+}
+
+// TestInprocCloseRaceNoLeakedRefs races a receiver close against a sender
+// delivering batches of one, so the close lands between two sends or while
+// one is parked on the full ring; raceReceiverClose says what each trial
+// checks. Nothing can leak: the edge holds no references, and both
+// goroutines must return.
+func TestInprocCloseRaceNoLeakedRefs(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		raceReceiverClose(t, trial, 4, 32, func(tx *InprocSender, ts []Tuple) error {
+			for i := range ts {
+				if err := tx.SendBatch(ts[i : i+1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+}
+
 // TestInprocCloseRacesMultiChunkDeliver is the close race with a batch far
-// larger than the ring: one SendBatchOwned of 32 tuples through a capacity-2
-// ring is sixteen publish-and-park chunks, and the receiver closes somewhere
-// among them. Whichever chunk the close lands in — before its closed check,
-// between the check and the Publish, or after — every reference is consumed
-// exactly once: by the consumer, by a teardown sweep, or bounced at the
-// sender, with nothing left in the ring for a later Close to find.
+// larger than the ring: one SendBatch of 32 tuples through a capacity-2 ring
+// is sixteen publish-and-park chunks, and the receiver closes somewhere among
+// them — before a chunk's closed check, between the check and the Publish,
+// or after.
 func TestInprocCloseRacesMultiChunkDeliver(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
-		tx, rx := InprocPair(2)
-		const n = 32
-		up := blockRefPool.Get().(*BlockRef)
-		// One extra test-held reference keeps the count observable.
-		up.refs.Store(n + 1)
-		ts := make([]Tuple, n)
-		for i := range ts {
-			ts[i] = Tuple{Seq: uint64(i)}
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			// Delivered or not, the call consumes all n references.
-			if err := tx.SendBatchOwned(ts, up); err != nil && !errors.Is(err, ErrInprocClosed) {
-				t.Errorf("trial %d: send err = %v", trial, err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			var buf []Tuple
-			limit := rand.Intn(n)
-			for consumed := 0; consumed < limit; {
-				var ref *BlockRef
-				var err error
-				buf, ref, err = rx.ReceiveBatch(buf, 8)
-				if err != nil {
-					t.Errorf("trial %d: receive err = %v", trial, err)
-					break
-				}
-				for i, tu := range buf {
-					if tu.Seq != uint64(consumed+i) {
-						t.Errorf("trial %d: received seq %d, want %d", trial, tu.Seq, consumed+i)
-					}
-				}
-				consumed += len(buf)
-				ref.ReleaseN(len(buf))
-			}
-			rx.Close()
-		}()
-		wg.Wait()
-		if got := up.Refs(); got != 1 {
-			t.Fatalf("trial %d: refs = %d, want 1", trial, got)
-		}
-		if got := rx.Len(); got != 0 {
-			t.Fatalf("trial %d: %d tuples stranded in the ring", trial, got)
-		}
-		up.Release()
-		tx.Close()
+		raceReceiverClose(t, trial, 2, 32, (*InprocSender).SendBatch)
 	}
 }

@@ -10,30 +10,24 @@ import "time"
 // like a TCP connection. Two implementations exist — the TCP Sender
 // (non-blocking write(2)/writev(2) with poller parks) and the in-process
 // InprocSender (bounded SPSC ring with spsc.Parker parks) — and the runtime's
-// splitter, worker loop and controller are written against this interface so
-// a region can mix them per edge.
+// splitter, worker loop and controller are written against this interface;
+// a region picks one transport for all its edges.
 //
 // A batch is the unit of the write path: SendBatch delivers the caller's
 // tuples as one flush under one elect-to-block accounting episode, and Send
-// and SendBatchOwned go through the same path. A sender keeps no staged state
-// between calls — the caller (the splitter, a worker loop) owns the batch it
-// builds. The three send calls may be made from only one goroutine at a time;
-// the counters may be read concurrently; Close may be called from any
-// goroutine (it unblocks an elected-to-block send in progress).
+// goes through the same path. A sender keeps no staged state between calls —
+// the caller (the splitter, a worker loop) owns the batch it builds, and the
+// block references its payloads may alias: a TCP sender is done with the
+// payloads when SendBatch returns, and an in-proc sender takes GC-owned
+// payloads only. The two send calls may be made from only one goroutine at
+// a time; the counters may be read concurrently; Close may be called from
+// any goroutine (it unblocks an elected-to-block send in progress).
 type BatchSender interface {
 	// Send is a batch of one, so the tuple is its own elect-to-block episode.
 	Send(t Tuple) error
 	// SendBatch delivers ts as one flush, atomically failing on an
 	// unencodable tuple (nothing from ts is sent).
 	SendBatch(ts []Tuple) error
-	// SendBatchOwned is SendBatch with ownership transfer: ref holds one
-	// block reference per tuple of ts (the references a worker's input
-	// ReceiveBatch returned), and the call consumes all of them. A TCP
-	// sender serializes the tuples and releases the references; an in-proc
-	// sender hands the references downstream with the tuples, so pooled
-	// payload blocks stay alive — unserialized and uncopied — until the
-	// final consumer releases them. A nil ref is valid (GC-owned payloads).
-	SendBatchOwned(ts []Tuple, ref *BlockRef) error
 	// SetStallTimeout bounds how long one flush may stay blocked on a peer
 	// that is not draining (0 disables).
 	SetStallTimeout(d time.Duration)
@@ -56,8 +50,9 @@ type BatchSender interface {
 // batched decode surface the merger's connection reader and the worker loop
 // consume. Payloads are handed out under the BlockRef release contract
 // (ReceiveBatch returns one reference per tuple; nil when the payloads are
-// GC-owned), identical across transports so the merger's ingest, dedup and
-// teardown paths never know which transport fed them.
+// GC-owned, which on an in-proc edge they always are), identical across
+// transports so the merger's ingest, dedup and teardown paths never know
+// which transport fed them.
 //
 // ReceiveBatch may be called from only one goroutine at a time (the
 // single-consumer rule); Close may be called from any goroutine and unblocks

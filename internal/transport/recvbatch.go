@@ -65,24 +65,12 @@ const (
 type BlockRef struct {
 	refs atomic.Int64
 
-	// buf is the block's storage, used at its full length. It is nil on a
-	// ref that only chains parents.
+	// buf is the block's storage, used at its full length.
 	buf []byte
-
-	// parents chains upstream ownership across an in-process edge: an
-	// InprocReceiver's batch ref holds one entry per popped tuple that rode
-	// in with its own upstream reference, and releasing the batch's last
-	// reference releases each parent exactly once. A TCP block has no
-	// parents. See inproc.go.
-	parents []*BlockRef
 }
 
-// Two pools, pointers in both so Get/Put never allocate on the hot path:
-// blocks for the TCP receiver, bufferless refs for the in-proc one.
-var (
-	recvBlockPool = sync.Pool{New: func() any { return &BlockRef{buf: make([]byte, recvBlockCap)} }}
-	blockRefPool  = sync.Pool{New: func() any { return new(BlockRef) }}
-)
+// recvBlockPool holds pointers so Get/Put never allocate on the hot path.
+var recvBlockPool = sync.Pool{New: func() any { return &BlockRef{buf: make([]byte, recvBlockCap)} }}
 
 // poisonFreed makes recycle overwrite a block before pooling it, so that a
 // read after release shows up as wrong bytes. Tests switch it on (see
@@ -112,18 +100,8 @@ func (r *BlockRef) ReleaseN(n int) {
 	r.recycle()
 }
 
-// recycle releases each parent reference once and returns the ref to the
-// pool it came from.
+// recycle returns the block to the pool.
 func (r *BlockRef) recycle() {
-	for i, p := range r.parents {
-		p.Release()
-		r.parents[i] = nil
-	}
-	r.parents = r.parents[:0]
-	if r.buf == nil {
-		blockRefPool.Put(r)
-		return
-	}
 	if poisonFreed {
 		r.buf[0] = 0xDB
 		for n := 1; n < len(r.buf); n *= 2 {

@@ -18,7 +18,8 @@ type RedialPolicy struct {
 	Max time.Duration
 	// Jitter spreads each delay uniformly in [d*(1-J), d*(1+J)] so that a
 	// fleet of reconnecting splitters does not thunder in lockstep
-	// (default 0.2; 0 keeps the deterministic schedule, negative disables).
+	// (0 selects the default 0.2; a negative value disables jitter and
+	// keeps the deterministic schedule).
 	Jitter float64
 	// MaxAttempts bounds the total number of attempts; 0 means unlimited
 	// (the caller stops the redialer through the stop channel).

@@ -27,9 +27,9 @@ var errWroteZero = errors.New("write returned 0 without error")
 // elects to block in the runtime poller anyway, timing the wait.
 //
 // There is one write path: SendBatch stages frames (queue) and writes them
-// (flush) (batch.go); Send and SendBatchOwned go through it. They may be
-// called from only one goroutine at a time (the splitter has a single thread
-// of control); the counters may be read concurrently.
+// (flush) (batch.go); Send goes through it. They may be called from only
+// one goroutine at a time (the splitter has a single thread of control); the
+// counters may be read concurrently.
 //
 // The send path's overhead both caps region throughput and perturbs the
 // blocking-time signal the balancer reads, so it must not allocate in steady
