@@ -20,7 +20,8 @@ fmt-check:
 	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # Non-test Go lines (wc -l) outside bench/, in total and for the data path
-# (runtime + transport + spsc), and the splitter's two files and the merger's:
+# (runtime + transport + spsc), the splitter's two files and the merger's,
+# and the flags each spe subcommand defines (counted from its -h output):
 # the numbers the ROADMAP exits are written in.
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l)"
@@ -28,6 +29,7 @@ loc:
 	@echo "runtime/splitter.go:        $$(wc -l < internal/runtime/splitter.go)"
 	@echo "runtime/splitter_recovery.go: $$(wc -l < internal/runtime/splitter_recovery.go)"
 	@echo "runtime/merger.go:          $$(wc -l < internal/runtime/merger.go)"
+	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
 
 # The straggler suite's flake count (ROADMAP item 5): build the runtime test
 # binary once with -race, run TestStragglerInvariantTrials N times

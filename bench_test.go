@@ -476,21 +476,16 @@ func BenchmarkDataflowRegionThroughput(b *testing.B) {
 }
 
 // BenchmarkRegionThroughputBatched pushes tuples through a real 4-worker TCP
-// region end to end — splitter, workers, merger — across send batch sizes 1
-// and 32 crossed with receive passes capped at 1 and 64 tuples and uncapped
-// (recv=0, the default: a pass is what one read delivered). The
-// batch=1/recv=1 row is the fully per-tuple baseline; the recv rows at fixed
-// send batch isolate the receive side.
+// region end to end — splitter, workers, merger — at send batch sizes 1 and
+// 32; every receive pass is what one read delivered.
 func BenchmarkRegionThroughputBatched(b *testing.B) {
 	const (
 		n       = 30_000
 		workers = 4
 	)
 	payload := make([]byte, 64)
-	for _, cfg := range []struct{ batch, recv int }{
-		{1, 1}, {1, 64}, {1, 0}, {32, 1}, {32, 64}, {32, 0},
-	} {
-		b.Run(fmt.Sprintf("batch=%d/recv=%d", cfg.batch, cfg.recv), func(b *testing.B) {
+	for _, batch := range []int{1, 32} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bal, err := core.NewBalancer(core.Config{Connections: workers})
 				if err != nil {
@@ -510,8 +505,7 @@ func BenchmarkRegionThroughputBatched(b *testing.B) {
 					},
 					Balancer:       bal,
 					SampleInterval: 50 * time.Millisecond,
-					BatchSize:      cfg.batch,
-					RecvBatchSize:  cfg.recv,
+					BatchSize:      batch,
 					Sink:           func(transport.Tuple, int) {},
 				})
 				if err != nil {

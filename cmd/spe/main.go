@@ -243,9 +243,7 @@ func main() {
 func runMerger(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("spe merger", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "number of worker connections to accept")
-	queue := fs.Int("queue", 0, "reorder queue capacity per worker (0 = default)")
-	recvBatch := fs.Int("recv-batch", 0, "cap on tuples ingested per receive pass (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
-	ringCap := fs.Int("ring-cap", 0, "per-connection lock-free ingest ring capacity, rounded up to a power of two (0 = default)")
+	queue := fs.Int("queue", 0, "reorder backlog cap per worker connection, which also sizes its ingest ring (0 = default)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -270,12 +268,6 @@ func runMerger(w io.Writer, args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-	if *recvBatch > 0 {
-		m.SetRecvBatch(*recvBatch)
-	}
-	if *ringCap > 0 {
-		m.SetRingCap(*ringCap)
 	}
 	m.SetTimeouts(timeouts())
 	rm, msrv, err := serveMetrics(w, *metricsAddr)
@@ -306,7 +298,6 @@ func runWorker(w io.Writer, args []string) error {
 	spin := fs.Int64("spin", 0, "integer multiplies per tuple (CPU load)")
 	service := fs.Duration("service", 0, "per-tuple wall-clock service time, debt-batched so it stays accurate below kernel sleep granularity")
 	combine := fs.Bool("combine", false, "fold same-key results per batch with the per-key sum combiner before forwarding")
-	recvBatch := fs.Int("recv-batch", 0, "cap on tuples received/processed/forwarded per pass (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
 	resilient := fs.Bool("resilient", false, "serve reconnecting splitters until killed (recovery mode)")
 	timeouts := timeoutFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -332,9 +323,6 @@ func runWorker(w io.Writer, args []string) error {
 	}
 	if *combine {
 		worker.SetCombiner(runtime.SumCombiner())
-	}
-	if *recvBatch > 0 {
-		worker.SetRecvBatch(*recvBatch)
 	}
 	if *resilient {
 		worker.SetResilient(true)
@@ -466,8 +454,6 @@ func runAll(w io.Writer, args []string) error {
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
 	batch := fs.Int("batch", 1, "run length: consecutive tuples to one weighted round-robin pick, written at once unless the connection is congested (1 = one pick per tuple)")
-	recvBatch := fs.Int("recv-batch", 0, "cap on tuples per receive pass in workers and merger (0 = none: a pass is what one read delivered; 1 makes every pass a batch of one)")
-	ringCap := fs.Int("ring-cap", 0, "merger per-connection ingest ring capacity (0 = default)")
 	fs.Duration("stall-window", 0, "splitter's merge-stall window (0 = off; needs -recover)")
 	fs.Int("max-readmits", 0, "quarantines one worker may survive before permanent eviction (0 = default, negative = unlimited)")
 	keyed := fs.Bool("keyed", false, "stream deterministic keyed tuples (Zipf skew) instead of the unkeyed constant source")
@@ -539,8 +525,6 @@ func runAll(w io.Writer, args []string) error {
 			SampleInterval: 100 * time.Millisecond,
 			OnSample:       timeline(w),
 			BatchSize:      *batch,
-			RecvBatchSize:  *recvBatch,
-			RingCap:        *ringCap,
 			Timeouts:       runtime.Timeouts{SendStall: *sendStall},
 		}
 		if *keyed {
@@ -614,7 +598,7 @@ func runAll(w io.Writer, args []string) error {
 	}
 
 	// Merger first: workers dial it.
-	margs := append([]string{"-workers", fmt.Sprint(*workers)}, forward("recv-batch", "ring-cap", "io-timeout")...)
+	margs := append([]string{"-workers", fmt.Sprint(*workers)}, forward("io-timeout")...)
 	merger, mergerAddr, err := spawn(ctx, self, "merger", margs...)
 	if err != nil {
 		return fmt.Errorf("run: merger: %w", err)
@@ -626,7 +610,7 @@ func runAll(w io.Writer, args []string) error {
 	for i := range addrs {
 		delay, at := load(i)
 		wargs := append([]string{"-id", fmt.Sprint(i), "-merger", mergerAddr, "-delay", delay.String()},
-			forward("recv-batch", "io-timeout", "send-stall")...)
+			forward("io-timeout", "send-stall")...)
 		if at > 0 {
 			wargs = append(wargs, "-shift-at", fmt.Sprint(at), "-shift-delay", baseDelay.String())
 		}
@@ -703,12 +687,17 @@ type proc struct {
 	drained chan struct{}
 }
 
-// spawn starts a child subcommand, killed when ctx is done, and reads its
-// ADDR announcement. The child's later stdout is collected in the
-// background, so it never blocks writing its DONE line.
+// spawn starts a child subcommand, killed when ctx is done or when this
+// process dies, SIGKILL included, and reads its ADDR announcement. The
+// child's later stdout is collected in the background, so it never blocks
+// writing its DONE line.
 func spawn(ctx context.Context, self, sub string, args ...string) (*proc, string, error) {
 	cmd := exec.CommandContext(ctx, self, append([]string{sub}, args...)...)
 	cmd.Stderr = os.Stderr
+	// Linux sends the parent-death signal when the forking thread exits. Go
+	// ends a thread only when a goroutine exits locked to it, which nothing
+	// here does, so that is this process's death.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, "", err

@@ -67,6 +67,15 @@ func TestSubcommandValidation(t *testing.T) {
 			return runAll(b, []string{"-transport", "inproc", "-remove-at", "-0.5"})
 		}},
 		{"run with unknown flag", func(b *bytes.Buffer) error { return runAll(b, []string{"-bogus"}) }},
+		{"merger with -ring-cap", func(b *bytes.Buffer) error {
+			return runMerger(b, []string{"-workers", "2", "-ring-cap", "8"})
+		}},
+		{"worker with -recv-batch", func(b *bytes.Buffer) error {
+			return runWorker(b, []string{"-id", "0", "-merger", "x", "-recv-batch", "1"})
+		}},
+		{"run with -recv-batch", func(b *bytes.Buffer) error {
+			return runAll(b, []string{"-transport", "inproc", "-recv-batch", "1"})
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -276,10 +285,12 @@ func TestRunLeavesNoChildOnError(t *testing.T) {
 // SIGTERM to the run's pid alone, or its stdout reader going away, as under
 // `spe run | head -1` — once both workers are listening. The run must kill
 // and reap every child and exit non-zero, so every address it announced
-// refuses a dial. The run gets its own process group, killed at cleanup, so
-// a regression cannot leak processes past the test.
+// refuses a dial. SIGKILL to the run's pid alone leaves it no say: its
+// children must die with it, so every address refuses a dial within 10 s.
+// The run gets its own process group, killed at cleanup, so a regression
+// cannot leak processes past the test.
 func TestRunStopLeavesNoChild(t *testing.T) {
-	for _, how := range []string{"sigterm", "closed-stdout"} {
+	for _, how := range []string{"sigterm", "closed-stdout", "sigkill"} {
 		t.Run(how, func(t *testing.T) {
 			stdout, w, err := os.Pipe()
 			if err != nil {
@@ -311,12 +322,19 @@ func TestRunStopLeavesNoChild(t *testing.T) {
 			if workers < 2 {
 				t.Fatalf("run ended before both workers listened: %v", scanner.Err())
 			}
-			if how == "sigterm" {
+			switch how {
+			case "sigterm":
 				go io.Copy(io.Discard, stdout)
 				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 					t.Fatal(err)
 				}
-			} else {
+			case "sigkill":
+				// Only run's own pid: its children must die with it.
+				go io.Copy(io.Discard, stdout)
+				if err := cmd.Process.Kill(); err != nil {
+					t.Fatal(err)
+				}
+			default:
 				stdout.Close()
 			}
 			exited := make(chan error, 1)
@@ -329,10 +347,21 @@ func TestRunStopLeavesNoChild(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("run still running 30s after the stop")
 			}
+			// A killed run reaps nothing, so its children may still be on
+			// their way out: give them 10 s to stop accepting.
+			deadline := time.Now().Add(10 * time.Second)
 			for _, addr := range addrs {
-				if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+				for {
+					conn, err := net.DialTimeout("tcp", addr, time.Second)
+					if err != nil {
+						break
+					}
 					conn.Close()
-					t.Errorf("%s still accepts connections after run exited", addr)
+					if how != "sigkill" || time.Now().After(deadline) {
+						t.Errorf("%s still accepts connections after run exited", addr)
+						break
+					}
+					time.Sleep(50 * time.Millisecond)
 				}
 			}
 		})

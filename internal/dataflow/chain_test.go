@@ -32,10 +32,9 @@ func chainStage(kind runtime.TransportKind, workers int, tag string) runtime.Reg
 		Operators: ops,
 		// Small buffers keep the chain honest about back pressure even in
 		// the correctness tests.
-		MergerQueue:   64,
-		RingCap:       64,
-		BatchSize:     4,
-		RecvBatchSize: 8,
+		MergerQueue: 64,
+		RingCap:     64,
+		BatchSize:   4,
 	}
 }
 

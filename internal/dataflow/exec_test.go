@@ -73,7 +73,7 @@ func TestExecuteBackPressureAcrossFanOut(t *testing.T) {
 	// merger holds a batch, its ingest ring and a reorder queue. The splitter
 	// and the forwarding sink hold one tuple each.
 	perWorker := 2*transport.DefaultInprocRing + 2*transport.DefaultRecvBatch +
-		runtime.DefaultMergerRing + runtime.DefaultMergerQueue
+		2*runtime.DefaultMergerQueue
 	bound := int64((1+width)*perWorker + 2 + edgeCap + edgeRecvBatch + 1)
 	if bound >= n/2 {
 		t.Fatalf("bound %d says nothing against %d tuples", bound, n)

@@ -43,14 +43,6 @@ func TestInvariantOrderedReleaseUnderRandomChaos(t *testing.T) {
 			// hold whether tuples leave one write at a time or in vectored
 			// batches, including across mid-batch connection kills.
 			batchSize := 1 + rng.Intn(64)
-			// And the receive side: the worker/merger ingest batch size,
-			// including 1 (per-tuple receive) and 0 (the default: no cap,
-			// a pass is what one read delivered), must not change what the
-			// sink observes under chaos either.
-			recvBatch := rng.Intn(65)
-			if rng.Intn(4) == 0 {
-				recvBatch = 1
-			}
 
 			balancer, err := core.NewBalancer(core.Config{
 				Connections: workers, DecayEnabled: true,
@@ -106,7 +98,6 @@ func TestInvariantOrderedReleaseUnderRandomChaos(t *testing.T) {
 				Balancer:       balancer,
 				SampleInterval: 20 * time.Millisecond,
 				BatchSize:      batchSize,
-				RecvBatchSize:  recvBatch,
 				Sink: func(tp transport.Tuple, conn int) {
 					mu.Lock()
 					seqs = append(seqs, tp.Seq)
@@ -211,14 +202,6 @@ func TestInvariantMergerExactlyOnceRandomInterleavings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Randomize the ingest batch size (occasionally forcing the
-			// degenerate per-tuple case): exactly-once release and dedup
-			// accounting must be independent of how arrivals are chunked.
-			if rng.Intn(4) == 0 {
-				m.SetRecvBatch(1)
-			} else {
-				m.SetRecvBatch(rng.Intn(65)) // 0 keeps the default pass
-			}
 			m.Start()
 			errCh := make(chan error, k)
 			for w := 0; w < k; w++ {
@@ -305,13 +288,6 @@ func TestInvariantBatchedSingleInterleavingsOrdered(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			// Receive-side batching must be as invisible to ordering as the
-			// send-side interleavings this test already randomizes.
-			if rng.Intn(4) == 0 {
-				m.SetRecvBatch(1)
-			} else {
-				m.SetRecvBatch(rng.Intn(65)) // 0 keeps the default pass
 			}
 			m.Start()
 			errCh := make(chan error, k)

@@ -20,15 +20,10 @@ import (
 // many tuples are buffered per other connection before their readers stop
 // draining TCP — which is how back pressure reaches the splitter through the
 // fast connections only under severe skew (see Section 4.1 and the sim
-// package's discussion).
+// package's discussion). The same cap sizes each connection's lock-free
+// ingest ring (rounded up to a power of two): ring occupancy counts toward
+// the cap, so a ring fills only when its reader overflows the cap.
 const DefaultMergerQueue = 1024
-
-// DefaultMergerRing bounds each connection's lock-free ingest ring in tuples
-// (rounded up to a power of two). The ring is a hand-off lane, not the
-// reorder buffer: it only needs to cover the bursts between merge-loop drain
-// passes, and its occupancy counts toward the DefaultMergerQueue back-pressure
-// cap.
-const DefaultMergerRing = 1024
 
 // capWaiveDelay is how long the merge loop tolerates being unable to
 // release while a stream sits at its back-pressure cap before it waives the
@@ -69,11 +64,11 @@ const DefaultWatermarkInterval = 20 * time.Millisecond
 // the splitter's FIN frame on the control channel; without a control
 // channel it falls back to the original fixed-worker semantics.
 //
-// Ingest is sharded: each connection reader owns a bounded lock-free SPSC
-// ring (producer = the reader, consumer = the merge loop); the merge loop
-// releases in-order runs and queues the rest per stream, picking runs
-// through an indexed min-heap over the stream heads. No mutex is
-// taken on the tuple hot path; per-item ordered-merge synchronization is the
+// Ingest is sharded: each connection reader owns a lock-free SPSC ring sized
+// by the reorder cap (producer = the reader, consumer = the merge loop); the
+// merge loop releases in-order runs and queues the rest per stream, picking
+// runs through an indexed min-heap over the stream heads. No mutex is taken
+// on the tuple hot path; per-item ordered-merge synchronization is the
 // multicore scaling ceiling Prasaad et al. identify, and it previously capped
 // ingest at 64 connections on one lock hand-off. Locks remain only on the
 // control plane (membership, FIN, errors — all rare), fenced from the merge
@@ -83,8 +78,6 @@ type Merger struct {
 	ln         net.Listener
 	workers    int
 	queueCap   int
-	ringCap    int
-	recvBatch  int                         // max tuples decoded per ReceiveBatch pass; 0: the edge decides
 	sink       func(*transport.Tuple, int) // reads through the pointer, never retains it
 	wmInterval time.Duration
 	to         Timeouts
@@ -191,7 +184,8 @@ type Merger struct {
 
 // NewMerger listens for worker connections. sink receives every tuple, in
 // order, with the worker id that processed it; it runs on the merge goroutine
-// and must not block indefinitely. queueCap <= 0 selects DefaultMergerQueue.
+// and must not block indefinitely. queueCap bounds each connection's reorder
+// backlog and sizes its ingest ring; <= 0 selects DefaultMergerQueue.
 func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger, error) {
 	if sink == nil {
 		return newMerger(workers, queueCap, nil, true)
@@ -216,7 +210,6 @@ func newMerger(workers, queueCap int, sink func(*transport.Tuple, int), listen b
 	m := &Merger{
 		workers:    workers,
 		queueCap:   queueCap,
-		ringCap:    DefaultMergerRing,
 		sink:       sink,
 		wmInterval: DefaultWatermarkInterval,
 		to:         Timeouts{}.norm(),
@@ -234,7 +227,7 @@ func newMerger(workers, queueCap int, sink func(*transport.Tuple, int), listen b
 		done:       make(chan struct{}),
 	}
 	for id := range m.rings {
-		m.rings[id] = spsc.NewRing[mergeItem](m.ringCap)
+		m.rings[id] = spsc.NewRing[mergeItem](queueCap)
 	}
 	m.parks = make([]spsc.Parker, workers)
 	m.wakeAt = queueCap / 2
@@ -262,30 +255,6 @@ func (m *Merger) SetWatermarkInterval(d time.Duration) {
 	}
 }
 
-// SetRecvBatch caps the tuples one connection reader ingests per pass (1 is
-// a batch of one). By default the edge decides: one read's worth on TCP, up
-// to transport.DefaultRecvBatch in-proc. Call before Start.
-func (m *Merger) SetRecvBatch(n int) {
-	if n > 0 {
-		m.recvBatch = n
-	}
-}
-
-// SetRingCap resizes each connection's lock-free ingest ring (default
-// DefaultMergerRing; rounded up to a power of two, minimum 2). The ring
-// bounds burst hand-off between a reader and the merge loop, not the reorder
-// backlog — ring occupancy counts toward the queueCap back-pressure bound.
-// Call before Start.
-func (m *Merger) SetRingCap(n int) {
-	if n <= 0 {
-		return
-	}
-	m.ringCap = n
-	for id := range m.rings {
-		m.rings[id] = spsc.NewRing[mergeItem](n)
-	}
-}
-
 // SetMetrics instruments the merger. The counts the merge keeps for its own
 // work (watermark, released, dedup and combined totals, per-connection queue
 // and ring occupancy, last-ingest age) are bound to their atomics and read at
@@ -304,8 +273,6 @@ func (m *Merger) SetMetrics(rm *RegionMetrics) {
 	for id := 0; id < m.workers; id++ {
 		id, l := id, strconv.Itoa(id)
 		rm.queueDepth.With(l).SetFunc(func() float64 { return float64(m.depth[id].v.Load()) })
-		// rings is read per scrape, not captured: SetRingCap may still
-		// replace the rings between SetMetrics and Start.
 		rm.ringDepth.With(l).SetFunc(func() float64 { return float64(m.rings[id].Len()) })
 		rm.ingestAge.With(l).SetFunc(func() float64 {
 			if ts := m.lastIngest[id].Load(); ts != 0 {
@@ -528,7 +495,7 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 }
 
 // readLoop drains one worker edge into its SPSC ring, batch by batch: each
-// ReceiveBatch yields every tuple already delivered (see SetRecvBatch) with
+// ReceiveBatch yields every tuple the edge already delivered with
 // one block reference per tuple, and ingest writes the whole batch into ring
 // slots lock-free, the references passing to the merge loop when a Publish
 // covers their slots. When the stream's reorder backlog is at capacity the
@@ -549,7 +516,7 @@ func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 	for {
 		var ref *transport.BlockRef
 		var err error
-		batch, ref, err = rx.ReceiveBatch(batch, m.recvBatch)
+		batch, ref, err = rx.ReceiveBatch(batch, 0)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !m.closed.Load() {
 				m.recordStreamErr(fmt.Errorf("runtime: merger read worker %d: %w", id, err))

@@ -130,78 +130,70 @@ func BenchmarkMergerEnqueueRelease(b *testing.B) {
 }
 
 // BenchmarkMergerIngest measures end-to-end merger ingest over real loopback
-// TCP: conns sender goroutines stream b.N round-robin-assigned sequences
-// through identical SendBatch wires, so the only variable between recv=1 and
-// recv=64 is the receive side — per-tuple lock/ingest versus one lock
-// acquisition and one pooled decode pass per batch. The acceptance headline
-// is tuples/s at conns=64: batched ingest must beat per-tuple by >=1.5x.
+// TCP: conns sender goroutines stream b.N round-robin-assigned sequences in
+// SendBatch writes of 64, and each reader ingests what one read delivered.
 func BenchmarkMergerIngest(b *testing.B) {
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	for _, conns := range []int{4, 16, 64} {
-		for _, recv := range []int{1, 64} {
-			b.Run(fmt.Sprintf("conns=%d/recv=%d", conns, recv), func(b *testing.B) {
-				var released atomic.Uint64
-				m, err := NewMerger(conns, 0, func(t transport.Tuple, _ int) {
-					released.Add(1)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.SetRecvBatch(recv)
-				m.Start()
-				n := uint64(b.N)
-				errCh := make(chan error, conns)
-				b.ResetTimer()
-				for w := 0; w < conns; w++ {
-					go func(w int) {
-						conn := dialWorkerConnErr(m.Addr(), uint32(w))
-						if conn == nil {
-							errCh <- fmt.Errorf("worker %d: dial failed", w)
-							return
-						}
-						defer conn.Close()
-						sender, err := transport.NewSender(conn)
-						if err != nil {
-							errCh <- err
-							return
-						}
-						// Identical send-side batching for both variants so
-						// the wire traffic is the same; only ingest differs.
-						batch := make([]transport.Tuple, 0, 64)
-						for seq := uint64(w); seq < n; seq += uint64(conns) {
-							batch = append(batch, transport.Tuple{Seq: seq, Payload: payload})
-							if len(batch) == cap(batch) {
-								if err := sender.SendBatch(batch); err != nil {
-									errCh <- err
-									return
-								}
-								batch = batch[:0]
-							}
-						}
-						if len(batch) > 0 {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			var released atomic.Uint64
+			m, err := NewMerger(conns, 0, func(t transport.Tuple, _ int) {
+				released.Add(1)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Start()
+			n := uint64(b.N)
+			errCh := make(chan error, conns)
+			b.ResetTimer()
+			for w := 0; w < conns; w++ {
+				go func(w int) {
+					conn := dialWorkerConnErr(m.Addr(), uint32(w))
+					if conn == nil {
+						errCh <- fmt.Errorf("worker %d: dial failed", w)
+						return
+					}
+					defer conn.Close()
+					sender, err := transport.NewSender(conn)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					batch := make([]transport.Tuple, 0, 64)
+					for seq := uint64(w); seq < n; seq += uint64(conns) {
+						batch = append(batch, transport.Tuple{Seq: seq, Payload: payload})
+						if len(batch) == cap(batch) {
 							if err := sender.SendBatch(batch); err != nil {
 								errCh <- err
 								return
 							}
+							batch = batch[:0]
 						}
-						errCh <- nil
-					}(w)
-				}
-				for w := 0; w < conns; w++ {
-					if err := <-errCh; err != nil {
-						b.Fatal(err)
 					}
-				}
-				if err := m.Wait(); err != nil {
+					if len(batch) > 0 {
+						if err := sender.SendBatch(batch); err != nil {
+							errCh <- err
+							return
+						}
+					}
+					errCh <- nil
+				}(w)
+			}
+			for w := 0; w < conns; w++ {
+				if err := <-errCh; err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if got := released.Load(); got != n {
-					b.Fatalf("released %d of %d", got, n)
-				}
-				b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "tuples/s")
-			})
-		}
+			}
+			if err := m.Wait(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if got := released.Load(); got != n {
+				b.Fatalf("released %d of %d", got, n)
+			}
+			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "tuples/s")
+		})
 	}
 }
 

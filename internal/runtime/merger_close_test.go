@@ -6,9 +6,18 @@ import (
 	"time"
 
 	"streambalance/internal/metrics"
+	"streambalance/internal/spsc"
 	"streambalance/internal/testutil"
 	"streambalance/internal/transport"
 )
+
+// setRings gives every stream of an unstarted merger an ingest ring of n
+// slots: below its reorder cap, a reader parks on a full ring.
+func setRings(m *Merger, n int) {
+	for id := range m.rings {
+		m.rings[id] = spsc.NewRing[mergeItem](n)
+	}
+}
 
 // TestMergerCloseRacesInFlightBatch closes the merger while readers are
 // mid-batch with a deliberately tiny ring — the shape where a reader can be
@@ -26,7 +35,7 @@ func TestMergerCloseRacesInFlightBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetRingCap(2)
+		setRings(m, 2)
 		m.Start()
 
 		c0 := dialWorkerConn(t, m.Addr(), 0)
@@ -84,7 +93,7 @@ func TestMergerCloseRacesBackpressureParkedReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetRingCap(2)
+	setRings(m, 2)
 	m.SetMetrics(NewRegionMetrics(metrics.New(), nil)) // the park counter is the test's window
 	m.Start()
 

@@ -297,7 +297,7 @@ func TestShardedMergerNetworkReconnectEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetRingCap(8)
+	setRings(m, 8)
 	m.Start()
 
 	// Control channel: its presence switches the merger to recovery

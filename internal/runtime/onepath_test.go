@@ -149,6 +149,17 @@ type refSource struct {
 	refs   []*transport.BlockRef
 }
 
+// capRx makes every pass of a receiver at most max tuples long, whatever
+// max its caller asks for: the worker loop asks for none.
+type capRx struct {
+	transport.BatchReceiver
+	max int
+}
+
+func (c capRx) ReceiveBatch(dst []transport.Tuple, _ int) ([]transport.Tuple, *transport.BlockRef, error) {
+	return c.BatchReceiver.ReceiveBatch(dst, c.max)
+}
+
 func (s *refSource) ReceiveBatch(dst []transport.Tuple, max int) ([]transport.Tuple, *transport.BlockRef, error) {
 	if s.next == s.end {
 		return dst[:0], nil, io.EOF
@@ -232,11 +243,11 @@ func TestWorkLoopOwnershipAcrossTransports(t *testing.T) {
 			}
 		}()
 		src := &refSource{t: t, pooled: kind == TransportTCP, end: total}
-		p := &pe{operator: Identity(), recvBatch: recvBatch, done: make(chan struct{})}
+		p := &pe{operator: Identity(), done: make(chan struct{})}
 		if combine {
 			p.SetCombiner(SumCombiner())
 		}
-		if err := p.serve(src, tx); err != nil {
+		if err := p.serve(capRx{src, recvBatch}, tx); err != nil {
 			t.Fatalf("worker loop: %v", err)
 		}
 		if err := <-consumed; err != nil {
@@ -305,7 +316,6 @@ func TestWorkerCloseMidStreamIsClean(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.SetRingCap(4)
 				m.Start()
 
 				var w regionWorker
@@ -316,7 +326,7 @@ func TestWorkerCloseMidStreamIsClean(t *testing.T) {
 					if err := m.AttachInproc(0, outRx); err != nil {
 						t.Fatal(err)
 					}
-					w, feed = newInprocWorker(0, Identity(), inRx, outTx, 0, Timeouts{}.norm()), inTx
+					w, feed = newInprocWorker(0, Identity(), inRx, outTx, Timeouts{}.norm()), inTx
 				} else {
 					tw, err := NewWorker(0, Identity(), m.Addr())
 					if err != nil {

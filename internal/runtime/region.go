@@ -90,17 +90,14 @@ type RegionConfig struct {
 	Balancer *core.Balancer
 	// SampleInterval is the splitter's collection interval (default 1s).
 	SampleInterval time.Duration
-	// MergerQueue bounds each reorder queue (default DefaultMergerQueue).
+	// MergerQueue bounds each reorder queue (default DefaultMergerQueue)
+	// and sizes each merger connection's ingest ring to match.
 	MergerQueue int
-	// RingCap bounds each merger connection's lock-free SPSC ingest ring
-	// in tuples (<= 0 selects DefaultMergerRing; rounded up to a power of
-	// two). The ring is the reader-to-merge-loop hand-off lane; its
-	// occupancy counts toward the MergerQueue back-pressure cap, so the
-	// blocking signal the balancer reads is unchanged by its size. On the
-	// in-proc transport it additionally bounds every shared-memory edge
-	// (splitter→worker and worker→merger rings): the edge ring is that
-	// transport's "socket buffer", the thing whose fullness makes a send
-	// elect to block.
+	// RingCap bounds every shared-memory edge of an in-proc region
+	// (splitter→worker and worker→merger rings) in tuples (<= 0 selects
+	// transport.DefaultInprocRing; rounded up to a power of two): the edge
+	// ring is that transport's "socket buffer", the thing whose fullness
+	// makes a send elect to block. A TCP region ignores it.
 	RingCap int
 	// Sink receives every released tuple in order, with the worker id.
 	// Optional.
@@ -113,8 +110,10 @@ type RegionConfig struct {
 	// Optional.
 	OnConnEvent func(ConnEvent)
 	// SocketBufferBytes sizes the kernel buffers between splitter and
-	// workers (default DefaultSocketBuffer); a congested edge holds its
-	// output until it reaches a quarter of it.
+	// workers (default DefaultSocketBuffer), the worker's receive buffer
+	// included: below about 64 KiB on loopback a send can wait out the
+	// kernel's zero-window persist timer, and that wait counts as blocking.
+	// A congested edge holds its output until it reaches a quarter of it.
 	SocketBufferBytes int
 	// BatchSize is the splitter's round length: the unkeyed tuples among
 	// that many consecutive sequence numbers go to one weighted round-robin
@@ -122,12 +121,6 @@ type RegionConfig struct {
 	// connection it gave output to, unless that TCP edge is congested. See
 	// SplitterConfig.BatchSize for the throughput/signal tradeoff.
 	BatchSize int
-	// RecvBatchSize caps the tuples workers and merger readers take per
-	// receive pass (1 is a batch of one; <= 0, the default, lets the edge
-	// decide: one read's worth on TCP, up to transport.DefaultRecvBatch
-	// in-proc). There is no signal tradeoff, unlike BatchSize: a receive
-	// pass only drains what is already buffered.
-	RecvBatchSize int
 	// Recovery opts the region into worker-failure recovery.
 	Recovery RecoveryConfig
 	// WrapWorkerAddr, when set, maps each worker's listen address to the
@@ -258,8 +251,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	if cfg.Recovery.WatermarkInterval > 0 {
 		merger.SetWatermarkInterval(cfg.Recovery.WatermarkInterval)
 	}
-	merger.SetRecvBatch(cfg.RecvBatchSize)
-	merger.SetRingCap(cfg.RingCap)
 	merger.SetTimeouts(cfg.Timeouts)
 	merger.SetMetrics(cfg.Metrics)
 	r.merger = merger
@@ -280,7 +271,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 				r.Close()
 				return nil, err
 			}
-			r.workers = append(r.workers, newInprocWorker(i, op, inRx, outTx, cfg.RecvBatchSize, to))
+			r.workers = append(r.workers, newInprocWorker(i, op, inRx, outTx, to))
 			senders = append(senders, inTx)
 		}
 	} else {
@@ -294,7 +285,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 			if cfg.SocketBufferBytes > 0 {
 				w.SetReceiveBuffer(cfg.SocketBufferBytes)
 			}
-			w.SetRecvBatch(cfg.RecvBatchSize)
 			w.SetTimeouts(cfg.Timeouts)
 			if r.recovery {
 				w.SetResilient(true)

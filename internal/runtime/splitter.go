@@ -106,7 +106,8 @@ type SplitterConfig struct {
 	// with gigantic buffers the kernel absorbs everything and no send ever
 	// blocks — the paper's "numerous system buffers" caveat (Section 4.4).
 	// A congested TCP edge holds its output until it reaches a quarter of
-	// it (see BatchSize).
+	// it (see BatchSize). A region gives the worker's receive buffer the
+	// same size, which has a floor (see RegionConfig.SocketBufferBytes).
 	SocketBufferBytes int
 	// BatchSize is the round length: the unkeyed tuples of a round of up to
 	// BatchSize consecutive sequence numbers are a run, sent to one weighted

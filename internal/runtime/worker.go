@@ -36,13 +36,12 @@ var (
 // send-batch loop both worker kinds run. Worker and inprocWorker embed it and
 // differ only in how they obtain the edge pair they hand to serve.
 type pe struct {
-	id        int
-	operator  Operator
-	combiner  Combiner
-	hits      atomic.Uint64
-	carriers  carrierTable     // the combiner's, reused across forwards
-	recvBatch int              // 0: the edge decides (see workLoop)
-	now       func() time.Time // replaceable for tests; nil is time.Now
+	id       int
+	operator Operator
+	combiner Combiner
+	hits     atomic.Uint64
+	carriers carrierTable     // the combiner's, reused across forwards
+	now      func() time.Time // replaceable for tests; nil is time.Now
 
 	// mu guards closed and the edge pair in service, so Close can sever a
 	// loop parked on either edge.
@@ -129,9 +128,8 @@ const forwardHold = time.Millisecond
 
 // workLoop is the worker's data path: each pass ingests every tuple the
 // splitter already delivered — one read's worth on TCP, a ring span of up to
-// transport.DefaultRecvBatch in-proc, at most recvBatch when that is set (1
-// is a batch of one through the same code) — processes it in place in chunks
-// of transport.DefaultRecvBatch, and forwards it as one batch, unless
+// transport.DefaultRecvBatch in-proc — processes it in place in chunks of
+// transport.DefaultRecvBatch, and forwards it as one batch, unless
 // forwardHold passes while it holds processed output: then it forwards what
 // is done at the next chunk boundary, restarts the clock and goes on. A
 // combiner folds within each forward. Ownership: ReceiveBatch hands the loop
@@ -148,7 +146,7 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 	for {
 		var ref *transport.BlockRef
 		var err error
-		batch, ref, err = rx.ReceiveBatch(batch, p.recvBatch)
+		batch, ref, err = rx.ReceiveBatch(batch, 0)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -200,11 +198,11 @@ type inprocWorker struct{ pe }
 // newInprocWorker wires one worker between its two edges. The stall bound
 // mirrors the TCP worker's forwarding stall: back pressure from the merger is
 // routine, the bound only converts "merger never drains again" into an error.
-func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, recvBatch int, to Timeouts) *inprocWorker {
+func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, to Timeouts) *inprocWorker {
 	tx.SetStallTimeout(to.SendStall)
 	// The edge pair is registered from the start, so Close severs it even on
 	// a worker that was never started.
-	return &inprocWorker{pe{id: id, operator: op, recvBatch: recvBatch, rx: rx, tx: tx, done: make(chan struct{})}}
+	return &inprocWorker{pe{id: id, operator: op, rx: rx, tx: tx, done: make(chan struct{})}}
 }
 
 // Start launches the worker loop; it runs until the splitter edge closes (the
@@ -276,15 +274,6 @@ func (w *Worker) SetReceiveBuffer(bytes int) {
 // above. Call before Start.
 func (w *Worker) SetResilient(on bool) {
 	w.resilient = on
-}
-
-// SetRecvBatch caps how many tuples the worker ingests, processes and
-// forwards per receive pass (1 makes every pass a batch of one). By default
-// a pass is everything one read delivered. Call before Start.
-func (w *Worker) SetRecvBatch(n int) {
-	if n > 0 {
-		w.recvBatch = n
-	}
 }
 
 // Addr returns the address the splitter should dial.

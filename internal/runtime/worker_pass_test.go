@@ -50,7 +50,7 @@ func keyedFrames(n int) []transport.Tuple {
 }
 
 // TestWorkerForwardsOneReadPerWrite: 512 frames that arrive in one read are
-// one default pass (RecvBatchSize 0) and leave in one forward of 512.
+// one pass and leave in one forward of 512.
 func TestWorkerForwardsOneReadPerWrite(t *testing.T) {
 	const n = 512
 	wire, err := transport.AppendBatch(nil, keyedFrames(n))

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // queue and flush are the Sender's only write path, and SendBatch is its one
 // caller: frames are staged on the connection and leave with one vectored
@@ -22,61 +19,50 @@ import (
 
 const (
 	// zeroCopyThreshold is the payload size at which queue stops copying
-	// the payload into the coalesce buffer and instead passes it to writev
-	// as its own iovec. Below it, copying into one contiguous buffer is
+	// the payload into the frame buffer and instead passes it to writev as
+	// its own iovec. Below it, copying into one contiguous buffer is
 	// cheaper than growing the iovec list.
 	zeroCopyThreshold = 1 << 10
 
-	// frameBufCap seeds coalesce buffers; buffers grow to fit a whole batch
-	// and keep their grown capacity.
+	// frameBufCap seeds the Sender's frame buffer; it grows to fit a whole
+	// batch and keeps its grown capacity.
 	frameBufCap = 16 << 10
 )
 
-// frameBuf is a pooled frame buffer. The pool stores pointers so that
-// Get/Put never allocate on the hot path (a bare slice would escape into
-// the interface on every Put).
-type frameBuf struct{ b []byte }
-
-var framePool = sync.Pool{
-	New: func() any { return &frameBuf{b: make([]byte, 0, frameBufCap)} },
-}
-
 // queue stages one tuple on the write queue without writing. Small payloads
-// are coalesced (copied) into a frame buffer; payloads of zeroCopyThreshold
-// bytes or more are referenced zero-copy, so the caller must not mutate them
-// until flush returns. An error (only an unencodable frame) leaves the batch
-// as it was, without the offending tuple.
+// are copied into the frame buffer; payloads of zeroCopyThreshold bytes or
+// more are referenced zero-copy, so the caller must not mutate them until
+// flush returns. An error (only an unencodable frame) leaves the batch as it
+// was, without the offending tuple.
 func (s *Sender) queue(t Tuple) error {
-	if s.coalesce == nil {
-		s.coalesce = framePool.Get().(*frameBuf)
-	}
 	if len(t.Payload) >= zeroCopyThreshold {
-		b, err := AppendFrameHeader(s.coalesce.b, t)
+		b, err := AppendFrameHeader(s.buf, t)
 		if err != nil {
 			return err
 		}
-		s.coalesce.b = b
-		s.cutCoalesce()
+		s.buf = b
+		s.cut()
 		s.wq = append(s.wq, t.Payload)
 	} else {
-		b, err := AppendFrame(s.coalesce.b, t)
+		b, err := AppendFrame(s.buf, t)
 		if err != nil {
 			return err
 		}
-		s.coalesce.b = b
+		s.buf = b
 	}
 	s.queued++
 	return nil
 }
 
-// cutCoalesce seals the current coalesce buffer onto the write queue.
-func (s *Sender) cutCoalesce() {
-	if s.coalesce == nil || len(s.coalesce.b) == 0 {
+// cut queues the frame bytes staged since the last cut. Later frames append
+// past them; if that grows buf, buf moves, and the slice already on wq keeps
+// the old array's bytes.
+func (s *Sender) cut() {
+	if len(s.buf) == s.cutAt {
 		return
 	}
-	s.wq = append(s.wq, s.coalesce.b)
-	s.sealed = append(s.sealed, s.coalesce)
-	s.coalesce = nil
+	s.wq = append(s.wq, s.buf[s.cutAt:len(s.buf):len(s.buf)])
+	s.cutAt = len(s.buf)
 }
 
 // flush writes every staged tuple with one vectored write (chunked at
@@ -86,7 +72,7 @@ func (s *Sender) cutCoalesce() {
 // caller must treat it as failed (under recovery, the retained tuples are
 // replayed elsewhere and the merger dedupes any partial deliveries).
 func (s *Sender) flush() error {
-	s.cutCoalesce()
+	s.cut()
 	if len(s.wq) == 0 {
 		return nil
 	}
@@ -101,25 +87,13 @@ func (s *Sender) flush() error {
 	return nil
 }
 
-// releaseStaged empties the write queue, dropping its payload references.
-// The first sealed frame buffer stays with the sender as the next batch's
-// coalesce buffer, so a steady stream of small batches — a batch of one
-// above all — never touches the pool; the rest return to it.
+// releaseStaged empties the write queue, dropping its payload references,
+// and the frame buffer, keeping its capacity for the next batch.
 func (s *Sender) releaseStaged() {
-	for i := range s.wq {
-		s.wq[i] = nil
-	}
+	clear(s.wq)
 	s.wq = s.wq[:0]
-	for i, fb := range s.sealed {
-		fb.b = fb.b[:0]
-		if i == 0 && s.coalesce == nil {
-			s.coalesce = fb
-		} else {
-			framePool.Put(fb)
-		}
-		s.sealed[i] = nil
-	}
-	s.sealed = s.sealed[:0]
+	s.buf = s.buf[:0]
+	s.cutAt = 0
 	s.queued = 0
 }
 
@@ -129,9 +103,6 @@ func (s *Sender) releaseStaged() {
 func (s *Sender) SendBatch(ts []Tuple) error {
 	for i := range ts {
 		if err := s.queue(ts[i]); err != nil {
-			if s.coalesce != nil {
-				s.coalesce.b = s.coalesce.b[:0]
-			}
 			s.releaseStaged()
 			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
 		}

@@ -38,11 +38,13 @@ func TestSendBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mixed payload sizes straddling the zero-copy threshold, including
-	// empty payloads and ones exactly at the boundary.
+	// empty payloads and ones exactly at the boundary. Forty rounds copy
+	// about 48 KiB of frames, so the frame buffer outgrows frameBufCap after
+	// zero-copy payloads have cut it onto the write queue.
 	sizes := []int{0, 1, 100, zeroCopyThreshold - 1, zeroCopyThreshold, zeroCopyThreshold + 1, 8 << 10}
 	var ts []Tuple
 	seq := uint64(0)
-	for round := 0; round < 5; round++ {
+	for round := 0; round < 40; round++ {
 		for _, sz := range sizes {
 			p := bytes.Repeat([]byte{byte(seq)}, sz)
 			ts = append(ts, Tuple{Seq: seq, Payload: p})

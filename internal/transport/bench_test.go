@@ -86,7 +86,7 @@ func BenchmarkSenderSendBatch(b *testing.B) {
 
 // BenchmarkSenderSendBatchZeroCopy exercises the large-payload path where
 // payloads ride as their own iovecs instead of being copied into the
-// coalesce buffer.
+// frame buffer.
 func BenchmarkSenderSendBatchZeroCopy(b *testing.B) {
 	const k = 32
 	sender := benchPair(b)

@@ -49,9 +49,10 @@ var ErrInprocClosed = errors.New("transport: in-proc pipe closed")
 var errInprocStall = errors.New("transport: in-proc send stalled: receiver not draining")
 
 // DefaultInprocRing bounds an in-proc pipe when the caller passes a
-// non-positive capacity. It matches DefaultMergerRing: roughly the tuple
-// count a default TCP socket buffer absorbs, so the blocking signal has the
-// same granularity on both transports.
+// non-positive capacity. It matches the merger's default ingest ring
+// (runtime.DefaultMergerQueue): roughly the tuple count a default TCP socket
+// buffer absorbs, so the blocking signal has the same granularity on both
+// transports.
 const DefaultInprocRing = 1024
 
 // inprocPipe is the state shared by a connected sender/receiver pair.

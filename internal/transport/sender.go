@@ -34,8 +34,8 @@ var errWroteZero = errors.New("write returned 0 without error")
 // The send path's overhead both caps region throughput and perturbs the
 // blocking-time signal the balancer reads, so it must not allocate in steady
 // state: the poller callback is bound once at construction (a per-call
-// closure escapes), frame buffers are pooled, and the write-in-progress
-// cursor lives on the Sender.
+// closure escapes), frames are encoded into one buffer the Sender keeps,
+// and the write-in-progress cursor lives on the Sender.
 type Sender struct {
 	conn net.Conn
 	raw  syscall.RawConn
@@ -54,12 +54,12 @@ type Sender struct {
 	blocked   bool
 	blockedAt time.Time
 
-	// Staging state (queue/flush), see batch.go: the frame buffer small
-	// frames are being coalesced into, the sealed buffers already on wq,
-	// and how many tuples are staged.
-	coalesce *frameBuf
-	sealed   []*frameBuf
-	queued   int
+	// Staging state (queue/flush), see batch.go: the frame buffer frames
+	// are encoded into, how much of it is already on wq, and how many
+	// tuples are staged.
+	buf    []byte
+	cutAt  int
+	queued int
 
 	// Stall bound: when stallTimeout > 0, a write deadline is kept armed on
 	// the connection so an elect-to-block park on a socket that never
@@ -87,7 +87,7 @@ func NewSender(conn net.Conn) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: raw conn: %w", err)
 	}
-	s := &Sender{conn: conn, raw: raw, now: time.Now}
+	s := &Sender{conn: conn, raw: raw, buf: make([]byte, 0, frameBufCap), now: time.Now}
 	s.writeFn = s.rawWrite
 	return s, nil
 }

@@ -110,8 +110,10 @@ func TestReceiveCorruptFrames(t *testing.T) {
 	}
 }
 
-// tcpPair returns a connected loopback TCP pair with small send buffers so
-// blocking is easy to provoke.
+// tcpPair returns a connected loopback TCP pair with a small send buffer, so
+// blocking is easy to provoke. The receive buffer stays at 64 KiB: on
+// loopback (MSS about 64 KiB) a smaller receive window leaves the sender
+// waiting on the kernel's zero-window persist timer, seconds per test.
 func tcpPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -145,7 +147,7 @@ func tcpPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
 	if err := c.SetWriteBuffer(4 << 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetReadBuffer(4 << 10); err != nil {
+	if err := s.SetReadBuffer(64 << 10); err != nil {
 		t.Fatal(err)
 	}
 	return c, s
