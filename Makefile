@@ -21,8 +21,9 @@ fmt-check:
 
 # Non-test Go lines (wc -l) outside bench/, in total and for the data path
 # (runtime + transport + spsc), the splitter's two files and the merger's,
-# and the flags each spe subcommand defines (counted from its -h output):
-# the numbers the ROADMAP exits are written in.
+# the flags each spe subcommand defines (counted from its -h output) and the
+# exported fields of the runtime's configuration structs (from go doc): the
+# numbers the ROADMAP exits are written in.
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l)"
 	@echo "runtime+transport+spsc:     $$(find internal/runtime internal/transport internal/spsc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
@@ -30,6 +31,7 @@ loc:
 	@echo "runtime/splitter_recovery.go: $$(wc -l < internal/runtime/splitter_recovery.go)"
 	@echo "runtime/merger.go:          $$(wc -l < internal/runtime/merger.go)"
 	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
+	@for t in RegionConfig SplitterConfig RecoveryConfig Timeouts; do echo "runtime.$$t fields: $$(go doc ./internal/runtime $$t | awk '/struct \{/{f=1;next} /^}/{f=0} f && /^\t[A-Z][A-Za-z0-9]* /' | wc -l)"; done
 
 # The straggler suite's flake count (ROADMAP item 5): build the runtime test
 # binary once with -race, run TestStragglerInvariantTrials N times

@@ -353,7 +353,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		sp, err := NewSplitter(SplitterConfig{
 			Senders:        edgeSenders(edges),
 			BatchSize:      batch,
-			RetainCap:      64,
+			Recovery:       RecoveryConfig{RetainCap: 64},
 			SampleInterval: time.Hour,
 			Source:         ConstantSource(payload, total),
 		})
@@ -389,7 +389,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		sp, err := NewSplitter(SplitterConfig{
 			Senders:        edgeSenders(edges),
 			BatchSize:      batch,
-			StallWindow:    w,
+			Recovery:       RecoveryConfig{StallWindow: w},
 			SampleInterval: time.Hour,
 			Source:         func(uint64) ([]byte, bool) { return nil, false },
 		})

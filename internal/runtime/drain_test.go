@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -100,9 +101,9 @@ func newStallFixture(t *testing.T, window time.Duration, start time.Time) *stall
 		senders = append(senders, tx)
 	}
 	sp, err := NewSplitter(SplitterConfig{
-		Senders:     senders,
-		Source:      func(uint64) ([]byte, bool) { return nil, false },
-		StallWindow: window,
+		Senders:  senders,
+		Source:   func(uint64) ([]byte, bool) { return nil, false },
+		Recovery: RecoveryConfig{StallWindow: window},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +218,28 @@ func TestStallCheck(t *testing.T) {
 		f.check(t, replayed.Add(w))
 		if fmt.Sprint(f.quarantined) != fmt.Sprint([]int{owner}) {
 			t.Fatalf("quarantined %v a window after the replay, want [%d]", f.quarantined, owner)
+		}
+	})
+
+	t.Run("last-live-connection", func(t *testing.T) {
+		// Two of three workers are gone and the survivor holds the stuck
+		// head: it has no peer to be slow next to, and ejecting it would fail
+		// the region. The check spares it and restarts the clock instead.
+		f := newStallFixture(t, w, t0)
+		f.retain(0, 4, 1)
+		for _, id := range []int{0, 2} {
+			if !f.sp.removeConn(f.sp.findLive(id), errors.New("gone")) {
+				t.Fatalf("connection %d was not live", id)
+			}
+		}
+		for at := w / 4; at <= 5*w; at += w / 4 {
+			f.check(t, t0.Add(at))
+		}
+		if len(f.quarantined) != 0 || len(f.sp.conns) != 1 {
+			t.Fatalf("quarantined %v with one live connection (%d left)", f.quarantined, len(f.sp.conns))
+		}
+		if got := f.sp.stallSince; !got.Equal(t0.Add(5 * w)) {
+			t.Fatalf("stall clock at %v after the last check, want it restarted at %v", got.Sub(t0), 5*w)
 		}
 	})
 

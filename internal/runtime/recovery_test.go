@@ -264,6 +264,7 @@ func TestSplitterReplaysOnWorkerFailure(t *testing.T) {
 		},
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    sinkMerger.Addr(),
+		Recovery:       RecoveryConfig{DisableRedial: true, StallWindow: -1},
 		OnConnEvent: func(ev ConnEvent) {
 			evMu.Lock()
 			switch ev.Kind {
@@ -622,7 +623,7 @@ func TestSplitterRetentionBoundsMemory(t *testing.T) {
 				WorkerAddrs:    addrs,
 				SampleInterval: 50 * time.Millisecond,
 				ControlAddr:    m.Addr(),
-				RetainCap:      tc.retain,
+				Recovery:       RecoveryConfig{RetainCap: tc.retain, DisableRedial: true, StallWindow: -1},
 				BatchSize:      tc.batchLen,
 			}
 			if tc.keyed {

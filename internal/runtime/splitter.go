@@ -91,9 +91,9 @@ type SplitterConfig struct {
 	// Balancer, when set, drives dynamic weights from sampled blocking
 	// rates. Nil means fixed even round-robin.
 	Balancer *core.Balancer
-	// SampleInterval is the collection interval (default 1s; tests use much
-	// shorter): how often the send loop, between two rounds, turns its own
-	// blocking counters into rates and weights.
+	// SampleInterval is the collection interval (default
+	// DefaultSampleInterval): how often the send loop, between two rounds,
+	// turns its own blocking counters into rates and weights.
 	SampleInterval time.Duration
 	// OnSample, when set, observes each tick. It runs on the send loop
 	// between two rounds, so it must not block: no tuple moves until it
@@ -129,15 +129,6 @@ type SplitterConfig struct {
 	// replays the dead connection's unreleased tuples to survivors
 	// instead of failing the region.
 	ControlAddr string
-	// RetainCap bounds the replay buffer in tuples (default
-	// DefaultRetainCap). When it fills, the splitter blocks until the
-	// watermark advances — back pressure against a lagging merger.
-	RetainCap int
-	// Redial, when non-nil, re-establishes failed worker connections with
-	// exponential backoff and jitter; a reconnected worker rejoins the
-	// schedule (and the balancer, which re-learns its capacity). Only
-	// meaningful with ControlAddr set.
-	Redial *transport.RedialPolicy
 	// OnConnEvent observes recovery events. Optional; called from the
 	// splitter's send loop (except "redial-exhausted", see ConnEvent).
 	OnConnEvent func(ConnEvent)
@@ -150,20 +141,18 @@ type SplitterConfig struct {
 	// per-flush send stall. Zero fields select the defaults; negative
 	// fields disable the corresponding deadline.
 	Timeouts Timeouts
-	// MaxReadmits caps how many times one worker may be quarantined and
-	// still redialed: past the cap the circuit breaker retires it
-	// permanently (0 selects DefaultMaxReadmits, negative is unlimited).
-	// Only meaningful with ControlAddr set.
-	MaxReadmits int
-	// StallWindow arms the merge-stall check: when the merger's watermark
-	// has not moved for this long while a sent tuple is still unreleased,
-	// the splitter quarantines the connection carrying the head-of-line
-	// sequence. <= 0 disables it. Only meaningful with ControlAddr set.
-	StallWindow time.Duration
+	// Recovery sets the replay buffer, redial policy, merge-stall window and
+	// quarantine budget, with RegionConfig's meanings and defaults. Only
+	// meaningful with ControlAddr set; without it nothing redials. Enabled
+	// and WatermarkInterval belong to the region.
+	Recovery RecoveryConfig
 }
 
 // DefaultSocketBuffer is the kernel buffer size requested per connection.
 const DefaultSocketBuffer = 64 << 10
+
+// DefaultSampleInterval is the splitter's collection interval.
+const DefaultSampleInterval = 100 * time.Millisecond
 
 // holdParkedShare is the share of a sample interval the send loop may spend
 // parked in writes before no edge holds output in the next one. Holding saves
@@ -226,9 +215,6 @@ type Splitter struct {
 	keyedSent []atomic.Int64
 	prevKeyed []int64
 	to        Timeouts
-	// maxReadmits is the resolved quarantine circuit-breaker budget
-	// (-1 = unlimited).
-	maxReadmits int
 
 	// mu orders the send loop's edits of the live set and of the retired
 	// connections' folded totals against the goroutines that read them
@@ -308,13 +294,15 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		return nil, errors.New("runtime: Router requires KeyedSource")
 	}
 	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = time.Second
+		cfg.SampleInterval = DefaultSampleInterval
 	}
 	if cfg.SocketBufferBytes <= 0 {
 		cfg.SocketBufferBytes = DefaultSocketBuffer
 	}
-	if cfg.RetainCap <= 0 {
-		cfg.RetainCap = DefaultRetainCap
+	cfg.Recovery = cfg.Recovery.norm()
+	if cfg.ControlAddr == "" {
+		// Nothing is replayed without a control channel, so nothing redials.
+		cfg.Recovery.Redial = nil
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
@@ -339,14 +327,6 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		rejoinCh:    make(chan rejoin, n+1),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-	}
-	switch {
-	case cfg.MaxReadmits == 0:
-		sp.maxReadmits = DefaultMaxReadmits
-	case cfg.MaxReadmits < 0:
-		sp.maxReadmits = -1
-	default:
-		sp.maxReadmits = cfg.MaxReadmits
 	}
 	if cfg.KeyedSource != nil {
 		sp.src = cfg.KeyedSource
@@ -524,8 +504,8 @@ func (sp *Splitter) sendLoop() error {
 	batch := uint64(sp.cfg.BatchSize)
 	ticker := time.NewTicker(sp.cfg.SampleInterval)
 	defer ticker.Stop()
-	if recovery && sp.cfg.StallWindow > 0 {
-		stall := time.NewTicker(max(sp.cfg.StallWindow/4, time.Millisecond))
+	if recovery && sp.cfg.Recovery.StallWindow > 0 {
+		stall := time.NewTicker(max(sp.cfg.Recovery.StallWindow/4, time.Millisecond))
 		defer stall.Stop()
 		sp.stallTick = stall.C
 		sp.stallSince = time.Now() // the first round is the first send

@@ -144,10 +144,11 @@ func (sp *Splitter) connFailed(id int, quarantined bool) error {
 // is the only straggler detector: the merger just reports its watermark, and
 // the replay buffer knows who carries the head-of-line sequence. When the
 // watermark has not moved for StallWindow while a sent tuple is unreleased,
-// the head's owner is quarantined through fail. The stall clock restarts at
-// every watermark advance, whenever nothing is unreleased (an idle source
-// stalls the watermark too), after every replay or rejoin, and after a
-// quarantine, so one owner is ejected at most once per window and a survivor
+// the head's owner is quarantined through fail, unless it is the last live
+// connection. The stall clock restarts at every watermark advance, whenever
+// nothing is unreleased (an idle source stalls the watermark too), after
+// every replay or rejoin, and after a quarantine or a spared last
+// connection, so one owner is ejected at most once per window and a survivor
 // always gets a full window after a replay.
 func (sp *Splitter) checkStall(now time.Time, fail func(id int, quarantined bool) error) error {
 	// A head-of-line tuple still held was never sent, so the stall is the
@@ -165,7 +166,14 @@ func (sp *Splitter) checkStall(now time.Time, fail func(id int, quarantined bool
 		sp.stallSince = now
 		return nil
 	}
-	if now.Sub(sp.stallSince) < sp.cfg.StallWindow {
+	if now.Sub(sp.stallSince) < sp.cfg.Recovery.StallWindow {
+		return nil
+	}
+	if len(sp.conns) <= 1 {
+		// The last connection has no peers to be slow next to, and ejecting
+		// it only fails the region (handleConnFailure returns allDeadErr at
+		// once): wait, as a merge without recovery does.
+		sp.stallSince = now
 		return nil
 	}
 	if sp.stallFrom.IsZero() {
@@ -210,7 +218,7 @@ func (sp *Splitter) headOwner() int {
 // while it is full until the merger's watermark frees space.
 func (sp *Splitter) awaitRetention() error {
 	sp.pruneRetained()
-	for len(sp.retained)-sp.retHead >= sp.cfg.RetainCap {
+	for len(sp.retained)-sp.retHead >= sp.cfg.Recovery.RetainCap {
 		// The watermark may be waiting for pending output.
 		if err := sp.writeOut(false); err != nil {
 			return err
@@ -292,10 +300,10 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	}
 	c.sender.Close()
 	sp.event(ConnEvent{Kind: "down", Conn: c.id, Err: cause})
-	if sp.cfg.Redial != nil {
+	if rc := sp.cfg.Recovery; rc.Redial != nil {
 		// Circuit breaker: a worker that keeps getting quarantined is not
 		// worth re-admitting — each readmission costs a replay storm.
-		if sp.maxReadmits >= 0 && sp.quarCount[c.id] > sp.maxReadmits {
+		if rc.MaxReadmits >= 0 && sp.quarCount[c.id] > rc.MaxReadmits {
 			sp.event(ConnEvent{Kind: "evicted", Conn: c.id})
 		} else {
 			go sp.redialLoop(c.id, c.addr)
@@ -384,7 +392,7 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 			return nil, fmt.Errorf("health probe: %w", err)
 		}
 		return conn, nil
-	}, *sp.cfg.Redial)
+	}, *sp.cfg.Recovery.Redial)
 	conn, err := rd.Dial(sp.stop)
 	if err != nil {
 		select {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,10 +238,10 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		Source:         pacedSource(payload, tuples, 250_000),
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
-		StallWindow:    window,
-		Metrics:        rm,
-		// No Redial policy: a quarantined worker stays gone, keeping the
+		// No redial: a quarantined worker stays gone, keeping the
 		// post-fault assertions deterministic (7 survivors).
+		Recovery: RecoveryConfig{StallWindow: window, DisableRedial: true},
+		Metrics:  rm,
 		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 2 * time.Second},
 		OnConnEvent: func(ev ConnEvent) {
 			evMu.Lock()
@@ -428,10 +429,12 @@ func TestQuarantineReadmitAfterHeal(t *testing.T) {
 		},
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
-		StallWindow:    window,
-		Metrics:        rm,
-		Redial:         &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
-		Timeouts:       Timeouts{SendStall: 10 * time.Second, Probe: 150 * time.Millisecond},
+		Recovery: RecoveryConfig{
+			StallWindow: window,
+			Redial:      &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
+		},
+		Metrics:  rm,
+		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 150 * time.Millisecond},
 		OnConnEvent: func(ev ConnEvent) {
 			switch {
 			case ev.Kind == "quarantine" && ev.Conn == victim:
@@ -529,10 +532,12 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 		},
 		SampleInterval: 20 * time.Millisecond,
 		ControlAddr:    m.Addr(),
-		StallWindow:    window,
-		MaxReadmits:    1,
-		Redial:         &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
-		Timeouts:       Timeouts{SendStall: 10 * time.Second, Probe: 300 * time.Millisecond},
+		Recovery: RecoveryConfig{
+			StallWindow: window,
+			MaxReadmits: 1,
+			Redial:      &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
+		},
+		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 300 * time.Millisecond},
 		OnConnEvent: func(ev ConnEvent) {
 			if ev.Conn != victim {
 				return
@@ -698,6 +703,74 @@ func runStragglerTrial(t *testing.T, seed int64) {
 	if res.Released != tuples || !res.OrderPreserved {
 		t.Errorf("seed %d (%s on worker %d at seq %d): released %d of %d, ordered=%v",
 			seed, kind, victim, atSeq, res.Released, tuples, res.OrderPreserved)
+	}
+}
+
+// pauseOnce passes tuples through but sleeps d the first time it sees a
+// sequence number at or past at: one worker's share of a host-wide pause.
+type pauseOnce struct {
+	at   uint64
+	d    time.Duration
+	once sync.Once
+}
+
+func (p *pauseOnce) Process(t transport.Tuple) transport.Tuple {
+	if t.Seq >= p.at {
+		p.once.Do(func() { time.Sleep(p.d) })
+	}
+	return t
+}
+
+// TestHostPauseSparesLastWorker pauses every worker of a recovery region
+// together, for five stall windows, near the same tuple. The stall check may
+// quarantine a paused worker while it has peers, but never the last live
+// one: that cannot unstick the merge and would fail the region. So the
+// region waits out the pause and releases every tuple exactly once, in
+// order, and a one-worker region quarantines nothing. The wall clock is the
+// subject here, so the pause is a real sleep.
+func TestHostPauseSparesLastWorker(t *testing.T) {
+	const (
+		tuples = 3000
+		window = 30 * time.Millisecond
+	)
+	for _, n := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
+			ops := make([]Operator, n)
+			for i := range ops {
+				ops[i] = &pauseOnce{at: 1000, d: 5 * window}
+			}
+			var quarantines atomic.Int64
+			region, err := NewRegion(RegionConfig{
+				Operators:      ops,
+				Source:         ConstantSource([]byte("pause"), tuples),
+				SampleInterval: 10 * time.Millisecond,
+				OnConnEvent: func(ev ConnEvent) {
+					if ev.Kind == "quarantine" {
+						quarantines.Add(1)
+					}
+				},
+				Recovery: RecoveryConfig{
+					Enabled:           true,
+					WatermarkInterval: time.Millisecond,
+					StallWindow:       window,
+					MaxReadmits:       -1,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := region.Run()
+			if err != nil {
+				t.Fatalf("region failed after %d quarantines: %v", quarantines.Load(), err)
+			}
+			if res.Released != tuples || !res.OrderPreserved {
+				t.Fatalf("released %d of %d, ordered=%v", res.Released, tuples, res.OrderPreserved)
+			}
+			if q := quarantines.Load(); n == 1 && q != 0 {
+				t.Fatalf("the only worker was quarantined %d times", q)
+			}
+			t.Logf("%d quarantines", quarantines.Load())
+		})
 	}
 }
 
