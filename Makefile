@@ -33,7 +33,7 @@ loc:
 	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
 	@for t in RegionConfig SplitterConfig RecoveryConfig Timeouts; do echo "runtime.$$t fields: $$(go doc ./internal/runtime $$t | awk '/struct \{/{f=1;next} /^}/{f=0} f && /^\t[A-Z][A-Za-z0-9]* /' | wc -l)"; done
 
-# The straggler suite's flake count (ROADMAP item 5): build the runtime test
+# The straggler suite's flake count (ROADMAP item 4): build the runtime test
 # binary once with -race, run TestStragglerInvariantTrials N times
 # (`make trials N=100`), print each failing run's seeds and "k of N runs
 # failed"; exits non-zero when k > 0.
@@ -50,7 +50,7 @@ trials:
 	done && \
 	echo "$$fails of $(N) runs failed" && test $$fails -eq 0
 
-# The observability budget (ROADMAP 4c) from one place: what one traced
+# The observability budget (ROADMAP 5(c)) from one place: what one traced
 # tcp_sat run reads for the registry's end-to-end overhead and a counter
 # increment, and what the merger's drain and release path costs per tuple in
 # both BenchmarkReleaseRuns shapes (shape=tuples: per-tuple round-robin, as

@@ -16,7 +16,10 @@
 // removes that load from tuple F x -tuples on (the paper's Sections 6.3/6.4);
 // -no-balance turns balancing off. The splitter prints its sampled blocking
 // rates and weights at most every 250 ms and, when balancing, the learned
-// blocking-rate functions at the end.
+// blocking-rate functions at the end. Every delay flag (-delay, -shift-delay,
+// -slow-delay, -base-delay) is a mean per-tuple service time: a worker sleeps
+// off its accumulated service in steps of at least a millisecond, so a 50us
+// delay costs 50us a tuple on a host whose shortest sleep lasts 1 ms.
 //
 // Passing -recover to run (or -control ADDR to splitter plus -resilient to
 // worker) enables the fault-tolerant mode: the splitter retains unreleased
@@ -203,13 +206,13 @@ func (f *splitterFlags) region(w io.Writer, n int) (runtime.RegionConfig, *metri
 	return cfg, srv, err
 }
 
-// shiftOperator is a DelayOperator whose delay becomes after from sequence
-// number at on: the external load the paper's dynamic experiments remove
-// mid-run. It switches on the tuple it processes, so a worker process, which
-// the splitter's source cannot reach, sheds its load at the same tuple as an
-// in-process one.
+// shiftOperator is a ServiceOperator whose service time becomes after from
+// sequence number at on: the external load the paper's dynamic experiments
+// remove mid-run. It switches on the tuple it processes, so a worker process,
+// which the splitter's source cannot reach, sheds its load at the same tuple
+// as an in-process one.
 type shiftOperator struct {
-	*runtime.DelayOperator
+	*runtime.ServiceOperator
 	at    uint64
 	after time.Duration
 }
@@ -217,19 +220,19 @@ type shiftOperator struct {
 // Process implements runtime.Operator.
 func (op *shiftOperator) Process(t transport.Tuple) transport.Tuple {
 	if t.Seq >= op.at {
-		op.SetDelay(op.after)
+		op.SetService(op.after)
 	}
-	return op.DelayOperator.Process(t)
+	return op.ServiceOperator.Process(t)
 }
 
-// delayOperator returns a worker's operator: delay per tuple, and after from
-// sequence number at on when at > 0.
+// delayOperator returns a worker's operator: a mean service time of delay per
+// tuple, and of after from sequence number at on when at > 0.
 func delayOperator(delay time.Duration, at uint64, after time.Duration) runtime.Operator {
-	op := runtime.NewDelayOperator(delay)
+	op := runtime.NewServiceOperator(delay)
 	if at == 0 {
 		return op
 	}
-	return &shiftOperator{DelayOperator: op, at: at, after: after}
+	return &shiftOperator{ServiceOperator: op, at: at, after: after}
 }
 
 // timeline returns an OnSample that prints the sampled blocking rates and the
@@ -351,9 +354,9 @@ func workerCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error)
 	fs := flag.NewFlagSet("spe worker", flag.ContinueOnError)
 	id := fs.Int("id", -1, "worker id (must match the splitter's ordering)")
 	merger := fs.String("merger", "", "merger address to forward to")
-	delay := fs.Duration("delay", 0, "artificial per-tuple delay (emulated load)")
+	delay := fs.Duration("delay", 0, "mean per-tuple service time (emulated load)")
 	shiftAt := fs.Uint64("shift-at", 0, "sequence number from which -shift-delay replaces -delay (0 = never)")
-	shiftDelay := fs.Duration("shift-delay", 0, "per-tuple delay from -shift-at on")
+	shiftDelay := fs.Duration("shift-delay", 0, "mean per-tuple service time from -shift-at on")
 	combine := fs.Bool("combine", false, "fold same-key results per batch with the per-key sum combiner before forwarding")
 	resilient := fs.Bool("resilient", false, "serve reconnecting splitters until killed (recovery mode)")
 	timeoutFlags(fs, &cfg.Timeouts)
@@ -450,8 +453,8 @@ func runCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error) {
 	fs := flag.NewFlagSet("spe run", flag.ContinueOnError)
 	workers := fs.Int("workers", 3, "number of worker processes")
 	slowWorker := fs.Int("slow-worker", 0, "worker carrying extra load (-1 for none)")
-	slowDelay := fs.Duration("slow-delay", time.Millisecond, "per-tuple delay of the loaded worker")
-	baseDelay := fs.Duration("base-delay", 50*time.Microsecond, "per-tuple delay of unloaded workers")
+	slowDelay := fs.Duration("slow-delay", time.Millisecond, "mean per-tuple service time of the loaded worker")
+	baseDelay := fs.Duration("base-delay", 50*time.Microsecond, "mean per-tuple service time of unloaded workers")
 	removeAt := fs.Float64("remove-at", 1, "fraction of the stream from which the loaded worker runs at -base-delay (>= 1 keeps its load)")
 	recover := fs.Bool("recover", false, "enable worker-failure recovery (resilient workers + control channel)")
 	transportKind := fs.String("transport", "tcp", "region transport: tcp (one OS process per PE over loopback) or inproc (one process, shared-memory rings)")
@@ -467,7 +470,7 @@ func runCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error) {
 		if *removeAt < 0 {
 			return errors.New("run: -remove-at must not be negative")
 		}
-		// load is worker i's per-tuple delay and the sequence number from which
+		// load is worker i's service time and the sequence number from which
 		// it runs at -base-delay instead (0 = never).
 		load := func(i int) (time.Duration, uint64) {
 			if i != *slowWorker {

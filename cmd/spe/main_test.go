@@ -208,32 +208,62 @@ func runRegion(t *testing.T, transportKind string, args ...string) string {
 }
 
 func TestRunBalancedPipeline(t *testing.T) {
-	// A loaded worker against an unloaded one: the run must release every
+	// A loaded worker against unloaded ones: the run must release every
 	// tuple in order and print the balancer's learned functions, also when
 	// the load is taken away halfway (the worker switches on the tuple's
-	// sequence number, in a spawned process too).
+	// sequence number, in a spawned process too). Where the load stays, at
+	// the default delays (1ms against 50us), the balancer must send the
+	// loaded worker less than half of what it sends each unloaded one.
 	for _, tc := range []struct {
-		name string
-		args []string
+		name   string
+		args   []string
+		tuples int
+		loaded bool
 	}{
-		{"inproc", []string{"inproc"}},
-		{"tcp remove-at", []string{"tcp", "-remove-at", "0.5"}},
+		{"inproc", []string{"inproc", "-workers", "3"}, 20000, true},
+		{"tcp", []string{"tcp", "-workers", "3"}, 20000, true},
+		{"tcp remove-at", []string{"tcp", "-remove-at", "0.5", "-workers", "2", "-base-delay", "20us", "-slow-delay", "400us"}, 3000, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			out := runRegion(t, tc.args[0], append(tc.args[1:],
-				"-workers", "2",
-				"-tuples", "3000",
-				"-base-delay", "20us",
-				"-slow-delay", "400us",
-			)...)
-			if !strings.Contains(out, "released=3000 ordered=true") {
+			out := runRegion(t, tc.args[0], append(tc.args[1:], "-tuples", fmt.Sprint(tc.tuples))...)
+			if !strings.Contains(out, fmt.Sprintf("released=%d ordered=true", tc.tuples)) {
 				t.Fatalf("incomplete or unordered release:\n%s", out)
 			}
 			if !strings.Contains(out, "learned blocking-rate functions") {
 				t.Fatalf("function dump missing:\n%s", out)
 			}
+			if !tc.loaded {
+				return
+			}
+			sent := parseSent(t, out)
+			if len(sent) != 3 {
+				t.Fatalf("DONE line names %d workers, want 3:\n%s", len(sent), out)
+			}
+			for i, n := range sent[1:] {
+				if 2*sent[0] >= n {
+					t.Fatalf("loaded worker 0 sent %d tuples, not under half of worker %d's %d: %v\n%s",
+						sent[0], i+1, n, sent, out)
+				}
+			}
 		})
 	}
+}
+
+// parseSent extracts the per-worker counts from the splitter's DONE line
+// ("DONE sent=[a b c] blocking=[...]").
+func parseSent(t *testing.T, out string) []int64 {
+	t.Helper()
+	m := regexp.MustCompile(`DONE sent=\[([0-9 ]*)\]`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no splitter DONE line:\n%s", out)
+	}
+	var sent []int64
+	for _, f := range strings.Fields(m[1]) {
+		var n int64
+		fmt.Sscanf(f, "%d", &n)
+		sent = append(sent, n)
+	}
+	return sent
 }
 
 func TestRunRoundRobinPipeline(t *testing.T) {
@@ -265,8 +295,8 @@ func TestRunRoundRobinPipeline(t *testing.T) {
 
 func TestShiftOperatorSwitchesOnSequence(t *testing.T) {
 	const slow, base = 2 * time.Microsecond, time.Microsecond
-	if _, ok := delayOperator(slow, 0, base).(*runtime.DelayOperator); !ok {
-		t.Fatal("shift at 0 must be a plain delay operator")
+	if _, ok := delayOperator(slow, 0, base).(*runtime.ServiceOperator); !ok {
+		t.Fatal("shift at 0 must be a plain service operator")
 	}
 	op := delayOperator(slow, 10, base).(*shiftOperator)
 	for _, step := range []struct {
@@ -280,8 +310,8 @@ func TestShiftOperatorSwitchesOnSequence(t *testing.T) {
 		{3, base}, // a replayed earlier tuple does not bring the load back
 	} {
 		op.Process(transport.Tuple{Seq: step.seq})
-		if got := op.Delay(); got != step.want {
-			t.Fatalf("after seq %d: delay %v, want %v", step.seq, got, step.want)
+		if got := op.Service(); got != step.want {
+			t.Fatalf("after seq %d: service %v, want %v", step.seq, got, step.want)
 		}
 	}
 }

@@ -290,16 +290,16 @@ func TestSplitterCoalescesCongestedRuns(t *testing.T) {
 			edges := newTCPEdges(t, 2)
 			reg := metrics.New()
 			sp, err := NewSplitter(SplitterConfig{
-				Senders:           edgeSenders(edges),
-				BatchSize:         batch,
-				SocketBufferBytes: sockbuf,
-				SampleInterval:    time.Hour, // only the ticks congest drives
-				Source:            ConstantSource(payload, runs*batch),
-				Metrics:           NewRegionMetrics(reg, nil),
+				Senders:        edgeSenders(edges),
+				BatchSize:      batch,
+				SampleInterval: time.Hour, // only the ticks congest drives
+				Source:         ConstantSource(payload, runs*batch),
+				Metrics:        NewRegionMetrics(reg, nil),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sp.holdBytes = sockbuf / 4
 			congest(t, sp, edges, nil, 0)
 			if v, _ := reg.Value("spe_splitter_conn_coalescing", "conn", "0"); v != 1 {
 				t.Fatalf("coalescing gauge of connection 0 is %v, want 1", v)

@@ -2,9 +2,8 @@ package runtime
 
 import "math"
 
-// headIndexEmpty is the key of a stream whose reorder heap is empty. Wire
-// sequence numbers stay below 2^63 (the control channel claims the high bit
-// for quarantine frames), so MaxUint64 can never collide with a real head.
+// headIndexEmpty is the key of a stream whose reorder heap is empty.
+// Sequence numbers count tuples from 0, so MaxUint64 is never a live head.
 const headIndexEmpty = math.MaxUint64
 
 // headIndex is an indexed binary min-heap over the per-stream reorder-heap

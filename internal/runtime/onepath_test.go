@@ -62,11 +62,6 @@ func stallEdges(t *testing.T, kind TransportKind, cfg SplitterConfig, stall func
 					return
 				}
 				defer c.Close()
-				if conn == 1 {
-					// Keep the kernel from absorbing the stalled
-					// connection's whole share before the sender blocks.
-					c.(*net.TCPConn).SetReadBuffer(4 << 10)
-				}
 				drain(conn, transport.NewReceiver(c))
 			}(conn)
 		}
@@ -99,9 +94,8 @@ func TestBatchOfOneKeepsPerTupleSignal(t *testing.T) {
 					time.Sleep(stallFor)
 				}
 				sp, wait := stallEdges(t, kind, SplitterConfig{
-					Source:            ConstantSource(make([]byte, 1024), 600),
-					BatchSize:         batch,
-					SocketBufferBytes: 4 << 10,
+					Source:    ConstantSource(make([]byte, 1024), 600),
+					BatchSize: batch,
 				}, stall)
 				close(ready)
 				sp.Start()

@@ -73,55 +73,23 @@ func (op *SpinOperator) Process(t transport.Tuple) transport.Tuple {
 	return t
 }
 
-// DelayOperator holds each tuple for a configurable duration without
-// consuming CPU. On machines with fewer cores than workers, SpinOperator
-// cannot express a genuine capacity difference — every worker just contends
-// for the same cores — so examples and tests emulate a slower host by
-// delaying instead. The delay can be changed concurrently.
-type DelayOperator struct {
-	delayNS atomic.Int64
-}
-
-var _ Operator = (*DelayOperator)(nil)
-
-// NewDelayOperator returns an operator that sleeps for d per tuple.
-func NewDelayOperator(d time.Duration) *DelayOperator {
-	op := &DelayOperator{}
-	op.delayNS.Store(int64(d))
-	return op
-}
-
-// SetDelay changes the per-tuple delay; safe to call during a run.
-func (op *DelayOperator) SetDelay(d time.Duration) {
-	op.delayNS.Store(int64(d))
-}
-
-// Delay returns the current per-tuple delay.
-func (op *DelayOperator) Delay() time.Duration {
-	return time.Duration(op.delayNS.Load())
-}
-
-// Process implements Operator: it sleeps and passes the tuple through.
-func (op *DelayOperator) Process(t transport.Tuple) transport.Tuple {
-	if d := time.Duration(op.delayNS.Load()); d > 0 {
-		time.Sleep(d)
-	}
-	return t
-}
-
 // serviceQuantum is the smallest sleep ServiceOperator issues. Kernel timer
 // granularity can inflate a short sleep by a millisecond or more, so
 // sub-quantum service times are accumulated as debt and slept in batches.
 const serviceQuantum = time.Millisecond
 
 // ServiceOperator models a fixed per-tuple service time without consuming
-// CPU, like DelayOperator, but stays accurate for service times far below
-// the kernel's sleep granularity: each tuple adds its service time to a debt
-// counter, the operator sleeps only once the debt reaches a quantum, and the
-// sleep's measured overshoot is credited against future debt. The effective
-// per-tuple cost converges on the configured duration even when individual
-// sleeps are inflated 50x. The service time can be changed concurrently;
-// debt is owned by the single worker goroutine calling Process.
+// CPU. On machines with fewer cores than workers, SpinOperator cannot
+// express a genuine capacity difference — every worker just contends for the
+// same cores — so examples and tests emulate a slower host by sleeping
+// instead. It stays accurate for service times far below the kernel's sleep
+// granularity, where a sleep per tuple would not: each tuple adds its
+// service time to a debt counter, the operator sleeps only once the debt
+// reaches a quantum, and the sleep's measured overshoot is credited against
+// future debt. The effective per-tuple cost converges on the configured
+// duration even when individual sleeps are inflated 50x. The service time
+// can be changed concurrently; debt is owned by the single worker goroutine
+// calling Process.
 type ServiceOperator struct {
 	serviceNS atomic.Int64
 	debt      time.Duration
@@ -140,6 +108,11 @@ func NewServiceOperator(d time.Duration) *ServiceOperator {
 // SetService changes the per-tuple service time; safe to call during a run.
 func (op *ServiceOperator) SetService(d time.Duration) {
 	op.serviceNS.Store(int64(d))
+}
+
+// Service returns the current per-tuple service time.
+func (op *ServiceOperator) Service() time.Duration {
+	return time.Duration(op.serviceNS.Load())
 }
 
 // Process implements Operator: it charges one service time against the debt

@@ -137,12 +137,6 @@ type RegionConfig struct {
 	// OnConnEvent observes splitter recovery events (down/replay/rejoin).
 	// Optional.
 	OnConnEvent func(ConnEvent)
-	// SocketBufferBytes sizes the kernel buffers between splitter and
-	// workers (default DefaultSocketBuffer), the worker's receive buffer
-	// included: below about 64 KiB on loopback a send can wait out the
-	// kernel's zero-window persist timer, and that wait counts as blocking.
-	// A congested edge holds its output until it reaches a quarter of it.
-	SocketBufferBytes int
 	// BatchSize is the splitter's round length: the unkeyed tuples among
 	// that many consecutive sequence numbers go to one weighted round-robin
 	// pick (<= 1 is a round of one). Each round ends with one write per
@@ -231,18 +225,17 @@ var DefaultRegionRedial = transport.RedialPolicy{
 // all of it but the edges (WorkerAddrs, Senders) and ControlAddr.
 func (cfg RegionConfig) SplitterConfig() SplitterConfig {
 	return SplitterConfig{
-		Source:            cfg.Source,
-		KeyedSource:       cfg.KeyedSource,
-		Router:            cfg.Router,
-		Balancer:          cfg.Balancer,
-		SampleInterval:    cfg.SampleInterval,
-		OnSample:          cfg.OnSample,
-		OnConnEvent:       cfg.OnConnEvent,
-		SocketBufferBytes: cfg.SocketBufferBytes,
-		BatchSize:         cfg.BatchSize,
-		Metrics:           cfg.Metrics,
-		Timeouts:          cfg.Timeouts,
-		Recovery:          cfg.Recovery,
+		Source:         cfg.Source,
+		KeyedSource:    cfg.KeyedSource,
+		Router:         cfg.Router,
+		Balancer:       cfg.Balancer,
+		SampleInterval: cfg.SampleInterval,
+		OnSample:       cfg.OnSample,
+		OnConnEvent:    cfg.OnConnEvent,
+		BatchSize:      cfg.BatchSize,
+		Metrics:        cfg.Metrics,
+		Timeouts:       cfg.Timeouts,
+		Recovery:       cfg.Recovery,
 	}
 }
 
@@ -327,7 +320,6 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 				r.Close()
 				return nil, err
 			}
-			w.SetReceiveBuffer(cfg.SocketBufferBytes)
 			w.SetTimeouts(cfg.Timeouts)
 			w.SetResilient(r.recovery)
 			r.workers = append(r.workers, w)

@@ -157,13 +157,13 @@ func TestRegionBalancerShiftsLoad(t *testing.T) {
 			NewSpinOperator(1_000),
 			NewSpinOperator(1_000),
 		},
-		// 256-byte payloads against 8 KiB kernel buffers: a few dozen
-		// tuples in flight per connection, so the heavy connection's
-		// sends block and the signal exists.
-		Source:            ConstantSource(make([]byte, 256), tuples),
-		Balancer:          balancer,
-		SampleInterval:    50 * time.Millisecond,
-		SocketBufferBytes: 8 << 10,
+		// 256-byte payloads against the default 64 KiB kernel buffers:
+		// about a thousand tuples in flight per connection, a tenth of the
+		// heavy connection's even share, so its sends block and the
+		// signal exists.
+		Source:         ConstantSource(make([]byte, 256), tuples),
+		Balancer:       balancer,
+		SampleInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +247,10 @@ func TestConstantSource(t *testing.T) {
 	}
 }
 
-func TestDelayOperator(t *testing.T) {
-	op := NewDelayOperator(5 * time.Millisecond)
-	if op.Delay() != 5*time.Millisecond {
-		t.Fatalf("Delay = %v, want 5ms", op.Delay())
+func TestServiceOperator(t *testing.T) {
+	op := NewServiceOperator(5 * time.Millisecond)
+	if op.Service() != 5*time.Millisecond {
+		t.Fatalf("Service = %v, want 5ms", op.Service())
 	}
 	in := transport.Tuple{Seq: 9, Payload: []byte("d")}
 	start := time.Now()
@@ -259,13 +259,24 @@ func TestDelayOperator(t *testing.T) {
 		t.Fatalf("Process returned after %v, want >= ~5ms", elapsed)
 	}
 	if out.Seq != in.Seq || string(out.Payload) != "d" {
-		t.Fatalf("DelayOperator changed tuple: %+v", out)
+		t.Fatalf("ServiceOperator changed tuple: %+v", out)
 	}
-	op.SetDelay(0)
+	op.SetService(0)
 	start = time.Now()
 	op.Process(in)
 	if elapsed := time.Since(start); elapsed > time.Millisecond {
-		t.Fatalf("zero-delay Process took %v", elapsed)
+		t.Fatalf("zero-service Process took %v", elapsed)
+	}
+
+	// Below the kernel's sleep granularity the mean holds: a sleep per
+	// tuple would cost ~1 ms each, 1 000 of them over a second.
+	op = NewServiceOperator(50 * time.Microsecond)
+	start = time.Now()
+	for seq := uint64(0); seq < 1000; seq++ {
+		op.Process(transport.Tuple{Seq: seq})
+	}
+	if elapsed := time.Since(start); elapsed < 40*time.Millisecond || elapsed > 250*time.Millisecond {
+		t.Fatalf("1000 tuples at 50us took %v, want 40ms..250ms", elapsed)
 	}
 }
 
@@ -278,7 +289,7 @@ func TestRegionOnSampleCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	region, err := NewRegion(RegionConfig{
-		Operators:      []Operator{NewDelayOperator(50 * time.Microsecond), NewDelayOperator(50 * time.Microsecond)},
+		Operators:      []Operator{NewServiceOperator(50 * time.Microsecond), NewServiceOperator(50 * time.Microsecond)},
 		Source:         ConstantSource(make([]byte, 64), 8000),
 		Balancer:       balancer,
 		SampleInterval: 20 * time.Millisecond,

@@ -261,14 +261,13 @@ func TestScrapeDoesNotWaitOnParkedSend(t *testing.T) {
 				return tp
 			})
 			region, err := NewRegion(RegionConfig{
-				Transport:         kind,
-				Operators:         []Operator{stalled, Identity()},
-				Source:            ConstantSource(bytes.Repeat([]byte("p"), 512), tuples),
-				SampleInterval:    10 * time.Millisecond,
-				SocketBufferBytes: 8 << 10,
-				RingCap:           16,
-				BatchSize:         8,
-				Metrics:           NewRegionMetrics(reg, nil),
+				Transport:      kind,
+				Operators:      []Operator{stalled, Identity()},
+				Source:         ConstantSource(bytes.Repeat([]byte("p"), 512), tuples),
+				SampleInterval: 10 * time.Millisecond,
+				RingCap:        16,
+				BatchSize:      8,
+				Metrics:        NewRegionMetrics(reg, nil),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -340,7 +339,7 @@ func TestIngestAgeMovesWithoutRecovery(t *testing.T) {
 			resume := make(chan struct{})
 			region, err := NewRegion(RegionConfig{
 				Transport: kind,
-				Operators: []Operator{NewDelayOperator(2 * time.Millisecond), NewDelayOperator(2 * time.Millisecond)},
+				Operators: []Operator{NewServiceOperator(2 * time.Millisecond), NewServiceOperator(2 * time.Millisecond)},
 				Source: func(seq uint64) ([]byte, bool) {
 					switch seq {
 					case pauseAt / 2:

@@ -100,15 +100,6 @@ type SplitterConfig struct {
 	// returns. With recovery enabled the rates/weights vectors track the
 	// live connection set, so their length can change between ticks.
 	OnSample func(now time.Duration, rates []float64, weights []int)
-	// SocketBufferBytes sizes the kernel send buffer of each worker
-	// connection (default DefaultSocketBuffer). The blocking-time signal
-	// only exists when the buffers are small relative to the workload:
-	// with gigantic buffers the kernel absorbs everything and no send ever
-	// blocks — the paper's "numerous system buffers" caveat (Section 4.4).
-	// A congested TCP edge holds its output until it reaches a quarter of
-	// it (see BatchSize). A region gives the worker's receive buffer the
-	// same size, which has a floor (see RegionConfig.SocketBufferBytes).
-	SocketBufferBytes int
 	// BatchSize is the round length: the unkeyed tuples of a round of up to
 	// BatchSize consecutive sequence numbers are a run, sent to one weighted
 	// round-robin pick, so weights are exact over runs, not tuples (keyed
@@ -118,7 +109,7 @@ type SplitterConfig struct {
 	// 3 elect-to-block episode, unless its edge is congested: a TCP edge that
 	// blocked in the last sample interval (one the loop did not spend nearly
 	// all parked) holds its output, keyed tuples included, until a round end
-	// at which it holds at least SocketBufferBytes/4, and writes it then.
+	// at which it holds at least DefaultSocketBuffer/4, and writes it then.
 	// Larger rounds raise throughput and coarsen the balancer's granularity
 	// (see DESIGN §4b).
 	BatchSize int
@@ -148,7 +139,16 @@ type SplitterConfig struct {
 	Recovery RecoveryConfig
 }
 
-// DefaultSocketBuffer is the kernel buffer size requested per connection.
+// DefaultSocketBuffer is the kernel buffer size requested for both ends of
+// every TCP splitter→worker connection: the splitter's send buffer and the
+// worker's receive buffer. The blocking-time signal only exists when the
+// buffers are small relative to the workload: with gigantic buffers the
+// kernel absorbs everything and no send ever blocks — the paper's "numerous
+// system buffers" caveat (Section 4.4). It has a floor too: on loopback a
+// receive window below about 64 KiB makes a send wait out the kernel's
+// zero-window persist timer, and that wait would count as the worker's
+// blocking. A congested edge holds its output until it reaches a quarter of
+// it (see SplitterConfig.BatchSize).
 const DefaultSocketBuffer = 64 << 10
 
 // DefaultSampleInterval is the splitter's collection interval.
@@ -245,7 +245,8 @@ type Splitter struct {
 	quarCount []int
 
 	// holdBytes is what a congested edge holds before a round end writes
-	// its output: SocketBufferBytes/4.
+	// its output: DefaultSocketBuffer/4. A field, not the constant, so a
+	// test can pin a smaller hold.
 	holdBytes int
 
 	// Merge-stall check state, owned by the send loop: the ticker driving
@@ -296,9 +297,6 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = DefaultSampleInterval
 	}
-	if cfg.SocketBufferBytes <= 0 {
-		cfg.SocketBufferBytes = DefaultSocketBuffer
-	}
 	cfg.Recovery = cfg.Recovery.norm()
 	if cfg.ControlAddr == "" {
 		// Nothing is replayed without a control channel, so nothing redials.
@@ -319,7 +317,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		prevKeyed:   make([]int64, n),
 		to:          cfg.Timeouts.norm(),
 		quarCount:   make([]int, n),
-		holdBytes:   cfg.SocketBufferBytes / 4,
+		holdBytes:   DefaultSocketBuffer / 4,
 		aggSent:     make([]int64, n),
 		aggBlocking: make([]time.Duration, n),
 		aggBlocked:  make([]int64, n),
@@ -419,7 +417,7 @@ func (sp *Splitter) dialWorker(addr string) (net.Conn, error) {
 		return nil, err
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
-		if err := tc.SetWriteBuffer(sp.cfg.SocketBufferBytes); err != nil {
+		if err := tc.SetWriteBuffer(DefaultSocketBuffer); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("set buffer: %w", err)
 		}

@@ -232,7 +232,6 @@ type Worker struct {
 	pe
 	ln        net.Listener
 	merger    string // merger address to dial
-	rcvBuf    int
 	resilient bool
 	to        Timeouts
 }
@@ -251,7 +250,6 @@ func NewWorker(id int, operator Operator, mergerAddr string) (*Worker, error) {
 		pe:     pe{id: id, operator: operator, done: make(chan struct{})},
 		ln:     ln,
 		merger: mergerAddr,
-		rcvBuf: 64 << 10,
 		to:     Timeouts{}.norm(),
 	}, nil
 }
@@ -260,14 +258,6 @@ func NewWorker(id int, operator Operator, mergerAddr string) (*Worker, error) {
 // writes, forwarding stall bound). Call before Start.
 func (w *Worker) SetTimeouts(t Timeouts) {
 	w.to = t.norm()
-}
-
-// SetReceiveBuffer overrides the kernel receive-buffer size requested for the
-// splitter connection (bytes). Call before Start.
-func (w *Worker) SetReceiveBuffer(bytes int) {
-	if bytes > 0 {
-		w.rcvBuf = bytes
-	}
 }
 
 // SetResilient switches the worker to the multi-connection mode described
@@ -323,7 +313,7 @@ func (w *Worker) run() error {
 func (w *Worker) serveConn(in net.Conn) error {
 	defer in.Close()
 	if tc, ok := in.(*net.TCPConn); ok {
-		if err := tc.SetReadBuffer(w.rcvBuf); err != nil {
+		if err := tc.SetReadBuffer(DefaultSocketBuffer); err != nil {
 			return fmt.Errorf("runtime: worker %d set read buffer: %w", w.id, err)
 		}
 	}
