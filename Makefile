@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check loc trials overhead hops bench figures figures-csv examples quick-bench soak soak-smoke
+.PHONY: test test-race vet fmt-check loc trials overhead hops bench figures figures-csv examples quick-bench soak
 
 test:
 	go test ./...
@@ -33,8 +33,8 @@ loc:
 	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
 	@for t in RegionConfig SplitterConfig RecoveryConfig Timeouts; do echo "runtime.$$t fields: $$(go doc ./internal/runtime $$t | awk '/struct \{/{f=1;next} /^}/{f=0} f && /^\t[A-Z][A-Za-z0-9]* /' | wc -l)"; done
 
-# The straggler suite's flake count (ROADMAP item 4): build the runtime test
-# binary once with -race, run TestStragglerInvariantTrials N times
+# The fault trials' flake count (ROADMAP item 4): build the runtime test
+# binary once with -race, run TestFaultPlans/trials N times
 # (`make trials N=100`), print each failing run's seeds and "k of N runs
 # failed"; exits non-zero when k > 0.
 N ?= 10
@@ -43,7 +43,7 @@ trials:
 	go test -race -c -o "$$dir/runtime.test" ./internal/runtime && \
 	fails=0 && \
 	for i in $$(seq 1 $(N)); do \
-		if ! (cd internal/runtime && "$$dir/runtime.test" -test.run '^TestStragglerInvariantTrials$$' >"$$dir/out" 2>&1); then \
+		if ! (cd internal/runtime && "$$dir/runtime.test" -test.run '^TestFaultPlans$$/^trials$$' >"$$dir/out" 2>&1); then \
 			fails=$$((fails + 1)); \
 			echo "run $$i failed: $$(grep -o 'seed [0-9]*' "$$dir/out" | sort -u | paste -sd, -)"; \
 		fi; \
@@ -78,17 +78,12 @@ hops:
 	go test -run '^$$' -bench SplitterWrites -count=6 ./internal/runtime | grep '^Benchmark'
 	go test -run '^$$' -bench WorkerPass -count=6 ./internal/runtime | grep '^Benchmark'
 
-# Minutes-long randomized chaos soak: stall/drip/kill faults against
-# recovery-enabled regions at 16-64 workers, asserting the exactly-once
-# ordered-release invariant. Summaries land in SOAK_<short-sha>.json.
+# Minutes-long randomized chaos soak: the long rows of TestFaultPlans,
+# stall/drip/kill faults against recovery-enabled regions at 16, 32 and 64
+# workers, asserting exactly-once ordered release and a bounded release gap.
+# Each plan logs its summary line (-v).
 soak:
-	SOAK_FULL=1 SOAK_OUT="SOAK_$$(git rev-parse --short HEAD).json" \
-		go test -v -timeout 30m -run 'TestSoak' ./internal/soak \
-		&& echo "wrote SOAK_$$(git rev-parse --short HEAD).json"
-
-# The CI-sized soak: one short randomized schedule, same invariants.
-soak-smoke:
-	go test -v -run TestSoakSmoke ./internal/soak
+	SOAK_FULL=1 go test -v -timeout 30m -run '^TestFaultPlans$$/^long$$' ./internal/runtime
 
 # One benchmark iteration per figure: a fast smoke of every reproduction.
 quick-bench:

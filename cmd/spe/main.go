@@ -132,20 +132,8 @@ func serveMetrics(w io.Writer, addr string) (*runtime.RegionMetrics, *metrics.Se
 // timeoutFlags registers the I/O-deadline flags on fs, bound to to. Zero
 // keeps the runtime defaults; negative disables the deadline.
 func timeoutFlags(fs *flag.FlagSet, to *runtime.Timeouts) {
-	fs.Var((*ioTimeout)(to), "io-timeout", "deadline (a `duration`) for dials, handshakes, health probes and control writes (0 = defaults, negative = disabled)")
+	fs.DurationVar(&to.IO, "io-timeout", 0, "deadline for dials, handshakes, health probes and control writes (0 = default, negative = disabled)")
 	fs.DurationVar(&to.SendStall, "send-stall", 0, "how long a send may stay parked on a full connection before failing (0 = default, negative = disabled)")
-}
-
-// ioTimeout is the -io-timeout flag: one duration for the dial, handshake,
-// probe and control-write deadlines.
-type ioTimeout runtime.Timeouts
-
-func (v *ioTimeout) String() string { return v.Dial.String() }
-
-func (v *ioTimeout) Set(s string) error {
-	d, err := time.ParseDuration(s)
-	v.Dial, v.Handshake, v.Probe, v.ControlWrite = d, d, d, d
-	return err
 }
 
 // splitterFlags holds the flags splitter and run share: the region

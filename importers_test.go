@@ -17,7 +17,6 @@ import (
 // purpose, each with its reason.
 var withoutImporter = map[string]string{
 	"testutil": "test helpers by design: only _test.go files import it",
-	"soak":     "run by its own test, from `make soak` and CI chaos-soak-smoke",
 }
 
 // TestEveryInternalPackageHasAnImporter fails when an internal package is

@@ -53,8 +53,8 @@ func dialControl(addr string, to Timeouts) (*controlLink, error) {
 	}
 	var id [4]byte
 	binary.LittleEndian.PutUint32(id[:], controlConnID)
-	if to.Handshake > 0 {
-		conn.SetWriteDeadline(time.Now().Add(to.Handshake))
+	if to.IO > 0 {
+		conn.SetWriteDeadline(time.Now().Add(to.IO))
 	}
 	if _, err := conn.Write(id[:]); err != nil {
 		conn.Close()
@@ -64,7 +64,7 @@ func dialControl(addr string, to Timeouts) (*controlLink, error) {
 	c := &controlLink{
 		conn:     conn,
 		readTO:   to.ControlRead,
-		writeTO:  to.ControlWrite,
+		writeTO:  to.IO,
 		wmSignal: make(chan struct{}, 1),
 		dead:     make(chan struct{}),
 	}

@@ -181,24 +181,13 @@ func runKeyedTrial(t *testing.T, trial int, tr keyedTrial, seed int64) {
 			WatermarkInterval: 5 * time.Millisecond,
 			DisableRedial:     true,
 		}
-		cfg.WrapWorkerAddr = func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies = append(proxies, p)
-			return p.Addr()
-		}
+		proxies, cfg.WrapWorkerAddr = chaosProxies(t, tr.workers)
 	}
 	region, err := NewRegion(cfg)
 	if err != nil {
 		t.Fatalf("trial %d (%+v): %v", trial, tr, err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			p.Close()
-		}
-	}()
+	defer closeProxies(proxies)
 	res, err := region.Run()
 	if err != nil {
 		t.Fatalf("trial %d (%+v): run: %v", trial, tr, err)

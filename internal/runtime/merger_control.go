@@ -54,8 +54,8 @@ func (m *Merger) handshake(conn net.Conn) {
 		delete(m.pending, conn)
 		m.ctl.Unlock()
 	}
-	if m.to.Handshake > 0 {
-		conn.SetReadDeadline(time.Now().Add(m.to.Handshake))
+	if m.to.IO > 0 {
+		conn.SetReadDeadline(time.Now().Add(m.to.IO))
 	}
 	var idBuf [4]byte
 	if _, err := io.ReadFull(conn, idBuf[:]); err != nil {
@@ -167,8 +167,8 @@ func (m *Merger) watermarkWriter(conn net.Conn) {
 		// next is atomic, so the periodic report reads the merge loop's
 		// progress without touching it.
 		binary.LittleEndian.PutUint64(buf[:], m.next.Load())
-		if m.to.ControlWrite > 0 {
-			conn.SetWriteDeadline(time.Now().Add(m.to.ControlWrite))
+		if m.to.IO > 0 {
+			conn.SetWriteDeadline(time.Now().Add(m.to.IO))
 		}
 		_, err := conn.Write(buf[:])
 		return err

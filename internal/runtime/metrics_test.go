@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"streambalance/internal/chaos"
 	"streambalance/internal/core"
 	"streambalance/internal/metrics"
 )
@@ -227,7 +226,7 @@ func TestMetricsConsistencyUnderChaos(t *testing.T) {
 	reg := metrics.New()
 	tr := metrics.NewTrace(4096)
 	rm := NewRegionMetrics(reg, tr)
-	var proxies [3]*chaos.Proxy
+	proxies, wrap := chaosProxies(t, 3)
 	killed := make(chan struct{})
 	balancer, err := core.NewBalancer(core.Config{Connections: 3, DecayEnabled: true})
 	if err != nil {
@@ -257,26 +256,12 @@ func TestMetricsConsistencyUnderChaos(t *testing.T) {
 			WatermarkInterval: 5 * time.Millisecond,
 			DisableRedial:     true,
 		},
-		Metrics: rm,
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
+		Metrics:        rm,
+		WrapWorkerAddr: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 	watcher := watchCounters(reg, monotoneCounters...)
 	res, err := region.Run()
 	violations := watcher.finish()

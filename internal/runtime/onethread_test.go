@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"streambalance/internal/chaos"
 	"streambalance/internal/core"
 	"streambalance/internal/sim"
 	"streambalance/internal/stats"
@@ -273,7 +272,7 @@ func TestSimAndRuntimeStepAgree(t *testing.T) {
 // sender for the life of the region).
 func TestSamplersTrackLiveConnections(t *testing.T) {
 	const cycles = 20
-	var proxies [3]*chaos.Proxy
+	proxies, wrap := chaosProxies(t, 3)
 	var region *Region
 	rejoins, killsDue := 0, 1
 	check := func(when string) {
@@ -314,23 +313,11 @@ func TestSamplersTrackLiveConnections(t *testing.T) {
 			MaxReadmits:       -1,
 			Redial:            &transport.RedialPolicy{Base: time.Millisecond, Max: 10 * time.Millisecond},
 		},
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
+		WrapWorkerAddr: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			p.Close()
-		}
-	}()
 	res, err := region.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -313,7 +313,7 @@ func TestSplitterReplaysOnWorkerFailure(t *testing.T) {
 
 func TestRegionRecoversFromMidRunWorkerKill(t *testing.T) {
 	const tuples = 20000
-	var proxies [4]*chaos.Proxy
+	proxies, wrap := chaosProxies(t, 4)
 	var mu sync.Mutex
 	var seqs []uint64
 	balancer, err := core.NewBalancer(core.Config{Connections: 4, DecayEnabled: true})
@@ -353,25 +353,11 @@ func TestRegionRecoversFromMidRunWorkerKill(t *testing.T) {
 			// the rejecting proxy.
 			DisableRedial: true,
 		},
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
+		WrapWorkerAddr: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 	res, err := region.Run()
 	if err != nil {
 		t.Fatalf("region did not survive a worker kill: %v", err)
@@ -400,7 +386,7 @@ func TestRegionRecoversFromMidRunWorkerKill(t *testing.T) {
 
 func TestRegionWorkerRejoinsAfterConnectionKill(t *testing.T) {
 	const tuples = 30000
-	var proxies [3]*chaos.Proxy
+	proxies, wrap := chaosProxies(t, 3)
 	var mu sync.Mutex
 	var seqs []uint64
 	var evMu sync.Mutex
@@ -443,25 +429,11 @@ func TestRegionWorkerRejoinsAfterConnectionKill(t *testing.T) {
 				Max:  50 * time.Millisecond,
 			},
 		},
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
+		WrapWorkerAddr: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 	res, err := region.Run()
 	if err != nil {
 		t.Fatalf("region did not survive connection kill + rejoin: %v", err)
@@ -488,7 +460,7 @@ func TestRegionWorkerRejoinsAfterConnectionKill(t *testing.T) {
 
 func TestRegionAllWorkersDeadFailsFast(t *testing.T) {
 	const tuples = 1 << 40 // effectively unbounded; failure must end the run
-	var proxies [3]*chaos.Proxy
+	proxies, wrap := chaosProxies(t, 3)
 	killed := make(chan struct{})
 	region, err := NewRegion(RegionConfig{
 		Operators: []Operator{Identity(), Identity(), Identity()},
@@ -515,25 +487,11 @@ func TestRegionAllWorkersDeadFailsFast(t *testing.T) {
 			WatermarkInterval: 5 * time.Millisecond,
 			DisableRedial:     true,
 		},
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
+		WrapWorkerAddr: wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 	type outcome struct {
 		err error
 	}
@@ -697,47 +655,6 @@ func TestRedialerRejoinNoRegion(t *testing.T) {
 	conn.Close()
 	if rd.Attempts() < 2 {
 		t.Fatalf("expected multiple attempts, got %d", rd.Attempts())
-	}
-}
-
-func TestChaosRegionSurvivesDegradedLink(t *testing.T) {
-	// Throttle + delay on one worker's link: no failure, just pressure —
-	// the region must still complete in order (the balancer would shift
-	// load off the slow link in a longer run).
-	const tuples = 4000
-	var proxies [2]*chaos.Proxy
-	region, err := NewRegion(RegionConfig{
-		Operators:      []Operator{Identity(), Identity()},
-		Source:         ConstantSource([]byte("data"), tuples),
-		SampleInterval: 20 * time.Millisecond,
-		Recovery:       RecoveryConfig{Enabled: true, WatermarkInterval: 5 * time.Millisecond},
-		WrapWorkerAddr: func(i int, addr string) string {
-			p, err := chaos.NewProxy(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proxies[i] = p
-			return p.Addr()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-	proxies[0].SetDelay(200 * time.Microsecond)
-	proxies[0].SetThrottle(512 << 10)
-	res, err := region.Run()
-	if err != nil {
-		t.Fatalf("region failed under link degradation: %v", err)
-	}
-	if res.Released != tuples || !res.OrderPreserved {
-		t.Fatalf("released=%d order=%v, want %d true", res.Released, res.OrderPreserved, tuples)
 	}
 }
 

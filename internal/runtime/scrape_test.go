@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"streambalance/internal/chaos"
 	"streambalance/internal/core"
 	"streambalance/internal/metrics"
 	"streambalance/internal/transport"
@@ -133,7 +132,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 		const tuples = 30000
 		reg := metrics.New()
 		rm := NewRegionMetrics(reg, metrics.NewTrace(1024))
-		var proxies [3]*chaos.Proxy
+		proxies, wrap := chaosProxies(t, 3)
 		balancer, err := core.NewBalancer(core.Config{Connections: 3, DecayEnabled: true})
 		if err != nil {
 			t.Fatal(err)
@@ -174,26 +173,12 @@ func TestScrapeWhileRunning(t *testing.T) {
 				WatermarkInterval: 5 * time.Millisecond,
 				Redial:            &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 			},
-			Metrics: rm,
-			WrapWorkerAddr: func(i int, addr string) string {
-				p, err := chaos.NewProxy(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				proxies[i] = p
-				return p.Addr()
-			},
+			Metrics:        rm,
+			WrapWorkerAddr: wrap,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() {
-			for _, p := range proxies {
-				if p != nil {
-					p.Close()
-				}
-			}
-		}()
 		sc := startScraper(reg)
 		res, err := region.Run()
 		sc.finish(t)

@@ -36,10 +36,10 @@ type rejoin struct {
 
 // probeReady waits for the worker's ready ACK byte: the worker writes it once
 // its merger connection is up and identified, so reading it proves the whole
-// forwarding path. Bounded by the Probe timeout.
+// forwarding path. Bounded by the IO timeout.
 func (sp *Splitter) probeReady(conn net.Conn) error {
-	if sp.to.Probe > 0 {
-		conn.SetReadDeadline(time.Now().Add(sp.to.Probe))
+	if sp.to.IO > 0 {
+		conn.SetReadDeadline(time.Now().Add(sp.to.IO))
 		defer conn.SetReadDeadline(time.Time{})
 	}
 	var b [1]byte

@@ -1,11 +1,8 @@
 package runtime
 
 import (
-	"fmt"
-	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +27,7 @@ func TestMergerShedsSilentDialer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetTimeouts(Timeouts{Handshake: 150 * time.Millisecond})
+	m.SetTimeouts(Timeouts{IO: 150 * time.Millisecond})
 	m.Start()
 
 	silent, err := net.Dial("tcp", m.Addr())
@@ -75,7 +72,7 @@ func TestMergerCloseReleasesPendingHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetTimeouts(Timeouts{Handshake: -1})
+	m.SetTimeouts(Timeouts{IO: -1})
 	m.Start()
 
 	silent, err := net.Dial("tcp", m.Addr())
@@ -207,7 +204,7 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
+	m.SetTimeouts(Timeouts{IO: 2 * time.Second})
 	m.SetMetrics(rm)
 	m.Start()
 
@@ -242,7 +239,7 @@ func TestStallQuarantineRecovery(t *testing.T) {
 		// post-fault assertions deterministic (7 survivors).
 		Recovery: RecoveryConfig{StallWindow: window, DisableRedial: true},
 		Metrics:  rm,
-		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 2 * time.Second},
+		Timeouts: Timeouts{SendStall: 10 * time.Second, IO: 2 * time.Second},
 		OnConnEvent: func(ev ConnEvent) {
 			evMu.Lock()
 			evs = append(evs, connEv{ev.Kind, ev.Conn, ev.Tuples, time.Now()})
@@ -398,7 +395,7 @@ func TestQuarantineReadmitAfterHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
+	m.SetTimeouts(Timeouts{IO: 2 * time.Second})
 	m.SetMetrics(rm)
 	m.Start()
 
@@ -434,7 +431,7 @@ func TestQuarantineReadmitAfterHeal(t *testing.T) {
 			Redial:      &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
 		},
 		Metrics:  rm,
-		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 150 * time.Millisecond},
+		Timeouts: Timeouts{SendStall: 10 * time.Second, IO: 150 * time.Millisecond},
 		OnConnEvent: func(ev ConnEvent) {
 			switch {
 			case ev.Kind == "quarantine" && ev.Conn == victim:
@@ -507,7 +504,7 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetWatermarkInterval(2 * time.Millisecond)
-	m.SetTimeouts(Timeouts{Handshake: 2 * time.Second})
+	m.SetTimeouts(Timeouts{IO: 2 * time.Second})
 	m.Start()
 
 	top := newStragglerTopology(t, workers, m, Timeouts{SendStall: 10 * time.Second})
@@ -537,7 +534,7 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 			MaxReadmits: 1,
 			Redial:      &transport.RedialPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: 0.2},
 		},
-		Timeouts: Timeouts{SendStall: 10 * time.Second, Probe: 300 * time.Millisecond},
+		Timeouts: Timeouts{SendStall: 10 * time.Second, IO: 300 * time.Millisecond},
 		OnConnEvent: func(ev ConnEvent) {
 			if ev.Conn != victim {
 				return
@@ -589,188 +586,6 @@ func TestQuarantineCircuitBreakerEvicts(t *testing.T) {
 	defer evMu.Unlock()
 	if quarCount < 2 {
 		t.Errorf("evicted after %d quarantines, want >= 2", quarCount)
-	}
-}
-
-// TestStragglerInvariantTrials runs many short randomized fault trials — one
-// stall, slow-drip or kill per run at a random point in the stream — and
-// checks the exactly-once in-order invariant every time. Seeds are fixed so
-// failures reproduce.
-func TestStragglerInvariantTrials(t *testing.T) {
-	trials := 300
-	if testing.Short() {
-		trials = 48
-	}
-	const shards = 8
-	per := (trials + shards - 1) / shards
-	for s := 0; s < shards; s++ {
-		s := s
-		t.Run(fmt.Sprintf("shard%d", s), func(t *testing.T) {
-			t.Parallel()
-			for i := 0; i < per; i++ {
-				runStragglerTrial(t, int64(s*1000+i))
-				if t.Failed() {
-					return
-				}
-			}
-		})
-	}
-}
-
-func runStragglerTrial(t *testing.T, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	workers := 2 + rng.Intn(3)
-	tuples := uint64(300 + rng.Intn(500))
-	kind := []string{"stall", "drip", "kill"}[rng.Intn(3)]
-	victim := rng.Intn(workers)
-	atSeq := uint64(rng.Intn(int(tuples)))
-	hold := time.Duration(20+rng.Intn(60)) * time.Millisecond
-
-	proxies := make([]*chaos.Proxy, workers)
-	defer func() {
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-
-	ops := make([]Operator, workers)
-	for i := range ops {
-		ops[i] = Identity()
-	}
-	var fault sync.Once
-	region, err := NewRegion(RegionConfig{
-		Operators: ops,
-		Source: func(seq uint64) ([]byte, bool) {
-			if seq == atSeq {
-				fault.Do(func() {
-					p := proxies[victim]
-					switch kind {
-					case "stall":
-						p.SetStall(true)
-						time.AfterFunc(hold, func() { p.SetStall(false) })
-					case "drip":
-						p.SetSlowDrip(8)
-						time.AfterFunc(hold, func() { p.SetSlowDrip(0) })
-					case "kill":
-						p.KillActive()
-					}
-				})
-			}
-			if seq >= tuples {
-				return nil, false
-			}
-			return []byte("trial"), true
-		},
-		SampleInterval: 10 * time.Millisecond,
-		Recovery: RecoveryConfig{
-			Enabled:           true,
-			WatermarkInterval: time.Millisecond,
-			StallWindow:       30 * time.Millisecond,
-			MaxReadmits:       -1,
-			Redial: &transport.RedialPolicy{
-				Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.2,
-			},
-		},
-		Timeouts: Timeouts{
-			Dial:         time.Second,
-			Handshake:    time.Second,
-			Probe:        150 * time.Millisecond,
-			ControlRead:  5 * time.Second,
-			ControlWrite: time.Second,
-			SendStall:    100 * time.Millisecond,
-		},
-		WrapWorkerAddr: func(worker int, addr string) string {
-			p, perr := chaos.NewProxy(addr)
-			if perr != nil {
-				t.Fatal(perr)
-			}
-			proxies[worker] = p
-			return p.Addr()
-		},
-	})
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	res, err := region.Run()
-	if err != nil {
-		t.Errorf("seed %d (%s on worker %d at seq %d, hold %v): %v",
-			seed, kind, victim, atSeq, hold, err)
-		return
-	}
-	if res.Released != tuples || !res.OrderPreserved {
-		t.Errorf("seed %d (%s on worker %d at seq %d): released %d of %d, ordered=%v",
-			seed, kind, victim, atSeq, res.Released, tuples, res.OrderPreserved)
-	}
-}
-
-// pauseOnce passes tuples through but sleeps d the first time it sees a
-// sequence number at or past at: one worker's share of a host-wide pause.
-type pauseOnce struct {
-	at   uint64
-	d    time.Duration
-	once sync.Once
-}
-
-func (p *pauseOnce) Process(t transport.Tuple) transport.Tuple {
-	if t.Seq >= p.at {
-		p.once.Do(func() { time.Sleep(p.d) })
-	}
-	return t
-}
-
-// TestHostPauseSparesLastWorker pauses every worker of a recovery region
-// together, for five stall windows, near the same tuple. The stall check may
-// quarantine a paused worker while it has peers, but never the last live
-// one: that cannot unstick the merge and would fail the region. So the
-// region waits out the pause and releases every tuple exactly once, in
-// order, and a one-worker region quarantines nothing. The wall clock is the
-// subject here, so the pause is a real sleep.
-func TestHostPauseSparesLastWorker(t *testing.T) {
-	const (
-		tuples = 3000
-		window = 30 * time.Millisecond
-	)
-	for _, n := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			ops := make([]Operator, n)
-			for i := range ops {
-				ops[i] = &pauseOnce{at: 1000, d: 5 * window}
-			}
-			var quarantines atomic.Int64
-			region, err := NewRegion(RegionConfig{
-				Operators:      ops,
-				Source:         ConstantSource([]byte("pause"), tuples),
-				SampleInterval: 10 * time.Millisecond,
-				OnConnEvent: func(ev ConnEvent) {
-					if ev.Kind == "quarantine" {
-						quarantines.Add(1)
-					}
-				},
-				Recovery: RecoveryConfig{
-					Enabled:           true,
-					WatermarkInterval: time.Millisecond,
-					StallWindow:       window,
-					MaxReadmits:       -1,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := region.Run()
-			if err != nil {
-				t.Fatalf("region failed after %d quarantines: %v", quarantines.Load(), err)
-			}
-			if res.Released != tuples || !res.OrderPreserved {
-				t.Fatalf("released %d of %d, ordered=%v", res.Released, tuples, res.OrderPreserved)
-			}
-			if q := quarantines.Load(); n == 1 && q != 0 {
-				t.Fatalf("the only worker was quarantined %d times", q)
-			}
-			t.Logf("%d quarantines", quarantines.Load())
-		})
 	}
 }
 

@@ -4,29 +4,23 @@ import "time"
 
 // Default I/O deadlines and stall-detection windows. The values are
 // deliberately generous — they exist to convert "hangs forever" into "fails
-// in bounded time", not to police routine latency. Tests and the soak
-// harness shrink them by orders of magnitude.
+// in bounded time", not to police routine latency. Tests shrink them by
+// orders of magnitude.
 const (
-	// DefaultDialTimeout bounds every connection establishment: splitter to
-	// worker, splitter to control channel, worker to merger.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultHandshakeTimeout bounds the 4-byte id exchange on a fresh
-	// merger connection, in both directions. A peer that connects and goes
-	// silent (slow loris) is shed after this long instead of pinning an
-	// accept-path goroutine forever.
-	DefaultHandshakeTimeout = 5 * time.Second
-	// DefaultProbeTimeout bounds the splitter's wait for a worker's ready
-	// acknowledgement: the byte a resilient worker writes once its merger
-	// connection is up. It is the health re-probe gating re-admission.
-	DefaultProbeTimeout = 5 * time.Second
+	// DefaultIOTimeout bounds every connection establishment (splitter to
+	// worker, splitter to control channel, worker to merger), the 4-byte id
+	// exchange on a fresh merger connection in both directions (a peer that
+	// connects and goes silent is shed after this long instead of pinning
+	// an accept-path goroutine forever), the splitter's wait for a worker's
+	// ready acknowledgement (the health re-probe gating re-admission), and
+	// each control-channel write (the merger's watermark frames and the
+	// splitter's FIN).
+	DefaultIOTimeout = 5 * time.Second
 	// DefaultControlReadTimeout bounds each watermark-frame read on the
 	// splitter's control channel. The merger writes a frame every watermark
 	// interval (20ms by default) even when the merge is stalled, so a
 	// control channel idle this long is dead, not quiet.
 	DefaultControlReadTimeout = 30 * time.Second
-	// DefaultControlWriteTimeout bounds each control-channel write: the
-	// merger's watermark frames and the splitter's FIN.
-	DefaultControlWriteTimeout = 5 * time.Second
 	// DefaultSendStallTimeout bounds how long one sender flush may sit
 	// parked in the poller on a socket that is not draining. Electing to
 	// block is the paper's signal, so this stays far above any plausible
@@ -46,19 +40,12 @@ const (
 // selects the defaults above; a negative field disables that deadline
 // (restoring the unbounded pre-straggler-defense behaviour).
 type Timeouts struct {
-	// Dial bounds connection establishment (splitter→worker,
-	// splitter→control, worker→merger).
-	Dial time.Duration
-	// Handshake bounds the 4-byte id exchange on merger connections.
-	Handshake time.Duration
-	// Probe bounds the splitter's wait for a worker's ready ACK before
-	// (re-)admitting it into the schedule.
-	Probe time.Duration
+	// IO bounds dials, the id handshakes, the splitter's wait for a worker's
+	// ready ACK before (re-)admitting it into the schedule, and each
+	// control-channel write (watermark and FIN frames).
+	IO time.Duration
 	// ControlRead bounds each watermark-frame read on the control channel.
 	ControlRead time.Duration
-	// ControlWrite bounds each control-channel write (watermark and FIN
-	// frames).
-	ControlWrite time.Duration
 	// SendStall bounds one elect-to-block park on a tuple send. Because the
 	// deadline is re-armed at most once per half-window (to keep the
 	// per-flush syscall cost off the hot path), the effective bound on a
@@ -79,12 +66,9 @@ func (t Timeouts) norm() Timeouts {
 		return v
 	}
 	return Timeouts{
-		Dial:         pick(t.Dial, DefaultDialTimeout),
-		Handshake:    pick(t.Handshake, DefaultHandshakeTimeout),
-		Probe:        pick(t.Probe, DefaultProbeTimeout),
-		ControlRead:  pick(t.ControlRead, DefaultControlReadTimeout),
-		ControlWrite: pick(t.ControlWrite, DefaultControlWriteTimeout),
-		SendStall:    pick(t.SendStall, DefaultSendStallTimeout),
+		IO:          pick(t.IO, DefaultIOTimeout),
+		ControlRead: pick(t.ControlRead, DefaultControlReadTimeout),
+		SendStall:   pick(t.SendStall, DefaultSendStallTimeout),
 	}
 }
 
@@ -92,8 +76,8 @@ func (t Timeouts) norm() Timeouts {
 // disabled so net.DialTimeout call sites need no branching (the OS SYN
 // timeout fires far earlier anyway).
 func (t Timeouts) dialTimeout() time.Duration {
-	if t.Dial > 0 {
-		return t.Dial
+	if t.IO > 0 {
+		return t.IO
 	}
 	return 10 * time.Minute
 }

@@ -323,11 +323,11 @@ func (w *Worker) serveConn(in net.Conn) error {
 		return fmt.Errorf("runtime: worker %d dial merger: %w", w.id, err)
 	}
 	defer out.Close()
-	// Identify this connection to the merger, under the handshake deadline.
+	// Identify this connection to the merger, under the IO deadline.
 	var id [4]byte
 	binary.LittleEndian.PutUint32(id[:], uint32(w.id))
-	if w.to.Handshake > 0 {
-		out.SetWriteDeadline(time.Now().Add(w.to.Handshake))
+	if w.to.IO > 0 {
+		out.SetWriteDeadline(time.Now().Add(w.to.IO))
 	}
 	if _, err := out.Write(id[:]); err != nil {
 		return fmt.Errorf("runtime: worker %d send id: %w", w.id, err)
@@ -341,8 +341,8 @@ func (w *Worker) serveConn(in net.Conn) error {
 	// at close time would turn the splitter's clean shutdown into a TCP
 	// reset.
 	if w.resilient {
-		if w.to.Handshake > 0 {
-			in.SetWriteDeadline(time.Now().Add(w.to.Handshake))
+		if w.to.IO > 0 {
+			in.SetWriteDeadline(time.Now().Add(w.to.IO))
 		}
 		if _, err := in.Write([]byte{workerReadyAck}); err != nil {
 			return fmt.Errorf("runtime: worker %d send ready ack: %w", w.id, err)
