@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check loc trials overhead hops bench figures figures-csv examples quick-bench soak
+.PHONY: test test-race vet fmt-check loc trials overhead hops latency bench figures figures-csv examples quick-bench soak
 
 test:
 	go test ./...
@@ -29,6 +29,7 @@ loc:
 	@echo "runtime+transport+spsc:     $$(find internal/runtime internal/transport internal/spsc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 	@echo "runtime/splitter.go:        $$(wc -l < internal/runtime/splitter.go)"
 	@echo "runtime/splitter_recovery.go: $$(wc -l < internal/runtime/splitter_recovery.go)"
+	@echo "runtime/splitter_credit.go: $$(wc -l < internal/runtime/splitter_credit.go)"
 	@echo "runtime/merger.go:          $$(wc -l < internal/runtime/merger.go)"
 	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
 	@for t in RegionConfig SplitterConfig RecoveryConfig Timeouts; do echo "runtime.$$t fields: $$(go doc ./internal/runtime $$t | awk '/struct \{/{f=1;next} /^}/{f=0} f && /^\t[A-Z][A-Za-z0-9]* /' | wc -l)"; done
@@ -77,6 +78,15 @@ hops:
 	go test -run '^$$' -bench SplitterRuns -count=6 ./internal/runtime | grep '^Benchmark'
 	go test -run '^$$' -bench SplitterWrites -count=6 ./internal/runtime | grep '^Benchmark'
 	go test -run '^$$' -bench WorkerPass -count=6 ./internal/runtime | grep '^Benchmark'
+
+# What the in-flight bound (DESIGN §4b) buys, from one place: the release
+# latency, adaptation and balancer accuracy of one traced hetero_shift run
+# (the workload whose workers, not the data plane, set the rate), and the
+# release latency of one traced paced_tcp run, which the bound must leave
+# alone. Single traced runs: treat each row as ±10 %.
+latency:
+	bash bench/run.sh -workload hetero_shift -trace 1 | grep -E '^ +(runtime\.region_lat_p(50|99)_us|core\.adapt_s|core\.weight_l1_error|runtime\.worker_op_busy_share) '
+	bash bench/run.sh -workload paced_tcp -trace 1 | grep -E '^ +runtime\.region_lat_p50_us '
 
 # Minutes-long randomized chaos soak: the long rows of TestFaultPlans,
 # stall/drip/kill faults against recovery-enabled regions at 16, 32 and 64

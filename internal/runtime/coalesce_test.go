@@ -196,7 +196,7 @@ func TestParkedIntervalHoldsNothing(t *testing.T) {
 	if sp.conns[0].congested {
 		t.Fatalf("connection 0 congested after an interval spent %.2f parked", float64(parked)/float64(interval))
 	}
-	sp.closeSenders()
+	sp.closeSenders(false)
 }
 
 // newFakeMerger gives sp a control link whose watermark follows what the
@@ -376,7 +376,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("deadlocked at watermark %d of %d", sp.ctrl.Watermark(), total)
 		}
-		sp.closeSenders()
+		sp.closeSenders(false)
 		exactlyOnce(t, total, edges[0].wait(t), edges[1].wait(t))
 		if per := float64(total/2) / float64(edges[0].sender.Flushes()-primed); per <= batch {
 			t.Fatalf("connection 0 wrote %.1f tuples a write: its runs were never held", per)
@@ -432,7 +432,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		if fmt.Sprint(quarantined) != "[0]" {
 			t.Fatalf("quarantined %v a window after writing the head, want [0]", quarantined)
 		}
-		sp.closeSenders()
+		sp.closeSenders(false)
 		if got := edges[0].wait(t); len(got) != batch {
 			t.Fatalf("connection 0 received %d tuples, want the run of %d", len(got), batch)
 		}
@@ -474,7 +474,7 @@ func TestHeldRunsUnderRecovery(t *testing.T) {
 		if replayed != held {
 			t.Fatalf("replayed %d tuples, want the %d held", replayed, held)
 		}
-		sp.closeSenders()
+		sp.closeSenders(false)
 		if got := edges[0].wait(t); len(got) != 0 {
 			t.Fatalf("the retired connection received %d tuples", len(got))
 		}

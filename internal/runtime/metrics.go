@@ -47,6 +47,8 @@ type RegionMetrics struct {
 	batchTuples     *metrics.Histogram
 	coalescing      *metrics.GaugeVec
 	keyImbalance    *metrics.Gauge
+	inflight        *metrics.GaugeVec
+	inflightBound   *metrics.GaugeVec
 
 	// Balancer / controller.
 	weight        *metrics.GaugeVec
@@ -111,7 +113,11 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		batchTuples: reg.Histogram("spe_splitter_batch_tuples",
 			"Tuples per write.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}),
 		coalescing: reg.GaugeVec("spe_splitter_conn_coalescing",
-			"1 while the connection is congested (it blocked in the last sample interval, which the splitter did not spend nearly all parked) and holds its output across rounds, written at the first round end at which it reaches a quarter of the socket buffer.", "conn"),
+			"1 while the connection is congested (its socket blocked in the last sample interval, which the splitter did not spend nearly all parked) and holds its output across rounds, written at the first round end at which it reaches a quarter of the socket buffer.", "conn"),
+		inflight: reg.GaugeVec("spe_splitter_conn_inflight_tuples",
+			"Tuples written to the worker connection that its worker has not yet acked as forwarded.", "conn"),
+		inflightBound: reg.GaugeVec("spe_splitter_conn_inflight_bound_tuples",
+			"The connection's in-flight bound: its weight share of the region's forward rate times 10 ms, at least two runs; the splitter waits for credit past it (0 before the first rate measurement).", "conn"),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",
 			"Keyed-routing imbalance over the last sample interval: (max-mean)/mean of per-connection keyed assignments (0 = perfectly even)."),
 
@@ -197,13 +203,16 @@ func (m *RegionMetrics) conn(id int) connInstruments {
 }
 
 // bindConnTotals binds one stable worker id's three transport totals to the
-// splitter's own sum over the id's retired and live connections, read at
-// scrape time: one short lock acquisition per series per scrape.
+// splitter's own sum over the id's retired and live connections, and its
+// in-flight gauges to the live connection's counts, read at scrape time: one
+// short lock acquisition per series per scrape.
 func (m *RegionMetrics) bindConnTotals(id int, sp *Splitter) {
 	l := strconv.Itoa(id)
 	m.tuplesSent.With(l).SetFunc(func() float64 { sent, _, _ := sp.connTotals(id); return float64(sent) })
 	m.blockingSeconds.With(l).SetFunc(func() float64 { _, blocking, _ := sp.connTotals(id); return blocking.Seconds() })
 	m.wouldBlock.With(l).SetFunc(func() float64 { _, _, wouldBlock := sp.connTotals(id); return float64(wouldBlock) })
+	m.inflight.With(l).SetFunc(func() float64 { n, _ := sp.connInflight(id); return float64(n) })
+	m.inflightBound.With(l).SetFunc(func() float64 { _, b := sp.connInflight(id); return float64(b) })
 }
 
 // traceEvent appends to the decision trace when tracing is enabled.

@@ -141,9 +141,15 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 		Recovery:       RecoveryConfig{Enabled: true, WatermarkInterval: 5 * time.Millisecond},
 		Metrics:        rm,
 		// OnSample runs on the send loop, so no send is in flight between
-		// the two reads: mid-run, the scrape and ConnStats must agree exactly.
+		// the two reads: mid-run, the scrape and ConnStats must agree
+		// exactly, and the bound gauge with the bound the tick just set.
 		OnSample: func(time.Duration, []float64, []int) {
 			samples++
+			for _, c := range region.splitter.conns {
+				if got, _ := reg.Value("spe_splitter_conn_inflight_bound_tuples", "conn", fmt.Sprint(c.id)); got != float64(c.bound.Load()) {
+					t.Errorf("mid-run conn %d: exported in-flight bound %v != send loop's %d", c.id, got, c.bound.Load())
+				}
+			}
 			sent, blocking := region.splitter.ConnStats()
 			for id := range sent {
 				l := fmt.Sprint(id)

@@ -173,6 +173,8 @@ func (s *refSource) ReceiveBatch(dst []transport.Tuple, max int) ([]transport.Tu
 	return append(dst[:0], batch[:k]...), ref, nil
 }
 
+func (s *refSource) Ack(uint64) error { return nil }
+
 func (s *refSource) Close() error { return nil }
 
 // TestWorkLoopOwnershipAcrossTransports runs the one worker loop over a TCP

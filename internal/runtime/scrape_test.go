@@ -64,6 +64,9 @@ func (s *scraper) scrape() {
 		s.violations = append(s.violations, "WritePrometheus: "+err.Error())
 	}
 	for _, sm := range samples {
+		if strings.HasPrefix(sm.Name, "spe_splitter_conn_inflight") && sm.Value < 0 {
+			s.violations = append(s.violations, fmt.Sprintf("%s{%s} is negative: %v", sm.Name, strings.Join(sm.LabelValues, ","), sm.Value))
+		}
 		if !strings.HasSuffix(sm.Name, "_total") {
 			continue
 		}
@@ -223,6 +226,17 @@ func TestScrapeWhileRunning(t *testing.T) {
 		checkExactAtEnd(t, reg, res, tuples)
 		if sent := mustSum(t, reg, "spe_splitter_tuples_sent_total"); sent != tuples {
 			t.Errorf("in-proc sent %v, want exactly %d (no replays)", sent, tuples)
+		}
+		// Every worker acked all it forwarded before it exited, and the
+		// 10 ms ticks measured a rate, so every connection was bounded.
+		for id := 0; id < 3; id++ {
+			l := fmt.Sprint(id)
+			if got, _ := reg.Value("spe_splitter_conn_inflight_tuples", "conn", l); got != 0 {
+				t.Errorf("conn %d: %v tuples in flight after the run", id, got)
+			}
+			if got, _ := reg.Value("spe_splitter_conn_inflight_bound_tuples", "conn", l); got < 2*16 {
+				t.Errorf("conn %d: in-flight bound %v, want at least its floor of two runs", id, got)
+			}
 		}
 	})
 }

@@ -106,12 +106,13 @@ type SplitterConfig struct {
 	// tuples keep their per-tuple router pick). <= 1 (the default) is a
 	// round of one: every tuple is its own pick. At the end of a round each
 	// connection writes what the round gave it, as one flush and one Section
-	// 3 elect-to-block episode, unless its edge is congested: a TCP edge that
-	// blocked in the last sample interval (one the loop did not spend nearly
-	// all parked) holds its output, keyed tuples included, until a round end
-	// at which it holds at least DefaultSocketBuffer/4, and writes it then.
-	// Larger rounds raise throughput and coarsen the balancer's granularity
-	// (see DESIGN §4b).
+	// 3 elect-to-block episode, unless its edge is congested: a TCP edge
+	// whose socket blocked in the last sample interval (one the loop did not
+	// spend nearly all parked) holds its output, keyed tuples included, until
+	// a round end at which it holds at least DefaultSocketBuffer/4, and
+	// writes it then. A run's pick waits first while its connection holds
+	// its in-flight bound (DESIGN §4b). Larger rounds raise throughput and
+	// coarsen the balancer's granularity (see DESIGN §4b).
 	BatchSize int
 
 	// ControlAddr, when set, enables recovery: the splitter opens a side
@@ -167,7 +168,7 @@ const DefaultRetainCap = 16384
 
 // splitConn is one live worker edge with its stable identity. conn is the
 // underlying socket on the TCP transport and nil on the in-process transport
-// (which has no socket to monitor).
+// (which has no socket to read).
 type splitConn struct {
 	id       int // stable worker index; survives rejoin
 	addr     string
@@ -175,10 +176,26 @@ type splitConn struct {
 	sender   transport.BatchSender
 	dialedAt time.Time
 
+	// acks is the worker's running count of this connection's tuples it has
+	// forwarded (transport/acks.go): the in-proc edge's own, filled by
+	// readAcks on TCP, nil on an edge that reports none, which is never
+	// bounded. bound caps the tuples routed here and not acked (0: no cap
+	// yet; setBounds). prevAcked is acks at the last tick. waited and waits
+	// total the credit waits (awaitCredit), which are this connection's
+	// blocking as much as a full socket's are; sockBlocking is the sender's
+	// own blocking at the last tick. bound, waited and waits are atomic
+	// because a scrape reads them.
+	acks         *transport.Acks
+	prevAcked    uint64
+	bound        atomic.Int64
+	waited       atomic.Int64
+	waits        atomic.Int64
+	sockBlocking time.Duration
+
 	// out is the connection's pending output: the tuples the send loop
 	// routed to it and has not written yet, in ascending sequence order,
 	// written in one flush (writeOut). congested is set by tick on a TCP
-	// edge that blocked in the last sample interval; while it is set,
+	// edge whose socket blocked in the last sample interval; while it is set,
 	// outBytes counts out's encoded size and out is held across rounds.
 	// removeConn empties out and sets retired: the retain entries already
 	// name the connection, so its replay re-sends those tuples, and a round
@@ -248,6 +265,15 @@ type Splitter struct {
 	// its output: DefaultSocketBuffer/4. A field, not the constant, so a
 	// test can pin a smaller hold.
 	holdBytes int
+
+	// The in-flight bound's state, owned by the send loop: the region's
+	// smoothed forward rate in tuples/s (0 until a tick has measured one),
+	// the tick it was last measured at, and the one timer every credit wait
+	// reuses for its SendStall bound, with the wait's deadline.
+	rate        float64
+	rateAt      time.Duration
+	creditTimer *time.Timer
+	creditLimit time.Time
 
 	// Merge-stall check state, owned by the send loop: the ticker driving
 	// the check (nil when disabled), the watermark it last saw, when the
@@ -323,9 +349,11 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		aggBlocked:  make([]int64, n),
 		deadCh:      make(chan *splitConn, 4*n+4),
 		rejoinCh:    make(chan rejoin, n+1),
+		creditTimer: time.NewTimer(time.Hour),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+	sp.creditTimer.Stop()
 	if cfg.KeyedSource != nil {
 		sp.src = cfg.KeyedSource
 		sp.router = cfg.Router
@@ -365,6 +393,9 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		for i, sender := range cfg.Senders {
 			sender.SetStallTimeout(sp.to.SendStall)
 			c := &splitConn{id: i, sender: sender, dialedAt: time.Now()}
+			if in, ok := sender.(*transport.InprocSender); ok {
+				c.acks = in.Acks()
+			}
 			sp.mu.Lock()
 			sp.conns = append(sp.conns, c)
 			sp.mu.Unlock()
@@ -373,36 +404,36 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		for i, addr := range cfg.WorkerAddrs {
 			conn, err := sp.dialWorker(addr)
 			if err != nil {
-				sp.closeSenders()
+				sp.closeSenders(false)
 				return nil, fmt.Errorf("runtime: splitter dial worker %d: %w", i, err)
 			}
 			sender, err := transport.NewSender(conn)
 			if err != nil {
 				conn.Close()
-				sp.closeSenders()
+				sp.closeSenders(false)
 				return nil, fmt.Errorf("runtime: splitter wrap worker %d: %w", i, err)
 			}
 			sender.SetStallTimeout(sp.to.SendStall)
-			c := &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now()}
+			c := &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now(), acks: transport.NewAcks()}
 			sp.mu.Lock()
 			sp.conns = append(sp.conns, c)
 			sp.mu.Unlock()
 		}
 	}
 	if cfg.ControlAddr != "" {
-		// Consume every worker's ready ACK before the monitors start (a
-		// monitor treats any readable byte as peer death). This doubles as
-		// the admission health check: a worker that cannot reach the merger
-		// within the probe deadline never enters the schedule.
+		// Consume every worker's ready ACK before the readers start (they
+		// parse credit frames only). This doubles as the admission health
+		// check: a worker that cannot reach the merger within the probe
+		// deadline never enters the schedule.
 		for _, c := range sp.conns {
 			if err := sp.probeReady(c.conn); err != nil {
-				sp.closeSenders()
+				sp.closeSenders(false)
 				return nil, fmt.Errorf("runtime: splitter probe worker %d: %w", c.id, err)
 			}
 		}
 		ctrl, err := dialControl(cfg.ControlAddr, sp.to)
 		if err != nil {
-			sp.closeSenders()
+			sp.closeSenders(false)
 			return nil, err
 		}
 		sp.ctrl = ctrl
@@ -410,7 +441,8 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 	return sp, nil
 }
 
-// dialWorker dials one worker endpoint and applies the socket buffer size.
+// dialWorker dials one worker endpoint, applies the socket buffer size and
+// asks the worker for credit frames.
 func (sp *Splitter) dialWorker(addr string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, sp.to.dialTimeout())
 	if err != nil {
@@ -422,13 +454,38 @@ func (sp *Splitter) dialWorker(addr string) (net.Conn, error) {
 			return nil, fmt.Errorf("set buffer: %w", err)
 		}
 	}
+	if err := transport.WriteAckHello(conn); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("ack hello: %w", err)
+	}
 	return conn, nil
 }
 
-func (sp *Splitter) closeSenders() {
+// closeSenders closes every live connection. With drain set it first
+// half-closes each TCP one and lets its reader take the worker's last credits
+// up to the end of stream, for at most Timeouts.IO: closing a socket with
+// unread bytes sends a reset, and a reset discards the worker's unread input.
+func (sp *Splitter) closeSenders(drain bool) {
 	sp.mu.Lock()
 	conns := append([]*splitConn(nil), sp.conns...)
 	sp.mu.Unlock()
+	if drain {
+		// A connection that fails either call has ended already, and its
+		// reader with it.
+		for _, c := range conns {
+			if tc, ok := c.conn.(*net.TCPConn); ok {
+				_ = tc.CloseWrite()
+				if sp.to.IO > 0 {
+					_ = tc.SetReadDeadline(time.Now().Add(sp.to.IO))
+				}
+			}
+		}
+		for _, c := range conns {
+			if c.conn != nil {
+				<-c.acks.Done()
+			}
+		}
+	}
 	for _, c := range conns {
 		c.sender.Close()
 	}
@@ -445,7 +502,7 @@ func (sp *Splitter) Close() {
 	}
 	sp.closedIdle = true
 	sp.mu.Unlock()
-	sp.closeSenders()
+	sp.closeSenders(false)
 	if sp.ctrl != nil {
 		sp.ctrl.Close()
 	}
@@ -459,9 +516,9 @@ func (sp *Splitter) Start() {
 	conns := append([]*splitConn(nil), sp.conns...)
 	sp.mu.Unlock()
 	sp.startedT = time.Now()
-	if sp.recovery() {
-		for _, c := range conns {
-			go sp.monitor(c)
+	for _, c := range conns {
+		if c.conn != nil {
+			go sp.readAcks(c)
 		}
 	}
 	go func() {
@@ -476,7 +533,9 @@ func (sp *Splitter) Start() {
 			sp.publishReplayDepth()
 		}
 		sp.stopOnce.Do(func() { close(sp.stop) })
-		sp.closeSenders()
+		// With recovery the watermark has shown every tuple released, so
+		// nothing a worker has not read is still needed.
+		sp.closeSenders(sp.err == nil && !sp.recovery())
 		if sp.ctrl != nil {
 			sp.ctrl.Close()
 		}
@@ -493,10 +552,11 @@ func (sp *Splitter) recovery() bool {
 // admits up to BatchSize consecutive sequence numbers and appends each to its
 // connection's pending output as it goes: a keyed one to the key router's
 // pick, the unkeyed ones (the run) to one WRR pick made at the round's first
-// unkeyed tuple and again only if that connection is retired mid-round.
-// Smooth WRR over runs keeps the weights exact over any total-weight
-// consecutive runs. The round ends with writeOut; pending output never waits
-// behind a tick, a retention wait, the merge-stall check or the drain.
+// unkeyed tuple and again only if that connection is retired mid-round; the
+// pick waits until its connection has room for the run (pickRun). Smooth WRR
+// over runs keeps the weights exact over any total-weight consecutive runs.
+// The round ends with writeOut; pending output never waits behind a tick, a
+// retention wait, a credit wait, the merge-stall check or the drain.
 func (sp *Splitter) sendLoop() error {
 	recovery := sp.recovery()
 	batch := uint64(sp.cfg.BatchSize)
@@ -545,7 +605,10 @@ func (sp *Splitter) sendLoop() error {
 			if key != 0 && sp.router != nil {
 				c = sp.pickFor(key)
 			} else if run == nil || run.retired {
-				run = sp.pickFor(0)
+				var err error
+				if run, err = sp.pickRun(); err != nil {
+					return err
+				}
 				c = run
 			}
 			if c == nil {
@@ -588,16 +651,24 @@ func (sp *Splitter) writeOut(roundEnd bool) error {
 			continue
 		}
 		c := sp.conns[i]
-		if len(c.out) == 0 || roundEnd && c.congested && c.outBytes < sp.holdBytes {
+		if roundEnd && c.congested && c.outBytes < sp.holdBytes {
 			continue
 		}
-		ts := c.out
-		c.out, c.outBytes = c.out[:0], 0
-		if err := sp.flush(c, ts); err != nil {
+		if err := sp.writeConn(c); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeConn writes c's pending output, if any, in one flush.
+func (sp *Splitter) writeConn(c *splitConn) error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	ts := c.out
+	c.out, c.outBytes = c.out[:0], 0
+	return sp.flush(c, ts)
 }
 
 // flush sends one batch to c: one write, one elect-to-block episode. A
@@ -645,31 +716,42 @@ func (sp *Splitter) findLive(id int) *splitConn {
 }
 
 // tick is one collection interval, run by the send loop between two rounds,
-// after it has written every pending output: it differences the senders' lifetime
-// blocking counters into rates, steps the balancer, installs the new weights
-// and marks the TCP edges that blocked as congested for the next interval.
-// No flush is in progress while it runs, so every blocking episode it sees
-// is whole and the rates of one interval sum to at most 1 — the one sending
-// thread cannot be blocked twice at once — which is what Balancer.Step's
-// blocked fraction assumes.
+// after it has written every pending output: it differences the connections'
+// lifetime blocking (their senders' and their credit waits') into rates,
+// steps the balancer, installs the new weights, measures the region's forward
+// rate from the workers' acks and sets each connection's in-flight bound from
+// both, and marks the TCP edges whose sockets blocked as congested for the
+// next interval. No flush or credit wait is in progress while it runs, so
+// every blocking episode it sees is whole and the rates of one interval sum
+// to at most 1 — the one sending thread cannot be blocked twice at once —
+// which is what Balancer.Step's blocked fraction assumes.
 //
 // The gate is per connection: an in-proc edge has no write system call to
-// save, and an edge that did not block itself writes at each round end even
-// while the thread was parked on another. Nothing is held after an interval
-// the thread spent at least holdParkedShare parked.
+// save, and an edge whose socket did not block writes at each round end even
+// while the thread was parked on another, or waited for its credit. Nothing
+// is held after an interval the thread spent at least holdParkedShare parked.
 func (sp *Splitter) tick(now time.Duration) error {
 	cumulative := make([]time.Duration, len(sp.conns))
+	var acked uint64
 	for j, c := range sp.conns {
-		cumulative[j] = c.sender.TotalBlocking()
+		cumulative[j] = c.blocking()
+		if c.acks != nil {
+			n := c.acks.Load()
+			acked += n - c.prevAcked
+			c.prevAcked = n
+		}
 	}
+	sp.measureRate(acked, now)
 	rates, _ := sp.samplers.Sample(now, cumulative)
 	parked := 0.0
 	for _, r := range rates {
 		parked += r
 	}
-	for j, c := range sp.conns {
+	for _, c := range sp.conns {
 		_, tcp := c.sender.(*transport.Sender)
-		c.congested = tcp && rates[j] > 0 && parked < holdParkedShare
+		sock := c.sender.TotalBlocking()
+		c.congested = tcp && sock > c.sockBlocking && parked < holdParkedShare
+		c.sockBlocking = sock
 	}
 	b := sp.cfg.Balancer
 	if sp.router != nil {
@@ -695,6 +777,7 @@ func (sp *Splitter) tick(now time.Duration) error {
 			weights, stepped = w, true
 		}
 	}
+	sp.setBounds(weights)
 	if sp.mtr != nil {
 		for j, c := range sp.conns {
 			sp.cm[c.id].rate.Set(rates[j])
@@ -784,8 +867,8 @@ func (sp *Splitter) connTotals(id int) (sent int64, blocking time.Duration, woul
 	sent, blocking, wouldBlock = sp.aggSent[id], sp.aggBlocking[id], sp.aggBlocked[id]
 	if c := sp.findLive(id); c != nil {
 		sent += c.sender.Sent()
-		blocking += c.sender.TotalBlocking()
-		wouldBlock += c.sender.BlockEvents()
+		blocking += c.blocking()
+		wouldBlock += c.blockEvents()
 	}
 	return sent, blocking, wouldBlock
 }

@@ -52,18 +52,6 @@ func (sp *Splitter) probeReady(conn net.Conn) error {
 	return nil
 }
 
-// monitor watches one connection for a peer close: workers never send data
-// back, so a read returning at all means the connection died. This detects
-// failures even while the splitter is not sending to that connection.
-func (sp *Splitter) monitor(c *splitConn) {
-	buf := make([]byte, 1)
-	c.conn.Read(buf)
-	select {
-	case sp.deadCh <- c:
-	case <-sp.stop:
-	}
-}
-
 func (sp *Splitter) event(ev ConnEvent) {
 	if sp.mtr != nil {
 		sp.mtr.connEvent(ev)
@@ -78,25 +66,52 @@ func (sp *Splitter) event(ev ConnEvent) {
 var errControlLost = errors.New("runtime: control channel lost")
 
 // handleEvent is the send loop's one event switch: it takes one notice and
-// reacts to it. A peer close seen by a monitor goes to fail, which retires the
-// connection and replays (drain passes its own, so the notice is weighed
-// against the watermark first); a stall tick runs the merge-stall check,
-// whose quarantine goes to fail too; a rejoin re-admits the redialed worker.
-// With wait set it parks until a notice arrives and also wakes on a watermark
-// advance (pruning the replay buffer) and on the loss of the control channel
-// (errControlLost).
-func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) error) error {
-	var advanced, lost <-chan struct{}
+// reacts to it. A peer close seen by a connection's reader goes to fail,
+// which retires the connection and replays (drain passes its own, so the
+// notice is weighed against the watermark first); a stall tick runs the
+// merge-stall check, whose quarantine goes to fail too; a rejoin re-admits
+// the redialed worker. With wait set it parks until a notice arrives and also
+// wakes on a watermark advance (pruning the replay buffer) and on the loss of
+// the control channel (errControlLost). With credit set it is one park of
+// awaitCredit on that connection: it also wakes on the connection's acks,
+// and fails it when they end or the wait's stall bound passes (creditFailed).
+// Outside recovery only the credit cases can fire.
+func (sp *Splitter) handleEvent(wait bool, credit *splitConn, fail func(id int, quarantined bool) error) error {
+	var advanced, lost, bell, gone <-chan struct{}
+	var expired <-chan time.Time
+	var parked time.Time
 	if wait {
 		advanced, lost = sp.ctrl.wmSignal, sp.ctrl.dead
 	}
+	if credit != nil {
+		bell, gone, parked = credit.acks.Bell(), credit.acks.Done(), time.Now()
+		if !sp.creditLimit.IsZero() {
+			expired = sp.creditTimer.C
+		}
+	}
 	select {
+	case <-bell:
+		credit.unpark(parked)
+	case <-gone:
+		credit.unpark(parked)
+		return sp.creditFailed(credit, errors.New("connection closed by peer"))
+	case now := <-expired:
+		credit.unpark(parked)
+		if now.Before(sp.creditLimit) {
+			// Fired for an earlier wait, after that wait's Stop.
+			sp.creditTimer.Reset(sp.creditLimit.Sub(now))
+			return nil
+		}
+		return sp.creditFailed(credit, fmt.Errorf("no credit for %v", sp.to.SendStall))
 	case <-advanced:
+		credit.unpark(parked)
 		sp.pruneRetained()
 	case <-lost:
+		credit.unpark(parked)
 		return errControlLost
 	case c := <-sp.deadCh:
-		// A notice names the connection, not just the worker id: the monitor
+		credit.unpark(parked)
+		// A notice names the connection, not just the worker id: the reader
 		// of a connection already retired on a send error may report only
 		// after its worker has rejoined, and must not retire the newcomer.
 		if sp.findLive(c.id) != c {
@@ -104,8 +119,10 @@ func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) e
 		}
 		return fail(c.id, false)
 	case now := <-sp.stallTick:
+		credit.unpark(parked)
 		return sp.checkStall(now, fail)
 	case rj := <-sp.rejoinCh:
+		credit.unpark(parked)
 		sp.admitRejoin(rj)
 	}
 	return nil
@@ -116,7 +133,7 @@ func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) e
 // handleEvent selects on it.
 func (sp *Splitter) pollEvents() error {
 	for len(sp.deadCh)+len(sp.stallTick)+len(sp.rejoinCh) > 0 {
-		if err := sp.handleEvent(false, sp.connFailed); err != nil {
+		if err := sp.handleEvent(false, nil, sp.connFailed); err != nil {
 			return err
 		}
 	}
@@ -223,7 +240,7 @@ func (sp *Splitter) awaitRetention() error {
 		if err := sp.writeOut(false); err != nil {
 			return err
 		}
-		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
+		if err := sp.handleEvent(true, nil, sp.connFailed); err == errControlLost {
 			return errors.New("runtime: control channel lost with replay buffer full")
 		} else if err != nil {
 			return err
@@ -274,8 +291,8 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	}
 	sp.mu.Lock()
 	sp.aggSent[c.id] += c.sender.Sent()
-	sp.aggBlocking[c.id] += c.sender.TotalBlocking()
-	sp.aggBlocked[c.id] += c.sender.BlockEvents()
+	sp.aggBlocking[c.id] += c.blocking()
+	sp.aggBlocked[c.id] += c.blockEvents()
 	sp.conns = append(sp.conns[:pos], sp.conns[pos+1:]...)
 	sp.mu.Unlock()
 	c.out, c.outBytes, c.congested, c.retired = nil, 0, false, true
@@ -294,6 +311,7 @@ func (sp *Splitter) removeConn(c *splitConn, cause error) bool {
 	if weights != nil {
 		sp.wrr.SetWeights(weights)
 	}
+	sp.setBounds(sp.wrr.Weights())
 	sp.downErrs = append(sp.downErrs, fmt.Errorf("worker %d: %w", c.id, cause))
 	if sp.mtr != nil {
 		sp.mtr.connLifetime.Observe(time.Since(c.dialedAt).Seconds())
@@ -419,7 +437,7 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 // the balancer with zero weight, so the next rebalance explores it and the
 // learning loop re-measures its capacity.
 func (sp *Splitter) admitRejoin(rj rejoin) {
-	c := &splitConn{id: rj.id, addr: rj.addr, conn: rj.conn, sender: rj.sender, dialedAt: time.Now()}
+	c := &splitConn{id: rj.id, addr: rj.addr, conn: rj.conn, sender: rj.sender, dialedAt: time.Now(), acks: transport.NewAcks()}
 	sp.mu.Lock()
 	sp.conns = append(sp.conns, c)
 	sp.mu.Unlock()
@@ -440,7 +458,8 @@ func (sp *Splitter) admitRejoin(rj rejoin) {
 	if sp.router != nil {
 		sp.router.Add()
 	}
-	go sp.monitor(c)
+	sp.setBounds(sp.wrr.Weights())
+	go sp.readAcks(c)
 	sp.stallSince = time.Now()
 	sp.event(ConnEvent{Kind: "rejoin", Conn: rj.id})
 	if sp.quarCount[rj.id] > 0 && sp.mtr != nil {
@@ -466,7 +485,7 @@ func (sp *Splitter) drain(total uint64) error {
 		if sp.ctrl.Watermark() >= total {
 			return nil
 		}
-		err := sp.handleEvent(true, fail)
+		err := sp.handleEvent(true, nil, fail)
 		if err == errControlLost {
 			if sp.ctrl.Watermark() >= total {
 				return nil

@@ -132,17 +132,21 @@ const forwardHold = time.Millisecond
 // transport.DefaultRecvBatch, and forwards it as one batch, unless
 // forwardHold passes while it holds processed output: then it forwards what
 // is done at the next chunk boundary, restarts the clock and goes on. A
-// combiner folds within each forward. Ownership: ReceiveBatch hands the loop
-// one block reference per input tuple (none on an in-proc edge, whose
-// payloads are GC-owned); the combiner's absorbed tuples give theirs back
-// here, and the survivors' are released once SendBatch has returned — a TCP
-// edge is done with the payloads by then, an in-proc edge carries only
-// GC-owned ones. A failed forward releases the unforwarded tuples' too.
+// combiner folds within each forward. After each forward the loop acks the
+// input tuples it has finished with, absorbed ones included, as a running
+// count: the credit the splitter bounds the edge's in-flight tuples by
+// (DESIGN §4b). Ownership: ReceiveBatch hands the loop one block reference
+// per input tuple (none on an in-proc edge, whose payloads are GC-owned); the
+// combiner's absorbed tuples give theirs back here, and the survivors' are
+// released once SendBatch has returned — a TCP edge is done with the payloads
+// by then, an in-proc edge carries only GC-owned ones. A failed forward
+// releases the unforwarded tuples' too.
 func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) error {
 	if p.now == nil {
 		p.now = time.Now
 	}
 	var batch []transport.Tuple
+	var acked uint64
 	for {
 		var ref *transport.BlockRef
 		var err error
@@ -180,6 +184,11 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 			if err != nil {
 				ref.ReleaseN(len(batch) - lo)
 				return fmt.Errorf("runtime: worker %d forward: %w", p.id, err)
+			}
+			acked += uint64(lo - from)
+			if err := rx.Ack(acked); err != nil {
+				ref.ReleaseN(len(batch) - lo)
+				return fmt.Errorf("runtime: worker %d ack: %w", p.id, err)
 			}
 			from = lo
 		}
@@ -336,10 +345,10 @@ func (w *Worker) serveConn(in net.Conn) error {
 	// Acknowledge readiness to the splitter: the merger connection is up
 	// and identified, so the end-to-end path works. Recovery-mode splitters
 	// (which always pair with resilient workers) read this byte as their
-	// admission health probe. Fixed-pipeline splitters never read their
-	// connections, so a one-shot worker must not write it — an unread byte
-	// at close time would turn the splitter's clean shutdown into a TCP
-	// reset.
+	// admission health probe, before their reader takes over the
+	// connection's reverse direction for the credit frames that follow it
+	// (transport/acks.go). A one-shot worker writes no ACK: its splitter
+	// does not probe, so the credits are all it reads.
 	if w.resilient {
 		if w.to.IO > 0 {
 			in.SetWriteDeadline(time.Now().Add(w.to.IO))

@@ -93,6 +93,8 @@ func (r *oneRead) ReceiveBatch(dst []transport.Tuple, _ int) ([]transport.Tuple,
 	return dst, r.ref, nil
 }
 
+func (r *oneRead) Ack(uint64) error { return nil }
+
 func (r *oneRead) Close() error { return nil }
 
 // TestWorkerForwardHold steps the worker's clock by forwardHold on every

@@ -66,6 +66,10 @@ type inprocPipe struct {
 
 	sendPark spsc.Parker // sender parks here while the ring is full
 	recvPark spsc.Parker // receiver parks here while the ring is empty
+
+	// acks is the edge's reverse half: the receiver's Ack stores into it and
+	// the sender's owner reads it directly (acks.go).
+	acks *Acks
 }
 
 // InprocPair creates a connected in-process sender/receiver pair over a
@@ -77,7 +81,7 @@ func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
 	if capacity <= 0 {
 		capacity = DefaultInprocRing
 	}
-	p := &inprocPipe{ring: spsc.NewRing[Tuple](capacity)}
+	p := &inprocPipe{ring: spsc.NewRing[Tuple](capacity), acks: NewAcks()}
 	return &InprocSender{p: p, now: time.Now}, &InprocReceiver{p: p}
 }
 
@@ -100,6 +104,10 @@ type InprocSender struct {
 
 // Capacity returns the pipe's true (rounded) ring capacity in tuples.
 func (s *InprocSender) Capacity() int { return s.p.ring.Cap() }
+
+// Acks returns the edge's acks: the receiver's latest Ack, readable here
+// with no wire in between, and closed once the receiver closes.
+func (s *InprocSender) Acks() *Acks { return s.p.acks }
 
 // checkFrameable applies the TCP path's frame-size and encodability bounds
 // so an unencodable tuple fails identically on both transports (SendBatch
@@ -300,13 +308,22 @@ func (r *InprocReceiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef,
 	}
 }
 
+// Ack stores n as the edge's cumulative ack (see InprocSender.Acks). Call it
+// from the consuming goroutine.
+func (r *InprocReceiver) Ack(n uint64) error {
+	r.p.acks.Store(n)
+	return nil
+}
+
 // Close ends the receiving side: a parked ReceiveBatch returns
-// ErrInprocClosed and a parked or future send fails. Tuples left in the ring
-// are simply dropped with it. Idempotent; callable from any goroutine.
+// ErrInprocClosed, a parked or future send fails and the acks end. Tuples
+// left in the ring are simply dropped with it. Idempotent; callable from any
+// goroutine.
 func (r *InprocReceiver) Close() error {
 	if r.p.recvClosed.Swap(true) {
 		return nil
 	}
+	r.p.acks.Close()
 	r.p.recvPark.Wake()
 	r.p.sendPark.Wake()
 	return nil

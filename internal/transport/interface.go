@@ -61,6 +61,10 @@ type BatchReceiver interface {
 	// ReceiveBatch decodes up to max tuples into dst, blocking only for the
 	// first; see Receiver.ReceiveBatch for the full contract.
 	ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, error)
+	// Ack tells the sending end that the consumer has finished with n of
+	// the edge's tuples in total (acks.go). Only a worker acks; the merger
+	// never does.
+	Ack(n uint64) error
 	// Close tears the receive side down, unblocking a waiting ReceiveBatch.
 	Close() error
 }

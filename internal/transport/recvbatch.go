@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -144,6 +145,13 @@ type Receiver struct {
 	// or before it are decoded; a malformed frame found behind complete ones
 	// waits while those are returned.
 	err error
+
+	// begun is set once the stream's first four bytes have been looked at
+	// for the sender's ack hello (WriteAckHello), and acking when they were
+	// it (acks.go). ack is Ack's frame buffer. All belong to the consuming
+	// goroutine.
+	begun, acking bool
+	ack           [ackFrameSize]byte
 }
 
 // NewReceiver wraps a stream in a tuple decoder. It takes its first block
@@ -201,6 +209,13 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	for {
+		if !rc.begun && rc.w-rc.r >= 4 {
+			rc.begun = true
+			if binary.LittleEndian.Uint32(rc.buf[rc.r:]) == ackHello {
+				rc.r += 4
+				rc.acking = true
+			}
+		}
 		size := 0
 		for len(dst) < max {
 			dst = append(dst, Tuple{})
@@ -227,6 +242,20 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 		}
 		rc.fill(size)
 	}
+}
+
+// Ack reports to the sender that the consumer has finished with n of the
+// stream's tuples in total: one ack frame written back on the connection, if
+// the stream opened with the ack hello (WriteAckHello) and its source is
+// writable; otherwise nothing. Call it from the consuming goroutine.
+func (rc *Receiver) Ack(n uint64) error {
+	w, ok := rc.src.(io.Writer)
+	if !rc.acking || !ok {
+		return nil
+	}
+	binary.LittleEndian.PutUint64(rc.ack[:], n)
+	_, err := w.Write(rc.ack[:])
+	return err
 }
 
 // fill blocks in one read for more of the frame at buf[r:], which is size
