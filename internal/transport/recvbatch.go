@@ -147,11 +147,12 @@ type Receiver struct {
 	err error
 
 	// begun is set once the stream's first four bytes have been looked at
-	// for the sender's ack hello (WriteAckHello), and acking when they were
-	// it (acks.go). ack is Ack's frame buffer. All belong to the consuming
-	// goroutine.
-	begun, acking bool
-	ack           [ackFrameSize]byte
+	// for the sender's ack hello (WriteAckHello); ackTo is src when they were
+	// it and src is writable, else nil (acks.go). ack is Ack's frame buffer.
+	// All belong to the consuming goroutine.
+	begun bool
+	ackTo io.Writer
+	ack   [ackFrameSize]byte
 }
 
 // NewReceiver wraps a stream in a tuple decoder. It takes its first block
@@ -213,7 +214,7 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 			rc.begun = true
 			if binary.LittleEndian.Uint32(rc.buf[rc.r:]) == ackHello {
 				rc.r += 4
-				rc.acking = true
+				rc.ackTo, _ = rc.src.(io.Writer)
 			}
 		}
 		size := 0
@@ -249,12 +250,11 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 // the stream opened with the ack hello (WriteAckHello) and its source is
 // writable; otherwise nothing. Call it from the consuming goroutine.
 func (rc *Receiver) Ack(n uint64) error {
-	w, ok := rc.src.(io.Writer)
-	if !rc.acking || !ok {
+	if rc.ackTo == nil {
 		return nil
 	}
 	binary.LittleEndian.PutUint64(rc.ack[:], n)
-	_, err := w.Write(rc.ack[:])
+	_, err := rc.ackTo.Write(rc.ack[:])
 	return err
 }
 
