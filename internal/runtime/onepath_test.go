@@ -19,18 +19,17 @@ import (
 // worker loop correct on both transports.
 
 // stallEdges builds a two-connection splitter over the given transport whose
-// connection 1 is drained only after stall() returns, and returns it with a
-// wait for both drains.
+// connection 1 stops draining after its first receive until stall() returns,
+// and returns it with a wait for both drains. Neither drain acks, so no
+// connection is bounded; on TCP the first receive answers the splitter's
+// ack hello, which the splitter reads before it sends.
 func stallEdges(t *testing.T, kind TransportKind, cfg SplitterConfig, stall func()) (*Splitter, func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	drain := func(conn int, rx transport.BatchReceiver) {
 		defer wg.Done()
-		if conn == 1 {
-			stall()
-		}
 		var buf []transport.Tuple
-		for {
+		for first := true; ; first = false {
 			var ref *transport.BlockRef
 			var err error
 			buf, ref, err = rx.ReceiveBatch(buf, 0)
@@ -38,6 +37,9 @@ func stallEdges(t *testing.T, kind TransportKind, cfg SplitterConfig, stall func
 				return
 			}
 			ref.ReleaseN(len(buf))
+			if first && conn == 1 {
+				stall()
+			}
 		}
 	}
 	wg.Add(2)

@@ -229,7 +229,7 @@ func TestSimAndRuntimeStepAgree(t *testing.T) {
 			samplers.Add()
 			cumulative = append(cumulative, 0)
 			senders = append(senders, &scriptedSender{})
-			sp.admitRejoin(rejoin{id: 1, conn: near, sender: senders[2]})
+			sp.admitRejoin(rejoin{id: 1, conn: near, sender: senders[2], acks: transport.NewAcks()})
 		}
 		if step.edit != "" && !reflect.DeepEqual(sp.wrr.Weights(), policy.Balancer().Weights()) {
 			t.Fatalf("step %d after %s: runtime weights %v, sim %v", i, step.edit, sp.wrr.Weights(), policy.Balancer().Weights())

@@ -177,13 +177,15 @@ type splitConn struct {
 	dialedAt time.Time
 
 	// acks is the worker's running count of this connection's tuples it has
-	// forwarded (transport/acks.go): the in-proc edge's own, filled by
-	// readAcks on TCP, nil on an edge that reports none, which is never
-	// bounded. bound caps the tuples routed here and not acked (0: no cap
-	// yet; setBounds). prevAcked is acks at the last tick. waited and waits
-	// total the credit waits (awaitCredit), which are this connection's
-	// blocking as much as a full socket's are; sockBlocking is the sender's
-	// own blocking at the last tick. bound, waited and waits are atomic
+	// forwarded (transport/acks.go): the in-proc edge's own, on TCP the
+	// answer to the hello (readAnswer) and then readAcks's, nil on a given
+	// socket sender, which has no reader. Only a connection whose worker
+	// acks (Acking) is waited on. bound caps the tuples routed here and not
+	// acked (setBounds).
+	// prevAcked is acks at the last tick. waited and waits total the credit
+	// waits (awaitCredit), which are this connection's blocking as much as a
+	// full socket's are; sockBlocking is the sender's own blocking at the
+	// last tick. bound, waited and waits are atomic
 	// because a scrape reads them.
 	acks         *transport.Acks
 	prevAcked    uint64
@@ -269,7 +271,8 @@ type Splitter struct {
 	// The in-flight bound's state, owned by the send loop: the region's
 	// smoothed forward rate in tuples/s (0 until a tick has measured one),
 	// the tick it was last measured at, and the one timer every credit wait
-	// reuses for its SendStall bound, with the wait's deadline.
+	// reuses for its SendStall bound, with the wait's deadline (moved on by
+	// each ack).
 	rate        float64
 	rateAt      time.Duration
 	creditTimer *time.Timer
@@ -414,12 +417,13 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 				return nil, fmt.Errorf("runtime: splitter wrap worker %d: %w", i, err)
 			}
 			sender.SetStallTimeout(sp.to.SendStall)
-			c := &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now(), acks: transport.NewAcks()}
+			c := &splitConn{id: i, addr: addr, conn: conn, sender: sender, dialedAt: time.Now()}
 			sp.mu.Lock()
 			sp.conns = append(sp.conns, c)
 			sp.mu.Unlock()
 		}
 	}
+	sp.setBounds(initial)
 	if cfg.ControlAddr != "" {
 		// Consume every worker's ready ACK before the readers start (they
 		// parse credit frames only). This doubles as the admission health
@@ -431,6 +435,24 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 				return nil, fmt.Errorf("runtime: splitter probe worker %d: %w", c.id, err)
 			}
 		}
+	}
+	// Every worker answers the ack hello before the first tuple, so each
+	// bound holds from the first tuple (after the ready ACK: the worker
+	// answers from its receive loop).
+	for _, c := range sp.conns {
+		if c.conn == nil {
+			continue
+		}
+		acks, err := sp.readAnswer(c.conn)
+		if err != nil {
+			sp.closeSenders(false)
+			return nil, fmt.Errorf("runtime: splitter worker %d: %w", c.id, err)
+		}
+		sp.mu.Lock()
+		c.acks = acks
+		sp.mu.Unlock()
+	}
+	if cfg.ControlAddr != "" {
 		ctrl, err := dialControl(cfg.ControlAddr, sp.to)
 		if err != nil {
 			sp.closeSenders(false)
@@ -442,7 +464,7 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 }
 
 // dialWorker dials one worker endpoint, applies the socket buffer size and
-// asks the worker for credit frames.
+// asks the worker for credit frames (its answer is read by readAnswer).
 func (sp *Splitter) dialWorker(addr string) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", addr, sp.to.dialTimeout())
 	if err != nil {
@@ -461,33 +483,64 @@ func (sp *Splitter) dialWorker(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
+// readAnswer reads the worker's answer to the ack hello, under the IO
+// deadline, into the connection's Acks: acking from 0, or not at all (a
+// consumer that does not ack is never waited on).
+func (sp *Splitter) readAnswer(conn net.Conn) (*transport.Acks, error) {
+	if sp.to.IO > 0 {
+		conn.SetReadDeadline(time.Now().Add(sp.to.IO))
+		defer conn.SetReadDeadline(time.Time{})
+	}
+	acks := transport.NewAcks()
+	if err := transport.ReadAckAnswer(conn, acks); err != nil {
+		return nil, fmt.Errorf("ack answer: %w", err)
+	}
+	return acks, nil
+}
+
 // closeSenders closes every live connection. With drain set it first
 // half-closes each TCP one and lets its reader take the worker's last credits
-// up to the end of stream, for at most Timeouts.IO: closing a socket with
-// unread bytes sends a reset, and a reset discards the worker's unread input.
+// up to the end of stream (drainAcks): closing a socket with unread bytes
+// sends a reset, and a reset discards the worker's unread input.
 func (sp *Splitter) closeSenders(drain bool) {
 	sp.mu.Lock()
 	conns := append([]*splitConn(nil), sp.conns...)
 	sp.mu.Unlock()
 	if drain {
-		// A connection that fails either call has ended already, and its
-		// reader with it.
+		var wg sync.WaitGroup
 		for _, c := range conns {
 			if tc, ok := c.conn.(*net.TCPConn); ok {
-				_ = tc.CloseWrite()
-				if sp.to.IO > 0 {
-					_ = tc.SetReadDeadline(time.Now().Add(sp.to.IO))
-				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sp.drainAcks(tc, c.acks)
+				}()
 			}
 		}
-		for _, c := range conns {
-			if c.conn != nil {
-				<-c.acks.Done()
-			}
-		}
+		wg.Wait()
 	}
 	for _, c := range conns {
 		c.sender.Close()
+	}
+}
+
+// drainAcks half-closes conn and waits until its reader has taken the end of
+// the worker's stream. Like a credit wait it gives up only on a worker that
+// acks nothing for SendStall: a worker still working through what it holds
+// moves the read deadline on with each ack, however long its queue.
+func (sp *Splitter) drainAcks(conn *net.TCPConn, acks *transport.Acks) {
+	// A connection that fails either call has ended already, and its reader
+	// with it.
+	_ = conn.CloseWrite()
+	for {
+		if sp.to.SendStall > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(sp.to.SendStall))
+		}
+		select {
+		case <-acks.Bell():
+		case <-acks.Done():
+			return
+		}
 	}
 }
 

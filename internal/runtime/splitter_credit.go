@@ -61,20 +61,22 @@ func (c *splitConn) inflight() int64 {
 // awaitCredit is a bounded connection's elect-to-block (DESIGN §4b): while
 // c's in-flight tuples are at its bound, the send loop writes c's pending
 // output, so a congested hold cannot keep back what the worker needs to ack,
-// and parks until the worker acks more. The wait is timed into c's blocking,
-// like a full socket's, and bounded by SendStall, past which c has failed (as
-// its flush would have). In recovery mode the loop handles every notice while
-// it waits, as awaitRetention does, so a replay or quarantine another
-// connection needs is never held up behind this one; if c itself fails, the
-// wait returns with c retired.
+// and parks until the worker acks more. Each park is timed into c's blocking,
+// like a full socket's. The wait is bounded by SendStall from c's last ack,
+// so only a worker that makes no progress fails (as its flush would have). In
+// recovery mode the loop handles every notice while it waits, as
+// awaitRetention does, so a replay or quarantine another connection needs is
+// never held up behind this one; if c itself fails, the wait returns with c
+// retired.
 func (sp *Splitter) awaitCredit(c *splitConn) error {
-	if c.acks == nil || c.bound.Load() == 0 || c.inflight() < c.bound.Load() {
+	if c.acks == nil || !c.acks.Acking() || c.inflight() < c.bound.Load() {
 		return nil
 	}
 	if err := sp.writeConn(c); err != nil || c.retired {
 		return err
 	}
 	c.waits.Add(1)
+	acked := c.acks.Load()
 	if sp.to.SendStall > 0 {
 		sp.creditLimit = time.Now().Add(sp.to.SendStall)
 		sp.creditTimer.Reset(sp.to.SendStall)
@@ -84,21 +86,36 @@ func (sp *Splitter) awaitCredit(c *splitConn) error {
 		}()
 	}
 	for !c.retired && c.inflight() >= c.bound.Load() {
-		if err := sp.handleEvent(sp.recovery(), c, sp.connFailed); err == errControlLost {
+		parked := time.Now()
+		n := sp.nextNotice(sp.recovery(), c)
+		woke := time.Now()
+		c.waited.Add(int64(woke.Sub(parked)))
+		var err error
+		switch n.kind {
+		case noticeAck:
+			if a := c.acks.Load(); a != acked && !sp.creditLimit.IsZero() {
+				acked, sp.creditLimit = a, woke.Add(sp.to.SendStall)
+			}
+		case noticeAcksEnd:
+			err = sp.creditFailed(c, errors.New("connection closed by peer"))
+		case noticeCreditTimer:
+			if n.at.Before(sp.creditLimit) {
+				// An ack moved the limit on, or the timer fired for an
+				// earlier wait after that wait's Stop.
+				sp.creditTimer.Reset(sp.creditLimit.Sub(n.at))
+			} else {
+				err = sp.creditFailed(c, fmt.Errorf("no credit for %v", sp.to.SendStall))
+			}
+		default:
+			err = sp.handleNotice(n, sp.connFailed)
+		}
+		if err == errControlLost {
 			return errors.New("runtime: control channel lost while waiting for credit")
 		} else if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// unpark ends one park of a credit wait on c, timing it into c's blocking; a
-// nil c is no credit wait.
-func (c *splitConn) unpark(since time.Time) {
-	if c != nil {
-		c.waited.Add(int64(time.Since(since)))
-	}
 }
 
 // creditFailed is the verdict on a connection whose credit wait ended in its
@@ -123,7 +140,7 @@ func (c *splitConn) blockEvents() int64 {
 
 // measureRate folds the tuples the workers acked since the last tick into
 // the region's forward rate, smoothed over the last intervals (each new one
-// weighs half). It stays 0, and no connection is bounded, until an interval
+// weighs half). It stays 0, and every bound at its floor, until an interval
 // has seen an ack.
 func (sp *Splitter) measureRate(acked uint64, now time.Duration) {
 	interval := now - sp.rateAt
@@ -141,6 +158,8 @@ func (sp *Splitter) measureRate(acked uint64, now time.Duration) {
 
 // setBounds gives each live connection its in-flight bound from its share of
 // weights (live positions) and the region's forward rate; see inflightDelay.
+// Before a tick has measured the rate every bound is the floor of two runs,
+// so the first interval queues no more than any other.
 func (sp *Splitter) setBounds(weights []int) {
 	total := 0
 	for _, w := range weights {
@@ -148,8 +167,8 @@ func (sp *Splitter) setBounds(weights []int) {
 	}
 	floor := int64(2 * sp.cfg.BatchSize)
 	for j, c := range sp.conns {
-		var b int64
-		if c.acks != nil && sp.rate > 0 && total > 0 && j < len(weights) {
+		b := floor
+		if sp.rate > 0 && total > 0 && j < len(weights) {
 			share := float64(weights[j]) / float64(total)
 			b = max(floor, int64(math.Ceil(share*sp.rate*inflightDelay.Seconds())))
 		}
@@ -158,7 +177,8 @@ func (sp *Splitter) setBounds(weights []int) {
 }
 
 // connInflight returns stable worker id's live connection's written tuples
-// its worker has not acked, and its bound (0: none). Any goroutine may call
+// its worker has not acked, and its bound (0 on an edge that reports no
+// acks, which is never bounded). Any goroutine may call
 // it (a metrics scrape does).
 func (sp *Splitter) connInflight(id int) (inflight, bound int64) {
 	sp.mu.Lock()

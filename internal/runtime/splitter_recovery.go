@@ -32,6 +32,7 @@ type rejoin struct {
 	addr   string
 	conn   net.Conn
 	sender transport.BatchSender
+	acks   *transport.Acks
 }
 
 // probeReady waits for the worker's ready ACK byte: the worker writes it once
@@ -65,65 +66,96 @@ func (sp *Splitter) event(ev ConnEvent) {
 // channel went away; each caller words its own consequence.
 var errControlLost = errors.New("runtime: control channel lost")
 
-// handleEvent is the send loop's one event switch: it takes one notice and
-// reacts to it. A peer close seen by a connection's reader goes to fail,
-// which retires the connection and replays (drain passes its own, so the
-// notice is weighed against the watermark first); a stall tick runs the
-// merge-stall check, whose quarantine goes to fail too; a rejoin re-admits
-// the redialed worker. With wait set it parks until a notice arrives and also
-// wakes on a watermark advance (pruning the replay buffer) and on the loss of
-// the control channel (errControlLost). With credit set it is one park of
-// awaitCredit on that connection: it also wakes on the connection's acks,
-// and fails it when they end or the wait's stall bound passes (creditFailed).
-// Outside recovery only the credit cases can fire.
-func (sp *Splitter) handleEvent(wait bool, credit *splitConn, fail func(id int, quarantined bool) error) error {
+// handleEvent is the send loop's one event switch: it takes one notice
+// (nextNotice) and reacts to it (handleNotice). With wait set it parks until a
+// notice arrives and also wakes on a watermark advance (pruning the replay
+// buffer) and on the loss of the control channel (errControlLost).
+func (sp *Splitter) handleEvent(wait bool, fail func(id int, quarantined bool) error) error {
+	return sp.handleNotice(sp.nextNotice(wait, nil), fail)
+}
+
+// notice is one thing the parked send loop woke for (nextNotice): its kind,
+// and conn for noticeDead, at for the two timers, rj for noticeRejoin.
+type notice struct {
+	kind noticeKind
+	conn *splitConn
+	at   time.Time
+	rj   rejoin
+}
+
+type noticeKind int
+
+const (
+	noticeAdvanced    noticeKind = iota // the watermark advanced
+	noticeLost                          // the control channel went away
+	noticeDead                          // a connection's reader saw its stream end
+	noticeStall                         // the merge-stall check is due
+	noticeRejoin                        // a worker redialed
+	noticeAck                           // the credit wait's worker acked
+	noticeAcksEnd                       // the credit wait's acks ended
+	noticeCreditTimer                   // the credit wait's timer fired
+)
+
+// nextNotice parks the send loop until one notice arrives. The recovery
+// notices (a reader's peer close, a stall tick, a rejoin) always count; wait
+// adds the control channel's; credit, the connection awaitCredit parks on,
+// adds its acks, their end and the wait's stall timer. Outside recovery only
+// the credit cases can fire.
+func (sp *Splitter) nextNotice(wait bool, credit *splitConn) notice {
 	var advanced, lost, bell, gone <-chan struct{}
 	var expired <-chan time.Time
-	var parked time.Time
 	if wait {
 		advanced, lost = sp.ctrl.wmSignal, sp.ctrl.dead
 	}
 	if credit != nil {
-		bell, gone, parked = credit.acks.Bell(), credit.acks.Done(), time.Now()
+		bell, gone = credit.acks.Bell(), credit.acks.Done()
 		if !sp.creditLimit.IsZero() {
 			expired = sp.creditTimer.C
 		}
 	}
 	select {
 	case <-bell:
-		credit.unpark(parked)
+		return notice{kind: noticeAck}
 	case <-gone:
-		credit.unpark(parked)
-		return sp.creditFailed(credit, errors.New("connection closed by peer"))
+		return notice{kind: noticeAcksEnd}
 	case now := <-expired:
-		credit.unpark(parked)
-		if now.Before(sp.creditLimit) {
-			// Fired for an earlier wait, after that wait's Stop.
-			sp.creditTimer.Reset(sp.creditLimit.Sub(now))
-			return nil
-		}
-		return sp.creditFailed(credit, fmt.Errorf("no credit for %v", sp.to.SendStall))
+		return notice{kind: noticeCreditTimer, at: now}
 	case <-advanced:
-		credit.unpark(parked)
-		sp.pruneRetained()
+		return notice{kind: noticeAdvanced}
 	case <-lost:
-		credit.unpark(parked)
-		return errControlLost
+		return notice{kind: noticeLost}
 	case c := <-sp.deadCh:
-		credit.unpark(parked)
+		return notice{kind: noticeDead, conn: c}
+	case now := <-sp.stallTick:
+		return notice{kind: noticeStall, at: now}
+	case rj := <-sp.rejoinCh:
+		return notice{kind: noticeRejoin, rj: rj}
+	}
+}
+
+// handleNotice reacts to one recovery notice. A peer close seen by a
+// connection's reader goes to fail, which retires the connection and replays
+// (drain passes its own, so the notice is weighed against the watermark
+// first); a stall tick runs the merge-stall check, whose quarantine goes to
+// fail too; a rejoin re-admits the redialed worker.
+func (sp *Splitter) handleNotice(n notice, fail func(id int, quarantined bool) error) error {
+	switch n.kind {
+	case noticeAdvanced:
+		sp.pruneRetained()
+	case noticeLost:
+		return errControlLost
+	case noticeDead:
 		// A notice names the connection, not just the worker id: the reader
 		// of a connection already retired on a send error may report only
 		// after its worker has rejoined, and must not retire the newcomer.
-		if sp.findLive(c.id) != c {
+		if sp.findLive(n.conn.id) != n.conn {
 			return nil
 		}
-		return fail(c.id, false)
-	case now := <-sp.stallTick:
-		credit.unpark(parked)
-		return sp.checkStall(now, fail)
-	case rj := <-sp.rejoinCh:
-		credit.unpark(parked)
-		sp.admitRejoin(rj)
+		return fail(n.conn.id, false)
+	case noticeStall:
+		return sp.checkStall(n.at, fail)
+	case noticeRejoin:
+		sp.admitRejoin(n.rj)
 	}
 	return nil
 }
@@ -133,7 +165,7 @@ func (sp *Splitter) handleEvent(wait bool, credit *splitConn, fail func(id int, 
 // handleEvent selects on it.
 func (sp *Splitter) pollEvents() error {
 	for len(sp.deadCh)+len(sp.stallTick)+len(sp.rejoinCh) > 0 {
-		if err := sp.handleEvent(false, nil, sp.connFailed); err != nil {
+		if err := sp.handleEvent(false, sp.connFailed); err != nil {
 			return err
 		}
 	}
@@ -240,7 +272,7 @@ func (sp *Splitter) awaitRetention() error {
 		if err := sp.writeOut(false); err != nil {
 			return err
 		}
-		if err := sp.handleEvent(true, nil, sp.connFailed); err == errControlLost {
+		if err := sp.handleEvent(true, sp.connFailed); err == errControlLost {
 			return errors.New("runtime: control channel lost with replay buffer full")
 		} else if err != nil {
 			return err
@@ -397,6 +429,7 @@ func (sp *Splitter) collectRetained(id int) []*retainEntry {
 // refuses. When the attempt budget runs out it emits "redial-exhausted" and
 // gives up — the worker stays out of the schedule for good.
 func (sp *Splitter) redialLoop(id int, addr string) {
+	var acks *transport.Acks
 	rd := transport.NewRedialer(func() (net.Conn, error) {
 		if sp.mtr != nil {
 			sp.cm[id].redials.Inc()
@@ -408,6 +441,10 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 		if err := sp.probeReady(conn); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("health probe: %w", err)
+		}
+		if acks, err = sp.readAnswer(conn); err != nil {
+			conn.Close()
+			return nil, err
 		}
 		return conn, nil
 	}, *sp.cfg.Recovery.Redial)
@@ -427,7 +464,7 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 	}
 	sender.SetStallTimeout(sp.to.SendStall)
 	select {
-	case sp.rejoinCh <- rejoin{id: id, addr: addr, conn: conn, sender: sender}:
+	case sp.rejoinCh <- rejoin{id: id, addr: addr, conn: conn, sender: sender, acks: acks}:
 	case <-sp.stop:
 		sender.Close()
 	}
@@ -437,7 +474,7 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 // the balancer with zero weight, so the next rebalance explores it and the
 // learning loop re-measures its capacity.
 func (sp *Splitter) admitRejoin(rj rejoin) {
-	c := &splitConn{id: rj.id, addr: rj.addr, conn: rj.conn, sender: rj.sender, dialedAt: time.Now(), acks: transport.NewAcks()}
+	c := &splitConn{id: rj.id, addr: rj.addr, conn: rj.conn, sender: rj.sender, dialedAt: time.Now(), acks: rj.acks}
 	sp.mu.Lock()
 	sp.conns = append(sp.conns, c)
 	sp.mu.Unlock()
@@ -485,7 +522,7 @@ func (sp *Splitter) drain(total uint64) error {
 		if sp.ctrl.Watermark() >= total {
 			return nil
 		}
-		err := sp.handleEvent(true, nil, fail)
+		err := sp.handleEvent(true, fail)
 		if err == errControlLost {
 			if sp.ctrl.Watermark() >= total {
 				return nil

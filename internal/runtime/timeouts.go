@@ -41,15 +41,19 @@ const (
 // (restoring the unbounded pre-straggler-defense behaviour).
 type Timeouts struct {
 	// IO bounds dials, the id handshakes, the splitter's wait for a worker's
-	// ready ACK before (re-)admitting it into the schedule, and each
-	// control-channel write (watermark and FIN frames).
+	// ready ACK before (re-)admitting it into the schedule and for its
+	// answer to the ack hello, and each control-channel write (watermark and
+	// FIN frames).
 	IO time.Duration
 	// ControlRead bounds each watermark-frame read on the control channel.
 	ControlRead time.Duration
 	// SendStall bounds one elect-to-block park on a tuple send. Because the
 	// deadline is re-armed at most once per half-window (to keep the
 	// per-flush syscall cost off the hot path), the effective bound on a
-	// single stalled flush lies in [SendStall/2, SendStall].
+	// single stalled flush lies in [SendStall/2, SendStall]. It also bounds
+	// the splitter's waits on a worker's acks, a credit wait and the read of
+	// its last credits at the end of a stream, each counted from the
+	// worker's latest ack.
 	SendStall time.Duration
 }
 

@@ -209,6 +209,9 @@ type inprocWorker struct{ pe }
 // routine, the bound only converts "merger never drains again" into an error.
 func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, to Timeouts) *inprocWorker {
 	tx.SetStallTimeout(to.SendStall)
+	// Acking 0 before the splitter is built tells it this edge acks
+	// (transport.Acks.Acking), so it bounds the edge from the first tuple.
+	rx.Ack(0)
 	// The edge pair is registered from the start, so Close severs it even on
 	// a worker that was never started.
 	return &inprocWorker{pe{id: id, operator: op, rx: rx, tx: tx, done: make(chan struct{})}}
@@ -345,10 +348,11 @@ func (w *Worker) serveConn(in net.Conn) error {
 	// Acknowledge readiness to the splitter: the merger connection is up
 	// and identified, so the end-to-end path works. Recovery-mode splitters
 	// (which always pair with resilient workers) read this byte as their
-	// admission health probe, before their reader takes over the
-	// connection's reverse direction for the credit frames that follow it
-	// (transport/acks.go). A one-shot worker writes no ACK: its splitter
-	// does not probe, so the credits are all it reads.
+	// admission health probe, then the answer to their ack hello, before
+	// their reader takes over the connection's reverse direction for the
+	// credit frames that follow (transport/acks.go). A one-shot worker
+	// writes no ACK: its splitter does not probe, so the answer and the
+	// credits are all it reads.
 	if w.resilient {
 		if w.to.IO > 0 {
 			in.SetWriteDeadline(time.Now().Add(w.to.IO))
@@ -367,7 +371,11 @@ func (w *Worker) serveConn(in net.Conn) error {
 	// while; the stall bound only converts "merger never drains again" from
 	// a permanent wedge into a connection error recovery absorbs.
 	sender.SetStallTimeout(w.to.SendStall)
-	return w.serve(transport.NewReceiver(in), sender)
+	// Ack 0 goes out as soon as the first receive finds the splitter's
+	// hello, so the splitter bounds this connection from then on.
+	rx := transport.NewReceiver(in)
+	rx.Ack(0)
+	return w.serve(rx, sender)
 }
 
 // Close shuts the worker down: the listener closes (pending Accepts fail)

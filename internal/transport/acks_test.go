@@ -8,15 +8,23 @@ import (
 )
 
 // TestAcksFollowTheHello: a stream that opens with the hello decodes as the
-// frames after it, and each Ack reaches ReadAcks as the latest count; a
-// stream without it gets no byte back, however often the consumer acks.
+// frames after it; the consumer's Ack made before its first receive answers
+// the hello, and each later Ack reaches ReadAcks as the latest count. A
+// stream without the hello gets no byte back, however often the consumer
+// acks.
 func TestAcksFollowTheHello(t *testing.T) {
 	for _, hello := range []bool{true, false} {
 		near, far := net.Pipe()
 		acks := NewAcks()
 		readErr := make(chan error, 1)
 		if hello {
-			go func() { readErr <- ReadAcks(near, acks) }()
+			go func() {
+				if err := ReadAckAnswer(near, acks); err != nil {
+					readErr <- err
+					return
+				}
+				readErr <- ReadAcks(near, acks)
+			}()
 		}
 		go func() {
 			if hello {
@@ -31,6 +39,7 @@ func TestAcksFollowTheHello(t *testing.T) {
 			}
 		}()
 		rx := NewReceiver(far)
+		rx.Ack(0)
 		var got []Tuple
 		for len(got) < 2 {
 			batch, ref, err := rx.ReceiveBatch(nil, 0)
@@ -61,6 +70,9 @@ func TestAcksFollowTheHello(t *testing.T) {
 				t.Fatalf("ack count %d, want 2", acks.Load())
 			}
 		}
+		if !acks.Acking() {
+			t.Fatal("acks stored but not acking")
+		}
 		far.Close()
 		if err := <-readErr; err != io.EOF {
 			t.Fatalf("ReadAcks ended with %v, want io.EOF", err)
@@ -71,4 +83,53 @@ func TestAcksFollowTheHello(t *testing.T) {
 			t.Fatal("acks not closed after the stream ended")
 		}
 	}
+}
+
+// TestHelloAnswerSaysWhetherTheConsumerAcks: the receiver answers the hello
+// as soon as its first receive reads it, before any frame has arrived: with
+// the consumer's early Ack, or, from a consumer that made none, with an
+// answer that leaves the edge not acking, after which its Acks send nothing.
+// In-proc the edge acks from the receiver's first Ack.
+func TestHelloAnswerSaysWhetherTheConsumerAcks(t *testing.T) {
+	for _, early := range []bool{true, false} {
+		near, far := net.Pipe()
+		rx := NewReceiver(far)
+		if early {
+			rx.Ack(0)
+		}
+		received := make(chan error, 1)
+		go func() {
+			// Reads the hello, then waits for a frame until far closes.
+			_, _, err := rx.ReceiveBatch(nil, 0)
+			received <- err
+		}()
+		go WriteAckHello(near)
+		acks := NewAcks()
+		near.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if err := ReadAckAnswer(near, acks); err != nil {
+			t.Fatalf("early=%v: %v", early, err)
+		}
+		if acks.Acking() != early || acks.Load() != 0 {
+			t.Fatalf("early=%v: acking %v at %d", early, acks.Acking(), acks.Load())
+		}
+		if !early {
+			// A later Ack writes nothing: the synchronous pipe would block.
+			if err := rx.Ack(5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		far.Close()
+		<-received
+		near.Close()
+	}
+
+	tx, rx := InprocPair(4)
+	if tx.Acks().Acking() {
+		t.Fatal("in-proc: acking before the receiver acked")
+	}
+	rx.Ack(0)
+	if !tx.Acks().Acking() || tx.Acks().Load() != 0 {
+		t.Fatalf("in-proc: after Ack(0) acking %v at %d", tx.Acks().Acking(), tx.Acks().Load())
+	}
+	rx.Close()
 }

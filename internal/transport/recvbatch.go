@@ -148,9 +148,11 @@ type Receiver struct {
 
 	// begun is set once the stream's first four bytes have been looked at
 	// for the sender's ack hello (WriteAckHello); ackTo is src when they were
-	// it and src is writable, else nil (acks.go). ack is Ack's frame buffer.
-	// All belong to the consuming goroutine.
+	// it and src is writable, else nil (acks.go). ack is Ack's frame buffer;
+	// early is set while it holds an Ack made before begun, which the hello
+	// sends. All belong to the consuming goroutine.
 	begun bool
+	early bool
 	ackTo io.Writer
 	ack   [ackFrameSize]byte
 }
@@ -215,7 +217,9 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 			if binary.LittleEndian.Uint32(rc.buf[rc.r:]) == ackHello {
 				rc.r += 4
 				rc.ackTo, _ = rc.src.(io.Writer)
+				rc.answerHello()
 			}
+			rc.early = false
 		}
 		size := 0
 		for len(dst) < max {
@@ -245,11 +249,34 @@ func (rc *Receiver) ReceiveBatch(dst []Tuple, max int) ([]Tuple, *BlockRef, erro
 	}
 }
 
+// answerHello answers the sender's hello with the consumer's early Ack, or
+// with ackNone, after which this stream sends no ack at all. A failed write
+// ends the stream, which the next read reports.
+func (rc *Receiver) answerHello() {
+	to := rc.ackTo
+	if to == nil {
+		return
+	}
+	if !rc.early {
+		binary.LittleEndian.PutUint64(rc.ack[:], ackNone)
+		rc.ackTo = nil
+	}
+	_, _ = to.Write(rc.ack[:])
+}
+
 // Ack reports to the sender that the consumer has finished with n of the
 // stream's tuples in total: one ack frame written back on the connection, if
 // the stream opened with the ack hello (WriteAckHello) and its source is
-// writable; otherwise nothing. Call it from the consuming goroutine.
+// writable; otherwise nothing. An Ack made before the first receive has
+// looked at the stream's opening answers the hello; a consumer that makes
+// none answers that it will not ack, and its later Acks send nothing. Call
+// it from the consuming goroutine.
 func (rc *Receiver) Ack(n uint64) error {
+	if !rc.begun {
+		binary.LittleEndian.PutUint64(rc.ack[:], n)
+		rc.early = true
+		return nil
+	}
 	if rc.ackTo == nil {
 		return nil
 	}
