@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race vet fmt-check loc trials overhead hops latency bench figures figures-csv examples quick-bench soak
+.PHONY: test test-race vet fmt-check loc trials overhead hops latency adapt bench figures figures-csv examples quick-bench soak
 
 test:
 	go test ./...
@@ -87,6 +87,22 @@ hops:
 latency:
 	bash bench/run.sh -workload hetero_shift -trace 1 | grep -E '^ +(runtime\.region_lat_p(50|99)_us|core\.adapt_s|core\.weight_l1_error|runtime\.worker_op_busy_share) '
 	bash bench/run.sh -workload paced_tcp -trace 1 | grep -E '^ +runtime\.region_lat_p50_us '
+
+# How fast the balancer re-converges after hetero_shift's service shift
+# (DESIGN §4b, change points), from N traced runs (`make adapt N=5`, about a
+# minute each): the median and quartiles of the adaptation time, the weight
+# error against the oracle split and the region's median rate.
+adapt:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for i in $$(seq 1 $(N)); do \
+		bash bench/run.sh -workload hetero_shift -trace 1 -tracedir "$$dir" >"$$dir/run$$i" || exit 1; \
+	done && \
+	for m in core.adapt_s core.weight_l1_error runtime.region_tuples_per_s_median; do \
+		awk -v m=$$m '$$1 == m { print $$2 }' "$$dir"/run* | sort -g | awk -v m=$$m ' \
+			function q(p,  h, i) { h = 1 + p * (NR - 1); i = int(h); return v[i] + (h - i) * (v[i + 1] - v[i]) } \
+			{ v[NR] = $$1 } \
+			END { printf "%-36s median %10.4f   q1 %10.4f   q3 %10.4f   (%d runs)\n", m, q(0.5), q(0.25), q(0.75), NR }'; \
+	done
 
 # Minutes-long randomized chaos soak: the long rows of TestFaultPlans,
 # stall/drip/kill faults against recovery-enabled regions at 16, 32 and 64

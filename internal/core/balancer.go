@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DefaultDecayFactor is the geometric reduction applied to predictions beyond
@@ -46,6 +47,52 @@ const (
 // minZeroTrust is the trust below which a zero is dropped rather than folded
 // in: the splitter spent over 99% of the interval blocked elsewhere.
 const minZeroTrust = 0.01
+
+// A change point is a connection whose measured service rate μ_j (Step's
+// optional input) lies outside [ref/changeFactor, ref·changeFactor] of its
+// smoothed reference ref in changeIntervals consecutive valid intervals. The
+// runtime counts an interval for a connection only if the splitter waited on
+// its credit for half of it, so every valid μ_j is between half and all of
+// the worker's true rate, and so is ref, which folds each in-band sample in
+// at half weight: 2 is the least factor such readings cannot cross without a
+// change. It also clears noise: under ±20 % noise around a steady rate the
+// sample and the reference stay within 1.2/0.8 = 1.5 of each other. A change
+// is certain to cross it only past 4×, but a worker that holds the splitter
+// most of an interval reads within a few percent of its rate (8.2 k tuples/s
+// against 8.33 k on hetero_shift), so the Section 6 shifts are caught: 3× on
+// that bench, 5× and 100× in the paper's load classes. One interval can
+// still misread (a worker paused by its host); two in a row are a shift, for
+// one interval of delay.
+const (
+	changeFactor    = 2.0
+	changeIntervals = 2
+)
+
+// serviceRef is one connection's change-point detector over its measured
+// service rates.
+type serviceRef struct {
+	ref float64 // smoothed service rate in tuples/s, 0 before any sample
+	off int     // consecutive valid samples outside the band around ref
+}
+
+// observe folds one valid service-rate sample in and reports a change point.
+// An out-of-band sample leaves ref alone; at a change point ref restarts from
+// the sample.
+func (s *serviceRef) observe(mu float64) bool {
+	if s.ref == 0 {
+		s.ref = mu
+		return false
+	}
+	if mu > s.ref*changeFactor || mu*changeFactor < s.ref {
+		if s.off++; s.off >= changeIntervals {
+			s.ref, s.off = mu, 0
+			return true
+		}
+		return false
+	}
+	s.ref, s.off = (s.ref+mu)/2, 0
+	return false
+}
 
 // Config parameterizes a Balancer. The zero value is not usable: Connections
 // must be positive. Every other field has a working default.
@@ -98,6 +145,8 @@ func (c Config) withDefaults() Config {
 type Balancer struct {
 	cfg       Config
 	funcs     []*RateFunc
+	svc       []serviceRef // per connection, beside funcs
+	changed   []int        // connections with a change point in the last Step
 	weights   []int
 	clusters  [][]int // partition used by the last rebalance (nil if unclustered)
 	lastObj   float64
@@ -115,6 +164,7 @@ func NewBalancer(cfg Config) (*Balancer, error) {
 	b := &Balancer{
 		cfg:     cfg,
 		funcs:   make([]*RateFunc, cfg.Connections),
+		svc:     make([]serviceRef, cfg.Connections),
 		weights: EvenWeights(cfg.Connections, cfg.Units),
 	}
 	for j := range b.funcs {
@@ -217,6 +267,19 @@ func (b *Balancer) LastClusters() [][]int {
 	return out
 }
 
+// ServiceRate returns connection j's smoothed service rate in tuples/s, the
+// reference its change points are judged against: 0 before Step has seen a
+// valid sample for it.
+func (b *Balancer) ServiceRate(j int) float64 {
+	return b.svc[j].ref
+}
+
+// ChangePoints returns the connections that had a change point in the last
+// Step, ascending (nil when none had).
+func (b *Balancer) ChangePoints() []int {
+	return b.changed
+}
+
 // Rounds returns how many rebalances have run.
 func (b *Balancer) Rounds() int {
 	return b.rounds
@@ -233,9 +296,40 @@ func (b *Balancer) Rounds() int {
 // in with trust equal to the fraction of the interval the splitter was not
 // blocked anywhere, and dropped when that is under 1%. Step then rebalances
 // and returns the new weights.
-func (b *Balancer) Step(rates []float64) ([]int, error) {
+//
+// service, when non-nil, holds each connection's service rate μ_j in
+// tuples/s measured over the same interval, or 0 where the interval gave no
+// valid measurement. Each valid μ_j feeds that connection's change-point
+// detector (changeFactor). At a change point F_j is history taken at another
+// service rate, so it is moved onto the new one (RateFunc.Rescale by the
+// ratio of the new rate to the reference); every other connection forgets
+// its cells above its current weight, so a worker that sped up without
+// being measured (it is under-loaded, so it has no valid μ) is re-explored
+// at once instead of after some twenty decays. This interval's samples are
+// then folded in and the solver re-places every weight: μ only says when
+// and by how much the history is stale, the weights still come from the
+// blocking rates. A nil service, or one with no positive entry, is the
+// paper's Step exactly.
+func (b *Balancer) Step(rates, service []float64) ([]int, error) {
 	if len(rates) != len(b.funcs) {
 		return nil, fmt.Errorf("core: %d rates for %d connections", len(rates), len(b.funcs))
+	}
+	if service != nil && len(service) != len(rates) {
+		return nil, fmt.Errorf("core: %d service rates for %d connections", len(service), len(rates))
+	}
+	b.changed = nil
+	for j, mu := range service {
+		if ref := b.svc[j].ref; mu > 0 && b.svc[j].observe(mu) {
+			b.changed = append(b.changed, j)
+			b.funcs[j].Rescale(mu / ref)
+		}
+	}
+	if b.changed != nil {
+		for j, f := range b.funcs {
+			if !slices.Contains(b.changed, j) {
+				f.ForgetAbove(b.weights[j])
+			}
+		}
 	}
 	blockedFraction := 0.0
 	for _, r := range rates {

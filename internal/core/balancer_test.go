@@ -295,7 +295,7 @@ func TestBalancerStepZeroTrust(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			weights, err := b.Step(tt.rates)
+			weights, err := b.Step(tt.rates, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +319,7 @@ func TestBalancerStepZeroTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Step([]float64{0.5, 0}); err == nil {
+	if _, err := b.Step([]float64{0.5, 0}, nil); err == nil {
 		t.Fatal("Step accepted 2 rates for 3 connections")
 	}
 	if b.Rounds() != 0 {

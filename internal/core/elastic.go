@@ -20,6 +20,7 @@ func (b *Balancer) AddConnection() int {
 	j := b.cfg.Connections
 	b.cfg.Connections++
 	b.funcs = append(b.funcs, NewRateFunc(b.cfg.Units, b.cfg.SmoothingAlpha))
+	b.svc = append(b.svc, serviceRef{})
 	b.weights = append(b.weights, 0)
 	b.clusters = nil
 	return j
@@ -40,6 +41,7 @@ func (b *Balancer) RemoveConnection(j int) error {
 	}
 	freed := b.weights[j]
 	b.funcs = append(b.funcs[:j], b.funcs[j+1:]...)
+	b.svc = append(b.svc[:j], b.svc[j+1:]...)
 	b.weights = append(b.weights[:j], b.weights[j+1:]...)
 	b.cfg.Connections--
 	b.clusters = nil

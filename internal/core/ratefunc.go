@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -353,6 +354,47 @@ func (f *RateFunc) AbsorbCells(cells map[int]RawCell) {
 		cell.count = total
 	}
 	f.dirty = true
+}
+
+// Rescale moves every observation at weight w to weight w·k, for a
+// connection whose service rate changed by the factor k: its blocking
+// follows the load it is offered per unit of capacity, so what it showed at
+// weight w before the change it shows at w·k after. Cells that land on one
+// weight merge by sample count, in ascending order of their old weights;
+// cells that land outside (0, Units] are dropped.
+func (f *RateFunc) Rescale(k float64) {
+	old := f.raw
+	weights := make([]int, 0, len(old))
+	for w := range old {
+		weights = append(weights, w)
+	}
+	sort.Ints(weights)
+	f.raw = make(map[int]*rawCell, len(old))
+	for _, w := range weights {
+		nw := int(math.Round(float64(w) * k))
+		if nw < 1 || nw > f.units {
+			continue
+		}
+		c := old[w]
+		if cell, ok := f.raw[nw]; ok {
+			total := cell.count + c.count
+			cell.value = (cell.value*cell.count + c.value*c.count) / total
+			cell.count = total
+		} else {
+			f.raw[nw] = c
+		}
+	}
+	f.dirty = true
+}
+
+// ForgetAbove discards the observations at weights above w.
+func (f *RateFunc) ForgetAbove(w int) {
+	for x := range f.raw {
+		if x > w {
+			delete(f.raw, x)
+			f.dirty = true
+		}
+	}
 }
 
 // Reset discards all observations.

@@ -49,6 +49,7 @@ type RegionMetrics struct {
 	keyImbalance    *metrics.Gauge
 	inflight        *metrics.GaugeVec
 	inflightBound   *metrics.GaugeVec
+	serviceRate     *metrics.GaugeVec
 
 	// Balancer / controller.
 	weight        *metrics.GaugeVec
@@ -56,6 +57,7 @@ type RegionMetrics struct {
 	optIterations *metrics.Counter
 	objective     *metrics.Gauge
 	clusterCount  *metrics.Gauge
+	changePoints  *metrics.CounterVec
 
 	// Merger.
 	released          *metrics.Counter
@@ -117,7 +119,9 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 		inflight: reg.GaugeVec("spe_splitter_conn_inflight_tuples",
 			"Tuples written to the worker connection that its worker has not yet acked as forwarded.", "conn"),
 		inflightBound: reg.GaugeVec("spe_splitter_conn_inflight_bound_tuples",
-			"The connection's in-flight bound: its weight share of the region's forward rate times 10 ms, at least two runs; the splitter waits for credit past it (0 before the first rate measurement).", "conn"),
+			"The connection's in-flight bound: its weight share of the region's forward rate times 10 ms, at least two runs; the splitter waits for credit past it. Every acking connection starts at the two-run floor; 0 on an edge that never acks.", "conn"),
+		serviceRate: reg.GaugeVec("spe_splitter_conn_service_rate",
+			"The worker's smoothed service rate in tuples/s: its acked tuples per second over the sample intervals the splitter spent at least half waiting for its credit, as the balancer's change-point detector holds it (0 before such an interval, or without a balancer).", "conn"),
 		keyImbalance: reg.Gauge("spe_splitter_key_imbalance",
 			"Keyed-routing imbalance over the last sample interval: (max-mean)/mean of per-connection keyed assignments (0 = perfectly even)."),
 
@@ -131,6 +135,8 @@ func NewRegionMetrics(reg *metrics.Registry, tr *metrics.Trace) *RegionMetrics {
 			"Objective value (max predicted blocking rate) of the last rebalance."),
 		clusterCount: reg.Gauge("spe_balancer_clusters",
 			"Clusters used by the last rebalance (0 when unclustered)."),
+		changePoints: reg.CounterVec("spe_balancer_change_points_total",
+			"Change points per connection: its measured service rate left its reference by more than 2x in two consecutive valid intervals, so the balancer moved its blocking-rate function onto the new rate and the other connections forgot their observations above their weights.", "conn"),
 
 		released: reg.Counter("spe_merger_tuples_released_total",
 			"Tuples released downstream in strict sequence order."),
@@ -188,6 +194,7 @@ type connInstruments struct {
 	weight     *metrics.Gauge
 	redials    *metrics.Counter
 	coalescing *metrics.Gauge
+	service    *metrics.Gauge
 }
 
 // conn resolves the per-connection handles for one stable worker id.
@@ -199,6 +206,7 @@ func (m *RegionMetrics) conn(id int) connInstruments {
 		weight:     m.weight.With(l),
 		redials:    m.redialAttempts.With(l),
 		coalescing: m.coalescing.With(l),
+		service:    m.serviceRate.With(l),
 	}
 }
 
@@ -249,6 +257,13 @@ func (m *RegionMetrics) connEvent(ev ConnEvent) {
 		}
 	}
 	m.traceEvent(tev)
+}
+
+// changePoint records a change point on stable worker id, at the service
+// rate the balancer now holds for it.
+func (m *RegionMetrics) changePoint(id int, rate float64) {
+	m.changePoints.With(strconv.Itoa(id)).Inc()
+	m.traceEvent(metrics.Event{Kind: "change-point", Conn: id, Value: rate})
 }
 
 // rebalance records one controller decision: the counters, the decision

@@ -133,6 +133,7 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 	}
 	var region *Region
 	samples := 0
+	changes := make([]float64, 2) // change points per stable id, from the balancer
 	region, err = NewRegion(RegionConfig{
 		Operators:      []Operator{Identity(), Identity()},
 		Source:         source,
@@ -142,12 +143,23 @@ func TestMetricsConsistencyCleanRun(t *testing.T) {
 		Metrics:        rm,
 		// OnSample runs on the send loop, so no send is in flight between
 		// the two reads: mid-run, the scrape and ConnStats must agree
-		// exactly, and the bound gauge with the bound the tick just set.
+		// exactly, the bound gauge with the bound the tick just set, and the
+		// service-rate gauge and change-point counter with the balancer.
 		OnSample: func(time.Duration, []float64, []int) {
 			samples++
-			for _, c := range region.splitter.conns {
-				if got, _ := reg.Value("spe_splitter_conn_inflight_bound_tuples", "conn", fmt.Sprint(c.id)); got != float64(c.bound.Load()) {
+			for _, j := range balancer.ChangePoints() {
+				changes[region.splitter.conns[j].id]++
+			}
+			for j, c := range region.splitter.conns {
+				l := fmt.Sprint(c.id)
+				if got, _ := reg.Value("spe_splitter_conn_inflight_bound_tuples", "conn", l); got != float64(c.bound.Load()) {
 					t.Errorf("mid-run conn %d: exported in-flight bound %v != send loop's %d", c.id, got, c.bound.Load())
+				}
+				if got, _ := reg.Value("spe_splitter_conn_service_rate", "conn", l); got != balancer.ServiceRate(j) {
+					t.Errorf("mid-run conn %d: exported service rate %v != balancer's %v", c.id, got, balancer.ServiceRate(j))
+				}
+				if got, _ := reg.Value("spe_balancer_change_points_total", "conn", l); got != changes[c.id] {
+					t.Errorf("mid-run conn %d: exported change points %v != balancer's %v", c.id, got, changes[c.id])
 				}
 			}
 			sent, blocking := region.splitter.ConnStats()

@@ -2,12 +2,14 @@ package runtime
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"streambalance/internal/core"
+	"streambalance/internal/metrics"
 	"streambalance/internal/transport"
 )
 
@@ -157,10 +159,9 @@ func TestRegionBalancerShiftsLoad(t *testing.T) {
 			NewSpinOperator(1_000),
 			NewSpinOperator(1_000),
 		},
-		// 256-byte payloads against the default 64 KiB kernel buffers:
-		// about a thousand tuples in flight per connection, a tenth of the
-		// heavy connection's even share, so its sends block and the
-		// signal exists.
+		// The heavy worker acks slowly, so its connection sits at its
+		// in-flight bound (DESIGN §4b) and the splitter's credit waits on
+		// it are the blocking signal.
 		Source:         ConstantSource(make([]byte, 256), tuples),
 		Balancer:       balancer,
 		SampleInterval: 50 * time.Millisecond,
@@ -177,6 +178,96 @@ func TestRegionBalancerShiftsLoad(t *testing.T) {
 	}
 	if res.PerConnSent[0]*2 >= res.PerConnSent[1]+res.PerConnSent[2] {
 		t.Fatalf("per-conn sent %v: heavy worker not throttled", res.PerConnSent)
+	}
+}
+
+// TestRegionChangePoints runs four slept-service workers in process and
+// slows two of them tenfold mid-run: the splitter reads each worker's
+// service rate from its credits, and the balancer marks a change point on
+// each slowed connection within half a second of the shift (an interval
+// counts for at most one connection, the one that held the splitter for
+// half of it), and none on the two it left alone, which are underfed for a
+// while.
+func TestRegionChangePoints(t *testing.T) {
+	const (
+		tuples  = 40_000
+		shiftAt = tuples / 2
+		within  = 10 // sample intervals
+	)
+	ops := make([]*ServiceOperator, 4)
+	operators := make([]Operator, len(ops))
+	for j := range ops {
+		ops[j] = NewServiceOperator(100 * time.Microsecond)
+		operators[j] = ops[j]
+	}
+	balancer, err := core.NewBalancer(core.Config{Connections: len(ops), DecayEnabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source and OnSample both run on the splitter's send loop.
+	ticks, shiftTick := 0, -1
+	changes := make([][]int, len(ops)) // per connection, the ticks of its change points
+	reg, trace := metrics.New(), metrics.NewTrace(4096)
+	region, err := NewRegion(RegionConfig{
+		Transport: TransportInproc,
+		Operators: operators,
+		Source: func(seq uint64) ([]byte, bool) {
+			if seq == shiftAt {
+				ops[0].SetService(time.Millisecond)
+				ops[1].SetService(time.Millisecond)
+				shiftTick = ticks
+			}
+			return []byte("payload"), seq < tuples
+		},
+		Balancer:       balancer,
+		SampleInterval: 50 * time.Millisecond,
+		BatchSize:      32,
+		Metrics:        NewRegionMetrics(reg, trace),
+		OnSample: func(time.Duration, []float64, []int) {
+			ticks++
+			for _, j := range balancer.ChangePoints() {
+				changes[j] = append(changes[j], ticks)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := region.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Released != tuples || !res.OrderPreserved {
+		t.Fatalf("released=%d order=%v, want %d true", res.Released, res.OrderPreserved, tuples)
+	}
+	t.Logf("shift at tick %d of %d; change points per connection at ticks %v", shiftTick, ticks, changes)
+	traced := make([]int, len(ops))
+	for _, ev := range trace.Events() {
+		if ev.Kind == "change-point" {
+			traced[ev.Conn]++
+		}
+	}
+	for j, at := range changes {
+		shifted := j < 2
+		switch {
+		case shifted && (len(at) == 0 || at[0] <= shiftTick || at[0] > shiftTick+within):
+			t.Errorf("connection %d: change points at ticks %v, want the first within %d ticks after the shift at %d", j, at, within, shiftTick)
+		case !shifted && len(at) > 0:
+			t.Errorf("unshifted connection %d: change points at ticks %v (shift at %d)", j, at, shiftTick)
+		}
+		l := fmt.Sprint(j)
+		if got, _ := reg.Value("spe_balancer_change_points_total", "conn", l); got != float64(len(at)) || traced[j] != len(at) {
+			t.Errorf("connection %d: exported %v change points and traced %d, the balancer made %d", j, got, traced[j], len(at))
+		}
+		// 1 ms a tuple is 1 000 tuples/s; 100 µs is 10 000. An unshifted
+		// worker may never have held the splitter for half an interval.
+		want := 10_000.0
+		if shifted {
+			want = 1_000
+		}
+		if got, _ := reg.Value("spe_splitter_conn_service_rate", "conn", l); (shifted || got != 0) && (got < want/2 || got > want*2) {
+			t.Errorf("connection %d: service rate %v, want about %v", j, got, want)
+		}
 	}
 }
 

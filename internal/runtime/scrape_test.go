@@ -64,7 +64,7 @@ func (s *scraper) scrape() {
 		s.violations = append(s.violations, "WritePrometheus: "+err.Error())
 	}
 	for _, sm := range samples {
-		if strings.HasPrefix(sm.Name, "spe_splitter_conn_inflight") && sm.Value < 0 {
+		if (strings.HasPrefix(sm.Name, "spe_splitter_conn_inflight") || sm.Name == "spe_splitter_conn_service_rate") && sm.Value < 0 {
 			s.violations = append(s.violations, fmt.Sprintf("%s{%s} is negative: %v", sm.Name, strings.Join(sm.LabelValues, ","), sm.Value))
 		}
 		if !strings.HasSuffix(sm.Name, "_total") {

@@ -182,13 +182,14 @@ type splitConn struct {
 	// socket sender, which has no reader. Only a connection whose worker
 	// acks (Acking) is waited on. bound caps the tuples routed here and not
 	// acked (setBounds).
-	// prevAcked is acks at the last tick. waited and waits total the credit
-	// waits (awaitCredit), which are this connection's blocking as much as a
-	// full socket's are; sockBlocking is the sender's own blocking at the
-	// last tick. bound, waited and waits are atomic
-	// because a scrape reads them.
+	// prevAcked and prevWaited are acks and waited at the last tick. waited
+	// and waits total the credit waits (awaitCredit), which are this
+	// connection's blocking as much as a full socket's are; sockBlocking is
+	// the sender's own blocking at the last tick. bound, waited and waits
+	// are atomic because a scrape reads them.
 	acks         *transport.Acks
 	prevAcked    uint64
+	prevWaited   time.Duration
 	bound        atomic.Int64
 	waited       atomic.Int64
 	waits        atomic.Int64
@@ -785,16 +786,10 @@ func (sp *Splitter) findLive(id int) *splitConn {
 // is held after an interval the thread spent at least holdParkedShare parked.
 func (sp *Splitter) tick(now time.Duration) error {
 	cumulative := make([]time.Duration, len(sp.conns))
-	var acked uint64
 	for j, c := range sp.conns {
 		cumulative[j] = c.blocking()
-		if c.acks != nil {
-			n := c.acks.Load()
-			acked += n - c.prevAcked
-			c.prevAcked = n
-		}
 	}
-	sp.measureRate(acked, now)
+	service := sp.measureAcks(now)
 	rates, _ := sp.samplers.Sample(now, cumulative)
 	parked := 0.0
 	for _, r := range rates {
@@ -823,7 +818,7 @@ func (sp *Splitter) tick(now time.Duration) error {
 	weights := sp.wrr.Weights()
 	stepped := false
 	if b != nil && b.Connections() == len(rates) {
-		if w, err := b.Step(rates); err == nil {
+		if w, err := b.Step(rates, service); err == nil {
 			if err := sp.wrr.SetWeights(w); err != nil {
 				return fmt.Errorf("runtime: apply weights: %w", err)
 			}
@@ -842,8 +837,14 @@ func (sp *Splitter) tick(now time.Duration) error {
 			if j < len(weights) {
 				sp.cm[c.id].weight.Set(float64(weights[j]))
 			}
+			if stepped {
+				sp.cm[c.id].service.Set(b.ServiceRate(j))
+			}
 		}
 		if stepped {
+			for _, j := range b.ChangePoints() {
+				sp.mtr.changePoint(sp.conns[j].id, b.ServiceRate(j))
+			}
 			sp.mtr.rebalance(weights, b.LastObjective(), b.LastIterations(), len(b.LastClusters()))
 		}
 		sp.publishPicks()

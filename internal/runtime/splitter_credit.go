@@ -138,6 +138,37 @@ func (c *splitConn) blockEvents() int64 {
 	return c.sender.BlockEvents() + c.waits.Load()
 }
 
+// measureAcks reads each connection's acks since the last tick into the
+// region's forward rate (measureRate) and returns each worker's service rate
+// μ_j by live position, measured with no message beyond the acks (Beard and
+// Chamberlain's non-blocking estimate): a worker whose credit the loop waited
+// for had work queued all the while, so its acked tuples over the interval
+// are at least that share of what it can serve. An interval counts only for
+// a connection whose credit waits took at least half of it, so every μ_j is
+// between half and all of the worker's true rate, and only a true change
+// moves it past core's factor of 2. 0 marks a connection without such an
+// interval; nil means none had one, which keeps Balancer.Step the paper's.
+func (sp *Splitter) measureAcks(now time.Duration) (service []float64) {
+	interval := now - sp.rateAt
+	var acked uint64
+	for j, c := range sp.conns {
+		if c.acks == nil {
+			continue
+		}
+		n, waited := c.acks.Load(), time.Duration(c.waited.Load())
+		if interval > 0 && 2*(waited-c.prevWaited) >= interval {
+			if service == nil {
+				service = make([]float64, len(sp.conns))
+			}
+			service[j] = float64(n-c.prevAcked) / interval.Seconds()
+		}
+		acked += n - c.prevAcked
+		c.prevAcked, c.prevWaited = n, waited
+	}
+	sp.measureRate(acked, now)
+	return service
+}
+
 // measureRate folds the tuples the workers acked since the last tick into
 // the region's forward rate, smoothed over the last intervals (each new one
 // weighs half). It stays 0, and every bound at its floor, until an interval

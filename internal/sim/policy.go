@@ -72,7 +72,7 @@ func (p *BalancerPolicy) OnSample(sn Snapshot) []int {
 	if p.err != nil {
 		return nil
 	}
-	weights, err := p.balancer.Step(sn.BlockingRates)
+	weights, err := p.balancer.Step(sn.BlockingRates, nil)
 	if err != nil {
 		p.err = fmt.Errorf("step at %v: %w", sn.Now, err)
 		return nil
