@@ -21,9 +21,12 @@ fmt-check:
 
 # Non-test Go lines (wc -l) outside bench/, in total and for the data path
 # (runtime + transport + spsc), the splitter's two files and the merger's,
-# the flags each spe subcommand defines (counted from its -h output) and the
-# exported fields of the runtime's configuration structs (from go doc): the
-# numbers the ROADMAP exits are written in.
+# the wall-clock calls in non-test runtime + transport code (call expressions
+# of time.Now/Since/Sleep/After/NewTimer/NewTicker/AfterFunc; a function
+# value such as `now: time.Now` is not counted) and the time.Sleep calls in
+# their tests, the flags each spe subcommand defines (counted from its -h
+# output) and the exported fields of the runtime's configuration structs
+# (from go doc): the numbers the ROADMAP exits are written in.
 loc:
 	@echo "non-test Go outside bench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -print0 | xargs -0 cat | wc -l)"
 	@echo "runtime+transport+spsc:     $$(find internal/runtime internal/transport internal/spsc -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
@@ -31,6 +34,8 @@ loc:
 	@echo "runtime/splitter_recovery.go: $$(wc -l < internal/runtime/splitter_recovery.go)"
 	@echo "runtime/splitter_credit.go: $$(wc -l < internal/runtime/splitter_credit.go)"
 	@echo "runtime/merger.go:          $$(wc -l < internal/runtime/merger.go)"
+	@echo "runtime+transport wall-clock calls: $$(find internal/runtime internal/transport -name '*.go' ! -name '*_test.go' -print0 | xargs -0 grep -ohE 'time\.(Now|Since|Sleep|After|NewTimer|NewTicker|AfterFunc)\(' | wc -l)"
+	@echo "runtime+transport test time.Sleep calls: $$(find internal/runtime internal/transport -name '*_test.go' -print0 | xargs -0 grep -ohE 'time\.Sleep\(' | wc -l)"
 	@for sub in run worker merger splitter; do echo "spe $$sub flags: $$(go run ./cmd/spe $$sub -h 2>&1 | grep -c '^  -')"; done
 	@for t in RegionConfig SplitterConfig RecoveryConfig Timeouts; do echo "runtime.$$t fields: $$(go doc ./internal/runtime $$t | awk '/struct \{/{f=1;next} /^}/{f=0} f && /^\t[A-Z][A-Za-z0-9]* /' | wc -l)"; done
 

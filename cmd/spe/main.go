@@ -294,7 +294,7 @@ func command(w io.Writer, sub string, args []string) error {
 func mergerCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error) {
 	fs := flag.NewFlagSet("spe merger", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "number of worker connections to accept")
-	fs.IntVar(&cfg.MergerQueue, "queue", 0, "reorder backlog cap per worker connection, which also sizes its ingest ring (0 = default)")
+	fs.IntVar(&cfg.MergerQueue, "queue", 0, "reorder backlog cap per worker connection without a control channel; also sizes its ingest ring (0 = default)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeoutFlags(fs, &cfg.Timeouts)
 	return fs, func(w io.Writer) error {

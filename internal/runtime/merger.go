@@ -16,38 +16,16 @@ import (
 )
 
 // DefaultMergerQueue bounds each connection's reorder backlog (ring plus
-// heap): while the tuple the merge needs next has not arrived, at most this
-// many tuples are buffered per other connection before their readers stop
-// draining TCP — which is how back pressure reaches the splitter through the
-// fast connections only under severe skew (see Section 4.1 and the sim
-// package's discussion). The same cap sizes each connection's lock-free
-// ingest ring (rounded up to a power of two): ring occupancy counts toward
-// the cap, so a ring fills only when its reader overflows the cap.
+// heap) in a merger no control channel has attached to: while the tuple the
+// merge needs next has not arrived, at most this many tuples are buffered per
+// other connection before their readers stop draining — which is how back
+// pressure reaches the splitter through the fast connections only under
+// severe skew (see Section 4.1 and the sim package's discussion). Once a
+// control channel attaches, a replay may sit behind a survivor's backlog, so
+// readers stop parking on depth and the splitter's replay buffer (RetainCap)
+// bounds the backlog instead. The same cap sizes each connection's lock-free
+// ingest ring (rounded up to a power of two).
 const DefaultMergerQueue = 1024
-
-// capWaiveDelay is how long the merge loop tolerates being unable to
-// release while a stream sits at its back-pressure cap before it waives the
-// cap (mergeStuck): long enough that a tuple already in flight on another
-// stream (the common cause — its reader merely hasn't been scheduled)
-// resolves the gap without waiving, short enough that under a persistent
-// gap — a straggling worker, a replay wedged behind a survivor's backlog —
-// the fast streams are only ever paused briefly, preserving the old locked
-// merger's behavior of not converting a head-blocked merge into a false
-// blocking signal on the healthy connections.
-const capWaiveDelay = 100 * time.Microsecond
-
-// capWaivePoll is the merge loop's poll-sleep granularity inside the
-// capWaiveDelay window; sleeping (rather than cond-parking) hands the CPU
-// to the connection readers, one of which is usually about to deliver the
-// sequence the merge is waiting on.
-const capWaivePoll = 20 * time.Microsecond
-
-// capWaiveHot is the hysteresis window after a waiver fires during which
-// further head-blocked parks waive immediately, skipping the capWaiveDelay
-// poll. A replay drain head-blocks once per buried sequence; the first
-// episode proves the wedge is real, and charging every subsequent episode
-// the full poll would turn recovery into a sequence of stalls.
-const capWaiveHot = 10 * time.Millisecond
 
 // DefaultWatermarkInterval is how often the merger reports its released
 // watermark on the control channel.
@@ -105,18 +83,16 @@ type Merger struct {
 	// loop drains its ring, when its backlog descends through wakeAt
 	// (refill hysteresis — waking at cap-1 would let it push one tuple and
 	// re-park, a broadcast storm under contention), and by wakeAll on any
-	// control-plane change. mergeStuck is the merge loop's published "I
-	// cannot release anything while a stream sits at its cap" bit: while
-	// it is set, readers at their cap overflow instead of parking, because
-	// the sequence the merge needs may be *behind* the tuple in their hand
-	// (a replay queued after a survivor's backlog) and parking would wedge
-	// the region on head-of-line blocking.
-	mergePark  spsc.Parker
-	parks      []spsc.Parker
-	wakeAt     int       // queue depth at which a cap-parked reader is rewoken
-	lastWaive  time.Time // merge loop only: when the cap was last waived
-	mergeStuck atomic.Bool
-	closed     atomic.Bool
+	// control-plane change. The cap binds only while no control channel has
+	// attached (ctrlSeen): then every stream arrives in sequence order with
+	// nothing replayed, so the sequence the merge needs is never behind a
+	// parked reader's own backlog. A control channel brings replays, which
+	// may be queued behind a survivor's backlog, so from then on readers
+	// never park on depth.
+	mergePark spsc.Parker
+	parks     []spsc.Parker
+	wakeAt    int // queue depth at which a cap-parked reader is rewoken
+	closed    atomic.Bool
 
 	// Control plane, guarded by ctl: membership and completion state that
 	// changes on the order of connections, not tuples. Every mutation
@@ -130,8 +106,11 @@ type Merger struct {
 	attached int // distinct worker ids ever attached
 	finKnown bool
 	finTotal uint64
-	ctrlSeen bool // a control connection has ever attached
-	ctrlLive int  // control connections currently open
+	ctrlLive int // control connections currently open
+	// ctrlSeen: a control connection has ever attached. Set under ctl like
+	// the rest, but atomic because ingest reads it lock-free: it turns the
+	// reorder cap off for good.
+	ctrlSeen atomic.Bool
 	fatal    error
 	strmErrs []error
 	pending  map[net.Conn]struct{} // accepted conns mid-handshake, for teardown
@@ -184,8 +163,9 @@ type Merger struct {
 
 // NewMerger listens for worker connections. sink receives every tuple, in
 // order, with the worker id that processed it; it runs on the merge goroutine
-// and must not block indefinitely. queueCap bounds each connection's reorder
-// backlog and sizes its ingest ring; <= 0 selects DefaultMergerQueue.
+// and must not block indefinitely. queueCap sizes each connection's ingest
+// ring and, until a control channel attaches, bounds its reorder backlog;
+// <= 0 selects DefaultMergerQueue.
 func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger, error) {
 	if sink == nil {
 		return newMerger(workers, queueCap, nil, true)
@@ -393,12 +373,11 @@ func (m *Merger) run() error {
 
 	m.ctl.Lock()
 	strmErrs := m.strmErrs
-	ctrlSeen := m.ctrlSeen
 	m.ctl.Unlock()
 	if mergeErr != nil {
 		return errors.Join(append([]error{mergeErr}, strmErrs...)...)
 	}
-	if !ctrlSeen {
+	if !m.ctrlSeen.Load() {
 		// Original fixed-worker semantics: with no recovery protocol in
 		// play, a worker stream error is the caller's problem even when
 		// every tuple was released.
@@ -581,14 +560,13 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 			ref.Release()
 			continue
 		}
-		// Block on a full backlog only while the merge can progress
-		// without this reader (mergeStuck clear). If the merge is stuck,
-		// the tuple carrying the sequence it needs may be *behind* the one
-		// in hand in this very stream (a replay queued after a survivor's
-		// backlog), so the reader must overflow the cap and keep reading
-		// or the region wedges on head-of-line blocking.
+		// Block on a full backlog only while no control channel has
+		// attached. Then this stream is in sequence order, so the sequence
+		// the merge needs is on another stream. A replay may instead sit
+		// behind the tuple in hand, so with a control channel the reader
+		// reads on, and the splitter's replay buffer bounds the backlog.
 		for m.streamDepth(id)+staged >= m.queueCap && seq > next &&
-			!m.closed.Load() && !m.mergeStuck.Load() {
+			!m.closed.Load() && !m.ctrlSeen.Load() {
 			// Earlier tuples in this batch may include the sequence the
 			// merge loop is parked waiting for — publish and wake it before
 			// parking ourselves, or both sides wait forever.
@@ -598,7 +576,7 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 			}
 			m.parks[id].Park(func() bool {
 				return m.streamDepth(id) >= m.queueCap && seq > m.next.Load() &&
-					!m.closed.Load() && !m.mergeStuck.Load()
+					!m.closed.Load() && !m.ctrlSeen.Load()
 			})
 			next = m.next.Load()
 		}
@@ -659,7 +637,7 @@ func (m *Merger) snapshot() mergerSnap {
 	s := mergerSnap{
 		epoch:    m.epoch.Load(),
 		attached: m.attached,
-		ctrlSeen: m.ctrlSeen,
+		ctrlSeen: m.ctrlSeen.Load(),
 		ctrlLive: m.ctrlLive,
 		finKnown: m.finKnown,
 		finTotal: m.finTotal,
@@ -831,21 +809,6 @@ func (m *Merger) ringsEmpty() bool {
 	return true
 }
 
-// anyAtCap reports whether any stream's backlog has reached the
-// back-pressure cap — the precondition for a reader being parked in
-// ingest's cap wait. Merge loop only: queue depths are this goroutine's own
-// writes and ring occupancy is read atomically, so a reader that crossed
-// the cap before parking is always visible here (and one that crosses
-// after pushes first, which forces another drain pass before the park).
-func (m *Merger) anyAtCap() bool {
-	for id := range m.queues {
-		if m.streamDepth(id) >= m.queueCap {
-			return true
-		}
-	}
-	return false
-}
-
 // heapsEmpty reports whether every reorder queue is empty. Merge loop only.
 func (m *Merger) heapsEmpty() bool {
 	for id := range m.queues {
@@ -907,44 +870,14 @@ func (m *Merger) mergeLoop() error {
 			}
 			return fmt.Errorf("runtime: merger missing sequence %d at end of streams", m.next.Load())
 		}
-		// Park until input or a membership change.
+		// Park until input or a membership change. Wake every reader first:
+		// one that parked while its queue was already below wakeAt has no
+		// other wake coming.
 		epoch := snap.epoch
-		idle := func() bool {
-			return m.ringsEmpty() && !m.closed.Load() && m.epoch.Load() == epoch
-		}
-		if m.anyAtCap() {
-			// A stream at its back-pressure cap while the merge cannot
-			// release is ambiguous. Almost always the needed sequence is
-			// simply still in flight on another stream and arrives within
-			// microseconds — so first wait briefly with the cap enforced.
-			// Waiving it eagerly here is ruinous: every momentary consumer
-			// nap would let 64 readers dump their socket backlogs far past
-			// queueCap, destroying the blocking signal the balancer reads
-			// and burning the merge loop on growing and zeroing queue slabs.
-			// But the wait must be bounded: the needed sequence may be
-			// *behind* a cap-parked reader's tuple in its own stream (a
-			// replay queued after a survivor's backlog), and only that
-			// reader can deliver it. If the poll expires with the merge
-			// still wedged, declare it stuck so cap-parked readers overflow
-			// instead of parking (see ingest), and wake them to re-evaluate.
-			// The poll-sleep deliberately yields the CPU to the readers.
-			// A waiver inside the last capWaiveHot marks an ongoing wedge
-			// (a replay drain head-blocks once per buried sequence) and
-			// skips straight to waiving again.
-			if time.Since(m.lastWaive) > capWaiveHot {
-				for end := time.Now().Add(capWaiveDelay); idle() && time.Now().Before(end); {
-					time.Sleep(capWaivePoll)
-				}
-				if !idle() {
-					continue
-				}
-			}
-			m.lastWaive = time.Now()
-			m.mergeStuck.Store(true)
-		}
 		m.wakeAll()
-		m.mergePark.Park(idle)
-		m.mergeStuck.Store(false)
+		m.mergePark.Park(func() bool {
+			return m.ringsEmpty() && !m.closed.Load() && m.epoch.Load() == epoch
+		})
 		if m.mWakes != nil {
 			m.mWakes.Inc()
 		}

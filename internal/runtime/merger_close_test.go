@@ -81,8 +81,8 @@ func TestMergerCloseRacesInFlightBatch(t *testing.T) {
 }
 
 // TestMergerCloseRacesBackpressureParkedReader parks a reader at its
-// back-pressure cap for real — a slow sink keeps the merge loop busy (so
-// mergeStuck stays clear and the cap is enforced) while the reader outruns
+// back-pressure cap for real — no control channel attaches, so the cap
+// binds, and a slow sink keeps the merge loop busy while the reader outruns
 // the releases — then closes the merger. The parked reader must observe
 // closed on wake, release the rest of its batch, and exit; nothing may stay
 // parked on a condvar nobody will signal again.

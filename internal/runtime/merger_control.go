@@ -124,7 +124,7 @@ func (m *Merger) attachControl(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	m.ctrlSeen = true
+	m.ctrlSeen.Store(true) // before wakeAll: a cap-parked reader re-checks and reads on
 	m.ctrlLive++
 	m.epoch.Add(1)
 	m.ctl.Unlock()

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func ascending(from uint64, n int) []transport.Tuple {
 // behind a gap parks with 4 tuples in the stream's backlog, not 4 plus
 // whatever it staged. The test is the merge loop — it makes drain and release
 // passes by hand — so "the merge cannot release" lasts exactly as long as
-// the test says, with no cap waiver racing the assertions.
+// the test says.
 func TestIngestCapCountsStagedTuples(t *testing.T) {
 	const queueCap, n = 4, 64
 	var released []uint64
@@ -204,7 +205,7 @@ func TestRunReleaseAllocatesNothing(t *testing.T) {
 // is the first tuple of a batch whose fifth tuple hits the back-pressure cap.
 // The reader must publish what it staged and wake the merge loop before it
 // parks — a staged slot is invisible, so parking on it leaves both sides
-// asleep with nothing at its cap for the waiver to notice.
+// asleep for good.
 func TestIngestPublishesBeforeParking(t *testing.T) {
 	const queueCap, n = 4, 64
 	released := make(chan uint64, n+1)
@@ -244,5 +245,123 @@ func TestIngestPublishesBeforeParking(t *testing.T) {
 	}
 	if ok := <-done; !ok {
 		t.Fatal("ingest reported the merger closed")
+	}
+}
+
+// TestCapBindsWithoutControlChannel: with no control channel every stream is
+// in sequence order, so the reorder cap binds strictly. Stream 1 delivers
+// 1..64 while stream 0 withholds seq 0; once the reader has parked at its cap
+// and the merge loop has parked with nothing to release, stream 1's backlog
+// stays at the cap, and nothing wakes either side until seq 0 arrives. Then
+// 0..64 release in order.
+func TestCapBindsWithoutControlChannel(t *testing.T) {
+	const queueCap, n = 4, 64
+	released := make(chan uint64, n+1)
+	m, err := newMerger(2, queueCap, func(tp *transport.Tuple, _ int) { released <- tp.Seq }, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetMetrics(NewRegionMetrics(metrics.New(), nil)) // the park/wake counters are the test's window
+	m.Start()
+	defer func() {
+		m.Close()
+		m.Wait()
+	}()
+
+	done := make(chan bool, 1)
+	go func() { done <- m.ingest(1, ascending(1, n), nil) }()
+	overCap := func() {
+		if got := m.streamDepth(1); got > queueCap {
+			t.Fatalf("backlog %d past cap %d while seq 0 is missing", got, queueCap)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for m.mParks.Value() == 0 || m.streamDepth(1) < queueCap ||
+		!parkedIn("(*Merger).Start") || !parkedIn("TestCapBindsWithoutControlChannel") {
+		overCap()
+		if time.Now().After(deadline) {
+			t.Fatalf("reader and merge loop never both parked: backlog %d, %v parks", m.streamDepth(1), m.mParks.Value())
+		}
+		runtime.Gosched()
+	}
+	// Both sides asleep: only a wake can change anything, so the wake and
+	// park counts must hold still along with the backlog, here for 20 ms: a
+	// cap released on a timer would let the backlog grow inside the window.
+	parks, wakes := m.mParks.Value(), m.mWakes.Value()
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		overCap()
+		if p, w := m.mParks.Value(), m.mWakes.Value(); p != parks || w != wakes {
+			t.Fatalf("parked sides moved: parks %v -> %v, merge wakes %v -> %v", parks, p, wakes, w)
+		}
+		runtime.Gosched()
+	}
+
+	if !m.ingest(0, ascending(0, 1), nil) {
+		t.Fatal("ingest of the gap tuple refused")
+	}
+	for want := uint64(0); want <= n; want++ {
+		select {
+		case seq := <-released:
+			if seq != want {
+				t.Fatalf("released seq %d, want %d", seq, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("merge loop stuck at watermark %d", m.Watermark())
+		}
+	}
+	if ok := <-done; !ok {
+		t.Fatal("ingest reported the merger closed")
+	}
+}
+
+// TestReplayPastCapWithControlChannel: a replay queued behind a survivor's
+// backlog. Stream 1 carries 1..64 and then seq 0, the sequence the merge
+// needs, far past the cap of 4. The reader parks at its cap until the
+// control channel attaches; from then on it reads on, and all 65 release in
+// order with no timer involved.
+func TestReplayPastCapWithControlChannel(t *testing.T) {
+	const queueCap, n = 4, 64
+	released := make(chan uint64, n+1)
+	m, err := NewMerger(2, queueCap, func(tp transport.Tuple, _ int) { released <- tp.Seq })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetMetrics(NewRegionMetrics(metrics.New(), nil))
+	m.Start()
+	defer func() {
+		m.Close()
+		m.Wait()
+	}()
+
+	c1 := dialWorkerConn(t, m.Addr(), 1)
+	defer c1.Close()
+	seqs := make([]uint64, 0, n+1)
+	for seq := uint64(1); seq <= n; seq++ {
+		seqs = append(seqs, seq)
+	}
+	writeTuples(t, c1, append(seqs, 0)...)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.mParks.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("reader never parked at its cap")
+		}
+		runtime.Gosched()
+	}
+	if len(released) != 0 {
+		t.Fatalf("released seq %d before the control channel attached", <-released)
+	}
+
+	ctrl := dialWorkerConn(t, m.Addr(), controlConnID)
+	defer ctrl.Close()
+	go io.Copy(io.Discard, ctrl) // the watermark reports
+	for want := uint64(0); want <= n; want++ {
+		select {
+		case seq := <-released:
+			if seq != want {
+				t.Fatalf("released seq %d, want %d", seq, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("merge stuck at watermark %d behind the replay, backlog %d", m.Watermark(), m.streamDepth(1))
+		}
 	}
 }

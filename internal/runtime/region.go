@@ -119,7 +119,8 @@ type RegionConfig struct {
 	// DefaultSampleInterval).
 	SampleInterval time.Duration
 	// MergerQueue bounds each reorder queue (default DefaultMergerQueue)
-	// and sizes each merger connection's ingest ring to match.
+	// unless a control channel attaches (Recovery), and sizes each merger
+	// connection's ingest ring to match.
 	MergerQueue int
 	// RingCap bounds every shared-memory edge of an in-proc region
 	// (splitter→worker and worker→merger rings) in tuples (<= 0 selects
