@@ -21,9 +21,11 @@
 //
 // Each stage has one implementation, written against the transport package's
 // BatchSender/BatchReceiver edges, so the same send loop, worker loop
-// (workLoop), merger reader (readLoop) and merge loop run whether the edges
-// are TCP connections or in-process rings (RegionConfig.Transport), and
-// whether batches hold one tuple or many (DESIGN §8).
+// (workLoop), merger ingest and merge loop run whether the edges are TCP
+// connections or in-process rings (RegionConfig.Transport), and whether
+// batches hold one tuple or many (DESIGN §8). An in-proc worker's forward is
+// the ingest itself (ingestEdge); a TCP stream's is fed by a reader
+// (readLoop).
 //
 // Observability (RegionMetrics, DESIGN §10): a count the data path keeps for
 // its own work is read by the metrics registry at scrape time, never mirrored;

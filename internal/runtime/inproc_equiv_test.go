@@ -2,9 +2,12 @@ package runtime
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,9 +186,10 @@ func TestInprocRegionTeardownNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestInprocRegionCloseWhileCapParked tears a region down at its nastiest
-// moment: rings at capacity 1, the sink wedged, senders parked mid-block.
-// Close must wake every parked goroutine and the region must unwind without
-// leaks once the sink is released.
+// moment: rings at capacity 1, the sink wedged, a worker parked inside the
+// merger's ingest with its stream at the reorder cap. Close must wake every
+// parked goroutine and the region must unwind without leaks once the sink is
+// released.
 func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 	gate := make(chan struct{})
 	first := make(chan struct{})
@@ -213,9 +217,15 @@ func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 		region.Run()
 	}()
 	<-first
-	// Let the back pressure cascade: with the sink wedged and every ring at
-	// capacity 1, workers and splitter park on full rings.
-	time.Sleep(50 * time.Millisecond)
+	// With the sink wedged the back pressure cascades until a worker's
+	// forward parks in ingest, its stream's backlog at MergerQueue.
+	deadline := time.Now().Add(5 * time.Second)
+	for !workerParkedAtCap(region.merger) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker parked in the merger's ingest at the reorder cap")
+		}
+		runtime.Gosched()
+	}
 	region.Close()
 	close(gate)
 	select {
@@ -224,6 +234,77 @@ func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 		t.Fatal("region.Run did not return after Close")
 	}
 	testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+}
+
+// TestInprocForwardStallBound: an in-proc worker's forward parked in the
+// merger's ingest for Timeouts.SendStall fails the worker with the stall
+// error. Operator 0 blocks, so worker 1's stream waits at the reorder cap for
+// a sequence that cannot come; once the stall surfaces the operator is
+// released, and the region must fail and unwind.
+func TestInprocForwardStallBound(t *testing.T) {
+	start := time.Now()
+	block := make(chan struct{})
+	region, err := NewRegion(RegionConfig{
+		Transport: TransportInproc,
+		Operators: []Operator{OperatorFunc(func(tp transport.Tuple) transport.Tuple {
+			<-block
+			return tp
+		}), Identity()},
+		Source:      equivSource(100_000),
+		BatchSize:   16,
+		MergerQueue: 4,
+		Timeouts:    Timeouts{SendStall: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() {
+		_, err := region.Run()
+		ran <- err
+	}()
+	stalled := make(chan error, 1)
+	go func() { stalled <- region.workers[1].Wait() }()
+	select {
+	case err := <-stalled:
+		if !errors.Is(err, errForwardStall) {
+			t.Errorf("worker 1: err = %v, want the forward stall", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("worker 1's forward did not fail within 2 s")
+	}
+	close(block)
+	select {
+	case err := <-ran:
+		if !errors.Is(err, errForwardStall) {
+			t.Errorf("Run: err = %v, want the forward stall", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("Run returned after %v, want within 2 s", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return")
+	}
+	region.Close()
+	testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+}
+
+// workerParkedAtCap reports whether some stream's backlog is at the reorder
+// cap while an in-proc worker's goroutine sleeps inside the merger's ingest.
+func workerParkedAtCap(m *Merger) bool {
+	atCap := false
+	for id := range m.rings {
+		atCap = atCap || m.streamDepth(id) >= m.queueCap
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if atCap && strings.Contains(g, "(*Parker).Park") && strings.Contains(g, "(*Merger).ingest") &&
+			strings.Contains(g, "created by streambalance/internal/runtime.(*inprocWorker).Start") {
+			return true
+		}
+	}
+	return false
 }
 
 // openDescriptors counts the process's open file descriptors.

@@ -27,6 +27,10 @@ import (
 // ingest ring (rounded up to a power of two).
 const DefaultMergerQueue = 1024
 
+// errMergerClosed is what the merge loop, an attach and a producer's
+// interrupted ingest report once the merger closed.
+var errMergerClosed = errors.New("runtime: merger closed")
+
 // DefaultWatermarkInterval is how often the merger reports its released
 // watermark on the control channel.
 const DefaultWatermarkInterval = 20 * time.Millisecond
@@ -42,8 +46,9 @@ const DefaultWatermarkInterval = 20 * time.Millisecond
 // the splitter's FIN frame on the control channel; without a control
 // channel it falls back to the original fixed-worker semantics.
 //
-// Ingest is sharded: each connection reader owns a lock-free SPSC ring sized
-// by the reorder cap (producer = the reader, consumer = the merge loop); the
+// Ingest is sharded: each stream's producer — its connection reader, or an
+// in-proc worker forwarding through ingestEdge — owns a lock-free SPSC ring
+// sized by the reorder cap (the consumer is the merge loop); the
 // merge loop releases in-order runs and queues the rest per stream, picking
 // runs through an indexed min-heap over the stream heads. No mutex is taken
 // on the tuple hot path; per-item ordered-merge synchronization is the
@@ -60,7 +65,7 @@ type Merger struct {
 	wmInterval time.Duration
 	to         Timeouts
 
-	// Data plane. rings[id] is written by connection id's reader and
+	// Data plane. rings[id] is written by stream id's producer and
 	// drained by the merge loop; queues (per-stream reorder heaps) and
 	// heads (the release tournament over their minimums) are touched by
 	// the merge loop alone. depth[id] republishes each heap's occupancy
@@ -114,9 +119,10 @@ type Merger struct {
 	fatal    error
 	strmErrs []error
 	pending  map[net.Conn]struct{} // accepted conns mid-handshake, for teardown
-	// readers tracks the attached worker edges, TCP and in-process alike, so
+	// readers tracks the receivers being read, TCP and in-process alike, so
 	// teardown can close them: closing a TCP edge fails its reader's blocked
-	// read; closing an in-proc edge wakes its parked producer.
+	// read; closing an in-proc edge wakes its parked producer. A forward edge
+	// (ingestEdge) has no receiver: teardown's closed+wakeAll ends its park.
 	readers map[transport.BatchReceiver]struct{}
 
 	// lastIngest is the wall time (unix nanos) each worker id last
@@ -364,11 +370,11 @@ func (m *Merger) run() error {
 	close(m.wmStop)
 	m.teardown()
 	m.wg.Wait()
-	// Every producer has exited (readers parked mid-batch were woken by
-	// teardown's closed+wakeAll and released their in-hand references on
-	// the way out), so the rings are quiescent: drain them and the reorder
-	// heaps single-threaded, returning every still-held block reference to
-	// the transport pool.
+	// Every producer has detached (readers and forwards parked mid-batch
+	// were woken by teardown's closed+wakeAll and released their in-hand
+	// references on the way out), so the rings are quiescent: drain them and
+	// the reorder heaps single-threaded, returning every still-held block
+	// reference to the transport pool.
 	m.drainLeftovers()
 
 	m.ctl.Lock()
@@ -388,9 +394,10 @@ func (m *Merger) run() error {
 
 // teardown closes the listener and every attached connection and wakes all
 // parked goroutines so they observe the shutdown. Queue draining happens
-// after wg.Wait in run: a reader parked on a full ring or at its
+// after wg.Wait in run: a producer parked on a full ring or at its
 // back-pressure cap still holds references for the rest of its batch, and
-// only once every reader has exited is single-threaded drain safe.
+// only once every producer has detached is single-threaded drain safe. An
+// in-proc worker's forward edge detaches when its worker closes it.
 func (m *Merger) teardown() {
 	m.closeListener()
 	m.closed.Store(true)
@@ -435,22 +442,32 @@ func (m *Merger) AttachInproc(id int, rx *transport.InprocReceiver) error {
 }
 
 // attach admits worker id's stream on rx — a TCP connection's Receiver after
-// the handshake, or an in-process edge — and starts its reader: same ingest
-// path, same SPSC ring, same dedup and back-pressure rules, same completion
-// accounting (the attach counts toward the fixed-pipeline arrival logic, so
-// a region completes when every attached edge has closed). A rejected attach
-// closes rx and says why.
+// the handshake, or an in-process edge — and starts its reader. A rejected
+// attach closes rx and says why.
 func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
+	if err := m.admit(id, rx); err != nil {
+		rx.Close()
+		return err
+	}
+	go m.readLoop(id, rx)
+	return nil
+}
+
+// admit registers worker id's stream, read by rx or, with rx nil, forwarded
+// by an in-proc worker (forwardEdge): same ingest path, same SPSC ring, same
+// dedup and back-pressure rules, same completion accounting (the attach
+// counts toward the fixed-pipeline arrival logic, so a region completes when
+// every attached stream has detached). The stream's producer calls detach
+// when it is done.
+func (m *Merger) admit(id int, rx transport.BatchReceiver) error {
 	m.ctl.Lock()
 	if m.closed.Load() {
 		m.ctl.Unlock()
-		rx.Close()
-		return errors.New("runtime: merger closed")
+		return errMergerClosed
 	}
 	if m.live[id] {
 		m.dupRejects.Add(1)
 		m.ctl.Unlock()
-		rx.Close()
 		return fmt.Errorf("runtime: worker id %d already attached", id)
 	}
 	m.live[id] = true
@@ -458,19 +475,32 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 		m.seen[id] = true
 		m.attached++
 	}
-	m.readers[rx] = struct{}{}
+	if rx != nil {
+		m.readers[rx] = struct{}{}
+	}
 	m.epoch.Add(1)
 	// Register with the WaitGroup inside the critical section: a concurrent
-	// teardown either sees this attach (and closes rx, so the reader exits
-	// and run's wg.Wait covers it) or this attach sees closed and rejects —
-	// never an Add racing a Wait already in progress.
+	// teardown either sees this attach (and closes rx or wakes the forward,
+	// so the producer detaches and run's wg.Wait covers it) or this attach
+	// sees closed and rejects — never an Add racing a Wait already in
+	// progress.
 	m.wg.Add(1)
 	m.ctl.Unlock()
 	// A (re)attaching stream restarts its ingest age.
 	m.lastIngest[id].Store(time.Now().UnixNano())
 	m.wakeAll()
-	go m.readLoop(id, rx)
 	return nil
+}
+
+// detach ends stream id's attachment: the last thing its producer does.
+func (m *Merger) detach(id int, rx transport.BatchReceiver) {
+	m.ctl.Lock()
+	m.live[id] = false
+	delete(m.readers, rx)
+	m.epoch.Add(1)
+	m.ctl.Unlock()
+	m.wakeAll()
+	m.wg.Done()
 }
 
 // readLoop drains one worker edge into its SPSC ring, batch by batch: each
@@ -481,15 +511,9 @@ func (m *Merger) attach(id int, rx transport.BatchReceiver) error {
 // ingest waits mid-batch, the reader stops receiving, and the worker's sends
 // eventually block — back pressure, on either transport.
 func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
-	defer m.wg.Done()
 	defer func() {
-		m.ctl.Lock()
-		m.live[id] = false
-		delete(m.readers, rx)
-		m.epoch.Add(1)
-		m.ctl.Unlock()
-		m.wakeAll()
 		rx.Close()
+		m.detach(id, rx)
 	}()
 	var batch []transport.Tuple
 	for {
@@ -502,33 +526,129 @@ func (m *Merger) readLoop(id int, rx transport.BatchReceiver) {
 			}
 			return
 		}
-		if m.mIngestBatch != nil {
-			m.mIngestBatch.Observe(float64(len(batch)))
-		}
-		// Stamp arrival before ingest (which may park on a full backlog):
-		// the ingest age must show that this stream is delivering even while
-		// the reorder backlog has no room.
-		m.lastIngest[id].Store(time.Now().UnixNano())
-		if !m.ingest(id, batch, ref) {
+		if m.ingest(id, batch, ref, nil) != nil {
 			return
 		}
 	}
 }
 
+// forwardEdge attaches worker id's stream as an in-proc worker's output.
+func (m *Merger) forwardEdge(id int) (*ingestEdge, error) {
+	if err := m.admit(id, nil); err != nil {
+		return nil, err
+	}
+	return &ingestEdge{m: m, id: id}, nil
+}
+
+// ingestEdge is an in-proc worker's forward edge (DESIGN §11): SendBatch runs
+// the merger's ingest on the worker's goroutine, so a batch goes from the
+// worker's slice straight into its stream's ingest ring, admitted as a
+// reader admits it. Close does what a reader's exit does: detach.
+type ingestEdge struct {
+	m  *Merger
+	id int
+
+	// mu spans each SendBatch and the detach, so a Close from another
+	// goroutine detaches only after the send in progress returned: teardown
+	// drains a ring with no producer left.
+	mu      sync.Mutex
+	closing atomic.Bool // set first by Close: a parked send gives up
+
+	stall time.Duration // bounds one park (SetStallTimeout)
+
+	blockedNS, blockEvents, sent, flushes atomic.Int64
+}
+
+// errForwardStall is an in-proc forward parked for its whole stall bound.
+var errForwardStall = errors.New("runtime: in-proc send stalled: merger not draining")
+
+func (e *ingestEdge) Send(t transport.Tuple) error {
+	ts := [1]transport.Tuple{t}
+	return e.SendBatch(ts[:])
+}
+
+// SendBatch fails atomically on an unencodable tuple, as every edge does. A
+// forward that stops midway leaves what it admitted with the merger.
+func (e *ingestEdge) SendBatch(ts []transport.Tuple) error {
+	if err := transport.CheckBatch(ts); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closing.Load() {
+		return transport.ErrInprocClosed
+	}
+	if len(ts) == 0 {
+		return nil
+	}
+	if err := e.m.ingest(e.id, ts, nil, e); err != nil {
+		return fmt.Errorf("runtime: forward batch of %d: %w", len(ts), err)
+	}
+	e.sent.Add(int64(len(ts)))
+	e.flushes.Add(1)
+	return nil
+}
+
+// park is parkStream on this edge: timed into its blocking counter, ended by
+// Close, and failed when one wait outlives the stall bound still blocked.
+func (e *ingestEdge) park(blocked func() bool) error {
+	m := e.m
+	e.blockEvents.Add(1)
+	start := time.Now()
+	stalled := m.parks[e.id].ParkFor(func() bool {
+		return blocked() && !m.closed.Load() && !e.closing.Load()
+	}, e.stall)
+	e.blockedNS.Add(int64(time.Since(start)))
+	switch {
+	case m.closed.Load():
+		return errMergerClosed
+	case e.closing.Load():
+		return transport.ErrInprocClosed
+	case stalled:
+		return errForwardStall
+	}
+	return nil
+}
+
+func (e *ingestEdge) SetStallTimeout(d time.Duration) { e.stall = max(d, 0) }
+func (e *ingestEdge) TotalBlocking() time.Duration    { return time.Duration(e.blockedNS.Load()) }
+func (e *ingestEdge) BlockEvents() int64              { return e.blockEvents.Load() }
+func (e *ingestEdge) Sent() int64                     { return e.sent.Load() }
+func (e *ingestEdge) Flushes() int64                  { return e.flushes.Load() }
+
+// Close wakes a parked send, fails later ones and detaches the stream.
+// Idempotent; callable from any goroutine.
+func (e *ingestEdge) Close() error {
+	if !e.closing.Swap(true) {
+		e.m.wakeStream(e.id)
+		e.mu.Lock()
+		e.m.detach(e.id, nil)
+		e.mu.Unlock()
+	}
+	return nil
+}
+
 // ingest writes one received batch into the free slots of the connection's
 // SPSC ring with no locks and publishes it with one cursor store — earlier
-// only where it is about to wake the merge loop or park, so a reader never
+// only where it is about to wake the merge loop or park, so a producer never
 // sleeps, or returns, holding a filled slot the merge loop cannot see. Each
 // tuple individually respects the per-tuple admission rules: the
 // full-backlog wait (back pressure, the tuples staged in this batch counted),
 // the always-admit exception for sequences at or below the watermark, and
 // read-time dedup of already-released sequences — so dedup, watermark and
 // replay accounting are identical to mutex-guarded ingest (the
-// sharded-vs-locked equivalence suite pins this). Returns false when the
-// merger closed mid-batch (the reader should exit); the block references of
-// tuples not handed to the ring are released here. Single producer per ring:
-// only connection id's reader calls this, one batch at a time.
-func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef) bool {
+// sharded-vs-locked equivalence suite pins this). It returns why it stopped
+// mid-batch (parkStream), and the block references of tuples not handed to
+// the ring are released here. Single producer per ring: only stream id's
+// reader, or its in-proc worker through e, calls this, one batch at a time.
+func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef, e *ingestEdge) error {
+	if m.mIngestBatch != nil {
+		m.mIngestBatch.Observe(float64(len(batch)))
+	}
+	// Stamp arrival before admission, which may park on a full backlog: the
+	// ingest age must show that this stream is delivering even while the
+	// reorder backlog has no room.
+	m.lastIngest[id].Store(time.Now().UnixNano())
 	ring := m.rings[id]
 	// One watermark load covers the batch: the merge loop invalidates that
 	// cache line on every release, and re-reading it per tuple from 64
@@ -565,54 +685,66 @@ func (m *Merger) ingest(id int, batch []transport.Tuple, ref *transport.BlockRef
 		// the merge needs is on another stream. A replay may instead sit
 		// behind the tuple in hand, so with a control channel the reader
 		// reads on, and the splitter's replay buffer bounds the backlog.
-		for m.streamDepth(id)+staged >= m.queueCap && seq > next &&
-			!m.closed.Load() && !m.ctrlSeen.Load() {
+		var err error
+		for err == nil && m.streamDepth(id)+staged >= m.queueCap && seq > next && !m.ctrlSeen.Load() {
 			// Earlier tuples in this batch may include the sequence the
 			// merge loop is parked waiting for — publish and wake it before
 			// parking ourselves, or both sides wait forever.
 			wake()
-			if m.mParks != nil {
-				m.mParks.Inc()
-			}
-			m.parks[id].Park(func() bool {
-				return m.streamDepth(id) >= m.queueCap && seq > m.next.Load() &&
-					!m.closed.Load() && !m.ctrlSeen.Load()
+			err = m.parkStream(id, e, func() bool {
+				return m.streamDepth(id) >= m.queueCap && seq > m.next.Load() && !m.ctrlSeen.Load()
 			})
 			next = m.next.Load()
 		}
-		for len(a) == 0 && !m.closed.Load() {
+		for err == nil && len(a) == 0 {
 			if a, b = b, nil; len(a) > 0 {
 				break
 			}
 			// This Free is used up: publish it and take a fresh one. An
 			// empty one is transient, not semantic back pressure — the merge
 			// loop drains rings unconditionally every pass. Wake it and park
-			// until a slot frees; the closed re-check keeps teardown from
-			// stranding this reader.
+			// until a slot frees.
 			publish()
 			if a, b = ring.Free(); len(a) == 0 {
 				m.wakeMerge()
 				unwoken = false
-				if m.mParks != nil {
-					m.mParks.Inc()
-				}
-				m.parks[id].Park(func() bool {
-					return ring.Full() && !m.closed.Load()
-				})
+				err = m.parkStream(id, e, ring.Full)
 			}
 		}
-		if m.closed.Load() {
-			// What is staged goes to drainLeftovers; the rest is still ours.
-			publish()
+		if err == nil && m.closed.Load() {
+			err = errMergerClosed
+		}
+		if err != nil {
+			// What is staged goes to the merge loop, or to drainLeftovers;
+			// the rest is still ours.
+			wake()
 			ref.ReleaseN(len(batch) - i)
-			return false
+			return err
 		}
 		a[0].t, a[0].ref = batch[i], ref // field by field: one copy, no temporary
 		a = a[1:]
 		staged++
 	}
 	wake()
-	return true
+	return nil
+}
+
+// parkStream parks stream id's producer while blocked holds — its ring is
+// full, or its backlog is at the reorder cap — and the merger is open, and
+// says why the batch must stop: the merger closed, or, on an in-proc
+// worker's forward edge e (nil for a reader), what ingestEdge.park reports.
+func (m *Merger) parkStream(id int, e *ingestEdge, blocked func() bool) error {
+	if m.mParks != nil {
+		m.mParks.Inc()
+	}
+	if e != nil {
+		return e.park(blocked)
+	}
+	m.parks[id].Park(func() bool { return blocked() && !m.closed.Load() })
+	if m.closed.Load() {
+		return errMergerClosed
+	}
+	return nil
 }
 
 // mergerSnap is the merge loop's cached view of the control plane,
@@ -835,7 +967,7 @@ func (m *Merger) mergeLoop() error {
 			return snap.fatal
 		}
 		if m.closed.Load() {
-			return errors.New("runtime: merger closed")
+			return errMergerClosed
 		}
 
 		progressed := m.drainRings()

@@ -38,7 +38,7 @@ func TestIngestCapCountsStagedTuples(t *testing.T) {
 
 	// Stream 0 holds seqs 1..64; seq 0, the gap, is stream 1's.
 	done := make(chan bool, 1)
-	go func() { done <- m.ingest(0, ascending(1, n), nil) }()
+	go func() { done <- m.ingest(0, ascending(1, n), nil, nil) == nil }()
 	deadline := time.Now().Add(5 * time.Second)
 	for m.mParks.Value() == 0 {
 		select {
@@ -65,7 +65,7 @@ func TestIngestCapCountsStagedTuples(t *testing.T) {
 
 	// The gap tuple arrives on the other stream: the reader resumes, and the
 	// bound holds at every pass until its batch is in.
-	if !m.ingest(1, ascending(0, 1), nil) {
+	if m.ingest(1, ascending(0, 1), nil, nil) != nil {
 		t.Fatal("ingest of the gap tuple refused")
 	}
 	for finished := false; !finished; {
@@ -129,8 +129,8 @@ func TestRunReleaseWakesCapParkedReader(t *testing.T) {
 	}
 	// Stream 0 fills its backlog to the cap: seqs 1..40 and 42..65. Stream 1
 	// holds seq 0, the gap, and seq 41, which ends stream 0's first run.
-	if !m.ingest(0, append(ascending(1, run), ascending(run+2, queueCap-run)...), nil) ||
-		!m.ingest(1, []transport.Tuple{{Seq: 0}, {Seq: run + 1}}, nil) {
+	if m.ingest(0, append(ascending(1, run), ascending(run+2, queueCap-run)...), nil, nil) != nil ||
+		m.ingest(1, []transport.Tuple{{Seq: 0}, {Seq: run + 1}}, nil, nil) != nil {
 		t.Fatal("ingest refused")
 	}
 	m.drainRings()
@@ -140,7 +140,7 @@ func TestRunReleaseWakesCapParkedReader(t *testing.T) {
 
 	// A reader with more of stream 0 parks at the cap.
 	done := make(chan bool, 1)
-	go func() { done <- m.ingest(0, ascending(queueCap+2, run), nil) }()
+	go func() { done <- m.ingest(0, ascending(queueCap+2, run), nil, nil) == nil }()
 	deadline := time.Now().Add(5 * time.Second)
 	for !parkedIn("TestRunReleaseWakesCapParkedReader") {
 		if time.Now().After(deadline) {
@@ -222,7 +222,7 @@ func TestIngestPublishesBeforeParking(t *testing.T) {
 	// Stream 0: seq 0 (what the merge loop waits for), then 2..64 behind the
 	// gap at seq 1, which stream 1 delivers once seq 0 is out.
 	done := make(chan bool, 1)
-	go func() { done <- m.ingest(0, append(ascending(0, 1), ascending(2, n-1)...), nil) }()
+	go func() { done <- m.ingest(0, append(ascending(0, 1), ascending(2, n-1)...), nil, nil) == nil }()
 	next := func() uint64 {
 		select {
 		case seq := <-released:
@@ -235,7 +235,7 @@ func TestIngestPublishesBeforeParking(t *testing.T) {
 	if seq := next(); seq != 0 {
 		t.Fatalf("first release is seq %d, want 0", seq)
 	}
-	if !m.ingest(1, ascending(1, 1), nil) {
+	if m.ingest(1, ascending(1, 1), nil, nil) != nil {
 		t.Fatal("ingest of the gap tuple refused")
 	}
 	for want := uint64(1); want <= n; want++ {
@@ -269,7 +269,7 @@ func TestCapBindsWithoutControlChannel(t *testing.T) {
 	}()
 
 	done := make(chan bool, 1)
-	go func() { done <- m.ingest(1, ascending(1, n), nil) }()
+	go func() { done <- m.ingest(1, ascending(1, n), nil, nil) == nil }()
 	overCap := func() {
 		if got := m.streamDepth(1); got > queueCap {
 			t.Fatalf("backlog %d past cap %d while seq 0 is missing", got, queueCap)
@@ -296,7 +296,7 @@ func TestCapBindsWithoutControlChannel(t *testing.T) {
 		runtime.Gosched()
 	}
 
-	if !m.ingest(0, ascending(0, 1), nil) {
+	if m.ingest(0, ascending(0, 1), nil, nil) != nil {
 		t.Fatal("ingest of the gap tuple refused")
 	}
 	for want := uint64(0); want <= n; want++ {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"streambalance/internal/metrics"
 	"streambalance/internal/testutil"
 	"streambalance/internal/transport"
 )
@@ -320,11 +321,11 @@ func TestWorkerCloseMidStreamIsClean(t *testing.T) {
 				var feed transport.BatchSender
 				if kind == TransportInproc {
 					inTx, inRx := transport.InprocPair(4)
-					outTx, outRx := transport.InprocPair(4)
-					if err := m.AttachInproc(0, outRx); err != nil {
+					out, err := m.forwardEdge(0)
+					if err != nil {
 						t.Fatal(err)
 					}
-					w, feed = newInprocWorker(0, Identity(), inRx, outTx, Timeouts{}.norm()), inTx
+					w, feed = newInprocWorker(0, Identity(), inRx, out, Timeouts{}.norm()), inTx
 				} else {
 					tw, err := NewWorker(0, Identity(), m.Addr())
 					if err != nil {
@@ -364,22 +365,79 @@ func TestWorkerCloseMidStreamIsClean(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 				}
 
-				w.Close()
+				// Close itself is bounded too: it must wake a parked forward,
+				// not wait out the send-stall bound.
 				done := make(chan error, 1)
-				go func() { done <- w.Wait() }()
+				go func() {
+					w.Close()
+					done <- w.Wait()
+				}()
 				select {
 				case err := <-done:
 					if err != nil {
 						t.Errorf("Wait after Close = %v, want nil", err)
 					}
 				case <-time.After(5 * time.Second):
-					t.Fatal("worker did not exit after Close")
+					t.Fatal("worker did not close and exit within 5 s")
 				}
 				close(gate)
 				feed.Close()
 				<-fed
 				m.Close()
 				m.Wait()
+				testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+			})
+		}
+	}
+}
+
+// TestUnencodableOutputFailsOnBothTransports: an operator output no frame can
+// carry — a payload one byte past the frame bound, absorbed seqs on an
+// unkeyed tuple — fails the region on either transport, and the forward that
+// carries it delivers nothing. The stream is one splitter round of n tuples
+// to one worker, so the forward is the whole stream with the bad tuple last:
+// an edge that sent the good prefix before failing would hand the merger an
+// ingest batch, whether or not the abort let it reach the sink.
+func TestUnencodableOutputFailsOnBothTransports(t *testing.T) {
+	const n = 32
+	for _, bad := range []struct {
+		name string
+		out  transport.Tuple
+	}{
+		{"oversized", transport.Tuple{Payload: make([]byte, transport.MaxFrameSize-7)}},
+		{"absorbed-unkeyed", transport.Tuple{Absorbed: transport.AppendAbsorbed(nil, 1)}},
+	} {
+		for _, kind := range []TransportKind{TransportTCP, TransportInproc} {
+			t.Run(fmt.Sprintf("%s/%s", kind, bad.name), func(t *testing.T) {
+				sunk := 0 // the merge goroutine's; read after Run returns
+				region, err := NewRegion(RegionConfig{
+					Metrics:   NewRegionMetrics(metrics.New(), nil),
+					Transport: kind,
+					Operators: []Operator{OperatorFunc(func(tp transport.Tuple) transport.Tuple {
+						if tp.Seq == n-1 {
+							out := bad.out
+							out.Seq = tp.Seq
+							return out
+						}
+						return tp
+					})},
+					Source:    equivSource(n),
+					BatchSize: n,
+					Sink:      func(transport.Tuple, int) { sunk++ },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = region.Run()
+				if err == nil {
+					t.Fatal("region released an unencodable tuple without error")
+				}
+				if bad.name == "oversized" && !errors.Is(err, transport.ErrFrameTooLarge) {
+					t.Errorf("err = %v, want ErrFrameTooLarge", err)
+				}
+				if n := region.merger.mIngestBatch.Count(); sunk != 0 || n != 0 {
+					t.Errorf("the failing forward reached the merger: %d ingest batches, %d tuples sunk", n, sunk)
+				}
 				testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
 			})
 		}

@@ -122,11 +122,12 @@ type RegionConfig struct {
 	// unless a control channel attaches (Recovery), and sizes each merger
 	// connection's ingest ring to match.
 	MergerQueue int
-	// RingCap bounds every shared-memory edge of an in-proc region
-	// (splitter→worker and worker→merger rings) in tuples (<= 0 selects
-	// transport.DefaultInprocRing; rounded up to a power of two): the edge
-	// ring is that transport's "socket buffer", the thing whose fullness
-	// makes a send elect to block. A TCP region ignores it.
+	// RingCap bounds each splitter→worker edge of an in-proc region in
+	// tuples (<= 0 selects transport.DefaultInprocRing; rounded up to a power
+	// of two): the edge ring is that transport's "socket buffer", the thing
+	// whose fullness makes a send elect to block. An in-proc worker forwards
+	// straight into its stream's merger ingest ring, which MergerQueue sizes.
+	// A TCP region ignores it.
 	RingCap int
 	// Sink receives every released tuple in order, with the worker id.
 	// Optional.
@@ -297,20 +298,19 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	var addrs []string
 	var senders []transport.BatchSender
 	if inproc {
-		// Each worker goroutine sits between two bounded shared-memory
-		// edges; the merger consumes the output edge exactly as it reads a
-		// socket. RingCap bounds both edges (the in-proc "socket buffer").
+		// Each worker goroutine reads a bounded shared-memory edge from the
+		// splitter (RingCap, the in-proc "socket buffer") and forwards on its
+		// own goroutine straight into its stream's merger ingest ring
+		// (forwardEdge), under the readers' admission rules.
 		to := cfg.Timeouts.norm()
 		for i, op := range cfg.Operators {
-			inTx, inRx := transport.InprocPair(cfg.RingCap)
-			outTx, outRx := transport.InprocPair(cfg.RingCap)
-			if err := merger.AttachInproc(i, outRx); err != nil {
-				inTx.Close()
-				outTx.Close()
+			out, err := merger.forwardEdge(i)
+			if err != nil {
 				r.Close()
 				return nil, err
 			}
-			r.workers = append(r.workers, newInprocWorker(i, op, inRx, outTx, to))
+			inTx, inRx := transport.InprocPair(cfg.RingCap)
+			r.workers = append(r.workers, newInprocWorker(i, op, inRx, out, to))
 			senders = append(senders, inTx)
 		}
 	} else {

@@ -196,18 +196,18 @@ func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) erro
 }
 
 // inprocWorker is one parallel PE on the in-process transport: the shared
-// loop between a splitter edge and a merger edge, with no sockets, handshakes
-// or serialization. A payload's bytes cross splitter → worker → merger without
-// moving; they are GC-owned, so no hop releases anything. What the worker
-// copies is the 72-byte Tuple value, twice — out of its input ring into the
-// pass, and into its output ring; the operator rewrites it in place
-// (transport/inproc.go).
+// loop between a splitter edge and the merger's forward edge (ingestEdge),
+// with no sockets, handshakes or serialization. A payload's bytes cross
+// splitter → worker → merger without moving; they are GC-owned, so no hop
+// releases anything. What the worker copies is the 72-byte Tuple value,
+// twice — out of its input ring into the pass, and into its stream's merger
+// ingest ring; the operator rewrites it in place.
 type inprocWorker struct{ pe }
 
 // newInprocWorker wires one worker between its two edges. The stall bound
 // mirrors the TCP worker's forwarding stall: back pressure from the merger is
 // routine, the bound only converts "merger never drains again" into an error.
-func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *transport.InprocSender, to Timeouts) *inprocWorker {
+func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx transport.BatchSender, to Timeouts) *inprocWorker {
 	tx.SetStallTimeout(to.SendStall)
 	// Acking 0 before the splitter is built tells it this edge acks
 	// (transport.Acks.Acking), so it bounds the edge from the first tuple.
@@ -227,7 +227,7 @@ func (w *inprocWorker) Start() {
 }
 
 // Close interrupts the worker: both edges close, so a loop parked on an
-// empty input ring or a full output ring wakes and exits cleanly.
+// empty input ring or in the merger's ingest wakes and exits cleanly.
 func (w *inprocWorker) Close() { w.interrupt() }
 
 // Worker is one parallel PE: it accepts a connection from the splitter,

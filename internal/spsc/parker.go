@@ -3,6 +3,7 @@ package spsc
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Parker is one goroutine's parking spot: where a ring's producer sleeps
@@ -16,6 +17,10 @@ type Parker struct {
 	parked atomic.Int32
 	mu     sync.Mutex
 	cond   sync.Cond
+
+	// ParkFor's bound: allocated once, re-armed per call.
+	timer   *time.Timer
+	expired atomic.Bool
 }
 
 // Park blocks the caller while blocked() holds. blocked must read only
@@ -30,6 +35,28 @@ func (k *Parker) Park(blocked func() bool) {
 	}
 	k.mu.Unlock()
 	k.parked.Add(-1)
+}
+
+// ParkFor is Park bounded by d (d <= 0: unbounded): it also returns once d
+// has passed, and reports whether blocked still held then. The timer only
+// wakes the park; it fired within this call exactly when Stop finds it spent,
+// so a late firing of the previous call's timer cannot end one early.
+func (k *Parker) ParkFor(blocked func() bool, d time.Duration) (expired bool) {
+	if d <= 0 {
+		k.Park(blocked)
+		return false
+	}
+	k.expired.Store(false)
+	if k.timer == nil {
+		k.timer = time.AfterFunc(d, func() {
+			k.expired.Store(true)
+			k.Wake()
+		})
+	} else {
+		k.timer.Reset(d)
+	}
+	k.Park(func() bool { return blocked() && !k.expired.Load() })
+	return !k.timer.Stop() && blocked()
 }
 
 // Wake unblocks whoever is parked here so it re-evaluates its condition. It

@@ -218,3 +218,24 @@ func TestParkerWakeWithNobodyParked(t *testing.T) {
 	k.Park(func() bool { return false })
 	k.Wake()
 }
+
+// TestParkerParkForBound: ParkFor returns at its bound reporting a wait that
+// is still blocked, and reports nothing when a wake ends the wait first or
+// the bound is off.
+func TestParkerParkForBound(t *testing.T) {
+	var k Parker
+	if !k.ParkFor(func() bool { return true }, 10*time.Millisecond) {
+		t.Fatal("a wait still blocked at its bound was not reported")
+	}
+	var ready atomic.Bool
+	done := make(chan bool, 1)
+	go func() { done <- k.ParkFor(func() bool { return !ready.Load() }, time.Minute) }()
+	ready.Store(true)
+	k.Wake()
+	if expired := <-done; expired {
+		t.Fatal("a wait a wake ended was reported as expired")
+	}
+	if k.ParkFor(func() bool { return false }, 0) {
+		t.Fatal("an unbounded park reported expiry")
+	}
+}

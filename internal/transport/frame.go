@@ -77,26 +77,29 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds maximum size")
 
 // frameExtra returns the keyed encoding overhead (key and absorbed fields)
 // and the flag bits for t, rejecting tuples that cannot encode: absorbed
-// seqs on an unkeyed tuple would be silently dropped, and a misaligned
-// Absorbed buffer is corrupt.
-func frameExtra(t Tuple) (extra int, flags uint32, err error) {
+// seqs on an unkeyed tuple would be silently dropped, a misaligned Absorbed
+// buffer is corrupt, and a body over MaxFrameSize is refused by receivers
+// (extra is still returned then, for FrameLen).
+func frameExtra(t *Tuple) (extra int, flags uint32, err error) {
 	if t.Key == 0 {
 		if len(t.Absorbed) != 0 {
 			return 0, 0, errors.New("transport: absorbed seqs on unkeyed tuple")
 		}
-		return 0, 0, nil
-	}
-	extra = 8
-	flags = flagKeyed
-	if t.Solo {
-		flags |= flagSolo
-	}
-	if n := len(t.Absorbed); n != 0 {
-		if n%8 != 0 {
-			return 0, 0, fmt.Errorf("transport: absorbed buffer %d bytes, want a multiple of 8", n)
+	} else {
+		extra, flags = 8, flagKeyed
+		if t.Solo {
+			flags |= flagSolo
 		}
-		extra += 4 + n
-		flags |= flagCombined
+		if n := len(t.Absorbed); n != 0 {
+			if n%8 != 0 {
+				return 0, 0, fmt.Errorf("transport: absorbed buffer %d bytes, want a multiple of 8", n)
+			}
+			extra += 4 + n
+			flags |= flagCombined
+		}
+	}
+	if body := 8 + extra + len(t.Payload); body > MaxFrameSize {
+		return extra, flags, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
 	}
 	return extra, flags, nil
 }
@@ -120,15 +123,11 @@ func AppendFrame(dst []byte, t Tuple) ([]byte, error) {
 // a large payload is handed to writev as its own iovec instead of being
 // copied into the frame buffer. The length word still covers the payload.
 func AppendFrameHeader(dst []byte, t Tuple) ([]byte, error) {
-	extra, flags, err := frameExtra(t)
+	extra, flags, err := frameExtra(&t)
 	if err != nil {
 		return dst, err
 	}
-	body := 8 + extra + len(t.Payload)
-	if body > MaxFrameSize {
-		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body)|flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(8+extra+len(t.Payload))|flags)
 	dst = binary.LittleEndian.AppendUint64(dst, t.Seq)
 	if flags&flagKeyed != 0 {
 		dst = binary.LittleEndian.AppendUint64(dst, t.Key)
@@ -156,7 +155,7 @@ func AppendBatch(dst []byte, ts []Tuple) ([]byte, error) {
 
 // FrameLen returns the encoded size of a tuple.
 func FrameLen(t Tuple) int {
-	extra, _, _ := frameExtra(t)
+	extra, _, _ := frameExtra(&t)
 	return frameHeaderSize + extra + len(t.Payload)
 }
 

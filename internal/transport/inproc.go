@@ -90,11 +90,7 @@ func InprocPair(capacity int) (*InprocSender, *InprocReceiver) {
 type InprocSender struct {
 	p *inprocPipe
 
-	// Stall bound (SetStallTimeout): the timer is allocated once and
-	// re-armed per park episode, so a bounded sender parks allocation-free.
-	stall      time.Duration
-	stallTimer *time.Timer
-	stallFired atomic.Bool
+	stall time.Duration // bounds one park (SetStallTimeout)
 
 	edgeCounters
 
@@ -109,18 +105,35 @@ func (s *InprocSender) Capacity() int { return s.p.ring.Cap() }
 // with no wire in between, and closed once the receiver closes.
 func (s *InprocSender) Acks() *Acks { return s.p.acks }
 
-// checkFrameable applies the TCP path's frame-size and encodability bounds
-// so an unencodable tuple fails identically on both transports (SendBatch
-// atomicity included).
-func checkFrameable(t Tuple) error {
-	extra, _, err := frameExtra(t)
-	if err != nil {
-		return err
-	}
-	if body := 8 + extra + len(t.Payload); body > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
+// CheckBatch applies the TCP path's frame-size and encodability bounds to
+// ts, so an unencodable tuple fails identically on both transports: the
+// error names the first one, and the caller delivers nothing from ts
+// (SendBatch atomicity).
+func CheckBatch(ts []Tuple) error {
+	for i := range ts {
+		if err := checkFrameable(&ts[i]); err != nil {
+			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
+		}
 	}
 	return nil
+}
+
+// checkFrameable inlines into CheckBatch's loop: the common tuple (unkeyed,
+// nothing absorbed, a payload that fits) needs no encoding computed.
+func checkFrameable(t *Tuple) error {
+	if t.Key == 0 && len(t.Absorbed) == 0 && len(t.Payload) <= MaxFrameSize-8 {
+		return nil
+	}
+	return frameError(t)
+}
+
+// frameError is the slow path, kept out of line so checkFrameable inlines:
+// what encoding t would fail with.
+//
+//go:noinline
+func frameError(t *Tuple) error {
+	_, _, err := frameExtra(t)
+	return err
 }
 
 // Send is a batch of one through SendBatch, so the tuple is its own flush and
@@ -137,10 +150,8 @@ func (s *InprocSender) Send(t Tuple) error {
 // failed. Payloads are referenced, not copied — they must be GC-owned and
 // must not be mutated once delivered.
 func (s *InprocSender) SendBatch(ts []Tuple) error {
-	for i := range ts {
-		if err := checkFrameable(ts[i]); err != nil {
-			return fmt.Errorf("transport: batch tuple seq %d: %w", ts[i].Seq, err)
-		}
+	if err := CheckBatch(ts); err != nil {
+		return err
 	}
 	if len(ts) == 0 {
 		return nil
@@ -206,19 +217,12 @@ func (s *InprocSender) parkFull() error {
 	p := s.p
 	s.blockEvents.Add(1)
 	start := s.now()
-	if s.stall > 0 {
-		s.armStall()
-	}
-	p.sendPark.Park(func() bool {
-		return p.ring.Full() && !p.recvClosed.Load() && !p.sendClosed.Load() &&
-			!s.stallFired.Load()
-	})
+	stalled := p.sendPark.ParkFor(func() bool {
+		return p.ring.Full() && !p.recvClosed.Load() && !p.sendClosed.Load()
+	}, s.stall)
 	s.addBlocked(s.now().Sub(start))
-	if s.stall > 0 {
-		s.stallTimer.Stop()
-		if s.stallFired.Swap(false) && p.ring.Full() && s.closedErr() == nil {
-			return errInprocStall
-		}
+	if stalled {
+		return errInprocStall
 	}
 	return nil
 }
@@ -232,18 +236,6 @@ func (s *InprocSender) SetStallTimeout(d time.Duration) {
 		d = 0
 	}
 	s.stall = d
-}
-
-// armStall re-arms the reusable stall timer for one park episode.
-func (s *InprocSender) armStall() {
-	if s.stallTimer == nil {
-		s.stallTimer = time.AfterFunc(s.stall, func() {
-			s.stallFired.Store(true)
-			s.p.sendPark.Wake()
-		})
-		return
-	}
-	s.stallTimer.Reset(s.stall)
 }
 
 // Close ends the sending side: a parked delivery (local or on the peer)

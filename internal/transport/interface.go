@@ -7,11 +7,12 @@ import "time"
 // cumulative-blocking signal, not on TCP itself: any transport that attempts
 // each send without blocking, elects to block when its buffer is full, and
 // times the wait into the cumulative counter drives core.Balancer exactly
-// like a TCP connection. Two implementations exist — the TCP Sender
+// like a TCP connection. Two implementations exist here — the TCP Sender
 // (non-blocking write(2)/writev(2) with poller parks) and the in-process
 // InprocSender (bounded SPSC ring with spsc.Parker parks) — and the runtime's
 // splitter, worker loop and controller are written against this interface;
-// a region picks one transport for all its edges.
+// a region picks one transport for all its edges. (An in-proc worker's
+// forward is the runtime's own: the merger's ingest, checked by CheckBatch.)
 //
 // A batch is the unit of the write path: SendBatch delivers the caller's
 // tuples as one flush under one elect-to-block accounting episode, and Send

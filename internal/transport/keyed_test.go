@@ -143,7 +143,7 @@ func TestKeyedEncodeErrors(t *testing.T) {
 	if _, err := AppendFrame(nil, Tuple{Seq: 1, Key: 3, Absorbed: []byte{1, 2, 3}}); err == nil {
 		t.Fatal("misaligned absorbed buffer accepted")
 	}
-	if err := checkFrameable(Tuple{Seq: 1, Absorbed: absorbedOf(2)}); err == nil {
+	if err := checkFrameable(&Tuple{Seq: 1, Absorbed: absorbedOf(2)}); err == nil {
 		t.Fatal("checkFrameable accepted absorbed seqs on an unkeyed tuple")
 	}
 	// The key and absorbed fields count against the frame bound.
@@ -151,7 +151,7 @@ func TestKeyedEncodeErrors(t *testing.T) {
 	if _, err := AppendFrame(nil, over); err == nil {
 		t.Fatal("keyed frame exceeding MaxFrameSize accepted")
 	}
-	if err := checkFrameable(over); err == nil {
+	if err := checkFrameable(&over); err == nil {
 		t.Fatal("checkFrameable accepted oversized keyed frame")
 	}
 }
