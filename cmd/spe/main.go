@@ -294,7 +294,6 @@ func command(w io.Writer, sub string, args []string) error {
 func mergerCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error) {
 	fs := flag.NewFlagSet("spe merger", flag.ContinueOnError)
 	workers := fs.Int("workers", 0, "number of worker connections to accept")
-	fs.IntVar(&cfg.MergerQueue, "queue", 0, "reorder backlog cap per worker connection without a control channel; also sizes its ingest ring (0 = default)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /trace on this address (empty = off)")
 	timeoutFlags(fs, &cfg.Timeouts)
 	return fs, func(w io.Writer) error {
@@ -308,7 +307,7 @@ func mergerCmd(cfg *runtime.RegionConfig) (*flag.FlagSet, func(io.Writer) error)
 		// per-key combiners, absorbed sequence numbers are released through
 		// the watermark without a sink call, so gaps here are legitimate (and
 		// accounted in the DONE line's combined count).
-		m, err := runtime.NewMerger(*workers, cfg.MergerQueue, func(t transport.Tuple, conn int) {
+		m, err := runtime.NewMerger(*workers, 0, func(t transport.Tuple, conn int) {
 			if count > 0 && t.Seq <= lastSeq {
 				ordered = false
 			}

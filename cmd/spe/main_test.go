@@ -93,6 +93,7 @@ func TestSubcommandValidation(t *testing.T) {
 		{"splitter", "-payload", "1"}, {"splitter", "-sockbuf", "1"}, {"splitter", "-hot-share", "0.5"},
 		{"splitter", "-churn", "1"}, {"splitter", "-retain", "1"}, {"splitter", "-no-redial"},
 		{"worker", "-spin", "1"}, {"worker", "-service", "1ms"},
+		{"merger", "-queue", "64"},
 	} {
 		t.Run(args[0]+" with "+args[1], func(t *testing.T) {
 			if err := command(io.Discard, args[0], args[1:]); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -107,7 +108,7 @@ func TestSubcommandValidation(t *testing.T) {
 // defaults to that field's zero value, so the runtime's default applies.
 func TestFlagDefaultsAreTheRuntimes(t *testing.T) {
 	bound := map[string][]string{
-		"merger":   {"queue", "io-timeout", "send-stall"},
+		"merger":   {"io-timeout", "send-stall"},
 		"worker":   {"io-timeout", "send-stall"},
 		"splitter": {"interval", "batch", "stall-window", "max-readmits", "io-timeout", "send-stall"},
 		"run":      {"batch", "stall-window", "max-readmits", "io-timeout", "send-stall"},

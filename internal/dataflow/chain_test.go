@@ -30,11 +30,7 @@ func chainStage(kind runtime.TransportKind, workers int, tag string) runtime.Reg
 	return runtime.RegionConfig{
 		Transport: kind,
 		Operators: ops,
-		// Small buffers keep the chain honest about back pressure even in
-		// the correctness tests.
-		MergerQueue: 64,
-		RingCap:     64,
-		BatchSize:   4,
+		BatchSize: 4,
 	}
 }
 
@@ -182,14 +178,12 @@ func TestChainValidation(t *testing.T) {
 // buffering ahead — the stall crosses the inter-stage edge, both regions and
 // every ring in between.
 func TestChainBackPressurePropagates(t *testing.T) {
-	const n = 50000
+	const n, workers, batch, edgeCap = 50000, 2, 4, 16
 	release := make(chan struct{})
 	var emitted atomic.Int64
 	var sunk atomic.Int64
 
-	s1 := chainStage(runtime.TransportInproc, 2, "-a")
-	s1.MergerQueue = 16
-	s1.RingCap = 8
+	s1 := chainStage(runtime.TransportInproc, workers, "-a")
 	s1.Source = func(seq uint64) ([]byte, bool) {
 		if seq >= n {
 			return nil, false
@@ -197,9 +191,7 @@ func TestChainBackPressurePropagates(t *testing.T) {
 		emitted.Add(1)
 		return []byte("x"), true
 	}
-	s2 := chainStage(runtime.TransportInproc, 2, "-b")
-	s2.MergerQueue = 16
-	s2.RingCap = 8
+	s2 := chainStage(runtime.TransportInproc, workers, "-b")
 	gated := true
 	s2.Sink = func(transport.Tuple, int) {
 		if gated {
@@ -211,13 +203,21 @@ func TestChainBackPressurePropagates(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunChain([]runtime.RegionConfig{s1, s2}, ChainOptions{EdgeCap: 16})
+		_, err := RunChain([]runtime.RegionConfig{s1, s2}, ChainOptions{EdgeCap: edgeCap})
 		done <- err
 	}()
 
+	// What can sit between the source and the wedged sink: inprocWorkerHolds
+	// per worker of either stage; each splitter's round and the forwarding
+	// sink's tuple; the edge and one drain of it; and the wedged sink's
+	// tuple. Without propagation the source would finish.
+	bound := int64(2*workers*inprocWorkerHolds + 2*batch + 1 + edgeCap + edgeRecvBatch + 1)
+	if bound >= n/2 {
+		t.Fatalf("bound %d says nothing against %d tuples", bound, n)
+	}
+
 	// Let the chain wedge against the gated sink, then check the source
-	// stalled within the chain's bounded buffering. The loose bound (well
-	// under n) is the point: without propagation the source would finish.
+	// stalled within the chain's bounded buffering.
 	deadline := time.After(5 * time.Second)
 	for emitted.Load() == 0 {
 		select {
@@ -227,8 +227,10 @@ func TestChainBackPressurePropagates(t *testing.T) {
 		}
 	}
 	time.Sleep(300 * time.Millisecond)
-	if got := emitted.Load(); got >= n/10 {
-		t.Fatalf("source emitted %d tuples against a wedged sink; back pressure did not propagate", got)
+	got := emitted.Load()
+	t.Logf("source ran %d tuples ahead; the caps allow %d", got, bound)
+	if got > bound {
+		t.Fatalf("source emitted %d tuples against a wedged sink, the caps allow %d; back pressure did not propagate", got, bound)
 	}
 	close(release)
 	if err := <-done; err != nil {

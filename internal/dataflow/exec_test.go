@@ -41,6 +41,14 @@ func waitStalled(t *testing.T, c *atomic.Int64, settle time.Duration) int64 {
 	return 0
 }
 
+// inprocWorkerHolds is what one worker of an in-proc region can hold between
+// its splitter and its merger's sink: its input ring, the batch in its hands,
+// and its stream's merger backlog — the ingest ring and reorder queue, held
+// together to DefaultMergerQueue, plus the one tuple the merge needs next,
+// which is admitted past the cap.
+const inprocWorkerHolds = transport.DefaultInprocRing + transport.DefaultRecvBatch +
+	runtime.DefaultMergerQueue + 1
+
 // TestExecuteBackPressureAcrossFanOut is the tree form of
 // TestChainBackPressurePropagates: with the sink of one branch wedged, the
 // source stalls within what the stages and edges between them can hold —
@@ -68,13 +76,10 @@ func TestExecuteBackPressureAcrossFanOut(t *testing.T) {
 	}
 
 	// What can sit between the source and the wedged sink: the source's own
-	// one-worker stage, one edge, and the left region. A worker holds its
-	// input ring, the batch in its hands and its output ring; behind it the
-	// merger holds a batch, its ingest ring and a reorder queue. The splitter
-	// and the forwarding sink hold one tuple each.
-	perWorker := 2*transport.DefaultInprocRing + 2*transport.DefaultRecvBatch +
-		2*runtime.DefaultMergerQueue
-	bound := int64((1+width)*perWorker + 2 + edgeCap + edgeRecvBatch + 1)
+	// one-worker stage, one edge, and the left region — inprocWorkerHolds per
+	// worker; the two splitters' rounds of one and the forwarding sink's
+	// tuple; the edge and one drain of it; and the wedged sink's tuple.
+	bound := int64((1+width)*inprocWorkerHolds + 3 + edgeCap + edgeRecvBatch + 1)
 	if bound >= n/2 {
 		t.Fatalf("bound %d says nothing against %d tuples", bound, n)
 	}

@@ -99,8 +99,8 @@ func runEquivRegion(t *testing.T, kind TransportKind, trial equivTrial) ([]equiv
 		Operators:   ops,
 		Source:      equivSource(trial.tuples),
 		BatchSize:   trial.batch,
-		RingCap:     trial.ringCap,
-		MergerQueue: trial.mergerQueue,
+		ringCap:     trial.ringCap,
+		mergerQueue: trial.mergerQueue,
 		Sink: func(tp transport.Tuple, conn int) {
 			p := append([]byte(nil), tp.Payload...)
 			mu.Lock()
@@ -174,7 +174,7 @@ func TestInprocRegionTeardownNoGoroutineLeaks(t *testing.T) {
 		Operators: []Operator{equivOp{}, equivOp{}, equivOp{}},
 		Source:    equivSource(5000),
 		BatchSize: 4,
-		RingCap:   16,
+		ringCap:   16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 		Transport:   TransportInproc,
 		Operators:   []Operator{equivOp{}, equivOp{}},
 		Source:      equivSource(100_000),
-		RingCap:     1,
-		MergerQueue: 4,
+		ringCap:     1,
+		mergerQueue: 4,
 		Sink: func(transport.Tuple, int) {
 			once.Do(func() { close(first) })
 			<-gate
@@ -218,7 +218,7 @@ func TestInprocRegionCloseWhileCapParked(t *testing.T) {
 	}()
 	<-first
 	// With the sink wedged the back pressure cascades until a worker's
-	// forward parks in ingest, its stream's backlog at MergerQueue.
+	// forward parks in ingest, its stream's backlog at mergerQueue.
 	deadline := time.Now().Add(5 * time.Second)
 	for !workerParkedAtCap(region.merger) {
 		if time.Now().After(deadline) {
@@ -252,7 +252,7 @@ func TestInprocForwardStallBound(t *testing.T) {
 		}), Identity()},
 		Source:      equivSource(100_000),
 		BatchSize:   16,
-		MergerQueue: 4,
+		mergerQueue: 4,
 		Timeouts:    Timeouts{SendStall: 200 * time.Millisecond},
 	})
 	if err != nil {

@@ -153,8 +153,8 @@ func runKeyedTrial(t *testing.T, trial int, tr keyedTrial, seed int64) {
 		},
 		Router:         trialRouter(t, tr.router, tr.workers),
 		BatchSize:      tr.batch,
-		RingCap:        tr.ringCap,
-		MergerQueue:    tr.mergerQueue,
+		ringCap:        tr.ringCap,
+		mergerQueue:    tr.mergerQueue,
 		SampleInterval: 20 * time.Millisecond,
 		Sink: func(tp transport.Tuple, conn int) {
 			mu.Lock()

@@ -171,7 +171,8 @@ type Merger struct {
 // order, with the worker id that processed it; it runs on the merge goroutine
 // and must not block indefinitely. queueCap sizes each connection's ingest
 // ring and, until a control channel attaches, bounds its reorder backlog;
-// <= 0 selects DefaultMergerQueue.
+// <= 0 selects DefaultMergerQueue, which every region and spe use. Other
+// values are a seam for tests and probes that drive a small cap.
 func NewMerger(workers, queueCap int, sink func(transport.Tuple, int)) (*Merger, error) {
 	if sink == nil {
 		return newMerger(workers, queueCap, nil, true)
@@ -554,18 +555,11 @@ type ingestEdge struct {
 	mu      sync.Mutex
 	closing atomic.Bool // set first by Close: a parked send gives up
 
-	stall time.Duration // bounds one park (SetStallTimeout)
-
-	blockedNS, blockEvents, sent, flushes atomic.Int64
+	stall time.Duration // bounds one park (Timeouts.SendStall; 0 = unbounded)
 }
 
 // errForwardStall is an in-proc forward parked for its whole stall bound.
 var errForwardStall = errors.New("runtime: in-proc send stalled: merger not draining")
-
-func (e *ingestEdge) Send(t transport.Tuple) error {
-	ts := [1]transport.Tuple{t}
-	return e.SendBatch(ts[:])
-}
 
 // SendBatch fails atomically on an unencodable tuple, as every edge does. A
 // forward that stops midway leaves what it admitted with the merger.
@@ -584,21 +578,16 @@ func (e *ingestEdge) SendBatch(ts []transport.Tuple) error {
 	if err := e.m.ingest(e.id, ts, nil, e); err != nil {
 		return fmt.Errorf("runtime: forward batch of %d: %w", len(ts), err)
 	}
-	e.sent.Add(int64(len(ts)))
-	e.flushes.Add(1)
 	return nil
 }
 
-// park is parkStream on this edge: timed into its blocking counter, ended by
-// Close, and failed when one wait outlives the stall bound still blocked.
+// park is parkStream on this edge: ended by Close, and failed when one wait
+// outlives the stall bound still blocked.
 func (e *ingestEdge) park(blocked func() bool) error {
 	m := e.m
-	e.blockEvents.Add(1)
-	start := time.Now()
 	stalled := m.parks[e.id].ParkFor(func() bool {
 		return blocked() && !m.closed.Load() && !e.closing.Load()
 	}, e.stall)
-	e.blockedNS.Add(int64(time.Since(start)))
 	switch {
 	case m.closed.Load():
 		return errMergerClosed
@@ -609,12 +598,6 @@ func (e *ingestEdge) park(blocked func() bool) error {
 	}
 	return nil
 }
-
-func (e *ingestEdge) SetStallTimeout(d time.Duration) { e.stall = max(d, 0) }
-func (e *ingestEdge) TotalBlocking() time.Duration    { return time.Duration(e.blockedNS.Load()) }
-func (e *ingestEdge) BlockEvents() int64              { return e.blockEvents.Load() }
-func (e *ingestEdge) Sent() int64                     { return e.sent.Load() }
-func (e *ingestEdge) Flushes() int64                  { return e.flushes.Load() }
 
 // Close wakes a parked send, fails later ones and detaches the stream.
 // Idempotent; callable from any goroutine.

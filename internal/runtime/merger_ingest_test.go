@@ -22,7 +22,7 @@ func ascending(from uint64, n int) []transport.Tuple {
 
 // TestIngestCapCountsStagedTuples pins the back-pressure bound under span
 // hand-off: the tuples a reader has written into ring slots but not yet
-// published count toward MergerQueue, so a reader holding a 64-tuple batch
+// published count toward the reorder cap, so a reader holding a 64-tuple batch
 // behind a gap parks with 4 tuples in the stream's backlog, not 4 plus
 // whatever it staged. The test is the merge loop — it makes drain and release
 // passes by hand — so "the merge cannot release" lasts exactly as long as

@@ -118,17 +118,6 @@ type RegionConfig struct {
 	// SampleInterval is the splitter's collection interval (default
 	// DefaultSampleInterval).
 	SampleInterval time.Duration
-	// MergerQueue bounds each reorder queue (default DefaultMergerQueue)
-	// unless a control channel attaches (Recovery), and sizes each merger
-	// connection's ingest ring to match.
-	MergerQueue int
-	// RingCap bounds each splitter→worker edge of an in-proc region in
-	// tuples (<= 0 selects transport.DefaultInprocRing; rounded up to a power
-	// of two): the edge ring is that transport's "socket buffer", the thing
-	// whose fullness makes a send elect to block. An in-proc worker forwards
-	// straight into its stream's merger ingest ring, which MergerQueue sizes.
-	// A TCP region ignores it.
-	RingCap int
 	// Sink receives every released tuple in order, with the worker id.
 	// Optional.
 	Sink func(transport.Tuple, int)
@@ -160,6 +149,11 @@ type RegionConfig struct {
 	// Zero fields select the defaults; negative fields disable the
 	// corresponding deadline.
 	Timeouts Timeouts
+
+	// mergerQueue and ringCap override DefaultMergerQueue and
+	// transport.DefaultInprocRing (0 keeps them). Fields, not the constants,
+	// so a test can drive small reorder caps and in-proc rings.
+	mergerQueue, ringCap int
 }
 
 // Region owns the processes of one parallel region: N workers, the merger
@@ -274,7 +268,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	// An in-proc region's merger opens no socket: nothing would ever dial it.
 	// The order check reads the released tuple where it lies; only cfg.Sink
 	// gets a copy.
-	merger, err := newMerger(len(cfg.Operators), cfg.MergerQueue, func(t *transport.Tuple, conn int) {
+	merger, err := newMerger(len(cfg.Operators), cfg.mergerQueue, func(t *transport.Tuple, conn int) {
 		if r.strictOrder {
 			if t.Seq != r.lastSeq {
 				r.orderGood = false
@@ -299,9 +293,10 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 	var senders []transport.BatchSender
 	if inproc {
 		// Each worker goroutine reads a bounded shared-memory edge from the
-		// splitter (RingCap, the in-proc "socket buffer") and forwards on its
-		// own goroutine straight into its stream's merger ingest ring
-		// (forwardEdge), under the readers' admission rules.
+		// splitter (transport.DefaultInprocRing tuples, the in-proc "socket
+		// buffer") and forwards on its own goroutine straight into its
+		// stream's merger ingest ring (forwardEdge), under the readers'
+		// admission rules.
 		to := cfg.Timeouts.norm()
 		for i, op := range cfg.Operators {
 			out, err := merger.forwardEdge(i)
@@ -309,7 +304,7 @@ func NewRegion(cfg RegionConfig) (*Region, error) {
 				r.Close()
 				return nil, err
 			}
-			inTx, inRx := transport.InprocPair(cfg.RingCap)
+			inTx, inRx := transport.InprocPair(cfg.ringCap)
 			r.workers = append(r.workers, newInprocWorker(i, op, inRx, out, to))
 			senders = append(senders, inTx)
 		}

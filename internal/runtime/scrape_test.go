@@ -211,7 +211,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 			Balancer:       balancer,
 			SampleInterval: 10 * time.Millisecond,
 			BatchSize:      16,
-			RingCap:        64,
+			ringCap:        64,
 			Metrics:        NewRegionMetrics(reg, nil),
 		})
 		if err != nil {
@@ -264,7 +264,7 @@ func TestScrapeDoesNotWaitOnParkedSend(t *testing.T) {
 				Operators:      []Operator{stalled, Identity()},
 				Source:         ConstantSource(bytes.Repeat([]byte("p"), 512), tuples),
 				SampleInterval: 10 * time.Millisecond,
-				RingCap:        16,
+				ringCap:        16,
 				BatchSize:      8,
 				Metrics:        NewRegionMetrics(reg, nil),
 			})

@@ -129,9 +129,10 @@ type SplitterConfig struct {
 	// layer. Nil disables instrumentation.
 	Metrics *RegionMetrics
 	// Timeouts bounds the splitter's I/O: worker and control dials, the
-	// worker ready-ACK probe, control-channel reads/writes and the
-	// per-flush send stall. Zero fields select the defaults; negative
-	// fields disable the corresponding deadline.
+	// wait for a worker's answer to the ack hello (the admission probe),
+	// control-channel reads/writes and the per-flush send stall. Zero
+	// fields select the defaults; negative fields disable the corresponding
+	// deadline.
 	Timeouts Timeouts
 	// Recovery sets the replay buffer, redial policy, merge-stall window and
 	// quarantine budget, with RegionConfig's meanings and defaults. Only
@@ -156,10 +157,12 @@ const DefaultSocketBuffer = 64 << 10
 const DefaultSampleInterval = 100 * time.Millisecond
 
 // holdParkedShare is the share of a sample interval the send loop may spend
-// parked in writes before no edge holds output in the next one. Holding saves
-// write(2) time only while the loop spends time writing; parked nearly the
-// whole interval, behind one slow worker, it has none to save, and holding
-// only delays tuples the merger may be waiting for (DESIGN §4b).
+// parked before no edge holds output in the next one. Holding saves write(2)
+// time only while the loop spends time writing; parked nearly the whole
+// interval, behind one slow worker, it has none to save, and holding only
+// delays tuples the merger may be waiting for. Unkeyed runs were not seen to
+// reach it (a slow edge waits for credit before its socket fills); keyed
+// tuples are not credit-bound, and behind a slow worker it fires (DESIGN §4b).
 const holdParkedShare = 0.9
 
 // DefaultRetainCap bounds the replay buffer (tuples retained above the
@@ -425,21 +428,11 @@ func NewSplitter(cfg SplitterConfig) (*Splitter, error) {
 		}
 	}
 	sp.setBounds(initial)
-	if cfg.ControlAddr != "" {
-		// Consume every worker's ready ACK before the readers start (they
-		// parse credit frames only). This doubles as the admission health
-		// check: a worker that cannot reach the merger within the probe
-		// deadline never enters the schedule.
-		for _, c := range sp.conns {
-			if err := sp.probeReady(c.conn); err != nil {
-				sp.closeSenders(false)
-				return nil, fmt.Errorf("runtime: splitter probe worker %d: %w", c.id, err)
-			}
-		}
-	}
 	// Every worker answers the ack hello before the first tuple, so each
-	// bound holds from the first tuple (after the ready ACK: the worker
-	// answers from its receive loop).
+	// bound holds from the first tuple. The answer is also the admission
+	// health check: the worker writes it from its first receive, after its
+	// merger connection is up and identified, so a worker that cannot reach
+	// the merger within the IO deadline never enters the schedule.
 	for _, c := range sp.conns {
 		if c.conn == nil {
 			continue

@@ -6,7 +6,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -33,24 +32,6 @@ type rejoin struct {
 	conn   net.Conn
 	sender transport.BatchSender
 	acks   *transport.Acks
-}
-
-// probeReady waits for the worker's ready ACK byte: the worker writes it once
-// its merger connection is up and identified, so reading it proves the whole
-// forwarding path. Bounded by the IO timeout.
-func (sp *Splitter) probeReady(conn net.Conn) error {
-	if sp.to.IO > 0 {
-		conn.SetReadDeadline(time.Now().Add(sp.to.IO))
-		defer conn.SetReadDeadline(time.Time{})
-	}
-	var b [1]byte
-	if _, err := io.ReadFull(conn, b[:]); err != nil {
-		return fmt.Errorf("ready ack: %w", err)
-	}
-	if b[0] != workerReadyAck {
-		return fmt.Errorf("ready ack: unexpected byte %#x", b[0])
-	}
-	return nil
 }
 
 func (sp *Splitter) event(ev ConnEvent) {
@@ -424,10 +405,12 @@ func (sp *Splitter) collectRetained(id int) []*retainEntry {
 // redialLoop re-establishes a failed worker connection with backoff and
 // hands it to the send loop. One attempt is a dial plus the readmission
 // health probe: an accepted TCP connection only proves the listener is alive,
-// so the worker's ready ACK (its merger path re-established) is required too,
-// and a worker that accepts but never acknowledges backs off like one that
-// refuses. When the attempt budget runs out it emits "redial-exhausted" and
-// gives up — the worker stays out of the schedule for good.
+// so the worker's answer to the ack hello is required too (readAnswer; the
+// worker answers from its first receive, after its merger connection is up
+// and identified), and a worker that accepts but never answers backs off
+// like one that refuses. When the attempt budget runs out it emits
+// "redial-exhausted" and gives up — the worker stays out of the schedule for
+// good.
 func (sp *Splitter) redialLoop(id int, addr string) {
 	var acks *transport.Acks
 	rd := transport.NewRedialer(func() (net.Conn, error) {
@@ -437,10 +420,6 @@ func (sp *Splitter) redialLoop(id int, addr string) {
 		conn, err := sp.dialWorker(addr)
 		if err != nil {
 			return nil, err
-		}
-		if err := sp.probeReady(conn); err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("health probe: %w", err)
 		}
 		if acks, err = sp.readAnswer(conn); err != nil {
 			conn.Close()

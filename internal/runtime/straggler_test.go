@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +65,71 @@ func TestMergerShedsSilentDialer(t *testing.T) {
 		t.Fatalf("released %d tuples, want 3", n)
 	}
 	testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+}
+
+// TestSilentWorkerNotAdmitted: a worker that accepts the splitter's dial but
+// never answers the ack hello, or closes at once, stays out of the region.
+// NewSplitter fails within about a second, naming the ack handshake, with or
+// without a control channel, and leaves nothing running.
+func TestSilentWorkerNotAdmitted(t *testing.T) {
+	peers := []struct {
+		name  string
+		serve func(net.Conn)
+	}{
+		{"silent", func(c net.Conn) { io.Copy(io.Discard, c) }},
+		{"closes", func(net.Conn) {}},
+	}
+	for _, peer := range peers {
+		for _, control := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/control=%t", peer.name, control), func(t *testing.T) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					for {
+						c, err := ln.Accept()
+						if err != nil {
+							return
+						}
+						go func() {
+							defer c.Close()
+							peer.serve(c)
+						}()
+					}
+				}()
+				cfg := SplitterConfig{
+					WorkerAddrs: []string{ln.Addr().String()},
+					Source:      func(uint64) ([]byte, bool) { return nil, false },
+					Timeouts:    Timeouts{IO: 200 * time.Millisecond},
+				}
+				if control {
+					// Never dialed: the worker's answer comes first.
+					ctl, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ctl.Close()
+					cfg.ControlAddr = ctl.Addr().String()
+				}
+				start := time.Now()
+				sp, err := NewSplitter(cfg)
+				elapsed := time.Since(start)
+				if err == nil {
+					sp.closeSenders(false)
+					t.Fatal("a worker that never answered was admitted")
+				}
+				if elapsed > time.Second {
+					t.Fatalf("NewSplitter took %v to refuse the worker", elapsed)
+				}
+				if !strings.Contains(err.Error(), "ack") {
+					t.Fatalf("error %q does not name the ack handshake", err)
+				}
+				ln.Close()
+				testutil.ExpectNoModuleGoroutines(t, 2*time.Second)
+			})
+		}
+	}
 }
 
 // TestMergerCloseReleasesPendingHandshake disables the handshake deadline so

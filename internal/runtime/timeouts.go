@@ -12,9 +12,9 @@ const (
 	// exchange on a fresh merger connection in both directions (a peer that
 	// connects and goes silent is shed after this long instead of pinning
 	// an accept-path goroutine forever), the splitter's wait for a worker's
-	// ready acknowledgement (the health re-probe gating re-admission), and
-	// each control-channel write (the merger's watermark frames and the
-	// splitter's FIN).
+	// answer to the ack hello (the health probe gating admission and
+	// re-admission), and each control-channel write (the merger's watermark
+	// frames and the splitter's FIN).
 	DefaultIOTimeout = 5 * time.Second
 	// DefaultControlReadTimeout bounds each watermark-frame read on the
 	// splitter's control channel. The merger writes a frame every watermark
@@ -41,9 +41,8 @@ const (
 // (restoring the unbounded pre-straggler-defense behaviour).
 type Timeouts struct {
 	// IO bounds dials, the id handshakes, the splitter's wait for a worker's
-	// ready ACK before (re-)admitting it into the schedule and for its
-	// answer to the ack hello, and each control-channel write (watermark and
-	// FIN frames).
+	// answer to the ack hello before (re-)admitting it into the schedule,
+	// and each control-channel write (watermark and FIN frames).
 	IO time.Duration
 	// ControlRead bounds each watermark-frame read on the control channel.
 	ControlRead time.Duration
@@ -85,10 +84,3 @@ func (t Timeouts) dialTimeout() time.Duration {
 	}
 	return 10 * time.Minute
 }
-
-// workerReadyAck is the single byte a worker writes back to the splitter
-// once its merger connection is established and identified — the health
-// probe recovery-mode splitters require before admitting the connection.
-// Non-recovery splitters never read it; one unread byte parks harmlessly in
-// the socket buffer.
-const workerReadyAck = 0xA5

@@ -31,6 +31,13 @@ var (
 	_ regionWorker = (*inprocWorker)(nil)
 )
 
+// forwarder is a worker's output edge as its loop uses it: a TCP sender to
+// the merger, or in-proc the merger's ingest itself (ingestEdge).
+type forwarder interface {
+	SendBatch(ts []transport.Tuple) error
+	Close() error
+}
+
 // pe is the part of a worker that does not depend on the transport: the
 // operator, the optional combiner, and the one receive-batch → process →
 // send-batch loop both worker kinds run. Worker and inprocWorker embed it and
@@ -48,7 +55,7 @@ type pe struct {
 	mu     sync.Mutex
 	closed bool
 	rx     transport.BatchReceiver
-	tx     transport.BatchSender
+	tx     forwarder
 
 	done chan struct{}
 	err  error
@@ -97,7 +104,7 @@ func (p *pe) interrupt() {
 // splitter's sends instead of leaving them parked on a worker that is gone.
 // An exit caused by Close is clean on every transport — a receive or forward
 // that Close interrupted is not a worker failure.
-func (p *pe) serve(rx transport.BatchReceiver, tx transport.BatchSender) error {
+func (p *pe) serve(rx transport.BatchReceiver, tx forwarder) error {
 	p.mu.Lock()
 	closed := p.closed
 	if !closed {
@@ -141,7 +148,7 @@ const forwardHold = time.Millisecond
 // released once SendBatch has returned — a TCP edge is done with the payloads
 // by then, an in-proc edge carries only GC-owned ones. A failed forward
 // releases the unforwarded tuples' too.
-func (p *pe) workLoop(rx transport.BatchReceiver, tx transport.BatchSender) error {
+func (p *pe) workLoop(rx transport.BatchReceiver, tx forwarder) error {
 	if p.now == nil {
 		p.now = time.Now
 	}
@@ -207,8 +214,8 @@ type inprocWorker struct{ pe }
 // newInprocWorker wires one worker between its two edges. The stall bound
 // mirrors the TCP worker's forwarding stall: back pressure from the merger is
 // routine, the bound only converts "merger never drains again" into an error.
-func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx transport.BatchSender, to Timeouts) *inprocWorker {
-	tx.SetStallTimeout(to.SendStall)
+func newInprocWorker(id int, op Operator, rx *transport.InprocReceiver, tx *ingestEdge, to Timeouts) *inprocWorker {
+	tx.stall = to.SendStall
 	// Acking 0 before the splitter is built tells it this edge acks
 	// (transport.Acks.Acking), so it bounds the edge from the first tuple.
 	rx.Ack(0)
@@ -345,23 +352,6 @@ func (w *Worker) serveConn(in net.Conn) error {
 		return fmt.Errorf("runtime: worker %d send id: %w", w.id, err)
 	}
 	out.SetWriteDeadline(time.Time{})
-	// Acknowledge readiness to the splitter: the merger connection is up
-	// and identified, so the end-to-end path works. Recovery-mode splitters
-	// (which always pair with resilient workers) read this byte as their
-	// admission health probe, then the answer to their ack hello, before
-	// their reader takes over the connection's reverse direction for the
-	// credit frames that follow (transport/acks.go). A one-shot worker
-	// writes no ACK: its splitter does not probe, so the answer and the
-	// credits are all it reads.
-	if w.resilient {
-		if w.to.IO > 0 {
-			in.SetWriteDeadline(time.Now().Add(w.to.IO))
-		}
-		if _, err := in.Write([]byte{workerReadyAck}); err != nil {
-			return fmt.Errorf("runtime: worker %d send ready ack: %w", w.id, err)
-		}
-		in.SetWriteDeadline(time.Time{})
-	}
 
 	sender, err := transport.NewSender(out)
 	if err != nil {
@@ -372,7 +362,10 @@ func (w *Worker) serveConn(in net.Conn) error {
 	// a permanent wedge into a connection error recovery absorbs.
 	sender.SetStallTimeout(w.to.SendStall)
 	// Ack 0 goes out as soon as the first receive finds the splitter's
-	// hello, so the splitter bounds this connection from then on.
+	// hello, so the splitter bounds this connection from then on. That
+	// answer is the splitter's admission health probe: it comes only after
+	// the merger connection above is up and identified, so it proves the
+	// whole forwarding path.
 	rx := transport.NewReceiver(in)
 	rx.Ack(0)
 	return w.serve(rx, sender)

@@ -216,8 +216,8 @@ func ringSuite[T any](t *testing.T, s ringSlots[T]) {
 
 	// A tiny ring driven far past its capacity from every preload offset, so
 	// the cursors wrap the buffer hundreds of times at every alignment. The
-	// capacity-2 ring is what RingCap: 1 rounds to: its spans are one slot
-	// each wherever the cursor sits.
+	// capacity-2 ring is what a requested capacity of 1 rounds to: its spans
+	// are one slot each wherever the cursor sits.
 	t.Run("WraparoundFIFO", func(t *testing.T) {
 		for _, capacity := range []int{4, 1} {
 			for phase := 0; phase <= spsc.NewRing[T](capacity).Cap(); phase++ {
